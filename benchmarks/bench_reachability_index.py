@@ -22,6 +22,7 @@ cache-hit flags actually firing) always run.  Ratios land in
 by ``benchmarks/check_perf_regression.py`` in CI.
 """
 
+import gc
 import random
 import time
 
@@ -82,9 +83,16 @@ def two_region_graph():
 
 
 def _measure(fn):
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
+    # Collector off while timing, as timeit does: a smoke-profile run
+    # is tens of microseconds, so a collection triggered by garbage
+    # other benches left behind would otherwise decide the ratio.
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        fn()
+        return time.perf_counter() - start
+    finally:
+        gc.enable()
 
 
 def _assert_identical(reference, candidate):

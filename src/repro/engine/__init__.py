@@ -49,28 +49,31 @@ Parallel batches
 Plans are frozen and the solvers re-entrant — all per-query state
 (work counters, budget, optional deadline) travels in an
 :class:`~repro.execution.ExecutionContext` — so one cached plan can
-serve many in-flight queries at once.  ``run_batch(queries, workers=N)``
-shards the workload over a thread pool: a plan is compiled exactly once
-per distinct language even when workers race on it (single-flight), the
-results come back in input order, identical path-for-path to serial
-execution, and failures stay isolated per query.
-``mode="process"`` swaps in worker processes (private engines over the
-same compiled graph) for CPU scaling on GIL builds.
-``BatchResult.cache_stats`` and ``QueryEngine.cache_stats()`` report
-the real plan-cache counters (hits / misses / evictions / compiles).
+serve many in-flight queries at once, and concurrent ``query`` calls
+compile a plan exactly once per distinct language even when threads
+race on it (single-flight).  ``run_batch`` answers a batch in this
+process, in input order, with failures isolated per query.  Every
+solver runs under the GIL, so a batch reaches more cores one way only:
+:class:`repro.service.workers.WorkerPool`, whose worker processes
+attach one shared snapshot of the compiled graph and answer their
+shards through the same ``QueryEngine.run_shard``, path-for-path
+identical to ``run_batch``.  ``BatchResult.cache_stats`` and
+``QueryEngine.cache_stats()`` report the real plan-cache counters
+(hits / misses / evictions / compiles).
 
 Entry points
 ------------
 
-* ``QueryEngine(graph).run_batch([(language, source, target), ...],
-  workers=N, mode="thread")`` — batch evaluation with per-query stats
-  (strategy, solver steps, plan cache hit, seconds), real plan-cache
-  counters, and a ``summary()``.
+* ``QueryEngine(graph).run_batch([(language, source, target), ...])``
+  — batch evaluation with per-query stats (strategy, solver steps,
+  plan cache hit, seconds), real plan-cache counters, and a
+  ``summary()``.
 * ``QueryEngine(graph).query(language, source, target)`` — one query.
 * ``IndexedGraph(graph)`` — the compiled view, usable directly with any
   solver in :mod:`repro.algorithms` / :mod:`repro.core`.
 * CLI: ``repro batch GRAPH QUERIES --workers N --jsonl OUT`` (see
-  ``repro batch --help``).
+  ``repro batch --help``); ``--workers`` above 1 runs the batch on a
+  ``WorkerPool`` of N processes.
 """
 
 from .indexed import IndexedGraph

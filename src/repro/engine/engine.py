@@ -9,24 +9,24 @@ path-for-path, to what per-query :func:`repro.core.solver.solve_rspq`
 returns on the raw graph; the engine only removes redundant work.
 
 Plans are frozen and solvers re-entrant (per-query state lives in an
-:class:`~repro.execution.ExecutionContext`), so ``run_batch`` can shard
-a workload across a thread pool: queries on the same language share one
-plan, compiled exactly once even under contention (single-flight), and
-results come back in input order with per-query error isolation — the
-same contract as serial execution.  ``mode="process"`` swaps the thread
-pool for worker processes (each with its own engine over the same
-compiled graph), which sidesteps the GIL for CPU-bound workloads on
-standard CPython builds.
+:class:`~repro.execution.ExecutionContext`), so any number of threads
+may call :meth:`QueryEngine.query` at once: queries on the same
+language share one plan, compiled exactly once even under contention
+(single-flight).  ``run_batch`` answers a whole batch in this process,
+in input order with per-query error isolation, sweeping the queries
+that share a plan together.  A batch reaches more cores one way only:
+a :class:`repro.service.workers.WorkerPool`, whose worker processes
+answer their shards through the same :meth:`QueryEngine.run_shard`.
 """
 
 from __future__ import annotations
 
+import inspect
 import threading
 import time
 from collections import Counter, OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Optional
 
 if TYPE_CHECKING:
     from ..languages import Language
@@ -102,20 +102,20 @@ class EngineResult:
 
 @dataclass
 class BatchResult:
-    """Outcome of :meth:`QueryEngine.run_batch`."""
+    """Outcome of :meth:`QueryEngine.run_batch` (or of a pooled batch)."""
 
     results: list[EngineResult]
     seconds: float
     #: Real :class:`PlanCacheStats` accumulated during this batch (the
-    #: delta over the engine's cache; summed over workers in process
-    #: mode).  Unlike per-result accounting this counts plans that were
-    #: compiled but whose query then errored.
-    cache_stats: Optional[PlanCacheStats] = None
-    #: Worker threads/processes the batch ran with (1 = serial).
+    #: delta over the engine's cache; summed over the workers of a
+    #: pooled batch).  Unlike per-result accounting this counts plans
+    #: that were compiled but whose query then errored.
+    cache_stats: PlanCacheStats
+    #: Worker processes the batch ran on (1 = in-process).
     workers: int = 1
     #: Result-cache counter deltas for this batch (None when the
-    #: engine's result cache is disabled; summed over workers in
-    #: process mode).
+    #: engine's result cache is disabled; summed over the workers of a
+    #: pooled batch).
     result_cache_stats: Optional["ResultCacheStats"] = None
     #: Vectorized-execution counters — groups formed, sweeps run,
     #: members peeled by cache/short-circuit, sweep-proven negatives —
@@ -138,28 +138,13 @@ class BatchResult:
 
     @property
     def plan_cache_hits(self) -> int:
-        """Cache hits during the batch (real cache counters when known)."""
-        if self.cache_stats is not None:
-            return self.cache_stats.hits
-        return sum(
-            1 for result in self.results if result.stats.plan_cache_hit
-        )
+        """Plan-cache hits during the batch."""
+        return self.cache_stats.hits
 
     @property
     def plans_compiled(self) -> int:
-        """Plans compiled during the batch (real cache counters when known).
-
-        Falls back to inferring from the per-result flags when no cache
-        stats were recorded; the inference undercounts queries that
-        compiled a plan and then errored.
-        """
-        if self.cache_stats is not None:
-            return self.cache_stats.compiles
-        return sum(
-            1
-            for result in self.results
-            if result.error is None and not result.stats.plan_cache_hit
-        )
+        """Plans compiled during the batch."""
+        return self.cache_stats.compiles
 
     def strategy_counts(self) -> "Counter[str]":
         """``Counter`` of queries answered per strategy."""
@@ -174,12 +159,10 @@ class BatchResult:
         errors = (
             ", %d errors" % self.error_count if self.error_count else ""
         )
-        cache = ""
-        if self.cache_stats is not None:
-            cache = ", %d misses, %d evictions" % (
-                self.cache_stats.misses,
-                self.cache_stats.evictions,
-            )
+        cache = ", %d misses, %d evictions" % (
+            self.cache_stats.misses,
+            self.cache_stats.evictions,
+        )
         workers = ", %d workers" % self.workers if self.workers > 1 else ""
         results = ""
         if self.result_cache_stats is not None and (
@@ -345,36 +328,6 @@ class _ResultCache:
             )
 
 
-def _process_shard(graph, engine_kwargs, shard, overrides,
-                   vectorized=False):
-    """Worker-process entry point: answer one shard of indexed queries.
-
-    Builds a private engine over the (inherited or pickled) compiled
-    graph, so plans are compiled per process — cheap relative to the
-    shard and unavoidable, since plans cannot cross process boundaries.
-    ``vectorized`` shards re-group their queries by plan key (the
-    parent ships whole groups, so grouping reconstructs exactly the
-    groups a serial vectorized run would sweep).  Returns the indexed
-    results plus the worker's cache and vectorization counters.
-    """
-    engine = QueryEngine(graph, **engine_kwargs)
-    if vectorized:
-        results, vec_stats = engine._run_batch_vectorized_indexed(
-            shard, overrides, engine.group_min_size
-        )
-    else:
-        vec_stats = None
-        results = [
-            (index, engine._run_single(language, source, target,
-                                       **overrides))
-            for index, (language, source, target) in shard
-        ]
-    return (
-        results, engine.cache_stats(), engine.result_cache_stats(),
-        vec_stats,
-    )
-
-
 @dataclass
 class _PendingQuery:
     """A group member past the serial prefix, awaiting sweep/solver.
@@ -405,8 +358,9 @@ class QueryEngine:
 
     The engine is thread-safe: plans are immutable, the plan cache
     locks internally, and per-query state travels in a fresh
-    :class:`~repro.execution.ExecutionContext`; :meth:`run_batch` uses
-    this to run shards of a workload concurrently.
+    :class:`~repro.execution.ExecutionContext`, so concurrent
+    :meth:`query` calls (the query service's executor threads) share
+    one engine.
 
     Parameters
     ----------
@@ -601,11 +555,9 @@ class QueryEngine:
         """Path of the snapshot backing this engine's graph, or None.
 
         Set when the compiled graph was loaded from, attached to, or
-        saved as a snapshot file.  A snapshot-backed engine's
-        process-mode batches ship the *path* to the workers (which
-        attach the shared mapping) instead of pickling the arrays, and
-        the pre-fork pool (:class:`repro.service.workers.WorkerPool`)
-        points its workers at the same file.
+        saved as a snapshot file.  A pre-fork pool
+        (:class:`repro.service.workers.WorkerPool`) for this engine
+        points its workers at that file instead of spooling a copy.
         """
         return getattr(self.graph, "_snapshot_path", None)
 
@@ -639,13 +591,13 @@ class QueryEngine:
 
         Returns ``(plan, cache_hit)``.  Under concurrent misses on the
         same key exactly one caller compiles (single-flight); the
-        others wait for its insertion and count as cache hits, so a
-        batch never compiles one language twice however many workers
+        others wait for its insertion and count as cache hits, so an
+        engine never compiles one language twice however many threads
         race on it.
         """
         key = plan_key(language)
         # Optimistic fast path: warm hits never touch the compile lock,
-        # so a hot cache scales across workers instead of serializing.
+        # so a hot cache scales across threads instead of serializing.
         plan = self.plan_cache.get(key)
         if plan is not None:
             return plan, True
@@ -1234,17 +1186,14 @@ class QueryEngine:
             ))
         return results
 
-    def _run_batch_vectorized_indexed(self, indexed, overrides, min_size):
-        """Answer ``(position, query)`` pairs through plan-key groups.
+    def _run_grouped(self, queries, overrides, min_size):
+        """Answer ``queries`` through plan-key groups, in input order.
 
-        The building block every vectorized schedule shares: serial
-        passes the whole batch, thread tasks pass one group each, and
-        process workers pass their shard (whole groups by
-        construction, so re-grouping here reconstructs them exactly).
-        Returns unordered ``(position, result)`` pairs plus the
-        :class:`VectorizedBatchStats` for this slice.
+        Groups run in first-occurrence order, then the ungroupable
+        queries (no plan key) one by one.  Returns the results plus
+        the :class:`VectorizedBatchStats` of the batch.
         """
-        groups, ungroupable = group_by_plan(indexed)
+        groups, ungroupable = group_by_plan(list(enumerate(queries)))
         stats = VectorizedBatchStats(
             groups=len(groups),
             grouped_queries=sum(
@@ -1252,21 +1201,58 @@ class QueryEngine:
             ),
         )
         sweep_ok = self._sweep_allowed(overrides)
-        results = []
+        results: list = [None] * len(queries)
         for members in groups.values():
-            results.extend(
-                self._run_group(members, overrides, min_size, sweep_ok,
-                                stats)
-            )
+            for index, result in self._run_group(
+                members, overrides, min_size, sweep_ok, stats
+            ):
+                results[index] = result
         for index, (language, source, target) in ungroupable:
-            results.append((
-                index,
-                self._run_single(language, source, target, **overrides),
-            ))
+            results[index] = self._run_single(
+                language, source, target, **overrides
+            )
         return results, stats
 
-    def run_batch(self, queries: Iterable[tuple], workers: int = 1,
-                  mode: str = "thread",
+    def run_shard(self, queries: list[tuple], overrides: dict[str, Any],
+                  vectorize: bool, group_min_size: int) -> BatchResult:
+        """Answer ``queries`` in order, with the batch knobs resolved.
+
+        The one batch path: :meth:`run_batch` answers a whole batch
+        here, and every :class:`~repro.service.workers.WorkerPool`
+        worker answers its shard here.  With ``vectorize`` the queries
+        sharing a plan are grouped and groups of at least
+        ``group_min_size`` sweep-eligible members share one product
+        sweep; without it each query runs on its own.  ``overrides``
+        holds the validated per-query ``deadline_seconds``, ``budget``,
+        ``portfolio`` and ``max_path_edges``.  The returned
+        :class:`BatchResult` carries this call's plan-cache and
+        result-cache counter deltas.
+        """
+        start = time.perf_counter()
+        plan_before = self.cache_stats()
+        results_before = self.result_cache_stats()
+        stats = None
+        if vectorize:
+            results, stats = self._run_grouped(
+                queries, overrides, group_min_size
+            )
+        else:
+            results = [
+                self._run_single(language, source, target, **overrides)
+                for language, source, target in queries
+            ]
+        return BatchResult(
+            results=results,
+            seconds=time.perf_counter() - start,
+            cache_stats=self.plan_cache.stats_delta(plan_before),
+            result_cache_stats=(
+                None if self._result_cache is None
+                else self.result_cache_stats().since(results_before)
+            ),
+            stats=stats,
+        )
+
+    def run_batch(self, queries: Iterable[tuple],
                   deadline_seconds: float | None = None,
                   budget: int | None = None,
                   vectorize: bool | None = None,
@@ -1275,27 +1261,19 @@ class QueryEngine:
                   max_path_edges: int | None = None) -> BatchResult:
         """Answer an iterable of ``(language, source, target)`` triples.
 
-        Queries run against the shared indexed graph; plans are
-        compiled at most once per distinct language (LRU permitting —
-        single-flight even under contention).  A query that raises
+        Queries run in this process against the shared indexed graph;
+        plans are compiled at most once per distinct language (LRU
+        permitting).  A query that raises
         :class:`~repro.errors.ReproError` (unknown vertex, bad regex,
         exceeded budget/deadline) does not abort the batch: it yields
         an :class:`EngineResult` with ``error`` set and the remaining
         queries still run.  Results always come back in input order.
+        To spread a batch over several cores, run it on a
+        :class:`~repro.service.workers.WorkerPool` instead; its
+        answers are identical, path for path.
 
         Parameters
         ----------
-        workers:
-            Concurrency degree; 1 (default) runs serially.  Results
-            are identical, path for path, for every worker count.
-        mode:
-            ``"thread"`` (default) shares this engine's plan cache
-            across a thread pool — the right choice whenever plan
-            compilation dominates, and for true CPU scaling on
-            free-threaded builds.  ``"process"`` shards across worker
-            processes, each with a private engine over the same
-            compiled graph — CPU scaling on GIL builds at the price of
-            per-process plan compiles.
         deadline_seconds / budget:
             Per-batch overrides of the engine defaults, applied to
             every query's execution context (each query still gets its
@@ -1320,148 +1298,23 @@ class QueryEngine:
         ``stats`` reports the vectorized-execution counters (None with
         ``vectorize=False``).
         """
-        if workers < 1:
-            raise ValueError("workers must be >= 1, got %d" % workers)
-        if mode not in ("thread", "process"):
-            raise ValueError(
-                "mode must be 'thread' or 'process', got %r" % (mode,)
-            )
         self._check_overrides(deadline_seconds, budget, max_path_edges)
-        use_vectorize = self.vectorize if vectorize is None else vectorize
-        min_size = (
-            self.group_min_size if group_min_size is None
-            else group_min_size
+        # The engine keeps each knob under its constructor kwarg name.
+        use_vectorize, min_size = batch_knobs(
+            vars(self), vectorize, group_min_size
         )
-        if min_size < 1:
-            raise ValueError(
-                "group_min_size must be >= 1, got %r" % (min_size,)
-            )
         overrides = {
             "deadline_seconds": deadline_seconds,
             "budget": budget,
             "portfolio": portfolio,
             "max_path_edges": max_path_edges,
         }
-        query_list = list(queries)
-        effective_workers = max(1, min(workers, len(query_list)))
-        start = time.perf_counter()
-        vec_stats = None
-        if effective_workers == 1:
-            before = self.cache_stats()
-            results_before = self.result_cache_stats()
-            if use_vectorize:
-                pairs, vec_stats = self._run_batch_vectorized_indexed(
-                    list(enumerate(query_list)), overrides, min_size
-                )
-                results = [None] * len(query_list)
-                for index, result in pairs:
-                    results[index] = result
-            else:
-                results = [
-                    self._run_single(language, source, target, **overrides)
-                    for language, source, target in query_list
-                ]
-            cache_stats = self.plan_cache.stats_delta(before)
-            result_cache_stats = self._result_cache_delta(results_before)
-        elif mode == "thread":
-            before = self.cache_stats()
-            results_before = self.result_cache_stats()
-            if use_vectorize:
-                results, vec_stats = self._run_batch_threads_vectorized(
-                    query_list, effective_workers, overrides, min_size
-                )
-            else:
-                results = self._run_batch_threads(
-                    query_list, effective_workers, overrides
-                )
-            cache_stats = self.plan_cache.stats_delta(before)
-            result_cache_stats = self._result_cache_delta(results_before)
-        elif use_vectorize:
-            results, cache_stats, result_cache_stats, vec_stats = (
-                self._run_batch_processes_vectorized(
-                    query_list, effective_workers, overrides, min_size
-                )
-            )
-        else:
-            results, cache_stats, result_cache_stats = (
-                self._run_batch_processes(
-                    query_list, effective_workers, overrides
-                )
-            )
-        return BatchResult(
-            results=results,
-            seconds=time.perf_counter() - start,
-            cache_stats=cache_stats,
-            workers=effective_workers,
-            result_cache_stats=result_cache_stats,
-            stats=vec_stats,
+        return self.run_shard(
+            list(queries), overrides, use_vectorize, min_size
         )
 
-    def _result_cache_delta(self, earlier):
-        if self._result_cache is None:
-            return None
-        return self.result_cache_stats().since(earlier)
-
-    # -- parallel schedulers -----------------------------------------------------
-
-    def _run_batch_threads(self, queries, workers, overrides):
-        """Strided shards over a thread pool; input-order results."""
-        results = [None] * len(queries)
-
-        def run_shard(offset):
-            for index in range(offset, len(queries), workers):
-                language, source, target = queries[index]
-                results[index] = self._run_single(
-                    language, source, target, **overrides
-                )
-
-        with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-batch"
-        ) as pool:
-            futures = [
-                pool.submit(run_shard, offset) for offset in range(workers)
-            ]
-            for future in futures:
-                future.result()
-        return results
-
-    def _run_batch_threads_vectorized(self, queries, workers, overrides,
-                                      min_size):
-        """Vectorized thread schedule: one pool task per plan group.
-
-        Groups are formed once here, so the sweep compositions — and
-        therefore every member's charged steps — are identical to a
-        serial vectorized run of the same batch.  Ungroupable queries
-        (no plan key) run in strided per-query shards alongside.
-        """
-        groups, ungroupable = group_by_plan(list(enumerate(queries)))
-        tasks = list(groups.values())
-        if ungroupable:
-            stride = min(workers, len(ungroupable))
-            tasks.extend(
-                ungroupable[offset::stride] for offset in range(stride)
-            )
-        results = [None] * len(queries)
-        total = VectorizedBatchStats()
-        with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-batch"
-        ) as pool:
-            futures = [
-                pool.submit(
-                    self._run_batch_vectorized_indexed, task, overrides,
-                    min_size,
-                )
-                for task in tasks
-            ]
-            for future in futures:
-                pairs, task_stats = future.result()
-                for index, result in pairs:
-                    results[index] = result
-                total = total + task_stats
-        return results, total
-
     def _worker_engine_kwargs(self):
-        """Constructor kwargs reproducing this engine in a worker process."""
+        """Constructor kwargs reproducing this engine in a pool worker."""
         return {
             "plan_cache_size": self.plan_cache.capacity,
             "exact_budget": self.exact_budget,
@@ -1482,85 +1335,33 @@ class QueryEngine:
             "portfolio_seed": self.portfolio_seed,
         }
 
-    def _run_batch_processes(self, queries, workers, overrides):
-        """Strided shards over worker processes; input-order results."""
-        shards = [
-            [
-                (index, queries[index])
-                for index in range(offset, len(queries), workers)
-            ]
-            for offset in range(workers)
-        ]
-        results, cache_stats, result_cache_stats, _vec = (
-            self._collect_process_shards(
-                shards, self._worker_engine_kwargs(), overrides,
-                vectorized=False, workers=workers,
-                total=len(queries),
-            )
-        )
-        return results, cache_stats, result_cache_stats
 
-    def _run_batch_processes_vectorized(self, queries, workers, overrides,
-                                        min_size):
-        """Vectorized process schedule: whole groups shipped to workers.
+#: :class:`QueryEngine` constructor defaults, by kwarg name.
+_ENGINE_DEFAULTS = {
+    name: parameter.default
+    for name, parameter in inspect.signature(QueryEngine).parameters.items()
+}
 
-        Groups are formed once in the parent and assigned whole to
-        workers (largest first onto the least-loaded worker, ties by
-        first batch position — deterministic), so each worker re-groups
-        its shard into exactly the groups formed here and sweeps them
-        as serial execution would.  Ungroupable queries stride across
-        the workers.
-        """
-        groups, ungroupable = group_by_plan(list(enumerate(queries)))
-        shards = [[] for _ in range(workers)]
-        loads = [0] * workers
-        ordered = sorted(
-            groups.values(),
-            key=lambda members: (-len(members), members[0][0]),
-        )
-        for members in ordered:
-            worker = loads.index(min(loads))
-            shards[worker].extend(members)
-            loads[worker] += len(members)
-        for offset, item in enumerate(ungroupable):
-            shards[offset % workers].append(item)
-        engine_kwargs = self._worker_engine_kwargs()
-        engine_kwargs["vectorize"] = True
-        engine_kwargs["group_min_size"] = min_size
-        return self._collect_process_shards(
-            shards, engine_kwargs, overrides, vectorized=True,
-            workers=workers, total=len(queries),
-        )
 
-    def _collect_process_shards(self, shards, engine_kwargs, overrides,
-                                vectorized, workers, total):
-        """Run shards on a process pool and merge results and counters."""
-        results = [None] * total
-        cache_stats = PlanCacheStats()
-        result_cache_stats = (
-            ResultCacheStats() if self._result_cache is not None else None
+def batch_knobs(settings: Mapping[str, Any], vectorize: bool | None = None,
+                group_min_size: int | None = None) -> tuple[bool, int]:
+    """``(vectorize, group_min_size)`` one batch runs with.
+
+    ``settings`` maps :class:`QueryEngine` constructor kwargs to their
+    values: a per-batch override beats its setting, and a missing
+    setting takes the constructor default.  In-process batches and
+    pooled ones (whose parent process holds only its workers' kwargs)
+    both resolve here, so the two cannot drift apart.  Raises
+    :class:`ValueError` for a ``group_min_size`` below 1.
+    """
+    if vectorize is None:
+        vectorize = settings.get("vectorize", _ENGINE_DEFAULTS["vectorize"])
+    if group_min_size is None:
+        group_min_size = settings.get(
+            "group_min_size", _ENGINE_DEFAULTS["group_min_size"]
         )
-        vec_stats = VectorizedBatchStats() if vectorized else None
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _process_shard, self.graph, engine_kwargs, shard,
-                    overrides, vectorized,
-                )
-                for shard in shards
-                if shard
-            ]
-            for future in futures:
-                shard_results, shard_stats, shard_result_stats, shard_vec = (
-                    future.result()
-                )
-                for index, result in shard_results:
-                    results[index] = result
-                cache_stats = cache_stats + shard_stats
-                if result_cache_stats is not None:
-                    result_cache_stats = (
-                        result_cache_stats + shard_result_stats
-                    )
-                if vec_stats is not None and shard_vec is not None:
-                    vec_stats = vec_stats + shard_vec
-        return results, cache_stats, result_cache_stats, vec_stats
+    if group_min_size < 1:
+        raise ValueError(
+            "group_min_size must be >= 1, got %r" % (group_min_size,)
+        )
+    return vectorize, group_min_size

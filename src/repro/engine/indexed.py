@@ -217,10 +217,8 @@ class IndexedGraph:
         "_view",
         # Snapshot provenance: set by repro.service.snapshot when the
         # graph was saved to / loaded from / attached to a snapshot
-        # file.  A path + stored-CRC pair lets pickling ship the path
-        # instead of the arrays (workers re-attach the shared mapping).
+        # file, so a worker pool can attach that file directly.
         "_snapshot_path",
-        "_snapshot_crc",
         # Attach-mode storage (AttachedGraph): the open mmap keeping
         # every buffer alive, and the raw name -> memoryview dict.
         "_mapping",
@@ -292,7 +290,6 @@ class IndexedGraph:
         self._reach_parts: Any = None
         self._view: Any = None
         self._snapshot_path: Any = None
-        self._snapshot_crc: Any = None
         self._mapping: Any = None
         self._raw: Any = None
 
@@ -337,12 +334,11 @@ class IndexedGraph:
         self._reach_parts = reach_parts
         self._view = None
         self._snapshot_path = None
-        self._snapshot_crc = None
         self._mapping = None
         self._raw = None
         return self
 
-    # -- pickling (process-mode batch workers) -----------------------------------
+    # -- pickling ----------------------------------------------------------------
 
     #: Slots never pickled: rebuilt on demand (the view and the lazy
     #: membership sets) or process-local by nature (the mmap and the
@@ -351,23 +347,9 @@ class IndexedGraph:
         "_view", "_out_pair_sets", "_mapping", "_raw", "__weakref__",
     )
 
-    def __reduce_ex__(self, protocol):
-        # Snapshot-backed graphs ship their *path*, not their arrays:
-        # each process worker attaches to the shared, page-cached
-        # mapping instead of unpickling a private copy of every CSR
-        # array.  Falls back to full-state pickling when the file on
-        # disk no longer matches (deleted or replaced since the save).
-        if self._snapshot_path is not None:
-            from ..service.snapshot import attach_spec
-
-            spec = attach_spec(self)
-            if spec is not None:
-                return spec
-        return super().__reduce_ex__(protocol)
-
     def __getstate__(self):
         # The compiled view ships its frozen parts; the GraphView and
-        # the lazy membership sets are rebuilt on demand in the worker.
+        # the lazy membership sets are rebuilt on demand after loading.
         state = {
             slot: getattr(self, slot)
             for slot in IndexedGraph.__slots__

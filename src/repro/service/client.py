@@ -264,7 +264,7 @@ class ServiceClient:
         return self._checked("POST", "/query", payload)
 
     def batch(self, queries: Iterable[tuple], graph: str | None = None,
-              workers: int | None = None, mode: str | None = None,
+              workers: int | None = None,
               deadline_seconds: float | None = None,
               budget: int | None = None,
               vectorize: bool | None = None,
@@ -281,8 +281,6 @@ class ServiceClient:
             payload["graph"] = graph
         if workers is not None:
             payload["workers"] = workers
-        if mode is not None:
-            payload["mode"] = mode
         if deadline_seconds is not None:
             payload["deadline_seconds"] = deadline_seconds
         if budget is not None:
@@ -300,8 +298,7 @@ class ServiceClient:
 
 def run_load(client: ServiceClient, queries: Iterable[tuple],
              graph: str | None = None, batch_size: int = 32,
-             workers: int | None = None,
-             mode: str | None = None) -> list[dict]:
+             workers: int | None = None) -> list[dict]:
     """Drive the server with ``queries``; result records in input order.
 
     The workload is chunked into ``/batch`` requests of at most
@@ -315,9 +312,7 @@ def run_load(client: ServiceClient, queries: Iterable[tuple],
     records: list[dict] = []
     for offset in range(0, len(query_list), batch_size):
         chunk = query_list[offset:offset + batch_size]
-        response = client.batch(
-            chunk, graph=graph, workers=workers, mode=mode
-        )
+        response = client.batch(chunk, graph=graph, workers=workers)
         records.extend(response["results"])
     return records
 

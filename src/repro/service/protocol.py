@@ -121,14 +121,13 @@ def batch_record(batch: BatchResult,
         "error_count": batch.error_count,
         "plans_compiled": batch.plans_compiled,
         "plan_cache_hits": batch.plan_cache_hits,
-    }
-    if batch.cache_stats is not None:
-        record["cache_stats"] = {
+        "cache_stats": {
             "hits": batch.cache_stats.hits,
             "misses": batch.cache_stats.misses,
             "evictions": batch.cache_stats.evictions,
             "compiles": batch.cache_stats.compiles,
-        }
+        },
+    }
     if batch.result_cache_stats is not None:
         record["result_cache_stats"] = {
             "hits": batch.result_cache_stats.hits,

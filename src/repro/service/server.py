@@ -36,10 +36,14 @@ Endpoints (all request/response bodies are JSON):
     504 deadline exceeded.
 ``POST /batch``
     ``{"graph"?, "queries": [[language, source, target], ...],
-    "workers"?, "mode"?, "deadline_seconds"?, "budget"?,
+    "workers"?, "deadline_seconds"?, "budget"?,
     "vectorize"?, "group_min_size"?, "portfolio"?,
-    "max_path_edges"?}`` — a batch dispatched into
-    :meth:`QueryEngine.run_batch` worker pools.  ``vectorize`` /
+    "max_path_edges"?}`` — a batch answered by
+    :meth:`QueryEngine.run_batch` in the server process, or sharded
+    over the graph's worker pool when it has one.  ``workers``
+    (default 1) caps that fan-out; it is clamped to the pool's
+    processes, so a graph without a pool always answers with
+    ``"workers": 1``.  ``vectorize`` /
     ``group_min_size`` override the engine's vectorized-execution
     knobs for this batch (grouped queries sharing a plan sweep the
     product graph together; the response's ``vectorized_stats`` block
@@ -132,10 +136,8 @@ class ServiceConfig:
     Parameters
     ----------
     workers:
-        Size of the solve executor and the default (and maximum)
-        ``workers`` for ``/batch`` requests.
-    parallel_mode:
-        Default scheduler for multi-worker batches.
+        Size of the solve executor: the threads that run queries and
+        batches off the event loop.
     max_inflight:
         Admission-control bound on simultaneously in-flight queries.
     read_timeout:
@@ -164,7 +166,6 @@ class ServiceConfig:
     """
 
     workers: int = 4
-    parallel_mode: str = "thread"
     max_inflight: int = 64
     read_timeout: float = 30.0
     shed_policy: str = "deadline"
@@ -183,11 +184,6 @@ class ServiceConfig:
     def __post_init__(self):
         if self.workers < 1:
             raise ValueError("workers must be >= 1, got %d" % self.workers)
-        if self.parallel_mode not in ("thread", "process"):
-            raise ValueError(
-                "parallel_mode must be 'thread' or 'process', got %r"
-                % (self.parallel_mode,)
-            )
         if self.max_inflight < 1:
             raise ValueError(
                 "max_inflight must be >= 1, got %d" % self.max_inflight
@@ -649,7 +645,6 @@ class QueryService:
                 "inflight": self.shedder.inflight,
                 "max_inflight": self.config.max_inflight,
                 "workers": self.config.workers,
-                "parallel_mode": self.config.parallel_mode,
                 "requests": self._requests,
                 "rejected": self._rejected,
                 "errors": self._errors,
@@ -893,12 +888,6 @@ class QueryService:
             raise ServiceError(
                 "'workers' must be a positive integer, got %r" % (workers,)
             )
-        workers = min(workers, self.config.workers)
-        mode = payload.get("mode", self.config.parallel_mode)
-        if mode not in ("thread", "process"):
-            raise ServiceError(
-                "'mode' must be 'thread' or 'process', got %r" % (mode,)
-            )
         vectorize = payload.get("vectorize")
         if vectorize is not None and not isinstance(vectorize, bool):
             raise ServiceError(
@@ -915,35 +904,22 @@ class QueryService:
                 % (group_min_size,)
             )
         self._admit(len(triples), deadline)
+        knobs = {
+            "deadline_seconds": deadline,
+            "budget": budget,
+            "vectorize": vectorize,
+            "group_min_size": group_min_size,
+            "portfolio": portfolio,
+            "max_path_edges": max_path_edges,
+        }
         if entry.pool is not None:
             # Pool dispatch: the batch is sharded across pre-forked
-            # workers attached to the shared snapshot ('mode' is
-            # irrelevant — the pool *is* the process mode, with the
-            # graph mapped once instead of pickled per worker).
+            # workers attached to the shared snapshot.
             run_batch = functools.partial(
-                entry.pool.run_batch,
-                triples,
-                workers=workers,
-                deadline_seconds=deadline,
-                budget=budget,
-                vectorize=vectorize,
-                group_min_size=group_min_size,
-                portfolio=portfolio,
-                max_path_edges=max_path_edges,
+                entry.pool.run_batch, triples, workers=workers, **knobs
             )
         else:
-            run_batch = functools.partial(
-                engine.run_batch,
-                triples,
-                workers=workers,
-                mode=mode,
-                deadline_seconds=deadline,
-                budget=budget,
-                vectorize=vectorize,
-                group_min_size=group_min_size,
-                portfolio=portfolio,
-                max_path_edges=max_path_edges,
-            )
+            run_batch = functools.partial(engine.run_batch, triples, **knobs)
         start = time.perf_counter()
         try:
             batch = await self._in_executor(run_batch)

@@ -132,12 +132,6 @@ def _array_names(version):
 _SAVED_GRAPHS: dict[str, tuple[int, Any]] = {}
 _SAVED_LIMIT = 16
 
-#: Process-local attach cache for pickled snapshot-backed graphs:
-#: (path, crc) -> attached graph.  A process-mode batch that fans N
-#: shards into one worker attaches once, not N times.
-_ATTACHED_CACHE: Any = weakref.WeakValueDictionary()
-
-
 def _remember_saved(path, crc, graph):
     key = os.path.abspath(os.fspath(path))
     while len(_SAVED_GRAPHS) >= _SAVED_LIMIT:
@@ -319,13 +313,11 @@ def save_snapshot(graph: Any, path: Any,
         except OSError:
             pass
         raise
-    # The graph is now snapshot-backed: pickling ships the path (see
-    # IndexedGraph.__reduce_ex__) and an immediate load of the same
-    # file reuses this graph's compiled condensation by identity.
-    crc = payload_crc & 0xFFFFFFFF
+    # The graph is now snapshot-backed (a pool for it attaches this
+    # file) and an immediate load of the same file reuses this graph's
+    # compiled condensation by identity.
     graph._snapshot_path = os.fspath(path)
-    graph._snapshot_crc = crc
-    _remember_saved(path, crc, graph)
+    _remember_saved(path, payload_crc & 0xFFFFFFFF, graph)
     return len(blob)
 
 
@@ -440,7 +432,6 @@ def _parse(data, path, mapping=None, snapshot_path=None):
             header, arrays, path,
             mapping=mapping,
             snapshot_path=snapshot_path,
-            crc=stored_crc,
             reach_reuse=reach_reuse,
         )
     finally:
@@ -451,7 +442,7 @@ def _parse(data, path, mapping=None, snapshot_path=None):
 
 
 def _thaw(header, arrays, path, mapping=None, snapshot_path=None,
-          crc=None, reach_reuse=None):
+          reach_reuse=None):
     """Rebuild the compiled view — array reads only, nothing re-sorted.
 
     With ``mapping`` set (attach mode), the per-label CSR dicts are
@@ -568,7 +559,6 @@ def _thaw(header, arrays, path, mapping=None, snapshot_path=None,
             reach_parts=reach_parts,
             mapping=mapping,
             snapshot_path=snapshot_path,
-            crc=crc,
         )
 
     # A v1 snapshot has no reverse section; _from_parts rebuilds the
@@ -588,11 +578,9 @@ def _thaw(header, arrays, path, mapping=None, snapshot_path=None,
         reach_parts=reach_parts,
     )
     if snapshot_path is not None:
-        # Loaded graphs are snapshot-backed too: process-mode batches
-        # on them ship the path, and workers attach instead of
-        # unpickling private array copies.
+        # Loaded graphs are snapshot-backed too: a pool for them
+        # attaches the file they came from instead of spooling a copy.
         graph._snapshot_path = os.fspath(snapshot_path)
-        graph._snapshot_crc = crc
     return graph
 
 
@@ -746,7 +734,7 @@ class AttachedGraph(IndexedGraph):
     def _attach(cls, vertex_of, labels, num_edges, raw,
                 label_indptr, label_targets,
                 rev_label_indptr, rev_label_sources,
-                reach_parts, mapping, snapshot_path, crc):
+                reach_parts, mapping, snapshot_path):
         self = object.__new__(cls)
         self._vertex_of = tuple(vertex_of)
         self._id_of = {
@@ -777,18 +765,11 @@ class AttachedGraph(IndexedGraph):
         self._snapshot_path = (
             None if snapshot_path is None else os.fspath(snapshot_path)
         )
-        self._snapshot_crc = crc
         return self
 
     def view(self) -> CsrView:
         if self._view is None:
-            if self._raw is None:
-                # Unpickled through the full-state fallback (backing
-                # file vanished): the arrays were materialised, so the
-                # ordinary view serves them.
-                self._view = CsrView(self)
-            else:
-                self._view = AttachedCsrView(self)
+            self._view = AttachedCsrView(self)
         return self._view
 
     def _ensure_adjacency(self) -> None:
@@ -855,18 +836,14 @@ class AttachedGraph(IndexedGraph):
         return super().edges()
 
     def out_degree(self, vertex: Any) -> int:
-        if self._raw is not None:
-            indptr = self._raw["out_indptr"]
-            vertex_id = self.vertex_id(vertex)
-            return indptr[vertex_id + 1] - indptr[vertex_id]
-        return super().out_degree(vertex)
+        indptr = self._raw["out_indptr"]
+        vertex_id = self.vertex_id(vertex)
+        return indptr[vertex_id + 1] - indptr[vertex_id]
 
     def in_degree(self, vertex: Any) -> int:
-        if self._raw is not None:
-            indptr = self._raw["in_indptr"]
-            vertex_id = self.vertex_id(vertex)
-            return indptr[vertex_id + 1] - indptr[vertex_id]
-        return super().in_degree(vertex)
+        indptr = self._raw["in_indptr"]
+        vertex_id = self.vertex_id(vertex)
+        return indptr[vertex_id + 1] - indptr[vertex_id]
 
     def reachable_within(self, start: Any,
                          allowed_labels: Iterable[str] | None = None,
@@ -878,40 +855,6 @@ class AttachedGraph(IndexedGraph):
             # Only the restricted fallback walks _out directly.
             self._ensure_adjacency()
         return super().reachable_within(start, allowed_labels, forbidden)
-
-    # -- pickling ------------------------------------------------------------------
-
-    def __getstate__(self):
-        # Reached only when attach-by-path is impossible (the backing
-        # file was deleted or replaced): materialise every mmap-backed
-        # buffer so the pickle is self-contained, and drop the stale
-        # provenance so the copy doesn't advertise a dead path.
-        self._ensure_adjacency()
-        state = super().__getstate__()
-        state["_label_indptr"] = {
-            label: array("q", values)
-            for label, values in self._label_indptr.items()
-        }
-        state["_label_targets"] = {
-            label: array("q", values)
-            for label, values in self._label_targets.items()
-        }
-        state["_rev_label_indptr"] = {
-            label: array("q", values)
-            for label, values in self._rev_label_indptr.items()
-        }
-        state["_rev_label_sources"] = {
-            label: array("q", values)
-            for label, values in self._rev_label_sources.items()
-        }
-        if self._reach_parts is not None:
-            comp_of, num_comps, label_edges = self._reach_parts
-            state["_reach_parts"] = (
-                array("l", comp_of), num_comps, label_edges,
-            )
-        state["_snapshot_path"] = None
-        state["_snapshot_crc"] = None
-        return state
 
     def __repr__(self):
         return "AttachedGraph(|V|=%d, |E|=%d, Σ=%s, path=%r)" % (
@@ -983,58 +926,6 @@ def attach_snapshot(path: Any) -> IndexedGraph:
             # the mapping; it is released when the last view dies.
             pass
         raise
-
-
-def _stored_crc(path):
-    """The payload CRC a snapshot file carries, or ``None`` if unreadable."""
-    try:
-        with open(path, "rb") as handle:
-            prefix = handle.read(16)
-            if len(prefix) != 16 or prefix[:8] != MAGIC:
-                return None
-            (header_len,) = _U32.unpack_from(prefix, 12)
-            handle.seek(16 + header_len)
-            raw = handle.read(4)
-    except OSError:
-        return None
-    if len(raw) != 4:
-        return None
-    return _U32.unpack(raw)[0]
-
-
-def attach_spec(graph: IndexedGraph) -> tuple | None:
-    """Pickle spec shipping a snapshot-backed graph by path.
-
-    Returns ``(callable, args)`` for ``__reduce_ex__`` when the file
-    on disk still carries the CRC the graph was saved/loaded with
-    (a cheap header-only read), else ``None`` — the caller then falls
-    back to pickling the full arrays, trading the shared-memory win
-    for correctness.
-    """
-    path = graph._snapshot_path
-    crc = graph._snapshot_crc
-    if path is None or crc is None:
-        return None
-    if _stored_crc(path) != crc:
-        return None
-    return (_attach_for_pickle, (path, crc))
-
-
-def _attach_for_pickle(path, crc):
-    """Unpickle hook: attach (once per process) to a pickled-by-path graph."""
-    key = (os.path.abspath(path), crc)
-    graph = _ATTACHED_CACHE.get(key)
-    if graph is not None:
-        return graph
-    graph = attach_snapshot(path)
-    if graph._snapshot_crc != crc:
-        raise SnapshotError(
-            "snapshot %s changed since the graph was pickled (stored "
-            "crc %08x, expected %08x)"
-            % (path, graph._snapshot_crc, crc)
-        )
-    _ATTACHED_CACHE[key] = graph
-    return graph
 
 
 def load_snapshot(path: Any) -> IndexedGraph:

@@ -1,20 +1,17 @@
 """Pre-fork worker pool serving queries off one shared snapshot.
 
-The single-interpreter bottleneck: every solver in this repo runs
-under the GIL, so one process can saturate exactly one core no matter
-how many threads the service executor spawns.  The classic escape —
-``run_batch(mode="process")`` — used to pickle the whole compiled
-graph into every worker, multiplying memory by the worker count and
-dominating startup with array deserialisation.
-
-:class:`WorkerPool` replaces both costs with the snapshot file
-itself.  Workers are spawned with only a *path* and an engine config;
-each one attaches read-only to the mmapped snapshot
-(:func:`~repro.service.snapshot.attach_snapshot`) — zero array
-copies, so N workers share one physical copy of the graph through
-the page cache — and builds its own :class:`~repro.engine.QueryEngine`
-around it (private plan cache, private result cache, private
+Every solver in this repo runs under the GIL, so one process saturates
+exactly one core however many threads it runs.  :class:`WorkerPool` is
+the one way past that: N worker processes, each attached read-only to
+the same mmapped snapshot
+(:func:`~repro.service.snapshot.attach_snapshot`) — zero array copies,
+so N workers share one physical copy of the graph through the page
+cache.  Workers are spawned with only a *path* and an engine config,
+and each builds its own :class:`~repro.engine.QueryEngine` around the
+attached graph (private plan cache, private result cache, private
 ``ExecutionContext`` per query, exactly like an independent server).
+The query service (``repro serve --worker-processes N``) and
+``repro batch --workers N`` both run on it.
 
 Parent ↔ worker protocol is a strict request/response over one
 :func:`multiprocessing.Pipe` per worker:
@@ -22,10 +19,12 @@ Parent ↔ worker protocol is a strict request/response over one
 ``("query", (language, source, target, overrides))``
     One RSPQ; the reply carries the :class:`EngineResult` or a
     re-raisable :class:`~repro.errors.ReproError` by class name.
-``("batch", (shard, overrides, vectorized, group_min_size))``
-    An indexed shard of a batch — ``[(index, (lang, src, tgt)), ...]``
-    — answered serially or through the vectorized shared-plan sweep,
-    replying with ``(pairs, plan_delta, result_delta, vec_stats)``.
+``("batch", (queries, overrides, vectorize, group_min_size))``
+    One shard of a batch, answered by
+    :meth:`~repro.engine.QueryEngine.run_shard` — the engine's own
+    batch path — replying with its :class:`BatchResult` (results in
+    shard order plus the plan-cache, result-cache and vectorized
+    counter deltas).
 ``("stats",)`` / ``("ping",)`` / ``("shutdown",)``
     Introspection, liveness and orderly exit.
 
@@ -37,11 +36,12 @@ is idempotent), and the request overrunning its deadline plus a
 grace period (the worker is presumed wedged, killed, respawned, and
 the caller gets :class:`~repro.errors.DeadlineExceededError`).
 
-Batch sharding reuses the engine's plan-group discipline: queries
-are grouped by compiled plan, groups placed largest-first onto the
-least-loaded worker, ungroupable leftovers strided — the same
-balancing ``run_batch(mode="process")`` uses, so pool answers are
-bit-identical to single-process answers.
+A batch resolves its knobs through the engine's own
+:func:`~repro.engine.engine.batch_knobs`.  Vectorized batches ship
+whole plan groups, the largest to the least-loaded worker, and stride
+the ungroupable leftovers, so every worker sweeps exactly the groups an
+in-process run would; per-query batches stride.  Pool answers are
+therefore bit-identical to in-process answers.
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ from ..engine import (
     VectorizedBatchStats,
     group_by_plan,
 )
+from ..engine.engine import batch_knobs
 from . import faults
 
 _OVERRIDE_KEYS = (
@@ -148,32 +149,12 @@ def _worker_main(snapshot_path, engine_kwargs, conn, fault_spec=None):
                 served_queries += 1
                 reply = ("ok", result)
             elif kind == "batch":
-                shard, overrides, vectorized, min_size = request[1]
-                plan_before = engine.cache_stats()
-                results_before = engine.result_cache_stats()
-                if vectorized:
-                    pairs, vec_stats = engine._run_batch_vectorized_indexed(
-                        shard, overrides, min_size
-                    )
-                else:
-                    vec_stats = None
-                    pairs = [
-                        (
-                            index,
-                            engine._run_single(
-                                language, source, target, **overrides
-                            ),
-                        )
-                        for index, (language, source, target) in shard
-                    ]
-                served_batches += 1
-                served_queries += len(shard)
-                reply = ("ok", (
-                    pairs,
-                    engine.plan_cache.stats_delta(plan_before),
-                    engine._result_cache_delta(results_before),
-                    vec_stats,
+                queries, overrides, vectorize, min_size = request[1]
+                reply = ("ok", engine.run_shard(
+                    queries, overrides, vectorize, min_size
                 ))
+                served_batches += 1
+                served_queries += len(queries)
             elif kind == "stats":
                 cache = engine.cache_stats()
                 reply = ("ok", {
@@ -256,7 +237,8 @@ class WorkerPool:
         The snapshot every worker attaches to (see module docstring).
     engine_kwargs:
         :class:`~repro.engine.QueryEngine` constructor kwargs applied
-        in every worker (typically ``engine._worker_engine_kwargs()``).
+        in every worker (typically ``engine._worker_engine_kwargs()``);
+        absent kwargs take the engine's defaults.
     workers:
         Number of pre-forked processes.
     respawn_backoff / max_backoff:
@@ -674,11 +656,11 @@ class WorkerPool:
         """A batch sharded across the pool; same contract as the engine.
 
         Results land in input order and are bit-identical to
-        ``QueryEngine.run_batch`` on the same snapshot: shards are
-        built with the engine's own plan grouping (largest group to
-        the least-loaded worker, leftovers strided), and each worker
-        answers its shard through the identical serial-or-vectorized
-        dispatch.
+        ``QueryEngine.run_batch`` on the same snapshot (see the module
+        docstring for the sharding).  ``workers`` caps the fan-out
+        (default: every worker); it is clamped to the pool size and
+        the batch length, and ``BatchResult.workers`` reports the
+        shards actually formed.
         """
         query_list = list(queries)
         QueryEngine._check_overrides(deadline_seconds, budget, max_path_edges)
@@ -686,31 +668,9 @@ class WorkerPool:
             workers = self._workers
         if workers < 1:
             raise ValueError("workers must be >= 1, got %d" % workers)
-        use_vectorize = (
-            vectorize if vectorize is not None
-            else self.engine_kwargs.get("vectorize", True)
+        use_vectorize, min_size = batch_knobs(
+            self.engine_kwargs, vectorize, group_min_size
         )
-        # Mirror QueryEngine._sweep_allowed: any *effective* budget or
-        # deadline (override or worker-engine default) disables shared
-        # sweeps so pool batches stay bit-identical to serial ones.
-        effective_budget = (
-            self.engine_kwargs.get("exact_budget")
-            if budget is None else budget
-        )
-        effective_deadline = (
-            self.engine_kwargs.get("deadline_seconds")
-            if deadline_seconds is None else deadline_seconds
-        )
-        if effective_budget is not None or effective_deadline is not None:
-            use_vectorize = False
-        min_size = (
-            group_min_size if group_min_size is not None
-            else self.engine_kwargs.get("group_min_size", 2)
-        )
-        if min_size < 1:
-            raise ValueError(
-                "group_min_size must be >= 1, got %d" % min_size
-            )
         overrides = {
             "deadline_seconds": deadline_seconds,
             "budget": budget,
@@ -738,34 +698,35 @@ class WorkerPool:
         else:
             for index, triple in enumerate(query_list):
                 shards[index % shard_count].append((index, triple))
+        shards = [shard for shard in shards if shard]
         futures = [
             self._executor.submit(
-                self._run_shard, shard, overrides, use_vectorize,
-                min_size, deadline_seconds,
+                self._send_shard, [query for _index, query in shard],
+                overrides, use_vectorize, min_size, deadline_seconds,
             )
-            for shard in shards if shard
+            for shard in shards
         ]
         results: list = [None] * len(query_list)
         plan_stats = PlanCacheStats()
         result_cache_stats = None
         vec_stats = VectorizedBatchStats() if use_vectorize else None
         errors = []
-        for future in futures:
+        for shard, future in zip(shards, futures):
             try:
-                pairs, shard_plan, shard_result, shard_vec = future.result()
+                part = future.result()
             except BaseException as err:
                 errors.append(err)
                 continue
-            for index, result in pairs:
+            for (index, _query), result in zip(shard, part.results):
                 results[index] = result
-            plan_stats = plan_stats + shard_plan
-            if shard_result is not None:
+            plan_stats = plan_stats + part.cache_stats
+            if part.result_cache_stats is not None:
                 result_cache_stats = (
-                    shard_result if result_cache_stats is None
-                    else result_cache_stats + shard_result
+                    part.result_cache_stats if result_cache_stats is None
+                    else result_cache_stats + part.result_cache_stats
                 )
-            if vec_stats is not None and shard_vec is not None:
-                vec_stats = vec_stats + shard_vec
+            if vec_stats is not None:
+                vec_stats = vec_stats + part.stats
         if errors:
             raise errors[0]
         return BatchResult(
@@ -777,11 +738,11 @@ class WorkerPool:
             stats=vec_stats,
         )
 
-    def _run_shard(self, shard, overrides, vectorized, min_size,
-                   deadline_seconds):
-        deadline = self._request_deadline(deadline_seconds, len(shard))
+    def _send_shard(self, queries, overrides, vectorize, min_size,
+                    deadline_seconds):
+        deadline = self._request_deadline(deadline_seconds, len(queries))
         reply = self._roundtrip(
-            ("batch", (shard, overrides, vectorized, min_size)), deadline
+            ("batch", (queries, overrides, vectorize, min_size)), deadline
         )
         return self._unwrap(reply)
 

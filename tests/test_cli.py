@@ -198,19 +198,41 @@ class TestBatch:
         assert "1 errors" in out
 
     def test_batch_workers_same_answers(
-        self, capsys, graph_file, queries_file
+        self, capsys, monkeypatch, tmp_path, graph_file, queries_file
     ):
+        import tempfile
+
+        from repro.service.workers import WorkerPool
+
         serial_code = main(["batch", graph_file, queries_file])
         serial_out = capsys.readouterr().out
+        pooled = []
+        original = WorkerPool.run_batch
+
+        def spy(pool, *args, **kwargs):
+            pooled.append((pool.workers, pool.snapshot_path))
+            return original(pool, *args, **kwargs)
+
+        monkeypatch.setattr(WorkerPool, "run_batch", spy)
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spool))
         parallel_code = main(
             ["batch", graph_file, queries_file, "--workers", "3"]
         )
         parallel_out = capsys.readouterr().out
+        # The batch ran on a 3-process pool attached to a snapshot
+        # spooled under the temporary directory.
+        ((workers, snapshot),) = pooled
+        assert workers == 3
+        assert snapshot.startswith(str(spool))
         assert parallel_code == serial_code
         # Per-query lines are identical; only the summary (timing,
         # worker count) may differ.
         assert parallel_out.splitlines()[:-1] == serial_out.splitlines()[:-1]
         assert "3 workers" in parallel_out
+        # The pool's temporary snapshot is gone with the pool.
+        assert list(spool.iterdir()) == []
 
     def test_batch_nonpositive_budget_is_usage_error(
         self, capsys, graph_file, queries_file

@@ -5,7 +5,7 @@ Two families of guarantees:
 * **Isolation** — a query that dies mid-batch on
   :class:`DeadlineExceededError` or an exhausted step budget poisons
   only itself: every other query in the batch completes with its
-  normal answer, in input order, under every scheduler.  The heavy
+  normal answer, in input order, in process and on a worker pool.  The heavy
   query is deterministic by construction: ``(aa)*`` from 0 to 1 on an
   odd 301-vertex a-cycle forces the exact solver through >256 context
   charges (a full deadline-check interval) with no simple witness,
@@ -22,6 +22,8 @@ import pytest
 from repro.engine import QueryEngine
 from repro.execution import ExecutionContext
 from repro.graphs.generators import labeled_cycle
+from repro.service import save_snapshot
+from repro.service.workers import WorkerPool
 
 #: Light companions for the heavy query: a finite language and a
 #: one-hop tractable reach, both confined to the tiny p/q/r component
@@ -42,14 +44,23 @@ def cycle():
     return graph
 
 
+def run_batch(runner, graph, tmp_path, engine_kwargs, queries):
+    """``queries`` as one batch, in process or on a 2-worker pool."""
+    if runner == "engine":
+        return QueryEngine(graph, **engine_kwargs).run_batch(queries)
+    path = str(tmp_path / "graph.snap")
+    save_snapshot(graph, path)
+    with WorkerPool(path, engine_kwargs=engine_kwargs, workers=2) as pool:
+        return pool.run_batch(queries)
+
+
 class TestMidBatchIsolation:
-    @pytest.mark.parametrize("workers,mode", [
-        (1, "thread"), (3, "thread"), (2, "process"),
-    ])
-    def test_budget_exhaustion_isolates_offender(self, cycle, workers, mode):
-        engine = QueryEngine(cycle, exact_budget=50)
-        batch = engine.run_batch(
-            [LIGHT_BEFORE, HEAVY, LIGHT_AFTER], workers=workers, mode=mode
+    @pytest.mark.parametrize("runner", ["engine", "pool"])
+    def test_budget_exhaustion_isolates_offender(self, cycle, tmp_path,
+                                                 runner):
+        batch = run_batch(
+            runner, cycle, tmp_path, {"exact_budget": 50},
+            [LIGHT_BEFORE, HEAVY, LIGHT_AFTER],
         )
         before, heavy, after = batch.results
         assert heavy.error is not None
@@ -60,16 +71,14 @@ class TestMidBatchIsolation:
         assert after.found and after.path.word == "a"
         assert batch.error_count == 1
 
-    @pytest.mark.parametrize("workers,mode", [
-        (1, "thread"), (3, "thread"), (2, "process"),
-    ])
-    def test_deadline_isolates_offender(self, cycle, workers, mode):
+    @pytest.mark.parametrize("runner", ["engine", "pool"])
+    def test_deadline_isolates_offender(self, cycle, tmp_path, runner):
         # 1ns deadline: any query charging past one deadline-check
         # interval (256 charges) dies; the light queries charge far
         # fewer times and never look at the clock.
-        engine = QueryEngine(cycle, deadline_seconds=1e-9)
-        batch = engine.run_batch(
-            [LIGHT_BEFORE, HEAVY, LIGHT_AFTER], workers=workers, mode=mode
+        batch = run_batch(
+            runner, cycle, tmp_path, {"deadline_seconds": 1e-9},
+            [LIGHT_BEFORE, HEAVY, LIGHT_AFTER],
         )
         before, heavy, after = batch.results
         assert heavy.error is not None

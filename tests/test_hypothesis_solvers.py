@@ -8,11 +8,12 @@ yes/no answer and same shortest length.
 The differential engine suite extends the same idea one layer up, in
 the spirit of configuration fuzzing: random graphs × random regexes
 (the seeded generator from ``benchmarks/workloads.py``), asserting
-that :class:`~repro.engine.QueryEngine` — serial, multi-threaded and
-multi-process batches alike — returns results **path-for-path
-identical** to direct per-query :class:`RspqSolver` evaluation.  Not
-just the same yes/no answer: the same vertices, the same label word,
-the same dispatched strategy.
+that :class:`~repro.engine.QueryEngine` — single queries and batches
+alike — returns results **path-for-path identical** to direct
+per-query :class:`RspqSolver` evaluation.  Not just the same yes/no
+answer: the same vertices, the same label word, the same dispatched
+strategy.  (Pooled batches are pinned to the same answers in
+``tests/test_worker_pool.py``.)
 """
 
 import random
@@ -150,32 +151,6 @@ class TestEngineDifferential:
         direct = RspqSolver(regex).solve(graph, x, y)
         _assert_identical(result, direct)
 
-    @given(differential_workload())
-    @settings(max_examples=15, deadline=None)
-    def test_run_batch_serial_and_threaded_match_direct(self, workload):
-        graph, queries = workload
-        engine = QueryEngine(graph)
-        serial = engine.run_batch(queries)
-        threaded = engine.run_batch(queries, workers=3, mode="thread")
-        assert len(serial) == len(threaded) == len(queries)
-        for (regex, source, target), one, other in zip(
-            queries, serial, threaded
-        ):
-            direct = RspqSolver(regex).solve(graph, source, target)
-            _assert_identical(one, direct)
-            _assert_identical(other, direct)
-
-    @given(differential_workload())
-    @settings(max_examples=3, deadline=None)
-    def test_run_batch_process_mode_matches_direct(self, workload):
-        graph, queries = workload
-        engine = QueryEngine(graph)
-        batch = engine.run_batch(queries, workers=2, mode="process")
-        assert len(batch) == len(queries)
-        for (regex, source, target), result in zip(queries, batch):
-            direct = RspqSolver(regex).solve(graph, source, target)
-            _assert_identical(result, direct)
-
 
 class TestCsrDbGraphDifferential:
     """One solver, two GraphView backends, bit-identical behavior.
@@ -214,26 +189,12 @@ class TestCsrDbGraphDifferential:
     def test_engine_and_batches_match_dbgraph_direct(self, workload):
         graph, queries = workload
         engine = QueryEngine(graph)  # CSR view end to end
-        serial = engine.run_batch(queries)
-        threaded = engine.run_batch(queries, workers=3, mode="thread")
-        for (regex, source, target), one, other in zip(
-            queries, serial, threaded
-        ):
-            direct = RspqSolver(regex).solve(graph, source, target)
-            _assert_identical(one, direct)
-            _assert_identical(other, direct)
-            single = engine.query(regex, source, target)
-            _assert_identical(single, direct)
-
-    @given(differential_workload())
-    @settings(max_examples=3, deadline=None)
-    def test_process_batches_match_dbgraph_direct(self, workload):
-        graph, queries = workload
-        engine = QueryEngine(graph)
-        batch = engine.run_batch(queries, workers=2, mode="process")
+        batch = engine.run_batch(queries)
         for (regex, source, target), result in zip(queries, batch):
             direct = RspqSolver(regex).solve(graph, source, target)
             _assert_identical(result, direct)
+            single = engine.query(regex, source, target)
+            _assert_identical(single, direct)
 
 
 class TestSolutionValidity:

@@ -1,10 +1,16 @@
-"""Concurrency properties of the engine: shared frozen plans, parallel
+"""Concurrency properties of the engine: shared frozen plans, pooled
 batches, single-flight compilation, per-query context isolation.
 
-The core property: ``run_batch(queries, workers=N)`` is
-**observationally identical** to serial execution — same paths, same
-strategies, same per-query step counters (which would differ if two
-queries ever bled counters through a shared solver).
+Two core properties:
+
+* ``engine.query`` called from many threads at once is
+  **observationally identical** to serial execution — same paths, same
+  strategies, same per-query step counters (which would differ if two
+  queries ever bled counters through a shared solver) — and compiles
+  each language exactly once;
+* a batch on a :class:`~repro.service.workers.WorkerPool`, the one
+  multi-core batch path, matches the in-process ``run_batch`` path for
+  path, in input order, with failures isolated per query.
 """
 
 import threading
@@ -18,9 +24,15 @@ from benchmarks.workloads import (
 )
 
 from repro.engine import QueryEngine
-from repro.errors import GraphError
+from repro.errors import GraphError, ReproError
+from repro.service import save_snapshot
+from repro.service.workers import WorkerPool
 
 WORKERS = 4
+
+#: Pool size for the pooled-batch tests (two processes are enough to
+#: split every batch; more would only cost start-up time).
+POOL_WORKERS = 2
 
 
 @pytest.fixture(scope="module")
@@ -36,13 +48,52 @@ def workload():
     )
 
 
+@pytest.fixture(scope="module")
+def pool(workload, tmp_path_factory):
+    graph, _queries = workload
+    path = str(tmp_path_factory.mktemp("pool") / "graph.snap")
+    save_snapshot(graph, path)
+    with WorkerPool(path, workers=POOL_WORKERS) as running:
+        yield running
+
+
+def run_threaded(engine, queries, workers=WORKERS):
+    """``engine.query`` over ``queries`` from ``workers`` threads at once.
+
+    Strided shards released together by a barrier; returns the results
+    in input order, with the raised :class:`ReproError` in place of a
+    failed query's result.
+    """
+    results = [None] * len(queries)
+    barrier = threading.Barrier(workers)
+
+    def shard(offset):
+        barrier.wait(timeout=10)
+        for index in range(offset, len(queries), workers):
+            try:
+                results[index] = engine.query(*queries[index])
+            except ReproError as err:
+                results[index] = err
+
+    threads = [
+        threading.Thread(target=shard, args=(offset,))
+        for offset in range(workers)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    return results
+
+
 class TestParallelMatchesSerial:
     def test_paths_strategies_and_steps_identical(self, workload):
         graph, queries = workload
-        serial = QueryEngine(graph).run_batch(queries)
-        parallel = QueryEngine(graph).run_batch(queries, workers=WORKERS)
-        assert len(parallel) == len(queries)
-        for reference, result in zip(serial.results, parallel.results):
+        serial = QueryEngine(graph).run_batch(queries, vectorize=False)
+        threaded = run_threaded(QueryEngine(graph), queries)
+        assert len(threaded) == len(queries)
+        for reference, result in zip(serial.results, threaded):
             assert result.found == reference.found
             assert result.path == reference.path
             assert result.strategy == reference.strategy
@@ -50,20 +101,19 @@ class TestParallelMatchesSerial:
             # no cross-query counter bleed through the shared plans.
             assert result.stats.steps == reference.stats.steps
 
-    def test_process_mode_identical(self, workload):
+    def test_process_mode_identical(self, workload, pool):
         graph, queries = workload
-        serial = QueryEngine(graph).run_batch(queries)
-        parallel = QueryEngine(graph).run_batch(
-            queries, workers=2, mode="process"
-        )
-        for reference, result in zip(serial.results, parallel.results):
+        serial = QueryEngine(graph).run_batch(queries, vectorize=False)
+        pooled = pool.run_batch(queries, vectorize=False)
+        assert pooled.workers == POOL_WORKERS
+        for reference, result in zip(serial.results, pooled.results):
             assert result.path == reference.path
             assert result.strategy == reference.strategy
             assert result.stats.steps == reference.stats.steps
 
-    def test_results_keep_input_order(self, workload):
-        graph, queries = workload
-        batch = QueryEngine(graph).run_batch(queries, workers=WORKERS)
+    def test_results_keep_input_order(self, workload, pool):
+        _graph, queries = workload
+        batch = pool.run_batch(queries)
         assert [
             (result.language, result.source, result.target)
             for result in batch.results
@@ -74,36 +124,34 @@ class TestSingleFlightCompilation:
     def test_distinct_languages_compiled_exactly_once(self, workload):
         graph, queries = workload
         engine = QueryEngine(graph)
-        batch = engine.run_batch(queries, workers=WORKERS)
-        assert batch.cache_stats.compiles == len(
-            distinct_languages(queries)
-        )
-        assert batch.cache_stats.evictions == 0
+        run_threaded(engine, queries)
+        stats = engine.cache_stats()
+        assert stats.compiles == len(distinct_languages(queries))
+        assert stats.evictions == 0
 
     def test_hot_language_contention(self, workload):
         graph, _queries = workload
         vertices = list(graph.vertices())
-        # Every worker hammers the same cold language at the same time.
+        # Every thread hammers the same cold language at the same time.
         queries = [
             ("a*(bb^+ + eps)c*", vertices[i % len(vertices)],
              vertices[(i + 7) % len(vertices)])
             for i in range(40)
         ]
         engine = QueryEngine(graph)
-        batch = engine.run_batch(queries, workers=WORKERS)
-        assert batch.cache_stats.compiles == 1
-        assert batch.error_count == 0
+        results = run_threaded(engine, queries)
+        assert engine.cache_stats().compiles == 1
+        assert not any(isinstance(result, ReproError) for result in results)
 
     def test_stats_sanity(self, workload):
         graph, queries = workload
         engine = QueryEngine(graph)
-        batch = engine.run_batch(queries, workers=WORKERS)
-        stats = batch.cache_stats
+        results = run_threaded(engine, queries)
+        stats = engine.cache_stats()
         assert stats.lookups == stats.hits + stats.misses
         assert stats.hits + stats.compiles >= len(queries)
-        assert all(result.stats.seconds >= 0 for result in batch.results)
-        assert batch.error_count == 0
-        assert engine.cache_stats().compiles == stats.compiles
+        assert not any(isinstance(result, ReproError) for result in results)
+        assert all(result.stats.seconds >= 0 for result in results)
 
     def test_concurrent_query_calls_share_one_plan(self, workload):
         """Raw engine.query from many threads: one compile, no errors."""
@@ -138,54 +186,46 @@ class TestSingleFlightCompilation:
 
 
 class TestParallelErrorIsolation:
-    def test_bad_queries_isolated_across_workers(self, workload):
+    def test_bad_queries_isolated_across_workers(self, workload, pool):
         graph, queries = workload
         poisoned = list(queries)
         poisoned[3] = ("a*", "missing-vertex", poisoned[3][2])
         poisoned[17] = ("((((", poisoned[17][1], poisoned[17][2])
         serial = QueryEngine(graph).run_batch(poisoned)
-        parallel = QueryEngine(graph).run_batch(poisoned, workers=WORKERS)
-        assert parallel.error_count == serial.error_count == 2
-        for reference, result in zip(serial.results, parallel.results):
-            assert (result.error is None) == (reference.error is None)
+        pooled = pool.run_batch(poisoned)
+        assert pooled.error_count == serial.error_count == 2
+        for reference, result in zip(serial.results, pooled.results):
+            assert result.error == reference.error
             assert result.path == reference.path
 
     def test_single_query_api_still_raises_in_parallel_engine(
         self, workload
     ):
-        graph, _queries = workload
+        graph, queries = workload
         engine = QueryEngine(graph)
-        engine.run_batch(
-            [("a*", 0, 1)], workers=2
-        )  # engine has served a parallel batch
+        run_threaded(engine, queries[:8])  # engine has served threads
         with pytest.raises(GraphError):
             engine.query("a*", "nope", 1)
 
 
 class TestRunBatchArguments:
-    def test_rejects_zero_workers(self, workload):
-        graph, queries = workload
+    def test_rejects_zero_workers(self, workload, pool):
+        _graph, queries = workload
         with pytest.raises(ValueError):
-            QueryEngine(graph).run_batch(queries, workers=0)
-
-    def test_rejects_unknown_mode(self, workload):
-        graph, queries = workload
+            pool.run_batch(queries, workers=0)
         with pytest.raises(ValueError):
-            QueryEngine(graph).run_batch(queries, mode="fiber")
+            WorkerPool(pool.snapshot_path, workers=0)
 
-    def test_workers_clamped_to_queries(self, workload):
-        graph, _queries = workload
-        batch = QueryEngine(graph).run_batch(
-            [("a*", 0, 1)], workers=WORKERS
-        )
+    def test_workers_clamped_to_queries(self, pool):
+        batch = pool.run_batch([("a*", 0, 1)], workers=WORKERS)
         assert batch.workers == 1
         assert len(batch) == 1
 
-    def test_empty_batch(self, workload):
+    def test_empty_batch(self, workload, pool):
         graph, _queries = workload
-        batch = QueryEngine(graph).run_batch([], workers=WORKERS)
-        assert len(batch) == 0
-        assert batch.cache_stats.compiles == 0
+        for batch in (QueryEngine(graph).run_batch([]), pool.run_batch([])):
+            assert len(batch) == 0
+            assert batch.cache_stats.compiles == 0
 
     def test_workload_generator_is_deterministic(self):
         first = mixed_workload(num_queries=20, seed=9)

@@ -8,6 +8,8 @@ and must invalidate cached results — two identical queries with a
 mutation in between see two different graphs.
 """
 
+import threading
+
 import pytest
 
 from repro.core.solver import RspqSolver
@@ -159,11 +161,27 @@ class TestBatchIntegration:
         assert batch.result_cache_stats is None
 
     def test_threaded_batch_shares_the_cache(self):
+        """Twelve identical queries from four threads at once share
+        one cache: every lookup after the racing first ones hits."""
         engine = QueryEngine(_graph())
-        queries = [("a*b", 0, 3)] * 12
-        batch = engine.run_batch(queries, workers=4, mode="thread")
-        assert batch.found_count == 12
-        assert batch.result_cache_stats.hits >= 8  # all but the racers
+        barrier = threading.Barrier(4)
+        results = []
+
+        def worker():
+            barrier.wait(timeout=10)
+            for _ in range(3):
+                results.append(engine.query("a*b", 0, 3))
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert len(results) == 12
+        assert all(result.found for result in results)
+        # All but the racers (at most one first lookup per thread).
+        assert engine.result_cache_stats().hits >= 8
 
 
 class TestMutationInvalidation:

@@ -167,14 +167,20 @@ class TestHttpEndpoints:
         assert info.value.status == 400
 
     def test_batch_matches_serial_order(self, live, graph):
+        from repro.service.client import verify_against_direct
+
         client, _registry = live
         queries = [("a*", 0, 1), ("ab + ba", 2, 3), ("a*ba*", 4, 5)]
-        response = client.batch(queries, workers=2)
-        assert [r["language"] for r in response["results"]] == [
+        response = client.batch(queries, workers=4)
+        results = response["results"]
+        assert [r["language"] for r in results] == [
             "a*", "ab + ba", "a*ba*"
         ]
-        assert response["workers"] == 2
+        # A graph without a worker pool answers in-process: the
+        # requested fan-out is clamped to the one process available.
+        assert response["workers"] == 1
         assert response["error_count"] == 0
+        assert verify_against_direct(graph, queries, results) == []
 
     def test_batch_isolates_per_query_errors(self, live):
         client, _registry = live

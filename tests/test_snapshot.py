@@ -105,17 +105,6 @@ class TestRoundTrip:
         assert thawed.has_edge(*edge)
         assert not thawed.has_edge(edge[0], "z", edge[2])
 
-    def test_thawed_graph_crosses_process_boundaries(self, graph, snap_path):
-        # process-mode batches pickle the compiled graph into workers;
-        # a thawed view must survive the trip like a compiled one.
-        engine = QueryEngine(load_snapshot(snap_path))
-        queries = [("a*", 0, 5), ("ab + ba", 1, 7)]
-        processed = engine.run_batch(queries, workers=2, mode="process")
-        serial = engine.run_batch(queries)
-        for one, other in zip(processed, serial):
-            assert one.found == other.found
-            assert one.path == other.path
-
     def test_cycle_graph_roundtrip(self, tmp_path):
         graph = labeled_cycle("abcab")
         path = str(tmp_path / "cycle.snap")
@@ -647,67 +636,6 @@ class TestAttachSnapshot:
         empty.write_bytes(b"")
         with pytest.raises(SnapshotError, match="empty"):
             attach_snapshot(str(empty))
-
-
-class TestSnapshotPickleByPath:
-    """Snapshot-backed graphs pickle as a path, not as CSR arrays."""
-
-    def test_pickle_ships_path_not_arrays(self, graph, snap_path):
-        import pickle
-
-        loaded = load_snapshot(snap_path)
-        by_path = pickle.dumps(loaded)
-        # The path spec is a few dozen bytes; a full-state pickle of
-        # this graph is tens of kilobytes.  The margin is the
-        # regression guard: re-serialised CSR arrays cannot fit.
-        assert len(by_path) < 2048
-        plain = IndexedGraph(graph)
-        assert len(pickle.dumps(plain)) > 4 * len(by_path)
-        clone = pickle.loads(by_path)
-        assert list(clone.vertices()) == list(loaded.vertices())
-        assert clone.num_edges == loaded.num_edges
-
-    def test_unpickled_clone_is_attached_and_shared(self, snap_path):
-        import pickle
-
-        from repro.service.snapshot import AttachedGraph
-
-        loaded = load_snapshot(snap_path)
-        first = pickle.loads(pickle.dumps(loaded))
-        second = pickle.loads(pickle.dumps(loaded))
-        assert isinstance(first, AttachedGraph)
-        # The process-local attach cache maps (path, crc) to one graph.
-        assert first is second
-
-    def test_pickle_falls_back_to_full_state_when_file_gone(
-        self, graph, snap_path
-    ):
-        import os
-        import pickle
-
-        loaded = load_snapshot(snap_path)
-        os.unlink(snap_path)
-        blob = pickle.dumps(loaded)
-        assert len(blob) > 2048  # full arrays, self-contained
-        clone = pickle.loads(blob)
-        compiled = IndexedGraph(graph)
-        for vertex in compiled.vertices():
-            assert clone.sorted_out_edges(vertex) == (
-                compiled.sorted_out_edges(vertex)
-            )
-
-    def test_process_mode_batch_over_snapshot_engine(self, graph,
-                                                     snap_path):
-        engine = QueryEngine(load_snapshot(snap_path))
-        queries = [
-            ("a*", 0, 24), ("ab + ba", 3, 11), ("(aa)*", 5, 20),
-            ("a*ba*", 2, 17),
-        ]
-        batch = engine.run_batch(queries, mode="process", workers=2)
-        for (regex, source, target), result in zip(queries, batch.results):
-            direct = solve_rspq(regex, graph, source, target)
-            assert result.found == direct.found
-            assert result.path == direct.path
 
 
 class TestCondensationReuse:

@@ -2,10 +2,10 @@
 
 The contract under test, end to end: ``run_batch`` with vectorization
 on answers every query **identically** — found/path/strategy/error,
-field for field — to the strictly per-query path, under every
-scheduler (serial, thread pool, worker processes).  The sweep may only
-change *how* an answer is produced (proven negatives skip the solver;
-positives fall back to it), never *what* the answer is.
+field for field — to the strictly per-query path, in process and on a
+worker pool.  The sweep may only change *how* an answer is produced
+(proven negatives skip the solver; positives fall back to it), never
+*what* the answer is.
 
 Structure:
 
@@ -16,7 +16,7 @@ Structure:
   outcome class (fallback positive, swept negative, peeled
   short-circuit, deferred duplicate) is forced by construction;
 * hypothesis/randomized differential sweeps over mixed-regime
-  workloads comparing all schedulers;
+  workloads comparing the vectorized, per-query and pooled paths;
 * serving-counter parity: a vectorized registry reports the same
   plan-cache / result-cache / per-graph counters as a serial one;
 * the knob surface: engine + ``run_batch`` validation, ``/batch``
@@ -49,16 +49,19 @@ from repro.service import (
     ServiceClient,
     ServiceConfig,
     ServiceThread,
+    save_snapshot,
 )
 from repro.service.protocol import RESULT_FIELDS, batch_record
+from repro.service.workers import WorkerPool
 
 
 def assert_same_answers(reference, results, include_stats=False):
     """Field-for-field identity of two result lists.
 
     ``include_stats`` additionally pins steps and per-query flags —
-    used across schedulers of the *same* execution strategy, where
-    even the accounting must not depend on worker count.
+    used between the in-process and pooled runs of the *same*
+    execution strategy, where even the accounting must not depend on
+    worker count.
     """
     assert len(results) == len(reference)
     for ref, res in zip(reference, results):
@@ -81,6 +84,14 @@ def assert_same_answers(reference, results, include_stats=False):
             assert res.stats.vectorized == ref.stats.vectorized
             assert res.stats.result_cache_hit == ref.stats.result_cache_hit
             assert res.stats.short_circuit == ref.stats.short_circuit
+
+
+def pooled_batch(graph, tmp_path, queries):
+    """``queries`` run on a 2-worker pool over a snapshot of ``graph``."""
+    path = str(tmp_path / "graph.snap")
+    save_snapshot(graph, path)
+    with WorkerPool(path, workers=2) as pool:
+        return pool.run_batch(queries)
 
 
 def sweep_graph():
@@ -285,21 +296,19 @@ class TestGroupedMatchesSerialDeterministic:
         assert batch.stats.peeled_cache_hits == 1
         assert batch.results[0].stats.result_cache_hit
 
-    def test_schedulers_agree_with_serial_vectorized(self, graph):
+    def test_schedulers_agree_with_serial_vectorized(self, graph,
+                                                     tmp_path):
         queries = SWEEP_QUERIES * 3
         reference = QueryEngine(graph).run_batch(queries)
-        for workers, mode in [(3, "thread"), (2, "process")]:
-            batch = QueryEngine(graph).run_batch(
-                queries, workers=workers, mode=mode
-            )
-            assert_same_answers(
-                reference.results, batch.results, include_stats=True
-            )
-            assert batch.stats is not None
-            assert (
-                batch.stats.swept_negatives
-                == reference.stats.swept_negatives
-            )
+        batch = pooled_batch(graph, tmp_path, queries)
+        assert_same_answers(
+            reference.results, batch.results, include_stats=True
+        )
+        assert batch.stats is not None
+        assert (
+            batch.stats.swept_negatives
+            == reference.stats.swept_negatives
+        )
 
 
 class TestBudgetsAndDeadlines:
@@ -413,7 +422,8 @@ class TestKnobValidation:
 
 
 class TestRandomizedDifferential:
-    """All schedulers agree on random mixed-regime workloads."""
+    """The vectorized, per-query and pooled paths agree on random
+    mixed-regime workloads."""
 
     @pytest.fixture(scope="class")
     def workload(self):
@@ -433,19 +443,14 @@ class TestRandomizedDifferential:
         assert_same_answers(serial.results, vectorized.results)
         assert vectorized.stats.grouped_queries == len(queries)
 
-    def test_thread_and_process_match_serial_vectorized(self, workload):
+    def test_pool_matches_serial_vectorized(self, workload, tmp_path):
         graph, queries = workload
         reference = QueryEngine(graph).run_batch(queries)
-        threaded = QueryEngine(graph).run_batch(queries, workers=4)
+        pooled = pooled_batch(graph, tmp_path, queries)
         assert_same_answers(
-            reference.results, threaded.results, include_stats=True
+            reference.results, pooled.results, include_stats=True
         )
-        processed = QueryEngine(graph).run_batch(
-            queries[:24], workers=2, mode="process"
-        )
-        assert_same_answers(
-            reference.results[:24], processed.results, include_stats=True
-        )
+        assert pooled.stats == reference.stats
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=15, deadline=None)
@@ -456,10 +461,6 @@ class TestRandomizedDifferential:
         serial = QueryEngine(graph).run_batch(queries, vectorize=False)
         vectorized = QueryEngine(graph).run_batch(queries)
         assert_same_answers(serial.results, vectorized.results)
-        threaded = QueryEngine(graph).run_batch(queries, workers=3)
-        assert_same_answers(
-            vectorized.results, threaded.results, include_stats=True
-        )
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=8, deadline=None)

@@ -19,6 +19,8 @@ import os
 
 import pytest
 
+from benchmarks.workloads import mixed_workload
+
 from repro.core.solver import solve_rspq
 from repro.engine import IndexedGraph, QueryEngine
 from repro.errors import (
@@ -148,7 +150,7 @@ class TestDifferential:
     def test_deadline_override_matches_engine(self, pool, graph):
         # A generous deadline must not perturb answers (the engine
         # disables shared sweeps whenever a deadline is in force, and
-        # the pool mirrors that choice).
+        # the pool's workers apply that same engine rule).
         engine = QueryEngine(IndexedGraph(graph))
         served = pool.run_batch(QUERIES, deadline_seconds=30.0)
         direct = engine.run_batch(QUERIES, deadline_seconds=30.0)
@@ -161,6 +163,35 @@ class TestDifferential:
         batch = pool.run_batch(QUERIES, vectorize=False)
         assert batch.cache_stats.compiles >= 1
         assert batch.workers == 2
+
+
+class TestBatchKnobs:
+    """Pooled batches resolve their knobs and sweep rule through the
+    engine itself, so their counters cannot drift from in-process
+    runs — not even when the pool's kwargs leave the knob unset."""
+
+    @pytest.mark.parametrize("engine_kwargs", [
+        {"exact_budget": 50},  # an effective budget disables sweeps
+        {"group_min_size": 5},  # one group falls below the min size
+    ], ids=["exact_budget", "group_min_size"])
+    def test_stats_match_the_engine(self, tmp_path, engine_kwargs):
+        graph, queries = mixed_workload(
+            num_queries=48, seed=11, num_vertices=22, num_edges=66,
+            hot_language="a*(bb^+ + eps)c*", hot_every=2,
+        )
+        path = str(tmp_path / "mixed.snap")
+        save_snapshot(IndexedGraph(graph), path)
+        expected = QueryEngine(graph, **engine_kwargs).run_batch(queries)
+        with WorkerPool(
+            path, engine_kwargs=engine_kwargs, workers=2
+        ) as pool:
+            served = pool.run_batch(queries)
+        assert expected.stats is not None
+        assert served.stats == expected.stats
+        for pool_result, engine_result in zip(
+            served.results, expected.results
+        ):
+            assert_results_identical(pool_result, engine_result)
 
 
 class TestCrashRecovery:
