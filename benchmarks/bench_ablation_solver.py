@@ -13,6 +13,7 @@ import pytest
 
 from repro import language
 from repro.core.nice_paths import TractableSolver, path_weight
+from repro.execution import ExecutionContext
 from repro.graphs.generators import random_labeled_graph
 
 LANGUAGE = "a*(bb^+ + eps)c*"
@@ -29,7 +30,9 @@ def test_live_pruning_ablation(benchmark, pruning):
     graph = random_labeled_graph(60, 150, "abc", seed=21)
 
     path = benchmark(solver.shortest_simple_path, graph, 0, 59)
-    benchmark.extra_info["dfs_steps"] = solver.last_stats.dfs_steps
+    ctx = ExecutionContext()
+    solver.shortest_simple_path(graph, 0, 59, ctx=ctx)
+    benchmark.extra_info["dfs_steps"] = ctx.dfs_steps
     if path is not None:
         assert lang.accepts(path.word)
 
@@ -39,9 +42,11 @@ def test_pruning_work_reduction():
     graph = random_labeled_graph(60, 150, "abc", seed=21)
     fast = TractableSolver(lang)
     slow = TractableSolver(lang, use_live_pruning=False)
-    fast.shortest_simple_path(graph, 0, 59)
-    slow.shortest_simple_path(graph, 0, 59)
-    assert fast.last_stats.dfs_steps <= slow.last_stats.dfs_steps
+    pruned = ExecutionContext()
+    fast.shortest_simple_path(graph, 0, 59, ctx=pruned)
+    unpruned = ExecutionContext()
+    slow.shortest_simple_path(graph, 0, 59, ctx=unpruned)
+    assert pruned.dfs_steps <= unpruned.dfs_steps
 
 
 @pytest.mark.parametrize("weighted", [False, True], ids=["edges", "weights"])

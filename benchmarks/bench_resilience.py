@@ -182,7 +182,6 @@ def test_sheds_are_structured_and_countable(live_service):
     client = ServiceClient(port=port)
     stats = client.stats()
     shedder = stats["resilience"]["shedder"]
-    assert shedder["policy"] == "deadline"
     assert shedder["max_inflight"] == MAX_INFLIGHT
     # The overload test ran first (same module, same service): its
     # sheds are visible in the service-wide counters.

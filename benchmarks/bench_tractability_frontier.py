@@ -25,6 +25,7 @@ from benchmarks.conftest import SMOKE, measure_seconds
 from repro import language
 from repro.algorithms.exact import ExactSolver
 from repro.core.nice_paths import TractableSolver
+from repro.execution import ExecutionContext
 from repro.graphs.dbgraph import DbGraph
 from repro.graphs.generators import random_labeled_graph
 
@@ -73,9 +74,9 @@ def test_hard_side_work_explodes(benchmark, width):
     solver = ExactSolver(lang)
 
     def run():
-        solver.steps = 0
-        path = solver.shortest_simple_path(graph, x, y)
-        return solver.steps, path
+        ctx = ExecutionContext()
+        path = solver.shortest_simple_path(graph, x, y, ctx=ctx)
+        return ctx.steps, path
 
     steps, path = benchmark(run)
     assert path is None  # parity proves it: no simple (aa)* path
@@ -104,8 +105,9 @@ def test_who_wins_shape():
     for width in widths:
         graph, x, y = parity_gadget(width)
         solver = ExactSolver(language(HARD))
-        assert solver.shortest_simple_path(graph, x, y) is None
-        hard_steps.append(solver.steps)
+        ctx = ExecutionContext()
+        assert solver.shortest_simple_path(graph, x, y, ctx=ctx) is None
+        hard_steps.append(ctx.steps)
     # Adding two diamonds multiplies the work by ~4 (2 per diamond):
     # demand at least 2x to be robust against pruning noise.
     for before, after in zip(hard_steps, hard_steps[1:]):

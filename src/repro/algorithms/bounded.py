@@ -32,8 +32,7 @@ class FiniteLanguageSolver:
     The solver is immutable once constructed; per-query work counters
     live in the :class:`~repro.execution.ExecutionContext` passed to
     each query, so one instance can serve concurrent queries.  Without
-    an explicit context the solver creates one per query and the legacy
-    ``words_tried`` shim reads the most recent of those.
+    an explicit context a query runs on a throwaway one.
     """
 
     def __init__(self, language, max_words=100000, use_reach_pruning=True):
@@ -53,18 +52,11 @@ class FiniteLanguageSolver:
         self.used_symbols = frozenset(
             symbol for word in self.words for symbol in word
         )
-        self._legacy_ctx = ExecutionContext()
-
-    @property
-    def words_tried(self):
-        """Words tried by the last context-less query (legacy shim)."""
-        return self._legacy_ctx.words_tried
 
     def shortest_simple_path(self, graph, source, target, ctx=None):
         """Shortest simple L-labeled path (words tried short-first)."""
         if ctx is None:
-            # invariant: allow=solver-purity (documented legacy stats shim)
-            ctx = self._legacy_ctx = ExecutionContext()
+            ctx = ExecutionContext()
         view = as_graph_view(graph)
         source_id = view.vertex_id(source)
         target_id = view.vertex_id(target)

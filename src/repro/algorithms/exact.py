@@ -42,8 +42,8 @@ class ExactSolver:
     budget accounting live in the
     :class:`~repro.execution.ExecutionContext` given to each query, so
     one instance can serve concurrent queries.  A query without an
-    explicit context gets a fresh one (budgeted by ``self.budget``) and
-    the legacy ``steps`` shim reads the most recent of those.
+    explicit context runs on a throwaway one budgeted by
+    ``self.budget``.
 
     Parameters
     ----------
@@ -72,7 +72,6 @@ class ExactSolver:
         self.use_reach_pruning = use_reach_pruning
         #: Symbols occurring in some word of L (the query label mask).
         self.used_symbols = useful_symbols(self.dfa)
-        self._legacy_ctx = ExecutionContext(budget=budget)
         # Reverse transition index: (state_after, label) -> states_before.
         # Computed once per solver so the backward product BFS in
         # _goal_distances is O(in-edges) per node instead of scanning
@@ -149,16 +148,6 @@ class ExactSolver:
                         queue.append(previous)
         return distances
 
-    @property
-    def steps(self):
-        """Expansions of the last context-less query (legacy shim)."""
-        return self._legacy_ctx.steps
-
-    @steps.setter
-    def steps(self, value):
-        # invariant: allow=solver-purity (documented legacy stats shim)
-        self._legacy_ctx.steps = value
-
     # -- public API ------------------------------------------------------------
 
     def shortest_simple_path(self, graph, source, target, weight_fn=None,
@@ -187,8 +176,7 @@ class ExactSolver:
     def _solve(self, graph, source, target, find_shortest, weight_fn=None,
                ctx=None):
         if ctx is None:
-            # invariant: allow=solver-purity (documented legacy stats shim)
-            ctx = self._legacy_ctx = ExecutionContext(budget=self.budget)
+            ctx = ExecutionContext(budget=self.budget)
         view = as_graph_view(graph)
         source_id = view.vertex_id(source)
         target_id = view.vertex_id(target)
@@ -308,8 +296,7 @@ class ExactSolver:
         bounds the search depth when given.
         """
         if ctx is None:
-            # invariant: allow=solver-purity (documented legacy stats shim)
-            ctx = self._legacy_ctx = ExecutionContext(budget=self.budget)
+            ctx = ExecutionContext(budget=self.budget)
         view = as_graph_view(graph)
         source_id = view.vertex_id(source)
         target_id = view.vertex_id(target)

@@ -372,20 +372,11 @@ def _build_parser():
         "registrations cannot grow memory unboundedly (default 64)",
     )
     p_serve.add_argument(
-        "--shed-policy",
-        choices=("flat", "deadline"),
-        default="deadline",
-        help="admission control: 'flat' is the hard in-flight cap "
-        "only; 'deadline' (default) additionally sheds "
-        "doomed-deadline work and, above --soft-inflight, "
-        "cheap-to-retry requests first",
-    )
-    p_serve.add_argument(
         "--soft-inflight",
         type=int,
         default=None,
         metavar="N",
-        help="pressure watermark for the deadline shed policy: above "
+        help="load-shedding pressure watermark: above "
         "N in-flight queries, single-query (cheap-to-retry) requests "
         "are shed with 429 before the hard cap bites (default: off)",
     )
@@ -896,7 +887,6 @@ def _cmd_serve(args):
             config = ServiceConfig(
                 workers=args.workers,
                 max_inflight=args.max_inflight,
-                shed_policy=args.shed_policy,
                 soft_inflight=args.soft_inflight,
                 breaker_threshold=args.breaker_threshold,
                 breaker_cooldown=args.breaker_cooldown,
@@ -918,9 +908,9 @@ def _cmd_serve(args):
             # Printed after bind so --port 0 reports the real port.
             print(
                 "serving %d graph(s) on http://%s:%d (workers=%d, "
-                "max_inflight=%d, shed_policy=%s%s)"
+                "max_inflight=%d%s)"
                 % (len(registry), args.host, port, args.workers,
-                   args.max_inflight, args.shed_policy, pool_note),
+                   args.max_inflight, pool_note),
                 flush=True,
             )
 

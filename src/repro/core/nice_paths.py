@@ -292,41 +292,6 @@ class _Gap:
     mask: int
 
 
-class SolverStats:
-    """Work counters exposed for the benchmarks.
-
-    Duck-types the charging surface of
-    :class:`~repro.execution.ExecutionContext` (which carries the same
-    counters plus budget/deadline accounting), so the search internals
-    accept either.
-    """
-
-    def __init__(self):
-        self.candidates = 0
-        self.completions = 0
-        self.dfs_steps = 0
-        self.gap_bfs = 0
-
-    def charge_dfs_step(self):
-        self.dfs_steps += 1
-
-    def charge_gap_bfs(self):
-        self.gap_bfs += 1
-
-    def count_candidate(self):
-        self.candidates += 1
-
-    def count_completion(self):
-        self.completions += 1
-
-    def __repr__(self):
-        return (
-            "SolverStats(candidates=%d, completions=%d, dfs_steps=%d, "
-            "gap_bfs=%d)"
-            % (self.candidates, self.completions, self.dfs_steps, self.gap_bfs)
-        )
-
-
 def path_weight(path, weight_fn):
     """Total weight of a path under ``weight_fn(u, label, v) -> R+``."""
     return sum(weight_fn(u, label, v) for u, label, v in path.steps())
@@ -836,10 +801,6 @@ class TractableSolver:
         self.use_reach_pruning = use_reach_pruning
         #: Symbols occurring in some word of L (the query label mask).
         self.used_symbols = useful_symbols(language.dfa)
-        #: Stats of the last context-less query (legacy shim); queries
-        #: that pass an explicit ExecutionContext never touch this, so
-        #: a shared solver stays re-entrant.
-        self.last_stats = None
 
     def shortest_simple_path(self, graph, source, target, weight_fn=None,
                              ctx=None):
@@ -854,17 +815,13 @@ class TractableSolver:
         strictly positive.
 
         ``ctx`` carries the per-query DFS counters (and optional
-        deadline); one is created — and remembered as ``last_stats`` —
-        when the caller does not supply one.
+        deadline); without one the query runs on a throwaway context.
         """
         view = as_graph_view(graph)
         source_id = view.vertex_id(source)
         target_id = view.vertex_id(target)
         if ctx is None:
             ctx = ExecutionContext()
-            # invariant: allow=solver-purity (documented legacy stats shim)
-            self.last_stats = ctx
-        stats = ctx
         if source_id == target_id:
             if self.language.accepts(""):
                 return Path.single(view.vertex_at(source_id))
@@ -893,7 +850,7 @@ class TractableSolver:
                 ):
                     continue
             search = _SequenceSearch(
-                view, sequence, source_id, target_id, stats,
+                view, sequence, source_id, target_id, ctx,
                 budget=self.dfs_budget, weight_fn=weight_fn,
                 use_live_pruning=self.use_live_pruning,
                 reach_index=reach_index, segments=segments,

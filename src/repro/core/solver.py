@@ -62,8 +62,7 @@ class RspqSolver:
     :meth:`shortest_simple_path` / :meth:`solve` / :meth:`exists`, so
     one instance — e.g. inside a cached
     :class:`~repro.engine.plan.QueryPlan` — can serve concurrent
-    queries.  Context-less calls remain supported for single-threaded
-    use (``last_steps()`` then reads the implicit context).
+    queries.  A context-less call runs on a throwaway context.
 
     Parameters
     ----------
@@ -130,8 +129,8 @@ class RspqSolver:
 
         ``ctx`` (an :class:`~repro.execution.ExecutionContext`) carries
         the per-query counters and budget/deadline accounting; without
-        one, the dispatched solver creates its own and the legacy
-        ``last_steps()`` shim reads it afterwards.
+        one, the dispatched solver runs on a throwaway context (read
+        :meth:`steps_in` off a context you pass to see the work).
         """
         if self._finite_solver is not None:
             return self._finite_solver.shortest_simple_path(
@@ -156,23 +155,12 @@ class RspqSolver:
             decompose_failed=self.decompose_failed,
         )
 
-    def last_steps(self):
-        """Work counter of the most recent context-less query.
+    def steps_in(self, ctx):
+        """The strategy-relevant work counter recorded on ``ctx``.
 
         Exact: DFS expansions; tractable: anchored-DFS steps; finite:
-        words tried.  ``None`` when no query has run yet.  Queries that
-        passed an explicit context are invisible here — read their
-        counters off the context via :meth:`steps_in` instead.
+        words tried.
         """
-        if self._finite_solver is not None:
-            return self._finite_solver.words_tried
-        if self._tractable_solver is not None:
-            stats = self._tractable_solver.last_stats
-            return None if stats is None else stats.dfs_steps
-        return self._exact_solver.steps
-
-    def steps_in(self, ctx):
-        """The strategy-relevant work counter recorded on ``ctx``."""
         if self._finite_solver is not None:
             return ctx.words_tried
         if self._tractable_solver is not None:

@@ -36,6 +36,7 @@ also complete (Lemma 14) and returns a shortest simple L-labeled path.
 from __future__ import annotations
 
 from ..errors import NotInTrCError
+from ..execution import ExecutionContext
 from ..graphs.dbgraph import Path
 from ..graphs.product import ProductGraph
 from ..graphs.view import as_graph_view
@@ -45,7 +46,7 @@ from ..languages.analysis import (
     looping_states,
     strongly_connected_components,
 )
-from .nice_paths import SolverStats, _complete_candidate, _Gap, _Run
+from .nice_paths import _complete_candidate, _Gap, _Run
 from .summary import default_bound
 from .trc import is_in_trc
 
@@ -95,23 +96,26 @@ class SummarySolver:
             index: internal_alphabet(self.dfa, component)
             for index, component in enumerate(components)
         }
-        self.last_stats = None
 
     # -- public API -------------------------------------------------------------
 
     def shortest_simple_path(self, graph, source, target, ctx=None):
-        """Shortest simple L-labeled path (complete for ``N = 2M²``)."""
+        """Shortest simple L-labeled path (complete for ``N = 2M²``).
+
+        The search charges ``ctx`` (a throwaway context when None):
+        candidates, completions, DFS steps and gap searches, with the
+        context's deadline checked as it goes.
+        """
         graph.require_vertex(source)
         graph.require_vertex(target)
-        if ctx is not None:
-            ctx.check_deadline()
-        stats = SolverStats()
-        self.last_stats = stats  # invariant: allow=solver-purity (legacy stats shim)
+        if ctx is None:
+            ctx = ExecutionContext()
+        ctx.check_deadline()
         if source == target:
             if self.dfa.initial in self.dfa.accepting:
                 return Path.single(source)
             return None
-        search = _SummarySearch(self, graph, source, target, stats)
+        search = _SummarySearch(self, graph, source, target, ctx)
         best = search.run()
         if best is not None:
             assert best.is_simple()
@@ -180,11 +184,11 @@ class _SummarySearch:
         return translated
 
     def _try_complete(self, pieces):
-        self.stats.candidates += 1
+        self.stats.count_candidate()
         id_path = _complete_candidate(
             self.view, self._id_pieces(pieces), self.stats
         )
-        self.stats.completions += 1
+        self.stats.count_completion()
         if id_path is None:
             return
         path = self.view.path(*id_path)
@@ -208,7 +212,7 @@ class _SummarySearch:
 
     def _pinned_mode(self, state, pieces, pinned, component, stay,
                      gapped_components):
-        self.stats.dfs_steps += 1
+        self.stats.charge_dfs_step()
         if self._too_long(pieces):
             return
         current = pieces[-1].vertices[-1]
@@ -295,7 +299,7 @@ class _SummarySearch:
     def _tail_mode(self, state_set, pieces, pinned, component, remaining,
                    gapped_components):
         """Pin the N post-gap edges inside Σ_C, tracking a state set."""
-        self.stats.dfs_steps += 1
+        self.stats.charge_dfs_step()
         if self._too_long(pieces):
             return
         current = pieces[-1].vertices[-1]

@@ -38,10 +38,23 @@ When does compilation pay off?
 * **One query, one graph** — roughly break-even: you pay one graph
   pass and one plan compile, the same work ``solve_rspq`` does, minus
   the re-sorting the solvers no longer repeat.
-* **Mutating graphs** — the compiled view is a snapshot; recompile
-  after mutation (``QueryEngine(IndexedGraph(graph))``).  If the graph
-  changes on every query, stay with ``solve_rspq`` on the raw
-  ``DbGraph``, whose own sorted-adjacency caches invalidate safely.
+* **Mutating graphs** — an engine always serves its compiled graph,
+  a frozen snapshot (so its result cache never goes stale); build a
+  new engine after a mutation (``QueryEngine(graph)`` recompiles).  If
+  the graph changes on every query, stay with ``solve_rspq`` on the
+  raw ``DbGraph``, whose own sorted-adjacency caches invalidate
+  safely.
+
+One query pipeline
+------------------
+
+However a query arrives — ``QueryEngine.query``, one query of a
+batch, or one member of a batch's plan group — it takes the same
+steps: the cached plan, a result-cache lookup, the reachability-index
+short-circuit, then the plan's solver (or the portfolio ladder for
+hard-regime plans).  A batch adds only per-query error isolation and,
+for a plan group, one shared product sweep whose proven negatives
+skip the solver (:mod:`repro.engine.vectorized`).
 
 Parallel batches
 ----------------

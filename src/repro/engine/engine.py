@@ -25,7 +25,7 @@ import inspect
 import threading
 import time
 from collections import Counter, OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Optional
 
 if TYPE_CHECKING:
@@ -42,7 +42,7 @@ from ..graphs.dbgraph import Path
 from .indexed import IndexedGraph
 from .plan import PlanCache, PlanCacheStats, QueryPlan, group_by_plan, plan_key
 from .portfolio import CONFIDENCE_CERTIFIED
-from .vectorized import VectorizedBatchStats, sweep_group, sweepable
+from .vectorized import VectorizedBatchStats, sweep_group
 
 #: Strategy marker for queries that raised instead of answering.
 STRATEGY_ERROR = "error"
@@ -209,9 +209,6 @@ class ResultCacheStats:
 
     hits: int = 0
     misses: int = 0
-    #: Whole-cache invalidations (the backing graph's mutation
-    #: generation moved, so every cached answer died at once).
-    invalidations: int = 0
     size: int = 0
     capacity: int = 0
     enabled: bool = True
@@ -229,7 +226,6 @@ class ResultCacheStats:
             "enabled": self.enabled,
             "hits": self.hits,
             "misses": self.misses,
-            "invalidations": self.invalidations,
             "size": self.size,
             "capacity": self.capacity,
         }
@@ -239,7 +235,6 @@ class ResultCacheStats:
         return ResultCacheStats(
             hits=self.hits - earlier.hits,
             misses=self.misses - earlier.misses,
-            invalidations=self.invalidations - earlier.invalidations,
             size=self.size,
             capacity=self.capacity,
             enabled=self.enabled,
@@ -251,7 +246,6 @@ class ResultCacheStats:
         return ResultCacheStats(
             hits=self.hits + other.hits,
             misses=self.misses + other.misses,
-            invalidations=self.invalidations + other.invalidations,
             size=self.size + other.size,
             capacity=max(self.capacity, other.capacity),
             enabled=self.enabled or other.enabled,
@@ -259,20 +253,16 @@ class ResultCacheStats:
 
 
 class _ResultCache:
-    """Bounded thread-safe LRU of answered queries, generation-scoped.
+    """Bounded thread-safe LRU of answered queries.
 
-    Keys are ``(plan_key, source, target)``; every entry belongs to the
-    graph generation it was computed on.  A lookup or store that sees a
-    *different* generation than the cache's current one clears the
-    whole cache first (one counter bump) — the invalidation hook for
-    the dict-backed path, where a ``DbGraph`` mutation bumps the view
-    generation between two identical queries.  Only successfully
-    answered results are stored; errors (bad input, exhausted budgets,
-    expired deadlines) always re-execute.
+    Keys are ``(plan_key, source, target)`` (tagged further for
+    portfolio and bounded queries).  The engine serves a frozen
+    compiled graph, so an entry stays valid for the engine's lifetime.
+    Only certified answers are stored; errors (bad input, exhausted
+    budgets, expired deadlines) always re-execute.
     """
 
-    __slots__ = ("capacity", "_entries", "_lock", "_generation",
-                 "hits", "misses", "invalidations")
+    __slots__ = ("capacity", "_entries", "_lock", "hits", "misses")
 
     def __init__(self, capacity):
         if capacity < 1:
@@ -283,23 +273,11 @@ class _ResultCache:
         self.capacity = capacity
         self._entries = OrderedDict()
         self._lock = threading.Lock()
-        self._generation = None
         self.hits = 0
         self.misses = 0
-        self.invalidations = 0
 
-    # invariant: holds-lock
-    def _sync_generation(self, generation):
-        # Caller holds the lock.
-        if self._generation != generation:
-            if self._generation is not None and self._entries:
-                self.invalidations += 1
-            self._entries.clear()
-            self._generation = generation
-
-    def lookup(self, generation, key):
+    def lookup(self, key):
         with self._lock:
-            self._sync_generation(generation)
             result = self._entries.get(key)
             if result is None:
                 self.misses += 1
@@ -308,9 +286,8 @@ class _ResultCache:
             self.hits += 1
             return result
 
-    def store(self, generation, key, result):
+    def store(self, key, result):
         with self._lock:
-            self._sync_generation(generation)
             self._entries[key] = result
             self._entries.move_to_end(key)
             if len(self._entries) > self.capacity:
@@ -321,7 +298,6 @@ class _ResultCache:
             return ResultCacheStats(
                 hits=self.hits,
                 misses=self.misses,
-                invalidations=self.invalidations,
                 size=len(self._entries),
                 capacity=self.capacity,
                 enabled=True,
@@ -329,28 +305,33 @@ class _ResultCache:
 
 
 @dataclass
-class _PendingQuery:
-    """A group member past the serial prefix, awaiting sweep/solver.
+class _Query:
+    """One query on its way through the engine's pipeline.
 
-    Captures everything :meth:`QueryEngine._execute` had in hand when
-    it would have called the solver: the resolved plan, the view and
-    generation the answer must be cached under, and — when the
+    Created when the query starts (``start`` times its result);
+    :meth:`QueryEngine._prefix` fills in the plan, whether the plan
+    cache supplied it, the result-cache key and — when the
     reachability index resolved them — the integer endpoint ids that
-    seed the group sweep (``None`` ids keep the member out of the
-    sweep; the solver resolves and validates the vertices itself).
+    seed a group sweep (``None`` keeps the query out of the sweep; the
+    solver then resolves and validates the vertices itself).
     """
 
     language: Any
     source: Any
     target: Any
-    plan: QueryPlan
-    cache_hit: bool
-    start: float
-    view: Any
-    generation: Any
-    result_key: tuple
-    source_id: Optional[int]
-    target_id: Optional[int]
+    #: The validated per-query ``deadline_seconds``, ``budget``,
+    #: ``portfolio`` and ``max_path_edges`` (None = engine default).
+    overrides: Mapping[str, Any]
+    start: float = field(default_factory=time.perf_counter)
+    plan: Optional[QueryPlan] = None
+    cache_hit: bool = False
+    result_key: Optional[tuple] = None
+    source_id: Optional[int] = None
+    target_id: Optional[int] = None
+
+
+#: Overrides of a query that takes every engine default.
+_NO_OVERRIDES: Mapping[str, Any] = {}
 
 
 class QueryEngine:
@@ -362,11 +343,24 @@ class QueryEngine:
     :meth:`query` calls (the query service's executor threads) share
     one engine.
 
+    Every query — :meth:`query`, each query of a batch, and each member
+    of a batch's plan group — is a :class:`_Query` that runs the same
+    steps: :meth:`_prefix` (plan, result-cache lookup, reachability
+    short-circuit), then :meth:`_solve` (classic solver or portfolio
+    ladder), each building its answer with :meth:`_result`, the one
+    result constructor.  Batches run the steps through
+    :meth:`_isolated`, which turns a :class:`~repro.errors.ReproError`
+    into that query's error result; a plan group runs every member's
+    prefix before its shared sweep, and the solver only for members
+    the sweep left open.
+
     Parameters
     ----------
     graph:
         A :class:`DbGraph` (compiled to an :class:`IndexedGraph` here,
-        once) or an already-compiled :class:`IndexedGraph`.
+        once) or an already-compiled :class:`IndexedGraph`.  The
+        engine serves the compiled graph's frozen CSR view; recompile
+        to serve a mutated graph.
     plan_cache_size:
         Capacity of the LRU plan cache (distinct languages kept warm).
     exact_budget:
@@ -383,25 +377,18 @@ class QueryEngine:
         a misconfiguration and is rejected with :class:`ValueError`.
     result_cache / result_cache_size:
         The engine-level result cache: answered queries are replayed
-        from an LRU keyed by ``(plan key, source, target)`` and scoped
-        to the graph's mutation generation, so a repeated query in a
-        serving workload returns without touching a solver.  A cache
-        hit returns the *correct* answer at ~zero cost, so per-query
-        budgets/deadlines do not apply to it.  ``result_cache=False``
-        disables it; ``result_cache_size`` bounds the entry count.
+        from an LRU keyed by ``(plan key, source, target)``, so a
+        repeated query in a serving workload returns without touching
+        a solver.  A cache hit returns the *correct* answer at ~zero
+        cost, so per-query budgets/deadlines do not apply to it.
+        ``result_cache=False`` disables it; ``result_cache_size``
+        bounds the entry count.
     use_reach_index:
         Consult the graph's label-constrained reachability index: the
         engine short-circuits queries whose target is provably
         unreachable under the plan's label mask (no solver runs), and
         the solver cores use the same index for frontier pruning.  The
         index is built eagerly at engine construction (compile time).
-    compile:
-        ``compile=False`` keeps a mutable :class:`DbGraph` live behind
-        the engine instead of freezing it into an
-        :class:`IndexedGraph`: queries run on the graph's dict-backed
-        view of the current mutation generation, and a mutation
-        between two identical queries invalidates the result cache.
-        The compiled path (default) is faster for static graphs.
     vectorize / group_min_size:
         Default knobs for :meth:`run_batch`'s vectorized execution:
         batch queries sharing one plan key are grouped, and groups of
@@ -429,7 +416,6 @@ class QueryEngine:
                  result_cache: bool = True,
                  result_cache_size: int = 1024,
                  use_reach_index: bool = True,
-                 compile: bool = True,
                  vectorize: bool = True,
                  group_min_size: int = 2,
                  portfolio: bool = False,
@@ -461,28 +447,16 @@ class QueryEngine:
             _ResultCache(result_cache_size) if result_cache else None
         )
         self.use_reach_index = use_reach_index
-        if compile or isinstance(graph, IndexedGraph):
-            if isinstance(graph, IndexedGraph):
-                self.graph = graph
-            else:
-                self.graph = IndexedGraph(graph)
-            # The integer-native CSR view every solver receives; built
-            # once per engine so no query pays for it.
-            self._static_view = self.graph.view()
-            if use_reach_index:
-                # Compile-time indexing: pay for the SCC condensation
-                # here, not on the first short-circuit check.
-                self._static_view.reachability()
-        else:
-            if not hasattr(graph, "view"):
-                raise ValueError(
-                    "compile=False needs a graph exposing .view() "
-                    "(a DbGraph); got %r" % (graph,)
-                )
-            # Dict-backed serving: reads go through the live graph's
-            # own view, rebuilt per mutation generation.
-            self.graph = graph
-            self._static_view = None
+        self.graph = (
+            graph if isinstance(graph, IndexedGraph) else IndexedGraph(graph)
+        )
+        #: The frozen CSR view every solver receives; built once per
+        #: engine so no query pays for it.
+        self.view = self.graph.view()
+        if use_reach_index:
+            # Compile-time indexing: pay for the SCC condensation
+            # here, not on the first short-circuit check.
+            self.view.reachability()
         self.plan_cache = PlanCache(plan_cache_size)
         self.exact_budget = exact_budget
         self.deadline_seconds = deadline_seconds
@@ -515,8 +489,10 @@ class QueryEngine:
                 "got %r" % (max_path_edges,)
             )
 
-    def _new_context(self, deadline_seconds=None, budget=None):
+    def _new_context(self, overrides):
         """A fresh per-query context; overrides beat engine defaults."""
+        budget = overrides.get("budget")
+        deadline_seconds = overrides.get("deadline_seconds")
         return ExecutionContext(
             budget=self.exact_budget if budget is None else budget,
             deadline_seconds=(
@@ -531,24 +507,11 @@ class QueryEngine:
         return self.plan_cache.stats_snapshot()
 
     def result_cache_stats(self) -> ResultCacheStats:
-        """Engine-lifetime result-cache counters (hits / misses /
-        invalidations plus size and capacity); ``enabled=False`` when
-        the cache is off."""
+        """Engine-lifetime result-cache counters (hits / misses plus
+        size and capacity); ``enabled=False`` when the cache is off."""
         if self._result_cache is None:
             return ResultCacheStats(enabled=False)
         return self._result_cache.stats()
-
-    @property
-    def view(self) -> Any:
-        """The graph view every solver receives.
-
-        The frozen CSR view on the compiled path; the live graph's
-        dict-backed view of the current mutation generation on the
-        ``compile=False`` path.
-        """
-        if self._static_view is not None:
-            return self._static_view
-        return self.graph.view()
 
     @property
     def snapshot_path(self) -> str | None:
@@ -671,11 +634,12 @@ class QueryEngine:
         ``run_batch`` isolates such failures per query instead.
         """
         self._check_overrides(deadline_seconds, budget, max_path_edges)
-        return self._execute(
-            language, source, target,
-            deadline_seconds=deadline_seconds, budget=budget,
-            portfolio=portfolio, max_path_edges=max_path_edges,
-        )
+        return self._answer(_Query(language, source, target, {
+            "deadline_seconds": deadline_seconds,
+            "budget": budget,
+            "portfolio": portfolio,
+            "max_path_edges": max_path_edges,
+        }))
 
     def _portfolio_mode(self, plan, overrides):
         """``(use_portfolio, max_path_edges)`` for one query.
@@ -690,7 +654,7 @@ class QueryEngine:
             use = False
         return use, overrides.get("max_path_edges")
 
-    def _result_key(self, plan, source, target, overrides):
+    def _result_key(self, q):
         """The result-cache key for one query's effective mode.
 
         Portfolio witnesses need not be shortest paths and bounded
@@ -699,252 +663,169 @@ class QueryEngine:
         be replayed as a classic answer (or vice versa).
         """
         use_portfolio, max_path_edges = self._portfolio_mode(
-            plan, overrides
+            q.plan, q.overrides
         )
         if use_portfolio or max_path_edges is not None:
             return (
-                plan.key, source, target,
+                q.plan.key, q.source, q.target,
                 (
                     "portfolio" if use_portfolio else "bounded",
                     max_path_edges,
                 ),
             )
-        return (plan.key, source, target)
+        return (q.plan.key, q.source, q.target)
 
-    def _execute(self, language, source, target, deadline_seconds=None,
-                 budget=None, portfolio=None, max_path_edges=None,
-                 _hit_box=None):
-        """One query through cache → short-circuit → solver (may raise)."""
-        start = time.perf_counter()
-        plan, cache_hit = self.plan_for(language)
-        if _hit_box is not None:
-            _hit_box[0] = cache_hit
-        view = self.view
-        cache = self._result_cache
-        # The generation must be the one the view was built at (not a
-        # separate read of the live graph): a concurrent mutation
-        # between the two reads would otherwise tag a stale answer
-        # with the new generation and poison the cache.
-        generation = view.generation
-        overrides = {
-            "deadline_seconds": deadline_seconds,
-            "budget": budget,
-            "portfolio": portfolio,
-            "max_path_edges": max_path_edges,
-        }
-        result_key = self._result_key(plan, source, target, overrides)
-        if cache is not None:
-            cached = cache.lookup(generation, result_key)
+    def _answer(self, q):
+        """``q`` start to finish: :meth:`_prefix`, then :meth:`_solve`."""
+        result = self._prefix(q)
+        return self._solve(q) if result is None else result
+
+    def _prefix(self, q):
+        """Plan, result-cache lookup and reachability short-circuit.
+
+        Returns ``q``'s result when one of them decided it, else None
+        (``q`` then carries what :meth:`_solve` and a group sweep
+        need).  Raises :class:`~repro.errors.ReproError` for an
+        unparseable language or an unknown vertex.
+        """
+        q.plan, q.cache_hit = self.plan_for(q.language)
+        q.result_key = self._result_key(q)
+        if self._result_cache is not None:
+            cached = self._result_cache.lookup(q.result_key)
             if cached is not None:
-                return self._replayed_result(
-                    language, source, target, cached, cache_hit, start
+                # Only certified results are ever stored; the replayed
+                # confidence is carried over rather than assumed, so a
+                # store-policy bug would surface in results.
+                return self._result(
+                    q, cached.path, cached.stats.steps,
+                    strategy=cached.strategy,
+                    decompose_failed=cached.decompose_failed,
+                    confidence=cached.confidence,
+                    failure_bound=cached.failure_bound,
+                    result_cache_hit=True,
+                    short_circuit=cached.stats.short_circuit,
                 )
-        if self._short_circuits(view, plan, source, target):
+        if self._unreachable(q):
             # Provably NOT_FOUND: the target is not even
             # walk-reachable under any label L can use, and every
             # simple path is a path.  No solver runs.
-            result = self._short_circuit_result(
-                language, source, target, plan, cache_hit, start
-            )
-            if cache is not None:
-                cache.store(generation, result_key, result)
-            return result
-        return self._solve_query(
-            language, source, target, plan, cache_hit, start, view,
-            generation, result_key, overrides,
-        )
+            return self._store(q, self._result(q, short_circuit=True))
+        return None
 
-    def _solve_query(self, language, source, target, plan, cache_hit,
-                     start, view, generation, result_key, overrides):
-        """Run the solver (ladder or classic) and cache what is safe.
+    def _unreachable(self, q):
+        """True when the reachability index proves ``q`` NOT_FOUND.
 
-        The shared tail of :meth:`_execute` and the vectorized batch
-        path's :meth:`_finish_pending`: builds the per-query context,
-        dispatches to the portfolio ladder or the plan's classic
-        solver, applies the ``max_path_edges`` bound, and stores the
-        result — certified answers only; a probabilistic NOT_FOUND
-        must never be replayed as definitive.
+        Resolves ``q``'s endpoint ids on the way; unknown vertices
+        raise :class:`~repro.errors.GraphError` exactly as the solver
+        would have.  With the index off nothing is resolved (the
+        solver validates vertices itself, keeping its error messages)
+        and nothing is proved; a same-vertex query is never
+        short-circuited (the empty-word case belongs to the solver).
         """
-        ctx = self._new_context(
-            deadline_seconds=overrides.get("deadline_seconds"),
-            budget=overrides.get("budget"),
+        if not self.use_reach_index:
+            return False
+        view = self.view
+        q.source_id = view.vertex_id(q.source)
+        q.target_id = view.vertex_id(q.target)
+        if q.source_id == q.target_id:
+            return False
+        return not view.reachability().can_reach(
+            q.source_id, q.target_id, view.label_mask(q.plan.used_symbols)
         )
-        cache = self._result_cache
+
+    def _solve(self, q):
+        """Answer ``q`` past its prefix: the plan's solver or ladder.
+
+        Builds the per-query context, dispatches to the portfolio
+        ladder or the plan's classic solver, applies the
+        ``max_path_edges`` bound, and caches the result when it is
+        certified (a probabilistic NOT_FOUND must never be replayed as
+        definitive).
+        """
+        ctx = self._new_context(q.overrides)
+        plan = q.plan
         use_portfolio, max_path_edges = self._portfolio_mode(
-            plan, overrides
+            plan, q.overrides
         )
         if use_portfolio:
             outcome = plan.portfolio.solve(
-                view, source, target, ctx=ctx,
+                self.view, q.source, q.target, ctx=ctx,
                 max_path_edges=max_path_edges,
             )
-            result = self._portfolio_result(
-                language, source, target, plan, cache_hit, ctx, outcome,
-                start,
+            # ``steps`` aggregates every rung's work: each rung ran on
+            # a budget-capped child context folded back into ``ctx``.
+            result = self._result(
+                q, outcome.path, ctx.steps, strategy=outcome.strategy,
+                confidence=outcome.confidence,
+                failure_bound=outcome.failure_bound,
             )
-            if cache is not None and (
-                outcome.confidence == CONFIDENCE_CERTIFIED
+        else:
+            path = plan.solver.shortest_simple_path(
+                self.view, q.source, q.target, ctx=ctx
+            )
+            if max_path_edges is not None and path is not None and (
+                len(path) > max_path_edges
             ):
-                cache.store(generation, result_key, result)
-            return result
-        path = plan.solver.shortest_simple_path(
-            view, source, target, ctx=ctx
-        )
-        if max_path_edges is not None and path is not None and (
-            len(path) > max_path_edges
+                # The classic solver answers the unbounded question
+                # with the *shortest* simple path; if even that
+                # overshoots the bound, no bounded path exists — a
+                # certified negative.
+                path = None
+            result = self._result(q, path, plan.solver.steps_in(ctx))
+        return self._store(q, result)
+
+    def _store(self, q, result):
+        """Cache ``result`` under ``q``'s key when it is certified."""
+        if self._result_cache is not None and (
+            result.confidence == CONFIDENCE_CERTIFIED
         ):
-            # The classic solver answers the unbounded question with
-            # the *shortest* simple path; if even that overshoots the
-            # bound, no bounded path exists — a certified negative.
-            path = None
-        result = self._answered_result(
-            language, source, target, plan, cache_hit, ctx, path, start
-        )
-        if cache is not None:
-            cache.store(generation, result_key, result)
+            self._result_cache.store(q.result_key, result)
         return result
 
-    def _answered_result(self, language, source, target, plan, cache_hit,
-                         ctx, path, start):
-        """The :class:`EngineResult` for one successfully answered query."""
+    def _result(self, q, path=None, steps=0, error=None, strategy=None,
+                decompose_failed=None, confidence=CONFIDENCE_CERTIFIED,
+                failure_bound=None, **flags):
+        """The one :class:`EngineResult` constructor.
+
+        ``path`` is ``q``'s answer (None = NOT_FOUND) after ``steps``
+        of work; ``strategy`` and ``decompose_failed`` default to
+        ``q``'s plan.  With ``error`` set it is instead the isolated
+        failure result batch mode returns.  ``flags`` are the
+        :class:`QueryStats` markers of how the answer was produced.
+        """
+        if error is not None:
+            strategy, decompose_failed, steps = STRATEGY_ERROR, False, None
+        if strategy is None:
+            strategy = q.plan.strategy
+        if decompose_failed is None:
+            decompose_failed = q.plan.decompose_failed
         return EngineResult(
-            language=language,
-            source=source,
-            target=target,
+            language=q.language,
+            source=q.source,
+            target=q.target,
             found=path is not None,
             path=path,
-            strategy=plan.strategy,
-            decompose_failed=plan.decompose_failed,
+            strategy=strategy,
+            decompose_failed=decompose_failed,
             stats=QueryStats(
-                strategy=plan.strategy,
-                steps=plan.solver.steps_in(ctx),
-                plan_cache_hit=cache_hit,
-                seconds=time.perf_counter() - start,
+                strategy=strategy,
+                steps=steps,
+                plan_cache_hit=q.cache_hit,
+                seconds=time.perf_counter() - q.start,
+                **flags,
             ),
+            confidence=confidence,
+            failure_bound=failure_bound,
+            error=None if error is None else str(error),
         )
 
-    def _portfolio_result(self, language, source, target, plan, cache_hit,
-                          ctx, outcome, start):
-        """The result of one portfolio-ladder solve.
-
-        ``steps`` aggregates every rung's work: each rung ran on a
-        budget-capped child context folded back into ``ctx``.
-        """
-        return EngineResult(
-            language=language,
-            source=source,
-            target=target,
-            found=outcome.found,
-            path=outcome.path,
-            strategy=outcome.strategy,
-            decompose_failed=plan.decompose_failed,
-            stats=QueryStats(
-                strategy=outcome.strategy,
-                steps=ctx.steps,
-                plan_cache_hit=cache_hit,
-                seconds=time.perf_counter() - start,
-            ),
-            confidence=outcome.confidence,
-            failure_bound=outcome.failure_bound,
-        )
-
-    def _replayed_result(self, language, source, target, cached, cache_hit,
-                         start):
-        """An answer replayed from the result cache (no solver ran).
-
-        Only certified results are ever stored, so the replayed
-        confidence is always ``certified`` — carried over from the
-        cached result rather than assumed, so a store-policy bug would
-        surface in results instead of being masked here.
-        """
-        return EngineResult(
-            language=language,
-            source=source,
-            target=target,
-            found=cached.found,
-            path=cached.path,
-            strategy=cached.strategy,
-            decompose_failed=cached.decompose_failed,
-            stats=QueryStats(
-                strategy=cached.strategy,
-                steps=cached.stats.steps,
-                plan_cache_hit=cache_hit,
-                seconds=time.perf_counter() - start,
-                result_cache_hit=True,
-                short_circuit=cached.stats.short_circuit,
-            ),
-            confidence=cached.confidence,
-            failure_bound=cached.failure_bound,
-        )
-
-    def _short_circuit_result(self, language, source, target, plan,
-                              cache_hit, start):
-        """A NOT_FOUND proven by the reachability index (no solver ran)."""
-        return EngineResult(
-            language=language,
-            source=source,
-            target=target,
-            found=False,
-            path=None,
-            strategy=plan.strategy,
-            decompose_failed=plan.decompose_failed,
-            stats=QueryStats(
-                strategy=plan.strategy,
-                steps=0,
-                plan_cache_hit=cache_hit,
-                seconds=time.perf_counter() - start,
-                short_circuit=True,
-            ),
-        )
-
-    def _error_result(self, language, source, target, cache_hit, start,
-                      err):
-        """The isolated-failure result batch mode returns for ``err``."""
-        return EngineResult(
-            language=language,
-            source=source,
-            target=target,
-            found=False,
-            path=None,
-            strategy=STRATEGY_ERROR,
-            decompose_failed=False,
-            stats=QueryStats(
-                strategy=STRATEGY_ERROR,
-                steps=None,
-                plan_cache_hit=cache_hit,
-                seconds=time.perf_counter() - start,
-            ),
-            error=str(err),
-        )
-
-    def _probe_short_circuit(self, view, plan, source, target):
-        """``(short_circuits, source_id, target_id)`` for one query.
-
-        The vectorized batch path needs the resolved vertex ids the
-        short-circuit probe computes anyway (they seed the group
-        sweep), so this returns them alongside the verdict; ids are
-        ``None`` when the reachability index is off (nothing was
-        resolved — the solver validates vertices itself in that
-        configuration, preserving its error messages).
-        """
-        if not self.use_reach_index:
-            return False, None, None
-        source_id = view.vertex_id(source)
-        target_id = view.vertex_id(target)
-        short = source_id != target_id and not view.reachability().can_reach(
-            source_id, target_id, view.label_mask(plan.used_symbols)
-        )
-        return short, source_id, target_id
-
-    def _short_circuits(self, view, plan, source, target):
-        """True when the reachability index proves the query NOT_FOUND.
-
-        Unknown vertices raise :class:`~repro.errors.GraphError` here
-        exactly as the solver would have (batch mode isolates it per
-        query); a same-vertex query is never short-circuited (the
-        empty-word case belongs to the solver).
-        """
-        return self._probe_short_circuit(view, plan, source, target)[0]
+    def _isolated(self, q, step):
+        """``step(q)``, with a :class:`~repro.errors.ReproError` turned
+        into ``q``'s error result so one query cannot abort a batch."""
+        try:
+            return step(q)
+        except ReproError as err:
+            return self._result(q, error=err)
 
     def reach_only_result(
         self, language: "str | Language", source: Any, target: Any
@@ -963,43 +844,23 @@ class QueryEngine:
         proof, not an estimate.  Raises exactly what plan compilation
         or vertex resolution would raise on a full query.
         """
-        start = time.perf_counter()
-        plan, cache_hit = self.plan_for(language)
-        view = self.view
-        if not self._short_circuits(view, plan, source, target):
+        q = _Query(language, source, target, _NO_OVERRIDES)
+        q.plan, q.cache_hit = self.plan_for(language)
+        if not self._unreachable(q):
             return None
-        return self._short_circuit_result(
-            language, source, target, plan, cache_hit, start
-        )
+        return self._result(q, short_circuit=True)
 
     def exists(
         self, language: "str | Language", source: Any, target: Any
     ) -> bool:
         """Decision variant (plan-cached, index-short-circuited)."""
         plan, _cache_hit = self.plan_for(language)
-        view = self.view
-        if self._short_circuits(view, plan, source, target):
+        q = _Query(language, source, target, _NO_OVERRIDES, plan=plan)
+        if self._unreachable(q):
             return False
         return plan.solver.exists(
-            view, source, target, ctx=self._new_context()
+            self.view, source, target, ctx=self._new_context(q.overrides)
         )
-
-    def _run_single(self, language, source, target, deadline_seconds=None,
-                    budget=None, portfolio=None, max_path_edges=None):
-        """One query with per-query error isolation (batch building block)."""
-        start = time.perf_counter()
-        hit_box = [False]
-        try:
-            return self._execute(
-                language, source, target,
-                deadline_seconds=deadline_seconds, budget=budget,
-                portfolio=portfolio, max_path_edges=max_path_edges,
-                _hit_box=hit_box,
-            )
-        except ReproError as err:
-            return self._error_result(
-                language, source, target, hit_box[0], start, err
-            )
 
     # -- vectorized batch execution ----------------------------------------------
 
@@ -1022,88 +883,18 @@ class QueryEngine:
         )
         return effective_deadline is None
 
-    def _pre_solve(self, language, source, target, stats, overrides):
-        """The serial :meth:`_execute` prefix for one group member.
-
-        Runs plan resolution, the result-cache lookup and the
-        reachability short-circuit in exactly serial order (with
-        serial error isolation), so every cache and serving counter
-        moves as a per-query run would.  Returns a finished
-        :class:`EngineResult` when the prefix decided the query, or a
-        :class:`_PendingQuery` to be answered by the group sweep or
-        the per-query solver.
-        """
-        start = time.perf_counter()
-        cache_hit = False
-        try:
-            plan, cache_hit = self.plan_for(language)
-            view = self.view
-            generation = view.generation
-            result_key = self._result_key(plan, source, target, overrides)
-            cache = self._result_cache
-            if cache is not None:
-                cached = cache.lookup(generation, result_key)
-                if cached is not None:
-                    stats.peeled_cache_hits += 1
-                    return self._replayed_result(
-                        language, source, target, cached, cache_hit, start
-                    )
-            short, source_id, target_id = self._probe_short_circuit(
-                view, plan, source, target
-            )
-            if short:
-                stats.peeled_short_circuits += 1
-                result = self._short_circuit_result(
-                    language, source, target, plan, cache_hit, start
-                )
-                if cache is not None:
-                    cache.store(generation, result_key, result)
-                return result
-        except ReproError as err:
-            return self._error_result(
-                language, source, target, cache_hit, start, err
-            )
-        return _PendingQuery(
-            language=language,
-            source=source,
-            target=target,
-            plan=plan,
-            cache_hit=cache_hit,
-            start=start,
-            view=view,
-            generation=generation,
-            result_key=result_key,
-            source_id=source_id,
-            target_id=target_id,
-        )
-
-    def _finish_pending(self, rec, overrides):
-        """Finish one pending member exactly as serial execution would:
-        a fresh per-query context, the plan's solver (or ladder),
-        serial caching and serial error isolation."""
-        try:
-            return self._solve_query(
-                rec.language, rec.source, rec.target, rec.plan,
-                rec.cache_hit, rec.start, rec.view, rec.generation,
-                rec.result_key, overrides,
-            )
-        except ReproError as err:
-            return self._error_result(
-                rec.language, rec.source, rec.target, rec.cache_hit,
-                rec.start, err,
-            )
-
     def _run_group(self, members, overrides, min_size, sweep_ok, stats):
         """Answer one plan-key group; returns ``(index, result)`` pairs.
 
-        Stage A walks the members in input order through the serial
-        prefix (:meth:`_pre_solve`); duplicate endpoint pairs of a
-        still-pending member are deferred and replayed per query after
-        the group resolves, so their result-cache accounting matches
-        serial execution hit for hit.  Stage B sweeps the pending
-        members through one shared product expansion when eligible;
-        sweep positives (walk witnesses) and everything unswept fall
-        back to the authoritative per-query solver.
+        Stage A runs each member's :meth:`_prefix` in input order, so
+        every cache and serving counter moves as a per-query run
+        would; duplicate endpoint pairs of a still-pending member are
+        deferred and answered per query after the group resolves, so
+        their result-cache accounting matches serial execution hit for
+        hit.  Stage B sweeps the pending members through one shared
+        product expansion when eligible; sweep positives (walk
+        witnesses) and everything unswept fall back to the
+        authoritative per-query :meth:`_solve`.
         """
         results = []
         pending = []
@@ -1115,75 +906,54 @@ class QueryEngine:
                 stats.deferred_duplicates += 1
                 deferred.append((index, language, source, target))
                 continue
-            outcome = self._pre_solve(
-                language, source, target, stats, overrides
-            )
-            if isinstance(outcome, _PendingQuery):
+            q = _Query(language, source, target, overrides)
+            result = self._isolated(q, self._prefix)
+            if result is None:
                 seen_pairs.add(pair)
-                pending.append((index, outcome))
-            else:
-                results.append((index, outcome))
+                pending.append((index, q))
+                continue
+            if result.stats.result_cache_hit:
+                stats.peeled_cache_hits += 1
+            elif result.stats.short_circuit:
+                stats.peeled_short_circuits += 1
+            results.append((index, result))
         sweep_members = [
-            (index, rec) for index, rec in pending
-            if rec.source_id is not None
+            (index, q) for index, q in pending if q.source_id is not None
         ]
         swept = set()
-        if sweep_ok and len(sweep_members) >= min_size:
-            plan = sweep_members[0][1].plan
-            view = sweep_members[0][1].view
-            if sweepable(view, plan, _SWEEP_STRATEGIES):
-                stats.sweeps += 1
-                group_exec = GroupExecution({
-                    member: self._new_context(
-                        deadline_seconds=overrides.get("deadline_seconds"),
-                        budget=overrides.get("budget"),
-                    )
-                    for member in range(len(sweep_members))
-                })
-                sweep_outcome = sweep_group(
-                    view, plan,
-                    [
-                        (member, rec.source_id, rec.target_id)
-                        for member, (index, rec)
-                        in enumerate(sweep_members)
-                    ],
-                    group_exec,
-                )
-                for member in sweep_outcome.negatives:
-                    index, rec = sweep_members[member]
-                    swept.add(index)
-                    stats.swept_negatives += 1
-                    result = EngineResult(
-                        language=rec.language,
-                        source=rec.source,
-                        target=rec.target,
-                        found=False,
-                        path=None,
-                        strategy=rec.plan.strategy,
-                        decompose_failed=rec.plan.decompose_failed,
-                        stats=QueryStats(
-                            strategy=rec.plan.strategy,
-                            steps=sweep_outcome.steps_of(member),
-                            plan_cache_hit=rec.cache_hit,
-                            seconds=time.perf_counter() - rec.start,
-                            vectorized=True,
-                        ),
-                    )
-                    if self._result_cache is not None:
-                        self._result_cache.store(
-                            rec.generation, rec.result_key, result
-                        )
-                    results.append((index, result))
-        for index, rec in pending:
+        if sweep_ok and len(sweep_members) >= min_size and (
+            sweep_members[0][1].plan.strategy in _SWEEP_STRATEGIES
+        ):
+            stats.sweeps += 1
+            group_exec = GroupExecution({
+                member: self._new_context(overrides)
+                for member in range(len(sweep_members))
+            })
+            sweep_outcome = sweep_group(
+                self.view, sweep_members[0][1].plan,
+                [
+                    (member, q.source_id, q.target_id)
+                    for member, (index, q) in enumerate(sweep_members)
+                ],
+                group_exec,
+            )
+            for member in sweep_outcome.negatives:
+                index, q = sweep_members[member]
+                swept.add(index)
+                stats.swept_negatives += 1
+                results.append((index, self._store(q, self._result(
+                    q, steps=sweep_outcome.steps_of(member),
+                    vectorized=True,
+                ))))
+        for index, q in pending:
             if index in swept:
                 continue
             stats.fallback_solves += 1
-            results.append((index, self._finish_pending(rec, overrides)))
+            results.append((index, self._isolated(q, self._solve)))
         for index, language, source, target in deferred:
-            results.append((
-                index,
-                self._run_single(language, source, target, **overrides),
-            ))
+            results.append((index, self._isolated(
+                _Query(language, source, target, overrides), self._answer,
+            )))
         return results
 
     def _run_grouped(self, queries, overrides, min_size):
@@ -1208,8 +978,8 @@ class QueryEngine:
             ):
                 results[index] = result
         for index, (language, source, target) in ungroupable:
-            results[index] = self._run_single(
-                language, source, target, **overrides
+            results[index] = self._isolated(
+                _Query(language, source, target, overrides), self._answer
             )
         return results, stats
 
@@ -1238,7 +1008,10 @@ class QueryEngine:
             )
         else:
             results = [
-                self._run_single(language, source, target, **overrides)
+                self._isolated(
+                    _Query(language, source, target, overrides),
+                    self._answer,
+                )
                 for language, source, target in queries
             ]
         return BatchResult(

@@ -296,7 +296,7 @@ class IndexedGraph:
     @classmethod
     def _from_parts(cls, vertex_of, labels, num_edges, out, in_,
                     label_indptr, label_targets,
-                    rev_label_indptr=None, rev_label_sources=None,
+                    rev_label_indptr, rev_label_sources,
                     reach_parts=None):
         """Rebuild a compiled view directly from its frozen parts.
 
@@ -319,18 +319,10 @@ class IndexedGraph:
         self._in = tuple(in_)
         self._label_indptr = dict(label_indptr)
         self._label_targets = dict(label_targets)
-        if rev_label_indptr is None or rev_label_sources is None:
-            # Pre-reverse-CSR snapshot (format v1): rebuild the reverse
-            # index in memory from the forward arrays.
-            rev_label_indptr, rev_label_sources = _transpose_label_csr(
-                len(self._vertex_of), self._label_indptr,
-                self._label_targets,
-            )
         self._rev_label_indptr = dict(rev_label_indptr)
         self._rev_label_sources = dict(rev_label_sources)
         self._sorted_succ_by_label = {}
-        # A pre-index snapshot (format < 3) carries no reach section;
-        # the condensation is then rebuilt in memory on first use.
+        # None: the condensation is computed on first use.
         self._reach_parts = reach_parts
         self._view = None
         self._snapshot_path = None
@@ -372,11 +364,6 @@ class IndexedGraph:
         if self._view is None:
             self._view = CsrView(self)
         return self._view
-
-    #: Frozen graphs never mutate; the result cache keys on this.
-    @property
-    def generation(self) -> int:
-        return 0
 
     # -- reachability index -------------------------------------------------------
 

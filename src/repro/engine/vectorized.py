@@ -65,8 +65,8 @@ class VectorizedBatchStats:
     #: Distinct plan-key groups the batch planner formed.
     groups: int = 0
     #: Multi-source product sweeps actually run (a group below the
-    #: ``group_min_size`` threshold, or on an unsweepable view/plan,
-    #: forms but never sweeps).
+    #: ``group_min_size`` threshold, or whose plan strategy the sweep
+    #: does not understand, forms but never sweeps).
     sweeps: int = 0
     #: Queries that entered a plan-key group (the rest had no plan key
     #: and ran per query).
@@ -204,21 +204,6 @@ class SweepOutcome:
         vertices.reverse()
         labels.reverse()
         return vertices, labels
-
-
-def sweepable(view: "GraphView", plan: "QueryPlan",
-              strategies: tuple[str, ...]) -> bool:
-    """True when ``plan``'s group can run the shared CSR sweep.
-
-    Requires CSR bulk adjacency (dict-backed views fall back to
-    per-query solving) and one of the known unweighted strategies —
-    anything exotic a future plan might carry falls back too.
-    """
-    if plan.strategy not in strategies:
-        return False
-    if view.kind != "csr":
-        return False
-    return view.num_labels == 0 or view.out_csr(0) is not None
 
 
 # invariant: hot-loop

@@ -1,8 +1,6 @@
 """Per-query execution state, split out of the solver cores.
 
-Historically every solver carried its own mutable counters —
-``ExactSolver.steps``, ``FiniteLanguageSolver.words_tried``,
-``TractableSolver.last_stats`` — which made a solver instance a
+A solver that kept its own mutable work counters would be a
 single-query object: two concurrent queries through one cached
 :class:`~repro.engine.plan.QueryPlan` would trample each other's
 counters and budget accounting.
@@ -15,8 +13,7 @@ per query:
   anchored-DFS statistics (``candidates``, ``completions``,
   ``dfs_steps``, ``gap_bfs``);
 * **budget accounting** — an optional cap on exact-solver expansions,
-  enforced with :class:`~repro.errors.BudgetExceededError` exactly as
-  the legacy ``ExactSolver(budget=...)`` did;
+  enforced with :class:`~repro.errors.BudgetExceededError`;
 * **an optional wall-clock deadline** — checked every
   ``deadline_check_interval`` charges so the hot loops stay cheap,
   raising :class:`~repro.errors.DeadlineExceededError`.
@@ -25,12 +22,10 @@ With the context threaded through, each solver's
 ``shortest_simple_path`` / ``exists`` is a pure function of
 ``(graph, source, target, ctx)``: one compiled solver (inside a frozen,
 cached plan) can serve any number of concurrent queries, each carrying
-its own context.  Calling a solver *without* a context keeps the legacy
-behaviour — the solver creates a fresh context per query and remembers
-it, so the historical ``solver.steps`` / ``solver.words_tried`` /
-``solver.last_stats`` shims still read the most recent context-less
-query.  Those shims are inherently single-threaded; concurrent callers
-must pass explicit contexts (the batch engine always does).
+its own context.  A call *without* a context runs on a throwaway one
+(the exact solver budgets it with its own ``budget``), so no query
+ever writes to a solver instance; to read a query's work counters,
+pass a context and read them off it afterwards.
 """
 
 from __future__ import annotations

@@ -123,10 +123,12 @@ class DbGraph:
     def generation(self):
         """Monotonic mutation counter (bumps on any structural change).
 
-        Consumers that snapshot derived state — the memoised
-        :class:`~repro.graphs.view.DbGraphView`, the engine's result
-        cache — compare generations to detect staleness in one int
-        compare instead of hashing the edge set.
+        Derived state snapshotted from the graph — the memoised
+        :class:`~repro.graphs.view.DbGraphView` and the sorted
+        adjacency caches — is checked against it to detect staleness
+        in one int compare instead of hashing the edge set.  (A
+        :class:`~repro.engine.QueryEngine` serves a compiled copy and
+        never sees later mutations.)
         """
         return self._mutations
 

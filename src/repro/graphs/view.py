@@ -78,11 +78,6 @@ class GraphView:
     _label_ids: dict[str, int]
     _reach_index: "ReachabilityIndex | None"
 
-    #: Mutation generation of the backing graph at view-build time
-    #: (always 0 for frozen views).  The engine's result cache keys on
-    #: it, so cached answers die with the view they were computed on.
-    generation = 0
-
     # -- reachability index -------------------------------------------------------
 
     def reachability(self) -> ReachabilityIndex:
@@ -198,7 +193,6 @@ class DbGraphView(GraphView):
 
     def __init__(self, graph: Any) -> None:
         self.graph = graph
-        self.generation = getattr(graph, "generation", 0)
         if isinstance(graph, DbGraph):
             # DbGraph.vertices() is already repr-sorted (and cached).
             vertices = tuple(graph.vertices())

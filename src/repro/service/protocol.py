@@ -132,7 +132,6 @@ def batch_record(batch: BatchResult,
         record["result_cache_stats"] = {
             "hits": batch.result_cache_stats.hits,
             "misses": batch.result_cache_stats.misses,
-            "invalidations": batch.result_cache_stats.invalidations,
         }
     if batch.stats is not None:
         record["vectorized_stats"] = batch.stats.as_dict()

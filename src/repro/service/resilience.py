@@ -10,14 +10,13 @@ when workers crash, load spikes, or storage rots — the failure modes
   (worker crashes) open the circuit so clients get an immediate 503 +
   ``Retry-After`` instead of queueing onto a broken pool; one
   half-open probe per cooldown decides recovery.
-* :class:`LoadShedder` — deadline-aware admission control replacing
-  the flat in-flight bound.  The hard cap still holds, but inside the
-  pressure band above the soft watermark the shedder drops the work
-  that is *cheapest to retry* first (small, deadline-less requests)
-  while still admitting expensive batches, and sheds doomed work —
-  requests whose deadline cannot survive the current queue — upfront.
-  Every shed carries a ``Retry-After`` hint derived from the observed
-  service rate.
+* :class:`LoadShedder` — deadline-aware admission control on top of
+  the hard in-flight cap: it sheds doomed work — requests whose
+  deadline cannot survive the current queue — upfront, and inside the
+  optional pressure band above the soft watermark it drops the work
+  that is *cheapest to retry* first (single queries) while still
+  admitting expensive batches.  Every shed carries a ``Retry-After``
+  hint derived from the observed service rate.
 * :class:`DegradationLadder` — the service-wide health level.  Fault
   events (worker crashes, breaker opens, sustained shedding) escalate
   it; quiet time steps it back down one rung at a time.  The server
@@ -28,8 +27,13 @@ when workers crash, load spikes, or storage rots — the failure modes
   negatives and sheds everything else.  Degraded mode never returns a
   *wrong* answer — only a cheaper or refused one.
 
-Every class takes an injectable monotonic ``clock`` so the chaos unit
-tests drive transitions deterministically; all jitter is seeded.
+The breaker and the ladder take an injectable monotonic ``clock`` so
+the chaos unit tests drive their transitions deterministically; all
+jitter is seeded.  The two clocks stay separate because they drive
+different decisions: the breaker times one graph's cooldown, the
+ladder a service-wide fault window and quiet period.  The shedder
+reads no clock: it decides from in-flight counts and an EWMA of
+observed service seconds.
 """
 
 from __future__ import annotations
@@ -259,18 +263,22 @@ class CircuitBreaker:
             }
 
 
+#: Weight at or below which a request counts as cheap to retry (a
+#: single query is 1; batches weigh their query count).
+CHEAP_WEIGHT = 1
+
+#: Fallback Retry-After hint before any service-rate observations.
+RETRY_AFTER_SECONDS = 0.05
+
+
 @dataclass
 class ShedConfig:
     """Knobs for one :class:`LoadShedder`.
 
-    ``policy="flat"`` reproduces the legacy admission rule exactly
-    (hard in-flight cap, nothing else).  ``policy="deadline"`` keeps
-    the hard cap and adds the soft band and doomed-deadline checks;
-    with ``soft_inflight`` unset the band is empty, so the default
-    configuration still behaves like the legacy rule.
+    The hard cap always holds and doomed-deadline work is always shed;
+    with ``soft_inflight`` unset the soft band is empty.
     """
 
-    policy: str = "deadline"
     max_inflight: int = 64
     #: Concurrent service lanes draining the in-flight queue (the
     #: executor/pool worker count).  Wait and drain estimates divide
@@ -279,18 +287,8 @@ class ShedConfig:
     #: Start shedding cheap-to-retry work above this watermark
     #: (None = no soft band; only the hard cap sheds).
     soft_inflight: "int | None" = None
-    #: Weight at or below which a request counts as cheap to retry
-    #: (a single query is 1; batches weigh their query count).
-    cheap_weight: int = 1
-    #: Fallback Retry-After hint before any service-rate observations.
-    retry_after_seconds: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.policy not in ("flat", "deadline"):
-            raise ValueError(
-                "policy must be 'flat' or 'deadline', got %r"
-                % (self.policy,)
-            )
         if self.max_inflight < 1:
             raise ValueError(
                 "max_inflight must be >= 1, got %d" % self.max_inflight
@@ -306,15 +304,6 @@ class ShedConfig:
                 "soft_inflight must be in [1, max_inflight], got %r"
                 % (self.soft_inflight,)
             )
-        if self.cheap_weight < 1:
-            raise ValueError(
-                "cheap_weight must be >= 1, got %d" % self.cheap_weight
-            )
-        if self.retry_after_seconds <= 0:
-            raise ValueError(
-                "retry_after_seconds must be positive, got %r"
-                % (self.retry_after_seconds,)
-            )
 
 
 class LoadShedder:
@@ -324,13 +313,13 @@ class LoadShedder:
     request would add, ``deadline_seconds`` = the request's effective
     per-query deadline, None when it has none):
 
-    1. **hard cap** — past ``max_inflight`` everything is shed (the
-       legacy rule; bounded queueing beats unbounded latency);
-    2. **doomed work** (deadline policy) — a request whose deadline is
-       smaller than the estimated wait for a slot is shed immediately:
-       admitting it burns a slot to produce a guaranteed 504;
-    3. **soft band** (deadline policy) — between ``soft_inflight`` and
-       the hard cap, requests of weight <= ``cheap_weight`` are shed.
+    1. **hard cap** — past ``max_inflight`` everything is shed
+       (bounded queueing beats unbounded latency);
+    2. **doomed work** — a request whose deadline is smaller than the
+       estimated wait for a slot is shed immediately: admitting it
+       burns a slot to produce a guaranteed 504;
+    3. **soft band** — between ``soft_inflight`` and the hard cap,
+       requests of weight <= :data:`CHEAP_WEIGHT` are shed.
        They are the cheapest for a client to retry (one query, resent
        in one line), so dropping them first preserves the expensive
        batches that would cost the most offered work to resubmit.
@@ -340,10 +329,8 @@ class LoadShedder:
     seconds, so well-behaved clients back off just long enough.
     """
 
-    def __init__(self, config: "ShedConfig | None" = None,
-                 clock: Callable[[], float] = time.monotonic) -> None:
+    def __init__(self, config: "ShedConfig | None" = None) -> None:
         self.config = config or ShedConfig()
-        self._clock = clock
         self._lock = threading.Lock()
         self._inflight = 0
         self._admitted = 0
@@ -383,7 +370,7 @@ class LoadShedder:
         """
         per_query = self._avg_query_seconds
         if per_query is None or per_query <= 0:
-            return self.config.retry_after_seconds
+            return RETRY_AFTER_SECONDS
         return max(
             max(excess, 1) * per_query / self.config.workers, 1e-3
         )
@@ -421,35 +408,34 @@ class LoadShedder:
                     ),
                     error_type="overloaded",
                 )
-            if config.policy == "deadline":
-                if deadline_seconds is not None:
-                    wait = self._estimated_wait()
-                    if wait > deadline_seconds:
-                        self._shed_doomed += 1
-                        raise ServiceOverloadedError(
-                            "request deadline %.3fs cannot survive the "
-                            "estimated %.3fs queue — shed instead of "
-                            "serving a guaranteed timeout"
-                            % (deadline_seconds, wait),
-                            status=429,
-                            retry_after=self._retry_after(self._inflight),
-                            error_type="doomed_deadline",
-                        )
-                soft = config.soft_inflight
-                if (
-                    soft is not None
-                    and would_be > soft
-                    and weight <= config.cheap_weight
-                ):
-                    self._shed_soft += 1
+            if deadline_seconds is not None:
+                wait = self._estimated_wait()
+                if wait > deadline_seconds:
+                    self._shed_doomed += 1
                     raise ServiceOverloadedError(
-                        "server under pressure (%d/%d in flight): "
-                        "shedding cheap-to-retry work first"
-                        % (self._inflight, config.max_inflight),
+                        "request deadline %.3fs cannot survive the "
+                        "estimated %.3fs queue — shed instead of "
+                        "serving a guaranteed timeout"
+                        % (deadline_seconds, wait),
                         status=429,
-                        retry_after=self._retry_after(would_be - soft),
-                        error_type="pressure_shed",
+                        retry_after=self._retry_after(self._inflight),
+                        error_type="doomed_deadline",
                     )
+            soft = config.soft_inflight
+            if (
+                soft is not None
+                and would_be > soft
+                and weight <= CHEAP_WEIGHT
+            ):
+                self._shed_soft += 1
+                raise ServiceOverloadedError(
+                    "server under pressure (%d/%d in flight): "
+                    "shedding cheap-to-retry work first"
+                    % (self._inflight, config.max_inflight),
+                    status=429,
+                    retry_after=self._retry_after(would_be - soft),
+                    error_type="pressure_shed",
+                )
             self._inflight = would_be
             self._admitted += 1
 
@@ -467,7 +453,6 @@ class LoadShedder:
     def describe(self) -> dict[str, Any]:
         with self._lock:
             return {
-                "policy": self.config.policy,
                 "max_inflight": self.config.max_inflight,
                 "workers": self.config.workers,
                 "soft_inflight": self.config.soft_inflight,

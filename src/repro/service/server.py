@@ -142,13 +142,12 @@ class ServiceConfig:
         Admission-control bound on simultaneously in-flight queries.
     read_timeout:
         Seconds allowed for reading one request off a connection.
-    shed_policy / soft_inflight:
-        Load-shedding knobs (see
-        :class:`~repro.service.resilience.LoadShedder`): ``"flat"``
-        is the legacy hard cap only; ``"deadline"`` (the default)
-        additionally sheds doomed-deadline work and, above
-        ``soft_inflight``, cheap-to-retry requests first.  With
-        ``soft_inflight`` unset the soft band is empty.
+    soft_inflight:
+        Load-shedding watermark (see
+        :class:`~repro.service.resilience.LoadShedder`): on top of the
+        ``max_inflight`` cap the shedder always sheds doomed-deadline
+        work, and above ``soft_inflight`` it sheds cheap-to-retry
+        requests first.  Unset (the default), the soft band is empty.
     breaker_threshold / breaker_cooldown / breaker_max_cooldown /
     breaker_jitter / breaker_seed:
         Per-graph circuit-breaker knobs (see
@@ -168,7 +167,6 @@ class ServiceConfig:
     workers: int = 4
     max_inflight: int = 64
     read_timeout: float = 30.0
-    shed_policy: str = "deadline"
     soft_inflight: int | None = None
     breaker_threshold: int = 5
     breaker_cooldown: float = 1.0
@@ -206,7 +204,6 @@ class ServiceConfig:
 
     def shed_config(self) -> ShedConfig:
         return ShedConfig(
-            policy=self.shed_policy,
             max_inflight=self.max_inflight,
             workers=self.workers,
             soft_inflight=self.soft_inflight,

@@ -9,13 +9,13 @@ sorting, no dict-of-sets traversal — which is what lets a restarted
 query service warm-start in a fraction of the compile time
 (``benchmarks/bench_service.py`` asserts the speedup).
 
-Format (version 3; versions 1 and 2 still load)
-------------------------------------------------
+Format (version 3)
+------------------
 
 Little-endian throughout::
 
     offset 0   magic          8 bytes  b"RSPQSNAP"
-    offset 8   version        u32      currently 3
+    offset 8   version        u32      3
     offset 12  header_len     u32
     offset 16  header         header_len bytes of UTF-8 JSON
     ...        payload_crc32  u32      zlib.crc32 of header + arrays
@@ -36,7 +36,7 @@ binary section:
     The per-label CSR arrays exactly as the compiled view stores them:
     label ``j`` owns ``csr_indptr`` rows ``j*(n+1):(j+1)*(n+1)`` and
     the ``csr_targets`` slice ``csr_offsets[j]:csr_offsets[j+1]``.
-``rcsr_offsets`` / ``rcsr_indptr`` / ``rcsr_sources`` (version ≥ 2)
+``rcsr_offsets`` / ``rcsr_indptr`` / ``rcsr_sources``
     The label-partitioned *reverse* CSR, same layout as the forward
     per-label section: label ``j`` owns ``rcsr_indptr`` rows
     ``j*(n+1):(j+1)*(n+1)`` and the ``rcsr_sources`` slice
@@ -44,7 +44,7 @@ binary section:
     backward product searches; persisting it means a warm start
     rebuilds nothing.
 ``scc_comp_of`` / ``scc_edge_labels`` / ``scc_edge_sources`` /
-``scc_edge_targets`` (version ≥ 3)
+``scc_edge_targets``
     The label-constrained reachability index's compiled parts:
     ``scc_comp_of`` maps each vertex to its SCC component id (the
     header carries ``num_comps``), and the three edge arrays list the
@@ -53,13 +53,11 @@ binary section:
     A warm start thaws the index instead of re-running Tarjan; the
     closure bitsets stay lazy either way.
 
-A version-1 snapshot (no reverse-CSR section) still loads: the reverse
-index is rebuilt in memory by transposing the forward per-label CSR,
-and the thawed graph serves queries identically.  Likewise a version-1
-or version-2 snapshot (no reachability section) loads by re-condensing
-in memory on first index use.  Loading validates
-magic, version, header shape and the checksum over the
-header-plus-arrays payload, raising
+Only version 3 is written and read: a file of any other version fails
+its load with a :class:`~repro.errors.SnapshotError` naming that
+version (rebuild it from the graph file with ``repro snapshot``).
+Loading validates magic, version, header shape and the checksum over
+the header-plus-arrays payload, raising
 :class:`~repro.errors.SnapshotError` with the reason on any mismatch —
 a truncated or bit-rotted snapshot never produces a silently wrong
 graph.  Files are written atomically (tmp + rename), so a crash
@@ -79,16 +77,17 @@ from array import array
 from typing import Any, Iterable, Iterator
 
 from ..errors import SnapshotError
-from ..engine.indexed import CsrView, IndexedGraph, _transpose_label_csr
+from ..engine.indexed import CsrView, IndexedGraph
 from . import faults
 
 MAGIC = b"RSPQSNAP"
 FORMAT_VERSION = 3
-SUPPORTED_VERSIONS = (1, 2, 3)
+SUPPORTED_VERSIONS = (3,)
 
 _U32 = struct.Struct("<I")
 
-#: Manifest order of the binary arrays (fixed for determinism).
+#: Manifest order of the binary arrays (fixed for determinism): the
+#: adjacency and forward per-label CSR section first...
 _ARRAY_NAMES_V1 = (
     "out_indptr",
     "out_labels",
@@ -101,10 +100,10 @@ _ARRAY_NAMES_V1 = (
     "csr_targets",
 )
 
-#: Version-2 appends the label-partitioned reverse CSR.
+#: ...then the label-partitioned reverse CSR...
 _REVERSE_ARRAY_NAMES = ("rcsr_offsets", "rcsr_indptr", "rcsr_sources")
 
-#: Version-3 appends the reachability index (SCC condensation).
+#: ...then the reachability index (SCC condensation).
 _REACH_ARRAY_NAMES = (
     "scc_comp_of",
     "scc_edge_labels",
@@ -112,14 +111,7 @@ _REACH_ARRAY_NAMES = (
     "scc_edge_targets",
 )
 
-
-def _array_names(version):
-    names = _ARRAY_NAMES_V1
-    if version >= 2:
-        names = names + _REVERSE_ARRAY_NAMES
-    if version >= 3:
-        names = names + _REACH_ARRAY_NAMES
-    return names
+_ARRAY_NAMES = _ARRAY_NAMES_V1 + _REVERSE_ARRAY_NAMES + _REACH_ARRAY_NAMES
 
 
 #: Recently *saved* graphs by absolute path: path -> (stored_crc,
@@ -192,25 +184,14 @@ def _checked_vertices(vertices):
     return checked
 
 
-def save_snapshot(graph: Any, path: Any,
-                  format_version: int = FORMAT_VERSION) -> int:
+def save_snapshot(graph: Any, path: Any) -> int:
     """Persist a compiled graph to ``path``; returns the byte size.
 
     ``graph`` may be an :class:`IndexedGraph` or anything its
     constructor accepts (a :class:`DbGraph` is compiled first).  The
     write is atomic: the snapshot lands under a temporary name and is
     renamed into place, so readers never observe a partial file.
-
-    ``format_version`` defaults to the current format; passing ``1``
-    or ``2`` writes the legacy layouts without the reverse-CSR and/or
-    reachability-index sections (useful for serving fleets mid-upgrade
-    — every supported version loads).
     """
-    if format_version not in SUPPORTED_VERSIONS:
-        raise SnapshotError(
-            "cannot write snapshot format version %r (supported: %s)"
-            % (format_version, ", ".join(map(str, SUPPORTED_VERSIONS)))
-        )
     if not isinstance(graph, IndexedGraph):
         graph = IndexedGraph(graph)
 
@@ -234,10 +215,22 @@ def save_snapshot(graph: Any, path: Any,
         in_indptr.append(len(in_sources))
 
     csr_offsets, csr_indptr, csr_targets = [0], [], []
+    rcsr_offsets, rcsr_indptr, rcsr_sources = [0], [], []
     for label in labels:
         csr_indptr.extend(graph._label_indptr[label])
         csr_targets.extend(graph._label_targets[label])
         csr_offsets.append(len(csr_targets))
+        rcsr_indptr.extend(graph._rev_label_indptr[label])
+        rcsr_sources.extend(graph._rev_label_sources[label])
+        rcsr_offsets.append(len(rcsr_sources))
+
+    comp_of, num_comps, label_edges = graph.reach_parts()
+    edge_labels, edge_sources, edge_targets = [], [], []
+    for label_id, edges in enumerate(label_edges):
+        for comp_from, comp_to in edges:
+            edge_labels.append(label_id)
+            edge_sources.append(comp_from)
+            edge_targets.append(comp_to)
 
     sections = {
         "out_indptr": out_indptr,
@@ -249,44 +242,25 @@ def save_snapshot(graph: Any, path: Any,
         "csr_offsets": csr_offsets,
         "csr_indptr": csr_indptr,
         "csr_targets": csr_targets,
+        "rcsr_offsets": rcsr_offsets,
+        "rcsr_indptr": rcsr_indptr,
+        "rcsr_sources": rcsr_sources,
+        "scc_comp_of": comp_of,
+        "scc_edge_labels": edge_labels,
+        "scc_edge_sources": edge_sources,
+        "scc_edge_targets": edge_targets,
     }
-    if format_version >= 2:
-        rcsr_offsets, rcsr_indptr, rcsr_sources = [0], [], []
-        for label in labels:
-            rcsr_indptr.extend(graph._rev_label_indptr[label])
-            rcsr_sources.extend(graph._rev_label_sources[label])
-            rcsr_offsets.append(len(rcsr_sources))
-        sections["rcsr_offsets"] = rcsr_offsets
-        sections["rcsr_indptr"] = rcsr_indptr
-        sections["rcsr_sources"] = rcsr_sources
-
-    num_comps = None
-    if format_version >= 3:
-        comp_of, num_comps, label_edges = graph.reach_parts()
-        edge_labels, edge_sources, edge_targets = [], [], []
-        for label_id, edges in enumerate(label_edges):
-            for comp_from, comp_to in edges:
-                edge_labels.append(label_id)
-                edge_sources.append(comp_from)
-                edge_targets.append(comp_to)
-        sections["scc_comp_of"] = comp_of
-        sections["scc_edge_labels"] = edge_labels
-        sections["scc_edge_sources"] = edge_sources
-        sections["scc_edge_targets"] = edge_targets
-
-    names = _array_names(format_version)
     array_section = b"".join(
-        _int64_bytes(sections[name]) for name in names
+        _int64_bytes(sections[name]) for name in _ARRAY_NAMES
     )
     header = {
-        "format_version": format_version,
+        "format_version": FORMAT_VERSION,
         "vertices": vertices,
         "labels": labels,
         "num_edges": graph._num_edges,
-        "arrays": [[name, len(sections[name])] for name in names],
+        "arrays": [[name, len(sections[name])] for name in _ARRAY_NAMES],
+        "num_comps": num_comps,
     }
-    if num_comps is not None:
-        header["num_comps"] = num_comps
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
 
     # One checksum over header *and* arrays: a bit-rotted vertex name
@@ -294,7 +268,7 @@ def save_snapshot(graph: Any, path: Any,
     payload_crc = zlib.crc32(array_section, zlib.crc32(header_bytes))
     blob = b"".join((
         MAGIC,
-        _U32.pack(format_version),
+        _U32.pack(FORMAT_VERSION),
         _U32.pack(len(header_bytes)),
         header_bytes,
         _U32.pack(payload_crc & 0xFFFFFFFF),
@@ -395,7 +369,7 @@ def _parse(data, path, mapping=None, snapshot_path=None):
                 % (path, stored_crc, actual_crc)
             )
         manifest = header["arrays"]
-        expected = list(_array_names(header["format_version"]))
+        expected = list(_ARRAY_NAMES)
         if [name for name, _count in manifest] != expected:
             raise SnapshotError(
                 "snapshot %s has an unexpected array manifest: %r"
@@ -475,23 +449,21 @@ def _thaw(header, arrays, path, mapping=None, snapshot_path=None,
             "snapshot %s per-label CSR targets disagree with their "
             "offsets" % path
         )
-    has_reverse = "rcsr_offsets" in arrays
-    if has_reverse:
-        if (
-            len(arrays["rcsr_offsets"]) != num_labels + 1
-            or len(arrays["rcsr_indptr"]) != num_labels * (n + 1)
-        ):
-            raise SnapshotError(
-                "snapshot %s reverse per-label CSR does not match its %d "
-                "labels" % (path, num_labels)
-            )
-        if num_labels and (
-            len(arrays["rcsr_sources"]) != arrays["rcsr_offsets"][-1]
-        ):
-            raise SnapshotError(
-                "snapshot %s reverse per-label CSR sources disagree "
-                "with their offsets" % path
-            )
+    if (
+        len(arrays["rcsr_offsets"]) != num_labels + 1
+        or len(arrays["rcsr_indptr"]) != num_labels * (n + 1)
+    ):
+        raise SnapshotError(
+            "snapshot %s reverse per-label CSR does not match its %d "
+            "labels" % (path, num_labels)
+        )
+    if num_labels and (
+        len(arrays["rcsr_sources"]) != arrays["rcsr_offsets"][-1]
+    ):
+        raise SnapshotError(
+            "snapshot %s reverse per-label CSR sources disagree "
+            "with their offsets" % path
+        )
 
     attach = mapping is not None
     if not attach:
@@ -516,32 +488,24 @@ def _thaw(header, arrays, path, mapping=None, snapshot_path=None,
         ]
 
     csr_offsets = arrays["csr_offsets"]
+    rcsr_offsets = arrays["rcsr_offsets"]
     label_indptr = {}
     label_targets = {}
+    rev_label_indptr = {}
+    rev_label_sources = {}
     for j, label in enumerate(labels):
-        label_indptr[label] = arrays["csr_indptr"][
-            j * (n + 1):(j + 1) * (n + 1)
-        ]
+        rows = slice(j * (n + 1), (j + 1) * (n + 1))
+        label_indptr[label] = arrays["csr_indptr"][rows]
         label_targets[label] = arrays["csr_targets"][
             csr_offsets[j]:csr_offsets[j + 1]
         ]
-
-    rev_label_indptr = None
-    rev_label_sources = None
-    if has_reverse:
-        rcsr_offsets = arrays["rcsr_offsets"]
-        rev_label_indptr = {}
-        rev_label_sources = {}
-        for j, label in enumerate(labels):
-            rev_label_indptr[label] = arrays["rcsr_indptr"][
-                j * (n + 1):(j + 1) * (n + 1)
-            ]
-            rev_label_sources[label] = arrays["rcsr_sources"][
-                rcsr_offsets[j]:rcsr_offsets[j + 1]
-            ]
+        rev_label_indptr[label] = arrays["rcsr_indptr"][rows]
+        rev_label_sources[label] = arrays["rcsr_sources"][
+            rcsr_offsets[j]:rcsr_offsets[j + 1]
+        ]
 
     reach_parts = reach_reuse
-    if reach_parts is None and "scc_comp_of" in arrays:
+    if reach_parts is None:
         reach_parts = _thaw_reach_parts(
             header, arrays, n, num_labels, path, copy=not attach
         )
@@ -561,10 +525,6 @@ def _thaw(header, arrays, path, mapping=None, snapshot_path=None,
             snapshot_path=snapshot_path,
         )
 
-    # A v1 snapshot has no reverse section; _from_parts rebuilds the
-    # reverse index in memory by transposing the forward label CSR.
-    # Pre-v3 snapshots likewise carry no reachability section; the
-    # condensation is then recomputed in memory on first index use.
     graph = IndexedGraph._from_parts(
         vertex_of=vertices,
         labels=labels,
@@ -747,14 +707,6 @@ class AttachedGraph(IndexedGraph):
         self._out_pair_sets = None
         self._label_indptr = dict(label_indptr)
         self._label_targets = dict(label_targets)
-        if rev_label_indptr is None or rev_label_sources is None:
-            # v1 snapshot: no reverse section on disk — transpose into
-            # process-private arrays (the one non-shared structure; v2+
-            # snapshots attach it zero-copy like everything else).
-            rev_label_indptr, rev_label_sources = _transpose_label_csr(
-                len(self._vertex_of), self._label_indptr,
-                self._label_targets,
-            )
         self._rev_label_indptr = dict(rev_label_indptr)
         self._rev_label_sources = dict(rev_label_sources)
         self._sorted_succ_by_label = {}

@@ -322,15 +322,6 @@ class TestLoadShedder:
         assert info.value.retry_after > 0
         assert shedder.shed_total == 1
 
-    def test_flat_policy_ignores_deadlines(self):
-        shedder = LoadShedder(
-            ShedConfig(policy="flat", max_inflight=8)
-        )
-        shedder.observe(1.0, 1)  # 1s per query on the EWMA
-        shedder.admit(4)
-        # Deadline-doomed by any estimate, but flat policy admits it.
-        shedder.admit(1, deadline_seconds=1e-6)
-
     def test_doomed_deadline_is_shed_upfront(self):
         shedder = LoadShedder(ShedConfig(max_inflight=8))
         shedder.observe(1.0, 1)

@@ -1,10 +1,8 @@
-"""ExecutionContext: pure solver cores, budgets, deadlines, legacy shims.
+"""ExecutionContext: pure solver cores, budgets, deadlines.
 
 The refactor contract: a solver constructed once is never mutated by a
-query that passes an explicit context — every counter lands on the
-context — while context-less calls keep the historical behaviour
-(``solver.steps`` / ``words_tried`` / ``last_stats`` read the most
-recent query).
+query — every counter lands on the context the query passes, or on a
+throwaway one when it passes none.
 """
 
 import pytest
@@ -39,25 +37,31 @@ class TestContextIsolation:
     def test_exact_solver_instance_stays_clean(self, graph):
         solver = ExactSolver("a*ba*")
         source, target = _working_pair("a*ba*", graph)
+        before = dict(vars(solver))
         ctx = ExecutionContext()
         path = solver.shortest_simple_path(graph, source, target, ctx=ctx)
         assert path is not None
         assert ctx.steps > 0
-        assert solver.steps == 0  # legacy shim untouched by ctx queries
+        assert solver.shortest_simple_path(graph, source, target) == path
+        assert dict(vars(solver)) == before
 
     def test_finite_solver_instance_stays_clean(self, graph):
         solver = FiniteLanguageSolver(language("ab + ba + abc"))
+        before = dict(vars(solver))
         ctx = ExecutionContext()
         solver.shortest_simple_path(graph, 0, 5, ctx=ctx)
         assert ctx.words_tried > 0
-        assert solver.words_tried == 0
+        solver.shortest_simple_path(graph, 0, 5)
+        assert dict(vars(solver)) == before
 
     def test_tractable_solver_instance_stays_clean(self, graph):
         solver = TractableSolver(language("a*(bb^+ + eps)c*"))
+        before = dict(vars(solver))
         ctx = ExecutionContext()
         solver.shortest_simple_path(graph, 0, 5, ctx=ctx)
         assert ctx.dfs_steps > 0
-        assert solver.last_stats is None
+        solver.shortest_simple_path(graph, 0, 5)
+        assert dict(vars(solver)) == before
 
     def test_two_contexts_do_not_mix(self, graph):
         solver = ExactSolver("a*ba*")
@@ -81,31 +85,6 @@ class TestContextIsolation:
             counts.add(ctx.dfs_steps)
         assert len(paths) == 1
         assert len(counts) == 1
-
-
-class TestLegacyShims:
-    def test_exact_steps_shim(self, graph):
-        solver = ExactSolver("a*ba*")
-        source, target = _working_pair("a*ba*", graph)
-        solver.shortest_simple_path(graph, source, target)
-        assert solver.steps > 0
-
-    def test_exact_steps_shim_is_writable(self, graph):
-        # bench_tractability_frontier resets the counter by assignment.
-        solver = ExactSolver("a*ba*")
-        solver.steps = 0
-        assert solver.steps == 0
-
-    def test_finite_words_tried_shim(self, graph):
-        solver = FiniteLanguageSolver(language("ab + ba + abc"))
-        solver.shortest_simple_path(graph, 0, 5)
-        assert solver.words_tried > 0
-
-    def test_tractable_last_stats_shim(self, graph):
-        solver = TractableSolver(language("a*(bb^+ + eps)c*"))
-        solver.shortest_simple_path(graph, 0, 5)
-        assert solver.last_stats is not None
-        assert solver.last_stats.dfs_steps > 0
 
 
 class TestBudgets:

@@ -7,6 +7,7 @@ from tests.conftest import paths_agree, random_instance
 from repro import catalog
 from repro.algorithms.exact import ExactSolver
 from repro.core.nice_paths import TractableSolver
+from repro.execution import ExecutionContext
 from repro.graphs.dbgraph import Path
 from repro.graphs.generators import (
     component_chain_graph,
@@ -157,14 +158,15 @@ class TestStats:
     def test_stats_populated(self):
         solver = TractableSolver(language("a*c*"))
         graph = labeled_path("aac")
-        solver.shortest_simple_path(graph, 0, 3)
-        assert solver.last_stats is not None
-        assert solver.last_stats.dfs_steps > 0
+        ctx = ExecutionContext()
+        solver.shortest_simple_path(graph, 0, 3, ctx=ctx)
+        assert ctx.dfs_steps > 0
 
     def test_budget_limits_work(self):
         solver = TractableSolver(language("a*c*"), dfs_budget=1)
         graph = labeled_path("aac")
         # With a one-step budget the search gives up (soundly: no path
         # claimed); existence must then be decided by other means.
-        solver.shortest_simple_path(graph, 0, 3)
-        assert solver.last_stats.dfs_steps >= 1
+        ctx = ExecutionContext()
+        solver.shortest_simple_path(graph, 0, 3, ctx=ctx)
+        assert ctx.dfs_steps >= 1

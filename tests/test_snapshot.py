@@ -224,45 +224,23 @@ class TestFailureModes:
 
 
 class TestVersionMigration:
-    """v1 snapshots (no reverse-CSR section) must still serve (ISSUE-4)."""
+    """Version 3 is the only format: older files fail by name."""
 
-    @pytest.fixture
-    def v1_path(self, tmp_path, graph):
-        path = str(tmp_path / "legacy.snap")
-        save_snapshot(IndexedGraph(graph), path, format_version=1)
-        return path
+    def test_older_version_is_rejected_by_name(self, tmp_path, snap_path):
+        # A v3 file relabelled as version 2 in both the binary prefix
+        # and the header, with a valid checksum: the version check,
+        # not the CRC, must refuse it.
+        def mutate(header, arrays):
+            header["format_version"] = 2
+            return header, arrays
 
-    def test_v1_header_has_no_reverse_section(self, v1_path):
-        info = snapshot_info(v1_path)
-        assert info["format_version"] == 1
-
-    def test_v1_loads_and_rebuilds_reverse_index(self, graph, v1_path):
-        thawed = load_snapshot(v1_path)
-        compiled = IndexedGraph(graph)
-        # The reverse label CSR is rebuilt in memory from the forward
-        # arrays and matches a fresh compile slice for slice.
-        for label in sorted(compiled.labels()):
-            assert list(thawed._rev_label_indptr[label]) == \
-                list(compiled._rev_label_indptr[label])
-            assert list(thawed._rev_label_sources[label]) == \
-                list(compiled._rev_label_sources[label])
-
-    def test_v1_and_v2_serve_identical_answers(
-        self, graph, v1_path, snap_path
-    ):
-        queries = [
-            ("a*", 0, 24), ("ab + ba", 3, 11), ("(aa)*", 5, 20),
-            ("a*ba*", 2, 17), ("a*(bb^+ + eps)c*", 1, 22),
-        ]
-        v1_engine = QueryEngine(load_snapshot(v1_path))
-        v2_engine = QueryEngine(load_snapshot(snap_path))
-        for regex, source, target in queries:
-            direct = solve_rspq(regex, graph, source, target)
-            for engine in (v1_engine, v2_engine):
-                result = engine.query(regex, source, target)
-                assert result.found == direct.found, (regex, source)
-                assert result.path == direct.path, (regex, source)
-                assert result.strategy == direct.strategy, (regex, source)
+        old_path = _rewrite_snapshot(
+            snap_path, str(tmp_path / "v2.snap"), mutate
+        )
+        with pytest.raises(SnapshotError, match="format version 2"):
+            load_snapshot(old_path)
+        with pytest.raises(SnapshotError, match="format version 2"):
+            snapshot_info(old_path)
 
     def test_v2_is_the_default_and_round_trips_reverse_csr(
         self, graph, snap_path
@@ -274,56 +252,29 @@ class TestVersionMigration:
             assert list(thawed._rev_label_sources[label]) == \
                 list(compiled._rev_label_sources[label])
 
-    def test_unsupported_write_version_rejected(self, tmp_path, graph):
-        with pytest.raises(SnapshotError, match="format version"):
-            save_snapshot(
-                IndexedGraph(graph), str(tmp_path / "x.snap"),
-                format_version=99,
-            )
+    def test_corrupt_reverse_section_rejected(self, tmp_path, snap_path):
+        # Drop the last int64 of rcsr_sources and shrink its manifest
+        # count to stay self-consistent, with a *valid* checksum: the
+        # shape validation itself must catch it, not just the CRC.
+        def mutate(header, arrays):
+            names = [name for name, _count in header["arrays"]]
+            index = names.index("rcsr_sources")
+            offset, length = _array_span(header, "rcsr_sources")
+            assert length > 0
+            header["arrays"][index][1] -= 1
+            end = offset + length
+            return header, arrays[:end - 8] + arrays[end:]
 
-    def test_corrupt_reverse_section_rejected(self, tmp_path, graph):
-        # Rewrite a v2 snapshot (rcsr_sources is its final array) with
-        # a structurally wrong reverse-CSR manifest but a *valid*
-        # checksum: the shape validation itself must catch it, not
-        # just the CRC.
-        import json
-        import struct
-        import zlib
-
-        snap_path = str(tmp_path / "v2.snap")
-        save_snapshot(IndexedGraph(graph), snap_path, format_version=2)
-        data = bytearray(open(snap_path, "rb").read())
-        (header_len,) = struct.unpack_from("<I", data, 12)
-        header = json.loads(bytes(data[16:16 + header_len]).decode())
-        arrays_start = 16 + header_len + 4
-        # Drop one trailing int64 from the final array (rcsr_sources)
-        # and shrink its manifest count to stay self-consistent.
-        assert header["arrays"][-1][0] == "rcsr_sources"
-        assert header["arrays"][-1][1] > 0
-        header["arrays"][-1][1] -= 1
-        new_header = json.dumps(
-            header, separators=(",", ":")
-        ).encode("utf-8")
-        new_arrays = bytes(data[arrays_start:len(data) - 8])
-        crc = zlib.crc32(new_arrays, zlib.crc32(new_header)) & 0xFFFFFFFF
-        blob = b"".join((
-            MAGIC,
-            struct.pack("<I", snapshot_info(snap_path)["format_version"]),
-            struct.pack("<I", len(new_header)),
-            new_header,
-            struct.pack("<I", crc),
-            new_arrays,
-        ))
-        bad_path = str(tmp_path / "bad-rev.snap")
-        with open(bad_path, "wb") as handle:
-            handle.write(blob)
-        with pytest.raises(SnapshotError):
+        bad_path = _rewrite_snapshot(
+            snap_path, str(tmp_path / "bad-rev.snap"), mutate
+        )
+        with pytest.raises(SnapshotError, match="reverse per-label CSR"):
             load_snapshot(bad_path)
 
     def test_truncated_reverse_indptr_rejected(self, tmp_path, graph):
-        # A v2 snapshot whose reverse indptr rows disagree with the
-        # label count must fail shape validation even when the
-        # checksum is intact.
+        # A snapshot whose reverse indptr rows disagree with the label
+        # count must fail shape validation even when the checksum is
+        # intact.
         import json
         import struct
         import zlib
@@ -362,19 +313,6 @@ class TestVersionMigration:
         with pytest.raises(SnapshotError, match="reverse per-label CSR"):
             load_snapshot(path)
 
-    def test_v1_snapshot_registers_and_serves(self, tmp_path, graph):
-        from repro.service import GraphRegistry
-
-        path = str(tmp_path / "legacy.snap")
-        save_snapshot(IndexedGraph(graph), path, format_version=1)
-        registry = GraphRegistry()
-        entry = registry.register_snapshot("old", path)
-        assert entry.stats.source == "snapshot"
-        result = entry.engine.query("a*", 0, 10)
-        direct = solve_rspq("a*", graph, 0, 10)
-        assert result.found == direct.found
-        assert result.path == direct.path
-
 
 def _rewrite_snapshot(path, out_path, mutate):
     """Reassemble ``path`` after ``mutate(header, arrays_bytes)`` with a
@@ -412,28 +350,11 @@ def _array_span(header, name):
 
 
 class TestFormatV3ReachabilityIndex:
-    """v3 persists the reachability index; v1/v2 rebuild in memory."""
+    """v3 persists the reachability index."""
 
     def test_v3_is_the_default(self, snap_path):
         assert FORMAT_VERSION == 3
         assert snapshot_info(snap_path)["format_version"] == 3
-
-    @pytest.mark.parametrize("legacy_version", [1, 2])
-    def test_legacy_versions_load_and_rebuild_the_index(
-        self, tmp_path, graph, legacy_version
-    ):
-        path = str(tmp_path / "legacy.snap")
-        save_snapshot(IndexedGraph(graph), path,
-                      format_version=legacy_version)
-        assert snapshot_info(path)["format_version"] == legacy_version
-        thawed = load_snapshot(path)
-        compiled = IndexedGraph(graph)
-        # Index rebuilt in memory ≡ fresh compile.
-        t_comp, t_n, t_edges = thawed.reach_parts()
-        c_comp, c_n, c_edges = compiled.reach_parts()
-        assert list(t_comp) == list(c_comp)
-        assert t_n == c_n
-        assert t_edges == c_edges
 
     def test_v3_round_trips_the_index_without_recondensing(
         self, graph, snap_path
@@ -445,23 +366,6 @@ class TestFormatV3ReachabilityIndex:
         assert list(thawed.reach_parts()[0]) == (
             list(compiled.reach_parts()[0])
         )
-
-    def test_all_versions_serve_identical_answers(self, tmp_path, graph):
-        engines = []
-        for version in (1, 2, 3):
-            path = str(tmp_path / ("v%d.snap" % version))
-            save_snapshot(IndexedGraph(graph), path, format_version=version)
-            engines.append(QueryEngine(load_snapshot(path)))
-        queries = [
-            ("a*", 0, 24), ("ab + ba", 3, 11), ("(aa)*", 5, 20),
-            ("a*ba*", 2, 17),
-        ]
-        for regex, source, target in queries:
-            direct = solve_rspq(regex, graph, source, target)
-            for engine in engines:
-                result = engine.query(regex, source, target)
-                assert result.found == direct.found, (regex, source)
-                assert result.path == direct.path, (regex, source)
 
     def test_comp_out_of_range_rejected(self, tmp_path, snap_path):
         def mutate(header, arrays):

@@ -13,6 +13,7 @@ from repro.core.solver import (
     RspqSolver,
     solve_rspq,
 )
+from repro.execution import ExecutionContext
 from repro.graphs.generators import labeled_path
 from repro.languages import language
 
@@ -125,12 +126,8 @@ class TestDecomposeFailedFlag:
 class TestLastSteps:
     def test_steps_reported_per_strategy(self):
         graph = labeled_path("ab")
-        finite = RspqSolver(language("ab"))
-        finite.solve(graph, 0, 2)
-        assert finite.last_steps() >= 1
-        tractable = RspqSolver(language("a*b*"))
-        tractable.solve(graph, 0, 2)
-        assert tractable.last_steps() >= 1
-        exact = RspqSolver(language("a*ba*"))
-        exact.solve(graph, 0, 2)
-        assert exact.last_steps() >= 1
+        for regex in ("ab", "a*b*", "a*ba*"):  # finite, tractable, exact
+            solver = RspqSolver(language(regex))
+            ctx = ExecutionContext()
+            solver.solve(graph, 0, 2, ctx=ctx)
+            assert solver.steps_in(ctx) >= 1, regex

@@ -8,6 +8,7 @@ from repro.algorithms.exact import ExactSolver
 from repro.core.nice_paths import TractableSolver
 from repro.core.summary_solver import SummarySolver
 from repro.errors import NotInTrCError
+from repro.execution import ExecutionContext
 from repro.graphs.dbgraph import Path
 from repro.graphs.generators import (
     figure3_graph,
@@ -59,18 +60,20 @@ class TestBasicQueries:
     def test_short_stays_need_no_gap(self):
         solver = SummarySolver(language("a*c*"), bound=5)
         graph = labeled_path("ac")
-        path = solver.shortest_simple_path(graph, 0, 2)
+        ctx = ExecutionContext()
+        path = solver.shortest_simple_path(graph, 0, 2, ctx=ctx)
         assert path.word == "ac"
         # Everything pinned: no gap BFS ran.
-        assert solver.last_stats.gap_bfs == 0
+        assert ctx.gap_bfs == 0
 
     def test_long_stays_are_compressed(self):
         solver = SummarySolver(language("a*"), bound=2)
         graph = labeled_path("a" * 8)
-        path = solver.shortest_simple_path(graph, 0, 8)
+        ctx = ExecutionContext()
+        path = solver.shortest_simple_path(graph, 0, 8, ctx=ctx)
         assert path is not None
         assert len(path) == 8
-        assert solver.last_stats.gap_bfs > 0
+        assert ctx.gap_bfs > 0
 
 
 class TestPaperInstances:

@@ -37,7 +37,7 @@ from repro.engine import (
     VectorizedBatchStats,
     group_by_plan,
 )
-from repro.engine.vectorized import iter_members, sweep_group, sweepable
+from repro.engine.vectorized import iter_members, sweep_group
 from repro.errors import ServiceError
 from repro.execution import ExecutionContext, GroupExecution
 from repro.graphs.dbgraph import DbGraph
@@ -58,6 +58,9 @@ from repro.service.workers import WorkerPool
 def assert_same_answers(reference, results, include_stats=False):
     """Field-for-field identity of two result lists.
 
+    Every comparison pins the plan-cache flag: each path runs the same
+    prefix (plan, result cache, short-circuit), so a query sees a warm
+    plan exactly when its serial twin does, errors included.
     ``include_stats`` additionally pins steps and per-query flags —
     used between the in-process and pooled runs of the *same*
     execution strategy, where even the accounting must not depend on
@@ -73,6 +76,7 @@ def assert_same_answers(reference, results, include_stats=False):
         assert res.length == ref.length
         assert res.decompose_failed == ref.decompose_failed
         assert res.error == ref.error
+        assert res.stats.plan_cache_hit == ref.stats.plan_cache_hit
         if ref.path is None:
             assert res.path is None
         else:
@@ -161,7 +165,6 @@ class TestSweepGroupUnit:
         graph, engine = compiled
         plan, _hit = engine.plan_for(regex)
         view = graph.view()
-        assert sweepable(view, plan, (plan.strategy,))
         pending = [
             (member, graph.vertex_id(source), graph.vertex_id(target))
             for member, (source, target) in enumerate(endpoints)
@@ -272,6 +275,20 @@ class TestGroupedMatchesSerialDeterministic:
         assert stats.fallback_solves >= 1
         assert "1 sweeps over 2 groups" in vectorized.summary()
 
+    def test_error_members_match_serial(self, graph):
+        # An unknown vertex in the "ab" group, whose plan the members
+        # before it already compiled (an error after a plan-cache
+        # hit), and an unparseable regex (an error before any plan).
+        queries = SWEEP_QUERIES + [("ab", 0, 99), ("a(b", 0, 1)]
+        serial = QueryEngine(graph).run_batch(queries, vectorize=False)
+        vectorized = QueryEngine(graph).run_batch(queries)
+        assert_same_answers(serial.results, vectorized.results)
+        unknown, unparseable = vectorized.results[-2:]
+        assert "unknown vertex" in unknown.error
+        assert unknown.stats.plan_cache_hit is True
+        assert unparseable.error is not None
+        assert unparseable.stats.plan_cache_hit is False
+
     def test_duplicate_cache_accounting_matches_serial(self, graph):
         batch = [("ab", 0, 4)] * 3
         serial_engine = QueryEngine(graph)
@@ -361,19 +378,6 @@ class TestBudgetsAndDeadlines:
 
 
 class TestFallbacks:
-    def test_dict_backed_view_never_sweeps(self):
-        graph = sweep_graph()
-        engine = QueryEngine(graph, compile=False)
-        batch = engine.run_batch(SWEEP_QUERIES)
-        assert batch.stats is not None
-        assert batch.stats.sweeps == 0
-        assert_same_answers(
-            QueryEngine(graph).run_batch(
-                SWEEP_QUERIES, vectorize=False
-            ).results,
-            batch.results,
-        )
-
     def test_group_min_size_above_group_sizes_never_sweeps(self):
         batch = QueryEngine(sweep_graph()).run_batch(
             SWEEP_QUERIES, group_min_size=100

@@ -12,6 +12,7 @@ import pytest
 from repro.algorithms.exact import ExactSolver
 from repro.core.nice_paths import TractableSolver, path_weight
 from repro.errors import GraphError
+from repro.execution import ExecutionContext
 from repro.graphs.dbgraph import DbGraph
 from repro.graphs.generators import random_labeled_graph
 from repro.languages import language
@@ -133,8 +134,8 @@ class TestPruningAblation:
         graph = random_labeled_graph(40, 100, "abc", seed=3)
         fast = TractableSolver(lang)
         slow = TractableSolver(lang, use_live_pruning=False)
-        fast.shortest_simple_path(graph, 0, 39)
-        pruned_steps = fast.last_stats.dfs_steps
-        slow.shortest_simple_path(graph, 0, 39)
-        unpruned_steps = slow.last_stats.dfs_steps
-        assert pruned_steps <= unpruned_steps
+        pruned = ExecutionContext()
+        fast.shortest_simple_path(graph, 0, 39, ctx=pruned)
+        unpruned = ExecutionContext()
+        slow.shortest_simple_path(graph, 0, 39, ctx=unpruned)
+        assert pruned.dfs_steps <= unpruned.dfs_steps

@@ -9,8 +9,7 @@ so they must be pure in ``(graph, source, target, ctx)``:
   ``shortest_simple_path`` / ... on public ``*Solver`` / ``*Evaluator``
   classes, and module-level ``solve_*`` functions) accepts an
   :class:`~repro.execution.ExecutionContext` via a ``ctx`` parameter;
-* no instance-attribute stores outside ``__init__`` (documented legacy
-  stats shims carry ``# invariant: allow=solver-purity``).
+* no instance-attribute stores outside ``__init__``.
 """
 
 from __future__ import annotations

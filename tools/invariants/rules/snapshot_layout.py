@@ -1,11 +1,12 @@
 """Rule ``snapshot-layout``: layout changes require a version bump.
 
 The binary snapshot format in ``service/snapshot.py`` is defined by a
-handful of module-level constants — the magic bytes, the per-version
-array manifests, and the ``struct`` header formats.  Old snapshot
-files live on disk across deploys, so any change to those constants
-MUST come with a ``FORMAT_VERSION`` bump (plus reader support for the
-old versions).
+handful of module-level constants — the magic bytes, the supported
+versions, the array manifests, and the ``struct`` header formats.
+Snapshot files live on disk across deploys, so any change to those
+constants MUST come with a ``FORMAT_VERSION`` bump: a file written
+under the old layout then fails its load with an error naming its
+version instead of being misread.
 
 The rule hashes the layout constants into a fingerprint and compares
 it against the committed ``tools/invariants/snapshot_layout.json``:
@@ -171,8 +172,8 @@ class SnapshotLayoutRule(Rule):
                 self.name,
                 anchor,
                 "snapshot layout constants changed but %s is still %s; "
-                "bump the version, keep a reader for the old layout, "
-                "then run `repro-invariants --update-snapshot-fingerprint`"
+                "bump the version, then run "
+                "`repro-invariants --update-snapshot-fingerprint`"
                 % (VERSION_CONSTANT, version),
             )
         elif fingerprint != old_fingerprint or version != old_version:
