@@ -53,8 +53,10 @@ batch, or one member of a batch's plan group — it takes the same
 steps: the cached plan, a result-cache lookup, the reachability-index
 short-circuit, then the plan's solver (or the portfolio ladder for
 hard-regime plans).  A batch adds only per-query error isolation and,
-for a plan group, one shared product sweep whose proven negatives
-skip the solver (:mod:`repro.engine.vectorized`).
+for a plan group, one shared walk decision — a product BFS sweep while
+the plan is cold, lookups in its cached walk certificate once it is
+hot — whose proven negatives skip the solver
+(:mod:`repro.engine.vectorized`).
 
 Parallel batches
 ----------------

@@ -31,25 +31,16 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Optional
 if TYPE_CHECKING:
     from ..languages import Language
 
-from ..core.solver import (
-    STRATEGY_EXACT,
-    STRATEGY_FINITE,
-    STRATEGY_TRACTABLE,
-)
 from ..errors import ReproError
-from ..execution import ExecutionContext, GroupExecution
+from ..execution import ExecutionContext
 from ..graphs.dbgraph import Path
 from .indexed import IndexedGraph
 from .plan import PlanCache, PlanCacheStats, QueryPlan, group_by_plan, plan_key
 from .portfolio import CONFIDENCE_CERTIFIED
-from .vectorized import VectorizedBatchStats, sweep_group
+from .vectorized import CertificateCache, VectorizedBatchStats, sweep_group
 
 #: Strategy marker for queries that raised instead of answering.
 STRATEGY_ERROR = "error"
-
-#: Plan strategies the shared product sweep understands; anything else
-#: (a hypothetical weighted/exotic plan) falls back to per-query solving.
-_SWEEP_STRATEGIES = (STRATEGY_FINITE, STRATEGY_TRACTABLE, STRATEGY_EXACT)
 
 
 @dataclass
@@ -66,9 +57,9 @@ class QueryStats:
     #: True when the reachability index proved the target unreachable
     #: under the plan's label mask and no solver ran (``steps`` is 0).
     short_circuit: bool = False
-    #: True when a shared multi-query product sweep answered the query
+    #: True when a plan group's walk decision answered the query
     #: (proven NOT_FOUND with no per-query solver run; ``steps``
-    #: reports sweep rounds charged to this query).
+    #: reports the BFS rounds this query rode, 0 under a certificate).
     vectorized: bool = False
 
 
@@ -392,10 +383,12 @@ class QueryEngine:
     vectorize / group_min_size:
         Default knobs for :meth:`run_batch`'s vectorized execution:
         batch queries sharing one plan key are grouped, and groups of
-        at least ``group_min_size`` sweep-eligible members advance
-        through a single multi-source product sweep over the CSR
-        arrays (:mod:`repro.engine.vectorized`) instead of one solver
-        run per query.  Results stay bit-identical to serial
+        at least ``group_min_size`` sweep-eligible members are decided
+        together by walk reachability in the product graph
+        (:mod:`repro.engine.vectorized`: a multi-source BFS sweep over
+        the CSR arrays, or lookups in the plan's walk certificate once
+        its sweeps have paid for one) instead of one solver run per
+        query.  Results stay bit-identical to serial
         execution; ``vectorize=False`` restores the strictly
         per-query batch path.  ``group_min_size`` must be >= 1.
     portfolio:
@@ -458,6 +451,8 @@ class QueryEngine:
             # here, not on the first short-circuit check.
             self.view.reachability()
         self.plan_cache = PlanCache(plan_cache_size)
+        #: Walk certificates of hot plans (decide whole plan groups).
+        self._certificates = CertificateCache(self.view)
         self.exact_budget = exact_budget
         self.deadline_seconds = deadline_seconds
         self.vectorize = vectorize
@@ -891,10 +886,12 @@ class QueryEngine:
         would; duplicate endpoint pairs of a still-pending member are
         deferred and answered per query after the group resolves, so
         their result-cache accounting matches serial execution hit for
-        hit.  Stage B sweeps the pending members through one shared
-        product expansion when eligible; sweep positives (walk
-        witnesses) and everything unswept fall back to the
-        authoritative per-query :meth:`_solve`.
+        hit.  Stage B decides the pending members together with
+        :func:`sweep_group` when eligible — by the plan's walk
+        certificate once it has one, else by one shared BFS sweep whose
+        work goes towards buying it; walk positives and everything
+        undecided fall back to the authoritative per-query
+        :meth:`_solve`.
         """
         results = []
         pending = []
@@ -921,29 +918,24 @@ class QueryEngine:
             (index, q) for index, q in pending if q.source_id is not None
         ]
         swept = set()
-        if sweep_ok and len(sweep_members) >= min_size and (
-            sweep_members[0][1].plan.strategy in _SWEEP_STRATEGIES
-        ):
+        if sweep_ok and len(sweep_members) >= min_size:
             stats.sweeps += 1
-            group_exec = GroupExecution({
-                member: self._new_context(overrides)
-                for member in range(len(sweep_members))
-            })
+            plan = sweep_members[0][1].plan
             sweep_outcome = sweep_group(
-                self.view, sweep_members[0][1].plan,
+                self.view, plan,
                 [
                     (member, q.source_id, q.target_id)
                     for member, (index, q) in enumerate(sweep_members)
                 ],
-                group_exec,
+                self._certificates.lookup(plan),
             )
+            self._certificates.charge(plan, sweep_outcome.expansions)
             for member in sweep_outcome.negatives:
                 index, q = sweep_members[member]
                 swept.add(index)
                 stats.swept_negatives += 1
                 results.append((index, self._store(q, self._result(
-                    q, steps=sweep_outcome.steps_of(member),
-                    vectorized=True,
+                    q, steps=sweep_outcome.steps[member], vectorized=True,
                 ))))
         for index, q in pending:
             if index in swept:

@@ -251,68 +251,3 @@ class ExecutionContext:
                 self.budget,
             )
         )
-
-
-class GroupExecution:
-    """Group-level budget/deadline accounting for one shared sweep.
-
-    A vectorized batch sweep (:mod:`repro.engine.vectorized`) advances
-    many queries through one product-graph expansion, but budgets and
-    deadlines are *per-query* contracts.  This class keeps them that
-    way: every member query owns its own :class:`ExecutionContext`,
-    and each shared expansion is charged to **every member it
-    advanced** — group execution never lets one query ride another's
-    budget.  A member whose budget or deadline trips is peeled out of
-    the group (recorded in :attr:`expired`); the caller drops it from
-    the sweep and re-runs it per query, where the fresh context fails
-    it exactly as serial execution would.
-
-    Parameters
-    ----------
-    contexts:
-        ``member -> ExecutionContext`` for every query in the group
-        (members are the caller's slot keys, e.g. bit positions).
-    """
-
-    __slots__ = ("_contexts", "expired")
-
-    def __init__(self, contexts: "dict[int, ExecutionContext]") -> None:
-        self._contexts = dict(contexts)
-        #: ``member -> error`` for members whose budget/deadline tripped.
-        self.expired: dict[int, Exception] = {}
-
-    def charge(self, members: "list[int]") -> "list[int]":
-        """Charge one shared expansion to each listed member.
-
-        Returns the members peeled by this charge (budget or deadline
-        exceeded); their contexts stop being charged and the error is
-        kept in :attr:`expired`.
-        """
-        peeled = []
-        contexts = self._contexts
-        for member in members:
-            ctx = contexts.get(member)
-            if ctx is None:
-                continue
-            try:
-                ctx.charge_step()
-            except (BudgetExceededError, DeadlineExceededError) as err:
-                self.expired[member] = err
-                del contexts[member]
-                peeled.append(member)
-        return peeled
-
-    def steps_of(self, member: int) -> int:
-        """Sweep expansions charged to ``member`` so far."""
-        ctx = self._contexts.get(member)
-        if ctx is not None:
-            return ctx.steps
-        # Peeled members keep their final count via the saved error —
-        # the context is gone, but the error carries the step total.
-        err = self.expired.get(member)
-        steps = getattr(err, "steps", None)
-        return 0 if steps is None else steps
-
-    def active_members(self) -> "list[int]":
-        """Members still being charged (insertion order)."""
-        return list(self._contexts)

@@ -133,6 +133,35 @@ def condense(num_vertices, out_fn):
     return comp_of, num_comps, label_edges
 
 
+def successor_map(edges):
+    """``(comp_from, comp_to)`` pairs -> ``{comp_from: (comp_to, ...)}``."""
+    out = {}
+    for comp_from, comp_to in edges:
+        out.setdefault(comp_from, []).append(comp_to)
+    return {comp_from: tuple(comp_tos) for comp_from, comp_tos in out.items()}
+
+
+# invariant: hot-loop
+def closure(num_comps, outs):
+    """Per-component reachability bitsets of a condensation.
+
+    ``outs`` are :func:`successor_map` tables over components numbered
+    in reverse topological order (as :func:`condense` numbers them):
+    every edge points to an already-finished component, so one
+    ascending pass sets ``rows[c]`` to ``c``'s own bit OR'd with the
+    rows of its successors.  Bit ``d`` of ``rows[c]`` says ``c``
+    reaches ``d``.
+    """
+    rows = [0] * num_comps
+    for comp in range(num_comps):
+        reach = 1 << comp
+        for out in outs:
+            for succ in out.get(comp, ()):
+                reach |= rows[succ]
+        rows[comp] = reach
+    return rows
+
+
 class ReachabilityIndex:
     """Compiled label-constrained reachability oracle (see module doc).
 
@@ -156,15 +185,7 @@ class ReachabilityIndex:
             num_labels = len(label_edges)
         self.num_labels = max(num_labels, len(label_edges))
         self.full_mask = (1 << self.num_labels) - 1
-        label_out = []
-        for edges in label_edges:
-            out = {}
-            for comp_from, comp_to in edges:
-                out.setdefault(comp_from, []).append(comp_to)
-            label_out.append({
-                comp_from: tuple(comp_tos)
-                for comp_from, comp_tos in out.items()
-            })
+        label_out = [successor_map(edges) for edges in label_edges]
         while len(label_out) < self.num_labels:
             label_out.append({})
         self._label_out = label_out
@@ -210,13 +231,8 @@ class ReachabilityIndex:
             cache.popitem(last=False)
 
     def _reach_for(self, mask):
-        """Per-component reachability bitsets under ``mask`` (cached).
-
-        One ascending pass over the reverse-topologically numbered
-        components: every inter-component edge points to an
-        already-finished component, so ``reach[c]`` is its own bit OR'd
-        with the closures of its mask-labelled out-neighbours.
-        """
+        """Per-component reachability bitsets under ``mask`` (cached):
+        :func:`closure` over the mask's labelled condensation edges."""
         with self._lock:
             table = self._cache_get(self._mask_reach, mask)
         if table is not None:
@@ -227,13 +243,7 @@ class ReachabilityIndex:
             low = bits & -bits
             outs.append(self._label_out[low.bit_length() - 1])
             bits ^= low
-        table = [0] * self.num_comps
-        for comp in range(self.num_comps):
-            reach = 1 << comp
-            for out in outs:
-                for succ in out.get(comp, ()):
-                    reach |= table[succ]
-            table[comp] = reach
+        table = closure(self.num_comps, outs)
         with self._lock:
             self._cache_put(
                 self._mask_reach, mask, table, MAX_MASK_TABLES

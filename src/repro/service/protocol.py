@@ -25,9 +25,9 @@ error``
   result cache (no solver ran; ``steps`` reports the original solve).
 * ``short_circuit`` — the reachability index proved NOT_FOUND under
   the plan's label mask and no solver ran (``steps`` is 0).
-* ``vectorized`` — a shared multi-query product sweep proved the
-  answer (batch mode only; ``steps`` reports sweep rounds charged to
-  this query).
+* ``vectorized`` — a plan group's shared walk decision proved the
+  answer (batch mode only; ``steps`` reports the BFS sweep rounds
+  this query rode, 0 when the plan's walk certificate decided it).
 * ``confidence`` — ``certified`` for exact answers (every classic
   strategy, and portfolio answers backed by a witness or proof);
   ``probabilistic`` for portfolio negatives whose randomized rungs

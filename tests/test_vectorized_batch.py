@@ -10,8 +10,10 @@ worker pool.  The sweep may only change *how* an answer is produced
 Structure:
 
 * unit tests for :func:`group_by_plan` and :func:`sweep_group` (the
-  sweep core in isolation: positives, proven negatives, the ε-case,
-  per-member budget expiry, witness-walk validity);
+  sweep core in isolation: positives, proven negatives, the ε-case);
+* the walk certificate pinned to the paper's semantics: certified
+  negative ⇔ no accepting walk, and ⇒ no simple path, with the BFS
+  sweep splitting every pair the same way;
 * deterministic differential tests on a hand-built graph where each
   outcome class (fallback positive, swept negative, peeled
   short-circuit, deferred duplicate) is forced by construction;
@@ -23,26 +25,36 @@ Structure:
   payload keys, ``vectorized_stats`` in the wire record, CLI flags.
 """
 
+from collections import deque
+
 import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from benchmarks.workloads import mixed_workload
+from benchmarks.workloads import MIXED_LANGUAGES, mixed_workload, random_regexes
 
+from repro.algorithms.exact import ExactSolver
 from repro.cli import main
+from repro.core.trichotomy import ComplexityClass, classify
 from repro.engine import (
     IndexedGraph,
     QueryEngine,
     VectorizedBatchStats,
     group_by_plan,
 )
-from repro.engine.vectorized import iter_members, sweep_group
+from repro.engine.vectorized import (
+    CertificateCache,
+    WalkCertificate,
+    build_cost,
+    iter_members,
+    sweep_group,
+)
 from repro.errors import ServiceError
-from repro.execution import ExecutionContext, GroupExecution
 from repro.graphs.dbgraph import DbGraph
-from repro.graphs.generators import labeled_cycle
+from repro.graphs.generators import labeled_cycle, random_labeled_graph
 from repro.graphs import io as graph_io
+from repro.languages import language
 from repro.service import (
     GraphRegistry,
     QueryService,
@@ -161,7 +173,7 @@ class TestSweepGroupUnit:
         engine = QueryEngine(graph)
         return graph, engine
 
-    def run_sweep(self, compiled, regex, endpoints, contexts=None):
+    def run_sweep(self, compiled, regex, endpoints, certify=False):
         graph, engine = compiled
         plan, _hit = engine.plan_for(regex)
         view = graph.view()
@@ -169,12 +181,11 @@ class TestSweepGroupUnit:
             (member, graph.vertex_id(source), graph.vertex_id(target))
             for member, (source, target) in enumerate(endpoints)
         ]
-        if contexts is None:
-            contexts = {
-                member: ExecutionContext() for member, _s, _t in pending
-            }
-        group = GroupExecution(contexts)
-        return sweep_group(view, plan, pending, group), plan, graph
+        certificate = (
+            WalkCertificate(view, plan.solver.language.dfa)
+            if certify else None
+        )
+        return sweep_group(view, plan, pending, certificate), plan, graph
 
     def test_positive_and_proven_negative(self, compiled):
         outcome, _plan, _graph = self.run_sweep(
@@ -182,65 +193,192 @@ class TestSweepGroupUnit:
         )
         assert outcome.positives == [0]
         assert outcome.negatives == [1]
-        assert outcome.expired == {}
         # Both members rode every round until decided.
         assert outcome.rounds >= 1
-        assert outcome.steps_of(0) >= 1
-        assert outcome.steps_of(1) >= 1
-
-    def test_witness_walk_is_a_real_accepting_walk(self, compiled):
-        outcome, plan, graph = self.run_sweep(compiled, "ab", [(0, 4)])
-        vertices, labels = outcome.witness_walk(0)
-        view = graph.view()
-        assert vertices[0] == graph.vertex_id(0)
-        assert vertices[-1] == graph.vertex_id(4)
-        assert len(labels) == len(vertices) - 1
-        # Every step is a real edge with the claimed label...
-        for here, label_id, there in zip(vertices, labels, vertices[1:]):
-            indptr, targets = view.out_csr(label_id)
-            row = targets[indptr[here]:indptr[here + 1]]
-            assert there in row
-        # ...and the word the labels spell is in the language.
-        word = "".join(view.label_at(label_id) for label_id in labels)
-        assert plan.solver.language.dfa.accepts(word)
+        assert outcome.steps[0] >= 1
+        assert outcome.steps[1] >= 1
+        assert outcome.expansions >= 1
 
     def test_epsilon_self_query_is_an_immediate_positive(self, compiled):
         outcome, _plan, _graph = self.run_sweep(compiled, "a*", [(2, 2)])
         assert outcome.positives == [0]
         assert outcome.rounds == 0
-        assert outcome.steps_of(0) == 0
+        assert outcome.steps[0] == 0
 
     def test_unreachable_member_is_negative_without_a_witness(
         self, compiled
     ):
         outcome, _plan, _graph = self.run_sweep(compiled, "ab", [(4, 0)])
         assert outcome.negatives == [0]
-        with pytest.raises(KeyError):
-            outcome.witness_walk(0)
 
-    def test_budget_expiry_peels_only_the_budgeted_member(self):
-        # An 11-a cycle: "a*b" never accepts (no b edge), so both
-        # members sweep until their frontier dies — unless their own
-        # budget trips first.
-        graph = IndexedGraph(labeled_cycle("a" * 11))
-        engine = QueryEngine(graph, use_reach_index=False)
-        plan, _hit = engine.plan_for("a*b")
-        contexts = {0: ExecutionContext(budget=3), 1: ExecutionContext()}
-        group = GroupExecution(contexts)
-        outcome = sweep_group(
-            graph.view(), plan, [(0, 0, 5), (1, 0, 5)], group
+    def test_certificate_decides_with_lookups_and_no_steps(self, compiled):
+        outcome, _plan, _graph = self.run_sweep(
+            compiled, "ab", [(0, 4), (0, 2)], certify=True
         )
-        assert list(outcome.expired) == [0]
-        assert "budget" in str(outcome.expired[0])
+        assert outcome.positives == [0]
         assert outcome.negatives == [1]
-        # The tripping charge is counted, exactly as a serial context.
-        assert outcome.steps_of(0) == 4
-        assert outcome.steps_of(1) > 4   # kept sweeping alone
+        assert outcome.steps == {1: 0}
+        assert outcome.rounds == outcome.expansions == 0
 
     def test_iter_members_decodes_bitmaps(self):
         assert list(iter_members(0)) == []
         assert list(iter_members(0b1011)) == [0, 1, 3]
         assert list(iter_members(1 << 70)) == [70]
+
+
+def accepting_walk_pairs(graph, dfa):
+    """Every ``(source, target)`` joined by an L-labeled walk (the
+    empty walk included): a plain BFS over (vertex, DFA state)."""
+    pairs = set()
+    for source in graph.vertices():
+        seen = {(source, dfa.initial)}
+        queue = deque(seen)
+        while queue:
+            vertex, state = queue.popleft()
+            if state in dfa.accepting:
+                pairs.add((source, vertex))
+            for label, target in graph.out_edges(vertex):
+                if label in dfa.alphabet:
+                    node = (target, dfa.transition(state, label))
+                    if node not in seen:
+                        seen.add(node)
+                        queue.append(node)
+    return pairs
+
+
+def _walk_cases():
+    """(graph, regex) pairs: hand cases, then seeded random ones."""
+    cases = [
+        (random_labeled_graph(5, 9, "ab", seed=3), "(aa)*"),  # ε, s = t
+        (random_labeled_graph(5, 9, "ab", seed=4), "∅"),
+        (random_labeled_graph(5, 9, "ab", seed=5), "a*c"),  # no c edge
+        (labeled_cycle("aaaa"), "a*"),
+    ]
+    regexes = random_regexes(36, seed=16, max_depth=2)
+    for index, regex in enumerate(regexes):
+        graph = random_labeled_graph(
+            2 + index % 6, 3 + 2 * (index % 6), "abc", seed=index
+        )
+        cases.append((graph, regex))
+    return cases
+
+
+WALK_CASES = _walk_cases()
+
+
+class TestWalkCertificateDifferential:
+    """The certificate pinned to the paper's semantics on every ordered
+    pair of small random graphs, in all three regimes."""
+
+    def test_random_cases_cover_all_three_regimes(self):
+        classes = {
+            classify(language(regex), with_witness=False).complexity_class
+            for _graph, regex in WALK_CASES
+        }
+        assert classes == set(ComplexityClass)
+
+    @pytest.mark.parametrize("graph, regex", WALK_CASES)
+    def test_negative_iff_no_accepting_walk(self, graph, regex):
+        engine = QueryEngine(graph)
+        dfa = engine.plan_for(regex)[0].solver.language.dfa
+        certificate = WalkCertificate(engine.view, dfa)
+        walks = accepting_walk_pairs(graph, dfa)
+        exact = ExactSolver(regex)
+        vertices = list(graph.vertices())
+        for source in vertices:
+            for target in vertices:
+                certified = certificate.accepts(
+                    engine.view.vertex_id(source),
+                    engine.view.vertex_id(target),
+                )
+                assert certified == ((source, target) in walks)
+                if not certified:
+                    assert exact.shortest_simple_path(
+                        graph, source, target
+                    ) is None
+
+    @pytest.mark.parametrize("graph, regex", WALK_CASES)
+    def test_bfs_sweep_splits_pairs_alike(self, graph, regex, monkeypatch):
+        # Certificates bought as soon as a sweep opened the account,
+        # then never (cap 0): every pair splits alike, and as walks do.
+        vertices = list(graph.vertices())
+        queries = [(regex, s, t) for s in vertices for t in vertices]
+        monkeypatch.setattr("repro.engine.vectorized.BUILD_COST_PER_UNIT", 0)
+        splits = []
+        for cap in (1 << 26, 0):
+            monkeypatch.setattr(
+                "repro.engine.vectorized.CERTIFICATE_BIT_CAP", cap
+            )
+            engine = QueryEngine(graph, result_cache=False)
+            engine.run_batch(queries)  # a first batch always sweeps
+            splits.append([
+                result.stats.vectorized or result.stats.short_circuit
+                for result in engine.run_batch(queries).results
+            ])
+        dfa = QueryEngine(graph).plan_for(regex)[0].solver.language.dfa
+        walks = accepting_walk_pairs(graph, dfa)
+        assert splits[0] == splits[1] == [
+            (source, target) not in walks for _r, source, target in queries
+        ]
+
+
+class TestCertificateCache:
+    """When the engine buys a plan's certificate: after its sweeps have
+    paid for a build (ski-rental), only under the bit cap, and for at
+    most ``MAX_CERTIFICATES`` plans."""
+
+    def test_sweeps_pay_for_the_certificate_then_lookups_decide(self):
+        engine = QueryEngine(sweep_graph(), result_cache=False)
+        plan = engine.plan_for("ab")[0]
+        ids = engine.view.vertex_id
+        pending = [(0, ids(0), ids(4)), (1, ids(0), ids(2))]
+        sweep = sweep_group(engine.view, plan, pending)
+        cost = build_cost(engine.view, plan.solver.language.dfa)
+        paid_for = -(-cost // sweep.expansions)  # sweeps until spent >= cost
+        steps = []
+        for _batch in range(paid_for + 2):
+            batch = engine.run_batch([("ab", 0, 4), ("ab", 0, 2)])
+            negative = batch.results[1]
+            assert negative.stats.vectorized and not negative.found
+            steps.append(negative.stats.steps)
+        assert steps == [sweep.steps[1]] * paid_for + [0, 0]
+        assert sweep.steps[1] >= 1
+
+    def test_point_pool_sized_product_never_builds(self, monkeypatch):
+        # 19,200 vertices, as many as point-pool's community graph:
+        # P >= 19,200, so P² is far over the cap for every plan.
+        graph = DbGraph.from_edges([
+            edge
+            for base in range(0, 19_200, 3)
+            for edge in (
+                (base, "a", base + 1),
+                (base + 1, "b", base + 2),
+                (base + 2, "c", base),
+            )
+        ])
+        engine = QueryEngine(graph, result_cache=False)
+        for regex in MIXED_LANGUAGES + ("ab",):
+            dfa = engine.plan_for(regex)[0].solver.language.dfa
+            assert build_cost(engine.view, dfa) is None
+        monkeypatch.setattr("repro.engine.vectorized.BUILD_COST_PER_UNIT", 0)
+        for _batch in range(3):
+            batch = engine.run_batch([("ab", 0, 1), ("ab", 3, 4)])
+            assert all(
+                result.stats.vectorized and result.stats.steps >= 1
+                for result in batch
+            )
+
+    def test_accounts_are_lru_bounded(self, monkeypatch):
+        monkeypatch.setattr("repro.engine.vectorized.BUILD_COST_PER_UNIT", 0)
+        monkeypatch.setattr("repro.engine.vectorized.MAX_CERTIFICATES", 1)
+        engine = QueryEngine(sweep_graph())
+        first, second = (engine.plan_for(regex)[0] for regex in ("ab", "ba"))
+        cache = CertificateCache(engine.view)
+        cache.charge(first, 1)
+        assert cache.lookup(first) is not None
+        cache.charge(second, 1)
+        assert cache.lookup(first) is None
+        assert cache.lookup(second) is not None
 
 
 class TestGroupedMatchesSerialDeterministic:
