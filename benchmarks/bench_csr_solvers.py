@@ -3,8 +3,9 @@
 All three solver cores run integer-native over a
 :class:`~repro.graphs.view.GraphView`; what differs between the engine
 path and the bare-``DbGraph`` path is the *backend*: the engine hands
-solvers a frozen :class:`~repro.engine.indexed.CsrView` (precompiled
-integer adjacency, label-partitioned forward and reverse CSR), while a
+solvers the compiled :class:`~repro.engine.indexed.IndexedGraph`
+itself (flat int64 CSR adjacency, label-partitioned forward and
+reverse CSR), while a
 direct solve walks a :class:`~repro.graphs.view.DbGraphView` that
 reads through the live dicts, converting names to ids on every
 expansion (reference semantics — the price of staying mutable).

@@ -6,17 +6,17 @@ of many queries repeats two kinds of work:
 **Per-graph work.**  ``DbGraph`` stores adjacency as dicts of sets; the
 solvers want a *deterministic* neighbour order, which the seed obtained
 by re-sorting adjacency by ``repr`` at every expansion.
-:class:`IndexedGraph` compiles the graph once: vertices become
-contiguous ints, forward and reverse adjacency become pre-sorted
-tuples, and each label gets CSR-style ``indptr``/``targets`` arrays —
-forward *and* reverse — for label-restricted traversal.  Its frozen
-:class:`~repro.engine.indexed.CsrView` implements the integer-native
-:class:`~repro.graphs.view.GraphView` API the solver cores walk, so
-every engine query runs on precompiled int adjacency end to end — and
-returns bit-identical paths to a direct solve on the ``DbGraph``'s own
-dict-backed view, because both views share the canonical repr order.
-(The compiled graph also duck-types the ``DbGraph`` read API for
-callers that want name-level reads.)
+:class:`IndexedGraph` compiles the graph once into the int64 arrays a
+snapshot stores: vertices become contiguous ints, forward and reverse
+adjacency become repr-sorted CSR arrays, and each label gets
+CSR-style ``indptr``/``targets`` arrays — forward *and* reverse — for
+label-restricted traversal.  The compiled graph is itself the
+integer-native :class:`~repro.graphs.view.GraphView` the solver cores
+walk, so every engine query runs on precompiled int adjacency end to
+end — and returns bit-identical paths to a direct solve on the
+``DbGraph``'s own dict-backed view, because both views share the
+canonical repr order.  (``IndexedGraph.to_dbgraph()`` rebuilds the
+name-level ``DbGraph`` for callers that want string reads.)
 
 **Per-language work.**  Answering ``solve_rspq(regex, ...)`` parses the
 regex, determinises and minimises the automaton, classifies it against
@@ -85,7 +85,8 @@ Entry points
   ``summary()``.
 * ``QueryEngine(graph).query(language, source, target)`` — one query.
 * ``IndexedGraph(graph)`` — the compiled view, usable directly with any
-  solver in :mod:`repro.algorithms` / :mod:`repro.core`.
+  ``GraphView`` solver in :mod:`repro.algorithms` / :mod:`repro.core`;
+  ``to_dbgraph()`` for the rest.
 * CLI: ``repro batch GRAPH QUERIES --workers N --jsonl OUT`` (see
   ``repro batch --help``); ``--workers`` above 1 runs the batch on a
   ``WorkerPool`` of N processes.

@@ -350,8 +350,8 @@ class QueryEngine:
     graph:
         A :class:`DbGraph` (compiled to an :class:`IndexedGraph` here,
         once) or an already-compiled :class:`IndexedGraph`.  The
-        engine serves the compiled graph's frozen CSR view; recompile
-        to serve a mutated graph.
+        engine serves the compiled graph's frozen CSR arrays;
+        recompile to serve a mutated graph.
     plan_cache_size:
         Capacity of the LRU plan cache (distinct languages kept warm).
     exact_budget:
@@ -443,8 +443,8 @@ class QueryEngine:
         self.graph = (
             graph if isinstance(graph, IndexedGraph) else IndexedGraph(graph)
         )
-        #: The frozen CSR view every solver receives; built once per
-        #: engine so no query pays for it.
+        #: The GraphView every solver receives: the compiled graph
+        #: itself, walked straight off its CSR arrays.
         self.view = self.graph.view()
         if use_reach_index:
             # Compile-time indexing: pay for the SCC condensation
@@ -523,9 +523,7 @@ class QueryEngine:
         """Persist the compiled graph; returns the snapshot byte size.
 
         Afterwards the engine is snapshot-backed (see
-        :attr:`snapshot_path`), and a :func:`load_snapshot` of the
-        same file in this process reuses the graph's already-compiled
-        condensation instead of re-thawing it.
+        :attr:`snapshot_path`).
         """
         from ..service.snapshot import save_snapshot as _save_snapshot
 

@@ -35,7 +35,7 @@ class DbGraph:
         self._cache_mutations = -1
         self._sorted_vertices = None
         self._sorted_succ = {}
-        self._sorted_succ_by_label = {}
+        self._sorted_label_succ = {}
         # Integer-native GraphView over this graph, memoised per
         # mutation generation (see view()).
         self._view = None
@@ -46,7 +46,7 @@ class DbGraph:
             self._cache_mutations = self._mutations
             self._sorted_vertices = None
             self._sorted_succ = {}
-            self._sorted_succ_by_label = {}
+            self._sorted_label_succ = {}
 
     # -- construction -----------------------------------------------------------
 
@@ -184,12 +184,12 @@ class DbGraph:
         """Targets of ``label``-edges from ``vertex`` in repr order (cached)."""
         self._sync_caches()
         key = (vertex, label)
-        targets = self._sorted_succ_by_label.get(key)
+        targets = self._sorted_label_succ.get(key)
         if targets is None:
             targets = tuple(
                 sorted(self._succ_by_label.get(key, ()), key=repr)
             )
-            self._sorted_succ_by_label[key] = targets
+            self._sorted_label_succ[key] = targets
         return targets
 
     def successors(self, vertex, label=None):
@@ -362,10 +362,9 @@ def sorted_out_edges_fn(graph):
     """A callable ``v -> repr-sorted (label, target) pairs`` for ``graph``.
 
     Solvers need a deterministic expansion order on their hot paths.
-    When the graph exposes a cached or precompiled ``sorted_out_edges``
-    (``DbGraph``, :class:`repro.engine.IndexedGraph`) that accessor is
-    used directly; otherwise the sort is memoised per vertex so any
-    graph-shaped object pays it at most once per solve.
+    When the graph exposes a cached ``sorted_out_edges`` (``DbGraph``)
+    that accessor is used directly; otherwise the sort is memoised per
+    vertex so any graph-shaped object pays it at most once per solve.
     """
     accessor = getattr(graph, "sorted_out_edges", None)
     if accessor is not None:

@@ -32,8 +32,7 @@ label-checked), but it never says *False* for a reachable pair.  Hence:
   reach the target — dropping product states outside it never drops a
   solution (the solvers' frontier pruning);
 * with the full label mask the condensation is exact: ``can_reach``
-  equals plain graph reachability, which is what lets
-  :meth:`IndexedGraph.reachable_within` dedupe onto this index.
+  equals plain graph reachability.
 
 The index is immutable once built and safe to share across query
 threads: the memo caches (closure tables, filter bytearrays) are

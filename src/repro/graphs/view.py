@@ -21,10 +21,11 @@ Two implementations:
     what a direct ``solve_rspq`` on a mutable :class:`DbGraph` uses —
     ``DbGraph.view()`` memoises one per mutation generation.
 
-``CsrView`` (:mod:`repro.engine.indexed`)
-    Frozen CSR arrays with everything precompiled: per-vertex integer
-    adjacency pairs, per-label forward CSR slices, and a
-    label-partitioned *reverse* CSR for backward product searches.
+``IndexedGraph`` (:mod:`repro.engine.indexed`)
+    The compiled graph is itself a view over frozen int64 CSR arrays:
+    flat forward and reverse adjacency, per-label forward CSR, and a
+    label-partitioned *reverse* CSR for backward product searches —
+    built by a compile, copied from a snapshot, or mapped from one.
     This is what :class:`~repro.engine.QueryEngine` (and therefore
     every batch and HTTP-served query) hands to the solvers.
 
@@ -35,9 +36,9 @@ CSR-vs-DbGraph differential suite in ``tests/test_hypothesis_solvers``
 pins down.
 
 :func:`as_graph_view` is the solvers' entry point: it accepts a view
-(identity), anything exposing ``.view()`` (``DbGraph``,
-``IndexedGraph``), or any duck-typed graph with the ``DbGraph`` read
-API (wrapped in a fresh :class:`DbGraphView`).
+(identity — an ``IndexedGraph`` included), anything exposing
+``.view()`` (``DbGraph``), or any duck-typed graph with the
+``DbGraph`` read API (wrapped in a fresh :class:`DbGraphView`).
 """
 
 from __future__ import annotations
@@ -85,11 +86,12 @@ class GraphView:
 
         Built lazily on first use and memoised on the view instance —
         a :class:`DbGraphView` is rebuilt per mutation generation, so
-        its index can never serve a stale graph; a ``CsrView`` is
-        frozen, so its index (possibly thawed straight from a snapshot)
-        lives as long as the compiled graph.  Both backends condense in
-        the same canonical order, so the component partition — and
-        therefore every pruning decision — is view-independent.
+        its index can never serve a stale graph; an ``IndexedGraph``
+        is frozen, so its index (possibly thawed straight from a
+        snapshot) lives as long as the compiled graph.  Both backends
+        condense in the same canonical order, so the component
+        partition — and therefore every pruning decision — is
+        view-independent.
         """
         index = getattr(self, "_reach_index", None)
         if index is None:
@@ -269,10 +271,10 @@ class DbGraphView(GraphView):
 def as_graph_view(graph: Any) -> GraphView:
     """The :class:`GraphView` for ``graph`` (identity when already one).
 
-    ``DbGraph`` and :class:`~repro.engine.indexed.IndexedGraph` expose
-    a cached ``view()`` (rebuilt on mutation / built once per compiled
-    graph); any other duck-typed graph with the ``DbGraph`` read API is
-    wrapped in a fresh :class:`DbGraphView`.
+    A compiled :class:`~repro.engine.indexed.IndexedGraph` is already a
+    view; ``DbGraph`` exposes a cached ``view()`` (rebuilt on
+    mutation); any other duck-typed graph with the ``DbGraph`` read
+    API is wrapped in a fresh :class:`DbGraphView`.
     """
     if isinstance(graph, GraphView):
         return graph

@@ -58,7 +58,6 @@ _EXPORTS = {
     "GraphStats": ".registry",
     "RegisteredGraph": ".registry",
     "attach_snapshot": ".snapshot",
-    "AttachedGraph": ".snapshot",
     "load_snapshot": ".snapshot",
     "save_snapshot": ".snapshot",
     "snapshot_info": ".snapshot",

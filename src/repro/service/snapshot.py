@@ -3,10 +3,13 @@
 Compiling a :class:`~repro.engine.indexed.IndexedGraph` from a
 :class:`~repro.graphs.dbgraph.DbGraph` pays one repr-sort per vertex
 (forward and reverse adjacency) plus the per-label CSR build.  A
-snapshot freezes the *result* of that work: loading one back rebuilds
-the compiled view with pure array reads and tuple construction — no
-sorting, no dict-of-sets traversal — which is what lets a restarted
-query service warm-start in a fraction of the compile time
+snapshot stores the *result* of that work in the compiled graph's own
+layout: :func:`save_snapshot` writes its int64 arrays unchanged,
+:func:`load_snapshot` copies them back into process-private
+``array("q")`` storage, and :func:`attach_snapshot` casts zero-copy
+``memoryview`` arrays over a read-only mapping of the file.  Neither
+sorts nor re-encodes anything, which is what lets a restarted query
+service warm-start in a fraction of the compile time
 (``benchmarks/bench_service.py`` asserts the speedup).
 
 Format (version 3)
@@ -33,7 +36,7 @@ binary section:
 ``in_indptr`` / ``in_labels`` / ``in_sources``
     Reverse adjacency, same encoding.
 ``csr_offsets`` / ``csr_indptr`` / ``csr_targets``
-    The per-label CSR arrays exactly as the compiled view stores them:
+    The per-label CSR arrays exactly as the compiled graph stores them:
     label ``j`` owns ``csr_indptr`` rows ``j*(n+1):(j+1)*(n+1)`` and
     the ``csr_targets`` slice ``csr_offsets[j]:csr_offsets[j+1]``.
 ``rcsr_offsets`` / ``rcsr_indptr`` / ``rcsr_sources``
@@ -56,12 +59,14 @@ binary section:
 Only version 3 is written and read: a file of any other version fails
 its load with a :class:`~repro.errors.SnapshotError` naming that
 version (rebuild it from the graph file with ``repro snapshot``).
-Loading validates magic, version, header shape and the checksum over
-the header-plus-arrays payload, raising
-:class:`~repro.errors.SnapshotError` with the reason on any mismatch —
-a truncated or bit-rotted snapshot never produces a silently wrong
-graph.  Files are written atomically (tmp + rename), so a crash
-mid-save cannot corrupt an existing snapshot.
+Loading and attaching validate magic, version, header shape, the
+checksum over the header-plus-arrays payload, and the contents
+against each other (distinct vertex and label tables, every id
+indexes its table, every indptr row is a valid CSR row), raising :class:`~repro.errors.SnapshotError` with the reason
+on any mismatch — a truncated, bit-rotted or inconsistent snapshot
+never produces a silently wrong graph.  Files are written atomically
+(tmp + rename), so a crash mid-save cannot corrupt an existing
+snapshot.
 """
 
 from __future__ import annotations
@@ -71,13 +76,12 @@ import mmap
 import os
 import struct
 import sys
-import weakref
 import zlib
 from array import array
-from typing import Any, Iterable, Iterator
+from typing import Any
 
 from ..errors import SnapshotError
-from ..engine.indexed import CsrView, IndexedGraph
+from ..engine.indexed import IndexedGraph
 from . import faults
 
 MAGIC = b"RSPQSNAP"
@@ -114,58 +118,18 @@ _REACH_ARRAY_NAMES = (
 _ARRAY_NAMES = _ARRAY_NAMES_V1 + _REVERSE_ARRAY_NAMES + _REACH_ARRAY_NAMES
 
 
-#: Recently *saved* graphs by absolute path: path -> (stored_crc,
-#: weakref to the compiled graph).  Loading the same file back while
-#: the saved graph is alive reuses its already-compiled condensation
-#: (object identity) instead of re-thawing the reach section.  Weak
-#: references only — the registry never keeps a graph alive — and no
-#: lock: dict get/set are GIL-atomic, and a stale read merely skips
-#: the reuse (a pure optimisation).
-_SAVED_GRAPHS: dict[str, tuple[int, Any]] = {}
-_SAVED_LIMIT = 16
-
-def _remember_saved(path, crc, graph):
-    key = os.path.abspath(os.fspath(path))
-    while len(_SAVED_GRAPHS) >= _SAVED_LIMIT:
-        _SAVED_GRAPHS.pop(next(iter(_SAVED_GRAPHS)))
-    _SAVED_GRAPHS[key] = (crc, weakref.ref(graph))
-
-
-def _saved_reach_parts(path, crc):
-    """The live, already-compiled condensation for ``(path, crc)``."""
-    key = os.path.abspath(os.fspath(path))
-    entry = _SAVED_GRAPHS.get(key)
-    if entry is None:
-        return None
-    saved_crc, ref = entry
-    graph = ref()
-    if graph is None:
-        _SAVED_GRAPHS.pop(key, None)
-        return None
-    if saved_crc != crc:
-        return None
-    return graph._reach_parts
-
-
 def _int64_bytes(values):
     """``values`` as little-endian int64 bytes (portable across hosts)."""
     arr = array("q", values)
     if sys.byteorder == "big":  # pragma: no cover - exotic hosts
-        arr = array("q", arr)
         arr.byteswap()
     return arr.tobytes()
 
 
-def _int64_array(raw, count, name):
-    """Parse ``count`` little-endian int64 values out of ``raw``."""
-    expected = count * 8
-    if len(raw) != expected:
-        raise SnapshotError(
-            "array %r truncated: expected %d bytes, got %d"
-            % (name, expected, len(raw))
-        )
+def _int64_array(chunk):
+    """A process-private ``array("q")`` copy of little-endian ``chunk``."""
     arr = array("q")
-    arr.frombytes(raw)
+    arr.frombytes(chunk)
     if sys.byteorder == "big":  # pragma: no cover - exotic hosts
         arr.byteswap()
     return arr
@@ -187,43 +151,16 @@ def _checked_vertices(vertices):
 def save_snapshot(graph: Any, path: Any) -> int:
     """Persist a compiled graph to ``path``; returns the byte size.
 
-    ``graph`` may be an :class:`IndexedGraph` or anything its
-    constructor accepts (a :class:`DbGraph` is compiled first).  The
-    write is atomic: the snapshot lands under a temporary name and is
-    renamed into place, so readers never observe a partial file.
+    ``graph`` may be an :class:`IndexedGraph` — compiled, loaded or
+    attached — or anything its constructor accepts (a :class:`DbGraph`
+    is compiled first).  Its adjacency arrays are written unchanged.
+    The write is atomic: the snapshot lands under a temporary name and
+    is renamed into place, so readers never observe a partial file.
     """
     if not isinstance(graph, IndexedGraph):
         graph = IndexedGraph(graph)
 
-    vertices = _checked_vertices(graph._vertex_of)
-    labels = sorted(graph._labels)
-    label_id = {label: index for index, label in enumerate(labels)}
-    id_of = graph._id_of
-
-    out_indptr, out_labels, out_targets = [0], [], []
-    for pairs in graph._out:
-        for label, target in pairs:
-            out_labels.append(label_id[label])
-            out_targets.append(id_of[target])
-        out_indptr.append(len(out_targets))
-
-    in_indptr, in_labels, in_sources = [0], [], []
-    for pairs in graph._in:
-        for label, source in pairs:
-            in_labels.append(label_id[label])
-            in_sources.append(id_of[source])
-        in_indptr.append(len(in_sources))
-
-    csr_offsets, csr_indptr, csr_targets = [0], [], []
-    rcsr_offsets, rcsr_indptr, rcsr_sources = [0], [], []
-    for label in labels:
-        csr_indptr.extend(graph._label_indptr[label])
-        csr_targets.extend(graph._label_targets[label])
-        csr_offsets.append(len(csr_targets))
-        rcsr_indptr.extend(graph._rev_label_indptr[label])
-        rcsr_sources.extend(graph._rev_label_sources[label])
-        rcsr_offsets.append(len(rcsr_sources))
-
+    vertices = _checked_vertices(graph.vertices())
     comp_of, num_comps, label_edges = graph.reach_parts()
     edge_labels, edge_sources, edge_targets = [], [], []
     for label_id, edges in enumerate(label_edges):
@@ -233,31 +170,23 @@ def save_snapshot(graph: Any, path: Any) -> int:
             edge_targets.append(comp_to)
 
     sections = {
-        "out_indptr": out_indptr,
-        "out_labels": out_labels,
-        "out_targets": out_targets,
-        "in_indptr": in_indptr,
-        "in_labels": in_labels,
-        "in_sources": in_sources,
-        "csr_offsets": csr_offsets,
-        "csr_indptr": csr_indptr,
-        "csr_targets": csr_targets,
-        "rcsr_offsets": rcsr_offsets,
-        "rcsr_indptr": rcsr_indptr,
-        "rcsr_sources": rcsr_sources,
-        "scc_comp_of": comp_of,
-        "scc_edge_labels": edge_labels,
-        "scc_edge_sources": edge_sources,
-        "scc_edge_targets": edge_targets,
+        name: getattr(graph, name)
+        for name in _ARRAY_NAMES_V1 + _REVERSE_ARRAY_NAMES
     }
+    sections.update(
+        scc_comp_of=comp_of,
+        scc_edge_labels=edge_labels,
+        scc_edge_sources=edge_sources,
+        scc_edge_targets=edge_targets,
+    )
     array_section = b"".join(
         _int64_bytes(sections[name]) for name in _ARRAY_NAMES
     )
     header = {
         "format_version": FORMAT_VERSION,
         "vertices": vertices,
-        "labels": labels,
-        "num_edges": graph._num_edges,
+        "labels": sorted(graph.labels()),
+        "num_edges": graph.num_edges,
         "arrays": [[name, len(sections[name])] for name in _ARRAY_NAMES],
         "num_comps": num_comps,
     }
@@ -287,11 +216,8 @@ def save_snapshot(graph: Any, path: Any) -> int:
         except OSError:
             pass
         raise
-    # The graph is now snapshot-backed (a pool for it attaches this
-    # file) and an immediate load of the same file reuses this graph's
-    # compiled condensation by identity.
+    # The graph is now snapshot-backed: a pool for it attaches this file.
     graph._snapshot_path = os.fspath(path)
-    _remember_saved(path, payload_crc & 0xFFFFFFFF, graph)
     return len(blob)
 
 
@@ -339,14 +265,15 @@ def _read_header(data, path):
     return header, 16 + header_len
 
 
-def _parse(data, path, mapping=None, snapshot_path=None):
-    """Validate ``data`` and thaw (or attach) the compiled graph.
+def _parse(data, path, mapping=None):
+    """Validate ``data`` and build the compiled graph over its arrays.
 
-    With ``mapping=None`` every array is copied into process-private
-    ``array("q")`` storage (the classic load).  With ``mapping`` set to
-    the open read-only mmap backing ``data``, the arrays are zero-copy
-    ``memoryview`` slices of the mapping and the result is an
-    :class:`AttachedGraph` that keeps the mapping alive.
+    The one load/attach path, differing only in how each array is
+    taken: with ``mapping=None`` it is copied into process-private
+    ``array("q")`` storage (the classic load); with ``mapping`` set to
+    the open read-only mmap backing ``data`` it is a zero-copy
+    ``memoryview`` cast of the mapping, and the graph keeps the
+    mapping alive.
     """
     header, offset = _read_header(data, path)
     header_raw = bytes(data[16:offset])
@@ -355,7 +282,6 @@ def _parse(data, path, mapping=None, snapshot_path=None):
     # CRC over a memoryview: no copy of the (possibly huge) array
     # section even in attach mode; every mapped page is touched once.
     array_section = memoryview(data)[offset:]
-    attach = mapping is not None
     arrays = {}
     cursor = 0
     try:
@@ -383,56 +309,62 @@ def _parse(data, path, mapping=None, snapshot_path=None):
                     % (name, size, len(array_section) - cursor)
                 )
             chunk = array_section[cursor:cursor + size]
-            if attach:
+            if mapping is None:
+                arrays[name] = _int64_array(chunk)
+                chunk.release()
+            else:
                 # memoryview slicing + cast is zero-copy: the int64
                 # view reads straight out of the shared file mapping.
                 arrays[name] = chunk.cast("q")
-            else:
-                arrays[name] = _int64_array(bytes(chunk), count, name)
-                chunk.release()
             cursor += size
         if cursor != len(array_section):
             raise SnapshotError(
                 "snapshot %s has %d trailing bytes after its arrays"
                 % (path, len(array_section) - cursor)
             )
-        reach_reuse = None
-        if snapshot_path is not None:
-            # Satellite of the save path: an immediate load of a file
-            # this process just saved reuses the saver's compiled
-            # condensation.
-            reach_reuse = _saved_reach_parts(snapshot_path, stored_crc)
-        return _thaw(
-            header, arrays, path,
-            mapping=mapping,
-            snapshot_path=snapshot_path,
-            reach_reuse=reach_reuse,
-        )
+        graph = _thaw(header, arrays, path, mapping)
     finally:
         # Drop this frame's buffer export so a copy-mode caller can
         # close its mmap even while an error is propagating (the
         # per-name views in ``arrays`` are what attach mode keeps).
         array_section.release()
+    # Loaded and attached graphs are snapshot-backed: a pool for them
+    # attaches the file they came from instead of spooling a copy.
+    graph._snapshot_path = os.fspath(path)
+    return graph
 
 
-def _thaw(header, arrays, path, mapping=None, snapshot_path=None,
-          reach_reuse=None):
-    """Rebuild the compiled view — array reads only, nothing re-sorted.
+def _thaw(header, arrays, path, mapping):
+    """Check the arrays against each other and wrap them — no re-sort.
 
-    With ``mapping`` set (attach mode), the per-label CSR dicts are
-    built from zero-copy slices of the mmapped arrays, the per-vertex
-    adjacency tuples are *not* materialised (the attached view reads
-    them lazily), and the result is an :class:`AttachedGraph` holding
-    the mapping alive.
+    Beyond the shapes, the vertex and label tables must be distinct,
+    every id must index its table and every indptr row must be a valid
+    CSR row, so a file with a valid checksum but inconsistent contents
+    fails here instead of answering wrongly.
     """
-    vertices = tuple(header["vertices"])
-    labels = list(header["labels"])
+    vertices = header["vertices"]
+    labels = header["labels"]
     n = len(vertices)
     num_labels = len(labels)
+    # The tables are what ids resolve through: a duplicate would
+    # silently alias two ids under one name.
+    if not all(type(vertex) in (int, str) for vertex in vertices) or (
+        len(set(vertices)) != n
+    ):
+        raise SnapshotError(
+            "snapshot %s vertex table is not distinct ints and strings"
+            % path
+        )
+    if not all(type(label) is str for label in labels) or (
+        labels != sorted(set(labels))
+    ):
+        raise SnapshotError(
+            "snapshot %s label table is not distinct sorted strings" % path
+        )
 
-    out_indptr = arrays["out_indptr"]
-    in_indptr = arrays["in_indptr"]
-    if len(out_indptr) != n + 1 or len(in_indptr) != n + 1:
+    if len(arrays["out_indptr"]) != n + 1 or (
+        len(arrays["in_indptr"]) != n + 1
+    ):
         raise SnapshotError(
             "snapshot %s adjacency indptr does not match its %d "
             "vertices" % (path, n)
@@ -464,92 +396,71 @@ def _thaw(header, arrays, path, mapping=None, snapshot_path=None,
             "snapshot %s reverse per-label CSR sources disagree "
             "with their offsets" % path
         )
-
-    attach = mapping is not None
-    if not attach:
-        # One flat C-speed pass per direction (map + zip), then slice
-        # per vertex — this is the hot path of a warm start, so no
-        # per-edge Python-level loop bodies.
-        out_pairs = list(zip(
-            map(labels.__getitem__, arrays["out_labels"]),
-            map(vertices.__getitem__, arrays["out_targets"]),
-        ))
-        out = [
-            tuple(out_pairs[start:stop])
-            for start, stop in zip(out_indptr, out_indptr[1:])
-        ]
-        in_pairs = list(zip(
-            map(labels.__getitem__, arrays["in_labels"]),
-            map(vertices.__getitem__, arrays["in_sources"]),
-        ))
-        in_ = [
-            tuple(in_pairs[start:stop])
-            for start, stop in zip(in_indptr, in_indptr[1:])
-        ]
-
-    csr_offsets = arrays["csr_offsets"]
-    rcsr_offsets = arrays["rcsr_offsets"]
-    label_indptr = {}
-    label_targets = {}
-    rev_label_indptr = {}
-    rev_label_sources = {}
-    for j, label in enumerate(labels):
-        rows = slice(j * (n + 1), (j + 1) * (n + 1))
-        label_indptr[label] = arrays["csr_indptr"][rows]
-        label_targets[label] = arrays["csr_targets"][
-            csr_offsets[j]:csr_offsets[j + 1]
-        ]
-        rev_label_indptr[label] = arrays["rcsr_indptr"][rows]
-        rev_label_sources[label] = arrays["rcsr_sources"][
-            rcsr_offsets[j]:rcsr_offsets[j + 1]
-        ]
-
-    reach_parts = reach_reuse
-    if reach_parts is None:
-        reach_parts = _thaw_reach_parts(
-            header, arrays, n, num_labels, path, copy=not attach
+    for name, limit in (
+        ("out_labels", num_labels),
+        ("in_labels", num_labels),
+        ("out_targets", n),
+        ("in_sources", n),
+        ("csr_targets", n),
+        ("rcsr_sources", n),
+    ):
+        values = arrays[name].tolist()
+        if values and (min(values) < 0 or max(values) >= limit):
+            raise SnapshotError(
+                "snapshot %s array %r holds an id outside [0, %d)"
+                % (path, name, limit)
+            )
+    for labels_name, others in (
+        ("out_labels", "out_targets"), ("in_labels", "in_sources"),
+    ):
+        if len(arrays[labels_name]) != len(arrays[others]):
+            raise SnapshotError(
+                "snapshot %s array %r disagrees in length with %r"
+                % (path, labels_name, others)
+            )
+    _check_rows(path, "out_indptr", arrays["out_indptr"], n + 1,
+                [len(arrays["out_targets"])])
+    _check_rows(path, "in_indptr", arrays["in_indptr"], n + 1,
+                [len(arrays["in_sources"])])
+    for prefix, values in (("csr", "csr_targets"), ("rcsr", "rcsr_sources")):
+        offsets = arrays[prefix + "_offsets"]
+        _check_rows(path, prefix + "_offsets", offsets, num_labels + 1,
+                    [len(arrays[values])])
+        _check_rows(
+            path, prefix + "_indptr", arrays[prefix + "_indptr"], n + 1,
+            [stop - start for start, stop in zip(offsets, offsets[1:])],
         )
 
-    if attach:
-        return AttachedGraph._attach(
-            vertex_of=vertices,
-            labels=labels,
-            num_edges=header["num_edges"],
-            raw=arrays,
-            label_indptr=label_indptr,
-            label_targets=label_targets,
-            rev_label_indptr=rev_label_indptr,
-            rev_label_sources=rev_label_sources,
-            reach_parts=reach_parts,
-            mapping=mapping,
-            snapshot_path=snapshot_path,
-        )
-
-    graph = IndexedGraph._from_parts(
-        vertex_of=vertices,
-        labels=labels,
-        num_edges=header["num_edges"],
-        out=out,
-        in_=in_,
-        label_indptr=label_indptr,
-        label_targets=label_targets,
-        rev_label_indptr=rev_label_indptr,
-        rev_label_sources=rev_label_sources,
-        reach_parts=reach_parts,
+    return IndexedGraph.from_arrays(
+        vertices, labels, header["num_edges"], arrays,
+        reach_parts=_thaw_reach_parts(header, arrays, n, num_labels, path),
+        mapping=mapping,
     )
-    if snapshot_path is not None:
-        # Loaded graphs are snapshot-backed too: a pool for them
-        # attaches the file they came from instead of spooling a copy.
-        graph._snapshot_path = os.fspath(snapshot_path)
-    return graph
 
 
-def _thaw_reach_parts(header, arrays, n, num_labels, path, copy=True):
+def _check_rows(path, name, indptr, width, ends):
+    """Each ``width``-long row of ``indptr`` is a CSR row over its slice.
+
+    Row ``j`` must start at 0, never decrease, and end at ``ends[j]``,
+    the length of the slice it indexes.
+    """
+    rows = memoryview(indptr)
+    for row_index, end in enumerate(ends):
+        row = rows[row_index * width:(row_index + 1) * width].tolist()
+        if row[0] != 0 or row[-1] != end or row != sorted(row):
+            raise SnapshotError(
+                "snapshot %s array %r row %d is not a valid CSR row (it "
+                "must start at 0, never decrease and end at %d)"
+                % (path, name, row_index, end)
+            )
+
+
+def _thaw_reach_parts(header, arrays, n, num_labels, path):
     """Validate and rebuild the v3 reachability-index section.
 
-    ``copy=False`` (attach mode) keeps ``comp_of`` as the zero-copy
-    memoryview over the mapping — :class:`ReachabilityIndex` only ever
-    indexes into it, so a buffer works as well as an array.
+    ``comp_of`` stays the array the snapshot holds (a private copy on
+    load, the zero-copy memoryview over the mapping on attach) —
+    :class:`ReachabilityIndex` only ever indexes into it.
     """
     num_comps = header.get("num_comps")
     if not isinstance(num_comps, int) or not 0 <= num_comps <= n or (
@@ -559,13 +470,12 @@ def _thaw_reach_parts(header, arrays, n, num_labels, path, copy=True):
             "snapshot %s header carries an invalid num_comps %r for %d "
             "vertices" % (path, num_comps, n)
         )
-    raw_comp_of = arrays["scc_comp_of"]
-    if len(raw_comp_of) != n:
+    comp_of = arrays["scc_comp_of"]
+    if len(comp_of) != n:
         raise SnapshotError(
             "snapshot %s reachability section does not match its %d "
-            "vertices (%d component entries)" % (path, n, len(raw_comp_of))
+            "vertices (%d component entries)" % (path, n, len(comp_of))
         )
-    comp_of = array("l", raw_comp_of) if copy else raw_comp_of
     for comp in comp_of:
         if not 0 <= comp < num_comps:
             raise SnapshotError(
@@ -613,231 +523,27 @@ def _thaw_reach_parts(header, arrays, n, num_labels, path, copy=True):
     return comp_of, num_comps, label_edges
 
 
-class AttachedCsrView(CsrView):
-    """:class:`CsrView` reading straight off a mmapped snapshot.
-
-    The per-label CSR tuples it serves are zero-copy memoryview slices
-    of the shared mapping; the per-vertex ``(label_id, other_id)``
-    pair tuples are decoded lazily from the flat adjacency arrays and
-    memoised, so a worker only ever pays (and caches) the vertices its
-    queries actually touch.  All mapped buffers are strictly read-only
-    — the ``snapshot-readonly`` invariant rule enforces this in
-    serving code.
-    """
-
-    def _build_pairs(self, graph: "AttachedGraph") -> None:
-        raw = graph._raw
-        self._raw_out = (
-            raw["out_indptr"], raw["out_labels"], raw["out_targets"],
-        )
-        self._raw_in = (
-            raw["in_indptr"], raw["in_labels"], raw["in_sources"],
-        )
-        self._out_pair_memo: dict[int, tuple] = {}
-        self._in_pair_memo: dict[int, tuple] = {}
-
-    # invariant: hot-loop
-    def out(self, vertex_id: int) -> tuple[tuple[int, int], ...]:
-        pairs = self._out_pair_memo.get(vertex_id)
-        if pairs is None:
-            indptr, edge_labels, targets = self._raw_out
-            start = indptr[vertex_id]
-            stop = indptr[vertex_id + 1]
-            pairs = tuple(zip(
-                edge_labels[start:stop], targets[start:stop]
-            ))
-            self._out_pair_memo[vertex_id] = pairs
-        return pairs
-
-    # invariant: hot-loop
-    def in_pairs(self, vertex_id: int) -> tuple[tuple[int, int], ...]:
-        pairs = self._in_pair_memo.get(vertex_id)
-        if pairs is None:
-            indptr, edge_labels, sources = self._raw_in
-            start = indptr[vertex_id]
-            stop = indptr[vertex_id + 1]
-            pairs = tuple(zip(
-                edge_labels[start:stop], sources[start:stop]
-            ))
-            self._in_pair_memo[vertex_id] = pairs
-        return pairs
-
-    def out_degree(self, vertex_id: int) -> int:
-        indptr = self._raw_out[0]
-        return indptr[vertex_id + 1] - indptr[vertex_id]
-
-    def __repr__(self):
-        return "AttachedCsrView(|V|=%d, |Σ|=%d over %r)" % (
-            self.num_vertices, self.num_labels, self.graph,
-        )
-
-
-class AttachedGraph(IndexedGraph):
-    """An :class:`IndexedGraph` attached to a read-only mmapped snapshot.
-
-    Every CSR array (forward, reverse, reachability) is a zero-copy
-    memoryview slice of the mapping held in ``_mapping``; the string
-    adjacency tuples (``_out`` / ``_in``) are thawed lazily only if a
-    caller actually uses the string-level ``DbGraph`` API (the solver
-    hot paths go through :class:`AttachedCsrView` and never do).
-
-    Safe for any number of concurrent readers: the mapping is
-    ``ACCESS_READ`` and nothing here mutates shared state after
-    construction except process-private memo dicts.  Forked workers
-    share the physical pages through the page cache — N workers, one
-    copy of the graph.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def _attach(cls, vertex_of, labels, num_edges, raw,
-                label_indptr, label_targets,
-                rev_label_indptr, rev_label_sources,
-                reach_parts, mapping, snapshot_path):
-        self = object.__new__(cls)
-        self._vertex_of = tuple(vertex_of)
-        self._id_of = {
-            vertex: index for index, vertex in enumerate(self._vertex_of)
-        }
-        self._labels = frozenset(labels)
-        self._num_edges = num_edges
-        self._out = None
-        self._in = None
-        self._out_pair_sets = None
-        self._label_indptr = dict(label_indptr)
-        self._label_targets = dict(label_targets)
-        self._rev_label_indptr = dict(rev_label_indptr)
-        self._rev_label_sources = dict(rev_label_sources)
-        self._sorted_succ_by_label = {}
-        self._reach_parts = reach_parts
-        self._view = None
-        self._raw = dict(raw)
-        self._mapping = mapping
-        self._snapshot_path = (
-            None if snapshot_path is None else os.fspath(snapshot_path)
-        )
-        return self
-
-    def view(self) -> CsrView:
-        if self._view is None:
-            self._view = AttachedCsrView(self)
-        return self._view
-
-    def _ensure_adjacency(self) -> None:
-        """Thaw the string-level ``_out`` / ``_in`` tuples on demand."""
-        if self._out is not None:
-            return
-        vertices = self._vertex_of
-        labels = sorted(self._labels)
-        raw = self._raw
-        out_indptr = raw["out_indptr"]
-        out_pairs = list(zip(
-            map(labels.__getitem__, raw["out_labels"]),
-            map(vertices.__getitem__, raw["out_targets"]),
-        ))
-        self._out = tuple(
-            tuple(out_pairs[start:stop])
-            for start, stop in zip(out_indptr, out_indptr[1:])
-        )
-        in_indptr = raw["in_indptr"]
-        in_pairs = list(zip(
-            map(labels.__getitem__, raw["in_labels"]),
-            map(vertices.__getitem__, raw["in_sources"]),
-        ))
-        self._in = tuple(
-            tuple(in_pairs[start:stop])
-            for start, stop in zip(in_indptr, in_indptr[1:])
-        )
-
-    # -- string-level DbGraph API: thaw lazily, then defer to the base --
-
-    def _pair_sets(self):
-        self._ensure_adjacency()
-        return super()._pair_sets()
-
-    def out_edges(self, vertex: Any) -> Iterator[tuple[str, Any]]:
-        self._ensure_adjacency()
-        return super().out_edges(vertex)
-
-    def in_edges(self, vertex: Any) -> Iterator[tuple[str, Any]]:
-        self._ensure_adjacency()
-        return super().in_edges(vertex)
-
-    def sorted_out_edges(
-        self, vertex: Any
-    ) -> tuple[tuple[str, Any], ...]:
-        self._ensure_adjacency()
-        return super().sorted_out_edges(vertex)
-
-    def successors(
-        self, vertex: Any, label: str | None = None
-    ) -> set[Any]:
-        if label is None:
-            self._ensure_adjacency()
-        return super().successors(vertex, label)
-
-    def predecessors(
-        self, vertex: Any, label: str | None = None
-    ) -> set[Any]:
-        self._ensure_adjacency()
-        return super().predecessors(vertex, label)
-
-    def edges(self) -> Iterator[tuple[Any, str, Any]]:
-        self._ensure_adjacency()
-        return super().edges()
-
-    def out_degree(self, vertex: Any) -> int:
-        indptr = self._raw["out_indptr"]
-        vertex_id = self.vertex_id(vertex)
-        return indptr[vertex_id + 1] - indptr[vertex_id]
-
-    def in_degree(self, vertex: Any) -> int:
-        indptr = self._raw["in_indptr"]
-        vertex_id = self.vertex_id(vertex)
-        return indptr[vertex_id + 1] - indptr[vertex_id]
-
-    def reachable_within(self, start: Any,
-                         allowed_labels: Iterable[str] | None = None,
-                         forbidden: Iterable[Any] = ()) -> set[Any]:
-        if forbidden or (
-            allowed_labels is not None
-            and not self._labels <= set(allowed_labels)
-        ):
-            # Only the restricted fallback walks _out directly.
-            self._ensure_adjacency()
-        return super().reachable_within(start, allowed_labels, forbidden)
-
-    def __repr__(self):
-        return "AttachedGraph(|V|=%d, |E|=%d, Σ=%s, path=%r)" % (
-            self.num_vertices,
-            self.num_edges,
-            "".join(sorted(self._labels)),
-            self._snapshot_path,
-        )
-
-
 def attach_snapshot(path: Any) -> IndexedGraph:
     """Attach to a snapshot: a compiled graph over the mmapped file.
 
     Unlike :func:`load_snapshot` (which copies every array into
     process-private memory), attaching maps the file read-only and
-    builds the compiled view directly over the mapping — zero array
+    casts the graph's arrays straight over the mapping — zero array
     copies.  N processes attached to one snapshot therefore share one
     physical copy of the graph through the page cache, which is the
     memory model behind the pre-fork worker pool
     (:class:`repro.service.workers.WorkerPool`).
 
-    The returned :class:`AttachedGraph` keeps the mapping alive for
-    its own lifetime and is safe for concurrent readers.  POSIX
-    semantics apply to the file itself: deleting or atomically
-    replacing the snapshot on disk does *not* disturb already-attached
-    graphs (they keep serving the old inode); only fresh attaches see
-    the new file — or raise a clean :class:`SnapshotError` when the
-    file is gone or damaged.
+    The returned :class:`IndexedGraph` keeps the mapping alive for its
+    own lifetime and is safe for concurrent readers: the mapping is
+    ``ACCESS_READ`` and the only state written after construction is
+    process-private memos.  POSIX semantics apply to the file itself:
+    deleting or atomically replacing the snapshot on disk does *not*
+    disturb already-attached graphs (they keep serving the old inode);
+    only fresh attaches see the new file — or raise a clean
+    :class:`SnapshotError` when the file is gone or damaged.
 
-    Validates exactly like :func:`load_snapshot` (magic, version,
-    header, full payload checksum) before returning.
+    Validates exactly like :func:`load_snapshot` before returning.
     """
     try:
         handle = open(path, "rb")
@@ -857,7 +563,7 @@ def attach_snapshot(path: Any) -> IndexedGraph:
         # Fault injection: validate the damaged copy through the real
         # parse/checksum path (no mapping is kept in fault mode).
         try:
-            return _parse(mutated, path, snapshot_path=path)
+            return _parse(mutated, path)
         finally:
             mm.close()
     if sys.byteorder == "big":  # pragma: no cover - exotic hosts
@@ -865,11 +571,11 @@ def attach_snapshot(path: Any) -> IndexedGraph:
         # hosts fall back to the copying load (correct, just not
         # shared).
         try:
-            return _parse(mm, path, snapshot_path=path)
+            return _parse(mm, path)
         finally:
             mm.close()
     try:
-        return _parse(mm, path, mapping=mm, snapshot_path=path)
+        return _parse(mm, path, mapping=mm)
     except BaseException:
         try:
             mm.close()
@@ -881,7 +587,7 @@ def attach_snapshot(path: Any) -> IndexedGraph:
 
 
 def load_snapshot(path: Any) -> IndexedGraph:
-    """Load a snapshot back into an :class:`IndexedGraph` (mmap read).
+    """Load a snapshot back into an :class:`IndexedGraph` (array copies).
 
     Raises :class:`~repro.errors.SnapshotError` on any structural
     problem: missing file, bad magic, unsupported version, corrupt
@@ -897,9 +603,7 @@ def load_snapshot(path: Any) -> IndexedGraph:
                 ) from None
             try:
                 mutated = faults.mutate_snapshot_bytes(mm)
-                if mutated is not None:
-                    return _parse(mutated, path, snapshot_path=path)
-                return _parse(mm, path, snapshot_path=path)
+                return _parse(mm if mutated is None else mutated, path)
             finally:
                 mm.close()
     except FileNotFoundError:

@@ -1,19 +1,27 @@
-"""Unit tests for the GraphView layer (graphs/view.py + engine CsrView).
+"""Unit tests for the GraphView layer (graphs/view.py + IndexedGraph).
 
 The contract under test: both view backends assign vertex ids in the
 same repr-sorted order, iterate adjacency in the same precompiled repr
 order, and therefore feed the solver cores bit-identical inputs — the
-property the CSR-vs-DbGraph differential suite relies on.
+property the CSR-vs-DbGraph differential suite relies on.  The CSR
+side runs three ways: freshly compiled, loaded from a snapshot (array
+copies) and attached to one (memoryviews over the mapping).
 """
 
-import pickle
+import sys
+import threading
 
 import pytest
 
-from repro.engine.indexed import CsrView, IndexedGraph
+from repro.engine.indexed import IndexedGraph
 from repro.errors import GraphError
 from repro.graphs.generators import random_labeled_graph
 from repro.graphs.view import DbGraphView, GraphView, as_graph_view
+from repro.service.snapshot import (
+    attach_snapshot,
+    load_snapshot,
+    save_snapshot,
+)
 
 
 @pytest.fixture
@@ -21,9 +29,15 @@ def graph():
     return random_labeled_graph(18, 60, "abc", seed=7)
 
 
-@pytest.fixture
-def views(graph):
-    return DbGraphView(graph), IndexedGraph(graph).view()
+@pytest.fixture(params=["compiled", "loaded", "attached"])
+def views(request, graph, tmp_path):
+    compiled = IndexedGraph(graph)
+    if request.param == "compiled":
+        return DbGraphView(graph), compiled.view()
+    path = str(tmp_path / "g.snap")
+    save_snapshot(compiled, path)
+    reopen = load_snapshot if request.param == "loaded" else attach_snapshot
+    return DbGraphView(graph), reopen(path).view()
 
 
 class TestViewEquivalence:
@@ -31,7 +45,7 @@ class TestViewEquivalence:
         dict_view, csr_view = views
         assert dict_view.kind == "dict"
         assert csr_view.kind == "csr"
-        assert isinstance(csr_view, CsrView)
+        assert isinstance(csr_view, IndexedGraph)
         assert isinstance(csr_view, GraphView)
 
     def test_vertex_tables_match(self, graph, views):
@@ -82,6 +96,17 @@ class TestViewEquivalence:
                     ]
                     assert list(view.out_by_label(vertex_id, label_id)) \
                         == filtered
+
+    def test_out_csr_slices_match_out_by_label(self, views):
+        dict_view, csr_view = views
+        assert dict_view.out_csr(0) is None
+        for label_id in range(csr_view.num_labels):
+            indptr, targets = csr_view.out_csr(label_id)
+            assert len(indptr) == csr_view.num_vertices + 1
+            for vertex_id in range(csr_view.num_vertices):
+                assert list(
+                    targets[indptr[vertex_id]:indptr[vertex_id + 1]]
+                ) == list(dict_view.out_by_label(vertex_id, label_id))
 
     def test_reverse_csr_transposes_forward(self, views):
         _dict_view, csr_view = views
@@ -142,10 +167,10 @@ class TestAsGraphView:
         assert "brand-new" in second._id_of
         assert "brand-new" not in first._id_of
 
-    def test_indexed_graph_view_is_cached(self, graph):
+    def test_indexed_graph_is_its_own_view(self, graph):
         indexed = IndexedGraph(graph)
-        assert as_graph_view(indexed) is indexed.view()
-        assert indexed.view() is indexed.view()
+        assert indexed.view() is indexed
+        assert as_graph_view(indexed) is indexed
 
     def test_duck_typed_graph_falls_back_to_dict_view(self, graph):
         class Duck:
@@ -182,8 +207,6 @@ class TestAsGraphView:
 
 class TestCsrViewLifecycle:
     def test_snapshot_thaw_view_matches_compiled_view(self, graph, tmp_path):
-        from repro.service.snapshot import load_snapshot, save_snapshot
-
         compiled = IndexedGraph(graph)
         path = str(tmp_path / "g.snap")
         save_snapshot(compiled, path)
@@ -196,10 +219,45 @@ class TestCsrViewLifecycle:
                 assert list(thawed_view.in_by_label(vertex_id, label_id)) \
                     == list(compiled_view.in_by_label(vertex_id, label_id))
 
-    def test_indexed_graph_pickles_without_view(self, graph):
-        indexed = IndexedGraph(graph)
-        _view = indexed.view()  # populate the cached view
-        clone = pickle.loads(pickle.dumps(indexed))
-        assert clone._view is None  # rebuilt lazily in the worker
-        assert list(clone.view().out(0)) == list(indexed.view().out(0))
-        assert clone.has_edge(*next(iter(indexed.edges())))
+    def test_concurrent_lazy_decode_agrees(self, tmp_path):
+        """Threads racing on the lazy pair memo all read the right pairs.
+
+        An attached graph decodes ``out`` / ``in_pairs`` on first use;
+        two threads may decode one vertex at once and both store.
+        """
+        graph = random_labeled_graph(300, 900, "abc", seed=11)
+        path = str(tmp_path / "race.snap")
+        save_snapshot(IndexedGraph(graph), path)
+        expected = load_snapshot(path)
+        want = [
+            (expected.out(vertex_id), expected.in_pairs(vertex_id))
+            for vertex_id in range(expected.num_vertices)
+        ]
+        attached = attach_snapshot(path)
+        threads_count = 8
+        barrier = threading.Barrier(threads_count)
+        seen = []
+
+        def decode():
+            barrier.wait(timeout=10)
+            seen.append([
+                (attached.out(vertex_id), attached.in_pairs(vertex_id))
+                for vertex_id in range(attached.num_vertices)
+            ])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=decode)
+                for _ in range(threads_count)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(seen) == threads_count
+        assert all(decoded == want for decoded in seen)

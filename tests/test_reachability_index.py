@@ -157,40 +157,49 @@ class TestIndexSoundness:
                 ) == expected
 
 
-class TestReachableWithinDedupe:
-    """IndexedGraph.reachable_within rides the index (same contract)."""
+def _index_reachable(indexed, vertex, mask=None):
+    """Vertices the index says ``vertex`` may reach under ``mask``."""
+    index = indexed.reachability()
+    reachable = index.comps_from(indexed.vertex_id(vertex), mask)
+    return {
+        indexed.vertex_at(vertex_id)
+        for vertex_id in range(indexed.num_vertices)
+        if reachable[index.comp_of[vertex_id]]
+    }
+
+
+class TestIndexAgainstReachableWithin:
+    """``comps_from`` / ``can_reach`` against ``DbGraph.reachable_within``."""
 
     @given(random_graph())
     @settings(max_examples=40, deadline=None)
     def test_unrestricted_matches_dbgraph(self, graph):
         indexed = IndexedGraph(graph)
+        index = indexed.reachability()
         for vertex in graph.vertices():
-            assert indexed.reachable_within(vertex) == (
-                graph.reachable_within(vertex)
-            )
+            truth = graph.reachable_within(vertex)
+            assert _index_reachable(indexed, vertex) == truth
+            for other in graph.vertices():
+                assert index.can_reach(
+                    indexed.vertex_id(vertex), indexed.vertex_id(other)
+                ) == (other in truth)
 
     @given(random_graph(), st.sets(st.sampled_from("abc"), max_size=2))
     @settings(max_examples=40, deadline=None)
-    def test_restricted_still_matches_dbgraph(self, graph, allowed):
+    def test_restricted_is_overapproximated(self, graph, allowed):
         indexed = IndexedGraph(graph)
+        mask = indexed.label_mask(allowed)
         for vertex in graph.vertices():
-            assert indexed.reachable_within(
+            assert graph.reachable_within(
                 vertex, allowed_labels=allowed
-            ) == graph.reachable_within(vertex, allowed_labels=allowed)
+            ) <= _index_reachable(indexed, vertex, mask)
 
-    def test_forbidden_falls_back_to_the_walk(self):
-        graph = _chain_graph()
-        indexed = IndexedGraph(graph)
-        assert indexed.reachable_within(0, forbidden={2}) == (
-            graph.reachable_within(0, forbidden={2})
-        )
-
-    def test_superset_label_filter_uses_the_index_path(self):
+    def test_superset_label_filter_is_exact(self):
         graph = _chain_graph()
         indexed = IndexedGraph(graph)
         # {a, b, c, z} covers every edge label: index-exact.
-        assert indexed.reachable_within(
-            0, allowed_labels={"a", "b", "c", "z"}
+        assert _index_reachable(
+            indexed, 0, indexed.label_mask({"a", "b", "c", "z"})
         ) == graph.reachable_within(0)
 
 

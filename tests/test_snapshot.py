@@ -7,7 +7,9 @@ for path — and a damaged snapshot must fail loudly with
 :class:`SnapshotError`, never produce a silently wrong graph.
 """
 
+import hashlib
 import struct
+from array import array
 
 import pytest
 
@@ -19,9 +21,18 @@ from repro.graphs.generators import labeled_cycle, random_labeled_graph
 from repro.service.snapshot import (
     FORMAT_VERSION,
     MAGIC,
+    attach_snapshot,
     load_snapshot,
     save_snapshot,
     snapshot_info,
+)
+
+#: The twelve adjacency arrays a compiled graph holds (manifest names).
+ADJACENCY_ARRAYS = (
+    "out_indptr", "out_labels", "out_targets",
+    "in_indptr", "in_labels", "in_sources",
+    "csr_offsets", "csr_indptr", "csr_targets",
+    "rcsr_offsets", "rcsr_indptr", "rcsr_sources",
 )
 
 
@@ -42,7 +53,7 @@ class TestRoundTrip:
         original = IndexedGraph(graph)
         thawed = load_snapshot(snap_path)
         assert list(thawed.vertices()) == list(original.vertices())
-        assert list(thawed.edges()) == list(original.edges())
+        assert list(thawed.to_dbgraph().edges()) == list(graph.edges())
         assert thawed.num_vertices == original.num_vertices
         assert thawed.num_edges == original.num_edges
         assert thawed.labels() == original.labels()
@@ -50,21 +61,21 @@ class TestRoundTrip:
     def test_adjacency_reads_are_identical(self, graph, snap_path):
         original = IndexedGraph(graph)
         thawed = load_snapshot(snap_path)
-        for vertex in original.vertices():
-            assert thawed.sorted_out_edges(vertex) == (
-                original.sorted_out_edges(vertex)
-            )
-            assert list(thawed.in_edges(vertex)) == list(
-                original.in_edges(vertex)
-            )
-            for label in original.labels():
-                assert thawed.sorted_successors(vertex, label) == (
-                    original.sorted_successors(vertex, label)
+        for vertex_id in range(original.num_vertices):
+            assert thawed.out(vertex_id) == original.out(vertex_id)
+            assert thawed.in_pairs(vertex_id) == original.in_pairs(vertex_id)
+            for label_id in range(original.num_labels):
+                assert thawed.out_by_label(vertex_id, label_id) == (
+                    original.out_by_label(vertex_id, label_id)
                 )
-                vid = original.vertex_id(vertex)
-                assert list(thawed.out_neighbor_ids(vid, label)) == list(
-                    original.out_neighbor_ids(vid, label)
+                assert thawed.in_by_label(vertex_id, label_id) == (
+                    original.in_by_label(vertex_id, label_id)
                 )
+        for label_id in range(original.num_labels):
+            for thawed_array, original_array in zip(
+                thawed.out_csr(label_id), original.out_csr(label_id)
+            ):
+                assert list(thawed_array) == list(original_array)
 
     def test_vertex_types_survive(self, tmp_path):
         graph = DbGraph.from_edges(
@@ -100,17 +111,20 @@ class TestRoundTrip:
                 assert one.path.word == other.path.word
 
     def test_has_edge_and_is_path_on_thawed_graph(self, graph, snap_path):
-        thawed = load_snapshot(snap_path)
-        edge = next(iter(IndexedGraph(graph).edges()))
-        assert thawed.has_edge(*edge)
-        assert not thawed.has_edge(edge[0], "z", edge[2])
+        back = load_snapshot(snap_path).to_dbgraph()
+        edge = next(iter(graph.edges()))
+        assert back.has_edge(*edge)
+        assert not back.has_edge(edge[0], "z", edge[2])
+        path = solve_rspq("a*", graph, 0, 1).path
+        if path is not None:
+            assert back.is_path(path)
 
     def test_cycle_graph_roundtrip(self, tmp_path):
         graph = labeled_cycle("abcab")
         path = str(tmp_path / "cycle.snap")
         save_snapshot(IndexedGraph(graph), path)
         thawed = load_snapshot(path)
-        assert list(thawed.edges()) == list(IndexedGraph(graph).edges())
+        assert list(thawed.to_dbgraph().edges()) == list(graph.edges())
 
     def test_save_accepts_raw_dbgraph(self, tmp_path, graph):
         path = str(tmp_path / "raw.snap")
@@ -248,9 +262,12 @@ class TestVersionMigration:
         assert snapshot_info(snap_path)["format_version"] == FORMAT_VERSION
         thawed = load_snapshot(snap_path)
         compiled = IndexedGraph(graph)
-        for label in sorted(compiled.labels()):
-            assert list(thawed._rev_label_sources[label]) == \
-                list(compiled._rev_label_sources[label])
+        assert list(thawed.rcsr_sources) == list(compiled.rcsr_sources)
+        for vertex_id in range(compiled.num_vertices):
+            for label_id in range(compiled.num_labels):
+                assert thawed.in_by_label(vertex_id, label_id) == (
+                    compiled.in_by_label(vertex_id, label_id)
+                )
 
     def test_corrupt_reverse_section_rejected(self, tmp_path, snap_path):
         # Drop the last int64 of rcsr_sources and shrink its manifest
@@ -480,11 +497,9 @@ class TestFormatV3ReachabilityIndex:
 
 
 class TestAttachSnapshot:
-    """Zero-copy attach: mmapped views, path pickling, reach reuse."""
+    """Zero-copy attach: mmapped arrays, same answers, same adjacency."""
 
     def test_attached_graph_answers_identically(self, graph, snap_path):
-        from repro.service.snapshot import attach_snapshot
-
         attached = attach_snapshot(snap_path)
         compiled = IndexedGraph(graph)
         assert list(attached.vertices()) == list(compiled.vertices())
@@ -501,39 +516,34 @@ class TestAttachSnapshot:
             assert served.path == direct.path, (regex, source)
 
     def test_attached_views_are_zero_copy(self, snap_path):
-        from repro.service.snapshot import attach_snapshot
-
         attached = attach_snapshot(snap_path)
-        view = attached.view()
-        indptr, labels, targets = view._raw_out
+        assert attached.view() is attached
         # Every CSR array is a cast of the one mmap — no copies.
-        for raw in (indptr, labels, targets):
-            assert isinstance(raw, memoryview)
-            assert raw.obj is attached._mapping
-        for label_arrays in (
-            attached._label_indptr, attached._label_targets,
-        ):
-            for raw in label_arrays.values():
+        for name in ADJACENCY_ARRAYS:
+            raw = getattr(attached, name)
+            assert isinstance(raw, memoryview), name
+            assert raw.obj is attached._mapping, name
+        for label_id in range(attached.num_labels):
+            for raw in attached.out_csr(label_id):
                 assert raw.obj is attached._mapping
 
     def test_attached_adjacency_matches_loaded(self, graph, snap_path):
-        from repro.service.snapshot import attach_snapshot
-
         attached = attach_snapshot(snap_path)
         loaded = load_snapshot(snap_path)
-        for vertex in loaded.vertices():
-            assert attached.sorted_out_edges(vertex) == (
-                loaded.sorted_out_edges(vertex)
+        for name in ADJACENCY_ARRAYS:
+            assert isinstance(getattr(loaded, name), array), name
+            assert list(getattr(attached, name)) == (
+                list(getattr(loaded, name))
+            ), name
+        for vertex_id in range(loaded.num_vertices):
+            assert attached.out(vertex_id) == loaded.out(vertex_id)
+            assert attached.in_pairs(vertex_id) == loaded.in_pairs(vertex_id)
+            assert attached.out_degree(vertex_id) == (
+                loaded.out_degree(vertex_id)
             )
-            assert list(attached.in_edges(vertex)) == (
-                list(loaded.in_edges(vertex))
-            )
-            assert attached.out_degree(vertex) == loaded.out_degree(vertex)
-            assert attached.in_degree(vertex) == loaded.in_degree(vertex)
+        assert list(attached.to_dbgraph().edges()) == list(graph.edges())
 
     def test_attach_missing_or_empty_file_raises(self, tmp_path):
-        from repro.service.snapshot import attach_snapshot
-
         with pytest.raises(SnapshotError):
             attach_snapshot(str(tmp_path / "absent.snap"))
         empty = tmp_path / "empty.snap"
@@ -542,26 +552,121 @@ class TestAttachSnapshot:
             attach_snapshot(str(empty))
 
 
-class TestCondensationReuse:
-    """save -> load reuses the already-compiled condensation object."""
+def _golden_graph():
+    """A fixed seeded graph with both int and str vertices."""
+    graph = random_labeled_graph(30, 90, "abc", seed=17)
+    graph.add_edge("hub", "b", 3)
+    graph.add_edge(7, "a", "hub")
+    graph.add_edge("hub", "c", "spoke")
+    graph.add_vertex("island")
+    return graph
 
-    def test_load_after_save_shares_reach_parts_identity(
-        self, tmp_path, graph
+
+#: sha256 of the snapshot of ``_golden_graph()``: pins the v3 bytes.
+GOLDEN_SHA256 = (
+    "39892e5fd811ddfb63bd17c891a765c5921464a49ae4a81c496ead97b57ce1cd"
+)
+
+
+def _file_bytes(path):
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+class TestFormatIsPinned:
+    """Compile, load and attach all hold the layout save writes."""
+
+    def test_compile_load_and_attach_save_the_golden_bytes(self, tmp_path):
+        compiled = str(tmp_path / "compiled.snap")
+        save_snapshot(IndexedGraph(_golden_graph()), compiled)
+        digest = hashlib.sha256(_file_bytes(compiled)).hexdigest()
+        assert digest == GOLDEN_SHA256
+        for name, reopen in (
+            ("loaded", load_snapshot), ("attached", attach_snapshot),
+        ):
+            again = str(tmp_path / (name + ".snap"))
+            save_snapshot(reopen(compiled), again)
+            digest = hashlib.sha256(_file_bytes(again)).hexdigest()
+            assert digest == GOLDEN_SHA256, name
+
+    def test_saving_an_attached_graph_rewrites_the_same_file(
+        self, tmp_path, snap_path
     ):
-        compiled = IndexedGraph(graph)
-        path = str(tmp_path / "reuse.snap")
-        save_snapshot(compiled, path)  # v3 computes reach_parts()
-        loaded = load_snapshot(path)
-        assert loaded.reach_parts() is compiled.reach_parts()
+        copy = str(tmp_path / "copy.snap")
+        save_snapshot(attach_snapshot(snap_path), copy)
+        assert _file_bytes(copy) == _file_bytes(snap_path)
 
-    def test_reuse_is_skipped_when_file_rewritten(self, tmp_path):
-        first = IndexedGraph(random_labeled_graph(10, 30, "ab", seed=1))
-        second = IndexedGraph(random_labeled_graph(12, 40, "ab", seed=2))
-        path = str(tmp_path / "rewrite.snap")
-        save_snapshot(first, path)
-        save_snapshot(second, path)  # same path, different CRC
-        loaded = load_snapshot(path)
-        assert loaded.reach_parts() is not first.reach_parts()
-        assert list(loaded.reach_parts()[0]) == (
-            list(second.reach_parts()[0])
+    def test_engine_over_an_attached_graph_saves_the_same_file(
+        self, tmp_path, snap_path
+    ):
+        copy = str(tmp_path / "engine-copy.snap")
+        engine = QueryEngine(attach_snapshot(snap_path))
+        engine.save_snapshot(copy)
+        assert _file_bytes(copy) == _file_bytes(snap_path)
+        assert engine.snapshot_path == copy
+
+
+def _poke(name, index, value):
+    """A ``_rewrite_snapshot`` mutation storing ``value`` at
+    ``name[index]``."""
+    def mutate(header, arrays):
+        offset, length = _array_span(header, name)
+        at = offset + 8 * index
+        assert at + 8 <= offset + length
+        return header, (
+            arrays[:at] + struct.pack("<q", value) + arrays[at + 8:]
         )
+    return mutate
+
+
+class TestInconsistentArrays:
+    """A valid checksum over inconsistent contents fails by name.
+
+    The fixture graph has 25 vertices and 3 labels, so 25 is one past
+    the last vertex id and 3 one past the last label id.
+    """
+
+    @pytest.mark.parametrize("reopen", [load_snapshot, attach_snapshot],
+                             ids=["load", "attach"])
+    @pytest.mark.parametrize("name, index, value", [
+        ("out_targets", 0, -1),
+        ("csr_targets", 0, -1),
+        ("in_sources", 0, 25),
+        ("rcsr_sources", 0, 25),
+        ("out_labels", 0, 3),
+        ("in_labels", 0, 3),
+        ("out_indptr", 1, 10 ** 6),
+        ("csr_indptr", 26 + 1, 10 ** 6),
+        ("rcsr_indptr", 2 * 26 + 1, 10 ** 6),
+    ])
+    def test_rejected_by_name(self, tmp_path, snap_path, reopen,
+                              name, index, value):
+        bad_path = _rewrite_snapshot(
+            snap_path, str(tmp_path / "bad.snap"), _poke(name, index, value)
+        )
+        with pytest.raises(SnapshotError, match=name):
+            reopen(bad_path)
+
+    @pytest.mark.parametrize("reopen", [load_snapshot, attach_snapshot],
+                             ids=["load", "attach"])
+    @pytest.mark.parametrize("table, entries, reason", [
+        pytest.param("vertices", lambda v: v[:-1] + [v[0]],
+                     "vertex table", id="duplicate-vertex"),
+        pytest.param("vertices", lambda v: v[:-1] + [[1]],
+                     "vertex table", id="unhashable-vertex"),
+        pytest.param("labels", lambda ls: ls[::-1],
+                     "label table", id="unsorted-labels"),
+        pytest.param("labels", lambda ls: ls[:-1] + [ls[0]],
+                     "label table", id="duplicate-label"),
+    ])
+    def test_tables_rejected(self, tmp_path, snap_path, reopen, table,
+                             entries, reason):
+        def mutate(header, arrays):
+            header[table] = entries(header[table])
+            return header, arrays
+
+        bad_path = _rewrite_snapshot(
+            snap_path, str(tmp_path / "bad-table.snap"), mutate
+        )
+        with pytest.raises(SnapshotError, match=reason):
+            reopen(bad_path)

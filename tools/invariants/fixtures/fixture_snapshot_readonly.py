@@ -3,29 +3,31 @@
 
 
 class FakeAttached:
-    def __init__(self, raw, mapping):
-        self._raw = raw
+    def __init__(self, arrays, mapping):
+        self.out_indptr = arrays["out_indptr"]
+        self.out_labels = arrays["out_labels"]
+        self.out_targets = arrays["out_targets"]
+        self._fwd = [(arrays["csr_indptr"], arrays["csr_targets"])]
         self._mapping = mapping
-        self._label_indptr = {}
 
-    def ok_rebind(self, raw):
+    def ok_rebind(self, arrays):
         # Rebinding the attribute is allowed: it does not touch the
         # mapped pages, only the Python object graph.
-        self._raw = dict(raw)
-        local = self._raw["out_targets"]
+        self.out_targets = arrays["out_targets"]
+        local = self.out_targets
         return local[0]
 
     def bad_item_store(self):
-        self._raw["out_targets"][0] = 7  # store through mapped array
+        self.out_targets[0] = 7  # store through mapped array
 
     def bad_aug_store(self):
-        self._label_indptr["a"][1] += 1  # in-place add on mapped array
+        self._fwd[0][0][1] += 1  # in-place add on a mapped slice
 
     def bad_delete(self):
-        del self._raw["out_labels"][2]  # del through mapped array
+        del self.out_labels[2]  # del through mapped array
 
     def bad_mutator(self):
-        self._raw["out_indptr"].byteswap()  # in-place mutator
+        self.out_indptr.byteswap()  # in-place mutator
 
     def bad_close(self):
         self._mapping.close()  # explicit teardown of a held mapping

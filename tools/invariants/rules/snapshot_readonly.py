@@ -1,6 +1,6 @@
 """Rule ``snapshot-readonly``: attached snapshot arrays are never written.
 
-``attach_snapshot`` builds an :class:`~repro.service.snapshot.AttachedGraph`
+``attach_snapshot`` builds an :class:`~repro.engine.indexed.IndexedGraph`
 whose CSR arrays are ``memoryview.cast("q")`` slices of one read-only
 ``mmap`` — the same physical pages every pre-forked worker maps.  A
 write through any of those views would either raise ``TypeError`` at
@@ -10,12 +10,12 @@ ever regressed.  So the serving tier must treat the attached arrays as
 frozen: no item stores, no ``del``, no in-place mutator calls, and no
 closing/releasing the backing mapping outside the attach error path.
 
-The rule walks ``service/snapshot.py`` and ``service/workers.py`` (plus
-any module opting in via ``# invariant-scope: snapshot-readonly``) and
-flags:
+The rule walks ``service/snapshot.py``, ``service/workers.py`` and
+``engine/indexed.py`` — where the arrays live — (plus any module
+opting in via ``# invariant-scope: snapshot-readonly``) and flags:
 
 * subscript stores, augmented stores, or ``del`` reaching through a
-  guarded attribute (``x._raw["out_targets"][i] = v``);
+  guarded attribute (``x.out_targets[i] = v``);
 * in-place mutator calls (``append``/``extend``/``byteswap``/...) on a
   guarded attribute or anything subscripted out of one;
 * lifecycle calls (``close``/``release``/``resize``...) on a held
@@ -23,8 +23,9 @@ flags:
   teardown, because exported memoryviews make an explicit ``close()``
   raise ``BufferError`` at best.
 
-Rebinding the attributes themselves (``self._raw = dict(raw)``) is
-fine — that mutates the Python object graph, not the mapped pages.
+Rebinding the attributes themselves (``self.out_targets = arrays[...]``)
+is fine — that mutates the Python object graph, not the mapped pages;
+compile builds its arrays in locals and assigns each attribute once.
 """
 
 from __future__ import annotations
@@ -35,18 +36,26 @@ from typing import Iterable, Iterator
 from ..base import Project, Rule, SourceModule, Violation
 
 #: Attributes that hold (or directly index into) mmap-backed arrays on
-#: an attached graph/view: the raw name->array dict and mapping handle,
-#: the per-label CSR dicts, the attached view's CSR triples, and the
-#: thawed reachability index whose comp_of aliases the mapping.
+#: an attached graph: the twelve adjacency arrays (named as in the
+#: snapshot manifest), the per-label slices of the two per-label CSRs,
+#: the mapping handle, and the thawed reachability parts whose comp_of
+#: aliases the mapping.
 GUARDED_ATTRS = frozenset({
-    "_raw",
-    "_raw_out",
-    "_raw_in",
+    "out_indptr",
+    "out_labels",
+    "out_targets",
+    "in_indptr",
+    "in_labels",
+    "in_sources",
+    "csr_offsets",
+    "csr_indptr",
+    "csr_targets",
+    "rcsr_offsets",
+    "rcsr_indptr",
+    "rcsr_sources",
+    "_fwd",
+    "_rev",
     "_mapping",
-    "_label_indptr",
-    "_label_targets",
-    "_rev_label_indptr",
-    "_rev_label_sources",
     "_reach_parts",
 })
 
@@ -105,9 +114,11 @@ class SnapshotReadonlyRule(Rule):
     )
 
     def path_in_scope(self, posix_relpath: str) -> bool:
-        return posix_relpath.endswith(
-            "service/snapshot.py"
-        ) or posix_relpath.endswith("service/workers.py")
+        return posix_relpath.endswith((
+            "service/snapshot.py",
+            "service/workers.py",
+            "engine/indexed.py",
+        ))
 
     def run(self, project: Project) -> Iterable[Violation]:
         for module in project.modules:
