@@ -113,19 +113,27 @@ def probabilistic_gadget():
 
 
 def _engine(graph, portfolio):
-    # Result cache off so repetitions re-solve; vectorize off so the
-    # timing isolates the solver path, identically for both engines.
-    return QueryEngine(
-        graph, result_cache=False, vectorize=False, portfolio=portfolio
-    )
+    # Result cache off so repetitions re-solve; queries are answered
+    # one engine.query call at a time (_answer_each), so the timing
+    # isolates the solver path, identically for both engines.
+    return QueryEngine(graph, result_cache=False, portfolio=portfolio)
+
+
+def _answer_each(engine, queries, bound):
+    """Each query's :class:`EngineResult`, one ``engine.query`` call
+    at a time (no plan-group sweep runs)."""
+    return [
+        engine.query(regex, source, target, max_path_edges=bound)
+        for regex, source, target in queries
+    ]
 
 
 def _timed_batches(engine, queries, bound):
     def run():
-        batch = None
+        results = None
         for _ in range(REPS):
-            batch = engine.run_batch(queries, max_path_edges=bound)
-        return batch
+            results = _answer_each(engine, queries, bound)
+        return results
 
     return measure_seconds(run)
 
@@ -134,9 +142,10 @@ def test_portfolio_matches_exact_on_both_families(bounded_workload):
     graph, queries, bound = bounded_workload
     exact = ExactSolver(language(HARD))
     routed = _engine(graph, portfolio=True)
-    batch = routed.run_batch(queries, max_path_edges=bound)
     correct = 0
-    for (_regex, x, y), result in zip(queries, batch.results):
+    for (_regex, x, y), result in zip(
+        queries, _answer_each(routed, queries, bound)
+    ):
         truth = exact.shortest_simple_path(graph, x, y)
         if truth is not None and len(truth) > bound:
             truth = None
@@ -152,16 +161,16 @@ def test_bounded_hard_negatives_speedup(bounded_workload):
     classic = _engine(graph, portfolio=False)
     routed = _engine(graph, portfolio=True)
     # Warm both plan caches so the measurement is solve-only.
-    classic.run_batch(queries, max_path_edges=bound)
-    routed.run_batch(queries, max_path_edges=bound)
-    classic_seconds, classic_batch = _timed_batches(
+    _answer_each(classic, queries, bound)
+    _answer_each(routed, queries, bound)
+    classic_seconds, classic_results = _timed_batches(
         classic, queries, bound
     )
-    portfolio_seconds, portfolio_batch = _timed_batches(
+    portfolio_seconds, portfolio_results = _timed_batches(
         routed, queries, bound
     )
-    assert [r.found for r in classic_batch.results] == (
-        [r.found for r in portfolio_batch.results]
+    assert [r.found for r in classic_results] == (
+        [r.found for r in portfolio_results]
     )
     speedup = classic_seconds / portfolio_seconds
     record_metric(
@@ -196,14 +205,14 @@ def test_probabilistic_rungs_serve_unbounded_negatives():
 def test_bounded_batch_portfolio(benchmark, bounded_workload):
     graph, queries, bound = bounded_workload
     engine = _engine(graph, portfolio=True)
-    engine.run_batch(queries, max_path_edges=bound)  # warm plans
-    batch = benchmark(engine.run_batch, queries, max_path_edges=bound)
-    assert batch.found_count == 3
+    _answer_each(engine, queries, bound)  # warm plans
+    results = benchmark(_answer_each, engine, queries, bound)
+    assert sum(result.found for result in results) == 3
 
 
 def test_bounded_batch_exact_only(benchmark, bounded_workload):
     graph, queries, bound = bounded_workload
     engine = _engine(graph, portfolio=False)
-    engine.run_batch(queries, max_path_edges=bound)  # warm plans
-    batch = benchmark(engine.run_batch, queries, max_path_edges=bound)
-    assert batch.found_count == 3
+    _answer_each(engine, queries, bound)  # warm plans
+    results = benchmark(_answer_each, engine, queries, bound)
+    assert sum(result.found for result in results) == 3

@@ -165,21 +165,19 @@ def test_worker_pool_scaling(tmp_path, big_graph):
     # The result cache is off so repeated languages are re-solved: the
     # measurement is solver throughput, not cache replay.
     engine_kwargs = {"result_cache": False}
-    expected = QueryEngine(indexed, result_cache=False).run_batch(
-        queries, vectorize=False
-    )
+    expected = QueryEngine(indexed, result_cache=False).run_batch(queries)
     throughput = {}
     rss_mb = []
     for workers in POOL_WORKER_STEPS:
         with WorkerPool(path, engine_kwargs=engine_kwargs,
                         workers=workers) as pool:
-            pool.run_batch(queries[:8], vectorize=False)  # warm plans
+            pool.run_batch(queries[:8])  # warm plans
             # Best-of-3: one slow scheduler wakeup must not poison a
             # gated ratio (1-core smoke runs sit entirely in overhead).
             seconds = float("inf")
             for _ in range(3):
                 run_seconds, batch = measure_seconds(
-                    pool.run_batch, queries, vectorize=False
+                    pool.run_batch, queries
                 )
                 seconds = min(seconds, run_seconds)
             throughput[workers] = len(queries) / seconds

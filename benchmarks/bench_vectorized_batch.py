@@ -1,4 +1,4 @@
-"""Vectorized batch execution vs the per-query path.
+"""Vectorized batch execution vs answering each query on its own.
 
 The workload is the shape the vectorized engine was built for — *few
 plans, many endpoint pairs*: every query shares one ``a*ba*`` plan
@@ -6,8 +6,8 @@ over distinct endpoints of a random ``a``-expander whose only ``b``
 edges dead-end in a sink (:func:`benchmarks.workloads.
 sweep_skewed_workload`).  The reachability index cannot short-circuit
 these queries (endpoints are label-closure reachable) and the result
-cache never fires (pairs are distinct), so the per-query path must
-pay one full product search per query — while the vectorized path
+cache never fires (pairs are distinct), so ``engine.query`` must pay
+one full product search per query — while ``run_batch``
 decides the whole group at once, proving almost every query NOT_FOUND:
 by one shared BFS sweep over the CSR arrays while the plan is cold,
 then, once those sweeps have paid for it, by one lookup per query in
@@ -15,12 +15,12 @@ the plan's walk certificate (:mod:`repro.engine.vectorized`).
 
 Asserted shape (the ISSUE-7 acceptance criteria):
 
-* vectorized answers are **identical** to the per-query path, query
+* batch answers are **identical** to ``engine.query`` answers, query
   for query;
 * nearly the whole batch is decided by sweeps (counters prove the
   fast path actually ran — a silent fallback cannot pass);
-* on the full profile, the vectorized batch beats the per-query
-  batch (``vectorize=False``) by **≥ 5×** wall-clock; the
+* on the full profile, the batch beats answering the same queries one
+  ``engine.query`` call at a time by **≥ 5×** wall-clock; the
   ``vectorized_speedup`` ratio metric lands in the JSON artifact and
   is gated by ``check_perf_regression.py``;
 * ``vectorized_cold_speedup`` (also gated) divides the same per-query
@@ -55,9 +55,14 @@ def workload():
     )
 
 
+def _per_query(engine, queries):
+    """``queries`` answered one ``engine.query`` call at a time."""
+    return [engine.query(*query) for query in queries]
+
+
 def _assert_identical(reference, batch):
     assert len(reference) == len(batch)
-    for ref, res in zip(reference.results, batch.results):
+    for ref, res in zip(reference, batch.results):
         key = (str(ref.language), ref.source, ref.target)
         assert res.found == ref.found, key
         assert res.path == ref.path, key
@@ -67,7 +72,7 @@ def _assert_identical(reference, batch):
 
 def test_vectorized_matches_the_per_query_path(workload):
     graph, queries = workload
-    per_query = QueryEngine(graph).run_batch(queries, vectorize=False)
+    per_query = _per_query(QueryEngine(graph), queries)
     vectorized = QueryEngine(graph).run_batch(queries)
     _assert_identical(per_query, vectorized)
 
@@ -86,7 +91,7 @@ def test_sweeps_decide_the_workload(workload):
 
 
 def test_vectorized_speedup_over_per_query_path(workload):
-    """≥ 5× over the per-query path (``vectorize=False``) on the skewed
+    """≥ 5× over one ``engine.query`` call per query on the skewed
     batch."""
     graph, queries = workload
     # No result cache: the best-of-two reruns must re-solve, not
@@ -95,10 +100,9 @@ def test_vectorized_speedup_over_per_query_path(workload):
     vectorized_engine = QueryEngine(graph, result_cache=False)
     # Best of two runs each: one noisy scheduling hiccup must not
     # decide a wall-clock comparison.
-    baseline_seconds, baseline_batch = min(
-        (measure_seconds(
-            baseline_engine.run_batch, queries, vectorize=False,
-        ) for _ in range(2)),
+    baseline_seconds, baseline_results = min(
+        (measure_seconds(_per_query, baseline_engine, queries)
+         for _ in range(2)),
         key=lambda pair: pair[0],
     )
     vectorized_seconds, vectorized_batch = min(
@@ -106,12 +110,12 @@ def test_vectorized_speedup_over_per_query_path(workload):
          for _ in range(2)),
         key=lambda pair: pair[0],
     )
-    _assert_identical(baseline_batch, vectorized_batch)
+    _assert_identical(baseline_results, vectorized_batch)
     speedup = baseline_seconds / vectorized_seconds
     cold_engine = QueryEngine(graph, result_cache=False)
     cold_engine.plan_for(queries[0][0])
     cold_seconds, cold_batch = measure_seconds(cold_engine.run_batch, queries)
-    _assert_identical(baseline_batch, cold_batch)
+    _assert_identical(baseline_results, cold_batch)
     record_metric(
         "vectorized_batch", "baseline_seconds",
         round(baseline_seconds, 6),
@@ -153,6 +157,6 @@ def test_vectorized_batch(benchmark, workload):
 def test_per_query_baseline(benchmark, workload):
     graph, queries = workload
     engine = QueryEngine(graph, result_cache=False)
-    engine.run_batch(queries, vectorize=False)  # warm the plan cache
-    batch = benchmark(engine.run_batch, queries, vectorize=False)
-    assert batch.stats is None
+    _per_query(engine, queries)  # warm the plan cache
+    results = benchmark(_per_query, engine, queries)
+    assert not any(result.stats.vectorized for result in results)

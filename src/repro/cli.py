@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -45,7 +46,75 @@ from .graphs import io as graph_io
 from .service.protocol import RESULT_FIELDS, result_record
 
 
+def _engine_flags():
+    """Parent parsers ``(budget, engine)`` of the engine flags.
+
+    ``solve`` takes only the step budget; ``batch`` and ``serve`` share
+    every flag below, each declared here once.  :func:`_engine_kwargs`
+    maps them onto :class:`~repro.engine.QueryEngine` kwargs and
+    :func:`_check_engine_flags` range-checks them.
+    """
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument(
+        "--budget",
+        type=int,
+        default=None,
+        help="step budget for exact-strategy (NP-complete L) queries",
+    )
+    engine = argparse.ArgumentParser(add_help=False, parents=[budget])
+    engine.add_argument(
+        "--plan-cache-size",
+        type=int,
+        default=128,
+        help="LRU capacity of the query-plan cache (default 128)",
+    )
+    engine.add_argument(
+        "--result-cache-size",
+        type=int,
+        default=1024,
+        help="LRU capacity of the engine result cache (default 1024); "
+        "repeated identical queries replay without re-solving",
+    )
+    engine.add_argument(
+        "--no-result-cache",
+        action="store_true",
+        help="disable the engine result cache (every query re-solves)",
+    )
+    engine.add_argument(
+        "--no-reach-index",
+        action="store_true",
+        help="disable the reachability index (no short-circuit of "
+        "provably unreachable queries, no frontier pruning)",
+    )
+    engine.add_argument(
+        "--portfolio",
+        action="store_true",
+        help="route exact-strategy (NP-hard) queries through the "
+        "anytime solver portfolio: bounded-length probe, Monte-Carlo "
+        "color coding, algebraic detection, exact fallback; negatives "
+        "may be probabilistic (see the result 'confidence' field); "
+        "per-request 'portfolio' overrides it either way",
+    )
+    engine.add_argument(
+        "--portfolio-failure-probability",
+        type=float,
+        default=1e-3,
+        metavar="DELTA",
+        help="calibrated bound on a probabilistic NOT_FOUND being "
+        "wrong (default 1e-3); smaller = more trials = slower",
+    )
+    engine.add_argument(
+        "--portfolio-seed",
+        type=int,
+        default=0,
+        help="base seed for the portfolio's randomized rungs "
+        "(default 0); results are deterministic per seed",
+    )
+    return budget, engine
+
+
 def _build_parser():
+    budget_flags, engine_flags = _engine_flags()
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regular simple path queries: the PODS'13 trichotomy.",
@@ -103,21 +172,17 @@ def _build_parser():
     )
 
     p_solve = sub.add_parser(
-        "solve", help="find a shortest simple L-labeled path in a graph"
+        "solve", help="find a shortest simple L-labeled path in a graph",
+        parents=[budget_flags],
     )
     p_solve.add_argument("regex")
     p_solve.add_argument("graph", help="path to a graph file (text format)")
     p_solve.add_argument("source")
     p_solve.add_argument("target")
-    p_solve.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        help="step budget for the exponential solver (NP-complete L)",
-    )
 
     p_batch = sub.add_parser(
         "batch",
+        parents=[engine_flags],
         help="run many queries against one graph via the plan-cached "
         "engine (repro.engine.QueryEngine)",
         description="Evaluate a file of RSPQs against one graph.  The "
@@ -132,39 +197,9 @@ def _build_parser():
         "queries", help="path to a queries file (source target regex)"
     )
     p_batch.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        help="step budget for queries dispatched to the exact solver",
-    )
-    p_batch.add_argument(
-        "--plan-cache-size",
-        type=int,
-        default=128,
-        help="LRU capacity of the query-plan cache (default 128)",
-    )
-    p_batch.add_argument(
         "--stats",
         action="store_true",
         help="print per-query solver steps and timings",
-    )
-    p_batch.add_argument(
-        "--result-cache-size",
-        type=int,
-        default=1024,
-        help="LRU capacity of the engine result cache (default 1024); "
-        "repeated identical queries replay without re-solving",
-    )
-    p_batch.add_argument(
-        "--no-result-cache",
-        action="store_true",
-        help="disable the engine result cache (every query re-solves)",
-    )
-    p_batch.add_argument(
-        "--no-reach-index",
-        action="store_true",
-        help="disable the reachability index (no short-circuit of "
-        "provably unreachable queries, no frontier pruning)",
     )
     p_batch.add_argument(
         "--workers",
@@ -176,49 +211,12 @@ def _build_parser():
         "identical path-for-path for every worker count",
     )
     p_batch.add_argument(
-        "--no-vectorize",
-        action="store_true",
-        help="disable vectorized batch execution (queries sharing one "
-        "plan normally advance through a single multi-source product "
-        "sweep; results are identical either way)",
-    )
-    p_batch.add_argument(
-        "--group-min-size",
-        type=int,
-        default=2,
-        help="smallest plan-key group worth a shared sweep (default "
-        "2); smaller groups run per query",
-    )
-    p_batch.add_argument(
-        "--portfolio",
-        action="store_true",
-        help="route exact-strategy (NP-hard) queries through the "
-        "anytime solver portfolio: bounded-length probe, Monte-Carlo "
-        "color coding, algebraic detection, exact fallback; negatives "
-        "may be probabilistic (see the result 'confidence' field)",
-    )
-    p_batch.add_argument(
         "--max-path-edges",
         type=int,
         default=None,
         metavar="K",
         help="answer the bounded k-RSPQ variant: only simple paths of "
         "at most K edges count (the portfolio's FPT rungs shine here)",
-    )
-    p_batch.add_argument(
-        "--portfolio-failure-probability",
-        type=float,
-        default=1e-3,
-        metavar="DELTA",
-        help="calibrated bound on a probabilistic NOT_FOUND being "
-        "wrong (default 1e-3); smaller = more trials = slower",
-    )
-    p_batch.add_argument(
-        "--portfolio-seed",
-        type=int,
-        default=0,
-        help="base seed for the portfolio's randomized rungs "
-        "(default 0); results are deterministic per seed",
     )
     p_batch.add_argument(
         "--jsonl",
@@ -244,6 +242,7 @@ def _build_parser():
 
     p_serve = sub.add_parser(
         "serve",
+        parents=[engine_flags],
         help="host registered graphs behind the JSON-over-HTTP query "
         "service (repro.service)",
         description="Start the long-lived multi-graph query service.  "
@@ -298,70 +297,6 @@ def _build_parser():
         default=None,
         help="default per-query wall-clock deadline (requests may "
         "override per query); unset = no deadline",
-    )
-    p_serve.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        help="default step budget for exact-strategy queries",
-    )
-    p_serve.add_argument(
-        "--plan-cache-size",
-        type=int,
-        default=128,
-        help="per-graph LRU plan cache capacity (default 128)",
-    )
-    p_serve.add_argument(
-        "--result-cache-size",
-        type=int,
-        default=1024,
-        help="per-graph LRU result cache capacity (default 1024); "
-        "repeated identical queries are served from memory",
-    )
-    p_serve.add_argument(
-        "--no-result-cache",
-        action="store_true",
-        help="disable the per-graph result cache",
-    )
-    p_serve.add_argument(
-        "--no-reach-index",
-        action="store_true",
-        help="disable the reachability index (no short-circuit of "
-        "provably unreachable queries, no frontier pruning)",
-    )
-    p_serve.add_argument(
-        "--no-vectorize",
-        action="store_true",
-        help="disable vectorized /batch execution (per-request "
-        "'vectorize' can still override)",
-    )
-    p_serve.add_argument(
-        "--group-min-size",
-        type=int,
-        default=2,
-        help="smallest plan-key group worth a shared sweep in /batch "
-        "requests (default 2)",
-    )
-    p_serve.add_argument(
-        "--portfolio",
-        action="store_true",
-        help="route exact-strategy queries through the anytime solver "
-        "portfolio by default (per-request 'portfolio' can still "
-        "override either way)",
-    )
-    p_serve.add_argument(
-        "--portfolio-failure-probability",
-        type=float,
-        default=1e-3,
-        metavar="DELTA",
-        help="calibrated bound on a probabilistic NOT_FOUND being "
-        "wrong (default 1e-3)",
-    )
-    p_serve.add_argument(
-        "--portfolio-seed",
-        type=int,
-        default=0,
-        help="base seed for the portfolio's randomized rungs (default 0)",
     )
     p_serve.add_argument(
         "--max-graphs",
@@ -544,8 +479,7 @@ def _cmd_explain(args):
                 engine.graph.num_edges,
             )
         )
-        view = engine.view
-        index = view.reachability()
+        index = engine.view.reachability()
         usable = sorted(
             plan.used_symbols & set(engine.graph.labels())
         )
@@ -564,19 +498,14 @@ def _cmd_explain(args):
             # Text-format graphs only ever carry string vertex names,
             # so the raw arguments resolve directly (exactly like
             # `repro solve`); unknown names raise the usual GraphError.
-            source = args.source
-            target = args.target
-            source_id = view.vertex_id(source)
-            target_id = view.vertex_id(target)
-            mask = view.label_mask(plan.used_symbols)
-            if source_id != target_id and not index.can_reach(
-                source_id, target_id, mask
-            ):
+            if engine.reach_only_result(
+                args.regex, args.source, args.target
+            ) is not None:
                 print(
                     "index verdict  : short_circuit: unreachable — %r "
                     "cannot reach %r under L's label mask; the engine "
                     "answers NOT_FOUND without running a solver"
-                    % (source, target)
+                    % (args.source, args.target)
                 )
             else:
                 print(
@@ -593,17 +522,50 @@ def _cmd_explain(args):
     return 0
 
 
-def _checked_budget(budget):
-    """Map a non-positive --budget to a usage error, not a traceback."""
-    if budget is not None and budget <= 0:
+def _flag(dest):
+    """The command-line spelling of the option stored at ``dest``."""
+    return "--" + dest.replace("_", "-")
+
+
+def _require(args, dest, valid, requirement):
+    """A usage error naming the flag when option ``dest`` holds a value
+    ``valid`` rejects (unset and absent options are never checked)."""
+    value = getattr(args, dest, None)
+    if value is not None and not valid(value):
         raise ReproError(
-            "--budget must be a positive step count, got %d" % budget
+            "%s %s, got %r" % (_flag(dest), requirement, value)
         )
-    return budget
+
+
+def _check_engine_flags(args):
+    """Range-check whichever flags of :func:`_engine_flags` ``args``
+    carries."""
+    _require(args, "budget", lambda v: v > 0,
+             "must be a positive step count")
+    _require(args, "plan_cache_size", lambda v: v >= 1, "must be >= 1")
+    _require(args, "result_cache_size", lambda v: v >= 1,
+             "must be >= 1 (use %s to disable caching)"
+             % _flag("no_result_cache"))
+    _require(args, "portfolio_failure_probability",
+             lambda v: 0.0 < v < 1.0, "must be in (0, 1)")
+
+
+def _engine_kwargs(args):
+    """:class:`~repro.engine.QueryEngine` kwargs from the engine flags."""
+    return {
+        "plan_cache_size": args.plan_cache_size,
+        "exact_budget": args.budget,
+        "result_cache": not args.no_result_cache,
+        "result_cache_size": args.result_cache_size,
+        "use_reach_index": not args.no_reach_index,
+        "portfolio": args.portfolio,
+        "portfolio_failure_probability": args.portfolio_failure_probability,
+        "portfolio_seed": args.portfolio_seed,
+    }
 
 
 def _cmd_solve(args):
-    _checked_budget(args.budget)
+    _check_engine_flags(args)
     lang = language(args.regex)
     graph = graph_io.load(args.graph)
     solver = RspqSolver(lang, exact_budget=args.budget)
@@ -651,11 +613,12 @@ def _write_jsonl(path, results):
             handle.write("\n")
 
 
-def _pooled_batch(engine, queries, workers, **overrides):
+def _pooled_batch(engine, engine_kwargs, queries, workers, **overrides):
     """``queries`` answered on a pool of ``workers`` processes.
 
-    The pool's workers attach to a snapshot of the engine's compiled
-    graph, spooled to a temporary directory that is removed afterwards.
+    The pool's workers build their engines from ``engine_kwargs`` and
+    attach to a snapshot of ``engine``'s compiled graph, spooled to a
+    temporary directory that is removed afterwards.
     """
     from .service.workers import WorkerPool
 
@@ -663,58 +626,22 @@ def _pooled_batch(engine, queries, workers, **overrides):
         path = os.path.join(spool, "graph.snap")
         engine.save_snapshot(path)
         with WorkerPool(
-            path, engine_kwargs=engine._worker_engine_kwargs(),
-            workers=workers,
+            path, engine_kwargs=engine_kwargs, workers=workers,
         ) as pool:
             return pool.run_batch(queries, **overrides)
 
 
 def _cmd_batch(args):
-    if args.plan_cache_size < 1:
-        raise ReproError(
-            "--plan-cache-size must be >= 1, got %d" % args.plan_cache_size
-        )
-    if args.workers < 1:
-        raise ReproError(
-            "--workers must be >= 1, got %d" % args.workers
-        )
-    if args.result_cache_size < 1:
-        raise ReproError(
-            "--result-cache-size must be >= 1, got %d (use "
-            "--no-result-cache to disable caching)" % args.result_cache_size
-        )
-    _checked_budget(args.budget)
-    if args.group_min_size < 1:
-        raise ReproError(
-            "--group-min-size must be >= 1, got %d" % args.group_min_size
-        )
-    if args.max_path_edges is not None and args.max_path_edges < 0:
-        raise ReproError(
-            "--max-path-edges must be >= 0, got %d" % args.max_path_edges
-        )
-    if not 0.0 < args.portfolio_failure_probability < 1.0:
-        raise ReproError(
-            "--portfolio-failure-probability must be in (0, 1), got %r"
-            % args.portfolio_failure_probability
-        )
+    _check_engine_flags(args)
+    _require(args, "workers", lambda v: v >= 1, "must be >= 1")
+    _require(args, "max_path_edges", lambda v: v >= 0, "must be >= 0")
     graph = graph_io.load(args.graph)
     queries = _parse_queries(args.queries)
-    engine = QueryEngine(
-        graph,
-        plan_cache_size=args.plan_cache_size,
-        exact_budget=args.budget,
-        result_cache=not args.no_result_cache,
-        result_cache_size=args.result_cache_size,
-        use_reach_index=not args.no_reach_index,
-        vectorize=not args.no_vectorize,
-        group_min_size=args.group_min_size,
-        portfolio=args.portfolio,
-        portfolio_failure_probability=args.portfolio_failure_probability,
-        portfolio_seed=args.portfolio_seed,
-    )
+    engine_kwargs = _engine_kwargs(args)
+    engine = QueryEngine(graph, **engine_kwargs)
     if args.workers > 1:
         batch = _pooled_batch(
-            engine, queries, args.workers,
+            engine, engine_kwargs, queries, args.workers,
             max_path_edges=args.max_path_edges,
         )
     else:
@@ -813,60 +740,20 @@ def _cmd_serve(args):
             "serve needs at least one --graph NAME=PATH or "
             "--snapshot NAME=PATH"
         )
-    if args.plan_cache_size < 1:
-        raise ReproError(
-            "--plan-cache-size must be >= 1, got %d" % args.plan_cache_size
-        )
-    _checked_budget(args.budget)
-    if args.deadline_seconds is not None and args.deadline_seconds <= 0:
-        raise ReproError(
-            "--deadline-seconds must be positive, got %r"
-            % args.deadline_seconds
-        )
-    if args.max_graphs < 1:
-        raise ReproError(
-            "--max-graphs must be >= 1, got %d" % args.max_graphs
-        )
-    if args.result_cache_size < 1:
-        raise ReproError(
-            "--result-cache-size must be >= 1, got %d (use "
-            "--no-result-cache to disable caching)" % args.result_cache_size
-        )
-    if args.group_min_size < 1:
-        raise ReproError(
-            "--group-min-size must be >= 1, got %d" % args.group_min_size
-        )
-    if not 0.0 < args.portfolio_failure_probability < 1.0:
-        raise ReproError(
-            "--portfolio-failure-probability must be in (0, 1), got %r"
-            % args.portfolio_failure_probability
-        )
-    if args.worker_processes < 0:
-        raise ReproError(
-            "--worker-processes must be >= 0, got %d"
-            % args.worker_processes
-        )
-    if args.watchdog_seconds is not None and args.watchdog_seconds <= 0:
-        raise ReproError(
-            "--watchdog-seconds must be positive, got %r"
-            % args.watchdog_seconds
-        )
+    _check_engine_flags(args)
+    _require(args, "deadline_seconds", lambda v: 0 < v < math.inf,
+             "must be positive and finite")
+    _require(args, "max_graphs", lambda v: v >= 1, "must be >= 1")
+    _require(args, "worker_processes", lambda v: v >= 0, "must be >= 0")
+    _require(args, "watchdog_seconds", lambda v: v > 0, "must be positive")
     pool_kwargs = {}
     if args.watchdog_seconds is not None:
         pool_kwargs["watchdog_seconds"] = args.watchdog_seconds
     registry = GraphRegistry(
-        plan_cache_size=args.plan_cache_size,
-        exact_budget=args.budget,
-        deadline_seconds=args.deadline_seconds,
+        engine_kwargs=dict(
+            _engine_kwargs(args), deadline_seconds=args.deadline_seconds
+        ),
         max_graphs=args.max_graphs,
-        result_cache=not args.no_result_cache,
-        result_cache_size=args.result_cache_size,
-        use_reach_index=not args.no_reach_index,
-        vectorize=not args.no_vectorize,
-        group_min_size=args.group_min_size,
-        portfolio=args.portfolio,
-        portfolio_failure_probability=args.portfolio_failure_probability,
-        portfolio_seed=args.portfolio_seed,
         worker_processes=args.worker_processes,
         pool_kwargs=pool_kwargs,
     )

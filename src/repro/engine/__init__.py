@@ -53,10 +53,10 @@ batch, or one member of a batch's plan group — it takes the same
 steps: the cached plan, a result-cache lookup, the reachability-index
 short-circuit, then the plan's solver (or the portfolio ladder for
 hard-regime plans).  A batch adds only per-query error isolation and,
-for a plan group, one shared walk decision — a product BFS sweep while
-the plan is cold, lookups in its cached walk certificate once it is
-hot — whose proven negatives skip the solver
-(:mod:`repro.engine.vectorized`).
+for a plan group (every batch is grouped by plan), one shared walk
+decision — a product BFS sweep while the plan is cold, lookups in its
+cached walk certificate once it is hot — whose proven negatives skip
+the solver (:mod:`repro.engine.vectorized`).
 
 Parallel batches
 ----------------
@@ -69,10 +69,11 @@ compile a plan exactly once per distinct language even when threads
 race on it (single-flight).  ``run_batch`` answers a batch in this
 process, in input order, with failures isolated per query.  Every
 solver runs under the GIL, so a batch reaches more cores one way only:
-:class:`repro.service.workers.WorkerPool`, whose worker processes
-attach one shared snapshot of the compiled graph and answer their
-shards through the same ``QueryEngine.run_shard``, path-for-path
-identical to ``run_batch``.  ``BatchResult.cache_stats`` and
+:class:`repro.service.workers.WorkerPool`, which deals the batch
+round-robin over worker processes that attach one shared snapshot of
+the compiled graph; each groups and answers its shard through the
+same ``QueryEngine.run_shard``, path-for-path identical to
+``run_batch``.  ``BatchResult.cache_stats`` and
 ``QueryEngine.cache_stats()`` report the real plan-cache counters
 (hits / misses / evictions / compiles).
 

@@ -15,13 +15,14 @@ language share one plan, compiled exactly once even under contention
 (single-flight).  ``run_batch`` answers a whole batch in this process,
 in input order with per-query error isolation, sweeping the queries
 that share a plan together.  A batch reaches more cores one way only:
-a :class:`repro.service.workers.WorkerPool`, whose worker processes
-answer their shards through the same :meth:`QueryEngine.run_shard`.
+a :class:`repro.service.workers.WorkerPool`, which deals it out
+round-robin; each worker process groups and answers its shard through
+the same :meth:`QueryEngine.run_shard`.
 """
 
 from __future__ import annotations
 
-import inspect
+import math
 import threading
 import time
 from collections import Counter, OrderedDict
@@ -37,7 +38,12 @@ from ..graphs.dbgraph import Path
 from .indexed import IndexedGraph
 from .plan import PlanCache, PlanCacheStats, QueryPlan, group_by_plan, plan_key
 from .portfolio import CONFIDENCE_CERTIFIED
-from .vectorized import CertificateCache, VectorizedBatchStats, sweep_group
+from .vectorized import (
+    GROUP_MIN_SIZE,
+    CertificateCache,
+    VectorizedBatchStats,
+    sweep_group,
+)
 
 #: Strategy marker for queries that raised instead of answering.
 STRATEGY_ERROR = "error"
@@ -108,10 +114,9 @@ class BatchResult:
     #: engine's result cache is disabled; summed over the workers of a
     #: pooled batch).
     result_cache_stats: Optional["ResultCacheStats"] = None
-    #: Vectorized-execution counters — groups formed, sweeps run,
-    #: members peeled by cache/short-circuit, sweep-proven negatives —
-    #: or None when the batch ran with ``vectorize=False``.
-    stats: Optional[VectorizedBatchStats] = None
+    #: Plan-group counters — groups formed, sweeps run, members peeled
+    #: by cache/short-circuit, sweep-proven negatives.
+    stats: VectorizedBatchStats = field(default_factory=VectorizedBatchStats)
 
     def __len__(self) -> int:
         return len(self.results)
@@ -162,7 +167,7 @@ class BatchResult:
             results = " — results: %d cache hits" % (
                 self.result_cache_stats.hits
             )
-        if self.stats is not None and self.stats.sweeps:
+        if self.stats.sweeps:
             results += " — vectorized: %d sweeps over %d groups" % (
                 self.stats.sweeps,
                 self.stats.groups,
@@ -380,17 +385,6 @@ class QueryEngine:
         unreachable under the plan's label mask (no solver runs), and
         the solver cores use the same index for frontier pruning.  The
         index is built eagerly at engine construction (compile time).
-    vectorize / group_min_size:
-        Default knobs for :meth:`run_batch`'s vectorized execution:
-        batch queries sharing one plan key are grouped, and groups of
-        at least ``group_min_size`` sweep-eligible members are decided
-        together by walk reachability in the product graph
-        (:mod:`repro.engine.vectorized`: a multi-source BFS sweep over
-        the CSR arrays, or lookups in the plan's walk certificate once
-        its sweeps have paid for one) instead of one solver run per
-        query.  Results stay bit-identical to serial
-        execution; ``vectorize=False`` restores the strictly
-        per-query batch path.  ``group_min_size`` must be >= 1.
     portfolio:
         Route hard-regime (exact-strategy) queries through the anytime
         strategy ladder of :mod:`repro.engine.portfolio` by default.
@@ -409,8 +403,6 @@ class QueryEngine:
                  result_cache: bool = True,
                  result_cache_size: int = 1024,
                  use_reach_index: bool = True,
-                 vectorize: bool = True,
-                 group_min_size: int = 2,
                  portfolio: bool = False,
                  portfolio_failure_probability: float = 1e-3,
                  portfolio_seed: int = 0):
@@ -421,15 +413,14 @@ class QueryEngine:
                 "exact_budget must be a positive step count or None "
                 "for unbounded, got %r" % (exact_budget,)
             )
-        if group_min_size < 1:
+        if deadline_seconds is not None and not (
+            0 < deadline_seconds < math.inf
+        ):
             raise ValueError(
-                "group_min_size must be >= 1, got %r" % (group_min_size,)
-            )
-        if deadline_seconds is not None and deadline_seconds <= 0:
-            raise ValueError(
-                "deadline_seconds must be positive or None for no "
-                "deadline, got %r (an engine default that is already "
-                "expired would fail every query)" % (deadline_seconds,)
+                "deadline_seconds must be positive and finite or None "
+                "for no deadline, got %r (an engine default that is "
+                "already expired would fail every query, and a NaN or "
+                "infinite one never fires)" % (deadline_seconds,)
             )
         if not 0.0 < portfolio_failure_probability < 1.0:
             raise ValueError(
@@ -455,8 +446,6 @@ class QueryEngine:
         self._certificates = CertificateCache(self.view)
         self.exact_budget = exact_budget
         self.deadline_seconds = deadline_seconds
-        self.vectorize = vectorize
-        self.group_min_size = group_min_size
         self.portfolio = portfolio
         self.portfolio_failure_probability = portfolio_failure_probability
         self.portfolio_seed = portfolio_seed
@@ -468,10 +457,12 @@ class QueryEngine:
     @staticmethod
     def _check_overrides(deadline_seconds, budget, max_path_edges=None):
         """Validate per-query/batch overrides before any query runs."""
-        if deadline_seconds is not None and deadline_seconds < 0:
+        if deadline_seconds is not None and not (
+            0 <= deadline_seconds < math.inf
+        ):
             raise ValueError(
-                "deadline_seconds override must be >= 0, got %r"
-                % (deadline_seconds,)
+                "deadline_seconds override must be >= 0 and finite, "
+                "got %r" % (deadline_seconds,)
             )
         if budget is not None and budget <= 0:
             raise ValueError(
@@ -855,7 +846,7 @@ class QueryEngine:
             self.view, source, target, ctx=self._new_context(q.overrides)
         )
 
-    # -- vectorized batch execution ----------------------------------------------
+    # -- batch execution ---------------------------------------------------------
 
     def _sweep_allowed(self, overrides):
         """True when this batch's groups may run shared sweeps.
@@ -863,7 +854,7 @@ class QueryEngine:
         A sweep proves negatives with no per-query solver run, so a
         query whose budget or deadline would have expired mid-solve
         could come back answered instead of errored.  Bit-identity
-        with serial execution is the contract, so any *effective*
+        with per-query execution is the contract, so any *effective*
         budget or deadline — engine default or batch override —
         disables sweeping and every query runs the per-query path.
         """
@@ -876,20 +867,20 @@ class QueryEngine:
         )
         return effective_deadline is None
 
-    def _run_group(self, members, overrides, min_size, sweep_ok, stats):
+    def _run_group(self, members, overrides, sweep_ok, stats):
         """Answer one plan-key group; returns ``(index, result)`` pairs.
 
         Stage A runs each member's :meth:`_prefix` in input order, so
         every cache and serving counter moves as a per-query run
         would; duplicate endpoint pairs of a still-pending member are
         deferred and answered per query after the group resolves, so
-        their result-cache accounting matches serial execution hit for
-        hit.  Stage B decides the pending members together with
-        :func:`sweep_group` when eligible — by the plan's walk
-        certificate once it has one, else by one shared BFS sweep whose
-        work goes towards buying it; walk positives and everything
-        undecided fall back to the authoritative per-query
-        :meth:`_solve`.
+        their result-cache accounting matches per-query execution hit
+        for hit.  Stage B decides the pending members together with
+        :func:`sweep_group` when at least :data:`GROUP_MIN_SIZE` of
+        them are eligible — by the plan's walk certificate once it has
+        one, else by one shared BFS sweep whose work goes towards
+        buying it; walk positives and everything undecided fall back
+        to the authoritative per-query :meth:`_solve`.
         """
         results = []
         pending = []
@@ -916,7 +907,7 @@ class QueryEngine:
             (index, q) for index, q in pending if q.source_id is not None
         ]
         swept = set()
-        if sweep_ok and len(sweep_members) >= min_size:
+        if sweep_ok and len(sweep_members) >= GROUP_MIN_SIZE:
             stats.sweeps += 1
             plan = sweep_members[0][1].plan
             sweep_outcome = sweep_group(
@@ -946,13 +937,23 @@ class QueryEngine:
             )))
         return results
 
-    def _run_grouped(self, queries, overrides, min_size):
-        """Answer ``queries`` through plan-key groups, in input order.
+    def run_shard(self, queries: list[tuple],
+                  overrides: Mapping[str, Any]) -> BatchResult:
+        """Answer ``queries`` in order, grouped by plan.
 
-        Groups run in first-occurrence order, then the ungroupable
-        queries (no plan key) one by one.  Returns the results plus
-        the :class:`VectorizedBatchStats` of the batch.
+        The one batch path: :meth:`run_batch` answers a whole batch
+        here, and every :class:`~repro.service.workers.WorkerPool`
+        worker answers its shard here.  Queries sharing a plan key
+        form a group (:meth:`_run_group`); groups run in
+        first-occurrence order, then the queries without a plan key
+        one by one.  ``overrides`` holds the validated per-query
+        ``deadline_seconds``, ``budget``, ``portfolio`` and
+        ``max_path_edges``.  The returned :class:`BatchResult` carries
+        this call's plan-cache, result-cache and group counter deltas.
         """
+        start = time.perf_counter()
+        plan_before = self.cache_stats()
+        results_before = self.result_cache_stats()
         groups, ungroupable = group_by_plan(list(enumerate(queries)))
         stats = VectorizedBatchStats(
             groups=len(groups),
@@ -964,46 +965,13 @@ class QueryEngine:
         results: list = [None] * len(queries)
         for members in groups.values():
             for index, result in self._run_group(
-                members, overrides, min_size, sweep_ok, stats
+                members, overrides, sweep_ok, stats
             ):
                 results[index] = result
         for index, (language, source, target) in ungroupable:
             results[index] = self._isolated(
                 _Query(language, source, target, overrides), self._answer
             )
-        return results, stats
-
-    def run_shard(self, queries: list[tuple], overrides: dict[str, Any],
-                  vectorize: bool, group_min_size: int) -> BatchResult:
-        """Answer ``queries`` in order, with the batch knobs resolved.
-
-        The one batch path: :meth:`run_batch` answers a whole batch
-        here, and every :class:`~repro.service.workers.WorkerPool`
-        worker answers its shard here.  With ``vectorize`` the queries
-        sharing a plan are grouped and groups of at least
-        ``group_min_size`` sweep-eligible members share one product
-        sweep; without it each query runs on its own.  ``overrides``
-        holds the validated per-query ``deadline_seconds``, ``budget``,
-        ``portfolio`` and ``max_path_edges``.  The returned
-        :class:`BatchResult` carries this call's plan-cache and
-        result-cache counter deltas.
-        """
-        start = time.perf_counter()
-        plan_before = self.cache_stats()
-        results_before = self.result_cache_stats()
-        stats = None
-        if vectorize:
-            results, stats = self._run_grouped(
-                queries, overrides, group_min_size
-            )
-        else:
-            results = [
-                self._isolated(
-                    _Query(language, source, target, overrides),
-                    self._answer,
-                )
-                for language, source, target in queries
-            ]
         return BatchResult(
             results=results,
             seconds=time.perf_counter() - start,
@@ -1018,20 +986,21 @@ class QueryEngine:
     def run_batch(self, queries: Iterable[tuple],
                   deadline_seconds: float | None = None,
                   budget: int | None = None,
-                  vectorize: bool | None = None,
-                  group_min_size: int | None = None,
                   portfolio: bool | None = None,
                   max_path_edges: int | None = None) -> BatchResult:
         """Answer an iterable of ``(language, source, target)`` triples.
 
         Queries run in this process against the shared indexed graph;
         plans are compiled at most once per distinct language (LRU
-        permitting).  A query that raises
+        permitting), and queries sharing a plan are decided together
+        where a walk sweep can prove them NOT_FOUND
+        (:meth:`run_shard`).  A query that raises
         :class:`~repro.errors.ReproError` (unknown vertex, bad regex,
         exceeded budget/deadline) does not abort the batch: it yields
         an :class:`EngineResult` with ``error`` set and the remaining
-        queries still run.  Results always come back in input order.
-        To spread a batch over several cores, run it on a
+        queries still run.  Results always come back in input order,
+        answered exactly as :meth:`query` answers each one.  To spread
+        a batch over several cores, run it on a
         :class:`~repro.service.workers.WorkerPool` instead; its
         answers are identical, path for path.
 
@@ -1041,15 +1010,11 @@ class QueryEngine:
             Per-batch overrides of the engine defaults, applied to
             every query's execution context (each query still gets its
             own deadline measured from its own start).  Validated
-            upfront: a negative deadline or non-positive budget raises
-            :class:`ValueError` before any query runs.  An effective
-            budget or deadline also disables group sweeps for the
-            batch (per-query contracts must bite exactly as serial).
-        vectorize / group_min_size:
-            Per-batch overrides of the engine's vectorization knobs
-            (None keeps the engine default): ``vectorize=False`` runs
-            the strictly per-query batch path; ``group_min_size``
-            (>= 1) sets the smallest plan-key group worth sweeping.
+            upfront: a negative or non-finite deadline or a
+            non-positive budget raises :class:`ValueError` before any
+            query runs.  An effective budget or deadline also disables
+            group sweeps for the batch (per-query contracts must bite
+            exactly as they would per query).
         portfolio / max_path_edges:
             Applied to every query in the batch: ``portfolio``
             overrides the engine's default hard-regime ladder routing
@@ -1058,73 +1023,12 @@ class QueryEngine:
 
         Returns a :class:`BatchResult` whose ``cache_stats`` carries
         the real plan-cache counter deltas for this batch and whose
-        ``stats`` reports the vectorized-execution counters (None with
-        ``vectorize=False``).
+        ``stats`` reports the plan-group counters.
         """
         self._check_overrides(deadline_seconds, budget, max_path_edges)
-        # The engine keeps each knob under its constructor kwarg name.
-        use_vectorize, min_size = batch_knobs(
-            vars(self), vectorize, group_min_size
-        )
-        overrides = {
+        return self.run_shard(list(queries), {
             "deadline_seconds": deadline_seconds,
             "budget": budget,
             "portfolio": portfolio,
             "max_path_edges": max_path_edges,
-        }
-        return self.run_shard(
-            list(queries), overrides, use_vectorize, min_size
-        )
-
-    def _worker_engine_kwargs(self):
-        """Constructor kwargs reproducing this engine in a pool worker."""
-        return {
-            "plan_cache_size": self.plan_cache.capacity,
-            "exact_budget": self.exact_budget,
-            "deadline_seconds": self.deadline_seconds,
-            "use_reach_index": self.use_reach_index,
-            "result_cache": self._result_cache is not None,
-            "result_cache_size": (
-                self._result_cache.capacity
-                if self._result_cache is not None
-                else 1024
-            ),
-            "vectorize": self.vectorize,
-            "group_min_size": self.group_min_size,
-            "portfolio": self.portfolio,
-            "portfolio_failure_probability": (
-                self.portfolio_failure_probability
-            ),
-            "portfolio_seed": self.portfolio_seed,
-        }
-
-
-#: :class:`QueryEngine` constructor defaults, by kwarg name.
-_ENGINE_DEFAULTS = {
-    name: parameter.default
-    for name, parameter in inspect.signature(QueryEngine).parameters.items()
-}
-
-
-def batch_knobs(settings: Mapping[str, Any], vectorize: bool | None = None,
-                group_min_size: int | None = None) -> tuple[bool, int]:
-    """``(vectorize, group_min_size)`` one batch runs with.
-
-    ``settings`` maps :class:`QueryEngine` constructor kwargs to their
-    values: a per-batch override beats its setting, and a missing
-    setting takes the constructor default.  In-process batches and
-    pooled ones (whose parent process holds only its workers' kwargs)
-    both resolve here, so the two cannot drift apart.  Raises
-    :class:`ValueError` for a ``group_min_size`` below 1.
-    """
-    if vectorize is None:
-        vectorize = settings.get("vectorize", _ENGINE_DEFAULTS["vectorize"])
-    if group_min_size is None:
-        group_min_size = settings.get(
-            "group_min_size", _ENGINE_DEFAULTS["group_min_size"]
-        )
-    if group_min_size < 1:
-        raise ValueError(
-            "group_min_size must be >= 1, got %r" % (group_min_size,)
-        )
-    return vectorize, group_min_size
+        })

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..core.solver import STRATEGY_EXACT, RspqSolver
+from ..core.trichotomy import Classification
 from ..languages import Language
 from .portfolio import PortfolioSolver
 
@@ -170,7 +171,7 @@ class QueryPlan:
         return self.solver.strategy
 
     @property
-    def classification(self) -> str:
+    def classification(self) -> Classification:
         return self.solver.classification
 
     @property

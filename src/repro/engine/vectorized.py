@@ -57,22 +57,25 @@ MAX_CERTIFICATES = 8
 #: (build time per node and edge over sweep time per relaxed edge read
 #: 0.9-2.4 for six plans on perfbench's 500-vertex batch-sweep graph).
 BUILD_COST_PER_UNIT = 1.5
+#: Smallest plan group decided by :func:`sweep_group`; a group with
+#: fewer sweep-eligible members runs its members per query.
+GROUP_MIN_SIZE = 2
 
 
 @dataclass
 class VectorizedBatchStats:
-    """Counters for one vectorized :meth:`QueryEngine.run_batch` run.
+    """Counters for one :meth:`QueryEngine.run_batch` run.
 
-    Summed across the workers of a pooled batch (groups never span
-    workers, so the totals match what an in-process vectorized run of
-    the same batch would report).
+    Summed across the workers of a pooled batch.  Each worker groups
+    its own shard, so a plan whose queries land on two workers counts
+    as two groups there.
     """
 
     #: Distinct plan-key groups the batch planner formed.
     groups: int = 0
     #: Groups decided by :func:`sweep_group`, by BFS sweep or
-    #: certificate (a group below the ``group_min_size`` threshold
-    #: forms but is never decided this way).
+    #: certificate (a group below :data:`GROUP_MIN_SIZE` forms but is
+    #: never decided this way).
     sweeps: int = 0
     #: Queries that entered a plan-key group (the rest had no plan key
     #: and ran per query).

@@ -30,6 +30,7 @@ pass a context and read them off it afterwards.
 
 from __future__ import annotations
 
+import math
 import time
 
 from .errors import BudgetExceededError, DeadlineExceededError
@@ -61,7 +62,8 @@ class ExecutionContext:
         :class:`~repro.errors.DeadlineExceededError` at the next
         periodic check.  ``0.0`` is permitted and means
         already-expired (tests use it to make deadlines bite
-        deterministically); negative values are rejected with
+        deterministically); negative and non-finite values (a NaN or
+        infinite deadline could never fire) are rejected with
         :class:`ValueError`.
     deadline_check_interval:
         Charges between deadline checks (tests shrink this to make the
@@ -91,10 +93,10 @@ class ExecutionContext:
         self.budget = budget
         if deadline_seconds is None:
             self.deadline = None
-        elif deadline_seconds < 0:
+        elif not 0 <= deadline_seconds < math.inf:
             raise ValueError(
                 "deadline_seconds must be >= 0 (0 means already "
-                "expired) or None for no deadline, got %r"
+                "expired) and finite, or None for no deadline, got %r"
                 % (deadline_seconds,)
             )
         else:

@@ -27,6 +27,10 @@ Notes on the dialect:
   ``()[]{}*+?|,^<>= ``.  Digits may be letters; inside ``{...}`` and
   after ``>=`` they are parsed as bounds (context decides, no
   ambiguity).
+* Parentheses and postfix operators nest at most :data:`MAX_NESTING`
+  deep: the parser, the AST walks and the Thompson construction
+  recurse once per level, so deeper input is a syntax error rather
+  than a stack overflow.
 
 The parser is deliberately small and produces the AST of
 :mod:`repro.languages.regex.ast`.
@@ -51,6 +55,10 @@ from .ast import (
 _RESERVED = set("()[]{}*+?|,^<>=≥ \t\n")
 _EPSILON_TOKENS = ("ε", "eps")
 
+#: Deepest nesting of parentheses and postfix operators
+#: (``*``, ``?``, ``+``, ``{m,n}``, ``>=k``) one regex may use.
+MAX_NESTING = 100
+
 
 class _Parser:
     """Single-use recursive-descent parser over an input string."""
@@ -58,6 +66,11 @@ class _Parser:
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        #: Parentheses open at ``pos``.
+        self.open_groups = 0
+        #: Nesting of the expression most recently parsed: the deepest
+        #: chain of parentheses and postfix operators inside it.
+        self.nesting = 0
 
     # -- low-level helpers -------------------------------------------------
 
@@ -94,6 +107,15 @@ class _Parser:
         self.pos += 1
         return char
 
+    def _nest(self, nesting):
+        """Record ``nesting`` for the current expression, within bounds."""
+        if nesting > MAX_NESTING:
+            self._error(
+                "parentheses and postfix operators nest deeper than %d"
+                % MAX_NESTING
+            )
+        self.nesting = nesting
+
     def _take_int(self):
         self._skip_ws()
         start = self.pos
@@ -124,6 +146,7 @@ class _Parser:
 
     def _union(self):
         parts = [self._concat()]
+        nesting = self.nesting
         while True:
             char = self._peek()
             if char == "|":
@@ -137,20 +160,26 @@ class _Parser:
                 parts.append(self._concat())
             else:
                 break
+            nesting = max(nesting, self.nesting)
+        self.nesting = nesting
         if len(parts) == 1:
             return parts[0]
         return Union(tuple(parts))
 
     def _concat(self):
         parts = [self._repeat()]
+        nesting = self.nesting
         while self._starts_atom():
             parts.append(self._repeat())
+            nesting = max(nesting, self.nesting)
+        self.nesting = nesting
         if len(parts) == 1:
             return parts[0]
         return Concat(tuple(parts))
 
     def _repeat(self):
         node = self._atom()
+        nesting = self.nesting
         while True:
             self._skip_ws()
             char = self._peek_raw()
@@ -173,6 +202,9 @@ class _Parser:
                 node = Plus(node)
             else:
                 break
+            nesting += 1
+            self._nest(nesting)
+        self.nesting = nesting
         return node
 
     def _plus_is_postfix(self):
@@ -216,10 +248,16 @@ class _Parser:
 
     def _atom(self):
         char = self._peek()
+        self.nesting = 0
         if char == "(":
             self._take("(")
+            # Checked on the way in, before recursing any deeper.
+            self.open_groups += 1
+            self._nest(self.open_groups)
             node = self._union()
             self._take(")")
+            self.open_groups -= 1
+            self._nest(self.nesting + 1)
             return node
         if char == "[":
             return self._char_class()

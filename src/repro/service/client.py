@@ -267,8 +267,6 @@ class ServiceClient:
               workers: int | None = None,
               deadline_seconds: float | None = None,
               budget: int | None = None,
-              vectorize: bool | None = None,
-              group_min_size: int | None = None,
               portfolio: bool | None = None,
               max_path_edges: int | None = None) -> Any:
         payload: dict[str, Any] = {
@@ -285,10 +283,6 @@ class ServiceClient:
             payload["deadline_seconds"] = deadline_seconds
         if budget is not None:
             payload["budget"] = budget
-        if vectorize is not None:
-            payload["vectorize"] = vectorize
-        if group_min_size is not None:
-            payload["group_min_size"] = group_min_size
         if portfolio is not None:
             payload["portfolio"] = portfolio
         if max_path_edges is not None:

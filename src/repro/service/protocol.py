@@ -133,6 +133,5 @@ def batch_record(batch: BatchResult,
             "hits": batch.result_cache_stats.hits,
             "misses": batch.result_cache_stats.misses,
         }
-    if batch.stats is not None:
-        record["vectorized_stats"] = batch.stats.as_dict()
+    record["vectorized_stats"] = batch.stats.as_dict()
     return record

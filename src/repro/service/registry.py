@@ -25,7 +25,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Mapping
 
 from ..errors import ServiceError
 from ..engine import IndexedGraph, QueryEngine
@@ -162,10 +162,6 @@ class RegisteredGraph:
             },
             result_cache=result_cache.as_dict(),
             reachability_index=self.engine.reachability_info(),
-            vectorized={
-                "enabled": self.engine.vectorize,
-                "group_min_size": self.engine.group_min_size,
-            },
             portfolio={
                 "enabled": self.engine.portfolio,
                 "failure_probability": (
@@ -186,41 +182,18 @@ class RegisteredGraph:
 class GraphRegistry:
     """Thread-safe name → compiled graph + engine + stats mapping.
 
-    Parameters are the engine defaults applied to every graph
-    registered through this registry (individual requests can still
-    override deadline/budget per query).
-
     Parameters
     ----------
-    plan_cache_size:
-        LRU capacity of each graph's plan cache.
-    exact_budget:
-        Default step budget for exact-strategy queries.
-    deadline_seconds:
-        Default per-query wall-clock deadline.
+    engine_kwargs:
+        :class:`~repro.engine.QueryEngine` constructor kwargs for the
+        engine of every graph registered here (and for its pool's
+        workers), passed through unchanged; the engine declares,
+        defaults and validates them.  Individual requests can still
+        override the per-query ones (deadline, budget, portfolio).
     max_graphs:
         Optional cap on simultaneously registered graphs; registering
         beyond it raises :class:`~repro.errors.ServiceError` (evict
         first — the registry never silently drops a graph).
-    result_cache / result_cache_size:
-        Per-graph engine result cache knobs (see
-        :class:`~repro.engine.QueryEngine`): repeated identical
-        queries replay without touching a solver.
-    use_reach_index:
-        Build the label-constrained reachability index for every
-        registered graph (short-circuits provably-negative queries).
-    vectorize / group_min_size:
-        Per-graph vectorized batch-execution knobs (see
-        :class:`~repro.engine.QueryEngine`): batch queries sharing one
-        plan are answered by a shared product sweep when the group has
-        at least ``group_min_size`` members.  Individual ``/batch``
-        requests can still override both.
-    portfolio / portfolio_failure_probability / portfolio_seed:
-        Per-graph hard-regime ladder knobs (see
-        :class:`~repro.engine.QueryEngine`): ``portfolio`` routes
-        exact-strategy queries through the anytime strategy ladder by
-        default; individual ``/query`` and ``/batch`` requests can
-        still override the routing either way.
     worker_processes:
         When > 0, every registered graph gets a pre-fork
         :class:`~repro.service.workers.WorkerPool` of this many
@@ -240,18 +213,8 @@ class GraphRegistry:
         ``worker_processes`` is 0.
     """
 
-    def __init__(self, plan_cache_size: int = 128,
-                 exact_budget: int | None = None,
-                 deadline_seconds: float | None = None,
+    def __init__(self, engine_kwargs: Mapping[str, Any] | None = None,
                  max_graphs: int | None = None,
-                 result_cache: bool = True,
-                 result_cache_size: int = 1024,
-                 use_reach_index: bool = True,
-                 vectorize: bool = True,
-                 group_min_size: int = 2,
-                 portfolio: bool = False,
-                 portfolio_failure_probability: float = 1e-3,
-                 portfolio_seed: int = 0,
                  worker_processes: int = 0,
                  spool_dir: Any = None,
                  pool_kwargs: dict | None = None) -> None:
@@ -263,43 +226,17 @@ class GraphRegistry:
             raise ValueError(
                 "worker_processes must be >= 0, got %d" % worker_processes
             )
-        self.plan_cache_size = plan_cache_size
-        self.exact_budget = exact_budget
-        self.deadline_seconds = deadline_seconds
         self.max_graphs = max_graphs
-        self.result_cache = result_cache
-        self.result_cache_size = result_cache_size
-        self.use_reach_index = use_reach_index
-        self.vectorize = vectorize
-        self.group_min_size = group_min_size
-        self.portfolio = portfolio
-        self.portfolio_failure_probability = portfolio_failure_probability
-        self.portfolio_seed = portfolio_seed
         self.worker_processes = worker_processes
-        # Read-only after construction (applied to every pool build).
+        # Read-only after construction (applied to every engine and
+        # pool build).
+        self.engine_kwargs = MappingProxyType(dict(engine_kwargs or {}))
         self.pool_kwargs = MappingProxyType(dict(pool_kwargs or {}))
         self._spool_dir = None if spool_dir is None else os.fspath(spool_dir)
         self._spool_owned = False
         self._spool_counter = 0
         self._entries: dict[str, RegisteredGraph] = {}
         self._lock = threading.Lock()
-
-    def _engine_kwargs(self) -> dict[str, Any]:
-        return {
-            "plan_cache_size": self.plan_cache_size,
-            "exact_budget": self.exact_budget,
-            "deadline_seconds": self.deadline_seconds,
-            "result_cache": self.result_cache,
-            "result_cache_size": self.result_cache_size,
-            "use_reach_index": self.use_reach_index,
-            "vectorize": self.vectorize,
-            "group_min_size": self.group_min_size,
-            "portfolio": self.portfolio,
-            "portfolio_failure_probability": (
-                self.portfolio_failure_probability
-            ),
-            "portfolio_seed": self.portfolio_seed,
-        }
 
     # -- worker pools ------------------------------------------------------------
 
@@ -349,7 +286,7 @@ class GraphRegistry:
                 ) from err
         return WorkerPool(
             snapshot_path,
-            engine_kwargs=engine._worker_engine_kwargs(),
+            engine_kwargs=self.engine_kwargs,
             workers=self.worker_processes,
             **self.pool_kwargs,
         )
@@ -412,7 +349,7 @@ class GraphRegistry:
         with self._lock:
             self._admit(name)  # fail fast before paying for the compile
         start = time.perf_counter()
-        engine = QueryEngine(graph, **self._engine_kwargs())
+        engine = QueryEngine(graph, **self.engine_kwargs)
         pool = self._build_pool(name, engine)
         stats = GraphStats(
             source=(
@@ -436,7 +373,7 @@ class GraphRegistry:
             graph = attach_snapshot(path)
         else:
             graph = load_snapshot(path)
-        engine = QueryEngine(graph, **self._engine_kwargs())
+        engine = QueryEngine(graph, **self.engine_kwargs)
         pool = self._build_pool(name, engine)
         stats = GraphStats(
             source="snapshot",

@@ -25,8 +25,9 @@ Endpoints (all request/response bodies are JSON):
     "budget"?, "portfolio"?, "max_path_edges"?}`` — one RSPQ.  The
     optional per-request deadline/budget
     map onto the query's :class:`~repro.execution.ExecutionContext`;
-    non-positive values are rejected upfront with 400 (an
-    already-expired deadline can never admit work).  ``portfolio``
+    non-positive values and non-finite deadlines are rejected upfront
+    with 400 (an already-expired deadline can never admit work, and a
+    NaN or infinite one could never fire).  ``portfolio``
     (boolean) overrides the engine's default hard-regime ladder
     routing; ``max_path_edges`` (int >= 0) bounds the answer to
     simple paths of at most that many edges (k-RSPQ).  Result records
@@ -36,20 +37,18 @@ Endpoints (all request/response bodies are JSON):
     504 deadline exceeded.
 ``POST /batch``
     ``{"graph"?, "queries": [[language, source, target], ...],
-    "workers"?, "deadline_seconds"?, "budget"?,
-    "vectorize"?, "group_min_size"?, "portfolio"?,
+    "workers"?, "deadline_seconds"?, "budget"?, "portfolio"?,
     "max_path_edges"?}`` — a batch answered by
     :meth:`QueryEngine.run_batch` in the server process, or sharded
     over the graph's worker pool when it has one.  ``workers``
     (default 1) caps that fan-out; it is clamped to the pool's
     processes, so a graph without a pool always answers with
-    ``"workers": 1``.  ``vectorize`` /
-    ``group_min_size`` override the engine's vectorized-execution
-    knobs for this batch (grouped queries sharing a plan sweep the
-    product graph together; the response's ``vectorized_stats`` block
-    reports groups, sweeps and peels).  Per-query failures stay
-    isolated inside the 200 response (each result record carries its
-    own ``error`` field), exactly like the library contract.
+    ``"workers": 1``.  Queries sharing a plan are decided together
+    by a walk sweep where it can prove them NOT_FOUND; the response's
+    ``vectorized_stats`` block reports groups, sweeps and peels.
+    Per-query failures stay isolated inside the 200 response (each
+    result record carries its own ``error`` field), exactly like the
+    library contract.
 ``POST /classify``
     ``{"language": ...}`` — trichotomy classification plus the solver
     strategy the engine would dispatch to (plan-cached service-side).
@@ -88,7 +87,6 @@ from ..errors import (
     WorkerCrashError,
 )
 from ..engine.plan import PlanCache, QueryPlan, plan_key
-from ..core.trichotomy import classify
 from ..graphs import io as graph_io
 from . import faults
 from .protocol import batch_record, result_record
@@ -272,10 +270,11 @@ def _checked_overrides(payload):
             raise ServiceError(
                 "'deadline_seconds' must be a number, got %r" % (deadline,)
             )
-        if deadline <= 0:
+        if not 0 < deadline < math.inf:
             raise ServiceError(
-                "'deadline_seconds' must be positive, got %r — an "
-                "already-expired deadline can never admit work"
+                "'deadline_seconds' must be positive and finite, got "
+                "%r — an already-expired deadline can never admit "
+                "work, and a NaN or infinite one never fires"
                 % (deadline,)
             )
     budget = payload.get("budget")
@@ -383,12 +382,6 @@ class QueryService:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
         self.registry.close()
-
-    async def serve_forever(self, host: str = "127.0.0.1",
-                            port: int = 8080) -> None:
-        server = await self.start(host, port)
-        async with server:
-            await server.serve_forever()
 
     async def serve_until_interrupted(
             self, host: str = "127.0.0.1", port: int = 8080,
@@ -798,12 +791,11 @@ class QueryService:
                 )
             )
         except ReproError as err:
-            self.shedder.release(1)
             entry.record_query_failure(time.perf_counter() - start)
             raise ServiceError(str(err), status=400) from err
         finally:
+            self.shedder.release(1)
             seconds = time.perf_counter() - start
-        self.shedder.release(1)
         if result is None:
             raise ServiceError(
                 "service is in reach-only degraded mode and the "
@@ -885,27 +877,10 @@ class QueryService:
             raise ServiceError(
                 "'workers' must be a positive integer, got %r" % (workers,)
             )
-        vectorize = payload.get("vectorize")
-        if vectorize is not None and not isinstance(vectorize, bool):
-            raise ServiceError(
-                "'vectorize' must be a boolean, got %r" % (vectorize,)
-            )
-        group_min_size = payload.get("group_min_size")
-        if group_min_size is not None and (
-            not isinstance(group_min_size, int)
-            or isinstance(group_min_size, bool)
-            or group_min_size < 1
-        ):
-            raise ServiceError(
-                "'group_min_size' must be a positive integer, got %r"
-                % (group_min_size,)
-            )
         self._admit(len(triples), deadline)
         knobs = {
             "deadline_seconds": deadline,
             "budget": budget,
-            "vectorize": vectorize,
-            "group_min_size": group_min_size,
             "portfolio": portfolio,
             "max_path_edges": max_path_edges,
         }
@@ -942,7 +917,7 @@ class QueryService:
                 plan = QueryPlan.compile(regex, key=key)
                 self._classify_cache.put(key, plan)
             lang = plan.language
-            classification = classify(lang.dfa, with_witness=False)
+            classification = plan.classification
             return {
                 "language": regex,
                 "num_states": lang.num_states,

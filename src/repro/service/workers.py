@@ -19,11 +19,11 @@ Parent ↔ worker protocol is a strict request/response over one
 ``("query", (language, source, target, overrides))``
     One RSPQ; the reply carries the :class:`EngineResult` or a
     re-raisable :class:`~repro.errors.ReproError` by class name.
-``("batch", (queries, overrides, vectorize, group_min_size))``
+``("batch", (queries, overrides))``
     One shard of a batch, answered by
     :meth:`~repro.engine.QueryEngine.run_shard` — the engine's own
     batch path — replying with its :class:`BatchResult` (results in
-    shard order plus the plan-cache, result-cache and vectorized
+    shard order plus the plan-cache, result-cache and plan-group
     counter deltas).
 ``("stats",)`` / ``("ping",)`` / ``("shutdown",)``
     Introspection, liveness and orderly exit.
@@ -36,12 +36,12 @@ is idempotent), and the request overrunning its deadline plus a
 grace period (the worker is presumed wedged, killed, respawned, and
 the caller gets :class:`~repro.errors.DeadlineExceededError`).
 
-A batch resolves its knobs through the engine's own
-:func:`~repro.engine.engine.batch_knobs`.  Vectorized batches ship
-whole plan groups, the largest to the least-loaded worker, and stride
-the ungroupable leftovers, so every worker sweeps exactly the groups an
-in-process run would; per-query batches stride.  Pool answers are
-therefore bit-identical to in-process answers.
+A batch is dealt round-robin over its shards, one per worker, and
+knows nothing about plans: each worker's engine groups its own shard
+by plan, exactly as an in-process batch is grouped.  Grouping never
+changes an answer, so pool answers are path-identical to in-process
+answers; the per-result ``steps`` and flags and the summed counters
+come from each worker's own groups and caches.
 """
 
 from __future__ import annotations
@@ -67,14 +67,8 @@ from ..engine import (
     PlanCacheStats,
     QueryEngine,
     VectorizedBatchStats,
-    group_by_plan,
 )
-from ..engine.engine import batch_knobs
 from . import faults
-
-_OVERRIDE_KEYS = (
-    "deadline_seconds", "budget", "portfolio", "max_path_edges",
-)
 
 
 def _rss_mb():
@@ -149,10 +143,8 @@ def _worker_main(snapshot_path, engine_kwargs, conn, fault_spec=None):
                 served_queries += 1
                 reply = ("ok", result)
             elif kind == "batch":
-                queries, overrides, vectorize, min_size = request[1]
-                reply = ("ok", engine.run_shard(
-                    queries, overrides, vectorize, min_size
-                ))
+                queries, overrides = request[1]
+                reply = ("ok", engine.run_shard(queries, overrides))
                 served_batches += 1
                 served_queries += len(queries)
             elif kind == "stats":
@@ -237,8 +229,8 @@ class WorkerPool:
         The snapshot every worker attaches to (see module docstring).
     engine_kwargs:
         :class:`~repro.engine.QueryEngine` constructor kwargs applied
-        in every worker (typically ``engine._worker_engine_kwargs()``);
-        absent kwargs take the engine's defaults.
+        in every worker, passed through unchanged; absent kwargs take
+        the engine's defaults.
     workers:
         Number of pre-forked processes.
     respawn_backoff / max_backoff:
@@ -649,18 +641,16 @@ class WorkerPool:
     def run_batch(self, queries: Any, workers: int | None = None,
                   deadline_seconds: float | None = None,
                   budget: int | None = None,
-                  vectorize: bool | None = None,
-                  group_min_size: int | None = None,
                   portfolio: bool | None = None,
                   max_path_edges: int | None = None) -> BatchResult:
         """A batch sharded across the pool; same contract as the engine.
 
-        Results land in input order and are bit-identical to
-        ``QueryEngine.run_batch`` on the same snapshot (see the module
-        docstring for the sharding).  ``workers`` caps the fan-out
-        (default: every worker); it is clamped to the pool size and
-        the batch length, and ``BatchResult.workers`` reports the
-        shards actually formed.
+        Results land in input order with the answers
+        ``QueryEngine.run_batch`` gives on the same snapshot (see the
+        module docstring for the sharding).  ``workers`` caps the
+        fan-out (default: every worker); it is clamped to the pool
+        size and the batch length, and ``BatchResult.workers`` reports
+        the shards actually formed.
         """
         query_list = list(queries)
         QueryEngine._check_overrides(deadline_seconds, budget, max_path_edges)
@@ -668,9 +658,6 @@ class WorkerPool:
             workers = self._workers
         if workers < 1:
             raise ValueError("workers must be >= 1, got %d" % workers)
-        use_vectorize, min_size = batch_knobs(
-            self.engine_kwargs, vectorize, group_min_size
-        )
         overrides = {
             "deadline_seconds": deadline_seconds,
             "budget": budget,
@@ -678,72 +665,47 @@ class WorkerPool:
             "max_path_edges": max_path_edges,
         }
         start = time.perf_counter()
-        shard_count = max(1, min(workers, self._workers, len(query_list)))
-        shards: list[list] = [[] for _ in range(shard_count)]
-        if use_vectorize:
-            groups, ungroupable = group_by_plan(
-                list(enumerate(query_list))
-            )
-            loads = [0] * shard_count
-            ordered = sorted(
-                groups.values(),
-                key=lambda members: (-len(members), members[0][0]),
-            )
-            for members in ordered:
-                slot = loads.index(min(loads))
-                shards[slot].extend(members)
-                loads[slot] += len(members)
-            for offset, item in enumerate(ungroupable):
-                shards[offset % shard_count].append(item)
-        else:
-            for index, triple in enumerate(query_list):
-                shards[index % shard_count].append((index, triple))
-        shards = [shard for shard in shards if shard]
+        shard_count = min(workers, self._workers, len(query_list))
         futures = [
             self._executor.submit(
-                self._send_shard, [query for _index, query in shard],
-                overrides, use_vectorize, min_size, deadline_seconds,
+                self._send_shard, query_list[offset::shard_count],
+                overrides, deadline_seconds,
             )
-            for shard in shards
+            for offset in range(shard_count)
         ]
         results: list = [None] * len(query_list)
         plan_stats = PlanCacheStats()
         result_cache_stats = None
-        vec_stats = VectorizedBatchStats() if use_vectorize else None
+        group_stats = VectorizedBatchStats()
         errors = []
-        for shard, future in zip(shards, futures):
+        for offset, future in enumerate(futures):
             try:
                 part = future.result()
             except BaseException as err:
                 errors.append(err)
                 continue
-            for (index, _query), result in zip(shard, part.results):
-                results[index] = result
+            results[offset::shard_count] = part.results
             plan_stats = plan_stats + part.cache_stats
             if part.result_cache_stats is not None:
                 result_cache_stats = (
                     part.result_cache_stats if result_cache_stats is None
                     else result_cache_stats + part.result_cache_stats
                 )
-            if vec_stats is not None:
-                vec_stats = vec_stats + part.stats
+            group_stats = group_stats + part.stats
         if errors:
             raise errors[0]
         return BatchResult(
             results=results,
             seconds=time.perf_counter() - start,
             cache_stats=plan_stats,
-            workers=shard_count,
+            workers=max(shard_count, 1),
             result_cache_stats=result_cache_stats,
-            stats=vec_stats,
+            stats=group_stats,
         )
 
-    def _send_shard(self, queries, overrides, vectorize, min_size,
-                    deadline_seconds):
+    def _send_shard(self, queries, overrides, deadline_seconds):
         deadline = self._request_deadline(deadline_seconds, len(queries))
-        reply = self._roundtrip(
-            ("batch", (queries, overrides, vectorize, min_size)), deadline
-        )
+        reply = self._roundtrip(("batch", (queries, overrides)), deadline)
         return self._unwrap(reply)
 
     # -- introspection -----------------------------------------------------------

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.errors import ReproError
 from repro.graphs.generators import random_labeled_graph
 
 
@@ -28,3 +29,21 @@ def paths_agree(path_a, path_b):
     if (path_a is None) != (path_b is None):
         return False
     return path_a is None or len(path_a) == len(path_b)
+
+
+def per_query(engine, queries, **overrides):
+    """Each ``(language, source, target)`` answered by ``engine.query``.
+
+    The reference every batch path is held to: the
+    :class:`~repro.engine.EngineResult` of each answered query, in
+    input order, and ``str(err)`` for a query that raised a
+    :class:`~repro.errors.ReproError` (a batch reports that text as the
+    query's ``error``).  ``overrides`` go to every ``query`` call.
+    """
+    answers = []
+    for language, source, target in queries:
+        try:
+            answers.append(engine.query(language, source, target, **overrides))
+        except ReproError as err:
+            answers.append(str(err))
+    return answers

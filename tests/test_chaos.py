@@ -757,6 +757,22 @@ class TestDegradedServing:
             client.batch([("a*", 0, 2)])
         assert batch_info.value.error_type == "degraded_reach_only"
 
+    def test_reach_only_failure_releases_its_slot(self, degradable,
+                                                  monkeypatch):
+        client, service, _graph = degradable
+        service.ladder.force(2)
+
+        def boom(*args):
+            raise RuntimeError("injected engine failure")
+
+        monkeypatch.setattr(
+            service.registry.get("main").engine, "reach_only_result", boom
+        )
+        with pytest.raises(ServiceError) as info:
+            client.query("a*", 0, 9)
+        assert info.value.status == 500
+        assert service.shedder.inflight == 0
+
     def test_batch_records_carry_degraded_flag(self, degradable):
         client, service, graph = degradable
         service.ladder.force(1)

@@ -14,8 +14,11 @@ Two families of guarantees:
 * **Rejection** — a zero or negative budget, or a negative/expired
   engine deadline, can never admit any work, so it is rejected with a
   clear :class:`ValueError` at construction time instead of failing
-  every query one by one.
+  every query one by one; a NaN or infinite deadline can never fire,
+  so it is rejected the same way.
 """
+
+import math
 
 import pytest
 
@@ -151,6 +154,39 @@ class TestUpfrontRejection:
             engine.run_batch([LIGHT_AFTER], deadline_seconds=-1.0)
         with pytest.raises(ValueError, match="budget"):
             engine.query(*LIGHT_AFTER, budget=-2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_deadlines_are_rejected(self, cycle, bad):
+        with pytest.raises(ValueError, match="deadline_seconds"):
+            ExecutionContext(deadline_seconds=bad)
+        with pytest.raises(ValueError, match="deadline_seconds"):
+            QueryEngine(cycle, deadline_seconds=bad)
+        engine = QueryEngine(cycle)
+        with pytest.raises(ValueError, match="deadline_seconds"):
+            engine.query(*LIGHT_AFTER, deadline_seconds=bad)
+        with pytest.raises(ValueError, match="deadline_seconds"):
+            engine.run_batch([LIGHT_AFTER], deadline_seconds=bad)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "1e400"])
+    def test_cli_serve_rejects_non_finite_deadline(self, tmp_path, capsys,
+                                                   monkeypatch, bad):
+        from repro.cli import main
+        from repro.graphs import io as graph_io
+        from repro.graphs.dbgraph import DbGraph
+        from repro.service import QueryService
+
+        def refuse(*args, **kwargs):  # pragma: no cover - guard
+            raise AssertionError("serve started with a bad deadline")
+
+        # Accepting the deadline would serve forever; fail instead.
+        monkeypatch.setattr(QueryService, "serve_until_interrupted", refuse)
+        path = tmp_path / "g.txt"
+        graph_io.dump(DbGraph.from_edges([("x", "a", "y")]), str(path))
+        code = main([
+            "serve", "--graph", "g=%s" % path, "--deadline-seconds", bad,
+        ])
+        assert code == 2
+        assert "--deadline-seconds" in capsys.readouterr().err
 
     def test_cli_serve_rejects_nonpositive_budget(self, tmp_path, capsys):
         from repro.cli import main

@@ -3,8 +3,15 @@
 import pytest
 
 from repro.errors import RegexSyntaxError
+from repro.languages import Language
 from repro.languages.regex import ast as rx
-from repro.languages.regex.parser import parse
+from repro.languages.regex.parser import MAX_NESTING, parse
+
+#: Regexes that nest far past the bound, one per kind of nesting.
+TOO_DEEP = {
+    "parentheses": "(" * 300 + "a" + ")" * 300,
+    "postfix": "a" + "*" * 2000,
+}
 
 
 class TestAtoms:
@@ -144,3 +151,22 @@ class TestErrors:
             assert err.position is not None
         else:  # pragma: no cover
             raise AssertionError("expected a syntax error")
+
+
+class TestNestingBound:
+    @pytest.mark.parametrize("text", TOO_DEEP.values(), ids=TOO_DEEP.keys())
+    def test_deep_nesting_is_a_syntax_error(self, text):
+        with pytest.raises(RegexSyntaxError, match="nest deeper than %d"
+                           % MAX_NESTING):
+            Language(text)
+
+    def test_nesting_up_to_the_bound_parses(self):
+        depth = MAX_NESTING
+        assert parse("(" * depth + "a" + ")" * depth) == rx.Literal("a")
+        assert Language("a" + "*" * depth).accepts("aaa")
+        with pytest.raises(RegexSyntaxError):
+            parse("(" * (depth + 1) + "a" + ")" * (depth + 1))
+        with pytest.raises(RegexSyntaxError):
+            parse("(" * depth + "a*" + ")" * depth)
+        with pytest.raises(RegexSyntaxError):
+            parse("a" + "*" * (depth + 1))

@@ -215,9 +215,9 @@ class TestServiceSurface:
     def test_registry_knobs_flow_into_engines(self):
         from repro.service import GraphRegistry
 
-        registry = GraphRegistry(
-            result_cache=False, use_reach_index=False
-        )
+        registry = GraphRegistry(engine_kwargs={
+            "result_cache": False, "use_reach_index": False,
+        })
         registry.register("g", _graph())
         engine = registry.engine("g")
         assert engine.result_cache_stats().enabled is False

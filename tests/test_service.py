@@ -10,6 +10,9 @@ while the light queries finish in a handful of charges and never even
 look at the clock.
 """
 
+import http.client
+import json
+
 import pytest
 
 from repro.errors import ServiceError, ServiceOverloadedError
@@ -387,6 +390,55 @@ class TestDeadlinesAndBudgets:
             assert record["word"] == "aaaaa"
 
 
+    @pytest.mark.parametrize(
+        "worker_processes", [0, 1], ids=["in-process", "pooled"]
+    )
+    def test_non_finite_deadline_rejected_400(self, graph, worker_processes):
+        # Raw bodies: json reads NaN and Infinity, and 1e400 overflows
+        # to infinity; none of them may mean "no deadline".
+        bodies = {
+            "/query": '{"language": "a*", "source": 0, "target": 1, '
+                      '"deadline_seconds": %s}',
+            "/batch": '{"queries": [["a*", 0, 1]], "deadline_seconds": %s}',
+        }
+        registry = GraphRegistry(worker_processes=worker_processes)
+        try:
+            registry.register("main", graph)
+            service = QueryService(registry, ServiceConfig(workers=2))
+            with ServiceThread(service) as running:
+                for literal in ("NaN", "Infinity", "1e400"):
+                    for path, body in bodies.items():
+                        connection = http.client.HTTPConnection(
+                            "127.0.0.1", running.port, timeout=30
+                        )
+                        try:
+                            connection.request("POST", path, body % literal)
+                            response = connection.getresponse()
+                            status = response.status
+                            error = json.loads(response.read())["error"]
+                        finally:
+                            connection.close()
+                        assert status == 400, (path, literal)
+                        assert "deadline_seconds" in error
+        finally:
+            registry.close()
+
+
+class TestDeepRegexes:
+    @pytest.mark.parametrize("regex", [
+        "(" * 300 + "a" + ")" * 300, "a" + "*" * 2000,
+    ], ids=["parentheses", "postfix"])
+    def test_query_and_classify_answer_400(self, live, regex):
+        client, _registry = live
+        for call in (
+            lambda: client.query(regex, 0, 1), lambda: client.classify(regex),
+        ):
+            with pytest.raises(ServiceError) as info:
+                call()
+            assert info.value.status == 400
+            assert "nest deeper" in str(info.value)
+
+
 class TestPortfolioOverHttp:
     """The /query and /batch portfolio knobs and confidence fields."""
 
@@ -403,7 +455,7 @@ class TestPortfolioOverHttp:
             graph.add_edge(u, l, v)
         graph.add_vertex(5)
         graph.add_vertex(6)
-        registry = GraphRegistry(portfolio=True)
+        registry = GraphRegistry(engine_kwargs={"portfolio": True})
         registry.register("gadget", graph)
         service = QueryService(registry, ServiceConfig(workers=2))
         with ServiceThread(service) as running:

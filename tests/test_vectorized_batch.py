@@ -1,11 +1,11 @@
 """Vectorized batch execution: grouped CSR sweeps ≡ per-query solving.
 
-The contract under test, end to end: ``run_batch`` with vectorization
-on answers every query **identically** — found/path/strategy/error,
-field for field — to the strictly per-query path, in process and on a
-worker pool.  The sweep may only change *how* an answer is produced
-(proven negatives skip the solver; positives fall back to it), never
-*what* the answer is.
+The contract under test, end to end: ``run_batch`` answers every query
+**identically** — found/path/strategy/error, field for field — to
+``engine.query`` asked one query at a time (the :func:`per_query`
+reference), in process and on a worker pool.  The sweep may only
+change *how* an answer is produced (proven negatives skip the solver;
+positives fall back to it), never *what* the answer is.
 
 Structure:
 
@@ -18,11 +18,11 @@ Structure:
   outcome class (fallback positive, swept negative, peeled
   short-circuit, deferred duplicate) is forced by construction;
 * hypothesis/randomized differential sweeps over mixed-regime
-  workloads comparing the vectorized, per-query and pooled paths;
-* serving-counter parity: a vectorized registry reports the same
-  plan-cache / result-cache / per-graph counters as a serial one;
-* the knob surface: engine + ``run_batch`` validation, ``/batch``
-  payload keys, ``vectorized_stats`` in the wire record, CLI flags.
+  workloads comparing the batch, per-query and pooled paths;
+* serving-counter parity: batches move the same plan-cache /
+  result-cache / per-graph counters as per-query serving;
+* the surface: ``vectorized_stats`` in the wire record and ``/batch``
+  responses, the CLI's ``--stats`` flag and summary line.
 """
 
 from collections import deque
@@ -50,7 +50,6 @@ from repro.engine.vectorized import (
     iter_members,
     sweep_group,
 )
-from repro.errors import ServiceError
 from repro.graphs.dbgraph import DbGraph
 from repro.graphs.generators import labeled_cycle, random_labeled_graph
 from repro.graphs import io as graph_io
@@ -66,20 +65,28 @@ from repro.service import (
 from repro.service.protocol import RESULT_FIELDS, batch_record
 from repro.service.workers import WorkerPool
 
+from tests.conftest import per_query
 
-def assert_same_answers(reference, results, include_stats=False):
-    """Field-for-field identity of two result lists.
 
-    Every comparison pins the plan-cache flag: each path runs the same
-    prefix (plan, result cache, short-circuit), so a query sees a warm
-    plan exactly when its serial twin does, errors included.
+def assert_same_answers(reference, results, include_stats=False,
+                        plan_flags=True):
+    """Field-for-field identity of ``results`` with ``reference``.
+
+    ``reference`` is a result list or :func:`per_query` answers, whose
+    ``str`` entries are the error text the batch must report.  Each
+    path runs the same prefix (plan, result cache, short-circuit), so
+    a query sees a warm plan exactly when its reference twin does;
+    ``plan_flags=False`` drops that check for a batch dealt over
+    several pool workers, each with its own plan cache.
     ``include_stats`` additionally pins steps and per-query flags —
-    used between the in-process and pooled runs of the *same*
-    execution strategy, where even the accounting must not depend on
-    worker count.
+    between runs whose groups and caches match, such as an
+    in-process batch and the same batch on one pool shard.
     """
     assert len(results) == len(reference)
     for ref, res in zip(reference, results):
+        if isinstance(ref, str):
+            assert res.error == ref
+            continue
         assert res.language == ref.language
         assert res.source == ref.source
         assert res.target == ref.target
@@ -88,7 +95,9 @@ def assert_same_answers(reference, results, include_stats=False):
         assert res.length == ref.length
         assert res.decompose_failed == ref.decompose_failed
         assert res.error == ref.error
-        assert res.stats.plan_cache_hit == ref.stats.plan_cache_hit
+        assert res.confidence == ref.confidence
+        if plan_flags:
+            assert res.stats.plan_cache_hit == ref.stats.plan_cache_hit
         if ref.path is None:
             assert res.path is None
         else:
@@ -102,12 +111,13 @@ def assert_same_answers(reference, results, include_stats=False):
             assert res.stats.short_circuit == ref.stats.short_circuit
 
 
-def pooled_batch(graph, tmp_path, queries):
-    """``queries`` run on a 2-worker pool over a snapshot of ``graph``."""
+def pooled_batches(graph, tmp_path, queries):
+    """``queries`` on a fresh 2-worker pool over a snapshot of
+    ``graph``: first as one shard, then dealt over both workers."""
     path = str(tmp_path / "graph.snap")
     save_snapshot(graph, path)
     with WorkerPool(path, workers=2) as pool:
-        return pool.run_batch(queries)
+        return pool.run_batch(queries, workers=1), pool.run_batch(queries)
 
 
 def sweep_graph():
@@ -387,12 +397,9 @@ class TestGroupedMatchesSerialDeterministic:
         return sweep_graph()
 
     def test_answers_identical_and_outcomes_as_constructed(self, graph):
-        serial = QueryEngine(graph).run_batch(
-            SWEEP_QUERIES, vectorize=False
-        )
+        reference = per_query(QueryEngine(graph), SWEEP_QUERIES)
         vectorized = QueryEngine(graph).run_batch(SWEEP_QUERIES)
-        assert serial.stats is None
-        assert_same_answers(serial.results, vectorized.results)
+        assert_same_answers(reference, vectorized.results)
 
         positive, negative, short, duplicate, small = vectorized.results
         assert positive.found and not positive.stats.vectorized
@@ -418,9 +425,9 @@ class TestGroupedMatchesSerialDeterministic:
         # before it already compiled (an error after a plan-cache
         # hit), and an unparseable regex (an error before any plan).
         queries = SWEEP_QUERIES + [("ab", 0, 99), ("a(b", 0, 1)]
-        serial = QueryEngine(graph).run_batch(queries, vectorize=False)
+        reference = per_query(QueryEngine(graph), queries)
         vectorized = QueryEngine(graph).run_batch(queries)
-        assert_same_answers(serial.results, vectorized.results)
+        assert_same_answers(reference, vectorized.results)
         unknown, unparseable = vectorized.results[-2:]
         assert "unknown vertex" in unknown.error
         assert unknown.stats.plan_cache_hit is True
@@ -430,14 +437,12 @@ class TestGroupedMatchesSerialDeterministic:
     def test_duplicate_cache_accounting_matches_serial(self, graph):
         batch = [("ab", 0, 4)] * 3
         serial_engine = QueryEngine(graph)
-        serial = serial_engine.run_batch(batch, vectorize=False)
+        serial = per_query(serial_engine, batch)
         vec_engine = QueryEngine(graph)
         vectorized = vec_engine.run_batch(batch)
-        assert_same_answers(serial.results, vectorized.results)
+        assert_same_answers(serial, vectorized.results)
         flags = [r.stats.result_cache_hit for r in vectorized.results]
-        assert flags == [
-            r.stats.result_cache_hit for r in serial.results
-        ]
+        assert flags == [r.stats.result_cache_hit for r in serial]
         assert flags == [False, True, True]
         assert (
             vec_engine.result_cache_stats().hits
@@ -455,14 +460,14 @@ class TestGroupedMatchesSerialDeterministic:
                                                      tmp_path):
         queries = SWEEP_QUERIES * 3
         reference = QueryEngine(graph).run_batch(queries)
-        batch = pooled_batch(graph, tmp_path, queries)
+        single, sharded = pooled_batches(graph, tmp_path, queries)
         assert_same_answers(
-            reference.results, batch.results, include_stats=True
+            reference.results, single.results, include_stats=True
         )
-        assert batch.stats is not None
-        assert (
-            batch.stats.swept_negatives
-            == reference.stats.swept_negatives
+        assert single.stats == reference.stats
+        assert sharded.workers == 2
+        assert_same_answers(
+            reference.results, sharded.results, plan_flags=False
         )
 
 
@@ -484,13 +489,11 @@ class TestBudgetsAndDeadlines:
         vectorized = QueryEngine(cycle, exact_budget=50).run_batch(
             self.HEAVY_BATCH
         )
-        serial = QueryEngine(cycle, exact_budget=50).run_batch(
-            self.HEAVY_BATCH, vectorize=False
+        serial = per_query(
+            QueryEngine(cycle, exact_budget=50), self.HEAVY_BATCH
         )
         assert vectorized.stats.sweeps == 0
-        assert_same_answers(
-            serial.results, vectorized.results, include_stats=True
-        )
+        assert_same_answers(serial, vectorized.results, include_stats=True)
         heavy = vectorized.results[1]
         assert heavy.error is not None and "budget" in heavy.error
         assert vectorized.results[0].error is None
@@ -509,20 +512,12 @@ class TestBudgetsAndDeadlines:
         )
         assert batch.stats.sweeps == 0
         assert_same_answers(
-            QueryEngine(sweep_graph())
-            .run_batch(SWEEP_QUERIES, vectorize=False).results,
+            per_query(QueryEngine(sweep_graph()), SWEEP_QUERIES),
             batch.results,
         )
 
 
 class TestFallbacks:
-    def test_group_min_size_above_group_sizes_never_sweeps(self):
-        batch = QueryEngine(sweep_graph()).run_batch(
-            SWEEP_QUERIES, group_min_size=100
-        )
-        assert batch.stats.sweeps == 0
-        assert batch.stats.groups == 2
-
     def test_without_reach_index_solver_keeps_its_own_errors(self):
         # Unresolved vertex ids disable the sweep per member; the
         # solver still owns vertex validation and its error text.
@@ -530,37 +525,12 @@ class TestFallbacks:
         vectorized = QueryEngine(graph, use_reach_index=False).run_batch(
             [("ab", 0, 2), ("ab", 99, 2)]
         )
-        serial = QueryEngine(graph, use_reach_index=False).run_batch(
-            [("ab", 0, 2), ("ab", 99, 2)], vectorize=False
+        serial = per_query(
+            QueryEngine(graph, use_reach_index=False),
+            [("ab", 0, 2), ("ab", 99, 2)],
         )
-        assert_same_answers(serial.results, vectorized.results)
+        assert_same_answers(serial, vectorized.results)
         assert "unknown vertex" in vectorized.results[1].error
-
-
-class TestKnobValidation:
-    def test_engine_rejects_nonpositive_group_min_size(self):
-        for bad in (0, -2):
-            with pytest.raises(ValueError, match="group_min_size"):
-                QueryEngine(sweep_graph(), group_min_size=bad)
-
-    def test_run_batch_rejects_nonpositive_group_min_size(self):
-        engine = QueryEngine(sweep_graph())
-        with pytest.raises(ValueError, match="group_min_size"):
-            engine.run_batch([("a*", 0, 1)], group_min_size=0)
-
-    def test_run_batch_overrides_engine_defaults(self):
-        # No result cache: the first batch must not pre-answer the
-        # second, which needs a live group to sweep.  Distinct
-        # endpoints keep both members in the group (a duplicate pair
-        # would defer, dropping the group below the min size).
-        engine = QueryEngine(
-            sweep_graph(), vectorize=False, result_cache=False
-        )
-        queries = [("ab", 0, 2), ("ab", 1, 2)]
-        assert engine.run_batch(queries).stats is None
-        overridden = engine.run_batch(queries, vectorize=True)
-        assert overridden.stats is not None
-        assert overridden.stats.sweeps == 1
 
 
 class TestRandomizedDifferential:
@@ -580,19 +550,24 @@ class TestRandomizedDifferential:
 
     def test_vectorized_matches_per_query(self, workload):
         graph, queries = workload
-        serial = QueryEngine(graph).run_batch(queries, vectorize=False)
+        serial = per_query(QueryEngine(graph), queries)
         vectorized = QueryEngine(graph).run_batch(queries)
-        assert_same_answers(serial.results, vectorized.results)
+        assert_same_answers(serial, vectorized.results)
         assert vectorized.stats.grouped_queries == len(queries)
 
     def test_pool_matches_serial_vectorized(self, workload, tmp_path):
         graph, queries = workload
         reference = QueryEngine(graph).run_batch(queries)
-        pooled = pooled_batch(graph, tmp_path, queries)
+        single, sharded = pooled_batches(graph, tmp_path, queries)
         assert_same_answers(
-            reference.results, pooled.results, include_stats=True
+            reference.results, single.results, include_stats=True
         )
-        assert pooled.stats == reference.stats
+        assert single.stats == reference.stats
+        assert single.cache_stats == reference.cache_stats
+        assert single.result_cache_stats == reference.result_cache_stats
+        assert_same_answers(
+            reference.results, sharded.results, plan_flags=False
+        )
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=15, deadline=None)
@@ -600,9 +575,9 @@ class TestRandomizedDifferential:
         graph, queries = mixed_workload(
             num_queries=16, seed=seed, num_vertices=10, num_edges=26,
         )
-        serial = QueryEngine(graph).run_batch(queries, vectorize=False)
+        serial = per_query(QueryEngine(graph), queries)
         vectorized = QueryEngine(graph).run_batch(queries)
-        assert_same_answers(serial.results, vectorized.results)
+        assert_same_answers(serial, vectorized.results)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=8, deadline=None)
@@ -612,47 +587,38 @@ class TestRandomizedDifferential:
         graph, queries = mixed_workload(
             num_queries=12, seed=seed, num_vertices=10, num_edges=26,
         )
-        serial = QueryEngine(graph).run_batch(
-            queries, vectorize=False, budget=5
-        )
+        serial = per_query(QueryEngine(graph), queries, budget=5)
         vectorized = QueryEngine(graph).run_batch(queries, budget=5)
         assert vectorized.stats.sweeps == 0
-        assert_same_answers(
-            serial.results, vectorized.results, include_stats=True
-        )
+        assert_same_answers(serial, vectorized.results, include_stats=True)
 
 
 class TestServingCounterParity:
-    """Vectorized serving increments per-graph counters exactly as
-    serial serving does — cache hits and short-circuits inside a group
-    are attributed identically (the PR-5 counter contract)."""
+    """Batched serving increments per-graph counters exactly as
+    per-query serving does — cache hits and short-circuits inside a
+    group are attributed identically."""
 
-    def run_through_registry(self, **registry_kwargs):
-        registry = GraphRegistry(**registry_kwargs)
+    def run_through_registry(self, batched):
+        registry = GraphRegistry()
         entry = registry.register("main", sweep_graph())
         for _round in range(2):  # second round exercises warm caches
-            batch = entry.engine.run_batch(SWEEP_QUERIES)
-            entry.record_batch(batch)
+            if batched:
+                entry.record_batch(entry.engine.run_batch(SWEEP_QUERIES))
+            else:
+                for result in per_query(entry.engine, SWEEP_QUERIES):
+                    entry.record_query(result, result.stats.seconds)
         description = entry.describe()
         return {
             key: description[key]
             for key in (
-                "queries", "batches", "found", "errors",
-                "plan_cache", "result_cache",
+                "queries", "found", "errors", "plan_cache", "result_cache",
             )
         }
 
     def test_counters_identical_to_serial(self):
-        vectorized = self.run_through_registry()
-        serial = self.run_through_registry(vectorize=False)
-        assert vectorized == serial
-
-    def test_describe_reports_the_knobs(self):
-        registry = GraphRegistry(vectorize=False, group_min_size=7)
-        entry = registry.register("main", sweep_graph())
-        assert entry.describe()["vectorized"] == {
-            "enabled": False, "group_min_size": 7,
-        }
+        assert self.run_through_registry(batched=True) == (
+            self.run_through_registry(batched=False)
+        )
 
 
 class TestWireFormat:
@@ -664,12 +630,6 @@ class TestWireFormat:
             assert tuple(row) == RESULT_FIELDS
         assert record["vectorized_stats"] == batch.stats.as_dict()
         assert record["vectorized_stats"]["sweeps"] == 1
-
-    def test_vectorized_stats_absent_when_disabled(self):
-        batch = QueryEngine(sweep_graph()).run_batch(
-            SWEEP_QUERIES, vectorize=False
-        )
-        assert "vectorized_stats" not in batch_record(batch)
 
 
 class TestServiceSurface:
@@ -691,28 +651,6 @@ class TestServiceSurface:
             False, True, False, False, False,
         ]
 
-    def test_batch_vectorize_false_drops_the_stats(self, live):
-        response = live.batch(SWEEP_QUERIES, vectorize=False)
-        assert "vectorized_stats" not in response
-        assert all(not row["vectorized"] for row in response["results"])
-
-    def test_batch_group_min_size_is_honored(self, live):
-        response = live.batch(SWEEP_QUERIES, group_min_size=100)
-        assert response["vectorized_stats"]["sweeps"] == 0
-
-    def test_bad_vectorize_payloads_are_400(self, live):
-        for payload_patch in (
-            {"vectorize": "yes"},
-            {"group_min_size": 0},
-            {"group_min_size": True},
-            {"group_min_size": "2"},
-        ):
-            with pytest.raises(ServiceError) as info:
-                live._checked("POST", "/batch", {
-                    "queries": [["a*", 0, 2]], **payload_patch,
-                })
-            assert info.value.status == 400
-
 
 class TestCliFlags:
     @pytest.fixture
@@ -732,19 +670,6 @@ class TestCliFlags:
         )
         return str(path)
 
-    def test_no_vectorize_gives_the_same_answers(
-        self, capsys, graph_file, queries_file
-    ):
-        default_code = main(["batch", graph_file, queries_file])
-        default_out = capsys.readouterr().out
-        serial_code = main(
-            ["batch", graph_file, queries_file, "--no-vectorize"]
-        )
-        serial_out = capsys.readouterr().out
-        assert default_code == serial_code
-        assert "vectorized: 1 sweeps over 2 groups" in default_out
-        assert "sweeps over" not in serial_out
-
     def test_stats_flag_reports_the_vectorized_flag(
         self, capsys, graph_file, queries_file
     ):
@@ -752,12 +677,4 @@ class TestCliFlags:
         out = capsys.readouterr().out
         assert "vectorized=True" in out
         assert "vectorized=False" in out
-
-    def test_nonpositive_group_min_size_is_usage_error(
-        self, capsys, graph_file, queries_file
-    ):
-        code = main([
-            "batch", graph_file, queries_file, "--group-min-size", "0",
-        ])
-        assert code == 2
-        assert "--group-min-size" in capsys.readouterr().err
+        assert "vectorized: 1 sweeps over 2 groups" in out

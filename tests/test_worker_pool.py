@@ -34,6 +34,8 @@ from repro.graphs.generators import labeled_cycle, random_labeled_graph
 from repro.service import GraphRegistry, save_snapshot
 from repro.service.workers import WorkerPool
 
+from tests.conftest import per_query
+
 QUERIES = [
     ("a*", 0, 1),
     ("a*(bb^+ + eps)c*", 0, 5),
@@ -96,13 +98,16 @@ class TestDifferential:
             pool.query("a*", 999, 1)
 
     def test_batch_matches_engine_vectorized_and_serial(self, pool, graph):
-        engine = QueryEngine(IndexedGraph(graph))
-        expected = engine.run_batch(QUERIES)
-        for vectorize in (True, False):
-            batch = pool.run_batch(QUERIES, vectorize=vectorize)
-            assert len(batch.results) == len(QUERIES)
-            for served, direct in zip(batch.results, expected.results):
-                assert_results_identical(served, direct)
+        expected = QueryEngine(IndexedGraph(graph)).run_batch(QUERIES)
+        reference = per_query(QueryEngine(IndexedGraph(graph)), QUERIES)
+        batch = pool.run_batch(QUERIES)
+        assert batch.workers == 2
+        assert len(batch.results) == len(QUERIES)
+        for served, direct, answered in zip(
+            batch.results, expected.results, reference
+        ):
+            assert_results_identical(served, direct)
+            assert_results_identical(served, answered)
 
     def test_batch_isolates_per_query_errors(self, pool, graph):
         queries = [("a*", 0, 1), ("a*", 999, 1)]
@@ -160,20 +165,31 @@ class TestDifferential:
             assert_results_identical(pool_result, engine_result)
 
     def test_batch_aggregates_worker_cache_stats(self, pool):
-        batch = pool.run_batch(QUERIES, vectorize=False)
+        batch = pool.run_batch(QUERIES)
         assert batch.cache_stats.compiles >= 1
         assert batch.workers == 2
 
 
+class TestSharding:
+    def test_one_plan_batch_reaches_every_worker(self, pool):
+        # The pool deals queries round-robin without looking at plans;
+        # each worker groups its own shard.
+        queries = [("a*", source, source + 1) for source in range(8)]
+        batch = pool.run_batch(queries)
+        assert batch.workers == 2
+        assert [
+            block["served_batches"] for block in pool.stats()["per_worker"]
+        ] == [1, 1]
+
+
 class TestBatchKnobs:
-    """Pooled batches resolve their knobs and sweep rule through the
-    engine itself, so their counters cannot drift from in-process
-    runs — not even when the pool's kwargs leave the knob unset."""
+    """Pooled batches apply the engine's sweep rule inside each worker:
+    on one shard every counter matches an in-process run, and dealt
+    over two workers an engine budget still disables every sweep."""
 
     @pytest.mark.parametrize("engine_kwargs", [
         {"exact_budget": 50},  # an effective budget disables sweeps
-        {"group_min_size": 5},  # one group falls below the min size
-    ], ids=["exact_budget", "group_min_size"])
+    ], ids=["exact_budget"])
     def test_stats_match_the_engine(self, tmp_path, engine_kwargs):
         graph, queries = mixed_workload(
             num_queries=48, seed=11, num_vertices=22, num_edges=66,
@@ -185,13 +201,16 @@ class TestBatchKnobs:
         with WorkerPool(
             path, engine_kwargs=engine_kwargs, workers=2
         ) as pool:
-            served = pool.run_batch(queries)
-        assert expected.stats is not None
-        assert served.stats == expected.stats
-        for pool_result, engine_result in zip(
-            served.results, expected.results
-        ):
-            assert_results_identical(pool_result, engine_result)
+            single = pool.run_batch(queries, workers=1)
+            sharded = pool.run_batch(queries)
+        assert single.stats == expected.stats
+        assert expected.stats.sweeps == sharded.stats.sweeps == 0
+        assert sharded.workers == 2
+        for served in (single, sharded):
+            for pool_result, engine_result in zip(
+                served.results, expected.results
+            ):
+                assert_results_identical(pool_result, engine_result)
 
 
 class TestCrashRecovery:
