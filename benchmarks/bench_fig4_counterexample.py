@@ -11,9 +11,9 @@ import pytest
 
 from repro import language
 from repro.algorithms.exact import ExactSolver
+from repro.algorithms.rpq import RpqSolver
 from repro.core.nice_paths import TractableSolver
 from repro.graphs.generators import figure4_graph
-from repro.graphs.product import shortest_walk
 
 EXAMPLE1 = "a*(bb^+ + eps)c*"
 
@@ -78,7 +78,7 @@ def test_faithful_family_is_a_negative_instance():
     lang = language(EXAMPLE1)
     for k in (2, 3, 4):
         graph, x, y = figure4_graph(k)
-        assert shortest_walk(graph, lang.dfa, x, y) is not None
+        assert RpqSolver(lang).shortest_walk(graph, x, y) is not None
         assert ExactSolver(lang).shortest_simple_path(graph, x, y) is None
         assert TractableSolver(lang).shortest_simple_path(graph, x, y) is None
 

@@ -4,8 +4,9 @@ For finite L every accepted word has length ≤ M - 1 (a longer run would
 repeat a state and pump an infinite family).  The Lemma 17 easiness
 argument expresses "there is a simple w-labeled path" as a fixed
 first-order formula; operationally this is a constant-depth search: for
-each of the finitely many words ``w ∈ L``, check for a simple w-labeled
-path with a depth-``|w|`` DFS whose branching is pruned by w's letters.
+each of the finitely many words ``w ∈ L``, generated shortest first,
+check for a simple w-labeled path with a depth-``|w|`` DFS whose
+branching is pruned by w's letters.
 
 The work is ``O(Σ_{w∈L} (branching)^{|w|})`` — constant-depth in the
 graph size, matching the AC0 upper bound's spirit (data-independent
@@ -24,6 +25,7 @@ from ..errors import ReproError
 from ..execution import ExecutionContext
 from ..graphs.view import as_graph_view
 from ..languages import Language
+from ..languages.analysis import useful_symbols
 
 
 class FiniteLanguageSolver:
@@ -33,9 +35,12 @@ class FiniteLanguageSolver:
     live in the :class:`~repro.execution.ExecutionContext` passed to
     each query, so one instance can serve concurrent queries.  Without
     an explicit context a query runs on a throwaway one.
+
+    The words of L are generated lazily per query by :meth:`words`, so
+    a query stops at its first matching word whatever the size of L.
     """
 
-    def __init__(self, language, max_words=100000, use_reach_pruning=True):
+    def __init__(self, language, use_reach_pruning=True):
         if isinstance(language, str):
             language = Language(language)
         if not language.is_finite():
@@ -43,15 +48,54 @@ class FiniteLanguageSolver:
                 "FiniteLanguageSolver requires a finite language"
             )
         self.language = language
-        bound = language.dfa.num_states  # words are shorter than M
-        self.words = sorted(
-            language.words(bound, limit=max_words), key=lambda w: (len(w), w)
-        )
+        self.dfa = language.dfa
         self.use_reach_pruning = use_reach_pruning
-        #: Letters of the finite word list (the query's label mask).
-        self.used_symbols = frozenset(
-            symbol for word in self.words for symbol in word
-        )
+        #: Letters of the words of L (the query's label mask).
+        self.used_symbols = useful_symbols(self.dfa)
+        dfa = self.dfa
+        # Per state, its (symbol, target) moves with symbols descending:
+        # words() pushes them in this order and so pops them ascending.
+        self._moves = [
+            [
+                (symbol, dfa.transition(state, symbol))
+                for symbol in sorted(dfa.alphabet, reverse=True)
+            ]
+            for state in dfa.states()
+        ]
+        # _finishing[k]: the states from which some word of exactly k
+        # letters is accepted.  Words of a finite L are shorter than M
+        # (a longer run would repeat a state and pump an infinite
+        # family), so k < M.
+        finishing = [dfa.accepting]
+        for _ in range(1, dfa.num_states):
+            previous = finishing[-1]
+            finishing.append(frozenset(
+                state for state, moves in enumerate(self._moves)
+                if any(target in previous for _symbol, target in moves)
+            ))
+        self._finishing = tuple(finishing)
+
+    def words(self):
+        """Yield the words of L shortest-first, lexicographic within a
+        length: one depth-first walk per length on one stack, extending
+        a prefix only into states from which it can still finish at
+        exactly that length."""
+        moves = self._moves
+        finishing = self._finishing
+        initial = self.dfa.initial
+        for length, can_finish in enumerate(finishing):
+            if initial not in can_finish:
+                continue
+            stack = [("", initial, length)]
+            while stack:
+                word, state, left = stack.pop()
+                if not left:
+                    yield word
+                    continue
+                remaining = finishing[left - 1]
+                for symbol, target in moves[state]:
+                    if target in remaining:
+                        stack.append((word + symbol, target, left - 1))
 
     def shortest_simple_path(self, graph, source, target, ctx=None):
         """Shortest simple L-labeled path (words tried short-first)."""
@@ -71,7 +115,7 @@ class FiniteLanguageSolver:
                 # alone a simple path: NOT_FOUND without trying a word.
                 return None
         visited = bytearray(view.num_vertices)
-        for word in self.words:
+        for word in self.words():
             ctx.charge_word()
             word_label_ids = view.word_label_ids(word)
             filters = None

@@ -2,17 +2,19 @@
 
 "The result for DAGs is immediate indeed, as every path in a DAG is
 simple" — so RSPQ coincides with RPQ and a single product-graph BFS in
-``O(|G| · |A_L|)`` answers the query, with the language part of the
-input.  This is the directed-treewidth-0 corner of Theorem 8 and the
-baseline for the combined-complexity experiment (E11).
+``O(|G| · |A_L|)`` (:func:`repro.core.product.shortest_walk`) answers
+the query, with the language part of the input.  This is the
+directed-treewidth-0 corner of Theorem 8 and the baseline for the
+combined-complexity experiment (E11).
 """
 
 from __future__ import annotations
 
 from collections import deque
 
+from ..core.product import shortest_walk
 from ..errors import GraphError
-from ..graphs.product import shortest_walk
+from ..graphs.view import as_graph_view
 from ..languages import Language
 
 
@@ -58,7 +60,12 @@ class DagRspqSolver:
             language = Language(language)
         if ctx is not None:
             ctx.check_deadline()
-        return shortest_walk(self.graph, language.dfa, source, target)
+        view = as_graph_view(self.graph)
+        walk = shortest_walk(
+            language.dfa, view, view.vertex_id(source),
+            view.vertex_id(target),
+        )
+        return None if walk is None else view.path(*walk)
 
     def exists(self, language, source, target, ctx=None):
         """Decision variant (combined complexity, DAG input)."""

@@ -15,9 +15,10 @@ while leaving the exponential worst case intact:
 The search is integer-native over a
 :class:`~repro.graphs.view.GraphView`: product nodes pack to
 ``vertex_id * |Q| + state``, the visited set is a flat bytearray, DFA
-transitions become per-label list rows, and the backward goal-distance
-BFS walks the view's (label-partitioned) reverse adjacency.  Paths are
-materialised back to vertex names only at result construction.
+transitions become per-label list rows, and the goal distances come
+from the backward walk BFS of :func:`repro.core.product.walk_distances`
+over the view's reverse adjacency.  Paths are materialised back to
+vertex names only at result construction.
 
 The solver doubles as the ground-truth oracle for the polynomial trC
 solver in the test suite.
@@ -25,9 +26,11 @@ solver in the test suite.
 
 from __future__ import annotations
 
-from collections import deque
-
-from ..core.product import reverse_transition_rows, transition_rows
+from ..core.product import (
+    reverse_transition_index,
+    transition_rows,
+    walk_distances,
+)
 from ..execution import ExecutionContext
 from ..graphs.dbgraph import Path
 from ..graphs.view import as_graph_view
@@ -72,81 +75,9 @@ class ExactSolver:
         self.use_reach_pruning = use_reach_pruning
         #: Symbols occurring in some word of L (the query label mask).
         self.used_symbols = useful_symbols(self.dfa)
-        # Reverse transition index: (state_after, label) -> states_before.
-        # Computed once per solver so the backward product BFS in
-        # _goal_distances is O(in-edges) per node instead of scanning
-        # every DFA state per incoming edge.
-        reverse = {}
-        for state_before, label, state_after in self.dfa.transitions():
-            reverse.setdefault((state_after, label), []).append(state_before)
-        self._reverse_transitions = {
-            key: tuple(values) for key, values in reverse.items()
-        }
-
-    # -- internals -----------------------------------------------------------
-
-    def _transition_rows(self, view):
-        """Per-label transition rows: ``rows[label_id][state] -> state'``.
-
-        ``None`` rows mark graph labels outside the DFA alphabet, so
-        the DFS hot loop replaces the string alphabet test plus the
-        keyed transition lookup with one list index each.  Shared with
-        the vectorized batch executor via :mod:`repro.core.product`.
-        """
-        return transition_rows(self.dfa, view)
-
-    def _reverse_rows(self, view):
-        """``rows[label_id][state] -> states_before`` (``None`` = dead label)."""
-        return reverse_transition_rows(
-            self.dfa, view, self._reverse_transitions
-        )
-
-    # invariant: hot-loop
-    def _goal_distances(self, view, target_id, from_source=None,
-                        comp_of=None):
-        """BFS distance from every product node to an accepting target
-        node, ignoring simplicity (admissible heuristic; absent = dead).
-
-        Product nodes pack to ``vertex_id * |Q| + state``; the backward
-        BFS walks the view's reverse adjacency (a precompiled reverse
-        CSR on compiled graphs).
-
-        ``from_source`` (a component filter from the reachability
-        index) drops product nodes whose graph vertex the source can
-        never reach under L's usable labels: the forward DFS only ever
-        visits source-reachable vertices, so the dropped entries could
-        never be read — same answers, smaller backward BFS.  The
-        restricted distances stay admissible: every completion of a
-        partial solution path lies inside the source-reachable region,
-        so its walk distance there lower-bounds the remaining length.
-        """
-        num_states = self.dfa.num_states
-        distances = {}
-        queue = deque()
-        for final in self.dfa.accepting:
-            node = target_id * num_states + final
-            distances[node] = 0
-            queue.append(node)
-        reverse_rows = self._reverse_rows(view)
-        in_pairs = view.in_pairs
-        while queue:
-            node = queue.popleft()
-            vertex_id, state = divmod(node, num_states)
-            base = distances[node] + 1
-            for label_id, source_id in in_pairs(vertex_id):
-                row = reverse_rows[label_id]
-                if row is None:
-                    continue
-                if from_source is not None and not (
-                    from_source[comp_of[source_id]]
-                ):
-                    continue
-                for state_before in row[state]:
-                    previous = source_id * num_states + state_before
-                    if previous not in distances:
-                        distances[previous] = base
-                        queue.append(previous)
-        return distances
+        # Built once per solver: every query's backward goal-distance
+        # BFS reads it (see repro.core.product.walk_distances).
+        self._reverse_transitions = reverse_transition_index(self.dfa)
 
     # -- public API ------------------------------------------------------------
 
@@ -194,10 +125,11 @@ class ExactSolver:
                 return None
             from_source = index.comps_from(source_id, mask)
             comp_of = index.comp_of
-        goal_distance = self._goal_distances(
-            view, target_id, from_source, comp_of
+        goal_distance = walk_distances(
+            self.dfa, view, target_id, self._reverse_transitions,
+            from_source, comp_of,
         )
-        transition_rows = self._transition_rows(view)
+        rows = transition_rows(self.dfa, view)
         num_states = self.dfa.num_states
         accepting = self.dfa.accepting
         start = source_id * num_states + self.dfa.initial
@@ -248,7 +180,7 @@ class ExactSolver:
                 # to the target without revisiting it).
                 return
             for label_id, nxt in out(vertex_id):
-                row = transition_rows[label_id]
+                row = rows[label_id]
                 if row is None or visited[nxt]:
                     continue
                 next_state = row[state]
@@ -303,7 +235,7 @@ class ExactSolver:
         if source_id == target_id:
             # Only the empty path is simple from x to x.
             return 1 if self.dfa.initial in self.dfa.accepting else 0
-        transition_rows = self._transition_rows(view)
+        rows = transition_rows(self.dfa, view)
         accepting = self.dfa.accepting
         out = view.out
         count = [0]
@@ -316,7 +248,7 @@ class ExactSolver:
             if vertex_id == target_id and state in accepting:
                 count[0] += 1
             for label_id, nxt in out(vertex_id):
-                row = transition_rows[label_id]
+                row = rows[label_id]
                 if row is None or visited[nxt]:
                     continue
                 if max_length is not None and length[0] >= max_length:

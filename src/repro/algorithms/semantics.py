@@ -5,7 +5,9 @@ semantics for the same regular expression (and SPARQL 1.1's draft
 hybrid sits between them):
 
 * **walk** (arbitrary path): vertices and edges may repeat — the
-  classical tractable RPQ semantics;
+  classical tractable RPQ semantics, answered by
+  :class:`~repro.algorithms.rpq.RpqSolver` on the shared walk layer
+  (:mod:`repro.core.product`);
 * **trail**: edges must be distinct (SPARQL's "simple path" drafts and
   several engines use this);
 * **simple**: vertices must be distinct — the paper's subject.
@@ -18,9 +20,9 @@ Trail and simple evaluation are exponential backtracking in general
 
 from __future__ import annotations
 
-from ..errors import BudgetExceededError
-from ..graphs.product import rpq_reachable
+from ..execution import ExecutionContext
 from ..languages import Language
+from .rpq import RpqSolver
 
 WALK = "walk"
 TRAIL = "trail"
@@ -30,7 +32,12 @@ SEMANTICS = (WALK, TRAIL, SIMPLE)
 
 
 class SemanticsEvaluator:
-    """Evaluate one regular path query under all three semantics."""
+    """Evaluate one regular path query under all three semantics.
+
+    The trail and simple searches charge the
+    :class:`~repro.execution.ExecutionContext` they are given; without
+    one they run on a throwaway context budgeted by ``budget``.
+    """
 
     def __init__(self, language, budget=None):
         if isinstance(language, str):
@@ -46,9 +53,12 @@ class SemanticsEvaluator:
         if ctx is not None:
             ctx.check_deadline()
         if semantics == WALK:
-            return target in rpq_reachable(graph, self.dfa, source)
+            return RpqSolver(self.language).exists(graph, source, target)
         if semantics == TRAIL:
-            return self._trail_exists(graph, source, target)
+            if ctx is None:
+                ctx = ExecutionContext(budget=self.budget)
+            trails = self._trails(graph, source, target, ctx)
+            return next(trails, None) is not None
         if semantics == SIMPLE:
             from .exact import ExactSolver
 
@@ -64,38 +74,32 @@ class SemanticsEvaluator:
             for semantics in SEMANTICS
         }
 
-    def _trail_exists(self, graph, source, target):
-        steps = [0]
-
-        def charge():
-            steps[0] += 1
-            if self.budget is not None and steps[0] > self.budget:
-                raise BudgetExceededError(
-                    "trail search exceeded %d steps" % self.budget,
-                    steps=steps[0],
-                )
-
+    def _trails(self, graph, source, target, ctx, max_length=None):
+        """Yield the length of each L-labeled trail (edges distinct) from
+        source to target, depth-first in repr order, charging ``ctx`` a
+        step per extension."""
+        graph.require_vertex(source)
+        graph.require_vertex(target)
+        dfa = self.dfa
         used_edges = set()
 
-        def dfs(vertex, state):
-            charge()
-            if vertex == target and state in self.dfa.accepting:
-                return True
+        def dfs(vertex, state, length):
+            ctx.charge_step()
+            if vertex == target and state in dfa.accepting:
+                yield length
+            if max_length is not None and length >= max_length:
+                return
             for label, nxt in sorted(graph.out_edges(vertex), key=repr):
-                if label not in self.dfa.alphabet:
+                if label not in dfa.alphabet:
                     continue
                 edge = (vertex, label, nxt)
                 if edge in used_edges:
                     continue
                 used_edges.add(edge)
-                if dfs(nxt, self.dfa.transition(state, label)):
-                    return True
+                yield from dfs(nxt, dfa.transition(state, label), length + 1)
                 used_edges.discard(edge)
-            return False
 
-        graph.require_vertex(source)
-        graph.require_vertex(target)
-        return dfs(source, self.dfa.initial)
+        return dfs(source, dfa.initial, 0)
 
     # -- counting ----------------------------------------------------------------
 
@@ -105,7 +109,8 @@ class SemanticsEvaluator:
         This is the quantity whose explosion the "counting beyond a
         yottabyte" discussion [3] warns about.
         """
-        vertices = list(graph.vertices())
+        graph.require_vertex(source)
+        graph.require_vertex(target)
         counts = {(source, self.dfa.initial): 1}
         total = 0
         if source == target and self.dfa.initial in self.dfa.accepting:
@@ -126,37 +131,9 @@ class SemanticsEvaluator:
 
     def count_trails(self, graph, source, target, max_length=None):
         """Number of L-labeled trails (edge-distinct); exponential."""
-        steps = [0]
-        count = [0]
-
-        def charge():
-            steps[0] += 1
-            if self.budget is not None and steps[0] > self.budget:
-                raise BudgetExceededError(
-                    "trail counting exceeded %d steps" % self.budget,
-                    steps=steps[0],
-                )
-
-        used_edges = set()
-
-        def dfs(vertex, state, length):
-            charge()
-            if vertex == target and state in self.dfa.accepting:
-                count[0] += 1
-            if max_length is not None and length >= max_length:
-                return
-            for label, nxt in graph.out_edges(vertex):
-                if label not in self.dfa.alphabet:
-                    continue
-                edge = (vertex, label, nxt)
-                if edge in used_edges:
-                    continue
-                used_edges.add(edge)
-                dfs(nxt, self.dfa.transition(state, label), length + 1)
-                used_edges.discard(edge)
-
-        dfs(source, self.dfa.initial, 0)
-        return count[0]
+        ctx = ExecutionContext(budget=self.budget)
+        trails = self._trails(graph, source, target, ctx, max_length)
+        return sum(1 for _ in trails)
 
     def count_simple(self, graph, source, target, max_length=None):
         """Number of simple L-labeled paths; exponential."""

@@ -13,8 +13,10 @@ How the enumeration works
 -------------------------
 
 A candidate summary is grown edge by edge over the product
-(vertex, DFA state).  Inside a strongly connected *looping* component C
-the stay is either
+(vertex, DFA state), inside its live set: the product nodes from which
+an L-labelled walk still reaches the target (the keys of
+:func:`repro.core.product.walk_distances`).  Inside a strongly
+connected *looping* component C the stay is either
 
 * **short**: at most ``N + 1`` vertices annotated in C, all pinned; or
 * **compressed**: the first C-vertex is pinned, a ``Σ*_C`` gap marker
@@ -38,7 +40,6 @@ from __future__ import annotations
 from ..errors import NotInTrCError
 from ..execution import ExecutionContext
 from ..graphs.dbgraph import Path
-from ..graphs.product import ProductGraph
 from ..graphs.view import as_graph_view
 from ..languages import Language
 from ..languages.analysis import (
@@ -47,6 +48,7 @@ from ..languages.analysis import (
     strongly_connected_components,
 )
 from .nice_paths import _complete_candidate, _Gap, _Run
+from .product import reverse_transition_index, walk_distances
 from .summary import default_bound
 from .trc import is_in_trc
 
@@ -96,6 +98,20 @@ class SummarySolver:
             index: internal_alphabet(self.dfa, component)
             for index, component in enumerate(components)
         }
+        self._reverse_transitions = reverse_transition_index(self.dfa)
+
+    def _live_pairs(self, view, target):
+        """``(vertex, state)`` pairs from which an L-labelled walk reaches
+        ``target``: a candidate leaving them is hopeless even without
+        the simplicity constraint."""
+        num_states = self.dfa.num_states
+        distances = walk_distances(
+            self.dfa, view, view.vertex_id(target), self._reverse_transitions
+        )
+        return {
+            (view.vertex_at(node // num_states), node % num_states)
+            for node in distances
+        }
 
     # -- public API -------------------------------------------------------------
 
@@ -140,16 +156,14 @@ class _SummarySearch:
         self.stats = stats
         self.dfa = solver.dfa
         self.bound = solver.bound
-        self.product = ProductGraph(graph, self.dfa)
-        self.live = self.product.live_states(target)
-        self.best = None
-        self._reach_cache = {}
-        # The completion step is shared with the production solver,
-        # which runs integer-native over a GraphView; this didactic
-        # enumeration stays on names and translates each candidate at
-        # the completion boundary (negligible next to the n^{O(M·N)}
-        # enumeration itself).
+        # The completion step and the live set are shared with the
+        # production layers, which run integer-native over a
+        # GraphView; this didactic enumeration stays on names and
+        # translates at those boundaries (negligible next to the
+        # n^{O(M·N)} enumeration itself).
         self.view = as_graph_view(graph)
+        self.live = solver._live_pairs(self.view, target)
+        self.best = None
 
     def run(self):
         start_state = self.dfa.initial

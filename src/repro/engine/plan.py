@@ -56,26 +56,13 @@ def _canonical_dfa_signature(dfa):
     symbol is not in L either way), so the shared plan answers both
     spellings identically.
     """
-    delta = {}
-    reverse = {}
-    for state, symbol, target in dfa.transitions():
-        delta[(state, symbol)] = target
-        reverse.setdefault(target, []).append(state)
-    # Live states: backward closure from the accepting set.
-    live = set(dfa.accepting)
-    stack = list(live)
-    while stack:
-        state = stack.pop()
-        for previous in reverse.get(state, ()):
-            if previous not in live:
-                live.add(previous)
-                stack.append(previous)
+    live = dfa.co_reachable_states()
     if dfa.initial not in live:
         # The empty language: every representation shares one key.
         return ("dfa", 0, (), (), ())
     live_symbols = tuple(sorted({
         symbol
-        for (state, symbol), target in delta.items()
+        for state, symbol, target in dfa.transitions()
         if state in live and target in live
     }))
     # Canonical renumbering: BFS from the initial state over the sorted
@@ -85,15 +72,15 @@ def _canonical_dfa_signature(dfa):
     while queue:
         state = queue.popleft()
         for symbol in live_symbols:
-            target = delta[(state, symbol)]
+            target = dfa.transition(state, symbol)
             if target in live and target not in order:
                 order[target] = len(order)
                 queue.append(target)
     transitions = tuple(
-        (order[state], symbol, order[delta[(state, symbol)]])
+        (order[state], symbol, order[dfa.transition(state, symbol)])
         for state in sorted(order, key=order.get)
         for symbol in live_symbols
-        if delta[(state, symbol)] in live
+        if dfa.transition(state, symbol) in live
     )
     accepting = tuple(sorted(
         order[state] for state in dfa.accepting if state in order

@@ -6,10 +6,11 @@ portfolio interposes a ladder of cheaper attacks, each consuming a
 slice of the query's :class:`~repro.execution.ExecutionContext`
 budget/deadline and escalating cleanly to the next rung:
 
-1. **walk-probe** — a polynomial BFS over the product graph
-   ``G × A_L`` ignoring simplicity.  No accepting walk within the
-   query's length cap certifies NOT_FOUND (every simple path is a
-   walk); a shortest accepting walk that happens to be simple *is* a
+1. **walk-probe** — :func:`repro.core.product.shortest_walk`, the
+   polynomial BFS over the product graph ``G × A_L`` that ignores
+   simplicity, capped at the query's length bound.  No accepting walk
+   within the cap certifies NOT_FOUND (every simple path is a walk);
+   a shortest accepting walk that happens to be simple *is* a
    shortest simple path and certifies FOUND.  Otherwise its length
    lower-bounds the answer and seeds the next rung.
 2. **color-coding** — calibrated Monte-Carlo color coding
@@ -44,7 +45,7 @@ from typing import Any, Optional
 from ..algorithms.algebraic import MAX_GROUP_RANK, AlgebraicSolver
 from ..algorithms.color_coding import ColorCodingSolver
 from ..algorithms.exact import ExactSolver
-from ..core.product import transition_rows
+from ..core.product import shortest_walk
 from ..errors import BudgetExceededError, DeadlineExceededError
 from ..execution import ExecutionContext
 from ..graphs.dbgraph import Path
@@ -256,7 +257,9 @@ class PortfolioSolver:
         # Rung 1: walk probe (certified, polynomial, parent-charged).
         start = time.perf_counter()
         steps_before = ctx.steps
-        walk = self._walk_probe(view, source_id, target_id, k_complete, ctx)
+        walk = shortest_walk(
+            self.dfa, view, source_id, target_id, k_complete, ctx
+        )
         probe_steps = ctx.steps - steps_before
         if walk is None:
             rungs.append(RungReport(
@@ -390,61 +393,6 @@ class PortfolioSolver:
             else remaining_seconds * fraction
         )
         return ctx.child(budget=budget, seconds=seconds)
-
-    # invariant: hot-loop
-    def _walk_probe(self, view: GraphView, source_id: int, target_id: int,
-                    max_edges: int, ctx: ExecutionContext):
-        """Shortest accepting walk with at most ``max_edges`` edges.
-
-        Layered BFS over the product graph (simplicity ignored) with
-        parent pointers.  ``None`` — no such walk — certifies that no
-        simple path of the queried length exists either.
-        """
-        dfa = self.dfa
-        num_states = dfa.num_states
-        accepting = dfa.accepting
-        rows = transition_rows(dfa, view)
-        out = view.out
-        start = source_id * num_states + dfa.initial
-        parents: dict[int, "tuple[int, int] | None"] = {start: None}
-        frontier = [start]
-        goal = None
-        depth = 0
-        while frontier and goal is None and depth < max_edges:
-            depth += 1
-            next_frontier: list[int] = []
-            for node in frontier:
-                ctx.charge_step()
-                vertex_id, state = divmod(node, num_states)
-                for label_id, nxt in out(vertex_id):
-                    row = rows[label_id]
-                    if row is None:
-                        continue
-                    next_node = nxt * num_states + row[state]
-                    if next_node in parents:
-                        continue
-                    parents[next_node] = (node, label_id)
-                    if nxt == target_id and row[state] in accepting:
-                        goal = next_node
-                        break
-                    next_frontier.append(next_node)
-                if goal is not None:
-                    break
-            frontier = next_frontier
-        if goal is None:
-            return None
-        vertex_ids = []
-        label_ids = []
-        node = goal
-        while parents[node] is not None:
-            parent, label_id = parents[node]
-            vertex_ids.append(node // num_states)
-            label_ids.append(label_id)
-            node = parent
-        vertex_ids.append(node // num_states)
-        vertex_ids.reverse()
-        label_ids.reverse()
-        return tuple(vertex_ids), tuple(label_ids)
 
     def _run_color_rung(self, view: GraphView, source_id: int,
                         target_id: int, walk_len: int, k_complete: int,

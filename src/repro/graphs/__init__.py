@@ -1,9 +1,13 @@
-"""Graph-database substrate: db-graphs, vl/evl graphs, generators, IO."""
+"""Graph-database substrate: db-graphs, vl/evl graphs, generators, IO.
+
+Searches over the product of a graph with a query automaton live in
+:mod:`repro.core.product`, on the :class:`GraphView` this package
+defines.
+"""
 
 from .dbgraph import DbGraph, Path
 from .view import DbGraphView, GraphView, as_graph_view
 from .vlgraph import EvlGraph, VlGraph
-from .product import ProductGraph, rpq_reachable, shortest_walk
 from . import generators, io
 
 __all__ = [
@@ -12,11 +16,8 @@ __all__ = [
     "EvlGraph",
     "GraphView",
     "Path",
-    "ProductGraph",
     "VlGraph",
     "as_graph_view",
     "generators",
     "io",
-    "rpq_reachable",
-    "shortest_walk",
 ]

@@ -2,7 +2,8 @@
 
 These are the automaton-level notions Section 3 of the paper works with:
 
-* strongly connected *components* of (the graph of) ``A_L``,
+* strongly connected *components* of (the graph of) ``A_L``, found by
+  the graph layer's Tarjan (:func:`repro.graphs.reach.condense`),
 * ``Loop(q)`` — the non-empty words that loop on state ``q``,
 * the *internal alphabet* ``Σ_C`` of a component (Notation 1),
 * aperiodicity (the definition used in Preliminaries),
@@ -15,81 +16,36 @@ from __future__ import annotations
 from collections import deque
 
 from ..errors import AutomatonError
+from ..graphs.reach import condense
 from .nfa import NFA
 
 
-def strongly_connected_components(dfa, restrict_to=None):
+def strongly_connected_components(dfa):
     """SCCs of the DFA's transition graph in topological order.
 
     Returns a list of frozensets of states.  The order is topological:
     if a transition leads from component ``C_i`` to ``C_j`` with
-    ``i != j`` then ``i < j``.  ``restrict_to`` limits the analysis to a
-    state subset (defaults to all states).
-
-    Iterative Tarjan to avoid recursion limits on large automata.
+    ``i != j`` then ``i < j``.  The components come from the one Tarjan
+    in the code base, :func:`repro.graphs.reach.condense`, run over the
+    distinct successors of each state in ascending order; it numbers
+    them in reverse topological order, so the list reads its numbering
+    backwards.
     """
-    if restrict_to is None:
-        states = list(dfa.states())
-    else:
-        states = sorted(restrict_to)
-    allowed = set(states)
-    successors = {
-        state: sorted(
-            {
-                dfa.transition(state, symbol)
-                for symbol in dfa.alphabet
-                if dfa.transition(state, symbol) in allowed
-            }
-        )
-        for state in states
-    }
-    index_counter = [0]
-    indices = {}
-    lowlink = {}
-    on_stack = set()
-    stack = []
-    components = []
-
-    for root in states:
-        if root in indices:
-            continue
-        work = [(root, iter(successors[root]))]
-        indices[root] = lowlink[root] = index_counter[0]
-        index_counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for target in it:
-                if target not in indices:
-                    indices[target] = lowlink[target] = index_counter[0]
-                    index_counter[0] += 1
-                    stack.append(target)
-                    on_stack.add(target)
-                    work.append((target, iter(successors[target])))
-                    advanced = True
-                    break
-                if target in on_stack:
-                    lowlink[node] = min(lowlink[node], indices[target])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == indices[node]:
-                component = set()
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.add(member)
-                    if member == node:
-                        break
-                components.append(frozenset(component))
-    # Tarjan emits components in reverse topological order.
-    components.reverse()
-    return components
+    # condense walks (label_id, target) pairs; one dummy label suffices.
+    successors = [
+        [
+            (0, target)
+            for target in sorted(
+                {dfa.transition(state, symbol) for symbol in dfa.alphabet}
+            )
+        ]
+        for state in dfa.states()
+    ]
+    comp_of, num_comps, _ = condense(dfa.num_states, successors.__getitem__)
+    components = [set() for _ in range(num_comps)]
+    for state, comp in enumerate(comp_of):
+        components[comp].add(state)
+    return [frozenset(component) for component in reversed(components)]
 
 
 def useful_symbols(dfa):
@@ -103,32 +59,10 @@ def useful_symbols(dfa):
     lets the reachability index bound a query by the frozenset returned
     here (the query's *label mask*).
     """
-    # Forward closure from the initial state.
-    reachable = {dfa.initial}
-    queue = deque((dfa.initial,))
-    while queue:
-        state = queue.popleft()
-        for symbol in dfa.alphabet:
-            target = dfa.transition(state, symbol)
-            if target not in reachable:
-                reachable.add(target)
-                queue.append(target)
-    # Backward closure from the accepting set.
-    reverse = {}
-    for state in range(dfa.num_states):
-        for symbol in dfa.alphabet:
-            reverse.setdefault(dfa.transition(state, symbol), []).append(state)
-    live = set(dfa.accepting)
-    queue = deque(live)
-    while queue:
-        state = queue.popleft()
-        for previous in reverse.get(state, ()):
-            if previous not in live:
-                live.add(previous)
-                queue.append(previous)
+    live = dfa.co_reachable_states()
     return frozenset(
         symbol
-        for state in reachable
+        for state in dfa.reachable_states()
         for symbol in dfa.alphabet
         if dfa.transition(state, symbol) in live
     )
@@ -144,26 +78,12 @@ def component_of(components, state):
 
 def has_loop(dfa, state):
     """True iff ``Loop(state) ≠ ∅`` — the state lies on a non-trivial cycle
-    or has a self-loop."""
-    seen = set()
-    queue = deque()
-    for symbol in dfa.alphabet:
-        target = dfa.transition(state, symbol)
-        if target == state:
-            return True
-        if target not in seen:
-            seen.add(target)
-            queue.append(target)
-    while queue:
-        current = queue.popleft()
-        for symbol in dfa.alphabet:
-            target = dfa.transition(current, symbol)
-            if target == state:
-                return True
-            if target not in seen:
-                seen.add(target)
-                queue.append(target)
-    return False
+    or has a self-loop: some state reachable from it moves back to it."""
+    return any(
+        dfa.transition(p, symbol) == state
+        for p in dfa.reachable_states(state)
+        for symbol in dfa.alphabet
+    )
 
 
 def looping_states(dfa):

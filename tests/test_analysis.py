@@ -2,6 +2,8 @@
 
 import pytest
 
+from benchmarks.workloads import random_regexes
+from repro import catalog
 from repro.languages import language
 from repro.languages.analysis import (
     component_of,
@@ -18,6 +20,62 @@ from repro.languages.analysis import (
 
 def _dfa(text, alphabet=None):
     return language(text, alphabet=alphabet).dfa
+
+
+def _tarjan_components(dfa):
+    """The standalone iterative Tarjan that
+    ``strongly_connected_components`` replaced, kept as the test
+    oracle: states ascending, distinct successors ascending, components
+    reversed into topological order."""
+    successors = {
+        state: sorted({dfa.transition(state, s) for s in dfa.alphabet})
+        for state in dfa.states()
+    }
+    counter = 0
+    indices = {}
+    lowlink = {}
+    on_stack = set()
+    stack = []
+    components = []
+    for root in dfa.states():
+        if root in indices:
+            continue
+        work = [(root, iter(successors[root]))]
+        indices[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            node, it = work[-1]
+            advanced = False
+            for target in it:
+                if target not in indices:
+                    indices[target] = lowlink[target] = counter
+                    counter += 1
+                    stack.append(target)
+                    on_stack.add(target)
+                    work.append((target, iter(successors[target])))
+                    advanced = True
+                    break
+                if target in on_stack:
+                    lowlink[node] = min(lowlink[node], indices[target])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[node])
+            if lowlink[node] == indices[node]:
+                component = set()
+                while True:
+                    member = stack.pop()
+                    on_stack.discard(member)
+                    component.add(member)
+                    if member == node:
+                        break
+                components.append(frozenset(component))
+    components.reverse()
+    return components
 
 
 class TestComponents:
@@ -49,6 +107,22 @@ class TestComponents:
             if any(dfa.with_initial(q).is_empty() is False for q in c)
         ]
         assert len(non_sink) == 3
+
+    @pytest.mark.parametrize("pool", ["catalog", 1, 2, 3])
+    def test_same_components_in_the_same_order_as_tarjan(self, pool):
+        # Order matters: psitr.synthesize enumerates component chains
+        # in it.
+        if pool == "catalog":
+            dfas = [entry.language().dfa for entry in catalog.entries()]
+        else:
+            dfas = [
+                _dfa(regex)
+                for regex in random_regexes(300, seed=0, max_depth=pool)
+            ]
+        for dfa in dfas:
+            assert strongly_connected_components(dfa) == (
+                _tarjan_components(dfa)
+            ), dfa
 
     def test_internal_alphabet(self):
         dfa = _dfa("a*ba*")

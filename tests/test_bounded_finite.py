@@ -1,5 +1,7 @@
 """Tests for the finite-language (AC0) solver."""
 
+import time
+
 import pytest
 
 from tests.conftest import paths_agree, random_instance
@@ -7,7 +9,9 @@ from tests.conftest import paths_agree, random_instance
 from repro import catalog
 from repro.algorithms.bounded import FiniteLanguageSolver, find_simple_word_path
 from repro.algorithms.exact import ExactSolver
+from repro.engine import QueryEngine
 from repro.errors import ReproError
+from repro.execution import ExecutionContext
 from repro.graphs.dbgraph import DbGraph, Path
 from repro.graphs.generators import labeled_cycle, labeled_path
 from repro.languages import language
@@ -74,6 +78,27 @@ class TestFiniteSolver:
 
     def test_word_list_is_complete(self):
         solver = FiniteLanguageSolver(language("(a + b)(a + b)?"))
-        assert sorted(solver.words) == sorted(
-            ["a", "b", "aa", "ab", "ba", "bb"]
+        assert list(solver.words()) == ["a", "b", "aa", "ab", "ba", "bb"]
+
+    def test_words_come_shortest_first_without_a_cap(self):
+        # 4^9 = 262,144 words: every one is generated, the path's word
+        # (the last in order) included.
+        graph = DbGraph.from_edges(
+            [(u, "d", v) for u, v in zip("s12345678", "12345678t")]
         )
+        result = QueryEngine(graph).query("(a+b+c+d)" * 9, "s", "t")
+        assert result.found
+        assert result.strategy == "finite-AC0"
+        assert result.path.word == "d" * 9
+        assert result.stats.steps == 4 ** 9
+
+    def test_first_word_answers_without_enumerating_the_rest(self):
+        # 8^10 words; the path spells the first of them.
+        graph = labeled_path("a" * 10)
+        solver = FiniteLanguageSolver(language("(a+b+c+d+e+f+g+h)" * 10))
+        ctx = ExecutionContext()
+        started = time.perf_counter()
+        path = solver.shortest_simple_path(graph, 0, 10, ctx=ctx)
+        assert time.perf_counter() - started < 1.0
+        assert path.word == "a" * 10
+        assert ctx.words_tried == 1

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.algorithms.exact import ExactSolver
+from repro.core.product import reverse_transition_index, walk_distances
 from repro.errors import BudgetExceededError
 from repro.graphs.dbgraph import DbGraph, Path
 from repro.graphs.generators import grid_graph, labeled_cycle, labeled_path
@@ -96,13 +97,13 @@ class TestCounting:
         assert ExactSolver("a^+").count_simple_paths(graph, 0, 0) == 0
 
 
-def _naive_goal_distances(solver, graph, target):
+def _naive_goal_distances(dfa, graph, target):
     """The seed's per-edge all-states scan, kept as the test oracle."""
     from collections import deque
 
     distances = {}
     queue = deque()
-    for final in solver.dfa.accepting:
+    for final in dfa.accepting:
         node = (target, final)
         distances[node] = 0
         queue.append(node)
@@ -110,10 +111,10 @@ def _naive_goal_distances(solver, graph, target):
         vertex, state = queue.popleft()
         base = distances[(vertex, state)]
         for label, source in graph.in_edges(vertex):
-            if label not in solver.dfa.alphabet:
+            if label not in dfa.alphabet:
                 continue
-            for state_before in solver.dfa.states():
-                if solver.dfa.transition(state_before, label) != state:
+            for state_before in dfa.states():
+                if dfa.transition(state_before, label) != state:
                     continue
                 node = (source, state_before)
                 if node not in distances:
@@ -123,7 +124,8 @@ def _naive_goal_distances(solver, graph, target):
 
 
 class TestGoalDistances:
-    """The reverse transition index leaves the heuristic unchanged."""
+    """The walk layer's backward BFS behind the exact solver's pruning
+    matches the naive all-states scan."""
 
     @pytest.mark.parametrize(
         "regex", ["a*", "a*ba*", "(aa)*", "a*(bb^+ + eps)c*", "ab + ba"]
@@ -132,14 +134,15 @@ class TestGoalDistances:
         from repro.graphs.generators import random_labeled_graph
         from repro.graphs.view import as_graph_view
 
-        solver = ExactSolver(regex)
-        num_states = solver.dfa.num_states
+        dfa = language(regex).dfa
+        reverse = reverse_transition_index(dfa)
+        num_states = dfa.num_states
         for seed in range(5):
             graph = random_labeled_graph(10, 30, "abc", seed=seed)
             view = as_graph_view(graph)
             for target in (0, 5, 9):
-                packed = solver._goal_distances(
-                    view, view.vertex_id(target)
+                packed = walk_distances(
+                    dfa, view, view.vertex_id(target), reverse
                 )
                 unpacked = {
                     (view.vertex_at(node // num_states), node % num_states):
@@ -147,16 +150,15 @@ class TestGoalDistances:
                     for node, distance in packed.items()
                 }
                 assert unpacked == _naive_goal_distances(
-                    solver, graph, target
+                    dfa, graph, target
                 ), (regex, seed, target)
 
     def test_reverse_index_covers_all_transitions(self):
-        solver = ExactSolver("a*(bb^+ + eps)c*")
+        dfa = language("a*(bb^+ + eps)c*").dfa
         listed = sorted(
             (before, label, after)
-            for (after, label), befores in (
-                solver._reverse_transitions.items()
-            )
+            for label, rows in reverse_transition_index(dfa).items()
+            for after, befores in enumerate(rows)
             for before in befores
         )
-        assert listed == sorted(solver.dfa.transitions())
+        assert listed == sorted(dfa.transitions())

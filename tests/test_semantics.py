@@ -9,8 +9,14 @@ from repro.algorithms.semantics import (
     WALK,
     SemanticsEvaluator,
 )
+from repro.errors import BudgetExceededError, DeadlineExceededError, GraphError
+from repro.execution import ExecutionContext
 from repro.graphs.dbgraph import DbGraph
-from repro.graphs.generators import labeled_cycle, labeled_path
+from repro.graphs.generators import (
+    labeled_cycle,
+    labeled_path,
+    random_labeled_graph,
+)
 from repro.languages import language
 
 
@@ -86,3 +92,58 @@ class TestCounting:
 
     def test_semantics_constant_list(self):
         assert set(SEMANTICS) == {WALK, TRAIL, SIMPLE}
+
+
+class TestEndpointsAndContext:
+    def test_unknown_vertex_raises_under_every_semantics(self):
+        graph = labeled_cycle("ab")
+        evaluator = SemanticsEvaluator(language("a*"))
+        for semantics in SEMANTICS:
+            with pytest.raises(GraphError):
+                evaluator.exists(graph, 0, 99, semantics)
+            with pytest.raises(GraphError):
+                evaluator.exists(graph, 99, 0, semantics)
+        with pytest.raises(GraphError):
+            evaluator.count_walks(graph, 0, 99, 3)
+        with pytest.raises(GraphError):
+            evaluator.count_walks(graph, 99, 0, 3)
+        with pytest.raises(GraphError):
+            evaluator.count_trails(graph, 99, 0)
+        with pytest.raises(GraphError):
+            evaluator.count_trails(graph, 0, 99)
+
+    def test_trail_search_charges_the_context(self):
+        graph = labeled_path("a" * 8)
+        evaluator = SemanticsEvaluator(language("a*"))
+        ctx = ExecutionContext()
+        assert evaluator.exists(graph, 0, 8, TRAIL, ctx=ctx)
+        assert ctx.steps == 9
+        for semantics in (TRAIL, SIMPLE):
+            with pytest.raises(BudgetExceededError):
+                evaluator.exists(
+                    graph, 0, 8, semantics, ctx=ExecutionContext(budget=5)
+                )
+
+    def test_context_free_calls_use_the_evaluator_budget(self):
+        graph = labeled_path("a" * 8)
+        evaluator = SemanticsEvaluator(language("a*"), budget=5)
+        with pytest.raises(BudgetExceededError):
+            evaluator.exists(graph, 0, 8, TRAIL)
+        with pytest.raises(BudgetExceededError):
+            evaluator.count_trails(graph, 0, 8)
+        assert SemanticsEvaluator(language("a*"), budget=9).count_trails(
+            graph, 0, 8
+        ) == 1
+
+    def test_trail_search_honours_the_deadline(self):
+        # No trail spells (aa)*c on an {a, b} graph, so the search
+        # exhausts every (aa)*-trail from 0: a few tenths of a second
+        # without a deadline.
+        graph = random_labeled_graph(12, 60, "ab", seed=1)
+        ctx = ExecutionContext(
+            deadline_seconds=0.02, deadline_check_interval=1
+        )
+        with pytest.raises(DeadlineExceededError):
+            SemanticsEvaluator(language("(aa)*c")).exists(
+                graph, 0, 11, TRAIL, ctx=ctx
+            )
