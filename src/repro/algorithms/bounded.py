@@ -36,8 +36,10 @@ class FiniteLanguageSolver:
     each query, so one instance can serve concurrent queries.  Without
     an explicit context a query runs on a throwaway one.
 
-    The words of L are generated lazily per query by :meth:`words`, so
-    a query stops at its first matching word whatever the size of L.
+    The words of L are generated lazily per query, shortest first, by
+    :meth:`~repro.languages.dfa.DFA.enumerate_words`, so a query stops
+    at its first matching word whatever the size of L.  Each word tried
+    is charged to the context, which enforces its budget and deadline.
     """
 
     def __init__(self, language, use_reach_pruning=True):
@@ -52,50 +54,6 @@ class FiniteLanguageSolver:
         self.use_reach_pruning = use_reach_pruning
         #: Letters of the words of L (the query's label mask).
         self.used_symbols = useful_symbols(self.dfa)
-        dfa = self.dfa
-        # Per state, its (symbol, target) moves with symbols descending:
-        # words() pushes them in this order and so pops them ascending.
-        self._moves = [
-            [
-                (symbol, dfa.transition(state, symbol))
-                for symbol in sorted(dfa.alphabet, reverse=True)
-            ]
-            for state in dfa.states()
-        ]
-        # _finishing[k]: the states from which some word of exactly k
-        # letters is accepted.  Words of a finite L are shorter than M
-        # (a longer run would repeat a state and pump an infinite
-        # family), so k < M.
-        finishing = [dfa.accepting]
-        for _ in range(1, dfa.num_states):
-            previous = finishing[-1]
-            finishing.append(frozenset(
-                state for state, moves in enumerate(self._moves)
-                if any(target in previous for _symbol, target in moves)
-            ))
-        self._finishing = tuple(finishing)
-
-    def words(self):
-        """Yield the words of L shortest-first, lexicographic within a
-        length: one depth-first walk per length on one stack, extending
-        a prefix only into states from which it can still finish at
-        exactly that length."""
-        moves = self._moves
-        finishing = self._finishing
-        initial = self.dfa.initial
-        for length, can_finish in enumerate(finishing):
-            if initial not in can_finish:
-                continue
-            stack = [("", initial, length)]
-            while stack:
-                word, state, left = stack.pop()
-                if not left:
-                    yield word
-                    continue
-                remaining = finishing[left - 1]
-                for symbol, target in moves[state]:
-                    if target in remaining:
-                        stack.append((word + symbol, target, left - 1))
 
     def shortest_simple_path(self, graph, source, target, ctx=None):
         """Shortest simple L-labeled path (words tried short-first)."""
@@ -115,7 +73,9 @@ class FiniteLanguageSolver:
                 # alone a simple path: NOT_FOUND without trying a word.
                 return None
         visited = bytearray(view.num_vertices)
-        for word in self.words():
+        # Words of a finite L are shorter than M: a longer run would
+        # repeat a state and pump an infinite family.
+        for word in self.dfa.enumerate_words(self.dfa.num_states - 1):
             ctx.charge_word()
             word_label_ids = view.word_label_ids(word)
             filters = None

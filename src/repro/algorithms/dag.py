@@ -2,8 +2,8 @@
 
 "The result for DAGs is immediate indeed, as every path in a DAG is
 simple" — so RSPQ coincides with RPQ and a single product-graph BFS in
-``O(|G| · |A_L|)`` (:func:`repro.core.product.shortest_walk`) answers
-the query, with the language part of the input.  This is the
+``O(|G| · |A_L|)`` (:meth:`repro.algorithms.rpq.RpqSolver.shortest_walk`)
+answers the query, with the language part of the input.  This is the
 directed-treewidth-0 corner of Theorem 8 and the baseline for the
 combined-complexity experiment (E11).
 """
@@ -12,10 +12,8 @@ from __future__ import annotations
 
 from collections import deque
 
-from ..core.product import shortest_walk
 from ..errors import GraphError
-from ..graphs.view import as_graph_view
-from ..languages import Language
+from .rpq import RpqSolver
 
 
 def is_dag(graph):
@@ -56,16 +54,9 @@ class DagRspqSolver:
         In a DAG every walk is a simple path, so the shortest L-walk is
         the answer.
         """
-        if isinstance(language, str):
-            language = Language(language)
         if ctx is not None:
             ctx.check_deadline()
-        view = as_graph_view(self.graph)
-        walk = shortest_walk(
-            language.dfa, view, view.vertex_id(source),
-            view.vertex_id(target),
-        )
-        return None if walk is None else view.path(*walk)
+        return RpqSolver(language).shortest_walk(self.graph, source, target)
 
     def exists(self, language, source, target, ctx=None):
         """Decision variant (combined complexity, DAG input)."""

@@ -59,7 +59,8 @@ def _engine_flags():
         "--budget",
         type=int,
         default=None,
-        help="step budget for exact-strategy (NP-complete L) queries",
+        help="step budget for exact-strategy (NP-complete L) queries; "
+        "batch and serve also cap the words a finite L tries",
     )
     engine = argparse.ArgumentParser(add_help=False, parents=[budget])
     engine.add_argument(

@@ -360,8 +360,9 @@ class QueryEngine:
     plan_cache_size:
         Capacity of the LRU plan cache (distinct languages kept warm).
     exact_budget:
-        Step budget handed to queries that dispatch to the exponential
-        solver (None = unbounded).  Must be positive when given: a
+        Step budget of every query's context (None = unbounded): it
+        caps the exponential solver's expansions and the words a
+        finite-language query tries.  Must be positive when given: a
         zero or negative budget would fail every exact-strategy query,
         so it is rejected with :class:`ValueError` here rather than
         surfacing as per-query budget errors.

@@ -12,7 +12,8 @@ per query:
   solver words tried (``words_tried``), and the tractable solver's
   anchored-DFS statistics (``candidates``, ``completions``,
   ``dfs_steps``, ``gap_bfs``);
-* **budget accounting** — an optional cap on exact-solver expansions,
+* **budget accounting** — an optional cap on search work (exact-solver
+  expansions and trail extensions, or finite-solver words tried),
   enforced with :class:`~repro.errors.BudgetExceededError`;
 * **an optional wall-clock deadline** — checked every
   ``deadline_check_interval`` charges so the hot loops stay cheap,
@@ -23,9 +24,9 @@ With the context threaded through, each solver's
 ``(graph, source, target, ctx)``: one compiled solver (inside a frozen,
 cached plan) can serve any number of concurrent queries, each carrying
 its own context.  A call *without* a context runs on a throwaway one
-(the exact solver budgets it with its own ``budget``), so no query
-ever writes to a solver instance; to read a query's work counters,
-pass a context and read them off it afterwards.
+(the exact solver and the trail search budget it with their own
+``budget``), so no query ever writes to a solver instance; to read a
+query's work counters, pass a context and read them off it afterwards.
 """
 
 from __future__ import annotations
@@ -51,7 +52,9 @@ class ExecutionContext:
     Parameters
     ----------
     budget:
-        Optional cap on exact-solver search steps; exceeding it raises
+        Optional cap on search work: ``steps`` (exact-solver expansions
+        and trail extensions) or ``words_tried`` (finite-language
+        words); exceeding it raises
         :class:`~repro.errors.BudgetExceededError`.  Must be positive:
         a zero or negative budget can never admit a single step, so it
         is rejected with :class:`ValueError` at construction instead of
@@ -115,21 +118,28 @@ class ExecutionContext:
     # -- charging (solver hot paths) ---------------------------------------------
 
     def charge_step(self):
-        """One exact-solver expansion: budget + deadline accounting."""
+        """One exact-solver expansion or trail extension: budget +
+        deadline accounting."""
         self.steps += 1
         if self.budget is not None and self.steps > self.budget:
-            raise BudgetExceededError(
-                "exact solver exceeded its %d-step budget" % self.budget,
-                steps=self.steps,
-            )
+            raise self._over_budget(self.steps)
         if self.deadline is not None:
             self._maybe_check_deadline()
 
     def charge_word(self):
-        """One finite-language word attempt."""
+        """One finite-language word attempt: budget + deadline
+        accounting."""
         self.words_tried += 1
+        if self.budget is not None and self.words_tried > self.budget:
+            raise self._over_budget(self.words_tried)
         if self.deadline is not None:
             self._maybe_check_deadline()
+
+    def _over_budget(self, work):
+        return BudgetExceededError(
+            "query exceeded its %d-step budget" % (self.budget or 0),
+            steps=work,
+        )
 
     def charge_dfs_step(self):
         """One anchored-DFS step of the tractable solver."""
@@ -183,11 +193,7 @@ class ExecutionContext:
         else:
             child_budget = min(budget, remaining)
         if child_budget is not None and child_budget < 1:
-            raise BudgetExceededError(
-                "exact solver exceeded its %d-step budget"
-                % (self.budget or 0),
-                steps=self.steps,
-            )
+            raise self._over_budget(self.steps)
         left = self.remaining_seconds()
         if seconds is None:
             child_seconds = left

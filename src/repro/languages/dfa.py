@@ -186,38 +186,47 @@ class DFA:
 
     def enumerate_words(self, max_length, start=None):
         """Yield all accepted words of length ≤ ``max_length`` in
-        length-lexicographic order.
+        length-lexicographic order, lazily.
 
-        Dead branches — prefixes whose state cannot reach an accepting
-        state at all — are pruned, so the cost is proportional to the
-        *live* prefix tree rather than ``|Σ|^max_length`` (a sink-state
-        DFA used to blow the full tree up even for tiny languages).
-        Still exponential when the language itself has exponentially
-        many short words.
+        One depth-first walk per length on one stack: a prefix is
+        extended only into states from which some word of exactly the
+        remaining length is accepted, so every prefix visited ends in a
+        word and no whole layer of prefixes is ever held.  Still
+        exponential when the language itself has exponentially many
+        short words.
         """
         if start is None:
             start = self.initial
-        symbols = sorted(self.alphabet)
-        live = self.co_reachable_states()
-        if start not in live:
-            return
-        layer = [("", start)]
-        if start in self.accepting:
-            yield ""
-        for _ in range(max_length):
-            next_layer = []
-            for word, state in layer:
-                for symbol in symbols:
-                    target = self._delta[(state, symbol)]
-                    if target not in live:
-                        continue
-                    next_word = word + symbol
-                    if target in self.accepting:
-                        yield next_word
-                    next_layer.append((next_word, target))
-            layer = next_layer
-            if not layer:
+        # Pushed in descending order, the symbols pop ascending.
+        symbols = sorted(self.alphabet, reverse=True)
+        rows = [
+            [self._delta[(state, symbol)] for symbol in symbols]
+            for state in self.states()
+        ]
+        # finishing[k]: the states from which some word of exactly k
+        # letters is accepted.  Once empty it stays empty.
+        finishing = [self.accepting]
+        for length in range(max_length + 1):
+            if length:
+                previous = finishing[-1]
+                finishing.append(frozenset(
+                    state for state, row in enumerate(rows)
+                    if not previous.isdisjoint(row)
+                ))
+            if not finishing[length]:
                 return
+            if start not in finishing[length]:
+                continue
+            stack = [("", start, length)]
+            while stack:
+                word, state, left = stack.pop()
+                if not left:
+                    yield word
+                    continue
+                remaining = finishing[left - 1]
+                for symbol, target in zip(symbols, rows[state]):
+                    if target in remaining:
+                        stack.append((word + symbol, target, left - 1))
 
     def count_words_of_length(self, length, start=None):
         """Number of accepted words of exactly ``length`` letters."""

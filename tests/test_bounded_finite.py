@@ -10,7 +10,7 @@ from repro import catalog
 from repro.algorithms.bounded import FiniteLanguageSolver, find_simple_word_path
 from repro.algorithms.exact import ExactSolver
 from repro.engine import QueryEngine
-from repro.errors import ReproError
+from repro.errors import BudgetExceededError, ReproError
 from repro.execution import ExecutionContext
 from repro.graphs.dbgraph import DbGraph, Path
 from repro.graphs.generators import labeled_cycle, labeled_path
@@ -77,15 +77,16 @@ class TestFiniteSolver:
             ), (entry.name, seed)
 
     def test_word_list_is_complete(self):
-        solver = FiniteLanguageSolver(language("(a + b)(a + b)?"))
-        assert list(solver.words()) == ["a", "b", "aa", "ab", "ba", "bb"]
+        # The words the solver tries, in the order it tries them.
+        dfa = FiniteLanguageSolver(language("(a + b)(a + b)?")).dfa
+        assert list(dfa.enumerate_words(dfa.num_states - 1)) == [
+            "a", "b", "aa", "ab", "ba", "bb",
+        ]
 
     def test_words_come_shortest_first_without_a_cap(self):
         # 4^9 = 262,144 words: every one is generated, the path's word
         # (the last in order) included.
-        graph = DbGraph.from_edges(
-            [(u, "d", v) for u, v in zip("s12345678", "12345678t")]
-        )
+        graph = _d_path()
         result = QueryEngine(graph).query("(a+b+c+d)" * 9, "s", "t")
         assert result.found
         assert result.strategy == "finite-AC0"
@@ -102,3 +103,27 @@ class TestFiniteSolver:
         assert time.perf_counter() - started < 1.0
         assert path.word == "a" * 10
         assert ctx.words_tried == 1
+
+    def test_the_context_budget_caps_the_words_tried(self):
+        # The path spells the last of 4^9 words; a 1000-step budget
+        # stops the search after 1000 words, directly and through the
+        # engine's per-query budget.
+        graph = _d_path()
+        regex = "(a+b+c+d)" * 9
+        ctx = ExecutionContext(budget=1000)
+        with pytest.raises(
+            BudgetExceededError, match="^query exceeded its 1000-step budget$"
+        ):
+            FiniteLanguageSolver(language(regex)).shortest_simple_path(
+                graph, "s", "t", ctx=ctx
+            )
+        assert ctx.words_tried == 1001
+        with pytest.raises(BudgetExceededError):
+            QueryEngine(graph, exact_budget=1000).query(regex, "s", "t")
+
+
+def _d_path():
+    """One s→t path, spelling ``d`` × 9."""
+    return DbGraph.from_edges(
+        [(u, "d", v) for u, v in zip("s12345678", "12345678t")]
+    )

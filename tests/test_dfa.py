@@ -1,5 +1,7 @@
 """Unit and property tests for the DFA layer."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,6 +62,25 @@ class TestPredicates:
     def test_enumerate_words(self):
         words = list(_dfa("a*b").enumerate_words(3))
         assert words == ["b", "ab", "aab"]
+
+    @pytest.mark.parametrize(
+        "text",
+        ["a*b", "(a+b)*", "(aa)*", "ab + ba", "(a + b)(a + b)?", "∅",
+         "eps", "a*(bb+ + eps)c*"],
+    )
+    def test_enumerate_words_matches_brute_force(self, text):
+        # Every accepted word of length <= 5 from every start state, in
+        # length-lexicographic order.
+        dfa = _dfa(text)
+        symbols = sorted(dfa.alphabet)
+        for start in dfa.states():
+            expected = [
+                "".join(letters)
+                for length in range(6)
+                for letters in itertools.product(symbols, repeat=length)
+                if dfa.run_from(start, letters) in dfa.accepting
+            ]
+            assert list(dfa.enumerate_words(5, start=start)) == expected
 
     def test_count_words_of_length(self):
         dfa = _dfa("(a+b)*")

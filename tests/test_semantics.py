@@ -119,7 +119,11 @@ class TestEndpointsAndContext:
         assert evaluator.exists(graph, 0, 8, TRAIL, ctx=ctx)
         assert ctx.steps == 9
         for semantics in (TRAIL, SIMPLE):
-            with pytest.raises(BudgetExceededError):
+            # The message names no solver: both searches charge the
+            # same context.
+            with pytest.raises(
+                BudgetExceededError, match="^query exceeded its 5-step budget$"
+            ):
                 evaluator.exists(
                     graph, 0, 8, semantics, ctx=ExecutionContext(budget=5)
                 )
