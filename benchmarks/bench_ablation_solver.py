@@ -1,4 +1,4 @@
-"""Ablations for the tractable solver's design choices (DESIGN.md §3).
+"""Ablations for the tractable solver's design choices.
 
 Two knobs the anchored-search rendition of the paper's NL algorithm
 adds on top of the theory:

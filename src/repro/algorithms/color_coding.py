@@ -41,7 +41,7 @@ Every expansion charges the
 bite *inside* a trial, not only between trials.
 
 Theorem 9's explicit deterministic k-perfect family is replaced by the
-Monte-Carlo construction — see DESIGN.md §3 (substitutions).
+Monte-Carlo construction.
 """
 
 from __future__ import annotations

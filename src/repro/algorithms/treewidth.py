@@ -13,7 +13,7 @@ scheme with large hidden constants), so this reproduction covers:
   benches use to stratify inputs (a DAG check, a greedy feedback-vertex
   -set upper bound, and a min-degree undirected-treewidth upper bound).
 
-The full arboreal DP is documented as out of scope in DESIGN.md §3.
+The full arboreal DP is out of scope.
 """
 
 from __future__ import annotations

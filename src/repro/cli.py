@@ -60,7 +60,8 @@ def _engine_flags():
         type=int,
         default=None,
         help="step budget for exact-strategy (NP-complete L) queries; "
-        "batch and serve also cap the words a finite L tries",
+        "batch and serve also cap the tractable search's DFS steps and "
+        "the words a finite L tries",
     )
     engine = argparse.ArgumentParser(add_help=False, parents=[budget])
     engine.add_argument(
@@ -401,10 +402,20 @@ def _cmd_witness(args):
     return 0
 
 
+def _psitr_lines(expression):
+    """A Ψtr expression one sequence per line, each after the first
+    behind the union's ``+``."""
+    if not expression.sequences:
+        return ["∅"]
+    return [
+        ("+ " if index else "  ") + str(sequence)
+        for index, sequence in enumerate(expression.sequences)
+    ]
+
+
 def _cmd_psitr(args):
     lang = language(args.regex)
-    expression = decompose(lang)
-    print(expression)
+    print("\n".join(_psitr_lines(decompose(lang))))
     return 0
 
 
@@ -438,6 +449,17 @@ def _cmd_explain(args):
     print("RSPQ(L) is     : %s" % classification.complexity_class.value)
     print("strategy       : %s" % plan.strategy)
     print("decomposition  : %s" % decompose_note)
+    expression = plan.solver.expression
+    if expression is not None:
+        if expression.k is None:
+            print("Ψtr            : extracted from the regex, %d sequence(s)"
+                  % len(expression.sequences))
+        else:
+            chains = sum(1 for sequence in expression.sequences if sequence.terms)
+            print("Ψtr            : synthesized from the minimal DFA, k=%d, "
+                  "%d chain(s)" % (expression.k, chains))
+        for index, line in enumerate(_psitr_lines(expression)):
+            print("%s%s" % ("  sequences    : " if index == 0 else " " * 17, line))
     if plan.portfolio is not None:
         ladder = plan.portfolio.describe()
         print(

@@ -12,7 +12,11 @@ the Ψtr decomposition of L (Theorem 4 and the remark following it):
 
 * a Ψtr-sequence ``w0 (A1≥k1+ε) … (Am≥km+ε) w'`` fixes the *shape* of a
   summary: concrete anchored edges for the words and for the first k and
-  last k letters of each star term, with a ``A*``-gap in between;
+  last k letters of each star term, with a ``A*``-gap in between.  A
+  factored sequence's fragments (finite languages as acyclic DFAs) are
+  pinned the same way: the DFS follows an edge when the fragment has an
+  arc for its label and carries the fragment's state, so one search
+  covers every word of the fragment;
 * candidate summaries are enumerated by walking actual graph edges (so
   only realizable anchor tuples are ever considered), pruned by a
   product reachability table (sequence-NFA × graph);
@@ -48,6 +52,7 @@ from ..graphs.view import as_graph_view
 from ..languages import Language
 from ..languages.analysis import useful_symbols
 from .psitr import (
+    Fragment,
     OptionalWordTerm,
     PsitrExpression,
     StarTerm,
@@ -56,51 +61,71 @@ from .psitr import (
 
 # -- internal segment normal form ------------------------------------------------
 
-_WORD = "word"       # mandatory word (lead / trail)
-_OPTWORD = "optword"  # (w + ε)
-_STAR = "star"       # (A≥k + ε)
+_FRAGMENT = "fragment"  # a word or a fragment, optional or not
+_STAR = "star"          # (A≥k + ε)
 
 
 def _segments_of(sequence):
-    """Normalise a PsitrSequence into the solver's segment list."""
+    """Normalise a PsitrSequence into the solver's segment list.
+
+    Words, optional words and fragments all become fragment segments
+    ``(fragment, optional, min_length)``; a word is a one-path
+    fragment.
+    """
     segments = []
+
+    def add(fragment, optional):
+        min_length = 0 if optional else fragment.min_length()
+        segments.append((_FRAGMENT, (fragment, optional, min_length)))
+
     if sequence.lead:
-        segments.append((_WORD, sequence.lead))
+        add(Fragment.of(sequence.lead), False)
     for term in sequence.terms:
-        if isinstance(term, OptionalWordTerm):
-            segments.append((_OPTWORD, term.word))
-        elif isinstance(term, StarTerm):
+        if isinstance(term, StarTerm):
             segments.append((_STAR, (term.symbols, term.min_count)))
-        else:  # pragma: no cover - PsitrSequence already validates
-            raise TypeError("unknown term %r" % (term,))
+        elif isinstance(term, OptionalWordTerm):
+            add(Fragment.word(term.word), True)
+        else:
+            add(term.fragment, True)
     if sequence.trail:
-        segments.append((_WORD, sequence.trail))
+        add(Fragment.of(sequence.trail), False)
     return segments
 
 
 def _int_segments(view, segments):
     """Segments with letters as label ids and classes as label masks.
 
-    Word letters that label no graph edge become ``None`` (the DFS dead
-    end the string search would have hit via an empty successor set);
-    star classes become bitmasks over the view's label ids.
+    A fragment becomes ``(arcs, finals, optional, min_length)`` with
+    ``arcs[q]`` its ``(label_id, target)`` moves; a letter that labels
+    no graph edge loses its arcs (no path can spell it).  Star classes
+    become bitmasks over the view's label ids.
     """
+    label_id = view.label_id
     result = []
     for kind, payload in segments:
         if kind == _STAR:
             symbols, min_count = payload
             result.append((kind, (view.label_mask(symbols), min_count)))
-        else:
-            result.append((kind, view.word_label_ids(payload)))
+            continue
+        fragment, optional, min_length = payload
+        arcs = tuple(
+            tuple(
+                (label_id(symbol), target) for symbol, target in moves
+                if label_id(symbol) is not None
+            )
+            for moves in fragment.arcs
+        )
+        result.append(
+            (kind, (arcs, fragment.finals, optional, min_length))
+        )
     return result
 
 
 def _segments_mask(segments):
     """Union label mask over an integer segment list.
 
-    The only labels any path matching the sequence can carry: word
-    letters (``None`` letters label no edge and contribute nothing)
-    plus every star class.  Used to gate a sequence against the
+    The only labels any path matching the sequence can carry: fragment
+    letters plus every star class.  Used to gate a sequence against the
     reachability index before any per-sequence structure is built.
     """
     mask = 0
@@ -108,8 +133,8 @@ def _segments_mask(segments):
         if kind == _STAR:
             mask |= payload[0]
         else:
-            for label_id in payload:
-                if label_id is not None:
+            for moves in payload[0]:
+                for label_id, _ in moves:
                     mask |= 1 << label_id
     return mask
 
@@ -119,7 +144,7 @@ def _min_remaining(segments):
     totals = [0] * (len(segments) + 1)
     for index in range(len(segments) - 1, -1, -1):
         kind, payload = segments[index]
-        contribution = len(payload) if kind == _WORD else 0
+        contribution = payload[3] if kind == _FRAGMENT else 0
         totals[index] = totals[index + 1] + contribution
     return totals
 
@@ -145,6 +170,11 @@ class _SequenceNfa:
 
     States are integers.  ``letter_arcs[state]`` is a list of
     ``(label_mask, target)``; ``eps_arcs[state]`` a list of targets.
+    A fragment segment gets one state per fragment state (its initial
+    state is the segment's entry) and exits through its single final
+    state, or through a fresh state every final one reaches by ε;
+    ``pinned_arcs[state]`` lists its ``(label_id, target)`` moves and
+    ``finishes[state]`` marks the states with an ε-arc to that exit.
     The DFS knows exactly which state it is in at each anchored
     position, so the live table ``vertex_id * num_states + state``
     prunes both prefix feasibility (from x) and suffix feasibility
@@ -154,27 +184,47 @@ class _SequenceNfa:
     def __init__(self, segments):
         self.letter_arcs = []
         self.eps_arcs = []
+        self.pinned_arcs = []
+        self.finishes = []
         self.entry = []  # entry state of each segment
         self.star_loop = {}  # segment index -> looping state
 
         def new_state():
             self.letter_arcs.append([])
             self.eps_arcs.append([])
+            self.pinned_arcs.append([])
+            self.finishes.append(False)
             return len(self.letter_arcs) - 1
+
+        def epsilon(source, target):
+            self.eps_arcs[source].append(target)
+            self.finishes[source] = True
 
         current = new_state()
         self.start = current
         for index, (kind, payload) in enumerate(segments):
             self.entry.append(current)
-            if kind in (_WORD, _OPTWORD):
-                begin = current
-                for label_id in payload:
-                    nxt = new_state()
-                    mask = 0 if label_id is None else 1 << label_id
-                    self.letter_arcs[current].append((mask, nxt))
-                    current = nxt
-                if kind == _OPTWORD:
-                    self.eps_arcs[begin].append(current)
+            if kind == _FRAGMENT:
+                arcs, finals, optional, _ = payload
+                states = [current] + [new_state() for _ in arcs[1:]]
+                for state, moves in zip(states, arcs):
+                    for label_id, target in moves:
+                        self.letter_arcs[state].append(
+                            (1 << label_id, states[target])
+                        )
+                        self.pinned_arcs[state].append(
+                            (label_id, states[target])
+                        )
+                if len(finals) == 1:
+                    (final,) = finals
+                    exit_state = states[final]
+                else:
+                    exit_state = new_state()
+                    for final in sorted(finals):
+                        epsilon(states[final], exit_state)
+                if optional and exit_state != current:
+                    epsilon(current, exit_state)
+                current = exit_state
             else:
                 mask, min_count = payload
                 begin = current
@@ -443,19 +493,15 @@ def _complete_candidate(view, pieces, stats, weight_fn=None):
 class _SequenceSearch:
     """Anchored DFS for one Ψtr-sequence on one query (integer-native)."""
 
-    def __init__(self, view, sequence, source_id, target_id, stats,
-                 budget=None, weight_fn=None, use_live_pruning=True,
-                 reach_index=None, segments=None):
+    def __init__(self, view, segments, source_id, target_id, stats,
+                 weight_fn=None, use_live_pruning=True, reach_index=None):
         self.view = view
         self._out = view.out
         self._out_by_label = view.out_by_label
-        if segments is None:
-            segments = _int_segments(view, _segments_of(sequence))
         self.segments = segments
         self.source_id = source_id
         self.target_id = target_id
         self.stats = stats
-        self.budget = budget
         self.weight_fn = weight_fn
         self.use_live_pruning = use_live_pruning
         self.nfa = _SequenceNfa(self.segments)
@@ -476,6 +522,8 @@ class _SequenceSearch:
         self.best_metric = None
         self._reach_cache = {}
         self._num_nfa_states = self.nfa.num_states
+        self._pinned_arcs = self.nfa.pinned_arcs
+        self._finishes = self.nfa.finishes
         # arc-target table: _arc_target[state][label_id] -> next state
         # (or None), replacing a per-edge scan of the state's arcs with
         # one list index in the anchored-DFS hot loops.  First matching
@@ -573,8 +621,6 @@ class _SequenceSearch:
 
     def _search(self, seg_index, state, pieces, pinned):
         self.stats.charge_dfs_step()
-        if self.budget is not None and self.stats.dfs_steps > self.budget:
-            return
         if self._too_long(pieces, seg_index):
             return
         current = pieces[-1].vertices[-1]
@@ -595,88 +641,47 @@ class _SequenceSearch:
                     self.best_metric = metric
             return
         kind, payload = self.segments[seg_index]
-        if kind == _WORD:
-            self._follow_word(
-                seg_index, state, pieces, pinned, payload, optional=False
-            )
-        elif kind == _OPTWORD:
-            self._follow_word(
-                seg_index, state, pieces, pinned, payload, optional=True
-            )
+        if kind == _FRAGMENT:
+            self._follow_fragment(seg_index, state, pieces, pinned)
         else:
             self._follow_star(seg_index, state, pieces, pinned, payload)
 
     def _next_entry_state(self, seg_index):
         return self.nfa.entry[seg_index + 1]
 
-    def _follow_word(self, seg_index, state, pieces, pinned, word_label_ids,
-                     optional):
-        if optional:
-            # Skip branch: ε for (w + ε).
-            self._search(
-                seg_index + 1, self._next_entry_state(seg_index), pieces, pinned
-            )
-        self._follow_letters(
-            seg_index,
-            state,
-            pieces,
-            pinned,
-            word_label_ids,
-            0,
-            lambda pcs, pnd: self._search(
-                seg_index + 1, self._next_entry_state(seg_index), pcs, pnd
-            ),
-        )
-
     # invariant: hot-loop
-    def _follow_letters(
-        self, seg_index, state, pieces, pinned, word_label_ids, offset,
-        continuation,
-    ):
-        """Pin edges spelling ``word_label_ids[offset:]`` then continue."""
-        if offset == len(word_label_ids):
-            continuation(pieces, pinned)
-            return
-        label_id = word_label_ids[offset]
-        if label_id is None:
-            # The letter labels no edge anywhere: dead end.
-            return
+    def _follow_fragment(self, seg_index, state, pieces, pinned):
+        """Pin edges along the fragment's arcs from NFA ``state``; at
+        the segment's exit, or a state with an ε-arc to it, continue
+        with the next segment."""
+        exit_state = self.nfa.entry[seg_index + 1]
+        if state == exit_state or self._finishes[state]:
+            self._search(seg_index + 1, exit_state, pieces, pinned)
+            if state == exit_state:
+                return
         run = pieces[-1]
-        current = run.vertices[-1]
-        next_state = self._letter_target(state, label_id)
-        live = self.live if next_state is not None else None
-        num_states = self._num_nfa_states
         vertices = run.vertices
         labels = run.labels
-        for target in self._out_by_label(current, label_id):
-            if pinned[target]:
-                continue
-            if live is not None and not live[
-                target * num_states + next_state
-            ]:
-                continue
-            vertices.append(target)
-            labels.append(label_id)
-            pinned[target] = 1
-            self._pinned_length += 1
-            self._follow_letters(
-                seg_index,
-                next_state,
-                pieces,
-                pinned,
-                word_label_ids,
-                offset + 1,
-                continuation,
-            )
-            self._pinned_length -= 1
-            pinned[target] = 0
-            vertices.pop()
-            labels.pop()
-
-    def _letter_target(self, state, label_id):
-        if state is None:
-            return None
-        return self._arc_target[state][label_id]
+        current = vertices[-1]
+        live = self.live
+        num_states = self._num_nfa_states
+        for label_id, next_state in self._pinned_arcs[state]:
+            for target in self._out_by_label(current, label_id):
+                if pinned[target]:
+                    continue
+                if live is not None and not live[
+                    target * num_states + next_state
+                ]:
+                    continue
+                vertices.append(target)
+                labels.append(label_id)
+                pinned[target] = 1
+                self._pinned_length += 1
+                self._follow_fragment(seg_index, next_state, pieces, pinned)
+                self._pinned_length -= 1
+                pinned[target] = 0
+                vertices.pop()
+                labels.pop()
 
     def _follow_star(self, seg_index, state, pieces, pinned, payload):
         mask, min_count = payload
@@ -782,12 +787,10 @@ class TractableSolver:
         Optional pre-computed :class:`PsitrExpression`; by default the
         language is decomposed via :func:`repro.core.psitr.decompose`
         (syntactic extraction, then validated synthesis).
-    dfs_budget:
-        Optional cap on DFS steps per query (None = unlimited).
     """
 
-    def __init__(self, language, expression=None, dfs_budget=None,
-                 use_live_pruning=True, use_reach_pruning=True):
+    def __init__(self, language, expression=None, use_live_pruning=True,
+                 use_reach_pruning=True):
         if isinstance(language, str):
             language = Language(language)
         self.language = language
@@ -796,7 +799,7 @@ class TractableSolver:
         if not isinstance(expression, PsitrExpression):
             raise TypeError("expression must be a PsitrExpression")
         self.expression = expression
-        self.dfs_budget = dfs_budget
+        self._segments = [_segments_of(seq) for seq in expression.sequences]
         self.use_live_pruning = use_live_pruning
         self.use_reach_pruning = use_reach_pruning
         #: Symbols occurring in some word of L (the query label mask).
@@ -814,8 +817,9 @@ class TractableSolver:
         semantics (the paper's E → R+ generalisation); weights must be
         strictly positive.
 
-        ``ctx`` carries the per-query DFS counters (and optional
-        deadline); without one the query runs on a throwaway context.
+        ``ctx`` carries the per-query DFS counters, budget and deadline
+        (its budget caps ``dfs_steps``); without one the query runs on
+        a throwaway, unbudgeted context.
         """
         view = as_graph_view(graph)
         source_id = view.vertex_id(source)
@@ -838,22 +842,20 @@ class TractableSolver:
                 return None
         best = None
         best_metric = None
-        for sequence in self.expression.sequences:
-            segments = None
-            if reach_index is not None:
-                # A sequence whose own label mask cannot carry the
-                # source to the target is dead: skip the NFA build, the
-                # live table and the whole anchored DFS for it.
-                segments = _int_segments(view, _segments_of(sequence))
-                if not reach_index.can_reach(
-                    source_id, target_id, _segments_mask(segments)
-                ):
-                    continue
+        for segments in self._segments:
+            segments = _int_segments(view, segments)
+            # A sequence whose own label mask cannot carry the source to
+            # the target is dead: skip the NFA build, the live table and
+            # the whole anchored DFS for it.
+            if reach_index is not None and not reach_index.can_reach(
+                source_id, target_id, _segments_mask(segments)
+            ):
+                continue
             search = _SequenceSearch(
-                view, sequence, source_id, target_id, ctx,
-                budget=self.dfs_budget, weight_fn=weight_fn,
+                view, segments, source_id, target_id, ctx,
+                weight_fn=weight_fn,
                 use_live_pruning=self.use_live_pruning,
-                reach_index=reach_index, segments=segments,
+                reach_index=reach_index,
             )
             found = search.run(
                 best_bound=(

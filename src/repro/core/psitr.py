@@ -5,39 +5,58 @@ concatenation ``w φ1 … φl w′`` of terms between two plain words; the
 fragment Ψtr is the set of finite disjunctions of Ψtr-sequences.
 Theorem 4: L ∈ trC iff L is recognised by a Ψtr expression.
 
-This module provides:
+This module provides the fragment's AST (:class:`StarTerm`,
+:class:`OptionalWordTerm`, :class:`PsitrSequence`,
+:class:`PsitrExpression`), compilable to NFAs; :class:`Fragment`, a
+finite language kept as a small acyclic DFA, which may stand for the
+lead, the trail or an optional term (:class:`FragmentTerm`) of a
+*factored* sequence — the union of the plain sequences obtained by
+picking one word from each fragment; :func:`extract`, a syntactic
+extractor for regex ASTs of the right shape; and :func:`synthesize`,
+which decomposes any L ∈ trC as follows.
 
-* :class:`StarTerm` / :class:`OptionalWordTerm` / :class:`PsitrSequence`
-  / :class:`PsitrExpression` — the fragment's AST, compilable to NFAs;
-* :func:`extract` — a syntactic extractor turning an ordinary regex AST
-  into an equivalent Ψtr expression when the shape allows (this is how
-  the tractable solver obtains its anchor decompositions in practice);
-* :func:`synthesize` — a best-effort DFA → Ψtr synthesizer in the spirit
-  of Lemma 18 (component chains with validated repetition bounds); every
-  result is *verified equivalent* to the input language before being
-  returned, so a successful synthesis is always correct.
+Work on the minimal DFA's useful states (reachable and co-reachable),
+condensed into strongly connected components.  A *looping* component C
+has internal alphabet ``Σ_C``; a run's *stay* in C counts the letters
+it reads inside C.  For k = 1, 2, …, M (M the number of DFA states)
+build the *finite part*, one fragment of the accepted words whose every
+stay is shorter than 3k letters, and one factored sequence per *chain*
+C1 < … < Cm of looping components, each reachable from the one before::
+
+    lead (Σ_C1≥k + ε) (X1 + ε) (Σ_C2≥k + ε) … (Σ_Cm≥k + ε) trail
+
+The lead walks from the initial state into C1, staying fewer than 3k
+letters in every component on the way, and reads k letters inside C1;
+the connector X_i reads k letters inside C_i, leaves it, walks into
+C_{i+1} the same way and reads k letters there; the trail reads k
+letters inside Cm and leaves the same way for an accepting state (or
+stops, when it is one already).
+
+*The union contains L by construction:* cut an accepting run at its
+stays of 3k letters or more.  With none, the word is in the finite part;
+otherwise the first and last k letters of each long stay go to the
+fragments beside it and the middle, at least k letters of ``Σ_Ci``, to
+the star term between them.  *It lies inside L exactly when every
+chain's sequence does*, which one emptiness test on the product of the
+sequence's NFA with the DFA's rejecting states decides — polynomial,
+with no determinisation.  :func:`synthesize` returns the first k at
+which every chain passes.
 
 The anchored simple-path solver (:mod:`repro.core.nice_paths`) consumes
-:class:`PsitrSequence` objects directly.
+:class:`PsitrSequence` objects directly, fragments included.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import islice
-from typing import FrozenSet, Tuple
+from typing import FrozenSet, Optional, Tuple, Union
 
 from ..errors import NotInTrCError, ReproError
 from ..languages import Language
-from ..languages.nfa import empty_nfa, nfa_from_ast, word_nfa
+from ..languages.nfa import NFA, empty_nfa, epsilon_nfa, nfa_from_ast, word_nfa
 from ..languages.regex import ast as rx
 from ..languages.regex import builder
-from ..languages.analysis import (
-    internal_alphabet,
-    looping_states,
-    strongly_connected_components,
-)
+from ..languages.analysis import strongly_connected_components
 from .trc import _as_minimal_dfa, is_in_trc
 
 #: Cap on the number of sequences produced by distributing unions /
@@ -58,10 +77,9 @@ class StarTerm:
         if not self.symbols:
             raise ValueError("StarTerm needs at least one symbol")
 
-    def to_regex(self):
-        """The term as an ordinary regex AST."""
-        return builder.optional(
-            builder.at_least(self.symbols, self.min_count)
+    def to_nfa(self):
+        return nfa_from_ast(
+            builder.optional(builder.at_least(self.symbols, self.min_count))
         )
 
     def __str__(self):
@@ -78,72 +96,150 @@ class OptionalWordTerm:
         if not self.word:
             raise ValueError("OptionalWordTerm needs a non-empty word")
 
-    def to_regex(self):
-        """The term as an ordinary regex AST."""
-        return builder.optional(builder.word(self.word))
+    def to_nfa(self):
+        return word_nfa(self.word).union(epsilon_nfa())
 
     def __str__(self):
         return "(%s + ε)" % self.word
 
 
+def _union(first, second):
+    """``first + second`` with a shared first or last factor pulled out
+    and ε last, so that eliminated fragments stay readable."""
+    x, y = (r.parts if isinstance(r, rx.Concat) else (r,) for r in (first, second))
+    if x != y and len(x) + len(y) > 2:
+        if x[0] == y[0]:
+            rest = _union(builder.concat(*x[1:]), builder.concat(*y[1:]))
+            return builder.concat(x[0], rest)
+        if x[-1] == y[-1]:
+            rest = _union(builder.concat(*x[:-1]), builder.concat(*y[:-1]))
+            return builder.concat(rest, x[-1])
+    parts = [p for r in (first, second) for p in (r.parts if isinstance(r, rx.Union) else (r,))]
+    return builder.union(*sorted(parts, key=lambda part: isinstance(part, rx.Epsilon)))
+
+
+@dataclass(frozen=True)
+class Fragment:
+    """A finite language as a trim, minimal, acyclic DFA.
+
+    State 0 is initial and every arc leads to a higher-numbered state;
+    ``arcs[q]`` lists the ``(symbol, target)`` moves of state ``q`` by
+    symbol, and ``finals`` holds the accepting states.  Every state
+    reaches a final one.
+    """
+
+    arcs: Tuple[Tuple[Tuple[str, int], ...], ...]
+    finals: FrozenSet[int]
+
+    @classmethod
+    def of(cls, part):
+        """A lead or trail (a word or a fragment) as a fragment."""
+        return part if isinstance(part, Fragment) else cls.word(part)
+
+    @classmethod
+    def word(cls, text):
+        """The one-path fragment of the single word ``text``."""
+        arcs = tuple(((symbol, index + 1),) for index, symbol in enumerate(text))
+        return cls(arcs + ((),), frozenset((len(text),)))
+
+    def to_nfa(self):
+        letters = {symbol for arcs in self.arcs for symbol, _ in arcs}
+        states = range(len(self.arcs))
+        return NFA(states, letters, dict(enumerate(self.arcs)), [0], self.finals)
+
+    def min_length(self):
+        """Length of the fragment's shortest word."""
+        shortest = [0] * len(self.arcs)
+        for state in reversed(range(len(self.arcs))):
+            if state not in self.finals:
+                shortest[state] = 1 + min(
+                    shortest[target] for _, target in self.arcs[state]
+                )
+        return shortest[0]
+
+    def to_regex(self):
+        """A star-free regex AST of the fragment's language, by state
+        elimination from the last state back."""
+        sink = len(self.arcs)
+        edges = {}  # (source, target) -> regex
+
+        def add(source, target, regex):
+            old = edges.get((source, target))
+            edges[source, target] = regex if old is None else _union(old, regex)
+
+        for state, arcs in enumerate(self.arcs):
+            for target in sorted({target for _, target in arcs}):
+                letters = [a for a, nxt in arcs if nxt == target]
+                add(state, target, builder.char_class(letters))
+            if state in self.finals:
+                add(state, sink, builder.epsilon())
+        for state in reversed(range(1, sink)):
+            # Every later state is gone, so the only edge out leads to the sink.
+            tail = edges.pop((state, sink))
+            for source, _ in [edge for edge in edges if edge[1] == state]:
+                add(source, sink, builder.concat(edges.pop((source, state)), tail))
+        return edges[0, sink]
+
+    def __str__(self):
+        regex = self.to_regex()
+        return "(%s)" % regex if isinstance(regex, rx.Union) else str(regex)
+
+
+@dataclass(frozen=True)
+class FragmentTerm:
+    """The term ``(F + ε)`` for a fragment F: shorthand for the union
+    of the terms ``(w + ε)`` over the words w of F."""
+
+    fragment: Fragment
+
+    def to_nfa(self):
+        return self.fragment.to_nfa().union(epsilon_nfa())
+
+    def __str__(self):
+        return "(%s + ε)" % self.fragment.to_regex()
+
+
 @dataclass(frozen=True)
 class PsitrSequence:
-    """A Ψtr-sequence ``lead · φ1 … φl · trail``."""
+    """A Ψtr-sequence ``lead · φ1 … φl · trail``.
 
-    lead: str
+    ``lead`` and ``trail`` are words or fragments; with a fragment
+    anywhere, the sequence is factored (see :class:`Fragment`).
+    """
+
+    lead: Union[str, Fragment]
     terms: Tuple
-    trail: str
+    trail: Union[str, Fragment]
 
     def __post_init__(self):
         for term in self.terms:
-            if not isinstance(term, (StarTerm, OptionalWordTerm)):
+            if not isinstance(term, (StarTerm, OptionalWordTerm, FragmentTerm)):
                 raise TypeError("invalid Ψtr term %r" % (term,))
-
-    def to_regex(self):
-        """The sequence as an ordinary regex AST."""
-        parts = [builder.word(self.lead)]
-        parts.extend(term.to_regex() for term in self.terms)
-        parts.append(builder.word(self.trail))
-        return builder.concat(*parts)
 
     def to_nfa(self):
         """Compile the sequence to an NFA."""
-        nfa = word_nfa(self.lead)
+        nfa = Fragment.of(self.lead).to_nfa()
         for term in self.terms:
-            nfa = nfa.concat(nfa_from_ast(term.to_regex()))
-        return nfa.concat(word_nfa(self.trail))
-
-    def alphabet(self):
-        """Letters occurring anywhere in the sequence."""
-        letters = set(self.lead) | set(self.trail)
-        for term in self.terms:
-            if isinstance(term, StarTerm):
-                letters |= term.symbols
-            else:
-                letters |= set(term.word)
-        return letters
-
-    def min_word_length(self):
-        """Length of the shortest word matching the sequence."""
-        return len(self.lead) + len(self.trail)
+            nfa = nfa.concat(term.to_nfa())
+        return nfa.concat(Fragment.of(self.trail).to_nfa())
 
     def __str__(self):
         middle = " ".join(str(term) for term in self.terms)
-        pieces = [piece for piece in (self.lead, middle, self.trail) if piece]
+        pieces = [str(self.lead), middle, str(self.trail)]
+        pieces = [piece for piece in pieces if piece]
         return " ".join(pieces) if pieces else "ε"
 
 
 @dataclass(frozen=True)
 class PsitrExpression:
-    """A disjunction of Ψtr-sequences — a full Ψtr expression."""
+    """A disjunction of Ψtr-sequences — a full Ψtr expression.
+
+    ``k`` is the repetition bound :func:`synthesize` chose (``None``
+    for an extracted expression).
+    """
 
     sequences: Tuple[PsitrSequence, ...]
-
-    def to_regex(self):
-        """The whole expression as an ordinary regex AST."""
-        if not self.sequences:
-            return rx.Empty()
-        return builder.union(*(seq.to_regex() for seq in self.sequences))
+    k: Optional[int] = None
 
     def to_nfa(self):
         """Compile the expression to an NFA (union of sequences)."""
@@ -158,13 +254,6 @@ class PsitrExpression:
         """Compile to a :class:`Language` (minimal DFA built)."""
         return Language(self.to_nfa(), alphabet=alphabet)
 
-    def alphabet(self):
-        """Letters occurring anywhere in the expression."""
-        letters = set()
-        for sequence in self.sequences:
-            letters |= sequence.alphabet()
-        return letters
-
     def __str__(self):
         if not self.sequences:
             return "∅"
@@ -178,9 +267,7 @@ def equivalent_to(expression, lang_or_dfa):
     return compiled.dfa.equivalent(dfa)
 
 
-# =========================================================================
-# Extraction: ordinary regex AST -> Ψtr expression (syntactic)
-# =========================================================================
+# -- extraction: ordinary regex AST -> Ψtr expression (syntactic) --------------
 
 
 class _NotPsitr(Exception):
@@ -357,7 +444,6 @@ def _sequences_from_branch(branch):
         else:
             factor_lists.append(_classify_factor(part))
     # Assemble: cartesian product over word alternatives.
-    partials = [([], [""], None)]  # (terms, lead_words, trail_word_state)
     # We build sequences left to right keeping, for each partial, the
     # accumulated terms plus the words pinned so far.  Mandatory words are
     # only legal while no term has been emitted (lead) or after the last
@@ -449,298 +535,207 @@ def extract(ast_node):
     return PsitrExpression(tuple(sequences))
 
 
-# =========================================================================
-# Synthesis: DFA -> Ψtr expression (best effort, always validated)
-# =========================================================================
+# -- synthesis: minimal DFA -> factored Ψtr expression ---------------------------
 
 
-#: Total units of enumeration work one synthesis may spend, across
-#: every connector enumeration and candidate sequence it builds.
-#: Synthesis is best-effort: blowing past this raises ReproError,
-#: which ``RspqSolver`` turns into the ``decompose_failed`` exact
-#: fallback — strictly better than grinding through an exponential
-#: prefix tree.  The budget is a deterministic work *count* (never
-#: wall-clock), so whether a borderline language synthesizes — and
-#: hence which strategy the plan dispatches to — is identical on every
-#: machine and every run.
-_SYNTHESIS_WORK_BUDGET = 300_000
+def _fragment(starts, moves, accepting):
+    """The fragment of the words an implicit acyclic NFA accepts, or
+    ``None`` when it accepts none.
 
-
-class _SynthesisBudget:
-    """Deterministic work meter shared by one synthesis run.
-
-    Also carries the run's memoised backward-reachability structures:
-    the DFA predecessor map (target-independent) and one
-    distance-to-targets table per distinct target set, so the repeated
-    connector enumerations of a synthesis don't rebuild them.
+    ``moves(config)`` yields the NFA's ``(symbol, config)`` arcs and
+    ``accepting(config)`` says whether a configuration accepts.  Subsets
+    of configurations are built on demand and numbered bottom-up by
+    their right language, which minimises an acyclic DFA in one pass;
+    the root, whose language no other state has, is numbered last.
     """
-
-    __slots__ = ("remaining", "predecessors", "distances")
-
-    def __init__(self, units=_SYNTHESIS_WORK_BUDGET):
-        self.remaining = units
-        self.predecessors = None
-        self.distances = {}
-
-    def charge(self, units=1):
-        self.remaining -= units
-        if self.remaining < 0:
-            raise ReproError(
-                "Ψtr synthesis exceeded its work budget of %d units; "
-                "falling back to the exact solver" % _SYNTHESIS_WORK_BUDGET
-            )
-
-
-def _transit_words(dfa, source, targets, allowed_skip, bound, budget):
-    """All words of length ≤ bound from ``source`` to any state in
-    ``targets`` whose intermediate states avoid looping detours.
-
-    Used to enumerate the finite connector words between component
-    stays.  Branches that cannot reach ``targets`` within the length
-    budget are pruned via a backward-BFS distance map (sound: pruned
-    branches can never contribute a word), and every expansion charges
-    the shared synthesis ``budget`` — the result set is exponential in
-    ``bound`` for some automata, and a failed synthesis must fail
-    *fast*.
-    """
-    if budget.predecessors is None:
-        predecessors = {}
-        for (state, _symbol), nxt in dfa._delta.items():
-            predecessors.setdefault(nxt, []).append(state)
-        budget.predecessors = predecessors
-    else:
-        predecessors = budget.predecessors
-    targets_key = frozenset(targets)
-    distance = budget.distances.get(targets_key)
-    if distance is None:
-        distance = {target: 0 for target in targets}
-        queue = deque(targets)
-        while queue:
-            state = queue.popleft()
-            for previous in predecessors.get(state, ()):
-                if previous not in distance:
-                    distance[previous] = distance[state] + 1
-                    queue.append(previous)
-        budget.distances[targets_key] = distance
-
-    symbols = sorted(dfa.alphabet)
-    results = []
-    stack = [(source, "")]
+    rights = {}   # subset -> right-language number (None: accepts nothing)
+    numbers = {}  # row (accepts, arcs) -> right-language number
+    root = frozenset(starts)
+    stack = [(root, None)]
     while stack:
-        state, word = stack.pop()
-        budget.charge()
-        if state in targets and word:
-            results.append(word)
-            # A target may also be passed through.
-        remaining = bound - len(word)
-        if remaining <= 0:
+        subset, successors = stack.pop()
+        if subset in rights:
             continue
-        for symbol in symbols:
-            nxt = dfa.transition(state, symbol)
-            if nxt not in allowed_skip and nxt not in targets:
-                continue
-            # nxt must still be able to hit a target in the budget.
-            if distance.get(nxt, bound + 1) > remaining - 1:
-                continue
-            stack.append((nxt, word + symbol))
-    return results
+        if successors is None:
+            step = {}
+            for config in subset:
+                for symbol, nxt in moves(config):
+                    step.setdefault(symbol, set()).add(nxt)
+            successors = [(s, frozenset(step[s])) for s in sorted(step)]
+            stack.append((subset, successors))
+            stack.extend((nxt, None) for _, nxt in successors)
+            continue
+        arcs = tuple(
+            (symbol, rights[nxt]) for symbol, nxt in successors
+            if rights[nxt] is not None
+        )
+        row = (any(map(accepting, subset)), arcs)
+        if row != (False, ()):
+            numbers.setdefault(row, len(numbers))
+        rights[subset] = numbers.get(row)
+    top = rights[root]
+    if top is None:
+        return None
+    rows = list(numbers)
+    return Fragment(
+        tuple(
+            tuple((symbol, top - nxt) for symbol, nxt in rows[top - state][1])
+            for state in range(top + 1)
+        ),
+        frozenset(top - number for number, row in enumerate(rows) if row[0]),
+    )
 
 
-def synthesize(lang_or_dfa, max_connector_length=None, max_sequences=256):
-    """Best-effort DFA → Ψtr synthesis for a trC language.
+# Phases of a run in a fragment: walking between components (fewer than 3k
+# letters in each), k letters inside the target, k inside the start's component.
+_WALK, _INTO, _OUT = range(3)
 
-    Strategy (a pragmatic rendition of Lemma 18): enumerate chains of
-    looping components through the condensation DAG; for each chain,
-    generate candidate sequences  ``w0 (Σ_{C1}≥k1 + ε) w1 … (Σ_{Cm}≥km
-    + ε) wm`` with connector words enumerated up to a bound and ``k``
-    values from the component structure; finally *verify* the union is
-    equivalent to L and return it, raising :class:`ReproError` when the
-    search fails.  Intended for small automata; the general Lemma-18
-    construction with its ``4M²`` bounds is intentionally not
-    materialised (see DESIGN.md §3).
+
+class _Condensation:
+    """The minimal DFA on its useful states, condensed, and the
+    fragments its chains are built from."""
+
+    def __init__(self, dfa):
+        useful = dfa.reachable_states() & dfa.co_reachable_states()
+        self.dfa = dfa
+        self.components = [
+            c for c in strongly_connected_components(dfa) if c <= useful
+        ]
+        self.comp_of = {q: i for i, c in enumerate(self.components) for q in c}
+        self.moves = {
+            q: [(a, dfa.transition(q, a)) for a in sorted(dfa.alphabet)
+                if dfa.transition(q, a) in useful]
+            for q in useful
+        }
+        self.sigma = {}  # looping component -> its internal alphabet Σ_C
+        for i, c in enumerate(self.components):
+            letters = frozenset(
+                a for q in c for a, nxt in self.moves[q] if nxt in c
+            )
+            if letters:
+                self.sigma[i] = letters
+        self.reach = {  # component -> the components it reaches
+            i: {self.comp_of.get(q) for q in dfa.reachable_states(min(c))}
+            for i, c in enumerate(self.components)
+        }
+        self._built = {}
+
+    def chains(self, chain=()):
+        """Every chain of looping components, each reachable from the
+        one before, in topological order."""
+        for i in self.sigma:
+            if not chain or (i > chain[-1] and i in self.reach[chain[-1]]):
+                yield chain + (i,)
+                yield from self.chains(chain + (i,))
+
+    def fragment(self, starts, target, k):
+        """Runs from ``starts`` (configurations ``(phase, state,
+        letters spent in the current component)``) that end k letters
+        inside component ``target``, or in an accepting state when
+        ``target`` is ``None``."""
+        key = (starts, target, k)
+        if key in self._built:
+            return self._built[key]
+        comp_of, moves = self.comp_of, self.moves
+        accepting = self.dfa.accepting
+
+        def enter(nxt):
+            return (_INTO if comp_of[nxt] == target else _WALK, nxt, 0)
+
+        def step(config):
+            phase, state, count = config
+            for symbol, nxt in moves[state]:
+                inside = comp_of[nxt] == comp_of[state]
+                if phase == _WALK:
+                    if not inside:
+                        yield symbol, enter(nxt)
+                    elif count + 1 < 3 * k:
+                        yield symbol, (_WALK, nxt, count + 1)
+                elif inside:
+                    if count < k:
+                        yield symbol, (phase, nxt, count + 1)
+                elif phase == _OUT and count == k:
+                    yield symbol, enter(nxt)
+
+        def final(config):
+            phase, state, count = config
+            if target is not None:
+                return phase == _INTO and count == k
+            return state in accepting and (phase == _WALK or count == k)
+
+        self._built[key] = _fragment(starts, step, final)
+        return self._built[key]
+
+    def sequence(self, chain, k):
+        """The factored sequence of ``chain``, or ``None`` when one of
+        its fragments is empty (no accepting run follows the chain)."""
+        initial = self.dfa.initial
+        phase = _INTO if self.comp_of[initial] == chain[0] else _WALK
+        starts = [((phase, initial, 0),)] + [
+            tuple((_OUT, q, 0) for q in sorted(self.components[i]))
+            for i in chain
+        ]
+        parts = [
+            self.fragment(start, target, k)
+            for start, target in zip(starts, chain + (None,))
+        ]
+        if None in parts:
+            return None
+        terms = [StarTerm(self.sigma[chain[0]], k)]
+        for connector, nxt in zip(parts[1:-1], chain[1:]):
+            terms += [FragmentTerm(connector), StarTerm(self.sigma[nxt], k)]
+        return PsitrSequence(parts[0], tuple(terms), parts[-1])
+
+
+def synthesize(lang_or_dfa):
+    """Decompose a trC language into a factored Ψtr expression.
+
+    Runs the construction of the module docstring for k = 1, 2, …, M
+    and returns the first expression whose every chain sequence lies
+    inside L (it contains L by construction).  An expression equal to L
+    proves L ∈ trC (Lemma 19), so membership is decided only when k = 1
+    fails, raising :class:`NotInTrCError` for L ∉ trC; when no k up to M
+    passes it raises :class:`ReproError`.
     """
     dfa = _as_minimal_dfa(lang_or_dfa)
-    if not is_in_trc(dfa):
-        raise NotInTrCError("synthesis requires L ∈ trC")
     if dfa.is_empty():
         return PsitrExpression(())
-    M = dfa.num_states
-    if max_connector_length is None:
-        max_connector_length = 2 * M
-    components = strongly_connected_components(dfa)
-    loops = looping_states(dfa)
-    looping_components = [
-        component for component in components if component & loops
-    ]
-    alphabets = {
-        component: internal_alphabet(dfa, component)
-        for component in looping_components
-    }
-    # Finite part: all accepted words short enough to avoid any loop.
-    # Enumerated lazily against the sequence budget — a language with
-    # thousands of short words will fail verification anyway, so bail
-    # out before materialising an exponential word list.
-    finite_words = list(
-        islice(dfa.enumerate_words(max_connector_length), max_sequences + 1)
+    condensation = _Condensation(dfa)
+    chains = list(condensation.chains())
+    rejecting = set(dfa.states()) - dfa.accepting
+    for k in range(1, dfa.num_states + 1):
+        finite = condensation.fragment(((_WALK, dfa.initial, 0),), None, k)
+        sequences = [] if finite is None else [PsitrSequence(finite, (), "")]
+        for chain in chains:
+            sequence = condensation.sequence(chain, k)
+            if sequence is None:
+                continue
+            if not sequence.to_nfa().intersect_dfa(
+                dfa, dfa_accepting=rejecting
+            ).is_empty():
+                break
+            sequences.append(sequence)
+        else:
+            return PsitrExpression(tuple(sequences), k=k)
+        if k == 1 and not is_in_trc(dfa):
+            raise NotInTrCError("language is not in trC; RSPQ is NP-complete (Theorem 1)")
+    raise ReproError(
+        "Ψtr synthesis found no k <= %d at which every component chain "
+        "lies inside L" % dfa.num_states
     )
-    if len(finite_words) > max_sequences:
-        raise ReproError(
-            "Ψtr synthesis: more than %d short words; exceeded the "
-            "sequence budget" % max_sequences
-        )
-    sequences = [
-        PsitrSequence(word, (), "") for word in finite_words
-    ]
-    # Chains of looping components (the condensation is a DAG, so chains
-    # are subsequences of the topological order consistent with
-    # reachability).
-    order = looping_components
-    reach = {
-        component: dfa.reachable_states(next(iter(component)))
-        for component in order
-    }
-
-    def chains_from(index, chain):
-        yield chain
-        for nxt in range(index, len(order)):
-            if not chain or order[nxt] != chain[-1]:
-                previous = chain[-1] if chain else None
-                if previous is None or (order[nxt] & reach[previous]):
-                    yield from chains_from(nxt + 1, chain + [order[nxt]])
-
-    seen_chains = set()
-    # Dedupe as candidates accumulate: the budget is about how large a
-    # union we can afford to *verify* (the union NFA is determinised),
-    # so duplicates must not count against it.  All enumeration shares
-    # one deterministic work meter, so a pathological automaton fails
-    # fast — and fails identically on every machine.
-    work = _SynthesisBudget()
-    sequences = dict.fromkeys(sequences)
-    for chain in chains_from(0, []):
-        key = tuple(id(component) for component in chain)
-        if not chain or key in seen_chains:
-            continue
-        seen_chains.add(key)
-        chain_candidates = _sequences_for_chain(
-            dfa, chain, alphabets, max_connector_length,
-            limit=8 * max_sequences, budget=work,
-        )
-        sequences.update(dict.fromkeys(chain_candidates))
-        if len(sequences) > max_sequences:
-            raise ReproError(
-                "Ψtr synthesis exceeded its %d-sequence budget — "
-                "verification of a larger union is not affordable"
-                % max_sequences
-            )
-    expression = PsitrExpression(tuple(sequences))
-    if not equivalent_to(expression, dfa):
-        raise ReproError(
-            "Ψtr synthesis produced a non-equivalent candidate; the "
-            "syntactic extractor or a hand-written Ψtr form is required "
-            "for this language"
-        )
-    return expression
-
-
-def _sequences_for_chain(dfa, chain, alphabets, bound, limit, budget):
-    """Candidate sequences whose stars follow a given component chain.
-
-    ``limit`` caps the raw (pre-dedupe) candidate count: connector
-    enumeration multiplies across chain links, so one chain could
-    otherwise emit millions of sequences before the caller's budget
-    check ever sees them.  Exceeding it raises ReproError — synthesis
-    is best-effort and must fail fast, not grind.
-    """
-    # Enumerate connector words between the initial state, each
-    # component, and the accepting states, all with length ≤ bound.
-    results = []
-    non_loop_skip = set(dfa.states())
-    first = chain[0]
-    entry_words = ["" ] if dfa.initial in first else _transit_words(
-        dfa, dfa.initial, first, non_loop_skip, bound, budget
-    )
-    for entry in entry_words:
-        results.extend(
-            _extend_chain_sequences(
-                dfa, chain, 0, alphabets, bound, entry, [],
-                limit - len(results), budget,
-            )
-        )
-        if len(results) > limit:
-            raise ReproError(
-                "Ψtr synthesis: one component chain emitted more than "
-                "%d candidate sequences" % limit
-            )
-    return results
-
-
-def _extend_chain_sequences(dfa, chain, index, alphabets, bound, lead, terms,
-                            limit, budget):
-    component = chain[index]
-    alphabet = alphabets[component]
-    star = StarTerm(alphabet, 1)
-    results = []
-    if index + 1 < len(chain):
-        connectors = _transit_words(
-            dfa,
-            next(iter(component)),
-            chain[index + 1],
-            set(dfa.states()),
-            bound,
-            budget,
-        )
-        for connector in connectors:
-            for middle in ({OptionalWordTerm(connector)} if connector else set()):
-                results.extend(
-                    _extend_chain_sequences(
-                        dfa,
-                        chain,
-                        index + 1,
-                        alphabets,
-                        bound,
-                        lead,
-                        terms + [star, middle],
-                        limit - len(results),
-                        budget,
-                    )
-                )
-                if len(results) > limit:
-                    return results
-    else:
-        for state in sorted(component):
-            exits = _transit_words(
-                dfa, state, dfa.accepting, set(dfa.states()), bound, budget
-            )
-            if state in dfa.accepting:
-                exits = [""] + exits
-            for exit_word in exits:
-                budget.charge()
-                results.append(
-                    PsitrSequence(lead, tuple(terms + [star]), exit_word)
-                )
-                if len(results) > limit:
-                    return results
-    return results
 
 
 def decompose(language_obj):
-    """Anchor decomposition of a language for the tractable solver.
+    """Anchor decomposition of a language for the tractable solver:
+    :func:`extract` on its regex AST when that is equivalent, else
+    :func:`synthesize` on its minimal DFA.
 
-    Order of attempts:
-
-    1. syntactic extraction from the language's own regex AST,
-    2. best-effort synthesis from the minimal DFA.
-
-    Every returned expression is validated equivalent to the language.
-    Raises :class:`NotInTrCError` for non-trC input and
-    :class:`ReproError` when no decomposition is found.
+    Either result equals the language, which proves L ∈ trC
+    (Lemma 19); :func:`synthesize` raises :class:`NotInTrCError` for
+    non-trC input and :class:`ReproError` when it finds no k.
     """
     if not isinstance(language_obj, Language):
         language_obj = Language(language_obj)
-    if not is_in_trc(language_obj.dfa):
-        raise NotInTrCError(
-            "language is not in trC; RSPQ is NP-complete (Theorem 1)"
-        )
     if language_obj.ast is not None:
         expression = extract(language_obj.ast)
         if expression is not None and equivalent_to(

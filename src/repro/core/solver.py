@@ -96,6 +96,8 @@ class RspqSolver:
         self._exact_solver = None
         self.strategy = STRATEGY_EXACT
         self.decompose_failed = False
+        #: The Ψtr decomposition a tractable plan searches (else None).
+        self.expression = None
         if force_exact:
             pass
         elif self.classification.finite:
@@ -109,6 +111,7 @@ class RspqSolver:
             except ReproError:
                 expression = None
             if expression is not None:
+                self.expression = expression
                 self._tractable_solver = TractableSolver(
                     language, expression=expression,
                     use_reach_pruning=use_reach_pruning,

@@ -361,8 +361,9 @@ class QueryEngine:
         Capacity of the LRU plan cache (distinct languages kept warm).
     exact_budget:
         Step budget of every query's context (None = unbounded): it
-        caps the exponential solver's expansions and the words a
-        finite-language query tries.  Must be positive when given: a
+        caps the exponential solver's expansions, the tractable
+        solver's anchored-DFS steps and the words a finite-language
+        query tries.  Must be positive when given: a
         zero or negative budget would fail every exact-strategy query,
         so it is rejected with :class:`ValueError` here rather than
         surfacing as per-query budget errors.

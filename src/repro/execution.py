@@ -13,8 +13,9 @@ per query:
   anchored-DFS statistics (``candidates``, ``completions``,
   ``dfs_steps``, ``gap_bfs``);
 * **budget accounting** — an optional cap on search work (exact-solver
-  expansions and trail extensions, or finite-solver words tried),
-  enforced with :class:`~repro.errors.BudgetExceededError`;
+  expansions and trail extensions, finite-solver words tried, or
+  tractable-solver DFS steps), enforced with
+  :class:`~repro.errors.BudgetExceededError`;
 * **an optional wall-clock deadline** — checked every
   ``deadline_check_interval`` charges so the hot loops stay cheap,
   raising :class:`~repro.errors.DeadlineExceededError`.
@@ -53,8 +54,9 @@ class ExecutionContext:
     ----------
     budget:
         Optional cap on search work: ``steps`` (exact-solver expansions
-        and trail extensions) or ``words_tried`` (finite-language
-        words); exceeding it raises
+        and trail extensions), ``words_tried`` (finite-language words)
+        or ``dfs_steps`` (the tractable solver's anchored DFS);
+        exceeding it raises
         :class:`~repro.errors.BudgetExceededError`.  Must be positive:
         a zero or negative budget can never admit a single step, so it
         is rejected with :class:`ValueError` at construction instead of
@@ -142,8 +144,11 @@ class ExecutionContext:
         )
 
     def charge_dfs_step(self):
-        """One anchored-DFS step of the tractable solver."""
+        """One anchored-DFS step of the tractable solver: budget +
+        deadline accounting."""
         self.dfs_steps += 1
+        if self.budget is not None and self.dfs_steps > self.budget:
+            raise self._over_budget(self.dfs_steps)
         if self.deadline is not None:
             self._maybe_check_deadline()
 

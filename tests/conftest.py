@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
 
+from benchmarks.workloads import random_regexes
+from repro import catalog
+from repro.engine.plan import QueryPlan
 from repro.errors import ReproError
 from repro.graphs.generators import random_labeled_graph
+
+#: The regex sets the dispatch and Ψtr tests cover: perfbench
+#: adhoc-register's pool and a deeper one, as ``random_regexes`` args.
+REGEX_POOLS = {"depth1": (180, 0, 1), "depth3": (190, 3, 3)}
 
 
 @pytest.fixture
@@ -47,3 +55,46 @@ def per_query(engine, queries, **overrides):
         except ReproError as err:
             answers.append(str(err))
     return answers
+
+
+@functools.lru_cache(maxsize=None)
+def pool_plans(pool):
+    """``(regex, QueryPlan)`` for every regex of ``pool`` — "catalog" or
+    a :data:`REGEX_POOLS` key — compiled once per test session."""
+    if pool == "catalog":
+        regexes = [entry.regex for entry in catalog.entries()]
+    else:
+        count, seed, depth = REGEX_POOLS[pool]
+        regexes = random_regexes(count, seed=seed, max_depth=depth)
+    return tuple((regex, QueryPlan.compile(regex)) for regex in regexes)
+
+
+def infinite_trc_plans(pool):
+    """The plans of ``pool`` whose language is infinite and in trC."""
+    return [
+        (regex, plan) for regex, plan in pool_plans(pool)
+        if plan.classification.in_trc and not plan.classification.finite
+    ]
+
+
+def brute_force_length(graph, dfa, source, target):
+    """Length of a shortest simple L-labelled path, by enumerating every
+    simple path out of ``source`` (small graphs only), or ``None``."""
+    best = None
+
+    def extend(vertex, state, seen, length):
+        nonlocal best
+        if vertex == target:
+            if state in dfa.accepting and (best is None or length < best):
+                best = length
+            return
+        for label, nxt in graph.out_edges(vertex):
+            if nxt not in seen and label in dfa.alphabet:
+                seen.add(nxt)
+                extend(nxt, dfa.transition(state, label), seen, length + 1)
+                seen.discard(nxt)
+
+    if source == target:
+        return 0 if dfa.initial in dfa.accepting else None
+    extend(source, dfa.initial, {source}, 0)
+    return best

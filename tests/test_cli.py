@@ -56,6 +56,13 @@ class TestPsitr:
         assert main(["psitr", "a*ba*"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_factored_decomposition_prints_one_sequence_per_line(self, capsys):
+        assert main(["psitr", "c*a^+"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "  (c(c + ε) + ε)a(a(a + ε) + ε)"
+        assert len(lines) == 4
+        assert all(line.startswith("+ ") for line in lines[1:])
+
 
 class TestSolve:
     def test_found(self, capsys, graph_file):
@@ -460,6 +467,19 @@ class TestExplain:
         assert "budget split" in out
         assert "exact=30%" in out
         assert "failure bound 0.001" in out
+
+    def test_synthesized_plan_reports_k_and_chains(self, capsys):
+        assert main(["explain", "c*a^+"]) == 0
+        out = capsys.readouterr().out
+        assert "Ψtr            : synthesized from the minimal DFA, k=1, " \
+            "3 chain(s)" in out
+        assert "  sequences    :   (c(c + ε) + ε)a(a(a + ε) + ε)" in out
+
+    def test_extracted_plan_reports_its_sequences(self, capsys):
+        assert main(["explain", "a*(bb+ + eps)c*"]) == 0
+        out = capsys.readouterr().out
+        assert "Ψtr            : extracted from the regex, 1 sequence(s)" in out
+        assert "([a]>=1 + ε) ([b]>=2 + ε) ([c]>=1 + ε)" in out
 
     def test_tractable_plan_has_no_ladder(self, capsys):
         assert main(["explain", "a*c*"]) == 0

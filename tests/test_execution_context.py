@@ -13,7 +13,12 @@ from repro.core.nice_paths import TractableSolver
 from repro.core.solver import RspqSolver, solve_rspq
 from repro.errors import BudgetExceededError, DeadlineExceededError
 from repro.execution import ExecutionContext
-from repro.graphs.generators import labeled_cycle, random_labeled_graph
+from repro.engine import QueryEngine
+from repro.graphs.generators import (
+    labeled_cycle,
+    labeled_path,
+    random_labeled_graph,
+)
 from repro.languages import language
 
 
@@ -111,6 +116,14 @@ class TestBudgets:
         cycle = labeled_cycle("a" * 9)
         with pytest.raises(BudgetExceededError):
             solver.shortest_simple_path(cycle, 0, 1)
+
+    def test_engine_budget_caps_the_tractable_search(self):
+        # The engine's budget reaches the anchored DFS: overrunning it
+        # raises instead of answering "no path".
+        graph = labeled_path("aac")
+        with pytest.raises(BudgetExceededError):
+            QueryEngine(graph, exact_budget=1).query("a*c*", 0, 3)
+        assert QueryEngine(graph, exact_budget=6).query("a*c*", 0, 3).found
 
 
 class TestDeadlines:

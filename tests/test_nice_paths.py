@@ -2,11 +2,17 @@
 
 import pytest
 
-from tests.conftest import paths_agree, random_instance
+from tests.conftest import (
+    brute_force_length,
+    infinite_trc_plans,
+    paths_agree,
+    random_instance,
+)
 
 from repro import catalog
 from repro.algorithms.exact import ExactSolver
 from repro.core.nice_paths import TractableSolver
+from repro.errors import BudgetExceededError
 from repro.execution import ExecutionContext
 from repro.graphs.dbgraph import Path
 from repro.graphs.generators import (
@@ -163,10 +169,46 @@ class TestStats:
         assert ctx.dfs_steps > 0
 
     def test_budget_limits_work(self):
-        solver = TractableSolver(language("a*c*"), dfs_budget=1)
+        # The query's budget caps the anchored DFS: a search that would
+        # overrun it raises instead of answering "no path".
+        solver = TractableSolver(language("a*c*"))
         graph = labeled_path("aac")
-        # With a one-step budget the search gives up (soundly: no path
-        # claimed); existence must then be decided by other means.
-        ctx = ExecutionContext()
-        solver.shortest_simple_path(graph, 0, 3, ctx=ctx)
-        assert ctx.dfs_steps >= 1
+        ctx = ExecutionContext(budget=1)
+        with pytest.raises(BudgetExceededError):
+            solver.shortest_simple_path(graph, 0, 3, ctx=ctx)
+        assert ctx.dfs_steps == 2
+        # The whole search takes six steps.
+        ctx = ExecutionContext(budget=6)
+        assert solver.shortest_simple_path(graph, 0, 3, ctx=ctx).word == "aac"
+
+
+class TestSynthesizedDecompositions:
+    """Nice-path ≡ exact ≡ brute force for every pool language whose
+    decomposition comes from synthesis (the languages extraction cannot
+    decompose), on three small random graphs each, all endpoint pairs."""
+
+    @pytest.mark.parametrize("pool", ["depth1", "depth3"])
+    def test_agrees_with_exact_and_brute_force(self, pool):
+        checked = 0
+        for index, (regex, plan) in enumerate(infinite_trc_plans(pool)):
+            if plan.solver.expression.k is None:
+                continue
+            dfa = plan.language.dfa
+            exact = ExactSolver(plan.language)
+            for seed in range(3 * index, 3 * index + 3):
+                graph, _, _ = random_instance(seed, "abc", max_vertices=8)
+                for source in graph.vertices():
+                    for target in graph.vertices():
+                        mine = plan.solver.shortest_simple_path(
+                            graph, source, target
+                        )
+                        length = None if mine is None else len(mine)
+                        assert length == brute_force_length(
+                            graph, dfa, source, target
+                        ), (regex, seed, source, target)
+                        assert paths_agree(
+                            mine,
+                            exact.shortest_simple_path(graph, source, target),
+                        ), (regex, seed, source, target)
+            checked += 1
+        assert checked >= 40

@@ -4,6 +4,8 @@ import pytest
 
 from repro import catalog
 from repro.core.psitr import (
+    Fragment,
+    FragmentTerm,
     OptionalWordTerm,
     PsitrExpression,
     PsitrSequence,
@@ -14,8 +16,10 @@ from repro.core.psitr import (
     synthesize,
 )
 from repro.core.trc import is_in_trc
-from repro.errors import NotInTrCError, ReproError
+from repro.errors import NotInTrCError
 from repro.languages import Language, language
+from repro.languages.nfa import nfa_from_ast
+from tests.conftest import infinite_trc_plans
 
 
 class TestTermConstruction:
@@ -126,14 +130,44 @@ class TestSynthesis:
         assert equivalent_to(expr, language("∅", alphabet={"a"}).dfa)
 
     def test_synthesis_validates_or_raises(self):
-        # Either a validated-equivalent expression or an explicit error;
-        # silent wrong output is never acceptable.
+        # Synthesis decomposes every trC language, and what it returns
+        # always equals L; a raise is no longer an acceptable answer.
         lang = language("a*c*")
-        try:
-            expr = synthesize(lang.dfa)
-        except ReproError:
-            return
-        assert equivalent_to(expr, lang.dfa)
+        assert equivalent_to(synthesize(lang.dfa), lang.dfa)
+
+    @pytest.mark.parametrize(
+        "regex, k",
+        [
+            # A candidate shape with connectors from one representative
+            # state and exits from every state admits c^k here.
+            ("c*a^+", 1),
+            # Example 1: the middle star needs at least k = 2 letters.
+            ("a*(bb^+ + eps)c*", 2),
+            # Example 2: the connector c leaves component {3, 4} only
+            # from state 3, so connectors pin letters on both sides.
+            ("a(c{2,} + eps)(a+b)*(ac)?a*", 1),
+        ],
+    )
+    def test_named_regressions_on_the_dfa_route(self, regex, k):
+        lang = language(regex)
+        expression = synthesize(lang.dfa)
+        assert expression.k == k
+        assert equivalent_to(expression, lang.dfa)
+
+    def test_fragments_print_as_their_language(self):
+        # A fragment prints as a star-free regex of its finite language.
+        for _regex, plan in infinite_trc_plans("depth1"):
+            for sequence in synthesize(plan.language.dfa).sequences:
+                parts = [sequence.lead, sequence.trail] + [
+                    term.fragment for term in sequence.terms
+                    if isinstance(term, FragmentTerm)
+                ]
+                for fragment in parts:
+                    if isinstance(fragment, Fragment):
+                        printed = Language(nfa_from_ast(fragment.to_regex()))
+                        assert printed.dfa.equivalent(
+                            Language(fragment.to_nfa()).dfa
+                        ), str(fragment)
 
 
 class TestDecompose:
@@ -147,3 +181,37 @@ class TestDecompose:
     def test_decompose_tractable_catalog(self, entry):
         expr = decompose(entry.language())
         assert equivalent_to(expr, entry.language().dfa)
+
+
+class TestTheorem4RoundTrip:
+    """Theorem 4 in both directions, on the catalog and the regex pools."""
+
+    @pytest.mark.parametrize("pool", ["catalog", "depth1", "depth3"])
+    def test_decomposition_roundtrip(self, pool):
+        # Every infinite trC language plans a decomposition equal to L,
+        # and synthesis alone (the DFA route) equals L as well.
+        plans = infinite_trc_plans(pool)
+        assert plans
+        for regex, plan in plans:
+            dfa = plan.language.dfa
+            assert equivalent_to(plan.solver.expression, dfa), regex
+            assert equivalent_to(synthesize(dfa), dfa), regex
+
+    def test_easy_direction_compiled_expressions_are_trc(self):
+        # Lemma 19: Ψtr ⊆ trC, for extracted and synthesized expressions.
+        for entry in catalog.tractable_entries():
+            lang = entry.language()
+            for expression in (extract(lang.ast), synthesize(lang.dfa)):
+                if expression is None:
+                    continue
+                compiled = expression.to_language(alphabet=lang.alphabet)
+                assert is_in_trc(compiled.dfa), entry.name
+
+    @pytest.mark.parametrize(
+        "entry", catalog.hard_entries(), ids=lambda e: e.name
+    )
+    def test_hard_languages_have_no_decomposition(self, entry):
+        # No Ψtr expression equals a hard language: synthesis finds no k
+        # and says why.
+        with pytest.raises(NotInTrCError):
+            synthesize(entry.language().dfa)
