@@ -52,8 +52,6 @@ from ..graphs.view import as_graph_view
 from ..languages import Language
 from ..languages.analysis import useful_symbols
 from .psitr import (
-    Fragment,
-    OptionalWordTerm,
     PsitrExpression,
     StarTerm,
     decompose,
@@ -61,16 +59,16 @@ from .psitr import (
 
 # -- internal segment normal form ------------------------------------------------
 
-_FRAGMENT = "fragment"  # a word or a fragment, optional or not
+_FRAGMENT = "fragment"  # a fragment (a word is a one-path one), optional or not
 _STAR = "star"          # (A≥k + ε)
 
 
 def _segments_of(sequence):
     """Normalise a PsitrSequence into the solver's segment list.
 
-    Words, optional words and fragments all become fragment segments
-    ``(fragment, optional, min_length)``; a word is a one-path
-    fragment.
+    The lead, the trail and every optional term become fragment
+    segments ``(fragment, optional, min_length)``; an empty lead or
+    trail is left out.
     """
     segments = []
 
@@ -78,17 +76,15 @@ def _segments_of(sequence):
         min_length = 0 if optional else fragment.min_length()
         segments.append((_FRAGMENT, (fragment, optional, min_length)))
 
-    if sequence.lead:
-        add(Fragment.of(sequence.lead), False)
+    if not sequence.lead.is_epsilon():
+        add(sequence.lead, False)
     for term in sequence.terms:
         if isinstance(term, StarTerm):
             segments.append((_STAR, (term.symbols, term.min_count)))
-        elif isinstance(term, OptionalWordTerm):
-            add(Fragment.word(term.word), True)
         else:
             add(term.fragment, True)
-    if sequence.trail:
-        add(Fragment.of(sequence.trail), False)
+    if not sequence.trail.is_epsilon():
+        add(sequence.trail, False)
     return segments
 
 

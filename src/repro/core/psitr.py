@@ -6,14 +6,14 @@ fragment Ψtr is the set of finite disjunctions of Ψtr-sequences.
 Theorem 4: L ∈ trC iff L is recognised by a Ψtr expression.
 
 This module provides the fragment's AST (:class:`StarTerm`,
-:class:`OptionalWordTerm`, :class:`PsitrSequence`,
-:class:`PsitrExpression`), compilable to NFAs; :class:`Fragment`, a
-finite language kept as a small acyclic DFA, which may stand for the
-lead, the trail or an optional term (:class:`FragmentTerm`) of a
-*factored* sequence — the union of the plain sequences obtained by
-picking one word from each fragment; :func:`extract`, a syntactic
-extractor for regex ASTs of the right shape; and :func:`synthesize`,
-which decomposes any L ∈ trC as follows.
+:class:`FragmentTerm`, :class:`PsitrSequence`, :class:`PsitrExpression`),
+compilable to NFAs.  Words are kept as :class:`Fragment` objects, finite
+languages as small acyclic DFAs: a plain word is a one-path fragment,
+and a sequence whose lead, trail or optional terms hold more words is
+*factored* — the union of the plain sequences obtained by picking one
+word from each fragment.  :func:`extract` is a syntactic extractor for
+regex ASTs of the right shape, and :func:`synthesize` decomposes any
+L ∈ trC as follows.
 
 Work on the minimal DFA's useful states (reachable and co-reachable),
 condensed into strongly connected components.  A *looping* component C
@@ -49,11 +49,12 @@ The anchored simple-path solver (:mod:`repro.core.nice_paths`) consumes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Tuple, Union
+from itertools import islice
+from typing import FrozenSet, Optional, Tuple
 
 from ..errors import NotInTrCError, ReproError
 from ..languages import Language
-from ..languages.nfa import NFA, empty_nfa, epsilon_nfa, nfa_from_ast, word_nfa
+from ..languages.nfa import NFA, empty_nfa, epsilon_nfa, nfa_from_ast
 from ..languages.regex import ast as rx
 from ..languages.regex import builder
 from ..languages.analysis import strongly_connected_components
@@ -62,6 +63,11 @@ from .trc import _as_minimal_dfa, is_in_trc
 #: Cap on the number of sequences produced by distributing unions /
 #: character classes during extraction.
 _MAX_SEQUENCES = 512
+
+#: Cap on the component chains :func:`synthesize` builds sequences for:
+#: n looping components in a row have 2^n - 1 of them, each one product
+#: check per k and one anchored search per query.  The pools need ≤ 31.
+_MAX_CHAINS = 256
 
 
 @dataclass(frozen=True)
@@ -84,23 +90,6 @@ class StarTerm:
 
     def __str__(self):
         return "([%s]>=%d + ε)" % ("".join(sorted(self.symbols)), self.min_count)
-
-
-@dataclass(frozen=True)
-class OptionalWordTerm:
-    """The term ``(w + ε)`` for a non-empty concrete word ``w``."""
-
-    word: str
-
-    def __post_init__(self):
-        if not self.word:
-            raise ValueError("OptionalWordTerm needs a non-empty word")
-
-    def to_nfa(self):
-        return word_nfa(self.word).union(epsilon_nfa())
-
-    def __str__(self):
-        return "(%s + ε)" % self.word
 
 
 def _union(first, second):
@@ -132,15 +121,14 @@ class Fragment:
     finals: FrozenSet[int]
 
     @classmethod
-    def of(cls, part):
-        """A lead or trail (a word or a fragment) as a fragment."""
-        return part if isinstance(part, Fragment) else cls.word(part)
-
-    @classmethod
     def word(cls, text):
         """The one-path fragment of the single word ``text``."""
         arcs = tuple(((symbol, index + 1),) for index, symbol in enumerate(text))
         return cls(arcs + ((),), frozenset((len(text),)))
+
+    def is_epsilon(self):
+        """True for the fragment of the empty word alone."""
+        return self.arcs == ((),)
 
     def to_nfa(self):
         letters = {symbol for arcs in self.arcs for symbol, _ in arcs}
@@ -188,9 +176,14 @@ class Fragment:
 @dataclass(frozen=True)
 class FragmentTerm:
     """The term ``(F + ε)`` for a fragment F: shorthand for the union
-    of the terms ``(w + ε)`` over the words w of F."""
+    of the terms ``(w + ε)`` over the words w of F; ``(w + ε)`` itself
+    for a one-path fragment."""
 
     fragment: Fragment
+
+    def __post_init__(self):
+        if self.fragment.is_epsilon():
+            raise ValueError("FragmentTerm needs a non-empty word")
 
     def to_nfa(self):
         return self.fragment.to_nfa().union(epsilon_nfa())
@@ -203,30 +196,35 @@ class FragmentTerm:
 class PsitrSequence:
     """A Ψtr-sequence ``lead · φ1 … φl · trail``.
 
-    ``lead`` and ``trail`` are words or fragments; with a fragment
-    anywhere, the sequence is factored (see :class:`Fragment`).
+    ``lead`` and ``trail`` are fragments; with one that holds more than
+    one word anywhere, the sequence is factored (see :class:`Fragment`).
     """
 
-    lead: Union[str, Fragment]
+    lead: Fragment
     terms: Tuple
-    trail: Union[str, Fragment]
+    trail: Fragment
 
     def __post_init__(self):
+        for part in (self.lead, self.trail):
+            if not isinstance(part, Fragment):
+                raise TypeError("a lead or trail must be a Fragment, not %r" % (part,))
         for term in self.terms:
-            if not isinstance(term, (StarTerm, OptionalWordTerm, FragmentTerm)):
+            if not isinstance(term, (StarTerm, FragmentTerm)):
                 raise TypeError("invalid Ψtr term %r" % (term,))
 
     def to_nfa(self):
         """Compile the sequence to an NFA."""
-        nfa = Fragment.of(self.lead).to_nfa()
+        nfa = self.lead.to_nfa()
         for term in self.terms:
             nfa = nfa.concat(term.to_nfa())
-        return nfa.concat(Fragment.of(self.trail).to_nfa())
+        return nfa.concat(self.trail.to_nfa())
 
     def __str__(self):
-        middle = " ".join(str(term) for term in self.terms)
-        pieces = [str(self.lead), middle, str(self.trail)]
-        pieces = [piece for piece in pieces if piece]
+        pieces = [str(term) for term in self.terms]
+        if not self.lead.is_epsilon():
+            pieces.insert(0, str(self.lead))
+        if not self.trail.is_epsilon():
+            pieces.append(str(self.trail))
         return " ".join(pieces) if pieces else "ε"
 
 
@@ -449,18 +447,7 @@ def _sequences_from_branch(branch):
     # only legal while no term has been emitted (lead) or after the last
     # term (trail); a second mandatory word after the trail started, or a
     # term after the trail started, violates the fragment.
-    sequences = [{"lead": "", "terms": [], "trail": "", "in_trail": False}]
-
-    def fork(base, **changes):
-        new = {
-            "lead": base["lead"],
-            "terms": list(base["terms"]),
-            "trail": base["trail"],
-            "in_trail": base["in_trail"],
-        }
-        new.update(changes)
-        return new
-
+    sequences = [{"lead": "", "terms": (), "trail": "", "in_trail": False}]
     for factors in factor_lists:
         for kind, payload in factors:
             next_sequences = []
@@ -468,46 +455,29 @@ def _sequences_from_branch(branch):
                 if kind == _WORD:
                     for word in payload:
                         if not word:
-                            next_sequences.append(fork(seq))
-                            continue
-                        if not seq["terms"] and not seq["in_trail"]:
-                            next_sequences.append(
-                                fork(seq, lead=seq["lead"] + word)
-                            )
+                            next_sequences.append(seq)
+                        elif not seq["terms"] and not seq["in_trail"]:
+                            next_sequences.append({**seq, "lead": seq["lead"] + word})
                         else:
                             next_sequences.append(
-                                fork(
-                                    seq,
-                                    trail=seq["trail"] + word,
-                                    in_trail=True,
-                                )
+                                {**seq, "trail": seq["trail"] + word, "in_trail": True}
                             )
-                else:
-                    stars, words = payload
-                    if seq["in_trail"]:
-                        raise _NotPsitr()
-                    for star in stars:
-                        next_sequences.append(
-                            fork(seq, terms=seq["terms"] + [star])
-                        )
-                    for word in words:
-                        if word:
-                            next_sequences.append(
-                                fork(
-                                    seq,
-                                    terms=seq["terms"]
-                                    + [OptionalWordTerm(word)],
-                                )
-                            )
-                        else:
-                            next_sequences.append(fork(seq))
-                    if not stars and not words:
-                        next_sequences.append(fork(seq))
+                    continue
+                stars, words = payload
+                if seq["in_trail"]:
+                    raise _NotPsitr()
+                # One sequence per option; the empty word (or no option
+                # at all) keeps the sequence as it is.
+                options = stars + [FragmentTerm(Fragment.word(w)) if w else None for w in words]
+                for term in options or [None]:
+                    next_sequences.append(
+                        seq if term is None else {**seq, "terms": seq["terms"] + (term,)}
+                    )
             sequences = next_sequences
             if len(sequences) > _MAX_SEQUENCES:
                 raise _NotPsitr()
     return [
-        PsitrSequence(seq["lead"], tuple(seq["terms"]), seq["trail"])
+        PsitrSequence(Fragment.word(seq["lead"]), seq["terms"], Fragment.word(seq["trail"]))
         for seq in sequences
     ]
 
@@ -547,6 +517,8 @@ def _fragment(starts, moves, accepting):
     of configurations are built on demand and numbered bottom-up by
     their right language, which minimises an acyclic DFA in one pass;
     the root, whose language no other state has, is numbered last.
+    Building the NFA explicitly and running ``from_nfa(...).minimized()``
+    instead makes synthesis about 1.5 times slower on the regex pools.
     """
     rights = {}   # subset -> right-language number (None: accepts nothing)
     numbers = {}  # row (accepts, arcs) -> right-language number
@@ -695,17 +667,25 @@ def synthesize(lang_or_dfa):
     inside L (it contains L by construction).  An expression equal to L
     proves L ∈ trC (Lemma 19), so membership is decided only when k = 1
     fails, raising :class:`NotInTrCError` for L ∉ trC; when no k up to M
-    passes it raises :class:`ReproError`.
+    passes it raises :class:`ReproError`.  So does a minimal DFA with
+    more than ``_MAX_CHAINS`` component chains, before any k is tried
+    and without deciding membership.
     """
     dfa = _as_minimal_dfa(lang_or_dfa)
     if dfa.is_empty():
         return PsitrExpression(())
     condensation = _Condensation(dfa)
-    chains = list(condensation.chains())
+    chains = list(islice(condensation.chains(), _MAX_CHAINS + 1))
+    if len(chains) > _MAX_CHAINS:
+        raise ReproError(
+            "Ψtr synthesis: more than %d component chains" % _MAX_CHAINS
+        )
     rejecting = set(dfa.states()) - dfa.accepting
     for k in range(1, dfa.num_states + 1):
         finite = condensation.fragment(((_WALK, dfa.initial, 0),), None, k)
-        sequences = [] if finite is None else [PsitrSequence(finite, (), "")]
+        sequences = [] if finite is None else [
+            PsitrSequence(finite, (), Fragment.word(""))
+        ]
         for chain in chains:
             sequence = condensation.sequence(chain, k)
             if sequence is None:
@@ -732,7 +712,8 @@ def decompose(language_obj):
 
     Either result equals the language, which proves L ∈ trC
     (Lemma 19); :func:`synthesize` raises :class:`NotInTrCError` for
-    non-trC input and :class:`ReproError` when it finds no k.
+    non-trC input and :class:`ReproError` when it finds no k or the
+    component chains are too many.
     """
     if not isinstance(language_obj, Language):
         language_obj = Language(language_obj)

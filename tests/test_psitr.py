@@ -1,12 +1,13 @@
 """Tests for the Ψtr fragment (Theorem 4)."""
 
+import time
+
 import pytest
 
 from repro import catalog
 from repro.core.psitr import (
     Fragment,
     FragmentTerm,
-    OptionalWordTerm,
     PsitrExpression,
     PsitrSequence,
     StarTerm,
@@ -16,7 +17,8 @@ from repro.core.psitr import (
     synthesize,
 )
 from repro.core.trc import is_in_trc
-from repro.errors import NotInTrCError
+from repro.engine import QueryPlan
+from repro.errors import NotInTrCError, ReproError
 from repro.languages import Language, language
 from repro.languages.nfa import nfa_from_ast
 from tests.conftest import infinite_trc_plans
@@ -33,17 +35,23 @@ class TestTermConstruction:
 
     def test_optional_word_requires_word(self):
         with pytest.raises(ValueError):
-            OptionalWordTerm("")
+            FragmentTerm(Fragment.word(""))
 
     def test_sequence_rejects_foreign_terms(self):
         with pytest.raises(TypeError):
-            PsitrSequence("a", ("not a term",), "b")
+            PsitrSequence(Fragment.word("a"), ("not a term",), Fragment.word("b"))
+
+    def test_sequence_rejects_plain_words(self):
+        with pytest.raises(TypeError):
+            PsitrSequence("a", (), Fragment.word("b"))
 
 
 class TestCompilation:
     def test_sequence_language(self):
         seq = PsitrSequence(
-            "x", (StarTerm(frozenset("a"), 2), OptionalWordTerm("yz")), "w"
+            Fragment.word("x"),
+            (StarTerm(frozenset("a"), 2), FragmentTerm(Fragment.word("yz"))),
+            Fragment.word("w"),
         )
         lang = Language(seq.to_nfa())
         assert lang.accepts("xw")            # both terms skipped
@@ -55,9 +63,10 @@ class TestCompilation:
         assert not lang.accepts("xyw")       # partial word
 
     def test_expression_union(self):
-        expr = PsitrExpression(
-            (PsitrSequence("a", (), ""), PsitrSequence("b", (), ""))
-        )
+        expr = PsitrExpression(tuple(
+            PsitrSequence(Fragment.word(word), (), Fragment.word(""))
+            for word in "ab"
+        ))
         lang = expr.to_language()
         assert lang.accepts("a")
         assert lang.accepts("b")
@@ -154,6 +163,22 @@ class TestSynthesis:
         assert expression.k == k
         assert equivalent_to(expression, lang.dfa)
 
+    def test_chain_count_is_capped(self):
+        # Sixteen looping components in a row have 2^16 - 1 chains, and
+        # the union factor keeps the regex off the extraction route.
+        # Synthesis gives up at the cap instead of building them all, and
+        # the plan falls back to the exact solver.
+        regex = "(xy+z)a*b*c*d*e*f*g*h*i*j*k*l*m*n*o*p*"
+        started = time.perf_counter()
+        with pytest.raises(ReproError, match="component chains"):
+            synthesize(language(regex).dfa)
+        assert time.perf_counter() - started < 1.0
+        started = time.perf_counter()
+        plan = QueryPlan.compile(regex)
+        assert plan.decompose_failed
+        # Classifying the language takes most of this.
+        assert time.perf_counter() - started < 5.0
+
     def test_fragments_print_as_their_language(self):
         # A fragment prints as a star-free regex of its finite language.
         for _regex, plan in infinite_trc_plans("depth1"):
@@ -163,11 +188,10 @@ class TestSynthesis:
                     if isinstance(term, FragmentTerm)
                 ]
                 for fragment in parts:
-                    if isinstance(fragment, Fragment):
-                        printed = Language(nfa_from_ast(fragment.to_regex()))
-                        assert printed.dfa.equivalent(
-                            Language(fragment.to_nfa()).dfa
-                        ), str(fragment)
+                    printed = Language(nfa_from_ast(fragment.to_regex()))
+                    assert printed.dfa.equivalent(
+                        Language(fragment.to_nfa()).dfa
+                    ), str(fragment)
 
 
 class TestDecompose:

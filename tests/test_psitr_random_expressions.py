@@ -15,7 +15,8 @@ import pytest
 from repro.algorithms.exact import ExactSolver
 from repro.core.nice_paths import TractableSolver
 from repro.core.psitr import (
-    OptionalWordTerm,
+    Fragment,
+    FragmentTerm,
     PsitrExpression,
     PsitrSequence,
     StarTerm,
@@ -44,8 +45,8 @@ def _random_sequence(rng):
             word = "".join(
                 rng.choice(ALPHABET) for _ in range(rng.randint(1, 2))
             )
-            terms.append(OptionalWordTerm(word))
-    return PsitrSequence(lead, tuple(terms), trail)
+            terms.append(FragmentTerm(Fragment.word(word)))
+    return PsitrSequence(Fragment.word(lead), tuple(terms), Fragment.word(trail))
 
 
 def _random_expression(seed):
