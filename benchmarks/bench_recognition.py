@@ -17,7 +17,7 @@ from repro.algorithms.reductions import (
 )
 from repro.languages.nfa import nfa_from_ast
 from repro.languages.regex.parser import parse
-from repro.recognition import (
+from repro.core.trc import (
     recognize_tractable_dfa,
     recognize_tractable_nfa,
     recognize_tractable_regex,
@@ -66,8 +66,9 @@ def test_nfa_determinization_blowup(benchmark, k):
 
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_nfa_recognition_end_to_end(benchmark, k):
-    # Full pipeline (determinize + minimise + trC pair sweep); the pair
-    # sweep is Θ(M⁴) on the 2^k-state minimal DFA, so k stays small.
+    # Full pipeline (determinize + minimise + the trC decision).  The
+    # decision closes the pair graph of the 2^k-state minimal DFA,
+    # 4^k nodes with up to 4^k bits of reachability each.
     text = "(0+1)*1" + "(0+1)" * (k - 1)
     nfa = nfa_from_ast(parse(text))
     report = benchmark(recognize_tractable_nfa, nfa)

@@ -10,12 +10,15 @@ letter is ``a``):
 * Definition 6 / Theorem 6: the evl analogue with ``≡evl`` (same last
   vertex label, any edge label) over the pair alphabet ``Σ_V × Σ_E``.
 
-Membership tests mirror the edge-labeled Lemma-6 test with
-``Loop_a(q2)^M`` in place of ``Loop(q2)^M``, quantified over the common
-last letter ``a`` (for evl: over vertex-label groups of pair symbols).
-A brute-force definitional oracle is provided for cross-validation, and
-:func:`solve_vlg` evaluates queries on vl-graphs (exactly, via the
-encoding into db-graphs and the quotient language λ(x)⁻¹L).
+Membership reads the same pair closure as the edge-labeled Lemma-6
+test (:func:`repro.core.trc.violating_pairs`), with the letters split
+into groups: each letter is its own group for ``≡vl``, and pair
+symbols group by vertex label for ``≡evl``.  A pair of states violates
+the condition when, for a group in which both have a loop ending,
+``Loop_g(q2)^M · L_{q2} ⊄ L_{q1}``.  A brute-force definitional oracle
+is provided for cross-validation, and :func:`solve_vlg` evaluates
+queries on vl-graphs (exactly, via the encoding into db-graphs and the
+quotient language λ(x)⁻¹L).
 """
 
 from __future__ import annotations
@@ -23,103 +26,14 @@ from __future__ import annotations
 from ..errors import GraphError
 from ..graphs.vlgraph import EvlGraph, VlGraph
 from ..languages import Language
-from ..languages.analysis import (
-    has_loop_with_last_letter,
-)
-from .trc import _as_minimal_dfa
-
-
-def _looping_letters(dfa, state):
-    """Letters ``a`` with ``Loop_a(state) ≠ ∅``."""
-    return {
-        letter
-        for letter in dfa.alphabet
-        if has_loop_with_last_letter(dfa, state, letter)
-    }
-
-
-def _vlg_violating_pairs(dfa, letter_groups):
-    """Pairs violating the vl-adapted Lemma-6 condition.
-
-    ``letter_groups`` maps each letter to its equivalence group under
-    the relevant relation: for vl-graphs every letter is its own group
-    (``≡vl`` = same last letter); for evl-graphs pair symbols group by
-    vertex label (``≡evl``).  The condition tested is, for every
-    ``q1, q2`` with ``q2`` reachable from ``q1`` and every group g such
-    that both states have a loop ending in g:
-    ``(Loop_g(q2))^M · L_{q2} ⊆ L_{q1}``.
-    """
-    power = dfa.num_states
-    non_accepting = set(dfa.states()) - dfa.accepting
-    loop_groups = {
-        state: {
-            letter_groups[letter]
-            for letter in _looping_letters(dfa, state)
-        }
-        for state in dfa.states()
-    }
-    pairs = []
-    for q1 in dfa.states():
-        if not loop_groups[q1]:
-            continue
-        reachable = dfa.reachable_states(q1)
-        for q2 in reachable:
-            common = loop_groups[q1] & loop_groups[q2]
-            if not common:
-                continue
-            for group in sorted(common):
-                nfa = _loop_group_power_then_quotient_nfa(
-                    dfa, q2, group, letter_groups, power
-                )
-                bad = nfa.intersect_dfa(
-                    dfa, dfa_initial=q1, dfa_accepting=non_accepting
-                )
-                if not bad.is_empty():
-                    pairs.append((q1, q2, group))
-                    break
-    return pairs
-
-
-def _loop_group_power_then_quotient_nfa(dfa, state, group, letter_groups, power):
-    """NFA for ``(Loop_g(state))^power · L_state`` where ``Loop_g`` is
-    the set of loops whose last letter belongs to group ``g``."""
-    states = set()
-    transitions = {}
-    for copy in range(power):
-        for q in dfa.states():
-            source = (copy, q)
-            states.add(source)
-            arcs = []
-            for symbol in dfa.alphabet:
-                target_q = dfa.transition(q, symbol)
-                arcs.append((symbol, (copy, target_q)))
-                if target_q == state and letter_groups[symbol] == group:
-                    arcs.append((symbol, (copy + 1, state)))
-            transitions[source] = arcs
-    for q in dfa.states():
-        source = (power, q)
-        states.add(source)
-        transitions[source] = [
-            (symbol, (power, dfa.transition(q, symbol)))
-            for symbol in dfa.alphabet
-        ]
-    accepting = {(power, q) for q in dfa.accepting}
-    from ..languages.nfa import NFA
-
-    return NFA(
-        states,
-        dfa.alphabet,
-        transitions,
-        initial=[(0, state)],
-        accepting=accepting,
-    )
+from .trc import _as_minimal_dfa, _decompositions, violating_pairs
 
 
 def is_in_trc_vlg(lang_or_dfa):
     """Decide ``L ∈ trC_vlg`` (Definition 5 / Theorem 5 criterion)."""
     dfa = _as_minimal_dfa(lang_or_dfa)
     groups = {letter: letter for letter in dfa.alphabet}
-    return not _vlg_violating_pairs(dfa, groups)
+    return next(violating_pairs(dfa, groups), None) is None
 
 
 def is_in_trc_evlg(lang_or_dfa, vertex_label_of):
@@ -130,7 +44,7 @@ def is_in_trc_evlg(lang_or_dfa, vertex_label_of):
     """
     dfa = _as_minimal_dfa(lang_or_dfa)
     groups = {letter: vertex_label_of(letter) for letter in dfa.alphabet}
-    return not _vlg_violating_pairs(dfa, groups)
+    return next(violating_pairs(dfa, groups), None) is None
 
 
 # -- brute-force definitional oracle ----------------------------------------------
@@ -143,8 +57,6 @@ def find_trc_vlg_counterexample(lang_or_dfa, repetitions, max_length):
     :func:`repro.core.trc.find_trc_counterexample`, but decompositions
     must satisfy ``w1 ≡vl w2`` (identical last letters).
     """
-    from .trc import _decompositions
-
     dfa = _as_minimal_dfa(lang_or_dfa)
     for word in dfa.enumerate_words(max_length):
         for wl, w1, wm, w2, wr in _decompositions(word, repetitions):

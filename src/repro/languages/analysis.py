@@ -7,8 +7,9 @@ These are the automaton-level notions Section 3 of the paper works with:
 * ``Loop(q)`` — the non-empty words that loop on state ``q``,
 * the *internal alphabet* ``Σ_C`` of a component (Notation 1),
 * aperiodicity (the definition used in Preliminaries),
-* ``Loop_a(q)`` — loops whose last letter is ``a`` (Notation 2, used by
-  the vertex-labeled variant).
+* ``Loop_a(q)`` — loops whose last letter is ``a`` (Notation 2), which
+  the trC decision groups by letter
+  (:func:`repro.core.trc.violating_pairs`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from collections import deque
 
 from ..errors import AutomatonError
 from ..graphs.reach import condense
-from .nfa import NFA
 
 
 def strongly_connected_components(dfa):
@@ -68,24 +68,6 @@ def useful_symbols(dfa):
     )
 
 
-def component_of(components, state):
-    """The component (frozenset) containing ``state``."""
-    for component in components:
-        if state in component:
-            return component
-    raise AutomatonError("state %r not in any component" % (state,))
-
-
-def has_loop(dfa, state):
-    """True iff ``Loop(state) ≠ ∅`` — the state lies on a non-trivial cycle
-    or has a self-loop: some state reachable from it moves back to it."""
-    return any(
-        dfa.transition(p, symbol) == state
-        for p in dfa.reachable_states(state)
-        for symbol in dfa.alphabet
-    )
-
-
 def looping_states(dfa):
     """Set of states ``q`` with ``Loop(q) ≠ ∅``.
 
@@ -124,84 +106,6 @@ def has_loop_with_last_letter(dfa, state, letter):
     reachable = dfa.reachable_states(state)
     return any(
         dfa.transition(p, letter) == state for p in reachable
-    )
-
-
-def loop_nfa(dfa, state, min_loops=1):
-    """NFA for ``Loop(state)^min_loops`` — ``min_loops`` consecutive
-    non-empty loops on ``state``.
-
-    States of the result are pairs ``(copy, q)``: ``copy`` counts how many
-    complete loops have been read so far.  Reading a letter from
-    ``(copy, q)`` moves to ``(copy, δ(q, a))`` unless that closes a loop
-    (``δ(q, a) == state``), which moves to ``(copy + 1, state)``.
-    Accepting state: ``(min_loops, state)``; since each copy switch
-    consumes at least one letter, every accepted word is a concatenation
-    of ``min_loops`` non-empty loops.  Returning to ``state`` mid-word is
-    a nondeterministic choice: it may close the current loop (advance a
-    copy) or be an interior visit of a longer loop (stay in the copy).
-    """
-    if min_loops < 1:
-        raise ValueError("min_loops must be >= 1")
-    states = set()
-    transitions = {}
-    for copy in range(min_loops):
-        for q in dfa.states():
-            source = (copy, q)
-            states.add(source)
-            arcs = []
-            for symbol in dfa.alphabet:
-                target_q = dfa.transition(q, symbol)
-                arcs.append((symbol, (copy, target_q)))
-                if target_q == state:
-                    arcs.append((symbol, (copy + 1, state)))
-            transitions[source] = arcs
-    final = (min_loops, state)
-    states.add(final)
-    transitions[final] = []
-    return NFA(
-        states,
-        dfa.alphabet,
-        transitions,
-        initial=[(0, state)],
-        accepting=[final],
-    )
-
-
-def loop_with_last_letter_nfa(dfa, state, letter, min_loops=1):
-    """NFA for ``(Loop_letter(state))^min_loops`` — loops ending in
-    ``letter`` (the vertex-labeled variant's ``Loop_a``)."""
-    if min_loops < 1:
-        raise ValueError("min_loops must be >= 1")
-    states = set()
-    transitions = {}
-    for copy in range(min_loops):
-        for q in dfa.states():
-            source = (copy, q)
-            states.add(source)
-            arcs = []
-            for symbol in dfa.alphabet:
-                target_q = dfa.transition(q, symbol)
-                if target_q == state and symbol == letter:
-                    # Closing the loop with the required last letter
-                    # advances a copy; closing it with another letter is a
-                    # "wrong" loop, but the word may still be a single
-                    # longer loop that eventually ends in `letter`, so we
-                    # stay in the current copy.
-                    arcs.append((symbol, (copy + 1, state)))
-                    arcs.append((symbol, (copy, target_q)))
-                else:
-                    arcs.append((symbol, (copy, target_q)))
-            transitions[source] = arcs
-    final = (min_loops, state)
-    states.add(final)
-    transitions[final] = []
-    return NFA(
-        states,
-        dfa.alphabet,
-        transitions,
-        initial=[(0, state)],
-        accepting=[final],
     )
 
 

@@ -2,8 +2,9 @@
 
 This module provides the NFA data structure used as the bridge between
 regular expressions and DFAs, plus the automaton combinators the paper's
-constructions require (concatenation powers for ``Loop(q)^M``, products
-with DFAs for emptiness tests without determinization, reversal, ...).
+constructions require (concatenation powers for bounded repetition,
+products with DFAs for emptiness tests without determinization,
+reversal, ...).
 
 States are opaque hashable objects; the combinators generate fresh
 integer states internally.  ``None`` is the ε symbol.

@@ -6,12 +6,9 @@ from benchmarks.workloads import random_regexes
 from repro import catalog
 from repro.languages import language
 from repro.languages.analysis import (
-    component_of,
-    has_loop,
     has_loop_with_last_letter,
     internal_alphabet,
     is_aperiodic,
-    loop_nfa,
     looping_states,
     strongly_connected_components,
     transition_monoid,
@@ -89,11 +86,6 @@ class TestComponents:
         for state, _symbol, target in dfa.transitions():
             assert index[state] <= index[target]
 
-    def test_component_of(self):
-        dfa = _dfa("a*")
-        components = strongly_connected_components(dfa)
-        assert dfa.initial in component_of(components, dfa.initial)
-
     def test_example2_has_three_looping_components(self):
         # Figure 2: C1 = {q4}, C2 = {q5, q6}, C3 = {q7} (plus sink loops).
         dfa = _dfa("a(c{2,} + eps)(a+b)*(ac)?a*")
@@ -126,42 +118,20 @@ class TestComponents:
 
     def test_internal_alphabet(self):
         dfa = _dfa("a*ba*")
+        loops = looping_states(dfa)
         for component in strongly_connected_components(dfa):
             (state,) = list(component)[:1]
-            if has_loop(dfa, state) and not dfa.with_initial(state).is_empty():
+            if state in loops and not dfa.with_initial(state).is_empty():
                 assert internal_alphabet(dfa, component) == {"a"}
 
 
 class TestLoops:
-    def test_has_loop(self):
-        dfa = _dfa("a*b")
-        assert has_loop(dfa, dfa.initial)
-        after_b = dfa.transition(dfa.initial, "b")
-        # The accepting state of a*b has no non-sink loop back to itself.
-        assert not has_loop(dfa, after_b) or dfa.with_initial(after_b).is_empty()
-
     def test_looping_states_of_finite_language(self):
         dfa = _dfa("ab", alphabet={"a", "b"})
         loops = looping_states(dfa)
         # Only the sink can loop in a finite language's DFA.
         for state in loops:
             assert dfa.with_initial(state).is_empty()
-
-    def test_loop_nfa_words(self):
-        dfa = _dfa("(ab)*c")
-        q0 = dfa.initial
-        nfa = loop_nfa(dfa, q0, min_loops=1)
-        assert nfa.accepts("ab")
-        assert nfa.accepts("abab")
-        assert not nfa.accepts("a")
-        assert not nfa.accepts("")
-
-    def test_loop_nfa_power(self):
-        dfa = _dfa("a*")
-        nfa = loop_nfa(dfa, dfa.initial, min_loops=3)
-        assert nfa.accepts("aaa")
-        assert nfa.accepts("aaaa")  # splits as a · a · aa
-        assert not nfa.accepts("aa")
 
     def test_loop_with_last_letter(self):
         dfa = _dfa("(ab)*")

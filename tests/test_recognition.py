@@ -10,7 +10,7 @@ from repro.algorithms.reductions import (
 from repro.languages.dfa import from_nfa
 from repro.languages.nfa import nfa_from_ast
 from repro.languages.regex.parser import parse
-from repro.recognition import (
+from repro.core.trc import (
     recognize_tractable_dfa,
     recognize_tractable_nfa,
     recognize_tractable_regex,

@@ -1,17 +1,128 @@
-"""Tests for trC membership (Definition 1 / Lemma 6) and its oracle."""
+"""Tests for trC membership (Definition 1 / Lemma 6) and its oracles."""
+
+import random
+import time
 
 import pytest
 
+from benchmarks.workloads import random_regexes
 from repro import catalog
-from repro.languages import Language, language
 from repro.core.trc import (
     find_trc_counterexample,
     is_in_trc,
     is_in_trc_zero,
-    loops_then_quotient_nfa,
     violating_pairs,
-    violation_word,
 )
+from repro.engine.plan import QueryPlan
+from repro.languages import Language, language
+from repro.languages.analysis import has_loop_with_last_letter
+from repro.languages.dfa import DFA
+from repro.languages.nfa import NFA
+
+
+def loops_then_quotient_nfa(dfa, state, power, groups=None, group=None):
+    """NFA for ``Loop_g(state)^power · L_state``: the M-copies
+    construction that ``violating_pairs`` replaced, kept as the oracle.
+
+    States ``(copy, q)``: ``copy < power`` counts completed loops; a
+    transition landing on ``state`` may close the current loop when its
+    letter is in ``group`` (any letter when ``groups`` is ``None``).
+    Once ``copy == power`` the automaton runs the DFA from ``state`` and
+    accepts in its accepting states.
+    """
+    states = set()
+    transitions = {}
+    for copy in range(power):
+        for q in dfa.states():
+            arcs = []
+            for symbol in dfa.alphabet:
+                target = dfa.transition(q, symbol)
+                arcs.append((symbol, (copy, target)))
+                closes = groups is None or groups[symbol] == group
+                if target == state and closes:
+                    arcs.append((symbol, (copy + 1, state)))
+            states.add((copy, q))
+            transitions[(copy, q)] = arcs
+    for q in dfa.states():
+        states.add((power, q))
+        transitions[(power, q)] = [
+            (symbol, (power, dfa.transition(q, symbol)))
+            for symbol in dfa.alphabet
+        ]
+    accepting = {(power, q) for q in dfa.accepting}
+    return NFA(states, dfa.alphabet, transitions, initial=[(0, state)],
+               accepting=accepting)
+
+
+def oracle_pairs(dfa, groups=None, first_only=False):
+    """The violating pairs by one product per pair and group, in
+    ``violating_pairs``'s order: the set of all of them, or of the
+    first."""
+    if groups is None:
+        groups = dict.fromkeys(dfa.alphabet, 0)
+    loop_groups = {
+        q: {groups[a] for a in dfa.alphabet
+            if has_loop_with_last_letter(dfa, q, a)}
+        for q in dfa.states()
+    }
+    reachable = {q1: dfa.reachable_states(q1) for q1 in dfa.states()}
+    non_accepting = set(dfa.states()) - dfa.accepting
+    pairs = set()
+    for q2 in dfa.states():
+        nfas = {}
+        for q1 in dfa.states():
+            if q2 not in reachable[q1]:
+                continue
+            for group in loop_groups[q1] & loop_groups[q2]:
+                if group not in nfas:
+                    nfas[group] = loops_then_quotient_nfa(
+                        dfa, q2, dfa.num_states, groups, group
+                    )
+                product = nfas[group].intersect_dfa(
+                    dfa, dfa_initial=q1, dfa_accepting=non_accepting
+                )
+                if not product.is_empty():
+                    pairs.add((q1, q2))
+                    if first_only:
+                        return pairs
+                    break
+    return pairs
+
+
+def random_minimal_dfa(rng):
+    """A random minimal DFA with 2 to 5 states over 1 to 3 letters."""
+    while True:
+        letters = "abc"[:rng.randint(1, 3)]
+        size = rng.randint(2, 5)
+        transitions = {
+            (q, a): rng.randrange(size) for q in range(size) for a in letters
+        }
+        accepting = {q for q in range(size) if rng.random() < 0.5}
+        dfa = DFA(size, letters, transitions, 0, accepting).minimized()
+        if dfa.num_states > 1:
+            return dfa
+
+
+def oracle_dfas(source):
+    """The catalog's DFAs, pool (180, 0, 1)'s, or 600 random ones."""
+    if source == "catalog":
+        return [entry.language().dfa for entry in catalog.entries()]
+    if source == "pool":
+        return [
+            language(regex).dfa
+            for regex in random_regexes(180, seed=0, max_depth=1)
+        ]
+    rng = random.Random(21)
+    return [random_minimal_dfa(rng) for _ in range(600)]
+
+
+#: Letter groups of the three conditions: trC (one group), ``≡vl``
+#: (each letter its own group) and a two-group ``≡evl`` partition.
+GROUPINGS = {
+    "trc": lambda dfa: None,
+    "vl": lambda dfa: {a: a for a in dfa.alphabet},
+    "evl": lambda dfa: {a: i % 2 for i, a in enumerate(sorted(dfa.alphabet))},
+}
 
 
 class TestCatalogMembership:
@@ -57,17 +168,60 @@ class TestDefinitionOracle:
 
 class TestViolatingPairs:
     def test_hard_language_yields_pair_and_word(self):
-        lang = language("a*ba*")
-        pairs = list(violating_pairs(lang.dfa))
+        dfa = language("a*ba*").dfa
+        pairs = list(violating_pairs(dfa))
         assert pairs
         q1, q2 = pairs[0]
-        word = violation_word(lang.dfa, q1, q2)
+        non_accepting = set(dfa.states()) - dfa.accepting
+        product = loops_then_quotient_nfa(
+            dfa, q2, dfa.num_states
+        ).intersect_dfa(dfa, dfa_initial=q1, dfa_accepting=non_accepting)
+        word = product.shortest_accepted()
         assert word is not None
         # The word is in Loop(q2)^M · L_{q2} but not in L_{q1}.
-        assert lang.dfa.run_from(q1, word) not in lang.dfa.accepting
+        assert dfa.run_from(q1, word) not in dfa.accepting
 
     def test_tractable_language_yields_none(self):
         assert list(violating_pairs(language("a*c*").dfa)) == []
+
+    def test_pairs_come_q2_then_q1_without_repeats(self):
+        pairs = list(violating_pairs(language("(aa)*").dfa))
+        assert pairs == sorted(set(pairs), key=lambda pair: pair[::-1])
+
+    @pytest.mark.parametrize("source", ["catalog", "pool", "random"])
+    @pytest.mark.parametrize("grouping", sorted(GROUPINGS))
+    def test_same_pairs_as_the_m_copies_oracle(self, source, grouping):
+        for dfa in oracle_dfas(source):
+            groups = GROUPINGS[grouping](dfa)
+            assert set(violating_pairs(dfa, groups)) == oracle_pairs(
+                dfa, groups
+            ), (dfa, groups)
+
+    def test_same_verdicts_as_the_oracle_on_the_depth3_pool(self):
+        for regex in random_regexes(190, seed=3, max_depth=3):
+            dfa = language(regex).dfa
+            violated = bool(oracle_pairs(dfa, first_only=True))
+            assert is_in_trc(dfa) is not violated, regex
+
+
+class TestExponentialCases:
+    """Inputs on which the M-copies construction took seconds."""
+
+    def test_kth_letter_from_the_end(self):
+        # A 32-state minimal DFA, on which the M-copies products took
+        # about 7 s.
+        started = time.perf_counter()
+        assert is_in_trc(language("(a+b)*a(a+b)(a+b)(a+b)(a+b)").dfa)
+        assert time.perf_counter() - started < 2.0
+
+    def test_slowest_plan_of_the_depth3_pool(self):
+        # A 40-state NP-complete language, which the M-copies
+        # construction compiled in about 1 s.
+        regex = random_regexes(190, seed=3, max_depth=3)[74]
+        started = time.perf_counter()
+        plan = QueryPlan.compile(regex)
+        assert time.perf_counter() - started < 0.3
+        assert not plan.classification.in_trc
 
 
 class TestLoopsThenQuotientNfa:
@@ -81,6 +235,17 @@ class TestLoopsThenQuotientNfa:
         assert not nfa.accepts("ab")
         assert not nfa.accepts("b")
         assert not nfa.accepts("aa")
+
+    def test_group_filter(self):
+        dfa = language("(ab)*").dfa
+        q0 = dfa.initial
+        groups = {"a": "a", "b": "b"}
+        # Loops of q0 end in b: Loop_b(q0)^2 · L_{q0} = abab(ab)*.
+        ending_in_b = loops_then_quotient_nfa(dfa, q0, 2, groups, "b")
+        ending_in_a = loops_then_quotient_nfa(dfa, q0, 2, groups, "a")
+        assert ending_in_b.accepts("abab")
+        assert not ending_in_b.accepts("ab")
+        assert not ending_in_a.accepts("abab")
 
 
 class TestClosureProperties:

@@ -32,6 +32,12 @@ class TestTrcVlgMembership:
         # trC ⊆ trC_vlg: the vl condition quantifies over fewer pairs.
         assert is_in_trc_vlg(entry.language().dfa)
 
+    def test_rejects_other_inputs(self):
+        with pytest.raises(TypeError):
+            is_in_trc_vlg("a*")
+        with pytest.raises(TypeError):
+            is_in_trc_evlg("a*", str)
+
     def test_definitional_oracle_agrees_on_hard_cases(self):
         lang = language("(aa)*")
         counter = find_trc_vlg_counterexample(lang.dfa, 2, max_length=8)
