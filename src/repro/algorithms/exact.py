@@ -138,88 +138,83 @@ class ExactSolver:
         out = view.out
         vertex_at = view.vertex_at
         label_at = view.label_at
-        best = [None]
-        best_metric = [None]
+        weighted = weight_fn is not None
+        best = None
+        best_metric = None
+        # The partial path: its vertices and labels, its weight, and a
+        # stack frame per vertex holding (state, successor iterator,
+        # weight of the edge that entered it).
         vertices = [source_id]
         labels = []
-        weight_so_far = [0.0]
+        weight_so_far = 0.0
         visited = bytearray(view.num_vertices)
         visited[source_id] = 1
-
-        def remaining_bound(node):
-            # Admissible lower bound on the remaining cost: walk distance
-            # in edges (unweighted) or zero (weighted).
-            if weight_fn is not None:
-                return 0
-            return goal_distance[node]
-
-        def current_metric():
-            if weight_fn is not None:
-                return weight_so_far[0]
-            return len(labels)
-
-        def dfs(vertex_id, state):
-            ctx.charge_step()
-            if best[0] is not None:
-                if not find_shortest:
-                    return
-                if (
-                    current_metric()
-                    + remaining_bound(vertex_id * num_states + state)
-                    >= best_metric[0]
-                ):
-                    return
-            if vertex_id == target_id and state in accepting:
-                best[0] = (tuple(vertices), tuple(labels))
-                best_metric[0] = current_metric()
-                if weight_fn is None:
-                    return
-                # Weighted: a longer path may still be lighter; fall
-                # through so siblings keep searching, but do not extend
-                # this complete path further (extensions cannot return
-                # to the target without revisiting it).
-                return
-            for label_id, nxt in out(vertex_id):
+        ctx.charge_step()
+        stack = [(self.dfa.initial, iter(out(source_id)), 0)]
+        while stack:
+            state, successors, _ = stack[-1]
+            # Metric of the partial path: its weight, or its edge count.
+            metric = weight_so_far if weighted else len(labels)
+            for label_id, nxt in successors:
                 row = rows[label_id]
                 if row is None or visited[nxt]:
                     continue
                 next_state = row[state]
                 node = nxt * num_states + next_state
-                if node not in goal_distance:
+                distance = goal_distance.get(node)
+                if distance is None:
                     continue
-                if weight_fn is None:
-                    step = 1
-                else:
+                if weighted:
                     step = weight_fn(
-                        vertex_at(vertex_id), label_at(label_id),
+                        vertex_at(vertices[-1]), label_at(label_id),
                         vertex_at(nxt),
                     )
                     if step <= 0:
                         raise ValueError(
                             "edge weights must be strictly positive"
                         )
-                if best[0] is not None and find_shortest and (
-                    current_metric() + step + remaining_bound(node)
-                    >= best_metric[0]
+                    # Admissible bound on the remaining cost: zero
+                    # (the walk distance counts edges, not weight).
+                    distance = 0
+                else:
+                    step = 1
+                if best is not None and (
+                    metric + step + distance >= best_metric
                 ):
                     continue
                 vertices.append(nxt)
                 labels.append(label_id)
-                weight_so_far[0] += step
+                weight_so_far += step
                 visited[nxt] = 1
-                dfs(nxt, next_state)
-                visited[nxt] = 0
-                weight_so_far[0] -= step
-                vertices.pop()
-                labels.pop()
-                if best[0] is not None and not find_shortest:
-                    return
-
-        dfs(source_id, self.dfa.initial)
-        if best[0] is None:
+                ctx.charge_step()
+                if nxt == target_id and next_state in accepting:
+                    best = (tuple(vertices), tuple(labels))
+                    best_metric = weight_so_far if weighted else len(labels)
+                    if not find_shortest:
+                        stack.clear()
+                        break
+                    # A complete path is never extended: it could not
+                    # return to the target without revisiting it.  A
+                    # lighter (weighted) or shorter one may still come
+                    # from a sibling.
+                    visited[nxt] = 0
+                    weight_so_far -= step
+                    vertices.pop()
+                    labels.pop()
+                    continue
+                stack.append((next_state, iter(out(nxt)), step))
+                break
+            else:
+                _, _, step = stack.pop()
+                if stack:
+                    visited[vertices.pop()] = 0
+                    labels.pop()
+                    weight_so_far -= step
+        if best is None:
             return None
-        return view.path(*best[0])
+        return view.path(*best)
 
+    # invariant: hot-loop
     def count_simple_paths(self, graph, source, target, max_length=None,
                            ctx=None):
         """Number of distinct simple L-labeled paths (exponential walk).
@@ -238,26 +233,29 @@ class ExactSolver:
         rows = transition_rows(self.dfa, view)
         accepting = self.dfa.accepting
         out = view.out
-        count = [0]
+        count = 0
         visited = bytearray(view.num_vertices)
         visited[source_id] = 1
-        length = [0]
-
-        def dfs(vertex_id, state):
-            ctx.charge_step()
-            if vertex_id == target_id and state in accepting:
-                count[0] += 1
-            for label_id, nxt in out(vertex_id):
+        ctx.charge_step()
+        # One frame per path vertex: (vertex id, state, successors).
+        stack = [(source_id, self.dfa.initial, iter(out(source_id)))]
+        while stack:
+            _, state, successors = stack[-1]
+            if max_length is not None and len(stack) > max_length:
+                # The path already has max_length edges: no extension.
+                successors = ()
+            for label_id, nxt in successors:
                 row = rows[label_id]
                 if row is None or visited[nxt]:
                     continue
-                if max_length is not None and length[0] >= max_length:
-                    continue
                 visited[nxt] = 1
-                length[0] += 1
-                dfs(nxt, row[state])
-                length[0] -= 1
-                visited[nxt] = 0
-
-        dfs(source_id, self.dfa.initial)
-        return count[0]
+                ctx.charge_step()
+                next_state = row[state]
+                if nxt == target_id and next_state in accepting:
+                    count += 1
+                stack.append((nxt, next_state, iter(out(nxt))))
+                break
+            else:
+                vertex_id, _, _ = stack.pop()
+                visited[vertex_id] = 0
+        return count

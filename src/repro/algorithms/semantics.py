@@ -20,7 +20,9 @@ Trail and simple evaluation are exponential backtracking in general
 
 from __future__ import annotations
 
+from ..core.product import transition_rows
 from ..execution import ExecutionContext
+from ..graphs.view import as_graph_view
 from ..languages import Language
 from .rpq import RpqSolver
 
@@ -78,28 +80,48 @@ class SemanticsEvaluator:
         """Yield the length of each L-labeled trail (edges distinct) from
         source to target, depth-first in repr order, charging ``ctx`` a
         step per extension."""
-        graph.require_vertex(source)
-        graph.require_vertex(target)
-        dfa = self.dfa
-        used_edges = set()
+        view = as_graph_view(graph)
+        source_id = view.vertex_id(source)
+        target_id = view.vertex_id(target)
+        return self._trail_lengths(view, source_id, target_id, ctx,
+                                   max_length)
 
-        def dfs(vertex, state, length):
-            ctx.charge_step()
-            if vertex == target and state in dfa.accepting:
-                yield length
-            if max_length is not None and length >= max_length:
-                return
-            for label, nxt in sorted(graph.out_edges(vertex), key=repr):
-                if label not in dfa.alphabet:
+    # invariant: hot-loop
+    def _trail_lengths(self, view, source_id, target_id, ctx, max_length):
+        rows = transition_rows(self.dfa, view)
+        accepting = self.dfa.accepting
+        out = view.out
+        used_edges = set()
+        ctx.charge_step()
+        if source_id == target_id and self.dfa.initial in accepting:
+            yield 0
+        if max_length is not None and max_length <= 0:
+            return
+        # One frame per trail vertex: (vertex id, state, successors,
+        # the edge that entered it).
+        stack = [(source_id, self.dfa.initial, iter(out(source_id)), None)]
+        while stack:
+            vertex_id, state, successors, _ = stack[-1]
+            for label_id, nxt in successors:
+                row = rows[label_id]
+                if row is None:
                     continue
-                edge = (vertex, label, nxt)
+                edge = (vertex_id, label_id, nxt)
                 if edge in used_edges:
                     continue
                 used_edges.add(edge)
-                yield from dfs(nxt, dfa.transition(state, label), length + 1)
-                used_edges.discard(edge)
-
-        return dfs(source, dfa.initial, 0)
+                ctx.charge_step()
+                next_state = row[state]
+                length = len(stack)
+                if nxt == target_id and next_state in accepting:
+                    yield length
+                if max_length is not None and length >= max_length:
+                    used_edges.discard(edge)
+                    continue
+                stack.append((nxt, next_state, iter(out(nxt)), edge))
+                break
+            else:
+                used_edges.discard(stack.pop()[3])
 
     # -- counting ----------------------------------------------------------------
 

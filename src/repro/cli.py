@@ -40,7 +40,7 @@ from .languages import language
 from .core.trichotomy import classify
 from .core.witness import find_hardness_witness
 from .core.psitr import decompose
-from .core.solver import STRATEGY_TRACTABLE, RspqSolver
+from .core.solver import STRATEGY_FINITE, STRATEGY_TRACTABLE, RspqSolver
 from .engine import QueryEngine
 from .graphs import io as graph_io
 from .service.protocol import RESULT_FIELDS, result_record
@@ -530,10 +530,16 @@ def _cmd_explain(args):
                     "answers NOT_FOUND without running a solver"
                     % (args.source, args.target)
                 )
-            else:
+            elif plan.strategy == STRATEGY_FINITE:
                 print(
                     "index verdict  : reachable under L's label mask — "
                     "the %s solver would run" % plan.strategy
+                )
+            else:
+                print(
+                    "index verdict  : reachable under L's label mask — "
+                    "the walk check runs first; the %s solver runs only "
+                    "if the shortest walk is not simple" % plan.strategy
                 )
     else:
         print(

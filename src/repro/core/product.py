@@ -15,6 +15,16 @@ solver.  The three searches:
 * :func:`shortest_walk` — the forward BFS with parent pointers and an
   optional edge cap: a shortest L-labelled walk.
 
+:func:`shortest_walk` is also the *walk check* every trC or NP-hard
+query passes before a simple-path search
+(:class:`~repro.core.solver.RspqSolver`; the portfolio's walk probe is
+the same BFS with an edge cap).  It is sound because every simple path
+is a walk: no L-labelled walk proves NOT_FOUND, and a shortest walk
+that visits no vertex twice is a shortest simple path.  It is a check
+and not a solver: in the paper's Figure 4 the only L-labelled walks
+repeat vertices and no simple L-path exists, so a walk that is not
+simple decides nothing.
+
 The per-label transition rows they expand through, and the live-state
 row, are shared with the vectorized batch executor
 (:mod:`repro.engine.vectorized`) and the randomized solvers.
@@ -176,20 +186,45 @@ def walk_distances(dfa: "DFA", view: "GraphView", target_id: int,
 # invariant: hot-loop
 def shortest_walk(dfa: "DFA", view: "GraphView", source_id: int,
                   target_id: int, max_edges: "int | None" = None,
-                  ctx: "ExecutionContext | None" = None) -> IdWalk | None:
+                  ctx: "ExecutionContext | None" = None,
+                  mask: "int | None" = None) -> IdWalk | None:
     """A shortest L-labelled walk with at most ``max_edges`` edges.
 
     Layered BFS over the product with parent pointers; returns
     ``(vertex_ids, label_ids)`` or ``None`` when no such walk exists.
-    The walk need not be simple.  From a vertex to itself it is the
-    empty walk when ε ∈ L and a shortest closed walk otherwise.
-    ``ctx``, when given, is charged one step per expanded node.
+    It stops at the first accepting target node it reaches.  The walk
+    need not be simple.  From a vertex to itself it is the empty walk
+    when ε ∈ L and a shortest closed walk otherwise.  ``ctx``, when
+    given, is charged one step per expanded node.
+
+    Two prunings drop product nodes that cannot reach the goal: nodes
+    in a dead DFA state (:func:`live_state_row`), and, given L's label
+    ``mask``, nodes whose vertex lies in a component that cannot reach
+    the target's under it (``ReachabilityIndex.comps_to``; every label
+    of an L-walk is a symbol of some word of L, so the mask is sound).
+    A node that can reach the goal is first discovered from a parent
+    that can too, so neither pruning changes the walk returned.
     """
     num_states = dfa.num_states
     accepting = dfa.accepting
     if source_id == target_id and dfa.initial in accepting:
         return (source_id,), ()
-    rows = transition_rows(dfa, view)
+    live = live_state_row(dfa)
+    to_target = comp_of = None
+    if mask is not None:
+        index = view.reachability()
+        to_target = index.comps_to(target_id, mask)
+        comp_of = index.comp_of
+        if not to_target[comp_of[source_id]]:
+            return None
+    if not live[dfa.initial]:
+        return None
+    # Per label id: the successor state, -1 for a dead one.
+    rows = [
+        None if row is None else [state if live[state] else -1
+                                  for state in row]
+        for row in transition_rows(dfa, view)
+    ]
     out = view.out
     start = source_id * num_states + dfa.initial
     parents: dict[int, "tuple[int, int] | None"] = {start: None}
@@ -209,11 +244,16 @@ def shortest_walk(dfa: "DFA", view: "GraphView", source_id: int,
                 row = rows[label_id]
                 if row is None:
                     continue
-                next_node = nxt * num_states + row[state]
+                next_state = row[state]
+                if next_state < 0 or (
+                    to_target is not None and not to_target[comp_of[nxt]]
+                ):
+                    continue
+                next_node = nxt * num_states + next_state
                 if next_node in parents:
                     continue
                 parents[next_node] = (node, label_id)
-                if nxt == target_id and row[state] in accepting:
+                if nxt == target_id and next_state in accepting:
                     goal = next_node
                     break
                 next_frontier.append(next_node)

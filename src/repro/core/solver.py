@@ -10,6 +10,18 @@
 * L ∉ trC             → :class:`ExactSolver` (the NP-complete case; a
   work budget may be supplied).
 
+Walk first.  Before the tractable or exact solver runs, each query
+gets one forward shortest-walk BFS over the product ``G × A_L``
+(:func:`repro.core.product.shortest_walk`, early exit at the first
+accepting target node).  It is sound because every simple path is a
+walk: no L-labelled walk means no simple one, and a shortest walk that
+happens to be simple is a shortest simple path.  If the walk repeats a
+vertex, the query goes on to the strategy's solver.  The paper's
+Figure 4 is why this is a check and not a solver: there an L-walk
+exists but no simple L-path does, and deciding that in general is the
+trichotomy's job.  Finite languages keep the word search the
+trichotomy assigns them, without the check.
+
 Results report which strategy ran, so experiments can verify the
 dispatch matches the trichotomy.
 """
@@ -21,11 +33,13 @@ from typing import Optional
 
 from ..errors import ReproError
 from ..graphs.dbgraph import Path
+from ..graphs.view import as_graph_view
 from ..languages import Language
 from ..languages.analysis import useful_symbols
 from ..algorithms.bounded import FiniteLanguageSolver
 from ..algorithms.exact import ExactSolver
 from .nice_paths import TractableSolver
+from .product import shortest_walk
 from .psitr import decompose
 from .trichotomy import Classification, classify
 
@@ -71,7 +85,8 @@ class RspqSolver:
     exact_budget:
         Step budget handed to the exponential solver when it is used.
     force_exact:
-        Skip the tractable machinery (useful for baselines in benches).
+        Skip the tractable machinery (useful for baselines in benches);
+        the walk check still runs first.
     use_reach_pruning:
         Consult the graph view's label-constrained reachability index
         (short-circuiting provably unreachable queries and dropping
@@ -132,13 +147,17 @@ class RspqSolver:
 
         ``ctx`` (an :class:`~repro.execution.ExecutionContext`) carries
         the per-query counters and budget/deadline accounting; without
-        one, the dispatched solver runs on a throwaway context (read
-        :meth:`steps_in` off a context you pass to see the work).
+        one, the walk check runs uncharged and the dispatched solver on
+        a throwaway context (read :meth:`steps_in` off a context you
+        pass to see the work).
         """
         if self._finite_solver is not None:
             return self._finite_solver.shortest_simple_path(
                 graph, source, target, ctx=ctx
             )
+        decided, path = self._walk_check(graph, source, target, ctx)
+        if decided:
+            return path
         if self._tractable_solver is not None:
             return self._tractable_solver.shortest_simple_path(
                 graph, source, target, ctx=ctx
@@ -146,6 +165,33 @@ class RspqSolver:
         return self._exact_solver.shortest_simple_path(
             graph, source, target, ctx=ctx
         )
+
+    def _walk_check(self, graph, source, target, ctx):
+        """``(True, answer)`` when a shortest L-walk decides the query.
+
+        The answer is ``None`` when no walk exists and the walk itself
+        when it is simple; ``(False, None)`` means the walk repeats a
+        vertex and the strategy's solver must run.  Charges ``ctx`` one
+        step per product node the BFS expands.
+        """
+        view = as_graph_view(graph)
+        source_id = view.vertex_id(source)
+        target_id = view.vertex_id(target)
+        dfa = self.language.dfa
+        if source_id == target_id and dfa.initial not in dfa.accepting:
+            # The only simple path from a vertex to itself is empty.
+            return True, None
+        mask = None
+        if self.use_reach_pruning:
+            mask = view.label_mask(self.used_symbols)
+        walk = shortest_walk(dfa, view, source_id, target_id, ctx=ctx,
+                             mask=mask)
+        if walk is None:
+            return True, None
+        vertex_ids, label_ids = walk
+        if len(set(vertex_ids)) < len(vertex_ids):
+            return False, None
+        return True, view.path(vertex_ids, label_ids)
 
     def solve(self, graph, source, target, ctx=None):
         """Full result object with path and strategy information."""
@@ -159,25 +205,33 @@ class RspqSolver:
         )
 
     def steps_in(self, ctx):
-        """The strategy-relevant work counter recorded on ``ctx``.
+        """The work recorded on ``ctx``: the walk check's expanded
+        nodes plus the strategy's own counter.
 
-        Exact: DFS expansions; tractable: anchored-DFS steps; finite:
-        words tried.
+        Exact: walk nodes and DFS expansions, both on ``steps``;
+        tractable: walk nodes (``steps``) plus anchored-DFS steps;
+        finite: words tried (no walk check runs).
         """
         if self._finite_solver is not None:
             return ctx.words_tried
         if self._tractable_solver is not None:
-            return ctx.dfs_steps
+            return ctx.steps + ctx.dfs_steps
         return ctx.steps
 
     def exists(self, graph, source, target, ctx=None):
         """Decision variant of RSPQ(L)."""
-        if self._exact_solver is not None:
-            return self._exact_solver.exists(graph, source, target, ctx=ctx)
-        return (
-            self.shortest_simple_path(graph, source, target, ctx=ctx)
-            is not None
-        )
+        if self._finite_solver is not None:
+            return self._finite_solver.shortest_simple_path(
+                graph, source, target, ctx=ctx
+            ) is not None
+        decided, path = self._walk_check(graph, source, target, ctx)
+        if decided:
+            return path is not None
+        if self._tractable_solver is not None:
+            return self._tractable_solver.exists(
+                graph, source, target, ctx=ctx
+            )
+        return self._exact_solver.exists(graph, source, target, ctx=ctx)
 
 
 def solve_rspq(language, graph, source, target, exact_budget=None, ctx=None):

@@ -8,11 +8,12 @@ budget/deadline and escalating cleanly to the next rung:
 
 1. **walk-probe** — :func:`repro.core.product.shortest_walk`, the
    polynomial BFS over the product graph ``G × A_L`` that ignores
-   simplicity, capped at the query's length bound.  No accepting walk
-   within the cap certifies NOT_FOUND (every simple path is a walk);
-   a shortest accepting walk that happens to be simple *is* a
-   shortest simple path and certifies FOUND.  Otherwise its length
-   lower-bounds the answer and seeds the next rung.
+   simplicity (the classic path's walk check), capped at the query's
+   length bound.  No accepting walk within the cap certifies
+   NOT_FOUND (every simple path is a walk); a shortest accepting walk
+   that happens to be simple *is* a shortest simple path and
+   certifies FOUND.  Otherwise its length lower-bounds the answer and
+   seeds the next rung.
 2. **color-coding** — calibrated Monte-Carlo color coding
    (:class:`~repro.algorithms.color_coding.ColorCodingSolver`,
    Theorem 7) with iterative deepening from the walk lower bound.  A
@@ -172,6 +173,7 @@ class PortfolioSolver:
                 )
         self.budget_split = split
         self.used_symbols = useful_symbols(self.dfa)
+        self.use_reach_pruning = use_reach_pruning
         self.color = ColorCodingSolver(
             language, seed=seed, failure_probability=failure_probability,
             use_reach_pruning=use_reach_pruning,
@@ -257,8 +259,11 @@ class PortfolioSolver:
         # Rung 1: walk probe (certified, polynomial, parent-charged).
         start = time.perf_counter()
         steps_before = ctx.steps
+        mask = None
+        if self.use_reach_pruning:
+            mask = view.label_mask(self.used_symbols)
         walk = shortest_walk(
-            self.dfa, view, source_id, target_id, k_complete, ctx
+            self.dfa, view, source_id, target_id, k_complete, ctx, mask
         )
         probe_steps = ctx.steps - steps_before
         if walk is None:

@@ -8,13 +8,13 @@ counters and budget accounting.
 :class:`ExecutionContext` is the fix.  It owns everything that varies
 per query:
 
-* **work counters** — exact-solver expansions (``steps``), finite-
-  solver words tried (``words_tried``), and the tractable solver's
-  anchored-DFS statistics (``candidates``, ``completions``,
-  ``dfs_steps``, ``gap_bfs``);
-* **budget accounting** — an optional cap on search work (exact-solver
-  expansions and trail extensions, finite-solver words tried, or
-  tractable-solver DFS steps), enforced with
+* **work counters** — walk-check nodes and exact-solver expansions
+  (``steps``), finite-solver words tried (``words_tried``), and the
+  tractable solver's anchored-DFS statistics (``candidates``,
+  ``completions``, ``dfs_steps``, ``gap_bfs``);
+* **budget accounting** — an optional cap on search work (walk-check
+  nodes, exact-solver expansions and trail extensions, finite-solver
+  words tried, or tractable-solver DFS steps), enforced with
   :class:`~repro.errors.BudgetExceededError`;
 * **an optional wall-clock deadline** — checked every
   ``deadline_check_interval`` charges so the hot loops stay cheap,
@@ -53,10 +53,10 @@ class ExecutionContext:
     Parameters
     ----------
     budget:
-        Optional cap on search work: ``steps`` (exact-solver expansions
-        and trail extensions), ``words_tried`` (finite-language words)
-        or ``dfs_steps`` (the tractable solver's anchored DFS);
-        exceeding it raises
+        Optional cap on search work: ``steps`` (walk-check nodes,
+        exact-solver expansions and trail extensions), ``words_tried``
+        (finite-language words) or ``dfs_steps`` (the tractable
+        solver's anchored DFS); exceeding it raises
         :class:`~repro.errors.BudgetExceededError`.  Must be positive:
         a zero or negative budget can never admit a single step, so it
         is rejected with :class:`ValueError` at construction instead of
@@ -120,8 +120,8 @@ class ExecutionContext:
     # -- charging (solver hot paths) ---------------------------------------------
 
     def charge_step(self):
-        """One exact-solver expansion or trail extension: budget +
-        deadline accounting."""
+        """One walk-check node, exact-solver expansion or trail
+        extension: budget + deadline accounting."""
         self.steps += 1
         if self.budget is not None and self.steps > self.budget:
             raise self._over_budget(self.steps)

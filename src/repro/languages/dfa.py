@@ -32,6 +32,9 @@ class DFA:
         self.initial = initial
         self.accepting = frozenset(accepting)
         self._delta = dict(transitions)
+        #: Set by :meth:`minimized` on the automaton it builds, so that
+        #: minimising it again returns it unchanged.
+        self._minimal = False
         if not 0 <= initial < num_states:
             raise AutomatonError("initial state out of range")
         for state in self.accepting:
@@ -382,8 +385,12 @@ class DFA:
 
         Moore partition refinement over the reachable part.  States of the
         result are numbered in BFS order from the initial state so the
-        output is canonical for a fixed alphabet ordering.
+        output is canonical for a fixed alphabet ordering.  The result
+        records that it is minimal: minimising it again returns it
+        (the same canonical automaton a second pass would rebuild).
         """
+        if self._minimal:
+            return self
         trimmed = self.trimmed_complete()
         symbols = sorted(trimmed.alphabet)
         # Initial partition: accepting vs non-accepting.
@@ -434,13 +441,15 @@ class DFA:
             for symbol in symbols:
                 target_block = block_of[trimmed._delta[(rep, symbol)]]
                 transitions[(position, symbol)] = order[target_block]
-        return DFA(
+        minimal = DFA(
             len(order),
             trimmed.alphabet,
             transitions,
             0,
             accepting,
         )
+        minimal._minimal = True
+        return minimal
 
     def is_minimal(self):
         """True iff this automaton is already minimal (state count check)."""

@@ -524,6 +524,20 @@ class TestExplain:
         ]) == 0
         out = capsys.readouterr().out
         assert "index verdict  : reachable under L's label mask" in out
+        assert (
+            "the walk check runs first; the trc-nice-path solver runs "
+            "only if the shortest walk is not simple" in out
+        )
+
+    def test_index_verdict_reachable_finite(self, capsys, graph_file):
+        # Finite languages keep their word search: no walk check.
+        assert main([
+            "explain", "abbc", "--graph", graph_file,
+            "--source", "s", "--target", "t",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "the finite-AC0 solver would run" in out
+        assert "walk check" not in out
 
     def test_index_verdict_short_circuit(self, capsys, graph_file):
         # t has no outgoing edges: nothing is reachable from it.

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.catalog import entries
 from repro.errors import AutomatonError
+from repro.languages import Language
 from repro.languages.dfa import DFA, dfa_from_words, from_nfa
 from repro.languages.nfa import nfa_from_ast
 from repro.languages.regex.parser import parse
@@ -144,6 +146,30 @@ class TestMinimisation:
 
     def test_is_minimal(self):
         assert _dfa("a*ba*").minimized().is_minimal()
+
+    @pytest.mark.parametrize("regex", [entry.regex for entry in entries()])
+    def test_minimal_dfa_minimizes_to_itself(self, regex):
+        lang = Language(regex)
+        assert lang.dfa.minimized() is lang.dfa
+        # Returning it is what a second pass would build: the same
+        # canonical automaton, state for state.
+        dfa = lang.dfa
+        copy = DFA(dfa.num_states, dfa.alphabet,
+                   {(q, a): r for q, a, r in dfa.transitions()},
+                   dfa.initial, dfa.accepting)
+        again = copy.minimized()
+        assert again is not copy
+        assert sorted(again.transitions()) == sorted(dfa.transitions())
+        assert (again.initial, again.accepting) == (
+            dfa.initial, dfa.accepting
+        )
+
+    def test_derived_automata_are_minimised_afresh(self):
+        dfa = _dfa("ab").minimized()
+        quotient = dfa.with_initial(dfa.transition(dfa.initial, "a"))
+        minimal = quotient.minimized()
+        assert minimal is not quotient
+        assert minimal.num_states < quotient.num_states
 
     def test_with_initial_quotient(self):
         dfa = _dfa("ab").minimized()

@@ -168,19 +168,24 @@ class TestDeadlines:
 
 class TestRspqSolverDispatch:
     @pytest.mark.parametrize(
-        "regex,counter",
+        "regex,counters",
         [
-            ("ab + ba", "words_tried"),
-            ("a*", "dfs_steps"),
-            ("a*ba*", "steps"),
+            ("ab + ba", ("words_tried",)),
+            # Walk-check nodes land on ``steps``; the anchored DFS
+            # charges ``dfs_steps``.
+            ("a*", ("steps", "dfs_steps")),
+            ("a*ba*", ("steps",)),
         ],
+        ids=["ab + ba-words_tried", "a*-dfs_steps", "a*ba*-steps"],
     )
-    def test_steps_in_reads_strategy_counter(self, graph, regex, counter):
+    def test_steps_in_reads_strategy_counter(self, graph, regex, counters):
         solver = RspqSolver(regex)
         source, target = _working_pair(regex, graph)
         ctx = ExecutionContext()
         solver.shortest_simple_path(graph, source, target, ctx=ctx)
-        assert solver.steps_in(ctx) == getattr(ctx, counter)
+        assert solver.steps_in(ctx) == sum(
+            getattr(ctx, counter) for counter in counters
+        )
         assert solver.steps_in(ctx) > 0
 
     def test_solve_threads_context(self, graph):
@@ -188,7 +193,7 @@ class TestRspqSolverDispatch:
         ctx = ExecutionContext()
         result = solver.solve(graph, 0, 5, ctx=ctx)
         assert result.strategy == solver.strategy
-        assert ctx.dfs_steps > 0
+        assert solver.steps_in(ctx) > 0
 
     def test_exists_threads_context(self, graph):
         solver = RspqSolver("a*ba*")
