@@ -13,17 +13,18 @@ solver.  The three searches:
 * :func:`walk_distances` — the backward BFS from the accepting target
   nodes: each live product node's walk distance to the goal;
 * :func:`shortest_walk` — the forward BFS with parent pointers and an
-  optional edge cap: a shortest L-labelled walk.
+  optional edge cap: a shortest L-labelled walk.  A backward BFS from
+  the goal runs alongside it only to stop early when no walk exists.
 
-:func:`shortest_walk` is also the *walk check* every trC or NP-hard
-query passes before a simple-path search
-(:class:`~repro.core.solver.RspqSolver`; the portfolio's walk probe is
-the same BFS with an edge cap).  It is sound because every simple path
-is a walk: no L-labelled walk proves NOT_FOUND, and a shortest walk
-that visits no vertex twice is a shortest simple path.  It is a check
-and not a solver: in the paper's Figure 4 the only L-labelled walks
-repeat vertices and no simple L-path exists, so a walk that is not
-simple decides nothing.
+:func:`walk_check` turns :func:`shortest_walk` into the *walk check*
+every trC or NP-hard query passes before a simple-path search
+(:class:`~repro.core.solver.RspqSolver`, and the portfolio's walk
+probe with an edge cap).  It is sound because every simple path is a
+walk: no L-labelled walk proves NOT_FOUND, and a shortest walk that
+visits no vertex twice is a shortest simple path.  It is a check and
+not a solver: in the paper's Figure 4 the only L-labelled walks repeat
+vertices and no simple L-path exists, so a walk that is not simple
+decides nothing.
 
 The per-label transition rows they expand through, and the live-state
 row, are shared with the vectorized batch executor
@@ -37,6 +38,7 @@ from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
     from ..execution import ExecutionContext
+    from ..graphs.dbgraph import Path
     from ..graphs.view import GraphView
     from ..languages.dfa import DFA
 
@@ -186,8 +188,7 @@ def walk_distances(dfa: "DFA", view: "GraphView", target_id: int,
 # invariant: hot-loop
 def shortest_walk(dfa: "DFA", view: "GraphView", source_id: int,
                   target_id: int, max_edges: "int | None" = None,
-                  ctx: "ExecutionContext | None" = None,
-                  mask: "int | None" = None) -> IdWalk | None:
+                  ctx: "ExecutionContext | None" = None) -> IdWalk | None:
     """A shortest L-labelled walk with at most ``max_edges`` edges.
 
     Layered BFS over the product with parent pointers; returns
@@ -197,26 +198,28 @@ def shortest_walk(dfa: "DFA", view: "GraphView", source_id: int,
     when ε ∈ L and a shortest closed walk otherwise.  ``ctx``, when
     given, is charged one step per expanded node.
 
-    Two prunings drop product nodes that cannot reach the goal: nodes
-    in a dead DFA state (:func:`live_state_row`), and, given L's label
-    ``mask``, nodes whose vertex lies in a component that cannot reach
-    the target's under it (``ReachabilityIndex.comps_to``; every label
-    of an L-walk is a symbol of some word of L, so the mask is sound).
-    A node that can reach the goal is first discovered from a parent
-    that can too, so neither pruning changes the walk returned.
+    Product nodes in a dead DFA state (:func:`live_state_row`) are
+    never entered.  They cannot reach the goal, and a node that can is
+    first discovered from a parent that can too, so the pruning does
+    not change the walk returned.
+
+    A backward BFS from the accepting target nodes runs alongside.  Each
+    round advances, by one whole layer, the side with the smaller
+    frontier (on a tie, the side with fewer layers, else the forward
+    one), so the steps charged do not depend on the order of the
+    view's in-edges.  The backward side only ever answers "no walk":
+    if it runs dry, or completes ``max_edges`` layers, before it
+    discovers a node the forward side has discovered, the source
+    cannot reach the goal within the cap.  Once the two sides meet it
+    stops, and the forward BFS alone picks the walk.  A missing walk
+    thus costs about twice the narrower side, where the forward BFS
+    alone would exhaust the source's whole region.
     """
     num_states = dfa.num_states
     accepting = dfa.accepting
     if source_id == target_id and dfa.initial in accepting:
         return (source_id,), ()
     live = live_state_row(dfa)
-    to_target = comp_of = None
-    if mask is not None:
-        index = view.reachability()
-        to_target = index.comps_to(target_id, mask)
-        comp_of = index.comp_of
-        if not to_target[comp_of[source_id]]:
-            return None
     if not live[dfa.initial]:
         return None
     # Per label id: the successor state, -1 for a dead one.
@@ -229,11 +232,54 @@ def shortest_walk(dfa: "DFA", view: "GraphView", source_id: int,
     start = source_id * num_states + dfa.initial
     parents: dict[int, "tuple[int, int] | None"] = {start: None}
     frontier = [start]
-    goal = None
     depth = 0
+    # The backward side; None once it has met the forward side.
+    back_frontier: "list[int] | None" = [
+        target_id * num_states + final for final in accepting
+    ]
+    back_seen = set(back_frontier)
+    # Per label id: the states before each state, as in walk_distances.
+    back_rows: "list[list[tuple[int, ...]] | None] | None" = None
+    back_depth = 0
+    in_pairs = view.in_pairs
+    goal = None
     while frontier and goal is None and (
         max_edges is None or depth < max_edges
     ):
+        if back_frontier is not None and (
+            len(back_frontier) < len(frontier)
+            or (len(back_frontier) == len(frontier) and back_depth < depth)
+        ):
+            if back_rows is None:
+                reverse = reverse_transition_index(dfa)
+                back_rows = [
+                    reverse.get(view.label_at(label_id))
+                    for label_id in range(view.num_labels)
+                ]
+            back_depth += 1
+            next_back: list[int] = []
+            for node in back_frontier:
+                if ctx is not None:
+                    ctx.charge_step()
+                vertex_id, state = divmod(node, num_states)
+                for label_id, previous_id in in_pairs(vertex_id):
+                    befores = back_rows[label_id]
+                    if befores is None:
+                        continue
+                    for state_before in befores[state]:
+                        previous = previous_id * num_states + state_before
+                        if previous not in back_seen:
+                            back_seen.add(previous)
+                            next_back.append(previous)
+            if not parents.keys().isdisjoint(next_back):
+                back_frontier = None
+            elif not next_back or (
+                max_edges is not None and back_depth >= max_edges
+            ):
+                return None
+            else:
+                back_frontier = next_back
+            continue
         depth += 1
         next_frontier: list[int] = []
         for node in frontier:
@@ -245,9 +291,7 @@ def shortest_walk(dfa: "DFA", view: "GraphView", source_id: int,
                 if row is None:
                     continue
                 next_state = row[state]
-                if next_state < 0 or (
-                    to_target is not None and not to_target[comp_of[nxt]]
-                ):
+                if next_state < 0:
                     continue
                 next_node = nxt * num_states + next_state
                 if next_node in parents:
@@ -276,3 +320,29 @@ def shortest_walk(dfa: "DFA", view: "GraphView", source_id: int,
     vertex_ids.reverse()
     label_ids.reverse()
     return tuple(vertex_ids), tuple(label_ids)
+
+
+def walk_check(dfa: "DFA", view: "GraphView", source_id: int,
+               target_id: int, max_edges: "int | None" = None,
+               ctx: "ExecutionContext | None" = None,
+               ) -> "tuple[bool, Path | None, int | None]":
+    """Decide a simple-path query by its shortest L-walk when that is
+    enough: ``(decided, path, walk_edges)``.
+
+    ``(True, None, None)`` when no L-walk of at most ``max_edges``
+    edges exists (nor, from a vertex to itself with ε ∉ L, any simple
+    path); ``(True, path, n)`` when the shortest walk is simple, which
+    makes it a shortest simple path; ``(False, None, n)`` when the walk
+    repeats a vertex, ``n`` its edge count (a lower bound on any simple
+    answer).  ``ctx`` is charged as by :func:`shortest_walk`.
+    """
+    if source_id == target_id and dfa.initial not in dfa.accepting:
+        # The only simple path from a vertex to itself is empty.
+        return True, None, None
+    walk = shortest_walk(dfa, view, source_id, target_id, max_edges, ctx)
+    if walk is None:
+        return True, None, None
+    vertex_ids, label_ids = walk
+    if len(set(vertex_ids)) < len(vertex_ids):
+        return False, None, len(label_ids)
+    return True, view.path(vertex_ids, label_ids), len(label_ids)

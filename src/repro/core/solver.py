@@ -11,16 +11,19 @@
   work budget may be supplied).
 
 Walk first.  Before the tractable or exact solver runs, each query
-gets one forward shortest-walk BFS over the product ``G × A_L``
-(:func:`repro.core.product.shortest_walk`, early exit at the first
-accepting target node).  It is sound because every simple path is a
-walk: no L-labelled walk means no simple one, and a shortest walk that
-happens to be simple is a shortest simple path.  If the walk repeats a
-vertex, the query goes on to the strategy's solver.  The paper's
-Figure 4 is why this is a check and not a solver: there an L-walk
-exists but no simple L-path does, and deciding that in general is the
-trichotomy's job.  Finite languages keep the word search the
-trichotomy assigns them, without the check.
+gets one shortest-walk BFS over the product ``G × A_L``
+(:func:`repro.core.product.walk_check`: a forward BFS with early exit
+at the first accepting target node, and a backward one alongside that
+stops it early when no walk exists).  It is sound because every simple
+path is a walk: no L-labelled walk means no simple one, and a shortest
+walk that happens to be simple is a shortest simple path.  If the walk
+repeats a vertex, the query goes on to the strategy's solver.  The
+paper's Figure 4 is why this is a check and not a solver: there an
+L-walk exists but no simple L-path does, and deciding that in general
+is the trichotomy's job.  Finite languages keep the word search the
+trichotomy assigns them, without the check.  The check's expanded
+nodes are charged to the query's ``steps``, so a step budget covers
+them too.
 
 Results report which strategy ran, so experiments can verify the
 dispatch matches the trichotomy.
@@ -39,7 +42,7 @@ from ..languages.analysis import useful_symbols
 from ..algorithms.bounded import FiniteLanguageSolver
 from ..algorithms.exact import ExactSolver
 from .nice_paths import TractableSolver
-from .product import shortest_walk
+from .product import walk_check
 from .psitr import decompose
 from .trichotomy import Classification, classify
 
@@ -167,31 +170,14 @@ class RspqSolver:
         )
 
     def _walk_check(self, graph, source, target, ctx):
-        """``(True, answer)`` when a shortest L-walk decides the query.
-
-        The answer is ``None`` when no walk exists and the walk itself
-        when it is simple; ``(False, None)`` means the walk repeats a
-        vertex and the strategy's solver must run.  Charges ``ctx`` one
-        step per product node the BFS expands.
-        """
+        """``(decided, answer)`` from :func:`~repro.core.product.walk_check`:
+        when not decided, the strategy's solver must run."""
         view = as_graph_view(graph)
-        source_id = view.vertex_id(source)
-        target_id = view.vertex_id(target)
-        dfa = self.language.dfa
-        if source_id == target_id and dfa.initial not in dfa.accepting:
-            # The only simple path from a vertex to itself is empty.
-            return True, None
-        mask = None
-        if self.use_reach_pruning:
-            mask = view.label_mask(self.used_symbols)
-        walk = shortest_walk(dfa, view, source_id, target_id, ctx=ctx,
-                             mask=mask)
-        if walk is None:
-            return True, None
-        vertex_ids, label_ids = walk
-        if len(set(vertex_ids)) < len(vertex_ids):
-            return False, None
-        return True, view.path(vertex_ids, label_ids)
+        decided, path, _edges = walk_check(
+            self.language.dfa, view, view.vertex_id(source),
+            view.vertex_id(target), ctx=ctx,
+        )
+        return decided, path
 
     def solve(self, graph, source, target, ctx=None):
         """Full result object with path and strategy information."""
@@ -220,18 +206,15 @@ class RspqSolver:
 
     def exists(self, graph, source, target, ctx=None):
         """Decision variant of RSPQ(L)."""
-        if self._finite_solver is not None:
-            return self._finite_solver.shortest_simple_path(
-                graph, source, target, ctx=ctx
-            ) is not None
-        decided, path = self._walk_check(graph, source, target, ctx)
-        if decided:
-            return path is not None
-        if self._tractable_solver is not None:
-            return self._tractable_solver.exists(
-                graph, source, target, ctx=ctx
-            )
-        return self._exact_solver.exists(graph, source, target, ctx=ctx)
+        if self._exact_solver is not None:
+            decided, path = self._walk_check(graph, source, target, ctx)
+            if decided:
+                return path is not None
+            return self._exact_solver.exists(graph, source, target, ctx=ctx)
+        return (
+            self.shortest_simple_path(graph, source, target, ctx=ctx)
+            is not None
+        )
 
 
 def solve_rspq(language, graph, source, target, exact_budget=None, ctx=None):

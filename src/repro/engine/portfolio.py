@@ -6,9 +6,9 @@ portfolio interposes a ladder of cheaper attacks, each consuming a
 slice of the query's :class:`~repro.execution.ExecutionContext`
 budget/deadline and escalating cleanly to the next rung:
 
-1. **walk-probe** — :func:`repro.core.product.shortest_walk`, the
-   polynomial BFS over the product graph ``G × A_L`` that ignores
-   simplicity (the classic path's walk check), capped at the query's
+1. **walk-probe** — :func:`repro.core.product.walk_check`, the
+   classic path's walk check: the polynomial BFS over the product
+   graph ``G × A_L`` that ignores simplicity, capped at the query's
    length bound.  No accepting walk within the cap certifies
    NOT_FOUND (every simple path is a walk); a shortest accepting walk
    that happens to be simple *is* a shortest simple path and
@@ -46,7 +46,7 @@ from typing import Any, Optional
 from ..algorithms.algebraic import MAX_GROUP_RANK, AlgebraicSolver
 from ..algorithms.color_coding import ColorCodingSolver
 from ..algorithms.exact import ExactSolver
-from ..core.product import shortest_walk
+from ..core.product import walk_check
 from ..errors import BudgetExceededError, DeadlineExceededError
 from ..execution import ExecutionContext
 from ..graphs.dbgraph import Path
@@ -173,7 +173,6 @@ class PortfolioSolver:
                 )
         self.budget_split = split
         self.used_symbols = useful_symbols(self.dfa)
-        self.use_reach_pruning = use_reach_pruning
         self.color = ColorCodingSolver(
             language, seed=seed, failure_probability=failure_probability,
             use_reach_pruning=use_reach_pruning,
@@ -259,32 +258,19 @@ class PortfolioSolver:
         # Rung 1: walk probe (certified, polynomial, parent-charged).
         start = time.perf_counter()
         steps_before = ctx.steps
-        mask = None
-        if self.use_reach_pruning:
-            mask = view.label_mask(self.used_symbols)
-        walk = shortest_walk(
-            self.dfa, view, source_id, target_id, k_complete, ctx, mask
+        decided, path, walk_len = walk_check(
+            self.dfa, view, source_id, target_id, k_complete, ctx
         )
         probe_steps = ctx.steps - steps_before
-        if walk is None:
+        if decided:
+            found = path is not None
             rungs.append(RungReport(
-                "walk-probe", "proved-absent", probe_steps,
-                time.perf_counter() - start,
-                "no accepting walk within %d edges" % k_complete,
+                "walk-probe", "found" if found else "proved-absent",
+                probe_steps, time.perf_counter() - start,
+                "shortest accepting walk is simple" if found
+                else "no accepting walk within %d edges" % k_complete,
             ))
-            return self._certified(False, None, "walk-probe", rungs)
-        walk_vertices, walk_labels = walk
-        walk_len = len(walk_labels)
-        if len(set(walk_vertices)) == len(walk_vertices):
-            rungs.append(RungReport(
-                "walk-probe", "found", probe_steps,
-                time.perf_counter() - start,
-                "shortest accepting walk is simple",
-            ))
-            return self._certified(
-                True, view.path(walk_vertices, walk_labels), "walk-probe",
-                rungs,
-            )
+            return self._certified(found, path, "walk-probe", rungs)
         rungs.append(RungReport(
             "walk-probe", "no-witness", probe_steps,
             time.perf_counter() - start,

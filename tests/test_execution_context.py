@@ -10,11 +10,13 @@ import pytest
 from repro.algorithms.bounded import FiniteLanguageSolver
 from repro.algorithms.exact import ExactSolver
 from repro.core.nice_paths import TractableSolver
+from repro.core.product import shortest_walk
 from repro.core.solver import RspqSolver, solve_rspq
 from repro.errors import BudgetExceededError, DeadlineExceededError
 from repro.execution import ExecutionContext
 from repro.engine import QueryEngine
 from repro.graphs.generators import (
+    figure4_graph,
     labeled_cycle,
     labeled_path,
     random_labeled_graph,
@@ -188,16 +190,26 @@ class TestRspqSolverDispatch:
         )
         assert solver.steps_in(ctx) > 0
 
-    def test_solve_threads_context(self, graph):
-        solver = RspqSolver("a*")
+    def test_solve_threads_context(self):
+        # Figure 4's shortest walk repeats vertices, so the walk check
+        # cannot decide it and the anchored DFS runs on ``ctx``.
+        graph, source, target = figure4_graph(3)
+        solver = RspqSolver("a*(bb^+ + eps)c*")
         ctx = ExecutionContext()
-        result = solver.solve(graph, 0, 5, ctx=ctx)
+        result = solver.solve(graph, source, target, ctx=ctx)
         assert result.strategy == solver.strategy
-        assert solver.steps_in(ctx) > 0
+        assert ctx.dfs_steps > 0
 
-    def test_exists_threads_context(self, graph):
-        solver = RspqSolver("a*ba*")
-        source, target = _working_pair("a*ba*", graph)
+    def test_exists_threads_context(self):
+        # (aa)* from 0 to 9: the shortest walk takes the loop on 8, so
+        # the exact search runs on ``ctx`` after the walk check.
+        graph = labeled_path("a" * 9)
+        graph.add_edge(8, "a", 8)
+        solver = RspqSolver("(aa)*")
+        view = graph.view()
+        walk_ctx = ExecutionContext()
+        shortest_walk(solver.language.dfa, view, view.vertex_id(0),
+                      view.vertex_id(9), ctx=walk_ctx)
         ctx = ExecutionContext()
-        assert solver.exists(graph, source, target, ctx=ctx)
-        assert ctx.steps > 0
+        assert not solver.exists(graph, 0, 9, ctx=ctx)
+        assert ctx.steps > walk_ctx.steps

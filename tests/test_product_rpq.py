@@ -193,7 +193,10 @@ class TestShortestWalk:
         ctx = ExecutionContext()
         walk = shortest_walk(language("a*").dfa, view, 0, 4, ctx=ctx)
         assert len(walk[1]) == 4
-        assert ctx.steps == 4
+        # Four forward nodes (0 to 3) and two backward ones (4, 3):
+        # the backward side stops once it reaches vertex 2, which the
+        # forward side has already found.
+        assert ctx.steps == 6
 
 
 class TestWalkDistances:

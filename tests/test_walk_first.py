@@ -1,15 +1,18 @@
 """Walk first: the shortest-walk check in front of the simple-path solvers.
 
-Every simple path is a walk, so :class:`RspqSolver` runs one forward
+Every simple path is a walk, so :class:`RspqSolver` runs one
 shortest-walk BFS per trC or NP-hard query before any simple-path
 search: no walk answers NOT_FOUND, a simple shortest walk is the
 answer, and anything else goes on to the strategy's solver.  These
 tests pin that the check never changes an answer (against the exact
-solver run alone), that its two prunings never change the walk, that
-it is charged to the query's budget and deadline, and that Figure 4's
-instances, where a walk exists but no simple path does, still come
-back NOT_FOUND.  The deep-path cases pin the explicit-stack searches:
-queries thousands of vertices deep are answered at every layer.
+solver run alone), that neither its dead-state pruning nor the
+backward BFS that stops it on negatives changes the walk, that a
+negative costs only the smaller side's work, that it is charged to the
+query's budget and deadline while the fallback solvers still get the
+context, and that Figure 4's instances, where a walk exists but no
+simple path does, still come back NOT_FOUND.  The deep-path cases pin
+the explicit-stack searches: queries thousands of vertices deep are
+answered at every layer.
 """
 
 import random
@@ -27,11 +30,11 @@ from repro.errors import BudgetExceededError, DeadlineExceededError
 from repro.execution import ExecutionContext
 from repro.graphs.generators import (
     figure4_graph,
+    labeled_cycle,
     labeled_path,
     random_labeled_graph,
 )
 from repro.languages import Language, language
-from repro.languages.analysis import useful_symbols
 from repro.service import (
     GraphRegistry,
     QueryService,
@@ -53,7 +56,7 @@ EXAMPLE1 = "a*(bb^+ + eps)c*"
 
 
 def _unpruned_walk(dfa, view, source_id, target_id, max_edges=None):
-    """The product BFS without either pruning (the reference)."""
+    """The forward product BFS alone, without pruning (the reference)."""
     num_states = dfa.num_states
     if source_id == target_id and dfa.initial in dfa.accepting:
         return (source_id,), ()
@@ -171,22 +174,22 @@ class TestSamePaths:
     def test_prunings_never_change_the_walk(self):
         for index, regex in enumerate(INFINITE_REGEXES):
             dfa = Language(regex).dfa
-            symbols = useful_symbols(dfa)
             for graph, source, target in _random_cases(4, 300 + index):
+                counts = []
                 for view in (graph.view(), IndexedGraph(graph)):
                     source_id = view.vertex_id(source)
                     target_id = view.vertex_id(target)
-                    mask = view.label_mask(symbols)
                     for cap in (None, 2, 5):
-                        reference = _unpruned_walk(
+                        ctx = ExecutionContext()
+                        assert shortest_walk(
+                            dfa, view, source_id, target_id, cap, ctx
+                        ) == _unpruned_walk(
                             dfa, view, source_id, target_id, cap
                         )
-                        assert shortest_walk(
-                            dfa, view, source_id, target_id, cap
-                        ) == reference
-                        assert shortest_walk(
-                            dfa, view, source_id, target_id, cap, mask=mask
-                        ) == reference
+                        counts.append(ctx.steps)
+                # The backward side expands whole layers, so the charged
+                # steps do not depend on the view's in-edge order.
+                assert counts[:3] == counts[3:]
 
     def test_dead_states_are_pruned(self):
         # The c-edges out of 0 lead a*bc into its dead state: unpruned,
@@ -203,7 +206,91 @@ class TestSamePaths:
         assert walk == _unpruned_walk(dfa, view, view.vertex_id(0),
                                       view.vertex_id(103))
         assert len(walk[1]) == 4
-        assert ctx.steps == 4
+        # Four forward nodes, one per vertex of the walk but the
+        # target, and two backward ones before the sides meet at 101.
+        assert ctx.steps == 6
+
+
+def _loop_before_target(edges):
+    """An ``a``-path of ``edges`` edges with an ``a`` self-loop on the
+    vertex before the target: for odd ``edges`` the shortest (aa)*-walk
+    takes the loop, and no simple (aa)*-path exists."""
+    graph = labeled_path("a" * edges)
+    graph.add_edge(edges - 1, "a", edges - 1)
+    return graph
+
+
+def _cycle_with_exit(length):
+    """An ``a``-cycle on 0 .. ``length - 1`` with one ``b`` edge from 0
+    into ``"sink"``: every vertex reaches every other, so the
+    reachability index proves no ``(aa)*b`` query absent."""
+    graph = labeled_cycle("a" * length)
+    graph.add_edge(0, "b", "sink")
+    return graph
+
+
+class TestNegatives:
+    """A query with no walk stops when either BFS side runs dry."""
+
+    def test_backward_side_stops_a_wide_forward_search(self):
+        # No edge into 20 ends an (aa)*b word, so the backward side
+        # runs dry after one node, while the forward side alone would
+        # expand all 80 (vertex, parity) nodes of the cycle.
+        graph = _cycle_with_exit(40)
+        solver = RspqSolver("(aa)*b")
+        assert solver.strategy == STRATEGY_EXACT
+        ctx = ExecutionContext()
+        assert solver.shortest_simple_path(graph, 0, 20, ctx=ctx) is None
+        assert ctx.steps == 2
+        assert not solver.exists(graph, 0, 20, ctx=ExecutionContext(budget=2))
+
+    def test_forward_side_stops_a_wide_backward_search(self):
+        # Many paths end in the target, none starts at the source.
+        graph = labeled_path("a" * 30 + "b")
+        graph.add_edge("lonely", "c", 0)
+        solver = RspqSolver("a*ba*")
+        ctx = ExecutionContext()
+        assert solver.shortest_simple_path(graph, 5, 31, ctx=ctx) is not None
+        ctx = ExecutionContext()
+        assert solver.shortest_simple_path(
+            graph, "lonely", 31, ctx=ctx
+        ) is None
+        assert ctx.steps <= 2
+
+    def test_a_budget_below_the_forward_region_still_answers(self):
+        graph = _cycle_with_exit(40)
+        negatives = [("(aa)*b", source, source + 20) for source in range(5)]
+        engine = QueryEngine(graph, exact_budget=5)
+        for language, source, target in negatives:
+            result = engine.query(language, source, target)
+            assert result.error is None and not result.found
+            assert result.stats.steps <= 5
+        # A budget turns the batch sweep off: each query meets it alone.
+        batch = QueryEngine(graph).run_batch(negatives, budget=5)
+        assert [(r.found, r.error) for r in batch.results] == [
+            (False, None)
+        ] * len(negatives)
+
+    def test_same_answers_on_sparse_negatives(self):
+        # Sparse graphs make most pairs negatives; the walk must still
+        # match the forward BFS alone, cap or no cap.
+        for index, regex in enumerate(INFINITE_REGEXES):
+            dfa = Language(regex).dfa
+            rand = random.Random(400 + index)
+            for case in range(4):
+                n = rand.randint(8, 20)
+                graph = random_labeled_graph(
+                    n, n, "abc", seed=4000 + 10 * index + case
+                )
+                view = graph.view()
+                source_id = view.vertex_id(rand.randrange(n))
+                target_id = view.vertex_id(rand.randrange(n))
+                for cap in (None, 3):
+                    assert shortest_walk(
+                        dfa, view, source_id, target_id, cap
+                    ) == _unpruned_walk(
+                        dfa, view, source_id, target_id, cap
+                    ), (regex, case, cap)
 
 
 class TestCharging:
@@ -238,8 +325,48 @@ class TestCharging:
         ctx = ExecutionContext()
         path = solver.shortest_simple_path(labeled_path("aba"), 0, 3, ctx=ctx)
         assert path.word == "aba"
-        # Three walk nodes expanded; the exact search never ran.
-        assert solver.steps_in(ctx) == ctx.steps == 3
+        # Three forward and two backward walk nodes; the exact search
+        # never ran.
+        assert solver.steps_in(ctx) == ctx.steps == 5
+
+    def test_budget_past_the_walk_stops_the_tractable_search(self):
+        # Figure 4's walk repeats vertices, so the anchored DFS runs on
+        # the same context and its dfs_steps meet the budget.
+        graph, source, target = figure4_graph(3)
+        solver = RspqSolver(EXAMPLE1)
+        ctx = ExecutionContext()
+        assert solver.shortest_simple_path(graph, source, target, ctx=ctx) \
+            is None
+        walk_steps = ctx.steps
+        assert ctx.dfs_steps > walk_steps > 0
+        assert solver.steps_in(ctx) == walk_steps + ctx.dfs_steps
+        budgeted = ExecutionContext(budget=walk_steps)
+        with pytest.raises(BudgetExceededError):
+            solver.shortest_simple_path(graph, source, target, ctx=budgeted)
+        assert budgeted.steps == walk_steps
+        assert budgeted.dfs_steps == walk_steps + 1
+
+    def test_budget_past_the_walk_stops_the_exact_search(self):
+        graph = _loop_before_target(9)
+        solver = RspqSolver("(aa)*")
+        view = graph.view()
+        walk_ctx = ExecutionContext()
+        walk = shortest_walk(solver.language.dfa, view, view.vertex_id(0),
+                             view.vertex_id(9), ctx=walk_ctx)
+        assert not _is_simple(walk)
+        walk_steps = walk_ctx.steps
+        for ask in (solver.shortest_simple_path, solver.exists):
+            ctx = ExecutionContext()
+            assert not ask(graph, 0, 9, ctx=ctx)
+            # The exact search ran on the same context after the walk.
+            assert ctx.steps > walk_steps
+            with pytest.raises(BudgetExceededError):
+                ask(graph, 0, 9, ctx=ExecutionContext(budget=walk_steps))
+        with pytest.raises(BudgetExceededError):
+            QueryEngine(graph, exact_budget=walk_steps).query("(aa)*", 0, 9)
+        assert QueryEngine(graph).query("(aa)*", 0, 9).stats.steps > (
+            walk_steps
+        )
 
 
 class TestFigure4:
@@ -258,15 +385,6 @@ class TestFigure4:
             assert solver.shortest_simple_path(backing, source, target) is None
             assert not solver.exists(backing, source, target)
         assert not QueryEngine(graph).query(EXAMPLE1, source, target).found
-
-
-def _loop_before_target(edges):
-    """An ``a``-path of ``edges`` edges with an ``a`` self-loop on the
-    vertex before the target: for odd ``edges`` the shortest (aa)*-walk
-    takes the loop, and no simple (aa)*-path exists."""
-    graph = labeled_path("a" * edges)
-    graph.add_edge(edges - 1, "a", edges - 1)
-    return graph
 
 
 #: Deep queries: (graph, language, source, target, found, length).
