@@ -1,8 +1,27 @@
 """Stdlib HTTP client and load generator for the query service.
 
 :class:`ServiceClient` speaks the JSON protocol of
-:mod:`repro.service.server` over :mod:`http.client` — one connection
-per request, matching the server's ``connection: close`` discipline.
+:mod:`repro.service.server` over :mod:`http.client`, with HTTP/1.1
+keep-alive.  One client keeps a lock-guarded stack of idle
+connections, shared by every thread that uses it: a call takes the
+most recently used idle connection, or opens a new one, and puts it
+back once the response is read (unless the server answered
+``connection: close``).  N threads on one client hold at most N
+connections.
+
+The server closes a connection that stays idle for its
+``read_timeout``, and every idle connection when it shuts down.
+Before reusing an idle connection the client checks, without waiting,
+whether its socket is readable: an idle socket with something to read
+was closed by the server, so the client drops it.  If a reused
+connection still fails before the first byte of the response arrives,
+an idempotent call is re-sent once on a new connection; that re-send
+does not count toward :attr:`ServiceClient.retries`.  Registration and
+eviction are never re-sent, because the server may already have
+applied them.  :meth:`ServiceClient.close` closes the idle
+connections; a client dropped without it closes them when it is
+garbage-collected.
+
 Non-2xx responses raise :class:`~repro.errors.ServiceError` carrying
 the HTTP status (:class:`~repro.errors.ServiceOverloadedError` for
 429), so load generators can distinguish shed load from failures.
@@ -22,13 +41,31 @@ from __future__ import annotations
 import http.client
 import json
 import random
-import socket
+import select
+import threading
 import time
+import weakref
 from typing import Any, Iterable, Sequence
 from urllib.parse import quote
 
 from ..core.solver import solve_rspq
 from ..errors import ServiceError, ServiceOverloadedError
+
+
+def _idempotent(method, path):
+    """Whether re-sending ``method path`` after a lost response is safe.
+
+    It is for every call except registration and eviction: the client
+    cannot tell a lost request from a lost response, and re-sending a
+    registration or eviction the server already applied turns one
+    transient fault into a duplicate-name 409 or a 404.
+    """
+    return method == "GET" or not path.startswith("/graphs")
+
+
+def _close_all(connections):
+    while connections:
+        connections.pop().close()
 
 
 class ServiceClient:
@@ -50,7 +87,9 @@ class ServiceClient:
         for load generators that *measure* shedding — surfaces every
         rejection immediately.  Registration and eviction never retry
         on connection failures: the request may already have been
-        applied.
+        applied.  The one re-send of an idempotent call whose reused
+        connection turned out closed (module docstring) is not a
+        retry.
     backoff_seconds / backoff_cap / backoff_jitter / retry_seed:
         Capped exponential backoff between retries: attempt n sleeps
         ``backoff_seconds * 2**(n-1)`` (capped) with seeded
@@ -94,8 +133,41 @@ class ServiceClient:
         self.backoff_jitter = backoff_jitter
         self._rng = random.Random(retry_seed)
         self.retries = 0
+        self._lock = threading.Lock()
+        self._idle: list[http.client.HTTPConnection] = []
+        weakref.finalize(self, _close_all, self._idle)
 
     # -- transport ---------------------------------------------------------------
+
+    def close(self) -> None:
+        """Close the idle connections (the client stays usable)."""
+        with self._lock:
+            idle = self._idle[:]
+            self._idle.clear()
+        _close_all(idle)
+
+    def _connect(self):
+        connection = http.client.HTTPConnection(
+            self.host, self.port, timeout=self.connect_timeout
+        )
+        connection.connect()
+        # The connect timeout bounded the handshake; from here on the
+        # read timeout governs every response wait.
+        connection.sock.settimeout(self.read_timeout)
+        return connection
+
+    def _checkout(self):
+        """``(connection, reused)``: the most recently used idle
+        connection the server has not closed, or a new one."""
+        while True:
+            with self._lock:
+                if not self._idle:
+                    break
+                connection = self._idle.pop()
+            if not select.select([connection.sock], [], [], 0)[0]:
+                return connection, True
+            connection.close()  # readable while idle: closed by the server
+        return self._connect(), False
 
     def request(self, method: str, path: str,
                 payload: Any = None) -> tuple[int, Any]:
@@ -106,34 +178,43 @@ class ServiceClient:
     def request_full(self, method: str, path: str,
                      payload: Any = None) -> tuple[int, Any, dict]:
         """One HTTP round-trip: ``(status, parsed_body, headers)``."""
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.connect_timeout
-        )
+        body: str | None = None
+        headers: dict[str, str] = {}
+        if payload is not None:
+            body = json.dumps(payload)
+            headers["content-type"] = "application/json"
+        connection, reused = self._checkout()
         try:
-            body: str | None = None
-            headers: dict[str, str] = {}
-            if payload is not None:
-                body = json.dumps(payload)
-                headers["content-type"] = "application/json"
-            connection.connect()
-            if connection.sock is not None:
-                # The connect timeout bounded the handshake; from here
-                # on the read timeout governs the response wait.
-                connection.sock.settimeout(self.read_timeout)
-            connection.request(method, path, body=body, headers=headers)
-            response = connection.getresponse()
-            raw = response.read()
             try:
-                parsed = json.loads(raw.decode("utf-8")) if raw else None
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                parsed = {"error": "unparseable response body"}
-            response_headers = {
-                name.lower(): value
-                for name, value in response.getheaders()
-            }
-            return response.status, parsed, response_headers
-        finally:
+                connection.request(method, path, body=body, headers=headers)
+                response = connection.getresponse()
+            except ConnectionError:
+                # The server closed the reused connection after the
+                # readability check, and no byte of a response came
+                # back.
+                if not (reused and _idempotent(method, path)):
+                    raise
+                connection.close()
+                connection = self._connect()
+                connection.request(method, path, body=body, headers=headers)
+                response = connection.getresponse()
+            raw = response.read()
+        except BaseException:
             connection.close()
+            raise
+        if response.will_close:
+            connection.close()
+        else:
+            with self._lock:
+                self._idle.append(connection)
+        try:
+            parsed = json.loads(raw.decode("utf-8")) if raw else None
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            parsed = {"error": "unparseable response body"}
+        response_headers = {
+            name.lower(): value for name, value in response.getheaders()
+        }
+        return response.status, parsed, response_headers
 
     def _retry_delay(self, attempt, parsed, headers):
         """Seconds to sleep before retry ``attempt`` (1-based).
@@ -167,48 +248,43 @@ class ServiceClient:
             )
         return max(delay, 0.0)
 
-    def _checked(self, method, path, payload=None, idempotent=True):
+    def _checked(self, method, path, payload=None):
         attempt = 0
         while True:
             try:
                 status, parsed, headers = self.request_full(
                     method, path, payload
                 )
-            except (ConnectionError, socket.timeout, socket.gaierror,
-                    OSError):
+            except OSError:
                 # Connect/read failure: retryable like a 503, but only
-                # for idempotent calls — after a send, the client
-                # cannot tell a lost request from a lost response, and
-                # re-sending a registration or eviction the server
-                # already applied turns one transient fault into a
-                # duplicate-name 409 or a double eviction.  (A 429/503
+                # for idempotent calls (see _idempotent).  A 429/503
                 # *response* below is always safe to retry: it proves
-                # the server refused the request without applying it.)
-                if not idempotent or attempt >= self.max_retries:
+                # the server refused the request without applying it.
+                if (not _idempotent(method, path)
+                        or attempt >= self.max_retries):
                     raise
-                attempt += 1
+                parsed = headers = None
+            else:
+                if status not in (429, 503) or attempt >= self.max_retries:
+                    break
+            attempt += 1
+            with self._lock:
                 self.retries += 1
-                time.sleep(self._retry_delay(attempt, None, None))
-                continue
-            if status in (429, 503) and attempt < self.max_retries:
-                attempt += 1
-                self.retries += 1
-                time.sleep(self._retry_delay(attempt, parsed, headers))
-                continue
-            if status == 429:
-                raise ServiceOverloadedError(
-                    (parsed or {}).get("error", "server overloaded"),
-                    retry_after=(parsed or {}).get("retry_after"),
-                    error_type=(parsed or {}).get("error_type"),
-                )
-            if status >= 400:
-                raise ServiceError(
-                    (parsed or {}).get("error", "request failed"),
-                    status=status,
-                    retry_after=(parsed or {}).get("retry_after"),
-                    error_type=(parsed or {}).get("error_type"),
-                )
-            return parsed
+            time.sleep(self._retry_delay(attempt, parsed, headers))
+        if status == 429:
+            raise ServiceOverloadedError(
+                (parsed or {}).get("error", "server overloaded"),
+                retry_after=(parsed or {}).get("retry_after"),
+                error_type=(parsed or {}).get("error_type"),
+            )
+        if status >= 400:
+            raise ServiceError(
+                (parsed or {}).get("error", "request failed"),
+                status=status,
+                retry_after=(parsed or {}).get("retry_after"),
+                error_type=(parsed or {}).get("error_type"),
+            )
+        return parsed
 
     # -- endpoints ---------------------------------------------------------------
 
@@ -222,22 +298,16 @@ class ServiceClient:
         return self._checked("GET", "/graphs")["graphs"]
 
     def register_graph(self, name: str, graph_text: str) -> Any:
-        # Not idempotent: a re-sent registration the server already
-        # applied answers 409, so connection failures surface instead
-        # of retrying (429/503 responses still retry — see _checked).
+        # Not idempotent (see _idempotent): connection failures surface
+        # instead of retrying; 429/503 responses still retry.
         return self._checked(
-            "POST", "/graphs", {"name": name, "graph_text": graph_text},
-            idempotent=False,
+            "POST", "/graphs", {"name": name, "graph_text": graph_text}
         )
 
     def evict_graph(self, name: str) -> Any:
         # Percent-escape so names with spaces/slashes survive the URL
-        # (the server unquotes the path segment).  Not idempotent: a
-        # re-sent eviction after a lost response 404s.
-        return self._checked(
-            "DELETE", "/graphs/%s" % quote(name, safe=""),
-            idempotent=False,
-        )
+        # (the server unquotes the path segment).  Not idempotent.
+        return self._checked("DELETE", "/graphs/%s" % quote(name, safe=""))
 
     def classify(self, language: str) -> Any:
         return self._checked("POST", "/classify", {"language": language})

@@ -53,6 +53,33 @@ Endpoints (all request/response bodies are JSON):
     ``{"language": ...}`` — trichotomy classification plus the solver
     strategy the engine would dispatch to (plan-cached service-side).
 
+Connections: HTTP/1.1 keep-alive.  One connection carries any number
+of requests, answered in order.  Each request has one ``read_timeout``
+deadline, counted from the previous response (or the accept), for the
+wait and the whole read (request line, headers and body).  A
+connection on which no byte of a new request arrives by then, or that
+the client closes, is closed without a response.  A response carries
+``connection: close``, and the connection then closes, when:
+
+* the client sent ``Connection: close`` or spoke HTTP/1.0;
+* the request's framing cannot be trusted, so the start of the next
+  request is unknown: a malformed request line, a header section past
+  ``MAX_HEADER_LINES`` / ``MAX_HEADER_BYTES``, a Content-Length that
+  is not plain ASCII digits or that repeats with different values, any
+  Transfer-Encoding (only Content-Length bodies are read), a body past
+  ``MAX_BODY_BYTES`` (413), or a read that ended early or ran out of
+  time;
+* shutdown has begun.
+
+An error answer to a well-framed request (400 for a bad JSON value,
+404, 405, 409, 422, 429, 500, 503, 504) leaves the connection open.
+
+Shutdown (:meth:`QueryService.close`, and :meth:`QueryService.shutdown`
+on SIGTERM): the listening socket closes, no connection reads a new
+request, idle connections close at once, and a busy connection sends
+its current response with ``connection: close`` and then closes.
+Connections still busy after ``drain_timeout`` are cut off.
+
 Admission control: the service bounds **in-flight queries** (not
 connections).  A single query weighs 1, a batch weighs its query
 count; when accepting a request would push the total past
@@ -61,7 +88,9 @@ queueing beats unbounded latency.  Consequently a batch larger than
 ``max_inflight`` can never be admitted; split it client-side.
 
 Solving happens in a thread-pool executor so the event loop stays free
-to answer health checks while long queries run.
+to answer health checks while long queries run; registration,
+eviction and the registry's stats run there too, since each may wait
+on a worker pool.
 """
 
 from __future__ import annotations
@@ -139,7 +168,10 @@ class ServiceConfig:
     max_inflight:
         Admission-control bound on simultaneously in-flight queries.
     read_timeout:
-        Seconds allowed for reading one request off a connection.
+        Seconds a connection has, from its previous response (or the
+        accept), to deliver its next whole request (request line,
+        headers and body).  A connection idle that long is closed
+        without a response; a request cut off by it gets 400.
     soft_inflight:
         Load-shedding watermark (see
         :class:`~repro.service.resilience.LoadShedder`): on top of the
@@ -158,8 +190,9 @@ class ServiceConfig:
         Graceful-degradation ladder knobs (see
         :class:`~repro.service.resilience.DegradationLadder`).
     drain_timeout:
-        Seconds :meth:`QueryService.shutdown` waits for in-flight
-        requests to finish before tearing the executor down.
+        Seconds :meth:`QueryService.close` and
+        :meth:`QueryService.shutdown` wait for busy connections to
+        send their responses before cutting them off.
     """
 
     workers: int = 4
@@ -309,6 +342,28 @@ def _checked_portfolio_knobs(payload):
     return portfolio, max_path_edges
 
 
+def _error_payload(err):
+    """``(status, payload)`` answering a request that raised ``err``.
+
+    A :class:`ServiceError` carries its status and a structured body:
+    machine-readable type and retry hint beside the human message (the
+    server mirrors the hint in a Retry-After header for header-only
+    clients).  Anything else is a 500: one bad request never kills the
+    acceptor.
+    """
+    if not isinstance(err, ServiceError):
+        return 500, {
+            "error": "internal error: %s" % err,
+            "error_type": type(err).__name__,
+        }
+    payload = {"error": str(err)}
+    if err.error_type is not None:
+        payload["error_type"] = err.error_type
+    if err.retry_after is not None:
+        payload["retry_after"] = round(max(err.retry_after, 0.0), 3)
+    return err.status, payload
+
+
 class QueryService:
     """The serving tier: registry + admission control + HTTP front end."""
 
@@ -331,6 +386,13 @@ class QueryService:
         self.ladder = DegradationLadder(self.config.ladder_config())
         self._breakers: dict[str, CircuitBreaker] = {}
         self._worker_crashes = 0
+        # Connections (event-loop state): accepted since start, every
+        # open one's handler task and writer, and the writers of those
+        # waiting for their next request.
+        self._connections = 0
+        self._open: dict[asyncio.Task, asyncio.StreamWriter] = {}
+        self._idle: set[asyncio.StreamWriter] = set()
+        self._closing = False
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -352,35 +414,45 @@ class QueryService:
         """The bound port (after :meth:`start`; supports ``port=0``)."""
         return self._server.sockets[0].getsockname()[1]
 
-    async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
+    async def close(self, drain_timeout: "float | None" = None) -> None:
+        """Stop serving; the registry stays open.
 
-    async def shutdown(self, drain_timeout: "float | None" = None) -> None:
-        """Graceful teardown: stop accepting, drain, close the registry.
-
-        Closes the listening socket first (no new connections), waits
-        up to ``drain_timeout`` (default: the config's) for in-flight
-        queries to finish, then shuts the executor down and closes the
-        registry — worker pools exit cleanly and owned spool
-        directories are removed.  This is what ``repro serve`` runs on
-        SIGTERM/SIGINT.
+        Closes the listening socket and every idle connection at once,
+        then waits up to ``drain_timeout`` (default: the config's) for
+        busy connections to send their responses, which carry
+        ``connection: close``.  Connections still busy after that are
+        cut off.  Finally the executor shuts down, which waits for the
+        work it is running.
         """
         timeout = (
             self.config.drain_timeout if drain_timeout is None
             else drain_timeout
         )
         if self._server is not None:
+            self._closing = True
             self._server.close()
+            for writer in list(self._idle):
+                writer.close()
+            if self._open:
+                _done, busy = await asyncio.wait(
+                    set(self._open), timeout=timeout
+                )
+                for task in busy:
+                    self._open[task].transport.abort()
             await self._server.wait_closed()
-        give_up = time.monotonic() + timeout
-        while self.shedder.inflight > 0 and time.monotonic() < give_up:
-            await asyncio.sleep(0.02)
         if self._executor is not None:
             self._executor.shutdown(wait=True)
+        if self._open:
+            # Cut-off handlers end once their executor work has.
+            await asyncio.wait(set(self._open), timeout=timeout)
+
+    async def shutdown(self, drain_timeout: "float | None" = None) -> None:
+        """Graceful teardown: :meth:`close`, then close the registry.
+
+        Worker pools exit cleanly and owned spool directories are
+        removed.  This is what ``repro serve`` runs on SIGTERM/SIGINT.
+        """
+        await self.close(drain_timeout)
         self.registry.close()
 
     async def serve_until_interrupted(
@@ -415,101 +487,151 @@ class QueryService:
     # -- HTTP plumbing -----------------------------------------------------------
 
     async def _handle_client(self, reader, writer):
+        self._connections += 1
+        task = asyncio.current_task()
+        self._open[task] = writer
         try:
-            retry_after = None
-            try:
-                status, payload = await self._handle_request(reader)
-            except (asyncio.TimeoutError, asyncio.IncompleteReadError):
-                status, payload = 400, {"error": "incomplete request"}
-            except ServiceError as err:
-                # Structured error body: machine-readable type and
-                # retry hint beside the human message, mirrored by the
-                # Retry-After header below for header-only clients.
-                status, payload = err.status, {"error": str(err)}
-                if err.error_type is not None:
-                    payload["error_type"] = err.error_type
-                if err.retry_after is not None:
-                    retry_after = max(err.retry_after, 0.0)
-                    payload["retry_after"] = round(retry_after, 3)
-            except Exception as err:  # never kill the acceptor
-                status, payload = 500, {
-                    "error": "internal error: %s" % err,
-                    "error_type": type(err).__name__,
-                }
-            self._requests += 1
-            if status == 429:
-                self._rejected += 1
-            elif status >= 400:
-                self._errors += 1
-            body = json.dumps(payload).encode("utf-8")
-            headers = (
-                "HTTP/1.1 %d %s\r\n"
-                "content-type: application/json\r\n"
-                "content-length: %d\r\n"
-                % (status, _REASONS.get(status, "Error"), len(body))
-            )
-            if retry_after is not None and status in (429, 503):
-                # HTTP Retry-After is integer seconds; round up so the
-                # header never promises an earlier retry than the body.
-                headers += "retry-after: %d\r\n" % math.ceil(retry_after)
-            headers += "connection: close\r\n\r\n"
-            writer.write(headers.encode("ascii"))
-            writer.write(body)
-            await writer.drain()
-        except (ConnectionError, BrokenPipeError):
+            while await self._serve_next(reader, writer):
+                pass
+        except ConnectionError:
             pass
         finally:
+            del self._open[task]
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):
+            except ConnectionError:
                 pass
 
-    async def _handle_request(self, reader):
-        timeout = self.config.read_timeout
-        request_line = await asyncio.wait_for(
-            reader.readline(), timeout=timeout
+    async def _serve_next(self, reader, writer):
+        """Answer the connection's next request; False once it must close.
+
+        One ``read_timeout`` deadline, counted from the previous
+        response (or the accept), covers the wait for the request and
+        the whole read.  The wait for its first byte is the
+        connection's idle time: shutdown closes idle connections, and a
+        connection that idles past the deadline, or that the client
+        closes, ends without a response.
+        """
+        if self._closing:
+            return False
+        first = b""
+        keep_alive = False
+        try:
+            async with asyncio.timeout(self.config.read_timeout):
+                self._idle.add(writer)
+                try:
+                    first = await reader.read(1)
+                finally:
+                    self._idle.discard(writer)
+                if not first or self._closing:
+                    return False
+                method, path, keep_alive, body = await self._read_request(
+                    reader, first
+                )
+        except (TimeoutError, asyncio.IncompleteReadError):
+            if not first:
+                return False
+            status, payload = 400, {"error": "incomplete request"}
+        except ConnectionError:
+            return False  # reset by the client: nobody to answer
+        except Exception as err:
+            status, payload = _error_payload(err)
+        else:
+            try:
+                status, payload = await self._route(method, path, body)
+            except Exception as err:
+                status, payload = _error_payload(err)
+        keep_alive = keep_alive and not self._closing
+        self._requests += 1
+        if status == 429:
+            self._rejected += 1
+        elif status >= 400:
+            self._errors += 1
+        body = json.dumps(payload).encode("utf-8")
+        head = (
+            "HTTP/1.1 %d %s\r\n"
+            "content-type: application/json\r\n"
+            "content-length: %d\r\n"
+            % (status, _REASONS.get(status, "Error"), len(body))
         )
+        retry_after = payload.get("retry_after")
+        if retry_after is not None and status in (429, 503):
+            # HTTP Retry-After is integer seconds; round up so the
+            # header never promises an earlier retry than the body.
+            head += "retry-after: %d\r\n" % math.ceil(retry_after)
+        if not keep_alive:
+            head += "connection: close\r\n"
+        writer.write((head + "\r\n").encode("ascii") + body)
+        await writer.drain()
+        return keep_alive
+
+    async def _read_request(self, reader, first):
+        """``(method, path, keep_alive, body)`` of the request that
+        starts with the byte ``first``.
+
+        Raises :class:`ServiceError` (or ``IncompleteReadError``) when
+        the request's framing cannot be trusted; the caller answers and
+        closes the connection, since the next request's start is
+        unknown.
+        """
+        try:
+            request_line = first + await reader.readline()
+            header_lines = []
+            header_bytes = 0
+            while True:
+                line = await reader.readline()
+                if line in (b"\r\n", b"\n"):
+                    break
+                if not line.endswith(b"\n"):
+                    raise asyncio.IncompleteReadError(line, None)
+                header_bytes += len(line)
+                if len(header_lines) >= MAX_HEADER_LINES or (
+                    header_bytes > MAX_HEADER_BYTES
+                ):
+                    raise ValueError
+                header_lines.append(line)
+        except ValueError:
+            # Past the caps, or one line past the stream's buffer limit.
+            raise ServiceError(
+                "request header section exceeds %d lines / %d bytes"
+                % (MAX_HEADER_LINES, MAX_HEADER_BYTES),
+                status=400,
+            ) from None
         parts = request_line.decode("latin-1").split()
         if len(parts) < 2:
             raise ServiceError("malformed request line", status=400)
         method, path = parts[0].upper(), parts[1]
-        headers = {}
-        header_bytes = 0
-        while True:
-            line = await asyncio.wait_for(reader.readline(), timeout=timeout)
-            if line in (b"\r\n", b"\n", b""):
-                break
-            header_bytes += len(line)
-            if len(headers) >= MAX_HEADER_LINES or (
-                header_bytes > MAX_HEADER_BYTES
-            ):
+        close = len(parts) < 3 or parts[2] != "HTTP/1.1"
+        length = None
+        for line in header_lines:
+            name, _sep, value = line.partition(b":")
+            name = name.strip().lower()
+            value = value.strip(b" \t\r\n")
+            if name == b"content-length":
+                # ASCII digits only, and every copy the same: anything
+                # else leaves the end of the body a guess.
+                if not value.isdigit() or length not in (None, value):
+                    raise ServiceError("bad content-length", status=400)
+                length = value
+            elif name == b"transfer-encoding":
                 raise ServiceError(
-                    "request header section exceeds %d lines / %d bytes"
-                    % (MAX_HEADER_LINES, MAX_HEADER_BYTES),
+                    "transfer-encoding is not supported; send the body "
+                    "with a content-length",
                     status=400,
                 )
-            name, _sep, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        body = b""
-        length = headers.get("content-length")
-        if length is not None:
-            try:
-                length = int(length)
-            except ValueError:
-                raise ServiceError(
-                    "bad content-length", status=400
-                ) from None
-            if length > MAX_BODY_BYTES:
-                raise ServiceError(
-                    "request body exceeds %d bytes" % MAX_BODY_BYTES,
-                    status=413,
+            elif name == b"connection":
+                close = close or b"close" in (
+                    token.strip().lower() for token in value.split(b",")
                 )
-            if length:
-                body = await asyncio.wait_for(
-                    reader.readexactly(length), timeout=timeout
-                )
-        return await self._route(method, path, body)
+        size = 0 if length is None else int(length)
+        if size > MAX_BODY_BYTES:
+            raise ServiceError(
+                "request body exceeds %d bytes" % MAX_BODY_BYTES,
+                status=413,
+            )
+        body = await reader.readexactly(size) if size else b""
+        return method, path, not close, body
 
     @staticmethod
     def _json_body(body):
@@ -531,13 +653,15 @@ class QueryService:
         if path == "/healthz" and method == "GET":
             return 200, self._healthz()
         if path == "/stats" and method == "GET":
-            return 200, self._stats()
+            return 200, await self._stats()
         if path == "/graphs" and method == "GET":
-            return 200, {"graphs": self.registry.describe()}
+            return 200, {
+                "graphs": await self._in_executor(self.registry.describe)
+            }
         if path == "/graphs" and method == "POST":
             return await self._register_graph(self._json_body(body))
         if path.startswith("/graphs/") and method == "DELETE":
-            return self._evict_graph(unquote(path[len("/graphs/"):]))
+            return await self._evict_graph(unquote(path[len("/graphs/"):]))
         if path == "/query" and method == "POST":
             return await self._query(self._json_body(body))
         if path == "/batch" and method == "POST":
@@ -628,14 +752,20 @@ class QueryService:
             "uptime_seconds": time.time() - self._started_at,
         }
 
-    def _stats(self):
-        return {
+    async def _stats(self):
+        # The service counters and the breakers are event-loop state:
+        # read them here.  The registry's part may wait on worker
+        # pools (and respawn a dead idle worker), so it runs off the
+        # loop.
+        stats = {
             "service": {
                 "uptime_seconds": time.time() - self._started_at,
                 "inflight": self.shedder.inflight,
                 "max_inflight": self.config.max_inflight,
                 "workers": self.config.workers,
                 "requests": self._requests,
+                "connections": self._connections,
+                "open_connections": len(self._open),
                 "rejected": self._rejected,
                 "errors": self._errors,
                 "worker_crashes": self._worker_crashes,
@@ -648,8 +778,9 @@ class QueryService:
                     for name, breaker in sorted(self._breakers.items())
                 },
             },
-            "graphs": self.registry.describe(),
         }
+        stats["graphs"] = await self._in_executor(self.registry.describe)
+        return stats
 
     async def _register_graph(self, payload):
         name = payload.get("name")
@@ -675,9 +806,13 @@ class QueryService:
             raise ServiceError(str(err), status=400) from err
         return 200, {"registered": name, "stats": entry.describe()}
 
-    def _evict_graph(self, name):
-        entry = self.registry.evict(name)
-        return 200, {"evicted": name, "stats": entry.describe()}
+    async def _evict_graph(self, name):
+        def work():
+            # Closing a pooled graph joins its workers, which may first
+            # finish a slow query: keep that off the event loop.
+            return self.registry.evict(name).describe()
+
+        return 200, {"evicted": name, "stats": await self._in_executor(work)}
 
     async def _query(self, payload):
         entry = self.registry.resolve(payload.get("graph"))
@@ -965,9 +1100,7 @@ class ServiceThread:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
         try:
-            server = await self.service.start(
-                self.host, self._requested_port
-            )
+            await self.service.start(self.host, self._requested_port)
         except Exception as err:
             self._startup_error = err
             self._ready.set()
@@ -975,9 +1108,11 @@ class ServiceThread:
         self.port = self.service.port
         self._ready.set()
         try:
-            async with server:
-                await self._stop.wait()
+            await self._stop.wait()
         finally:
+            # Not ``async with server``: its exit waits for every open
+            # connection (Python 3.12+), and close() first ends the idle
+            # kept-alive ones.
             await self.service.close()
 
     def start(self) -> "ServiceThread":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import json
 import random
 
 import pytest
@@ -98,3 +99,20 @@ def brute_force_length(graph, dfa, source, target):
         return 0 if dfa.initial in dfa.accepting else None
     extend(source, dfa.initial, {source}, 0)
     return best
+
+
+def read_http_response(stream):
+    """``(status, headers, parsed JSON body)`` of the next HTTP response
+    on ``stream``, a binary file over a socket; header names are
+    lower-cased."""
+    status_line = stream.readline()
+    assert status_line.startswith(b"HTTP/1.1 "), status_line
+    headers = {}
+    while True:
+        line = stream.readline()
+        if line in (b"\r\n", b""):
+            break
+        name, _sep, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = stream.read(int(headers["content-length"]))
+    return int(status_line.split()[1]), headers, json.loads(body)

@@ -24,6 +24,7 @@ import time
 
 import pytest
 
+from tests.conftest import read_http_response
 from repro.engine import IndexedGraph
 from repro.errors import ServiceError, ServiceOverloadedError, SnapshotError
 from repro.graphs.dbgraph import DbGraph
@@ -643,6 +644,107 @@ class TestWorkerChaos:
         assert stats["resilience"]["breakers"]["main"]["state"] == "closed"
         assert stats["resilience"]["ladder"]["escalations"] >= 1
         assert stats["resilience"]["ladder"]["recoveries"] >= 1
+
+
+# ---------------------------------------------------------------------------
+# A slow worker must not stall the event loop or the shutdown.
+# ---------------------------------------------------------------------------
+
+
+def _await_inflight(service, count=1, within=10.0):
+    give_up = time.monotonic() + within
+    while service.shedder.inflight != count:
+        assert time.monotonic() < give_up, "request never went in flight"
+        time.sleep(0.01)
+
+
+class TestSlowWorker:
+    def test_evicting_a_busy_pooled_graph_leaves_the_loop_free(self, graph):
+        # Closing the evicted graph's pool joins a worker still busy on
+        # a 3s query; health checks must not wait for it.
+        import threading
+
+        faults.install(FaultPlan(worker_slow_at=(1,), slow_seconds=3.0))
+        registry = pool_registry(graph)
+        service = QueryService(registry, ServiceConfig(workers=2))
+        outcomes = {}
+
+        def call(name, fn):
+            try:
+                outcomes[name] = fn()
+            except Exception as err:  # reported by the asserts below
+                outcomes[name] = err
+
+        try:
+            with ServiceThread(service) as running:
+                client = ServiceClient(port=running.port)
+                slow = threading.Thread(target=call, args=(
+                    "query", lambda: client.query("a*", 0, 1, graph="main"),
+                ))
+                slow.start()
+                _await_inflight(service)
+                evict = threading.Thread(target=call, args=(
+                    "evict", lambda: client.evict_graph("main"),
+                ))
+                evict.start()
+                time.sleep(0.3)
+                start = time.monotonic()
+                assert client.healthz()["status"] == "ok"
+                elapsed = time.monotonic() - start
+                slow.join(timeout=30)
+                evict.join(timeout=30)
+                client.close()
+        finally:
+            registry.close()
+        assert not slow.is_alive() and not evict.is_alive()
+        assert elapsed < 0.5
+        assert verify_against_direct(
+            graph, [("a*", 0, 1)], [outcomes["query"]]
+        ) == []
+        assert outcomes["evict"]["evicted"] == "main"
+
+    def test_shutdown_drains_busy_and_closes_idle_connections(self, graph):
+        # The SIGTERM path with one idle kept-alive connection and one
+        # query in flight on a slow worker.
+        import asyncio
+        import json
+
+        faults.install(FaultPlan(worker_slow_at=(1,), slow_seconds=1.0))
+        registry = pool_registry(graph)
+        config = ServiceConfig(workers=2, drain_timeout=5.0)
+        service = QueryService(registry, config)
+        query = json.dumps({"language": "a*", "source": 0, "target": 1})
+        with ServiceThread(service) as running:
+            idle = socket.create_connection(("127.0.0.1", running.port), 10)
+            idle_stream = idle.makefile("rb")
+            idle.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            assert read_http_response(idle_stream)[0] == 200
+            busy = socket.create_connection(("127.0.0.1", running.port), 10)
+            busy_stream = busy.makefile("rb")
+            busy.sendall(
+                b"POST /query HTTP/1.1\r\ncontent-length: %d\r\n\r\n%s"
+                % (len(query), query.encode())
+            )
+            _await_inflight(service)
+            start = time.monotonic()
+            stopping = asyncio.run_coroutine_threadsafe(
+                service.shutdown(), running._loop
+            )
+            # The idle connection closes at once, unanswered.
+            assert idle_stream.read() == b""
+            idle_closed = time.monotonic() - start
+            # The busy one gets its whole response, then EOF.
+            status, headers, record = read_http_response(busy_stream)
+            assert busy_stream.read() == b""
+            stopping.result(timeout=config.drain_timeout + 1.0)
+            elapsed = time.monotonic() - start
+            for closable in (idle_stream, idle, busy_stream, busy):
+                closable.close()
+        assert idle_closed < 0.5
+        assert status == 200
+        assert headers["connection"] == "close"
+        assert verify_against_direct(graph, [("a*", 0, 1)], [record]) == []
+        assert elapsed < config.drain_timeout + 1.0
 
 
 # ---------------------------------------------------------------------------

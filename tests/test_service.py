@@ -12,9 +12,11 @@ look at the clock.
 
 import http.client
 import json
+import socket
 
 import pytest
 
+from tests.conftest import read_http_response
 from repro.errors import ServiceError, ServiceOverloadedError
 from repro.engine import IndexedGraph
 from repro.graphs.dbgraph import DbGraph
@@ -576,3 +578,419 @@ class TestCsrDbGraphDifferentialOverHttp:
         (graph_stats,) = stats["graphs"]
         assert graph_stats["graph_view"] == "csr"
         assert graph_stats["source"] == "snapshot"
+
+
+# ---------------------------------------------------------------------------
+# Keep-alive: one connection carries many requests.
+# ---------------------------------------------------------------------------
+
+
+def _raw_request(method, path, body=None, headers=(), version="HTTP/1.1"):
+    """The bytes of one request; ``headers`` are extra raw header lines."""
+    lines = ["%s %s %s" % (method, path, version), "host: test"]
+    lines.extend(headers)
+    if body is not None:
+        lines.append("content-length: %d" % len(body))
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + (
+        body or b""
+    )
+
+
+@pytest.fixture
+def served(registry):
+    """``(service, port)`` of a live server on the seed-9 graph."""
+    service = QueryService(
+        registry, ServiceConfig(workers=2, max_inflight=8)
+    )
+    with ServiceThread(service) as running:
+        yield service, running.port
+
+
+def _open(port, timeout=10):
+    sock = socket.create_connection(("127.0.0.1", port), timeout=timeout)
+    return sock, sock.makefile("rb")
+
+
+class TestKeepAlive:
+    def test_pipelined_requests_answered_in_order(self, served):
+        _service, port = served
+        query = json.dumps(
+            {"language": "a*", "source": 0, "target": 1}
+        ).encode()
+        sock, stream = _open(port)
+        with sock, stream:
+            sock.sendall(
+                _raw_request("GET", "/healthz")
+                + _raw_request("POST", "/classify", b'{"language": "(aa)*"}')
+            )
+            status, headers, body = read_http_response(stream)
+            assert (status, body["status"]) == (200, "ok")
+            assert "connection" not in headers
+            status, headers, body = read_http_response(stream)
+            assert (status, body["language"]) == (200, "(aa)*")
+            assert "connection" not in headers
+            # ... and the connection still carries a third request.
+            sock.sendall(_raw_request("POST", "/query", query))
+            status, _headers, body = read_http_response(stream)
+            assert (status, body["language"]) == (200, "a*")
+
+    @pytest.mark.parametrize("request_bytes", [
+        _raw_request("GET", "/healthz", headers=["Connection: close"]),
+        _raw_request("GET", "/healthz", headers=["connection: keep-alive, Close"]),
+        _raw_request("GET", "/healthz", version="HTTP/1.0"),
+    ], ids=["connection-close", "close-token", "http-1.0"])
+    def test_close_requests_get_connection_close_then_eof(
+            self, served, request_bytes):
+        _service, port = served
+        sock, stream = _open(port)
+        with sock, stream:
+            sock.sendall(request_bytes)
+            status, headers, _body = read_http_response(stream)
+            assert status == 200
+            assert headers["connection"] == "close"
+            assert stream.read() == b""
+
+    def test_application_errors_keep_the_connection(self, served):
+        _service, port = served
+        sock, stream = _open(port)
+        with sock, stream:
+            for request, expected in [
+                (_raw_request("GET", "/no-such"), 404),
+                (_raw_request("DELETE", "/query"), 405),
+                (_raw_request("POST", "/query", b"{not json"), 400),
+                (_raw_request("POST", "/query", b'{"language": 5}'), 400),
+                (_raw_request("GET", "/healthz"), 200),
+            ]:
+                sock.sendall(request)
+                status, headers, _body = read_http_response(stream)
+                assert status == expected
+                assert "connection" not in headers
+
+    def test_idle_connection_closes_after_read_timeout(self, registry):
+        import time
+
+        service = QueryService(
+            registry, ServiceConfig(workers=1, read_timeout=0.3)
+        )
+        with ServiceThread(service) as running:
+            for prime in (False, True):
+                sock, stream = _open(running.port)
+                with sock, stream:
+                    if prime:  # a kept-alive connection idles out too
+                        sock.sendall(_raw_request("GET", "/healthz"))
+                        assert read_http_response(stream)[0] == 200
+                    start = time.monotonic()
+                    assert stream.read() == b""
+                    assert time.monotonic() - start < 5.0
+
+    def test_request_cut_off_by_the_deadline_is_400(self, registry):
+        service = QueryService(
+            registry, ServiceConfig(workers=1, read_timeout=0.3)
+        )
+        with ServiceThread(service) as running:
+            sock, stream = _open(running.port)
+            with sock, stream:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nhost: test\r\n")
+                status, headers, body = read_http_response(stream)
+                assert status == 400
+                assert body["error"] == "incomplete request"
+                assert headers["connection"] == "close"
+                assert stream.read() == b""
+
+    def test_reset_idle_connection_is_not_an_error(self, served):
+        import struct
+        import time
+
+        service, port = served
+        sock, stream = _open(port)
+        with sock, stream:
+            sock.sendall(_raw_request("GET", "/healthz"))
+            assert read_http_response(stream)[0] == 200
+            # SO_LINGER with a zero timeout: close() sends a reset.
+            sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+        give_up = time.monotonic() + 5.0
+        while service._open:
+            assert time.monotonic() < give_up
+            time.sleep(0.01)
+        assert (service._requests, service._errors) == (1, 0)
+
+    def test_connections_in_stats(self, live):
+        observer, _registry = live
+        before = observer.stats()["service"]
+        assert before["open_connections"] == 1
+        client = ServiceClient(port=observer.port)
+        for _ in range(10):
+            client.healthz()
+            client.query("a*", 0, 1)
+        after = observer.stats()["service"]
+        assert after["connections"] == before["connections"] + 1
+        assert after["open_connections"] == 2
+        assert after["requests"] == before["requests"] + 21
+        client.close()
+
+
+class TestStrictFraming:
+    """A request whose framing cannot be trusted is answered and its
+    connection closed: the next request's start would be a guess."""
+
+    #: A valid 16-byte body: a lenient parser that reads it answers 200.
+    BODY = b'{"language":"a"}'
+
+    @pytest.mark.parametrize("headers, status", [
+        (["content-length: -5"], 400),
+        (["content-length: +16"], 400),
+        (["content-length: 1_6"], 400),
+        (["content-length: 0x10"], 400),
+        (["content-length: \x0c16"], 400),
+        (["content-length: \xb2"], 400),
+        (["content-length:"], 400),
+        (["content-length: 16", "content-length: 17"], 400),
+        (["transfer-encoding: chunked"], 400),
+        (["Transfer-Encoding: identity", "content-length: 16"], 400),
+        (["content-length: %d" % (32 * 1024 * 1024 + 1)], 413),
+    ], ids=[
+        "negative", "plus-sign", "underscore", "hex", "form-feed",
+        "superscript-digit", "empty", "conflicting", "chunked",
+        "any-transfer-encoding", "oversized",
+    ])
+    def test_bad_framing_answers_then_closes(self, served, headers, status):
+        _service, port = served
+        sock, stream = _open(port)
+        with sock, stream:
+            sock.sendall(
+                _raw_request("POST", "/classify", headers=headers)
+                + self.BODY
+            )
+            got, response_headers, body = read_http_response(stream)
+            assert got == status, body
+            assert response_headers["connection"] == "close"
+            assert stream.read() == b""
+
+    def test_malformed_request_line_closes(self, served):
+        _service, port = served
+        sock, stream = _open(port)
+        with sock, stream:
+            sock.sendall(b"NONSENSE\r\n\r\n")
+            status, headers, body = read_http_response(stream)
+            assert status == 400
+            assert "malformed request line" in body["error"]
+            assert headers["connection"] == "close"
+            assert stream.read() == b""
+
+    def test_repeated_equal_content_length_is_accepted(self, served):
+        _service, port = served
+        sock, stream = _open(port)
+        with sock, stream:
+            sock.sendall(_raw_request(
+                "POST", "/classify", self.BODY,
+                headers=["content-length: %d" % len(self.BODY)],
+            ))
+            status, headers, parsed = read_http_response(stream)
+            assert status == 200
+            assert parsed["language"] == "a"
+            assert "connection" not in headers
+
+    def test_request_cut_short_is_incomplete(self, served):
+        _service, port = served
+        sock, stream = _open(port)
+        with sock, stream:
+            sock.sendall(b"POST /classify HTTP/1.1\r\ncontent-length: 50\r\n"
+                         b"\r\n{\"language\"")
+            sock.shutdown(1)  # SHUT_WR: the body never completes
+            status, headers, body = read_http_response(stream)
+            assert status == 400
+            assert body["error"] == "incomplete request"
+            assert headers["connection"] == "close"
+
+
+class _AnswerOnceServer:
+    """A fake server: on each connection it answers the first request
+    with ``200 {}``, then reads the next request and closes without
+    answering.  ``accepted`` counts connections."""
+
+    def __init__(self):
+        import socket
+        import threading
+
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.listener.settimeout(0.05)
+        self.port = self.listener.getsockname()[1]
+        self.accepted = 0
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while not self._stop.is_set():
+            try:
+                sock, _address = self.listener.accept()
+            except TimeoutError:
+                continue
+            sock.settimeout(10)
+            self.accepted += 1
+            with sock, sock.makefile("rb") as stream:
+                self._read_request(stream)
+                sock.sendall(
+                    b"HTTP/1.1 200 OK\r\ncontent-type: application/json"
+                    b"\r\ncontent-length: 2\r\n\r\n{}"
+                )
+                self._read_request(stream)
+
+    @staticmethod
+    def _read_request(stream):
+        length = 0
+        while True:
+            line = stream.readline()
+            if line in (b"\r\n", b""):
+                break
+            name, _sep, value = line.decode("latin-1").partition(":")
+            if name.strip().lower() == "content-length":
+                length = int(value)
+        stream.read(length)
+
+    def close(self):
+        self._stop.set()
+        self._thread.join(timeout=10)
+        self.listener.close()
+
+
+class TestClientConnections:
+    def test_threads_share_a_bounded_set_of_connections(self, live, graph):
+        import sys
+        import threading
+
+        from repro.service.client import verify_against_direct
+
+        client, _registry = live
+        queries = [
+            (language, source, (source * 7 + 3) % 20)
+            for source in range(20)
+            for language in ("a*", "ab + ba", "a*ba*", "(a+b)*c", "c*a", "b*",
+                             "a*(bb^+ + eps)c*", "(ab)*", "abc", "a + c")
+        ]
+        assert len(queries) == 200
+        records = [None] * len(queries)
+
+        def work(offset):
+            for index in range(offset, len(queries), 8):
+                records[index] = client.query(*queries[index])
+
+        threads = [
+            threading.Thread(target=work, args=(offset,)) for offset in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the idle-stack updates
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert verify_against_direct(graph, queries, records) == []
+        service = client.stats()["service"]
+        assert service["connections"] <= 8
+        # Every connection the server still holds open is back on the
+        # client's idle stack: none was lost between threads.
+        assert service["open_connections"] == len(client._idle)
+        assert client.retries == 0
+
+    def test_reconnects_after_the_server_closes_an_idle_connection(
+            self, registry):
+        import time
+
+        service = QueryService(
+            registry, ServiceConfig(workers=1, read_timeout=0.2)
+        )
+        with ServiceThread(service) as running:
+            client = ServiceClient(port=running.port)
+            client.healthz()
+            time.sleep(0.6)  # the server closes the idle connection
+            assert client.healthz()["status"] == "ok"
+            assert client.retries == 0
+            assert client.stats()["service"]["connections"] == 2
+            client.close()
+
+    def test_lost_reply_on_a_reused_connection(self):
+        fake = _AnswerOnceServer()
+        try:
+            client = ServiceClient(port=fake.port, timeout=10)
+            client.healthz()
+            # The reused connection closes unanswered: an idempotent
+            # call is re-sent once on a new connection, not retried.
+            assert client.query("a*", 0, 1) == {}
+            assert fake.accepted == 2
+            assert client.retries == 0
+            client.close()
+        finally:
+            fake.close()
+        fake = _AnswerOnceServer()
+        try:
+            client = ServiceClient(port=fake.port, timeout=10, max_retries=3)
+            client.healthz()
+            # A registration may already have been applied: never re-sent.
+            with pytest.raises(ConnectionError):
+                client.register_graph("g", "v 0\n")
+            assert fake.accepted == 1
+            assert client.retries == 0
+            client.close()
+        finally:
+            fake.close()
+
+    def test_close_closes_idle_connections(self, live):
+        import time
+
+        observer, _registry = live
+        client = ServiceClient(port=observer.port)
+        client.healthz()
+        assert observer.stats()["service"]["open_connections"] == 2
+        client.close()
+        give_up = time.monotonic() + 5.0
+        while observer.stats()["service"]["open_connections"] != 1:
+            assert time.monotonic() < give_up
+            time.sleep(0.01)
+        # Still usable: the next call opens a new connection.
+        assert client.healthz()["status"] == "ok"
+        client.close()
+
+    def test_dropped_client_leaks_no_socket(self, live):
+        import gc
+        import warnings
+
+        observer, _registry = live
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            client = ServiceClient(port=observer.port)
+            client.healthz()
+            del client
+            gc.collect()
+        assert not [
+            warning for warning in caught
+            if issubclass(warning.category, ResourceWarning)
+        ]
+
+
+class TestShutdown:
+    def test_stop_with_idle_kept_alive_client_is_prompt(
+            self, registry, caplog):
+        import logging
+        import time
+
+        service = QueryService(registry, ServiceConfig(workers=1))
+        running = ServiceThread(service).start()
+        client = ServiceClient(port=running.port)
+        client.healthz()  # one idle kept-alive connection
+        with caplog.at_level(logging.DEBUG, logger="asyncio"):
+            start = time.monotonic()
+            running.stop()
+            elapsed = time.monotonic() - start
+        assert elapsed < 1.0
+        assert not running._thread.is_alive()
+        assert not [
+            record for record in caplog.records
+            if record.name == "asyncio" and record.levelno >= logging.ERROR
+        ]
+        client.close()
