@@ -48,7 +48,6 @@ from ..errors import ServiceOverloadedError
 
 __all__ = [
     "BreakerConfig",
-    "BreakerOpenError",
     "CircuitBreaker",
     "DegradationLadder",
     "LadderConfig",
@@ -70,15 +69,6 @@ LEVEL_NAMES = ("full", "portfolio", "reach-only")
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
-
-
-class BreakerOpenError(ServiceOverloadedError):
-    """Raised when a request hits an open circuit (maps to 503)."""
-
-    def __init__(self, message: str, retry_after: "float | None" = None):
-        super().__init__(message, status=503)
-        self.retry_after = retry_after
-        self.error_type = "circuit_open"
 
 
 @dataclass

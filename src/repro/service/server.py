@@ -32,9 +32,6 @@ Endpoints (all request/response bodies are JSON):
     routing; ``max_path_edges`` (int >= 0) bounds the answer to
     simple paths of at most that many edges (k-RSPQ).  Result records
     carry ``confidence`` / ``failure_bound`` for ladder answers.
-    Failures map to
-    statuses: 400 bad input, 404 unknown graph, 422 budget exhausted,
-    504 deadline exceeded.
 ``POST /batch``
     ``{"graph"?, "queries": [[language, source, target], ...],
     "workers"?, "deadline_seconds"?, "budget"?, "portfolio"?,
@@ -52,6 +49,17 @@ Endpoints (all request/response bodies are JSON):
 ``POST /classify``
     ``{"language": ...}`` — trichotomy classification plus the solver
     strategy the engine would dispatch to (plan-cached service-side).
+
+``/query`` and ``/batch`` share one read path: the payload's
+overrides, the graph's circuit breaker, the degradation ladder,
+admission, one executor call to the graph's worker pool or engine, and
+one map from errors to statuses: 400 bad input, 404 unknown graph, 422
+budget exhausted, 429 shed by admission, 503 ``circuit_open`` while
+the graph's breaker is open, 503 ``worker_crash`` when a pool worker
+is lost past its retries or cannot be respawned, and 504 deadline
+exceeded.  A batch's per-query failures stay inside its 200.  At
+ladder level 2 (reach-only) a query gets a reachability-index-certified
+negative or 503 ``degraded_reach_only``; a batch always gets the 503.
 
 Connections: HTTP/1.1 keep-alive.  One connection carries any number
 of requests, answered in order.  Each request has one ``read_timeout``
@@ -113,6 +121,7 @@ from ..errors import (
     ReproError,
     ServiceError,
     ServiceOverloadedError,
+    SnapshotError,
     WorkerCrashError,
 )
 from ..engine.plan import PlanCache, QueryPlan, plan_key
@@ -677,21 +686,6 @@ class QueryService:
 
     # -- admission control -------------------------------------------------------
 
-    def _admit(self, weight, deadline_seconds=None):
-        """Reserve ``weight`` in-flight query slots or raise 429.
-
-        Delegates to the :class:`LoadShedder` (hard cap, doomed
-        deadlines, soft-band cheap-first shedding); a shed feeds the
-        degradation ladder's overload window before propagating.  The
-        reservation is released in the caller's ``finally`` via
-        ``self.shedder.release(weight)``.
-        """
-        try:
-            self.shedder.admit(weight, deadline_seconds)
-        except ServiceOverloadedError:
-            self.ladder.record_shed()
-            raise
-
     def _breaker(self, name):
         """The (lazily created) circuit breaker for graph ``name``."""
         breaker = self._breakers.get(name)
@@ -702,36 +696,6 @@ class QueryService:
             )
             self._breakers[name] = breaker
         return breaker
-
-    def _check_breaker(self, name):
-        """503 + Retry-After when ``name``'s circuit refuses admission."""
-        retry_in = self._breaker(name).admit()
-        if retry_in is not None:
-            raise ServiceError(
-                "graph %r circuit is open after repeated worker "
-                "failures; retry in %.3fs" % (name, retry_in),
-                status=503,
-                retry_after=retry_in,
-                error_type="circuit_open",
-            )
-
-    def _record_worker_crash(self, entry, failure):
-        """Fold one unrecovered worker crash into every counter it feeds."""
-        self._worker_crashes += 1
-        entry.record_worker_crash()
-        breaker = self._breaker(entry.name)
-        breaker.record_failure()
-        if breaker.state != "closed":
-            self.ladder.record_breaker_open()
-        else:
-            self.ladder.record_crash()
-        return ServiceError(
-            "worker pool lost the request to a crashed worker: %s"
-            % failure,
-            status=503,
-            retry_after=1.0,
-            error_type="worker_crash",
-        )
 
     async def _in_executor(self, fn):
         loop = asyncio.get_running_loop()
@@ -816,142 +780,20 @@ class QueryService:
 
     async def _query(self, payload):
         entry = self.registry.resolve(payload.get("graph"))
-        engine = entry.engine
+        graph = entry.engine.graph
         language = _checked_language(payload.get("language"))
         if "source" not in payload or "target" not in payload:
             raise ServiceError("'source' and 'target' are required")
-        source = _resolve_vertex(engine.graph, payload["source"], "source")
-        target = _resolve_vertex(engine.graph, payload["target"], "target")
-        deadline, budget = _checked_overrides(payload)
-        portfolio, max_path_edges = _checked_portfolio_knobs(payload)
-        deadline = faults.skewed_deadline(deadline)
-        breaker = self._breaker(entry.name)
-        self._check_breaker(entry.name)
-        # Past this point the request may hold the breaker's single
-        # half-open probe slot.  Every exit path must either resolve
-        # the probe (record_success / record_failure) or hand it back
-        # — a request shed by admission, rejected for bad input, or
-        # timed out says nothing about the graph's health, and a
-        # leaked slot would 503 the graph forever.
-        try:
-            return await self._query_checked(
-                entry, engine, language, source, target,
-                deadline, budget, portfolio, max_path_edges,
-            )
-        finally:
-            breaker.release_probe()
-
-    async def _query_checked(self, entry, engine, language, source,
-                             target, deadline, budget, portfolio,
-                             max_path_edges):
-        level = self.ladder.level
-        if level >= LEVEL_REACH_ONLY:
-            return await self._query_reach_only(
-                entry, language, source, target
-            )
-        degraded = level >= LEVEL_PORTFOLIO
-        if degraded and portfolio is None:
-            # Ladder level 1: hard-regime queries go through the
-            # anytime portfolio by default (an explicit per-request
-            # override still wins).  Finite/tractable plans are
-            # unaffected — the engine routes only hard plans through
-            # the ladder, so easy queries stay certified.
-            portfolio = True
-        self._admit(1, deadline)
-        # Pool-backed graphs answer on a pre-forked worker process
-        # (shared-snapshot memory model); the executor thread only
-        # waits on the worker's pipe, so the GIL stays free.
-        run_query = engine.query if entry.pool is None else entry.pool.query
-        start = time.perf_counter()
-        failure = None
-        try:
-            result = await self._in_executor(
-                functools.partial(
-                    run_query,
-                    language,
-                    source,
-                    target,
-                    deadline_seconds=deadline,
-                    budget=budget,
-                    portfolio=portfolio,
-                    max_path_edges=max_path_edges,
-                )
-            )
-        except ReproError as err:
-            failure = err
-        finally:
-            self.shedder.release(1)
-            seconds = time.perf_counter() - start
-        if failure is not None:
-            # Failed queries count in the per-graph stats exactly as
-            # they would inside a batch (queries and errors both move).
-            entry.record_query_failure(seconds)
-            if isinstance(failure, DeadlineExceededError):
-                raise ServiceError(
-                    "query exceeded its deadline: %s" % failure, status=504
-                )
-            if isinstance(failure, BudgetExceededError):
-                raise ServiceError(
-                    "query exhausted its step budget: %s" % failure,
-                    status=422,
-                )
-            if isinstance(failure, WorkerCrashError):
-                # A crashed-and-unrecovered pool worker is a server
-                # fault, not a bad request: 503 + Retry-After, counted
-                # per graph, fed to the breaker and the ladder.
-                raise self._record_worker_crash(entry, failure)
-            raise ServiceError(str(failure), status=400)
-        self.shedder.observe(seconds, 1)
-        self._breaker(entry.name).record_success()
-        self.ladder.record_ok()
-        entry.record_query(result, seconds)
-        if degraded:
-            entry.record_degraded()
-        return 200, result_record(result, degraded=degraded)
-
-    async def _query_reach_only(self, entry, language, source, target):
-        """Ladder level 2: certified index negatives only, shed the rest.
-
-        The deepest degradation rung never runs a solver: the
-        reachability index either *proves* NOT_FOUND (served with
-        ``degraded=true``, still certified) or the request is shed
-        with 503 + Retry-After — a wrong answer is never an option.
-        """
-        self._admit(1, None)
-        start = time.perf_counter()
-        try:
-            result = await self._in_executor(
-                functools.partial(
-                    entry.engine.reach_only_result, language, source, target
-                )
-            )
-        except ReproError as err:
-            entry.record_query_failure(time.perf_counter() - start)
-            raise ServiceError(str(err), status=400) from err
-        finally:
-            self.shedder.release(1)
-            seconds = time.perf_counter() - start
-        if result is None:
-            raise ServiceError(
-                "service is in reach-only degraded mode and the "
-                "reachability index cannot certify this query; retry "
-                "after recovery",
-                status=503,
-                retry_after=self.config.degrade_recovery_seconds,
-                error_type="degraded_reach_only",
-            )
-        # A certified negative is a served request: it must close a
-        # half-open breaker exactly like the full and batch paths, or
-        # a service stuck at reach-only could never re-close circuits.
-        self._breaker(entry.name).record_success()
-        self.ladder.record_ok()
-        entry.record_query(result, seconds)
-        entry.record_degraded()
-        return 200, result_record(result, degraded=True)
+        query = (
+            language,
+            _resolve_vertex(graph, payload["source"], "source"),
+            _resolve_vertex(graph, payload["target"], "target"),
+        )
+        return await self._read(entry, payload, [query])
 
     async def _batch(self, payload):
         entry = self.registry.resolve(payload.get("graph"))
-        engine = entry.engine
+        graph = entry.engine.graph
         raw_queries = payload.get("queries")
         if not isinstance(raw_queries, list) or not raw_queries:
             raise ServiceError(
@@ -968,43 +810,9 @@ class QueryService:
             lang, source, target = item
             triples.append((
                 _checked_language(lang),
-                _resolve_vertex(engine.graph, source, "source"),
-                _resolve_vertex(engine.graph, target, "target"),
+                _resolve_vertex(graph, source, "source"),
+                _resolve_vertex(graph, target, "target"),
             ))
-        deadline, budget = _checked_overrides(payload)
-        portfolio, max_path_edges = _checked_portfolio_knobs(payload)
-        deadline = faults.skewed_deadline(deadline)
-        breaker = self._breaker(entry.name)
-        self._check_breaker(entry.name)
-        # Same probe discipline as _query: hand back an unresolved
-        # half-open probe slot on every exit path.
-        try:
-            return await self._batch_checked(
-                entry, engine, payload, triples,
-                deadline, budget, portfolio, max_path_edges,
-            )
-        finally:
-            breaker.release_probe()
-
-    async def _batch_checked(self, entry, engine, payload, triples,
-                             deadline, budget, portfolio,
-                             max_path_edges):
-        level = self.ladder.level
-        if level >= LEVEL_REACH_ONLY:
-            # Reach-only mode cannot bound a whole batch's work;
-            # batches are shed until the service steps back down
-            # (single queries still get index-certified negatives).
-            raise ServiceError(
-                "service is in reach-only degraded mode; batches are "
-                "shed until recovery — retry later or resend as "
-                "individual queries",
-                status=503,
-                retry_after=self.config.degrade_recovery_seconds,
-                error_type="degraded_reach_only",
-            )
-        degraded = level >= LEVEL_PORTFOLIO
-        if degraded and portfolio is None:
-            portfolio = True
         workers = payload.get("workers", 1)
         if not isinstance(workers, int) or isinstance(workers, bool) or (
             workers < 1
@@ -1012,35 +820,162 @@ class QueryService:
             raise ServiceError(
                 "'workers' must be a positive integer, got %r" % (workers,)
             )
-        self._admit(len(triples), deadline)
-        knobs = {
-            "deadline_seconds": deadline,
-            "budget": budget,
-            "portfolio": portfolio,
-            "max_path_edges": max_path_edges,
-        }
-        if entry.pool is not None:
-            # Pool dispatch: the batch is sharded across pre-forked
-            # workers attached to the shared snapshot.
-            run_batch = functools.partial(
-                entry.pool.run_batch, triples, workers=workers, **knobs
+        return await self._read(entry, payload, triples, workers)
+
+    async def _read(self, entry, payload, queries, workers=None):
+        """Answer ``queries`` on ``entry``'s graph: the one request
+        protocol of ``/query`` (``workers`` None, one query) and
+        ``/batch``.
+
+        In order: the payload's overrides, the graph's circuit breaker,
+        the degradation ladder, admission by weight (one per query),
+        one executor call to the graph's pool or engine, one map from
+        errors to statuses, and the success accounting.
+        """
+        deadline, budget = _checked_overrides(payload)
+        portfolio, max_path_edges = _checked_portfolio_knobs(payload)
+        deadline = faults.skewed_deadline(deadline)
+        single = workers is None
+        breaker = self._breaker(entry.name)
+        retry_in = breaker.admit()
+        if retry_in is not None:
+            raise ServiceError(
+                "graph %r circuit is open after repeated worker "
+                "failures; retry in %.3fs" % (entry.name, retry_in),
+                status=503,
+                retry_after=retry_in,
+                error_type="circuit_open",
             )
-        else:
-            run_batch = functools.partial(engine.run_batch, triples, **knobs)
-        start = time.perf_counter()
+        # Past this point the request may hold the breaker's single
+        # half-open probe slot.  Every exit path must either resolve
+        # the probe (record_success / record_failure) or hand it back
+        # — a request shed by admission, rejected for bad input, or
+        # timed out says nothing about the graph's health, and a
+        # leaked slot would 503 the graph forever.
         try:
-            batch = await self._in_executor(run_batch)
-        except WorkerCrashError as err:
-            raise self._record_worker_crash(entry, err)
+            level = self.ladder.level
+            degraded = level >= LEVEL_PORTFOLIO
+            reach_only = level >= LEVEL_REACH_ONLY
+            if degraded and portfolio is None:
+                # Ladder level 1: hard-regime queries go through the
+                # anytime portfolio by default (an explicit per-request
+                # override still wins).  Finite/tractable plans are
+                # unaffected — the engine routes only hard plans
+                # through the ladder, so easy queries stay certified.
+                portfolio = True
+            knobs = {
+                "deadline_seconds": deadline,
+                "budget": budget,
+                "portfolio": portfolio,
+                "max_path_edges": max_path_edges,
+            }
+            engine, pool = entry.engine, entry.pool
+            if reach_only:
+                # Ladder level 2 never runs a solver: the reachability
+                # index either *proves* NOT_FOUND (served degraded,
+                # still certified) or the query is shed below — a wrong
+                # answer is never an option.  It cannot bound a whole
+                # batch's work, so batches are shed until the service
+                # steps back down.
+                if not single:
+                    raise ServiceError(
+                        "service is in reach-only degraded mode; batches "
+                        "are shed until recovery — retry later or resend "
+                        "as individual queries",
+                        status=503,
+                        retry_after=self.config.degrade_recovery_seconds,
+                        error_type="degraded_reach_only",
+                    )
+                run = functools.partial(
+                    engine.reach_only_result, *queries[0]
+                )
+            elif single:
+                # Pool-backed graphs answer on a pre-forked worker
+                # process (shared-snapshot memory model); the executor
+                # thread only waits on the worker's pipe, so the GIL
+                # stays free.
+                run_query = engine.query if pool is None else pool.query
+                run = functools.partial(run_query, *queries[0], **knobs)
+            elif pool is None:
+                run = functools.partial(engine.run_batch, queries, **knobs)
+            else:
+                # Sharded across the pre-forked workers attached to
+                # the shared snapshot.
+                run = functools.partial(
+                    pool.run_batch, queries, workers=workers, **knobs
+                )
+            weight = len(queries)
+            try:
+                self.shedder.admit(weight, None if reach_only else deadline)
+            except ServiceOverloadedError:
+                self.ladder.record_shed()
+                raise
+            start = time.perf_counter()
+            try:
+                answer = await self._in_executor(run)
+            except ReproError as err:
+                if single:
+                    # Counted in the per-graph stats as it would be
+                    # inside a batch (queries and errors both move).
+                    entry.record_query_failure(time.perf_counter() - start)
+                if isinstance(err, (WorkerCrashError, SnapshotError)):
+                    # A pool worker lost past its retries, or one that
+                    # cannot be respawned (its snapshot will not
+                    # attach), is a server fault, not a bad request:
+                    # 503 + Retry-After, counted per graph, fed to the
+                    # breaker and the ladder.
+                    self._worker_crashes += 1
+                    entry.record_worker_crash()
+                    breaker.record_failure()
+                    if breaker.state != "closed":
+                        self.ladder.record_breaker_open()
+                    else:
+                        self.ladder.record_crash()
+                    raise ServiceError(
+                        "worker pool lost the request to a crashed "
+                        "worker: %s" % err,
+                        status=503,
+                        retry_after=1.0,
+                        error_type="worker_crash",
+                    ) from err
+                if isinstance(err, DeadlineExceededError):
+                    raise ServiceError(
+                        "query exceeded its deadline: %s" % err, status=504
+                    ) from err
+                if isinstance(err, BudgetExceededError):
+                    raise ServiceError(
+                        "query exhausted its step budget: %s" % err,
+                        status=422,
+                    ) from err
+                raise ServiceError(str(err), status=400) from err
+            finally:
+                self.shedder.release(weight)
+            seconds = time.perf_counter() - start
+            if answer is None:
+                raise ServiceError(
+                    "service is in reach-only degraded mode and the "
+                    "reachability index cannot certify this query; retry "
+                    "after recovery",
+                    status=503,
+                    retry_after=self.config.degrade_recovery_seconds,
+                    error_type="degraded_reach_only",
+                )
+            if not reach_only:
+                self.shedder.observe(seconds, weight)
+            # A served request closes a half-open breaker — a certified
+            # reach-only negative too, or a service stuck at reach-only
+            # could never re-close circuits.
+            breaker.record_success()
+            self.ladder.record_ok()
+            if degraded:
+                entry.record_degraded()
+            if single:
+                entry.record_query(answer, seconds)
+                return 200, result_record(answer, degraded=degraded)
+            entry.record_batch(answer)
+            return 200, batch_record(answer, degraded=degraded)
         finally:
-            self.shedder.release(len(triples))
-        self.shedder.observe(time.perf_counter() - start, len(triples))
-        self._breaker(entry.name).record_success()
-        self.ladder.record_ok()
-        entry.record_batch(batch)
-        if degraded:
-            entry.record_degraded()
-        return 200, batch_record(batch, degraded=degraded)
+            breaker.release_probe()
 
     async def _classify(self, payload):
         regex = _checked_language(payload.get("language"))

@@ -426,7 +426,15 @@ class WorkerPool:
             pass
 
     def _respawn(self, handle):
-        """Replace a dead worker: backoff, spawn, register, return it."""
+        """Replace a dead worker: backoff, spawn, register, make it idle.
+
+        A spawn that fails (the snapshot will not attach, or the
+        worker dies before its handshake) puts the dead handle back on
+        the idle queue instead, so the slot is not lost: the next
+        request that checks it out finds it dead and retries the spawn
+        with the slot's growing backoff.  The spawn's error still
+        reaches the caller.
+        """
         self._kill(handle)
         with self._lock:
             self._crashes += 1
@@ -440,12 +448,16 @@ class WorkerPool:
         )
         if delay > 0:
             time.sleep(delay)
-        fresh = self._spawn(handle.index)
+        try:
+            fresh = self._spawn(handle.index)
+        except BaseException:
+            self._idle.put(handle)
+            raise
         fresh.crashes = crashes
         with self._lock:
             self._handles[handle.index] = fresh
             self._respawns += 1
-        return fresh
+        self._idle.put(fresh)
 
     def _watchdog_loop(self):
         """Hard-kill workers wedged on one request for too long.
@@ -545,8 +557,7 @@ class WorkerPool:
                 handle.conn.send(message)
                 reply = self._recv(handle, deadline)
             except (_WorkerDied, BrokenPipeError, OSError):
-                replacement = self._respawn(handle)
-                self._idle.put(replacement)
+                self._respawn(handle)
                 attempts += 1
                 if attempts > self.max_retries:
                     raise WorkerCrashError(
@@ -556,8 +567,7 @@ class WorkerPool:
                     ) from None
                 continue
             except _WorkerHung:
-                replacement = self._respawn(handle)
-                self._idle.put(replacement)
+                self._respawn(handle)
                 raise DeadlineExceededError(
                     "pool worker overran the request deadline plus "
                     "%.1fs grace and was respawned" % self.grace_seconds
@@ -751,7 +761,7 @@ class WorkerPool:
                 # A worker found dead during a probe is respawned like
                 # any other crash; the probe itself is best-effort.
                 try:
-                    self._idle.put(self._respawn(handle))
+                    self._respawn(handle)
                 except ReproError:  # pragma: no cover - respawn failed
                     pass
                 continue

@@ -508,6 +508,16 @@ def pool_registry(graph, **pool_extra):
     return registry
 
 
+def ask(client, endpoint, language, source, target, **overrides):
+    """One query sent to ``/query``, or as a one-query ``/batch``; the
+    result record."""
+    if endpoint == "query":
+        return client.query(language, source, target, **overrides)
+    response = client.batch([(language, source, target)], **overrides)
+    (record,) = response["results"]
+    return record
+
+
 class TestWorkerChaos:
     def test_crash_recovery_never_serves_a_wrong_answer(self, graph):
         # Every respawned worker crashes serving its 2nd request, so
@@ -545,10 +555,14 @@ class TestWorkerChaos:
         assert described["worker_crashes"] == 1
 
     def test_hang_with_deadline_maps_to_504(self, graph):
+        # Only the pre-forked worker carries the plan: its replacement
+        # starts clean, so the follow-up query need not wait out a
+        # second hang.
         faults.install(
             FaultPlan(worker_hang_at=(1,), hang_seconds=30.0)
         )
         registry = pool_registry(graph)
+        faults.uninstall()
         service = QueryService(registry, ServiceConfig(workers=2))
         with ServiceThread(service) as running:
             client = ServiceClient(port=running.port)
@@ -560,10 +574,58 @@ class TestWorkerChaos:
             # Bounded by deadline + grace, not by hang_seconds.
             assert elapsed < 10.0
             # The hung worker was killed and respawned: the pool keeps
-            # serving (the respawned worker's ordinal 1 already fired).
-            faults.uninstall()
+            # serving.
             record = client.query("a*", 0, 1)
             assert record["error"] is None
+
+    def test_batch_hang_with_deadline_maps_to_504(self, graph):
+        # The /batch twin: the same overrun is a 504 with the same
+        # message, not a 500.
+        faults.install(
+            FaultPlan(worker_hang_at=(1,), hang_seconds=30.0)
+        )
+        registry = pool_registry(graph)
+        faults.uninstall()
+        service = QueryService(registry, ServiceConfig(workers=2))
+        with ServiceThread(service) as running:
+            client = ServiceClient(port=running.port)
+            start = time.monotonic()
+            with pytest.raises(ServiceError) as info:
+                client.batch([("a*", 0, 1)], deadline_seconds=0.2)
+            elapsed = time.monotonic() - start
+            assert info.value.status == 504
+            assert "query exceeded its deadline" in str(info.value)
+            assert elapsed < 10.0
+            response = client.batch([("a*", 0, 1)])
+        assert verify_against_direct(
+            graph, [("a*", 0, 1)], response["results"]
+        ) == []
+
+    @pytest.mark.parametrize("endpoint", ["query", "batch"])
+    def test_failed_respawn_is_503_and_keeps_the_slot(self, graph,
+                                                       endpoint):
+        # The only worker dies and its replacement cannot attach the
+        # snapshot: a server fault, fed to the crash counters, and the
+        # slot survives, so the next request retries the spawn.
+        registry = pool_registry(graph)
+        service = QueryService(registry, ServiceConfig(workers=2))
+        try:
+            with ServiceThread(service) as running:
+                client = ServiceClient(port=running.port, timeout=10.0)
+                registry.get("main").pool.kill_worker(0)
+                faults.install(FaultPlan(snapshot_truncate_at=(1,)))
+                with pytest.raises(ServiceError) as info:
+                    ask(client, endpoint, "a*", 0, 1)
+                assert info.value.status == 503
+                assert info.value.error_type == "worker_crash"
+                assert "could not attach" in str(info.value)
+                faults.uninstall()
+                record = ask(client, endpoint, "a*", 0, 1)
+                stats = client.stats()
+        finally:
+            registry.close()
+        assert verify_against_direct(graph, [("a*", 0, 1)], [record]) == []
+        assert stats["service"]["worker_crashes"] == 1
 
     def test_watchdog_reaps_deadline_less_wedge(self, graph):
         # No deadline anywhere: only the watchdog can detect the hang.
@@ -963,6 +1025,99 @@ class TestProbeRecovery:
             assert negative["degraded"] is True
             stats = client.stats()
         assert stats["resilience"]["breakers"]["main"]["state"] == "closed"
+
+
+#: ``(endpoint, status, error_type)`` of every failure the read path can
+#: answer after the breaker check.  A /batch keeps a bad regex or a
+#: spent budget inside its 200 (per-query errors), so it has no 400 or
+#: 422 here.
+EXIT_PATHS = [
+    ("query", 400, None),
+    ("query", 422, None),
+    ("query", 429, "overloaded"),
+    ("query", 503, "circuit_open"),
+    ("query", 503, "degraded_reach_only"),
+    ("query", 503, "worker_crash"),
+    ("query", 504, None),
+    ("batch", 429, "overloaded"),
+    ("batch", 503, "circuit_open"),
+    ("batch", 503, "degraded_reach_only"),
+    ("batch", 503, "worker_crash"),
+    ("batch", 504, None),
+]
+
+
+class TestExitPaths:
+    @pytest.mark.parametrize(
+        "endpoint, status, error_type", EXIT_PATHS,
+        ids=["%s-%s" % (e, t or s) for e, s, t in EXIT_PATHS],
+    )
+    def test_exit_path_returns_weight_and_probe(self, graph, endpoint,
+                                                status, error_type):
+        # Only the pre-forked worker carries a fault plan, and the pool
+        # does not retry, so one fault fails the request and the
+        # replacement worker serves the next one.
+        if error_type == "worker_crash":
+            faults.install(FaultPlan(worker_crash_at=(1,)))
+        elif status == 504:
+            faults.install(
+                FaultPlan(worker_hang_at=(1,), hang_seconds=30.0)
+            )
+        registry = pool_registry(graph, max_retries=0)
+        faults.uninstall()
+        service = QueryService(registry, ServiceConfig(
+            workers=2, breaker_threshold=1, breaker_cooldown=1.0,
+            breaker_jitter=0.0,
+        ))
+        # The breaker runs on a fake clock, so no cooldown passes on its
+        # own: a probe slot the request leaked would stay taken.
+        clock = FakeClock()
+        breaker = CircuitBreaker(service.config.breaker_config(),
+                                 clock=clock)
+        service._breakers["main"] = breaker
+        breaker.record_failure()
+        if error_type != "circuit_open":
+            clock.advance(1.5)  # half-open: the request takes the probe
+        language, source, target, overrides = "a*", 0, 1, {}
+        if status == 400:
+            language = "a*("
+        elif status == 422:
+            language, source, target = "(ab)*", 2, 11
+            overrides = {"budget": 1}
+        elif status == 504:
+            overrides = {"deadline_seconds": 0.2}
+        full = service.config.max_inflight
+        try:
+            with ServiceThread(service) as running:
+                client = ServiceClient(port=running.port)
+                if status == 429:
+                    service.shedder.admit(full)  # hold every slot
+                if error_type == "degraded_reach_only":
+                    service.ladder.force(2)
+                try:
+                    with pytest.raises(ServiceError) as info:
+                        ask(client, endpoint, language, source, target,
+                            **overrides)
+                finally:
+                    if status == 429:
+                        service.shedder.release(full)
+                    if error_type == "degraded_reach_only":
+                        service.ladder.force(0)
+                assert info.value.status == status
+                assert info.value.error_type == error_type
+                assert client.healthz()["inflight"] == 0
+                if error_type in ("circuit_open", "worker_crash"):
+                    # Nothing to hand back: the circuit refused the
+                    # request, or the failed probe re-opened it.
+                    assert breaker.state == "open"
+                    clock.advance(60.0)
+                record = ask(client, endpoint, "a*", 0, 1)
+                health = client.healthz()
+        finally:
+            registry.close()
+        assert record["error"] is None and record["found"] is True
+        assert breaker.state == "closed"
+        assert health["inflight"] == 0
 
 
 # ---------------------------------------------------------------------------

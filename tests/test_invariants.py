@@ -117,6 +117,21 @@ def test_purity_fixture_reports_all_three_shapes():
     assert "instance state" in messages
 
 
+def test_protocol_drift_flags_a_missing_server_handler(tmp_path):
+    # A renamed handler must not switch the payload check off silently.
+    server = tmp_path / "service" / "server.py"
+    server.parent.mkdir()
+    server.write_text(
+        "from .protocol import result_record\n"
+        "\n"
+        "\n"
+        "async def _query(payload):\n"
+        "    return 200, result_record(payload)\n"
+    )
+    (violation,) = analyze([server], rules=["protocol-drift"])
+    assert "_batch() not found" in violation.message
+
+
 # ---------------------------------------------------------------------------
 # Meta-test: the real source tree is invariant-clean.
 # ---------------------------------------------------------------------------

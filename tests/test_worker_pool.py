@@ -16,6 +16,7 @@ while *fresh* attaches see the new file or fail with a clean
 """
 
 import os
+import threading
 
 import pytest
 
@@ -31,7 +32,7 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.graphs.generators import labeled_cycle, random_labeled_graph
-from repro.service import GraphRegistry, save_snapshot
+from repro.service import FaultPlan, GraphRegistry, faults, save_snapshot
 from repro.service.workers import WorkerPool
 
 from tests.conftest import per_query
@@ -284,6 +285,32 @@ class TestMmapLifecycle:
             pool.kill_worker(0)
             with pytest.raises(SnapshotError, match="could not attach"):
                 pool.query("a*", 0, 1)
+
+    def test_failed_respawn_keeps_the_slot(self, snap_path, graph):
+        # The replacement for a killed worker cannot attach: the caller
+        # gets the SnapshotError, and the next request retries the
+        # spawn instead of waiting forever for an idle worker.
+        with WorkerPool(snap_path, workers=1, respawn_backoff=0.01) as pool:
+            pool.kill_worker(0)
+            faults.install(FaultPlan(snapshot_truncate_at=(1,)))
+            try:
+                with pytest.raises(SnapshotError, match="could not attach"):
+                    pool.query("a*", 0, 1)
+            finally:
+                faults.uninstall()
+            answers = []
+            waiter = threading.Thread(
+                target=lambda: answers.append(pool.query("a*", 0, 1)),
+                daemon=True,
+            )
+            waiter.start()
+            waiter.join(timeout=10)
+            assert not waiter.is_alive()
+            stats = pool.stats()
+        engine = QueryEngine(IndexedGraph(graph))
+        assert_results_identical(answers[0], engine.query("a*", 0, 1))
+        assert stats["respawns"] == 1
+        assert stats["sampled"] == 1
 
     def test_truncated_fresh_attach_raises(self, snap_path):
         from repro.service.snapshot import attach_snapshot

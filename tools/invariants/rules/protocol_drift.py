@@ -11,7 +11,9 @@ list and its *order* are contractual.  The rule enforces:
   and the ``--jsonl`` writer (``_write_jsonl`` in ``cli.py``) build
   their payloads through ``result_record``/``batch_record`` rather
   than ad-hoc dicts — directly or via the module-local helpers the
-  handler delegates its body to.
+  handler delegates its body to;
+* both handlers exist in ``service/server.py``: a renamed handler
+  would otherwise switch the check off without a word.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ def _called_names(fn: ast.AST) -> set[str]:
 
 def _reaches_function(tree: ast.AST, fn: ast.AST, callee: str) -> bool:
     """True when ``fn`` calls ``callee``, possibly through module-local
-    helpers (a handler may delegate its body to ``_query_checked`` so a
-    ``finally`` can wrap it; the payload producer travels with it)."""
+    helpers (both handlers delegate to the server's one read method,
+    and the payload producer travels with it)."""
     local = {
         node.name: node
         for node in ast.walk(tree)
@@ -222,6 +224,11 @@ class ProtocolDriftRule(Rule):
         ):
             fn = _find_function(module.tree, handler)
             if fn is None:
+                yield module.violation(
+                    self.name, module.tree,
+                    "server handler %s() not found, so its use of "
+                    "protocol.%s() cannot be checked" % (handler, producer),
+                )
                 continue
             if not _reaches_function(module.tree, fn, producer):
                 yield module.violation(
