@@ -46,7 +46,6 @@ import random
 from ..core.product import transition_rows
 from ..graphs.view import as_graph_view
 from ..languages import Language
-from ..languages.analysis import useful_symbols
 
 #: Conservative lower bound on one run detecting an existing simple
 #: path (the classical Koutis–Williams analysis gives ≥ 1/5).
@@ -138,7 +137,7 @@ class AlgebraicSolver:
         self.failure_probability = failure_probability
         self.use_reach_pruning = use_reach_pruning
         #: Symbols occurring in some word of L (the pruning label mask).
-        self.used_symbols = useful_symbols(self.dfa)
+        self.used_symbols = language.used_symbols
 
     def _num_runs(self):
         return runs_for_prob(self.failure_probability)

@@ -25,7 +25,6 @@ from ..errors import ReproError
 from ..execution import ExecutionContext
 from ..graphs.view import as_graph_view
 from ..languages import Language
-from ..languages.analysis import useful_symbols
 
 
 class FiniteLanguageSolver:
@@ -53,7 +52,7 @@ class FiniteLanguageSolver:
         self.dfa = language.dfa
         self.use_reach_pruning = use_reach_pruning
         #: Letters of the words of L (the query's label mask).
-        self.used_symbols = useful_symbols(self.dfa)
+        self.used_symbols = language.used_symbols
 
     def shortest_simple_path(self, graph, source, target, ctx=None):
         """Shortest simple L-labeled path (words tried short-first)."""

@@ -53,7 +53,6 @@ from itertools import product as iter_product
 from ..core.product import transition_rows
 from ..graphs.view import as_graph_view
 from ..languages import Language
-from ..languages.analysis import useful_symbols
 
 
 def _lfact(n):
@@ -130,7 +129,7 @@ class ColorCodingSolver:
         self.failure_probability = failure_probability
         self.use_reach_pruning = use_reach_pruning
         #: Symbols occurring in some word of L (the pruning label mask).
-        self.used_symbols = useful_symbols(self.dfa)
+        self.used_symbols = language.used_symbols
 
     # -- coloring families -------------------------------------------------------
 

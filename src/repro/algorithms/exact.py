@@ -35,7 +35,6 @@ from ..execution import ExecutionContext
 from ..graphs.dbgraph import Path
 from ..graphs.view import as_graph_view
 from ..languages import Language
-from ..languages.analysis import useful_symbols
 
 
 class ExactSolver:
@@ -74,7 +73,7 @@ class ExactSolver:
         self.budget = budget
         self.use_reach_pruning = use_reach_pruning
         #: Symbols occurring in some word of L (the query label mask).
-        self.used_symbols = useful_symbols(self.dfa)
+        self.used_symbols = language.used_symbols
         # Built once per solver: every query's backward goal-distance
         # BFS reads it (see repro.core.product.walk_distances).
         self._reverse_transitions = reverse_transition_index(self.dfa)

@@ -50,7 +50,6 @@ from ..execution import ExecutionContext
 from ..graphs.dbgraph import Path
 from ..graphs.view import as_graph_view
 from ..languages import Language
-from ..languages.analysis import useful_symbols
 from .psitr import (
     PsitrExpression,
     StarTerm,
@@ -799,7 +798,7 @@ class TractableSolver:
         self.use_live_pruning = use_live_pruning
         self.use_reach_pruning = use_reach_pruning
         #: Symbols occurring in some word of L (the query label mask).
-        self.used_symbols = useful_symbols(language.dfa)
+        self.used_symbols = language.used_symbols
 
     def shortest_simple_path(self, graph, source, target, weight_fn=None,
                              ctx=None):

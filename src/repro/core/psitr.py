@@ -7,7 +7,9 @@ Theorem 4: L ∈ trC iff L is recognised by a Ψtr expression.
 
 This module provides the fragment's AST (:class:`StarTerm`,
 :class:`FragmentTerm`, :class:`PsitrSequence`, :class:`PsitrExpression`),
-compilable to NFAs.  Words are kept as :class:`Fragment` objects, finite
+compilable to NFAs: each part emits itself into one
+:class:`~repro.languages.nfa.NfaBuilder`, so an expression's NFA is
+one linear pass.  Words are kept as :class:`Fragment` objects, finite
 languages as small acyclic DFAs: a plain word is a one-path fragment,
 and a sequence whose lead, trail or optional terms hold more words is
 *factored* — the union of the plain sequences obtained by picking one
@@ -49,12 +51,13 @@ The anchored simple-path solver (:mod:`repro.core.nice_paths`) consumes
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from typing import FrozenSet, Optional, Tuple
 
 from ..errors import NotInTrCError, ReproError
 from ..languages import Language
-from ..languages.nfa import NFA, empty_nfa, epsilon_nfa, nfa_from_ast
+from ..languages.nfa import NfaBuilder
 from ..languages.regex import ast as rx
 from ..languages.regex import builder
 from ..languages.analysis import strongly_connected_components
@@ -70,6 +73,13 @@ _MAX_SEQUENCES = 512
 _MAX_CHAINS = 256
 
 
+def _nfa_of(part):
+    """The NFA of a fragment or sequence: one emission."""
+    nfa = NfaBuilder()
+    start = nfa.state()
+    return nfa.build([start], [part.emit(nfa, start)])
+
+
 @dataclass(frozen=True)
 class StarTerm:
     """The term ``(A≥k + ε)``: the empty word or ≥ k letters from A."""
@@ -83,10 +93,16 @@ class StarTerm:
         if not self.symbols:
             raise ValueError("StarTerm needs at least one symbol")
 
-    def to_nfa(self):
-        return nfa_from_ast(
-            builder.optional(builder.at_least(self.symbols, self.min_count))
-        )
+    def emit(self, nfa, entry):
+        """Emit the term into the NFA builder ``nfa`` from ``entry``."""
+        letters = sorted(self.symbols)
+
+        def at_least(start):
+            for _ in range(self.min_count):
+                start = nfa.letters(start, letters)
+            return nfa.star(start, partial(nfa.letters, symbols=letters))
+
+        return nfa.optional(entry, at_least)
 
     def __str__(self):
         return "([%s]>=%d + ε)" % ("".join(sorted(self.symbols)), self.min_count)
@@ -130,10 +146,23 @@ class Fragment:
         """True for the fragment of the empty word alone."""
         return self.arcs == ((),)
 
+    def emit(self, nfa, entry):
+        """Emit the fragment into the NFA builder ``nfa``, with state 0
+        at ``entry`` (no arc enters it).  It ends in the last state,
+        which is final and has no arc out: the other finals move there
+        by ε."""
+        ids = [entry] + [nfa.state() for _ in self.arcs[1:]]
+        for source, arcs in zip(ids, self.arcs):
+            for symbol, target in arcs:
+                nfa.arc(source, symbol, ids[target])
+        end = ids[-1]
+        for state in sorted(self.finals):
+            if ids[state] != end:
+                nfa.arc(ids[state], None, end)
+        return end
+
     def to_nfa(self):
-        letters = {symbol for arcs in self.arcs for symbol, _ in arcs}
-        states = range(len(self.arcs))
-        return NFA(states, letters, dict(enumerate(self.arcs)), [0], self.finals)
+        return _nfa_of(self)
 
     def min_length(self):
         """Length of the fragment's shortest word."""
@@ -185,8 +214,9 @@ class FragmentTerm:
         if self.fragment.is_epsilon():
             raise ValueError("FragmentTerm needs a non-empty word")
 
-    def to_nfa(self):
-        return self.fragment.to_nfa().union(epsilon_nfa())
+    def emit(self, nfa, entry):
+        """Emit the term into the NFA builder ``nfa`` from ``entry``."""
+        return nfa.optional(entry, partial(self.fragment.emit, nfa))
 
     def __str__(self):
         return "(%s + ε)" % self.fragment.to_regex()
@@ -212,12 +242,17 @@ class PsitrSequence:
             if not isinstance(term, (StarTerm, FragmentTerm)):
                 raise TypeError("invalid Ψtr term %r" % (term,))
 
+    def emit(self, nfa, entry):
+        """Emit the sequence into the NFA builder ``nfa`` from ``entry``:
+        its parts in a row, each one ending where the next begins."""
+        entry = self.lead.emit(nfa, entry)
+        for term in self.terms:
+            entry = term.emit(nfa, entry)
+        return self.trail.emit(nfa, entry)
+
     def to_nfa(self):
         """Compile the sequence to an NFA."""
-        nfa = self.lead.to_nfa()
-        for term in self.terms:
-            nfa = nfa.concat(term.to_nfa())
-        return nfa.concat(self.trail.to_nfa())
+        return _nfa_of(self)
 
     def __str__(self):
         pieces = [str(term) for term in self.terms]
@@ -240,13 +275,12 @@ class PsitrExpression:
     k: Optional[int] = None
 
     def to_nfa(self):
-        """Compile the expression to an NFA (union of sequences)."""
-        if not self.sequences:
-            return empty_nfa()
-        nfa = self.sequences[0].to_nfa()
-        for sequence in self.sequences[1:]:
-            nfa = nfa.union(sequence.to_nfa())
-        return nfa
+        """Compile the expression to an NFA: every sequence emitted
+        from one start state, each accepting where it ends."""
+        nfa = NfaBuilder()
+        start = nfa.state()
+        ends = [sequence.emit(nfa, start) for sequence in self.sequences]
+        return nfa.build([start], ends)
 
     def to_language(self, alphabet=None):
         """Compile to a :class:`Language` (minimal DFA built)."""

@@ -38,7 +38,6 @@ from ..errors import ReproError
 from ..graphs.dbgraph import Path
 from ..graphs.view import as_graph_view
 from ..languages import Language
-from ..languages.analysis import useful_symbols
 from ..algorithms.bounded import FiniteLanguageSolver
 from ..algorithms.exact import ExactSolver
 from .nice_paths import TractableSolver
@@ -106,7 +105,7 @@ class RspqSolver:
         #: Symbols occurring in some word of L — the query's label mask
         #: for the reachability index (everything else is dead-state
         #: plumbing no L-labeled path can use).
-        self.used_symbols = useful_symbols(language.dfa)
+        self.used_symbols = language.used_symbols
         self.exact_budget = exact_budget
         self.use_reach_pruning = use_reach_pruning
         self._finite_solver = None

@@ -21,7 +21,11 @@ with the graph layer's :func:`~repro.graphs.reach.condense` and
 
 * ``L_q ⊆ L_p`` iff ``(q, p)`` reaches no pair (accepting, rejecting);
 * ``p' ∈ Δ(p, Loop(q2))`` iff ``(q2, p)`` reaches a pair with an edge
-  into ``(q2, p')``.
+  into ``(q2, p')``;
+* the diagonal pair ``(q, q)`` moves exactly like ``q``, so ``q``
+  reaches ``p`` iff ``(q, q)`` reaches ``(p, p)``, and ``Loop(q)``
+  has a word ending in the letter ``a`` iff ``(q, q)`` reaches a
+  diagonal pair ``(p, p)`` with ``δ(p, a) = q``.
 
 The second relation carries ``S_j = Δ(q1, Loop(q2)^j)`` to ``S_{j+1}``.
 ``Loop(q2)`` is closed under concatenation, so ``Loop(q2)^{j+1} ⊆
@@ -51,7 +55,7 @@ from dataclasses import dataclass
 
 from ..graphs.reach import closure, condense, successor_map
 from ..languages import Language
-from ..languages.analysis import has_loop_with_last_letter, looping_states
+from ..languages.analysis import looping_states
 from ..languages.dfa import DFA, from_nfa
 from ..languages.nfa import NFA, nfa_from_ast
 from ..languages.regex.parser import parse
@@ -103,16 +107,21 @@ def violating_pairs(lang_or_dfa, groups=None):
     for q in dfa.accepting:
         for p in rejecting:
             bad |= 1 << comp_of[q * size + p]
+    # State q as its diagonal pair's component: q reaches p iff
+    # rows[diagonal[q]] holds diagonal[p].
+    diagonal = [comp_of[q * size + q] for q in dfa.states()]
+    # closing[g][q]: the diagonal pairs (p, p) with a move from p to q
+    # on a letter of group g.  Loop_g(q) ≠ ∅ iff q reaches one of them.
+    closing = {}
+    for letter, move in zip(letters, moves):
+        bits = closing.setdefault(groups[letter], [0] * size)
+        for p in dfa.states():
+            bits[move[p]] |= 1 << diagonal[p]
     loop_groups = [
-        {
-            groups[letter]
-            for letter in letters
-            if has_loop_with_last_letter(dfa, q, letter)
-        }
+        {g for g, bits in closing.items() if rows[diagonal[q]] & bits[q]}
         for q in dfa.states()
     ]
     loopers = [q for q in dfa.states() if loop_groups[q]]
-    reachable = {q1: dfa.reachable_states(q1) for q1 in loopers}
     for q2 in loopers:
         reach = [rows[comp_of[q2 * size + p]] for p in dfa.states()]
         # Bit p: L_{q2} ⊄ L_p.
@@ -121,7 +130,7 @@ def violating_pairs(lang_or_dfa, groups=None):
             continue
         images = {}
         for q1 in loopers:
-            if q2 not in reachable[q1]:
+            if not rows[diagonal[q1]] >> diagonal[q2] & 1:
                 continue
             for group in sorted(loop_groups[q1] & loop_groups[q2]):
                 if group not in images:

@@ -18,8 +18,8 @@ guarantees a witness exists whenever ``L ∉ trC``.
 The search is guided: candidate loop words per state (shortest loop
 through each outgoing letter, their powers, and shortest *common* loops
 for same-SCC state pairs), shortest connecting words, and candidate
-``wr`` of the form ``w2^j · u``.  Every candidate is *verified* with
-exact automaton constructions, so a returned witness is always correct;
+``wr`` of the form ``w2^j · u``.  Every candidate is *verified*
+exactly, by walks on the DFA, so a returned witness is always correct;
 the guided enumeration is validated against the whole catalog in tests.
 """
 
@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from ..errors import ReproError
 from ..languages.analysis import looping_states
-from ..languages.nfa import star_nfa, word_nfa
 from .trc import _as_minimal_dfa, is_in_trc
 
 
@@ -76,11 +75,22 @@ def verify_witness(dfa, witness):
 
 
 def _loops_then_wr_avoids(dfa, q1, w1, w2, wr):
-    """True iff ``(w1 + w2)* wr ∩ L_{q1} = ∅`` (condition 6)."""
-    loops = star_nfa(word_nfa(w1).union(word_nfa(w2)))
-    candidate = loops.concat(word_nfa(wr))
-    overlap = candidate.intersect_dfa(dfa, dfa_initial=q1)
-    return overlap.is_empty()
+    """True iff ``(w1 + w2)* wr ∩ L_{q1} = ∅`` (condition 6): no state
+    that ``(w1 + w2)*`` leads to from ``q1`` reads ``wr`` into an
+    accepting state.  Those states are the closure of ``{q1}`` under
+    reading ``w1`` and reading ``w2``: at most ``|Q|`` of them."""
+    seen = {q1}
+    stack = [q1]
+    while stack:
+        state = stack.pop()
+        if dfa.run_from(state, wr) in dfa.accepting:
+            return False
+        for loop in (w1, w2):
+            after = dfa.run_from(state, loop)
+            if after not in seen:
+                seen.add(after)
+                stack.append(after)
+    return True
 
 
 def _shortest_word_between(dfa, source, target, require_nonempty=False):

@@ -52,7 +52,6 @@ from ..execution import ExecutionContext
 from ..graphs.dbgraph import Path
 from ..graphs.view import GraphView, as_graph_view
 from ..languages import Language
-from ..languages.analysis import useful_symbols
 
 #: An exact answer: a witness path, a walk proof, or the exact rung.
 CONFIDENCE_CERTIFIED = "certified"
@@ -172,7 +171,7 @@ class PortfolioSolver:
                     % (name, fraction)
                 )
         self.budget_split = split
-        self.used_symbols = useful_symbols(self.dfa)
+        self.used_symbols = language.used_symbols
         self.color = ColorCodingSolver(
             language, seed=seed, failure_probability=failure_probability,
             use_reach_pruning=use_reach_pruning,

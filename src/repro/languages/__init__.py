@@ -35,6 +35,7 @@ class Language:
     def __init__(self, source, alphabet=None, name=None):
         self.name = name
         self.ast = None
+        self._used_symbols = None
         if isinstance(source, str):
             self.ast = parse_regex(source)
             nfa = nfa_from_ast(self.ast)
@@ -63,6 +64,16 @@ class Language:
     def num_states(self):
         """M — the size of Q_L in the paper's notation."""
         return self.dfa.num_states
+
+    @property
+    def used_symbols(self):
+        """Symbols some word of L uses
+        (:func:`~repro.languages.analysis.useful_symbols`): the label
+        mask of every query on L.  Computed on first use, once per
+        language, for the plan's solvers to share."""
+        if self._used_symbols is None:
+            self._used_symbols = analysis.useful_symbols(self.dfa)
+        return self._used_symbols
 
     def accepts(self, word):
         return self.dfa.accepts(word)

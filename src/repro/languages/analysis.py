@@ -6,10 +6,11 @@ These are the automaton-level notions Section 3 of the paper works with:
   the graph layer's Tarjan (:func:`repro.graphs.reach.condense`),
 * ``Loop(q)`` — the non-empty words that loop on state ``q``,
 * the *internal alphabet* ``Σ_C`` of a component (Notation 1),
-* aperiodicity (the definition used in Preliminaries),
-* ``Loop_a(q)`` — loops whose last letter is ``a`` (Notation 2), which
-  the trC decision groups by letter
-  (:func:`repro.core.trc.violating_pairs`).
+* aperiodicity (the definition used in Preliminaries).
+
+``Loop_a(q)``, the loops whose last letter is ``a`` (Notation 2), is
+read off the trC decision's pair closure
+(:func:`repro.core.trc.violating_pairs`).
 """
 
 from __future__ import annotations
@@ -95,18 +96,6 @@ def internal_alphabet(dfa, component):
             if dfa.transition(state, symbol) in component:
                 letters.add(symbol)
     return frozenset(letters)
-
-
-def has_loop_with_last_letter(dfa, state, letter):
-    """True iff ``Loop_a(state) ≠ ∅`` for ``a = letter``.
-
-    There is a non-empty loop on ``state`` ending with ``letter`` iff some
-    state ``p`` reachable from ``state`` satisfies ``δ(p, letter) = state``.
-    """
-    reachable = dfa.reachable_states(state)
-    return any(
-        dfa.transition(p, letter) == state for p in reachable
-    )
 
 
 # -- aperiodicity ---------------------------------------------------------------

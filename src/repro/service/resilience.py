@@ -482,9 +482,13 @@ class DegradationLadder:
     level; the server maps levels onto answer quality.  Escalation is
     event-driven (crashes, sustained shedding, breaker opens climb one
     rung immediately once their windowed threshold trips); recovery is
-    time-driven (each successfully served request after a quiet
-    ``recovery_seconds`` steps one rung down), so a service climbs
-    fast under fire and descends deliberately.
+    time-driven (each quiet ``recovery_seconds`` without a fault steps
+    one rung down, whether or not a request was served meanwhile), so
+    a service climbs fast under fire and descends deliberately.  Every
+    read of the level and every event first applies the steps that
+    have come due, so a request arriving after a quiet period is
+    routed at the lower level even when the rung above could serve
+    nothing.
     """
 
     def __init__(self, config: "LadderConfig | None" = None,
@@ -508,6 +512,24 @@ class DegradationLadder:
         self._shed_times = [t for t in self._shed_times if t > horizon]
 
     # invariant: holds-lock
+    def _recover(self, now: float) -> None:
+        """Step down one rung per quiet period that has ended by ``now``
+        (automatic mode only)."""
+        if self._forced is not None:
+            return
+        while self._level > LEVEL_FULL:
+            due = now if self._last_fault_at is None else (
+                self._last_fault_at + self.config.recovery_seconds
+            )
+            if due > now:
+                return
+            self._level -= 1
+            self._recoveries += 1
+            self._transitions.append((due, self._level, "recovery"))
+            # The next rung down needs a quiet period of its own.
+            self._last_fault_at = due
+
+    # invariant: holds-lock
     def _climb(self, now: float, reason: str) -> None:
         self._last_fault_at = now
         if self._level < LEVEL_REACH_ONLY:
@@ -525,6 +547,7 @@ class DegradationLadder:
         """One worker-loss event (crash, hang-kill, failed respawn)."""
         now = self._clock()
         with self._lock:
+            self._recover(now)
             self._prune(now)
             self._crash_times.append(now)
             self._last_fault_at = now
@@ -535,6 +558,7 @@ class DegradationLadder:
         """One shed/overload event."""
         now = self._clock()
         with self._lock:
+            self._recover(now)
             self._prune(now)
             self._shed_times.append(now)
             self._last_fault_at = now
@@ -545,24 +569,17 @@ class DegradationLadder:
         """A circuit opening is always enough evidence to climb."""
         now = self._clock()
         with self._lock:
+            self._recover(now)
             self._prune(now)
             self._climb(now, "breaker-open")
 
     def record_ok(self) -> None:
-        """A healthy served request; steps down after quiet time."""
+        """A healthy served request.  Recovery runs on time alone, so
+        this applies the steps down that are due, as a read of the
+        level does."""
         now = self._clock()
         with self._lock:
-            if self._level == LEVEL_FULL or self._forced is not None:
-                return
-            quiet_since = self._last_fault_at
-            if quiet_since is None or (
-                now - quiet_since >= self.config.recovery_seconds
-            ):
-                self._level -= 1
-                self._recoveries += 1
-                self._transitions.append((now, self._level, "recovery"))
-                # Descend one rung per quiet period, not per request.
-                self._last_fault_at = now
+            self._recover(now)
 
     # -- level -------------------------------------------------------------------
 
@@ -581,7 +598,9 @@ class DegradationLadder:
 
     @property
     def level(self) -> int:
+        now = self._clock()
         with self._lock:
+            self._recover(now)
             return self._level if self._forced is None else self._forced
 
     @property

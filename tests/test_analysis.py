@@ -6,7 +6,6 @@ from benchmarks.workloads import random_regexes
 from repro import catalog
 from repro.languages import language
 from repro.languages.analysis import (
-    has_loop_with_last_letter,
     internal_alphabet,
     is_aperiodic,
     looping_states,
@@ -132,15 +131,6 @@ class TestLoops:
         # Only the sink can loop in a finite language's DFA.
         for state in loops:
             assert dfa.with_initial(state).is_empty()
-
-    def test_loop_with_last_letter(self):
-        dfa = _dfa("(ab)*")
-        q0 = dfa.initial
-        q1 = dfa.transition(q0, "a")
-        assert has_loop_with_last_letter(dfa, q0, "b")
-        assert not has_loop_with_last_letter(dfa, q0, "a")
-        assert has_loop_with_last_letter(dfa, q1, "a")
-        assert not has_loop_with_last_letter(dfa, q1, "b")
 
 
 class TestAperiodicity:

@@ -446,6 +446,30 @@ class TestDegradationLadder:
         assert ladder.level == 0
         assert ladder.describe()["recoveries"] == 2
 
+    def test_recovery_needs_no_served_request(self):
+        clock = FakeClock()
+        ladder = make_ladder(clock, recovery_seconds=1.0)
+        ladder.record_breaker_open()
+        ladder.record_breaker_open()
+        clock.advance(1.5)
+        assert ladder.level == 1
+        assert ladder.level == 1  # a read is no quiet period
+        clock.advance(1.0)
+        assert ladder.level == 0
+        assert [t["reason"] for t in ladder.describe()["transitions"]] == [
+            "breaker-open", "breaker-open", "recovery", "recovery",
+        ]
+
+    def test_long_quiet_descends_one_rung_per_period(self):
+        clock = FakeClock()
+        ladder = make_ladder(clock, recovery_seconds=1.0)
+        ladder.record_breaker_open()
+        ladder.record_breaker_open()
+        clock.advance(10.0)
+        ladder.record_crash()  # one crash, below the threshold
+        assert ladder.level == 0
+        assert ladder.describe()["recoveries"] == 2
+
     def test_shed_threshold_climbs(self):
         clock = FakeClock()
         ladder = make_ladder(clock, shed_threshold=3)
@@ -666,7 +690,9 @@ class TestWorkerChaos:
             breaker_cooldown=0.05,
             breaker_max_cooldown=0.4,
             breaker_jitter=0.0,
-            degrade_recovery_seconds=0.05,
+            # Recovery runs on time alone, so the health check right
+            # after the crash must come within one quiet period.
+            degrade_recovery_seconds=0.5,
         )
         service = QueryService(registry, config)
         with ServiceThread(service) as running:
@@ -936,6 +962,32 @@ class TestDegradedServing:
             client.query("a*", 0, 9)
         assert info.value.status == 500
         assert service.shedder.inflight == 0
+
+    def test_reach_only_steps_down_on_time_alone(self):
+        # At reach-only every batch and every query the index cannot
+        # certify is shed, so no request is served there: the quiet
+        # period alone must bring the service back down the ladder.
+        graph = DbGraph()
+        graph.add_edge(0, "a", 1)
+        graph.add_edge(1, "a", 2)
+        registry = GraphRegistry()
+        registry.register("main", graph)
+        service = QueryService(registry, ServiceConfig(
+            workers=2, degrade_recovery_seconds=0.05,
+        ))
+        service.ladder.record_breaker_open()
+        service.ladder.record_breaker_open()
+        assert service.ladder.describe()["escalations"] == 2
+        with ServiceThread(service) as running:
+            client = ServiceClient(port=running.port)
+            time.sleep(0.2)
+            record = client.query("a*", 0, 2)
+            assert record["found"] is True
+            assert record["error"] is None
+            response = client.batch([("a*", 0, 2), ("a*", 2, 0)])
+            assert [r["found"] for r in response["results"]] == [True, False]
+            assert client.healthz()["degradation"]["level"] <= 1
+        assert service.ladder.describe()["recoveries"] >= 1
 
     def test_batch_records_carry_degraded_flag(self, degradable):
         client, service, graph = degradable

@@ -15,9 +15,30 @@ from repro.core.trc import (
 )
 from repro.engine.plan import QueryPlan
 from repro.languages import Language, language
-from repro.languages.analysis import has_loop_with_last_letter
 from repro.languages.dfa import DFA
 from repro.languages.nfa import NFA
+
+
+def has_loop_with_last_letter(dfa, state, letter):
+    """True iff ``Loop_a(state) ≠ ∅`` for ``a = letter``: some state
+    ``p`` reachable from ``state`` has ``δ(p, letter) = state``.  One
+    BFS per state and letter, which ``violating_pairs`` replaced with
+    bit tests on its pair closure; kept for the oracle."""
+    return any(
+        dfa.transition(p, letter) == state
+        for p in dfa.reachable_states(state)
+    )
+
+
+class TestLoopWithLastLetter:
+    def test_loop_with_last_letter(self):
+        dfa = language("(ab)*").dfa
+        q0 = dfa.initial
+        q1 = dfa.transition(q0, "a")
+        assert has_loop_with_last_letter(dfa, q0, "b")
+        assert not has_loop_with_last_letter(dfa, q0, "a")
+        assert has_loop_with_last_letter(dfa, q1, "a")
+        assert not has_loop_with_last_letter(dfa, q1, "b")
 
 
 def loops_then_quotient_nfa(dfa, state, power, groups=None, group=None):

@@ -1,14 +1,73 @@
 """Tests for Property-(1) hardness witnesses (Lemma 4)."""
 
+import random
+
 import pytest
 
+from benchmarks.workloads import random_regexes
 from repro import catalog
+from repro.core.trc import is_in_trc
 from repro.core.witness import (
     HardnessWitness,
+    _loops_then_wr_avoids,
     find_hardness_witness,
     verify_witness,
 )
 from repro.languages import language
+from repro.languages.nfa import star_nfa, word_nfa
+
+
+def product_avoids(dfa, q1, w1, w2, wr):
+    """Condition 6, ``(w1 + w2)* wr ∩ L_{q1} = ∅``, by the NFA product
+    that the DFA walk replaced; kept as the oracle."""
+    loops = star_nfa(word_nfa(w1).union(word_nfa(w2)))
+    candidate = loops.concat(word_nfa(wr))
+    return candidate.intersect_dfa(dfa, dfa_initial=q1).is_empty()
+
+
+def non_trc_dfas(source):
+    """The minimal DFAs outside trC of the catalog or of pool (180, 0, 1)."""
+    if source == "catalog":
+        dfas = [entry.language().dfa for entry in catalog.entries()]
+    else:
+        dfas = [
+            language(regex).dfa
+            for regex in random_regexes(180, seed=0, max_depth=1)
+        ]
+    return [dfa for dfa in dfas if not is_in_trc(dfa)]
+
+
+class TestConditionSix:
+    @pytest.mark.parametrize("source", ["catalog", "pool"])
+    def test_walk_matches_product(self, source):
+        rng = random.Random(6)
+        outcomes = set()
+        for dfa in non_trc_dfas(source):
+            letters = sorted(dfa.alphabet)
+
+            def word(low, high):
+                return "".join(
+                    rng.choice(letters) for _ in range(rng.randint(low, high))
+                )
+
+            for _ in range(25):
+                q1 = rng.randrange(dfa.num_states)
+                w1, w2, wr = word(1, 4), word(1, 4), word(0, 4)
+                expected = product_avoids(dfa, q1, w1, w2, wr)
+                assert _loops_then_wr_avoids(dfa, q1, w1, w2, wr) is expected, (
+                    dfa, q1, w1, w2, wr,
+                )
+                outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    def test_pool_witness_is_pinned(self):
+        # An 11-state minimal DFA of pool (180, 0, 1) whose guided search
+        # verifies about 28,000 candidates before it finds this one.
+        lang = language("c(c*a + cbb)(ca*) + (cb*c*)^+")
+        assert lang.num_states == 11
+        assert find_hardness_witness(lang.dfa) == HardnessWitness(
+            q1=8, q2=6, wl="ccc", w1="c", wm="ac", w2="aa", wr="a",
+        )
 
 
 class TestWitnessSearch:
