@@ -3,18 +3,17 @@
 from .algebraic import AlgebraicSolver
 from .bounded import FiniteLanguageSolver, find_simple_word_path
 from .color_coding import ColorCodingSolver, trials_for_prob
-from .dag import DagRspqSolver, is_dag
+from .dag import is_dag
 from .disjoint_paths import vertex_disjoint_paths_exist
 from .exact import ExactSolver
 from .rpq import RpqSolver
-from .parameterized import k_rspq, para_rspq_finite
+from .parameterized import para_rspq_finite
 from .semantics import SEMANTICS, SemanticsEvaluator
 from . import reductions, treewidth
 
 __all__ = [
     "AlgebraicSolver",
     "ColorCodingSolver",
-    "DagRspqSolver",
     "ExactSolver",
     "FiniteLanguageSolver",
     "RpqSolver",
@@ -22,7 +21,6 @@ __all__ = [
     "SemanticsEvaluator",
     "find_simple_word_path",
     "is_dag",
-    "k_rspq",
     "para_rspq_finite",
     "reductions",
     "treewidth",

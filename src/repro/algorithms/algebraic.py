@@ -1,7 +1,7 @@
 """Algebraic bounded simple-path detection (Koutis–Williams style).
 
-The third rung of the hard-regime portfolio
-(:mod:`repro.engine.portfolio`): decide whether a simple L-labeled
+The algebraic rung of the hard-regime portfolio ladder
+(:mod:`repro.core.solver`): decide whether a simple L-labeled
 path with at most k edges exists *without* searching for one, by
 evaluating the walk-generating polynomial over the group algebra
 ``GF(2^16)[Z_2^r]`` with ``r = k + 1``.

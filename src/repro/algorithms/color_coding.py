@@ -28,8 +28,8 @@ The Monte-Carlo streams are deterministic but decorrelated: each
 ``bounded_simple_path`` call derives its trial colorings from
 ``(seed, source, target, trial)``, so two queries in one batch never
 replay the same coloring sequence and their failure events stay
-independent — the property the portfolio's combined failure bound
-(:mod:`repro.engine.portfolio`) relies on.
+independent — the property the portfolio ladder's combined failure
+bound (:mod:`repro.core.solver`) relies on.
 
 The DP itself is integer-native over a
 :class:`~repro.graphs.view.GraphView`: vertices and labels are ids,

@@ -4,8 +4,10 @@ Two problems and the positive results the paper proves:
 
 * **k-RSPQ** (parameter: the path size ``k``): is there a simple
   L-labeled path of size ≤ k from x to y?  FPT by color coding
-  (Theorem 7) — :func:`k_rspq` delegates to
-  :class:`~repro.algorithms.color_coding.ColorCodingSolver`.
+  (Theorem 7): :class:`~repro.algorithms.color_coding.ColorCodingSolver`,
+  which :class:`~repro.core.solver.RspqSolver` runs as a middle rung
+  for queries that opt into the portfolio (``max_path_edges`` sets
+  ``k``).
 * **para-RSPQ** (parameter: the automaton size ``|Q_L|``): the paper's
   partial result (Corollary 1) shows FPT for the class of *finite*
   languages, because every accepted word is shorter than ``|Q_L|`` and
@@ -23,31 +25,6 @@ from __future__ import annotations
 from ..errors import ReproError
 from ..languages import Language
 from .bounded import FiniteLanguageSolver
-from .color_coding import ColorCodingSolver
-
-
-def k_rspq(language, graph, source, target, k, seed=0,
-           failure_probability=1e-3, family="monte-carlo", ctx=None,
-           shortest=False):
-    """Theorem 7: decide k-RSPQ, FPT in the path-size parameter ``k``.
-
-    Returns a simple L-labeled path with ≤ k edges, or ``None`` (with
-    one-sided error under the Monte-Carlo coloring family; pass
-    ``family="exhaustive"`` for tiny exact runs).  ``ctx`` threads an
-    :class:`~repro.execution.ExecutionContext` through the trials so
-    deadlines and step budgets are enforced mid-search; ``shortest``
-    keeps searching after the first witness for the shortest one the
-    trial family can certify (existence mode returns immediately).
-    """
-    if isinstance(language, str):
-        language = Language(language)
-    solver = ColorCodingSolver(
-        language, seed=seed, failure_probability=failure_probability
-    )
-    return solver.bounded_simple_path(
-        graph, source, target, k, family=family, ctx=ctx,
-        shortest=shortest,
-    )
 
 
 def para_rspq_finite(language, graph, source, target):

@@ -40,7 +40,15 @@ from .languages import language
 from .core.trichotomy import classify
 from .core.witness import find_hardness_witness
 from .core.psitr import decompose
-from .core.solver import STRATEGY_FINITE, STRATEGY_TRACTABLE, RspqSolver
+from .core.solver import (
+    ALGEBRAIC_MAX_EDGES,
+    COLOR_CODING_MAX_EDGES,
+    LADDER,
+    STRATEGY_FINITE,
+    STRATEGY_TRACTABLE,
+    RspqSolver,
+    ladder_shares,
+)
 from .engine import QueryEngine
 from .graphs import io as graph_io
 from .service.protocol import RESULT_FIELDS, result_record
@@ -218,7 +226,10 @@ def _build_parser():
         default=None,
         metavar="K",
         help="answer the bounded k-RSPQ variant: only simple paths of "
-        "at most K edges count (the portfolio's FPT rungs shine here)",
+        "at most K edges count; the walk check certifies a negative "
+        "when no L-walk fits in K edges, and with --portfolio the "
+        "color-coding and algebraic rungs (Theorem 7, FPT in K) run "
+        "before the exact search",
     )
     p_batch.add_argument(
         "--jsonl",
@@ -460,27 +471,26 @@ def _cmd_explain(args):
                   "%d chain(s)" % (expression.k, chains))
         for index, line in enumerate(_psitr_lines(expression)):
             print("%s%s" % ("  sequences    : " if index == 0 else " " * 17, line))
-    if plan.portfolio is not None:
-        ladder = plan.portfolio.describe()
+    if plan.solver.has_ladder:
         print(
             "portfolio      : %s (opt-in via engine portfolio=True or "
-            "per-query override)" % " -> ".join(ladder["ladder"])
+            "per-query override)" % " -> ".join(LADDER)
         )
-        split = ladder["budget_split"]
+        shares = ladder_shares()
         print(
             "  budget split : %s (share of remaining budget per rung)"
             % ", ".join(
-                "%s=%.0f%%" % (name, split[name] * 100.0)
-                for name in ladder["ladder"]
+                "%s=%.0f%%" % (name, shares[name] * 100.0)
+                for name in LADDER
             )
         )
         print(
             "  calibration  : failure bound %g, color rung up to %d "
             "edges, algebraic rung up to %d edges"
             % (
-                ladder["failure_probability"],
-                ladder["color_max_edges"],
-                ladder["algebraic_max_edges"],
+                plan.solver.failure_probability,
+                COLOR_CODING_MAX_EDGES,
+                ALGEBRAIC_MAX_EDGES,
             )
         )
     # The CLI always plans from a regex string, so the key is always

@@ -18,10 +18,10 @@ solver.  The three searches:
 
 :func:`walk_check` turns :func:`shortest_walk` into the *walk check*
 every trC or NP-hard query passes before a simple-path search
-(:class:`~repro.core.solver.RspqSolver`, and the portfolio's walk
-probe with an edge cap).  It is sound because every simple path is a
-walk: no L-labelled walk proves NOT_FOUND, and a shortest walk that
-visits no vertex twice is a shortest simple path.  It is a check and
+(:class:`~repro.core.solver.RspqSolver`, with the query's edge cap).
+It is sound because every simple path is a walk: no L-labelled walk
+within the cap proves NOT_FOUND, and a shortest walk that visits no
+vertex twice is a shortest simple path.  It is a check and
 not a solver: in the paper's Figure 4 the only L-labelled walks repeat
 vertices and no simple L-path exists, so a walk that is not simple
 decides nothing.

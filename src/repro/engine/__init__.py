@@ -51,12 +51,15 @@ One query pipeline
 However a query arrives — ``QueryEngine.query``, one query of a
 batch, or one member of a batch's plan group — it takes the same
 steps: the cached plan, a result-cache lookup, the reachability-index
-short-circuit, then the plan's solver (or the portfolio ladder for
-hard-regime plans).  A batch adds only per-query error isolation and,
-for a plan group (every batch is grouped by plan), one shared walk
-decision — a product BFS sweep while the plan is cold, lookups in its
-cached walk certificate once it is hot — whose proven negatives skip
-the solver (:mod:`repro.engine.vectorized`).
+short-circuit, then the plan's one solver
+(:class:`~repro.core.solver.RspqSolver`; a hard-regime query that opts
+into the portfolio also runs its randomized middle rungs, and its
+answer carries a ``confidence``, :data:`CONFIDENCE_CERTIFIED` or
+:data:`CONFIDENCE_PROBABILISTIC`).  A batch adds only per-query error
+isolation and, for a plan group (every batch is grouped by plan), one
+shared walk decision — a product BFS sweep while the plan is cold,
+lookups in its cached walk certificate once it is hot — whose proven
+negatives skip the solver (:mod:`repro.engine.vectorized`).
 
 Parallel batches
 ----------------
@@ -95,13 +98,7 @@ Entry points
 
 from .indexed import IndexedGraph
 from .plan import PlanCache, PlanCacheStats, QueryPlan, group_by_plan, plan_key
-from .portfolio import (
-    CONFIDENCE_CERTIFIED,
-    CONFIDENCE_PROBABILISTIC,
-    PortfolioOutcome,
-    PortfolioSolver,
-    RungReport,
-)
+from ..core.solver import CONFIDENCE_CERTIFIED, CONFIDENCE_PROBABILISTIC
 from .vectorized import VectorizedBatchStats
 from .engine import (
     STRATEGY_ERROR,
@@ -120,13 +117,10 @@ __all__ = [
     "IndexedGraph",
     "PlanCache",
     "PlanCacheStats",
-    "PortfolioOutcome",
-    "PortfolioSolver",
     "QueryEngine",
     "QueryPlan",
     "QueryStats",
     "ResultCacheStats",
-    "RungReport",
     "STRATEGY_ERROR",
     "VectorizedBatchStats",
     "group_by_plan",

@@ -32,12 +32,12 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Optional
 if TYPE_CHECKING:
     from ..languages import Language
 
+from ..core.solver import CONFIDENCE_CERTIFIED
 from ..errors import ReproError
 from ..execution import ExecutionContext
 from ..graphs.dbgraph import Path
 from .indexed import IndexedGraph
 from .plan import PlanCache, PlanCacheStats, QueryPlan, group_by_plan, plan_key
-from .portfolio import CONFIDENCE_CERTIFIED
 from .vectorized import (
     GROUP_MIN_SIZE,
     CertificateCache,
@@ -342,9 +342,9 @@ class QueryEngine:
     Every query — :meth:`query`, each query of a batch, and each member
     of a batch's plan group — is a :class:`_Query` that runs the same
     steps: :meth:`_prefix` (plan, result-cache lookup, reachability
-    short-circuit), then :meth:`_solve` (classic solver or portfolio
-    ladder), each building its answer with :meth:`_result`, the one
-    result constructor.  Batches run the steps through
+    short-circuit), then :meth:`_solve` (the plan's solver), each
+    building its answer with :meth:`_result`, the one result
+    constructor.  Batches run the steps through
     :meth:`_isolated`, which turns a :class:`~repro.errors.ReproError`
     into that query's error result; a plan group runs every member's
     prefix before its shared sweep, and the solver only for members
@@ -389,11 +389,12 @@ class QueryEngine:
         index is built eagerly at engine construction (compile time).
     portfolio:
         Route hard-regime (exact-strategy) queries through the anytime
-        strategy ladder of :mod:`repro.engine.portfolio` by default.
-        Ladder answers carry a ``confidence``: certified results are
-        exact, probabilistic negatives report their ``failure_bound``
-        and are **never** stored in the result cache.  Queries can
-        override the default either way (``query(portfolio=...)``).
+        strategy ladder of :mod:`repro.core.solver` (its randomized
+        middle rungs) by default.  Ladder answers carry a
+        ``confidence``: certified results are exact, probabilistic
+        negatives report their ``failure_bound`` and are **never**
+        stored in the result cache.  Queries can override the default
+        either way (``query(portfolio=...)``).
     portfolio_failure_probability / portfolio_seed:
         One-sided error bound δ of each randomized ladder rung and the
         root of their deterministic random streams.
@@ -573,12 +574,8 @@ class QueryEngine:
                 plan = QueryPlan.compile(
                     language, key=key, exact_budget=self.exact_budget,
                     use_reach_pruning=self.use_reach_index,
-                    portfolio_config={
-                        "seed": self.portfolio_seed,
-                        "failure_probability": (
-                            self.portfolio_failure_probability
-                        ),
-                    },
+                    seed=self.portfolio_seed,
+                    failure_probability=self.portfolio_failure_probability,
                 )
             except BaseException:
                 with self._compile_lock:
@@ -636,7 +633,7 @@ class QueryEngine:
         """
         requested = overrides.get("portfolio")
         use = self.portfolio if requested is None else requested
-        if use and plan.portfolio is None:
+        if use and not plan.solver.has_ladder:
             use = False
         return use, overrides.get("max_path_edges")
 
@@ -720,45 +717,26 @@ class QueryEngine:
         )
 
     def _solve(self, q):
-        """Answer ``q`` past its prefix: the plan's solver or ladder.
+        """Answer ``q`` past its prefix with the plan's solver.
 
-        Builds the per-query context, dispatches to the portfolio
-        ladder or the plan's classic solver, applies the
-        ``max_path_edges`` bound, and caches the result when it is
-        certified (a probabilistic NOT_FOUND must never be replayed as
-        definitive).
+        Builds the per-query context, runs the solver in ``q``'s mode
+        and caches the result when it is certified (a probabilistic
+        NOT_FOUND must never be replayed as definitive).
         """
         ctx = self._new_context(q.overrides)
-        plan = q.plan
+        solver = q.plan.solver
         use_portfolio, max_path_edges = self._portfolio_mode(
-            plan, q.overrides
+            q.plan, q.overrides
         )
-        if use_portfolio:
-            outcome = plan.portfolio.solve(
-                self.view, q.source, q.target, ctx=ctx,
-                max_path_edges=max_path_edges,
-            )
-            # ``steps`` aggregates every rung's work: each rung ran on
-            # a budget-capped child context folded back into ``ctx``.
-            result = self._result(
-                q, outcome.path, ctx.steps, strategy=outcome.strategy,
-                confidence=outcome.confidence,
-                failure_bound=outcome.failure_bound,
-            )
-        else:
-            path = plan.solver.shortest_simple_path(
-                self.view, q.source, q.target, ctx=ctx
-            )
-            if max_path_edges is not None and path is not None and (
-                len(path) > max_path_edges
-            ):
-                # The classic solver answers the unbounded question
-                # with the *shortest* simple path; if even that
-                # overshoots the bound, no bounded path exists — a
-                # certified negative.
-                path = None
-            result = self._result(q, path, plan.solver.steps_in(ctx))
-        return self._store(q, result)
+        answer = solver.solve(
+            self.view, q.source, q.target, ctx=ctx,
+            max_path_edges=max_path_edges, portfolio=use_portfolio,
+        )
+        return self._store(q, self._result(
+            q, answer.path, solver.steps_in(ctx), strategy=answer.strategy,
+            confidence=answer.confidence,
+            failure_bound=answer.failure_bound,
+        ))
 
     def _store(self, q, result):
         """Cache ``result`` under ``q``'s key when it is certified."""

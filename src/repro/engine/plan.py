@@ -28,10 +28,9 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Any
 
-from ..core.solver import STRATEGY_EXACT, RspqSolver
+from ..core.solver import RspqSolver
 from ..core.trichotomy import Classification
 from ..languages import Language
-from .portfolio import PortfolioSolver
 
 
 def _canonical_dfa_signature(dfa):
@@ -143,11 +142,6 @@ class QueryPlan:
     key: Any
     solver: RspqSolver
     compile_seconds: float
-    #: The hard-regime anytime ladder (:mod:`repro.engine.portfolio`),
-    #: attached to exact-strategy plans only — the finite and
-    #: tractable strategies are already polynomial, so they never
-    #: escalate.  Immutable and shareable like :attr:`solver`.
-    portfolio: PortfolioSolver | None = None
 
     @property
     def language(self) -> Language:
@@ -175,39 +169,29 @@ class QueryPlan:
     @classmethod
     def compile(cls, language: str | Language, key: Any = None,
                 exact_budget: int | None = None,
-                use_reach_pruning: bool = True,
-                portfolio_config: "dict[str, Any] | None" = None,
-                ) -> "QueryPlan":
+                use_reach_pruning: bool = True, seed: int = 0,
+                failure_probability: float = 1e-3) -> "QueryPlan":
         """Build a plan (regex → DFA → classification → solver) once.
 
         ``use_reach_pruning=False`` compiles solvers that ignore the
         reachability index entirely (the engine's ``use_reach_index``
         kill-switch, and the unpruned side of the differential suite).
-        ``portfolio_config`` carries :class:`PortfolioSolver` keyword
-        overrides (``seed``, ``failure_probability``, ...); the ladder
-        itself is attached to every exact-strategy plan so callers can
-        opt into it per query without recompiling.
+        ``seed`` and ``failure_probability`` calibrate the randomized
+        middle rungs an exact-strategy solver runs for queries that
+        opt into them, without recompiling.
         """
         if key is None:
             key = plan_key(language)
         start = time.perf_counter()
         solver = RspqSolver(
             language, exact_budget=exact_budget,
-            use_reach_pruning=use_reach_pruning,
+            use_reach_pruning=use_reach_pruning, seed=seed,
+            failure_probability=failure_probability,
         )
-        portfolio = None
-        if solver.strategy == STRATEGY_EXACT:
-            portfolio = PortfolioSolver(
-                solver.language,
-                exact_budget=exact_budget,
-                use_reach_pruning=use_reach_pruning,
-                **(portfolio_config or {}),
-            )
         return cls(
             key=key,
             solver=solver,
             compile_seconds=time.perf_counter() - start,
-            portfolio=portfolio,
         )
 
     def describe(self) -> str:

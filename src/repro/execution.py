@@ -179,12 +179,14 @@ class ExecutionContext:
         return max(0.0, self.deadline - time.perf_counter())
 
     def child(self, budget=None, seconds=None):
-        """A fresh context for one portfolio rung, capped by this one.
+        """A fresh context for one middle rung of the portfolio ladder
+        (:meth:`repro.core.solver.RspqSolver.solve`), capped by this one.
 
         ``budget`` / ``seconds`` request the rung's slice; the child
         never receives more than this context has left, so a ladder of
-        children can never overspend the parent's contract.  Raises
-        :class:`~repro.errors.BudgetExceededError` /
+        children can never overspend the parent's contract.  The walk
+        check and the exact search charge the query's own context.
+        Raises :class:`~repro.errors.BudgetExceededError` /
         :class:`~repro.errors.DeadlineExceededError` when nothing
         remains to slice — the caller's rung could not have run at
         all.  Fold the child's counters back with :meth:`absorb` when

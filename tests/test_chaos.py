@@ -875,9 +875,14 @@ class TestSpoolFaults:
 class TestSkewedDeadlines:
     def test_fast_clock_expires_generous_deadlines(self):
         # Odd a-cycle (see tests/test_service): the exact solver must
-        # walk the whole chain, guaranteeing deadline checks fire.
+        # walk the whole chain, guaranteeing deadline checks fire.  Two
+        # isolated vertices lift the walk check's cap (|V| - 1 edges)
+        # to the 602-edge even walk, so the check cannot decide alone.
+        graph = labeled_cycle("a" * 601)
+        graph.add_vertex("pad-1")
+        graph.add_vertex("pad-2")
         registry = GraphRegistry()
-        registry.register("cycle", labeled_cycle("a" * 601))
+        registry.register("cycle", graph)
         service = QueryService(registry, ServiceConfig(workers=1))
         faults.install(FaultPlan(deadline_skew_seconds=-100.0))
         with ServiceThread(service) as running:

@@ -1,14 +1,15 @@
-"""Tests for the DAG solver (Theorem 8 base case) and width diagnostics."""
+"""Tests for the DAG case (Theorem 8 base case) and width diagnostics."""
 
 import pytest
 
-from repro.algorithms.dag import DagRspqSolver, is_dag
+from repro.algorithms.dag import is_dag
 from repro.algorithms.exact import ExactSolver
 from repro.algorithms.treewidth import (
     greedy_feedback_vertex_set,
     undirected_treewidth_upper_bound,
 )
-from repro.errors import GraphError
+from repro.core.nice_paths import TractableSolver
+from repro.core.solver import RspqSolver
 from repro.graphs.dbgraph import DbGraph
 from repro.graphs.generators import (
     grid_graph,
@@ -17,6 +18,11 @@ from repro.graphs.generators import (
     layered_dag,
 )
 from repro.languages import language
+
+from tests.conftest import paths_agree
+
+#: Even-length words: NP-complete on general graphs.
+HARD_LANGUAGE = "((a+b)(a+b))*"
 
 
 class TestIsDag:
@@ -30,32 +36,65 @@ class TestIsDag:
         assert is_dag(grid_graph(3, 3))
 
 
-class TestDagSolver:
-    def test_rejects_cyclic_graphs(self):
-        with pytest.raises(GraphError):
-            DagRspqSolver(labeled_cycle("ab"))
+class TestWalkCheckDecidesDags:
+    """Theorem 8's DAG case through the one solver.
 
-    def test_agrees_with_exact_on_random_dags(self):
+    Every walk in a DAG is simple, so the walk check ``RspqSolver``
+    runs first decides every query: no simple-path search may run.
+    """
+
+    @staticmethod
+    def no_search(monkeypatch):
+        """Make any exact or tractable simple-path search fail loudly."""
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("a simple-path search ran on a DAG")
+
+        monkeypatch.setattr(ExactSolver, "shortest_simple_path", forbidden)
+        monkeypatch.setattr(TractableSolver, "shortest_simple_path", forbidden)
+
+    def test_agrees_with_exact_on_layered_dags(self, monkeypatch):
+        regexes = ["a*", "(ab)*", "a*ba*", "(aa)*", HARD_LANGUAGE]
+        cases = []
         for seed in range(10):
             graph = layered_dag(4, 3, "ab", density=0.6, seed=seed)
-            solver = DagRspqSolver(graph)
-            for regex in ["a*", "(ab)*", "a*ba*", "(aa)*"]:
-                lang = language(regex)
-                exact = ExactSolver(lang)
-                mine = solver.shortest_simple_path(lang, (0, 0), (3, 2))
-                truth = exact.shortest_simple_path(graph, (0, 0), (3, 2))
-                assert (mine is None) == (truth is None), (seed, regex)
-                if mine is not None:
-                    assert len(mine) == len(truth)
+            for regex in regexes:
+                truth = ExactSolver(language(regex)).shortest_simple_path(
+                    graph, (0, 0), (3, 2)
+                )
+                cases.append((graph, regex, truth))
+        self.no_search(monkeypatch)
+        for graph, regex, truth in cases:
+            mine = RspqSolver(regex).shortest_simple_path(
+                graph, (0, 0), (3, 2)
+            )
+            assert paths_agree(mine, truth), regex
+            if mine is not None:
+                assert mine.is_simple()
 
-    def test_hard_languages_are_easy_on_dags(self):
-        # The point of Theorem 8's DAG case: (aa)* is NP-complete in
-        # general but trivially polynomial here.
+    def test_agrees_with_exact_on_grids(self, monkeypatch):
         graph = grid_graph(4, 4)
-        solver = DagRspqSolver(graph)
-        path = solver.shortest_simple_path("((a+b)(a+b))*", (0, 0), (3, 3))
+        truths = {
+            target: ExactSolver(language(HARD_LANGUAGE)).shortest_simple_path(
+                graph, (0, 0), target
+            )
+            for target in graph.vertices()
+        }
+        self.no_search(monkeypatch)
+        solver = RspqSolver(HARD_LANGUAGE)
+        for target, truth in truths.items():
+            mine = solver.shortest_simple_path(graph, (0, 0), target)
+            assert paths_agree(mine, truth), target
+
+    def test_hard_language_is_easy_on_a_large_grid(self, monkeypatch):
+        # ((a+b)(a+b))* is NP-complete on general graphs; on the 12x12
+        # grid the walk check alone answers with the 22-edge path.
+        self.no_search(monkeypatch)
+        path = RspqSolver(HARD_LANGUAGE).shortest_simple_path(
+            grid_graph(12, 12), (0, 0), (11, 11)
+        )
         assert path is not None
-        assert len(path) % 2 == 0
+        assert len(path) == 22
 
 
 class TestWidthDiagnostics:

@@ -202,9 +202,13 @@ class TestRspqSolverDispatch:
 
     def test_exists_threads_context(self):
         # (aa)* from 0 to 9: the shortest walk takes the loop on 8, so
-        # the exact search runs on ``ctx`` after the walk check.
+        # the exact search runs on ``ctx`` after the walk check.  Two
+        # isolated vertices lift the walk check's cap (|V| - 1 edges)
+        # to the walk's 10 edges; under 9 the check alone would decide.
         graph = labeled_path("a" * 9)
         graph.add_edge(8, "a", 8)
+        graph.add_vertex(10)
+        graph.add_vertex(11)
         solver = RspqSolver("(aa)*")
         view = graph.view()
         walk_ctx = ExecutionContext()

@@ -2,32 +2,10 @@
 
 import pytest
 
-from repro.algorithms.parameterized import k_rspq, para_rspq_finite
+from repro.algorithms.parameterized import para_rspq_finite
 from repro.errors import ReproError
-from repro.graphs.generators import labeled_path, random_labeled_graph
+from repro.graphs.generators import labeled_path
 from repro.languages import language
-
-
-class TestKRspq:
-    def test_within_bound(self):
-        graph = labeled_path("aba")
-        path = k_rspq("a*ba*", graph, 0, 3, k=3)
-        assert path is not None
-        assert len(path) <= 3
-
-    def test_bound_too_small(self):
-        graph = labeled_path("aba")
-        assert k_rspq("a*ba*", graph, 0, 3, k=2, family="exhaustive") is None
-
-    def test_exhaustive_family_exact(self):
-        graph = random_labeled_graph(5, 12, "ab", seed=1)
-        from repro.algorithms.exact import ExactSolver
-
-        lang = language("a*ba*")
-        truth_path = ExactSolver(lang).shortest_simple_path(graph, 0, 4)
-        truth = truth_path is not None and len(truth_path) <= 3
-        got = k_rspq(lang, graph, 0, 4, k=3, family="exhaustive")
-        assert (got is not None) == truth
 
 
 class TestParaRspqFinite:

@@ -2,9 +2,9 @@
 
 Three layers under test:
 
-* the :class:`~repro.engine.PortfolioSolver` ladder itself — which
-  rung answers, what confidence it reports, how budget slices
-  escalate;
+* the ladder of :meth:`~repro.core.solver.RspqSolver.solve` with
+  ``portfolio=True`` — which rung answers, what confidence it reports,
+  how budget slices escalate;
 * the certified-equals-exact contract, differentially and with
   hypothesis: whenever the portfolio reports ``certified`` it must
   agree with the exact solver answer-for-answer;
@@ -24,11 +24,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.exact import ExactSolver
+from repro.core.product import walk_check
+from repro.core.solver import (
+    BUDGET_SPLIT,
+    LADDER,
+    RspqSolver,
+    ladder_shares,
+)
 from repro.engine import (
     CONFIDENCE_CERTIFIED,
     CONFIDENCE_PROBABILISTIC,
     IndexedGraph,
-    PortfolioSolver,
     QueryEngine,
     QueryPlan,
 )
@@ -59,10 +65,18 @@ def hard_negative_gadget():
     return graph
 
 
+def ladder(regex, view, source, target, seed=0, failure_probability=1e-3,
+           **kwargs):
+    """One query through the portfolio ladder of a fresh solver."""
+    return RspqSolver(
+        regex, seed=seed, failure_probability=failure_probability
+    ).solve(view, source, target, portfolio=True, **kwargs)
+
+
 class TestLadderRungs:
     def test_walk_probe_certifies_easy_positive(self):
         graph = labeled_path("aa")
-        outcome = PortfolioSolver("(aa)*").solve(IndexedGraph(graph), 0, 2)
+        outcome = ladder("(aa)*", IndexedGraph(graph), 0, 2)
         assert outcome.found
         assert outcome.confidence == CONFIDENCE_CERTIFIED
         assert outcome.failure_bound is None
@@ -71,16 +85,15 @@ class TestLadderRungs:
 
     def test_walk_probe_certifies_absence_without_a_walk(self):
         graph = labeled_path("ab")
-        outcome = PortfolioSolver("(aa)*").solve(IndexedGraph(graph), 0, 2)
+        outcome = ladder("(aa)*", IndexedGraph(graph), 0, 2)
         assert not outcome.found
         assert outcome.confidence == CONFIDENCE_CERTIFIED
         assert outcome.strategy == "portfolio:walk-probe"
-        assert outcome.rungs[-1].outcome == "proved-absent"
 
     def test_source_equals_target_is_the_empty_path(self):
         view = IndexedGraph(labeled_path("a"))
-        assert PortfolioSolver("a*").solve(view, 0, 0).found
-        negative = PortfolioSolver("aa*").solve(view, 0, 0)
+        assert ladder("a*", view, 0, 0).found
+        negative = ladder("aa*", view, 0, 0)
         assert not negative.found
         assert negative.confidence == CONFIDENCE_CERTIFIED
 
@@ -88,43 +101,43 @@ class TestLadderRungs:
         # Color rung complete (cap 6 <= 7) and algebraic rung negative:
         # independent streams multiply the one-sided bounds.
         view = IndexedGraph(hard_negative_gadget())
-        outcome = PortfolioSolver(
-            "(aa)*", failure_probability=1e-3
-        ).solve(view, 0, 4)
+        outcome = ladder("(aa)*", view, 0, 4, failure_probability=1e-3)
         assert not outcome.found
         assert outcome.confidence == CONFIDENCE_PROBABILISTIC
         assert outcome.failure_bound == pytest.approx(1e-6)
         assert outcome.strategy == "portfolio:algebraic"
-        names = [r.name for r in outcome.rungs]
-        assert names == ["walk-probe", "color-coding", "algebraic"]
 
-    def test_rung_reports_carry_steps(self):
+    def test_rungs_charge_the_query_context(self):
+        # The middle rungs run on slices folded back into the query's
+        # context, so their work shows in its steps: more than the
+        # walk check alone charges.
         view = IndexedGraph(hard_negative_gadget())
-        outcome = PortfolioSolver("(aa)*").solve(view, 0, 4)
-        assert all(r.steps >= 0 for r in outcome.rungs)
-        assert sum(r.steps for r in outcome.rungs) > 0
+        solver = RspqSolver("(aa)*")
+        walk_only = ExecutionContext()
+        walk_check(
+            solver.language.dfa, view, 0, 4, view.num_vertices - 1, walk_only
+        )
+        ctx = ExecutionContext()
+        solver.solve(view, 0, 4, ctx=ctx, portfolio=True)
+        assert solver.steps_in(ctx) == ctx.steps > walk_only.steps > 0
 
     def test_max_path_edges_validation(self):
         view = IndexedGraph(labeled_path("a"))
         with pytest.raises(ValueError):
-            PortfolioSolver("a*").solve(view, 0, 1, max_path_edges=-1)
+            ladder("a*", view, 0, 1, max_path_edges=-1)
 
     def test_bounded_negative_is_certified_by_the_walk_probe(self):
         # Bound 1: no accepting (aa)* walk with one edge exists at all.
         view = IndexedGraph(labeled_path("aa"))
-        outcome = PortfolioSolver("(aa)*").solve(
-            view, 0, 2, max_path_edges=1
-        )
+        outcome = ladder("(aa)*", view, 0, 2, max_path_edges=1)
         assert not outcome.found
         assert outcome.confidence == CONFIDENCE_CERTIFIED
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
-            PortfolioSolver("a*", failure_probability=0.0)
+            RspqSolver("a*", failure_probability=0.0)
         with pytest.raises(ValueError):
-            PortfolioSolver("a*", algebraic_max_edges=99)
-        with pytest.raises(ValueError):
-            PortfolioSolver("a*", budget_split={"color-coding": 0.0})
+            RspqSolver("a*", failure_probability=1.0)
 
 
 class TestBudgetLadder:
@@ -133,7 +146,7 @@ class TestBudgetLadder:
         # rung gets the remainder and still certifies the negative.
         view = IndexedGraph(hard_negative_gadget())
         ctx = ExecutionContext(budget=400)
-        outcome = PortfolioSolver("(aa)*").solve(view, 0, 4, ctx=ctx)
+        outcome = ladder("(aa)*", view, 0, 4, ctx=ctx)
         assert not outcome.found
         assert outcome.confidence == CONFIDENCE_CERTIFIED
         assert outcome.strategy == "portfolio:exact"
@@ -143,7 +156,7 @@ class TestBudgetLadder:
         # more: the probabilistic negative is the anytime answer.
         view = IndexedGraph(hard_negative_gadget())
         ctx = ExecutionContext(budget=6400)
-        outcome = PortfolioSolver("(aa)*").solve(view, 0, 4, ctx=ctx)
+        outcome = ladder("(aa)*", view, 0, 4, ctx=ctx)
         assert not outcome.found
         assert outcome.confidence == CONFIDENCE_PROBABILISTIC
         assert outcome.failure_bound is not None
@@ -154,36 +167,34 @@ class TestBudgetLadder:
         view = IndexedGraph(hard_negative_gadget())
         ctx = ExecutionContext(budget=20)
         with pytest.raises(BudgetExceededError):
-            PortfolioSolver("(aa)*").solve(view, 0, 4, ctx=ctx)
+            ladder("(aa)*", view, 0, 4, ctx=ctx)
 
     def test_budget_split_report_partitions_the_unit(self):
-        shares = PortfolioSolver("(aa)*").budget_split_report()
-        assert set(shares) == {
-            "walk-probe", "color-coding", "algebraic", "exact",
-        }
+        shares = ladder_shares()
+        assert set(shares) == set(LADDER)
         assert shares["walk-probe"] == 0.0
         assert sum(shares.values()) == pytest.approx(1.0)
 
-    def test_describe_is_json_safe(self):
+    def test_ladder_shares_are_json_safe(self):
         import json
 
-        report = PortfolioSolver("(aa)*").describe()
-        assert report["ladder"][0] == "walk-probe"
-        json.dumps(report)
+        assert LADDER[0] == "walk-probe"
+        assert isinstance(BUDGET_SPLIT, tuple)
+        json.dumps(ladder_shares())
 
 
 class TestCertifiedEqualsExact:
     @pytest.mark.parametrize("regex", ["(aa)*", "a*ba*c*", "(ab)*a"])
     def test_differential_on_random_graphs(self, regex):
         lang = language(regex)
-        portfolio = PortfolioSolver(lang, seed=3)
+        portfolio = RspqSolver(lang, seed=3)
         exact = ExactSolver(lang)
         alphabet = sorted(lang.alphabet)
         for seed in range(12):
             graph, x, y = random_instance(seed, alphabet, max_vertices=8)
             view = IndexedGraph(graph)
             truth = exact.shortest_simple_path(view, x, y)
-            outcome = portfolio.solve(view, x, y)
+            outcome = portfolio.solve(view, x, y, portfolio=True)
             if outcome.confidence == CONFIDENCE_CERTIFIED:
                 assert outcome.found == (truth is not None), (regex, seed)
                 if truth is not None:
@@ -214,9 +225,7 @@ class TestCertifiedEqualsExact:
         truth = ExactSolver(lang).shortest_simple_path(view, x, y)
         if truth is not None and len(truth) > bound:
             truth = None
-        outcome = PortfolioSolver(lang, seed=seed).solve(
-            view, x, y, max_path_edges=bound
-        )
+        outcome = ladder(lang, view, x, y, seed=seed, max_path_edges=bound)
         if outcome.confidence == CONFIDENCE_CERTIFIED:
             assert outcome.found == (truth is not None)
             if truth is not None:
@@ -228,13 +237,14 @@ class TestCertifiedEqualsExact:
 
 class TestPlanAttachment:
     def test_exact_plans_carry_a_ladder(self):
-        plan = QueryPlan.compile("(aa)*")
-        assert plan.portfolio is not None
-        assert plan.portfolio.language.accepts("aaaa")
+        plan = QueryPlan.compile("(aa)*", seed=5, failure_probability=0.01)
+        assert plan.solver.has_ladder
+        assert plan.solver.failure_probability == 0.01
+        assert plan.language.accepts("aaaa")
 
     def test_tractable_plans_do_not(self):
-        assert QueryPlan.compile("a*c*").portfolio is None
-        assert QueryPlan.compile("abc").portfolio is None
+        assert not QueryPlan.compile("a*c*").solver.has_ladder
+        assert not QueryPlan.compile("abc").solver.has_ladder
 
 
 class TestEngineIntegration:
@@ -291,6 +301,38 @@ class TestEngineIntegration:
         assert cut.confidence == CONFIDENCE_CERTIFIED
         kept = engine.query("(aa)*", 0, 4, max_path_edges=4)
         assert kept.found and kept.length == 4
+
+    @pytest.mark.parametrize("portfolio", [False, True])
+    def test_bounded_negative_is_certified_by_the_walk_check(
+        self, monkeypatch, portfolio
+    ):
+        # A chain of diamonds with odd arms: every simple route is odd,
+        # a self-loop lets a walk flip parity, and every walk has at
+        # least 5 edges.  Under a bound of 4 the capped walk check
+        # decides the (aa)* query on either path, so no exact search
+        # runs.
+        graph = DbGraph()
+        for i in range(5):
+            graph.add_edge(("d", i), "a", ("d", i))
+            graph.add_edge(("d", i), "a", ("d", i + 1))
+            graph.add_edge(("d", i), "a", ("u", i))
+            graph.add_edge(("u", i), "a", ("v", i))
+            graph.add_edge(("v", i), "a", ("d", i + 1))
+        engine = QueryEngine(graph)
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("the exact search ran")
+
+        monkeypatch.setattr(ExactSolver, "shortest_simple_path", forbidden)
+        result = engine.query(
+            "(aa)*", ("d", 0), ("d", 5), portfolio=portfolio,
+            max_path_edges=4,
+        )
+        assert not result.found
+        assert result.confidence == CONFIDENCE_CERTIFIED
+        assert result.strategy == (
+            "portfolio:walk-probe" if portfolio else "exact-backtracking"
+        )
 
     def test_override_validation(self):
         engine = QueryEngine(labeled_path("a"))

@@ -341,9 +341,10 @@ class TestDeadlinesAndBudgets:
 
     @pytest.fixture
     def cycle_registry(self):
-        # Odd a-cycle: (aa)* from 0 to 1 has no simple witness, but
-        # walks of even length exist, so the exact solver explores the
-        # whole 301-step chain — deterministically >256 context charges
+        # Odd a-cycle: (aa)* from 0 to 1 has no simple witness, and
+        # its even walks (302 edges) are longer than any simple path,
+        # so the walk check explores the whole 301-step chain before
+        # it proves NOT_FOUND — deterministically >256 context charges
         # (one full deadline-check interval) and >50 budget steps.
         registry = GraphRegistry()
         registry.register("cycle", labeled_cycle("a" * 301))

@@ -31,10 +31,6 @@ class TestDispatch:
         solver = RspqSolver(language("a*ba*"))
         assert solver.strategy == STRATEGY_EXACT
 
-    def test_force_exact(self):
-        solver = RspqSolver(language("a*"), force_exact=True)
-        assert solver.strategy == STRATEGY_EXACT
-
     @pytest.mark.parametrize("entry", catalog.entries(), ids=lambda e: e.name)
     def test_strategy_matches_classification(self, entry):
         solver = RspqSolver(entry.language())
@@ -118,9 +114,6 @@ class TestDecomposeFailedFlag:
     def test_other_regimes_never_warn(self):
         assert RspqSolver(language("ab")).decompose_failed is False
         assert RspqSolver(language("a*ba*")).decompose_failed is False
-        assert RspqSolver(
-            language("a*"), force_exact=True
-        ).decompose_failed is False
 
 
 class TestLastSteps:

@@ -214,9 +214,13 @@ class TestSamePaths:
 def _loop_before_target(edges):
     """An ``a``-path of ``edges`` edges with an ``a`` self-loop on the
     vertex before the target: for odd ``edges`` the shortest (aa)*-walk
-    takes the loop, and no simple (aa)*-path exists."""
+    takes the loop, and no simple (aa)*-path exists.  Two isolated
+    vertices lift the walk check's cap (|V| - 1 edges) to the walk's
+    ``edges + 1`` edges, so the check cannot decide the query."""
     graph = labeled_path("a" * edges)
     graph.add_edge(edges - 1, "a", edges - 1)
+    graph.add_vertex("pad-1")
+    graph.add_vertex("pad-2")
     return graph
 
 
@@ -270,6 +274,24 @@ class TestNegatives:
         assert [(r.found, r.error) for r in batch.results] == [
             (False, None)
         ] * len(negatives)
+
+    def test_no_walk_within_the_simple_path_cap(self, monkeypatch):
+        # The only (aa)*-walks from 0 to 9 take the loop on 8: 10 edges
+        # or more, longer than any simple path on 10 vertices.  The
+        # walk check, capped at |V| - 1 edges, proves NOT_FOUND and no
+        # exact search runs.
+        graph = labeled_path("a" * 9)
+        graph.add_edge(8, "a", 8)
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("the exact search ran")
+
+        monkeypatch.setattr(ExactSolver, "shortest_simple_path", forbidden)
+        monkeypatch.setattr(ExactSolver, "exists", forbidden)
+        solver = RspqSolver("(aa)*")
+        assert solver.shortest_simple_path(graph, 0, 9) is None
+        assert not solver.exists(graph, 0, 9)
+        assert not QueryEngine(graph).query("(aa)*", 0, 9).found
 
     def test_same_answers_on_sparse_negatives(self):
         # Sparse graphs make most pairs negatives; the walk must still
