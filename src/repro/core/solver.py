@@ -319,6 +319,19 @@ class RspqSolver:
             _within(path, max_path_edges), "exact" if ladder else None
         )
 
+    def walk_strategy(self, portfolio: bool) -> str:
+        """The strategy :meth:`solve` reports when its walk check
+        decides a query: the ``walk-probe`` rung's in ``portfolio``
+        mode on a plan with a ladder, else the plan's own.  The
+        engine's group sweep labels its negatives with it too, since a
+        sweep decides exactly what the walk check would."""
+        return self._strategy(
+            "walk-probe" if portfolio and self.has_ladder else None
+        )
+
+    def _strategy(self, rung: "str | None") -> str:
+        return self.strategy if rung is None else "portfolio:%s" % rung
+
     def _result(self, path: "Path | None", rung: "str | None" = None,
                 failure_bound: "float | None" = None) -> RspqResult:
         """The :class:`RspqResult` for ``path``; ``rung`` names the
@@ -327,9 +340,7 @@ class RspqSolver:
         return RspqResult(
             found=path is not None,
             path=path,
-            strategy=(
-                self.strategy if rung is None else "portfolio:%s" % rung
-            ),
+            strategy=self._strategy(rung),
             classification=self.classification,
             decompose_failed=self.decompose_failed,
             confidence=(

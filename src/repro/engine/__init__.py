@@ -3,11 +3,13 @@
 The trichotomy solvers are correct one query at a time, but a workload
 of many queries repeats two kinds of work:
 
-**Per-graph work.**  ``DbGraph`` stores adjacency as dicts of sets; the
-solvers want a *deterministic* neighbour order, which the seed obtained
-by re-sorting adjacency by ``repr`` at every expansion.
-:class:`IndexedGraph` compiles the graph once into the int64 arrays a
-snapshot stores: vertices become contiguous ints, forward and reverse
+**Per-graph work.**  ``DbGraph`` stores its edge set, with dict-of-set
+adjacency built on the first read; the solvers want a *deterministic*
+neighbour order, which the seed obtained by re-sorting adjacency by
+``repr`` at every expansion.  :class:`IndexedGraph` compiles the edge
+set once into the int64 arrays a snapshot stores (one integer key per
+edge and direction, each direction sorted once): vertices become
+contiguous ints, forward and reverse
 adjacency become repr-sorted CSR arrays, and each label gets
 CSR-style ``indptr``/``targets`` arrays — forward *and* reverse — for
 label-restricted traversal.  The compiled graph is itself the
@@ -30,11 +32,12 @@ languages skip straight to the search.
 When does compilation pay off?
 ------------------------------
 
-* **Many queries, one graph** — the target workload.  Graph compilation
-  is one O(V + E) pass amortised over the whole batch, and each plan is
-  amortised over every query that shares its language.  On a mixed
-  100-query workload the engine is several times faster than per-query
-  ``solve_rspq`` (``benchmarks/bench_engine_batch.py`` asserts ≥ 3×).
+* **Many queries, one graph** — the target workload.  Graph
+  compilation (two O(E log E) key sorts) is amortised over the whole
+  batch, and each plan is amortised over every query that shares its
+  language.  On a mixed 100-query workload the engine is several times
+  faster than per-query ``solve_rspq``
+  (``benchmarks/bench_engine_batch.py`` asserts ≥ 3×).
 * **One query, one graph** — roughly break-even: you pay one graph
   pass and one plan compile, the same work ``solve_rspq`` does, minus
   the re-sorting the solvers no longer repeat.

@@ -899,12 +899,18 @@ class QueryEngine:
                 self._certificates.lookup(plan),
             )
             self._certificates.charge(plan, sweep_outcome.expansions)
+            # A swept negative is what the solver's walk check would
+            # have decided, so it carries that check's strategy.
+            strategy = plan.solver.walk_strategy(
+                self._portfolio_mode(plan, overrides)[0]
+            )
             for member in sweep_outcome.negatives:
                 index, q = sweep_members[member]
                 swept.add(index)
                 stats.swept_negatives += 1
                 results.append((index, self._store(q, self._result(
-                    q, steps=sweep_outcome.steps[member], vectorized=True,
+                    q, steps=sweep_outcome.steps[member], strategy=strategy,
+                    vectorized=True,
                 ))))
         for index, q in pending:
             if index in swept:

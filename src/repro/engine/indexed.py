@@ -1,9 +1,9 @@
 """Compiled, integer-indexed db-graph: one CSR layout, one GraphView.
 
-:class:`IndexedGraph` takes one pass over a
-:class:`~repro.graphs.dbgraph.DbGraph` and freezes it into the int64
-arrays a v3 snapshot stores (:mod:`repro.service.snapshot`), under the
-snapshot manifest's names:
+:class:`IndexedGraph` compiles a
+:class:`~repro.graphs.dbgraph.DbGraph` from its edge set E into the
+int64 arrays a v3 snapshot stores (:mod:`repro.service.snapshot`),
+under the snapshot manifest's names:
 
 * vertices mapped to contiguous ints ``0..n-1`` in the same repr-sorted
   order that ``DbGraph.vertices()`` uses, labels to ``0..L-1`` in
@@ -17,6 +17,28 @@ snapshot manifest's names:
   color-coding exemplar uses to amortise graph preparation across many
   trials — and ``rcsr_offsets`` / ``rcsr_indptr`` / ``rcsr_sources``,
   its label-partitioned reverse for backward product searches.
+
+The compile is flat.  Each edge gets one integer key per direction,
+``(source id, label rank, target id)`` forward and ``(target id, label
+rank, source id)`` backward, packed as ``(v * L + rank) * n + w``, and
+each direction's keys are sorted once.  The sorted forward keys are
+the forward CSR (``out_indptr`` is bisected off them); a stable bucket
+pass by label turns them into the per-label forward CSR.  The backward
+keys give the reverse CSR and its label-partitioned form the same way.
+
+Why the key order is the repr order: a vertex's adjacency is sorted by
+``repr((label, other))``.  No one-symbol label's repr is a prefix of
+another's, so pairs with different labels compare as their labels'
+reprs do — the label *rank*, which is not always the label id order
+(``'`` prints as ``"'"`` and ranks first).  Pairs with one label
+compare as ``repr(other) + ")"`` does, which is the order of
+``repr(other)`` and so of vertex ids (ids are repr ranks) unless one
+vertex's repr is a proper prefix of another's followed by a character
+below ``)``.  No ``str``, ``int``, ``float``, ``None`` or ``tuple``
+vertex has such a repr, and the text format only makes ``str``
+vertices.  (Vertices equal under ``==`` that print differently —
+``1``, ``1.0``, ``True`` — are already one vertex; which of their
+orders holds is not pinned.)
 
 The compiled graph *is* its own :class:`~repro.graphs.view.GraphView`
 (``view()`` returns it), so the solver cores walk the arrays directly.
@@ -34,48 +56,84 @@ Compile once per graph, reuse across every query; see
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from itertools import accumulate, chain, repeat
-from typing import Any, Iterator, Mapping, Sequence
+from operator import floordiv, mod
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import GraphError
-from ..graphs.dbgraph import DbGraph, sorted_out_edges_fn
+from ..graphs.dbgraph import DbGraph, Edge, edge_set
 from ..graphs.reach import ReachabilityIndex, condense
 from ..graphs.view import GraphView
 
 
-def _flat_adjacency(vertex_of, pairs_of, label_ids, id_of):
-    """One CSR of ``pairs_of(vertex)``: ``(indptr, label ids, other ids)``."""
-    rows = list(map(pairs_of, vertex_of))
-    pairs = list(chain.from_iterable(rows))
-    return (
-        [0, *accumulate(map(len, rows))],
-        [label_ids[label] for label, _other in pairs],
-        [id_of[other] for _label, other in pairs],
-    )
+def _compile(id_of: Mapping[Any, int], label_of: Sequence[str],
+             edges: Iterable[Edge]) -> dict[str, list[int]]:
+    """The twelve adjacency arrays of ``edges``, by manifest name."""
+    n = len(id_of)
+    num_labels = len(label_of)
+    # Label ids in rank (repr) order, and each label's rank times n.
+    by_rank = sorted(range(num_labels), key=lambda j: repr(label_of[j]))
+    rank_term = {label_of[j]: rank * n for rank, j in enumerate(by_rank)}
+    stride = num_labels * n
+    forward: list[int] = []
+    backward: list[int] = []
+    for source, label, target in edges:
+        source_id = id_of[source]
+        target_id = id_of[target]
+        term = rank_term[label]
+        forward.append(source_id * stride + term + target_id)
+        backward.append(target_id * stride + term + source_id)
+    forward.sort()
+    backward.sort()
+    arrays: dict[str, list[int]] = {}
+    for keys, names in (
+        (forward, ("out_indptr", "out_labels", "out_targets",
+                   "csr_offsets", "csr_indptr", "csr_targets")),
+        (backward, ("in_indptr", "in_labels", "in_sources",
+                    "rcsr_offsets", "rcsr_indptr", "rcsr_sources")),
+    ):
+        arrays.update(zip(names, _direction(keys, n, by_rank)))
+    return arrays
 
 
-def _label_csr(num_vertices, num_labels, keys, edge_labels, values):
-    """Per-label CSR of the edges ``(keys[e], edge_labels[e], values[e])``.
+def _direction(keys: list[int], n: int,
+               by_rank: Sequence[int]) -> tuple[list[int], ...]:
+    """One direction's CSR and per-label CSR from its sorted keys.
 
-    Label ``j`` owns rows ``j*(n+1):(j+1)*(n+1)`` of the returned
-    indptr and the value slice ``offsets[j]:offsets[j+1]``; within a
-    ``(label, key)`` slot the values keep their edge order (the sort
-    is stable).  Returns ``(offsets, indptr, values)``.
+    ``keys`` holds ``(vertex * L + rank) * n + other`` per edge in
+    ascending order, and ``by_rank[rank]`` is the label id of ``rank``.
+    Returns ``(indptr, label ids, others)`` for the whole adjacency,
+    then ``(offsets, indptr, others)`` for the per-label CSR: label
+    ``j`` owns rows ``j*(n+1):(j+1)*(n+1)`` of that indptr and the
+    slice ``offsets[j]:offsets[j+1]`` of its others, which keep the
+    ``(vertex, other)`` order of ``keys``.
     """
-    width = num_vertices + 1
-    slots = [
-        label_id * width + key for key, label_id in zip(keys, edge_labels)
-    ]
-    indptr = [0] * (num_labels * width)
-    for slot in slots:
-        indptr[slot + 1] += 1
-    offsets = [0]
-    for label_id in range(num_labels):
-        row = slice(label_id * width, (label_id + 1) * width)
-        indptr[row] = accumulate(indptr[row])
-        offsets.append(offsets[-1] + indptr[row.stop - 1])
-    order = sorted(range(len(slots)), key=slots.__getitem__)
-    return offsets, indptr, [values[edge] for edge in order]
+    width = len(by_rank) or 1  # an edgeless graph has no labels
+    rows = list(map(floordiv, keys, repeat(n)))  # vertex * L + rank
+    others = list(map(mod, keys, repeat(n)))
+    labels = list(map(by_rank.__getitem__, map(mod, rows, repeat(width))))
+    # starts[row] is the position of the row's first edge in ``keys``.
+    per_row = Counter(rows)
+    starts = list(accumulate(
+        map(per_row.get, range(n * width), repeat(0)), initial=0
+    ))
+    rank_of = {label_id: rank for rank, label_id in enumerate(by_rank)}
+    label_indptr: list[int] = []
+    for label_id in range(len(by_rank)):
+        rank = rank_of[label_id]
+        label_indptr.extend(accumulate(
+            map(per_row.get, range(rank, n * width, width), repeat(0)),
+            initial=0,
+        ))
+    buckets: list[list[int]] = [[] for _ in by_rank]
+    for label_id, other in zip(labels, others):
+        buckets[label_id].append(other)
+    return (
+        starts[::width], labels, others,
+        [0, *accumulate(map(len, buckets))], label_indptr,
+        list(chain.from_iterable(buckets)),
+    )
 
 
 def _label_slices(offsets, indptr, values, width):
@@ -111,51 +169,7 @@ class IndexedGraph(GraphView):
         self._set_tables(
             graph.vertices(), sorted(graph.labels()), graph.num_edges
         )
-        vertex_of, id_of, label_ids = (
-            self._vertex_of, self._id_of, self._label_ids
-        )
-        n = len(vertex_of)
-        num_labels = len(label_ids)
-
-        # Forward and reverse adjacency in exactly the repr order the
-        # solvers would sort into.
-        out_indptr, out_labels, out_targets = _flat_adjacency(
-            vertex_of, sorted_out_edges_fn(graph), label_ids, id_of
-        )
-        in_indptr, in_labels, in_sources = _flat_adjacency(
-            vertex_of,
-            lambda vertex: sorted(graph.in_edges(vertex), key=repr),
-            label_ids, id_of,
-        )
-        # Per-label CSR, forward (keyed by source, so each slice keeps
-        # the forward repr order) and reverse (keyed by target; sources
-        # come out ascending because the edges are in source order).
-        out_sources = list(chain.from_iterable(
-            repeat(source_id, stop - start)
-            for source_id, (start, stop) in enumerate(
-                zip(out_indptr, out_indptr[1:])
-            )
-        ))
-        csr_offsets, csr_indptr, csr_targets = _label_csr(
-            n, num_labels, out_sources, out_labels, out_targets
-        )
-        rcsr_offsets, rcsr_indptr, rcsr_sources = _label_csr(
-            n, num_labels, out_targets, out_labels, out_sources
-        )
-        arrays = {
-            "out_indptr": out_indptr,
-            "out_labels": out_labels,
-            "out_targets": out_targets,
-            "in_indptr": in_indptr,
-            "in_labels": in_labels,
-            "in_sources": in_sources,
-            "csr_offsets": csr_offsets,
-            "csr_indptr": csr_indptr,
-            "csr_targets": csr_targets,
-            "rcsr_offsets": rcsr_offsets,
-            "rcsr_indptr": rcsr_indptr,
-            "rcsr_sources": rcsr_sources,
-        }
+        arrays = _compile(self._id_of, self._label_of, edge_set(graph))
         self._set_arrays(
             {name: array("q", values) for name, values in arrays.items()}
         )

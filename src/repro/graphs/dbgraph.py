@@ -1,8 +1,22 @@
 """Directed edge-labeled multigraphs — the paper's *db-graphs*.
 
-A db-graph is a tuple ``G = (V, Σ, E)`` with ``E ⊆ V × Σ × V``.  This
-implementation keeps per-source and per-(source, label) adjacency indexes
-so the solvers can iterate exactly the edges they need.
+A db-graph is a tuple ``G = (V, Σ, E)`` with ``E ⊆ V × Σ × V``, and a
+:class:`DbGraph` stores exactly that: a vertex set and a set of
+``(source, label, target)`` triples.  Everything else is derived from
+those two sets when it is first read:
+
+* the adjacency indexes (successors, predecessors, and successors per
+  label) are built from E by the first adjacency read, and later
+  :meth:`DbGraph.add_edge` calls update them in place;
+* the repr-sorted views the solvers expand in (:meth:`~DbGraph.vertices`,
+  :meth:`~DbGraph.sorted_out_edges`, :meth:`~DbGraph.sorted_successors`)
+  are cached and dropped whenever the graph mutates.
+
+A graph that is only parsed and compiled (:func:`repro.graphs.io.loads`,
+then :class:`~repro.engine.indexed.IndexedGraph`, which reads E through
+:func:`edge_set`) therefore never builds an index, and the whole-graph
+transforms (:meth:`~DbGraph.copy`, :meth:`~DbGraph.reversed`,
+:meth:`~DbGraph.subgraph`, ...) are set comprehensions over E.
 
 Vertices are arbitrary hashable objects.  Edge labels are single symbols;
 :meth:`DbGraph.add_word_edge` provides the Lemma-5 generalisation of
@@ -13,74 +27,142 @@ intermediate vertices.
 from __future__ import annotations
 
 from collections import defaultdict
+from operator import itemgetter
+from typing import (
+    TYPE_CHECKING,
+    AbstractSet,
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+)
 
 from ..errors import GraphError
+
+if TYPE_CHECKING:
+    from .view import DbGraphView
+
+#: One edge of E: ``(source, label, target)``.
+Edge = tuple[Any, str, Any]
+#: An adjacency entry: ``(label, other endpoint)``.
+Pair = tuple[str, Any]
+
+
+def _single_symbol(label: Any) -> str:
+    if not isinstance(label, str) or len(label) != 1:
+        raise GraphError(
+            "edge labels are single symbols, got %r "
+            "(use add_word_edge for word labels)" % (label,)
+        )
+    return label
+
+
+class _Adjacency:
+    """The adjacency indexes over an edge set (derived state)."""
+
+    __slots__ = ("succ", "pred", "succ_by_label")
+
+    def __init__(self, edges: Iterable[Edge]) -> None:
+        #: v -> {(label, w)}
+        self.succ: defaultdict[Any, set[Pair]] = defaultdict(set)
+        #: w -> {(label, v)}
+        self.pred: defaultdict[Any, set[Pair]] = defaultdict(set)
+        #: (v, label) -> {w}
+        self.succ_by_label: defaultdict[tuple[Any, str], set[Any]] = (
+            defaultdict(set)
+        )
+        for source, label, target in edges:
+            self.add(source, label, target)
+
+    def add(self, source: Any, label: str, target: Any) -> None:
+        self.succ[source].add((label, target))
+        self.pred[target].add((label, source))
+        self.succ_by_label[(source, label)].add(target)
 
 
 class DbGraph:
     """A directed, edge-labeled multigraph (db-graph)."""
 
-    def __init__(self):
-        self._vertices = set()
-        self._succ = defaultdict(set)          # v -> {(label, w)}
-        self._pred = defaultdict(set)          # w -> {(label, v)}
-        self._succ_by_label = defaultdict(set)  # (v, label) -> {w}
-        self._labels = set()
-        self._num_edges = 0
+    def __init__(self) -> None:
+        self._vertices: set[Any] = set()
+        #: E, the store every other structure is derived from.
+        self._edges: set[Edge] = set()
+        self._labels: set[str] = set()
+        #: Built from E by the first adjacency read (see _adjacency).
+        self._index: _Adjacency | None = None
         self._fresh_counter = 0
         # Deterministic-order caches (repr-sorted views), lazily built
         # and invalidated wholesale whenever the graph mutates.  The
         # mutation counter keeps staleness checks to one int compare.
         self._mutations = 0
         self._cache_mutations = -1
-        self._sorted_vertices = None
-        self._sorted_succ = {}
-        self._sorted_label_succ = {}
+        self._sorted_vertices: list[Any] | None = None
+        self._sorted_succ: dict[Any, tuple[Pair, ...]] = {}
+        self._sorted_label_succ: dict[tuple[Any, str], tuple[Any, ...]] = {}
         # Integer-native GraphView over this graph, memoised per
         # mutation generation (see view()).
-        self._view = None
+        self._view: DbGraphView | None = None
         self._view_mutations = -1
 
-    def _sync_caches(self):
+    @classmethod
+    def _of(cls, vertices: set[Any], edges: set[Edge]) -> DbGraph:
+        """The graph on ``vertices`` plus every endpoint, with E = ``edges``.
+
+        The bulk constructor behind :func:`repro.graphs.io.loads` and
+        every whole-graph transform: it keeps both sets (``vertices``
+        gains the endpoints in place) and does no per-edge work in
+        Python.  The caller vouches that every label is a single
+        symbol.
+        """
+        vertices.update(map(itemgetter(0), edges))
+        vertices.update(map(itemgetter(2), edges))
+        graph = cls()
+        graph._vertices = vertices
+        graph._edges = edges
+        graph._labels = set(map(itemgetter(1), edges))
+        return graph
+
+    def _sync_caches(self) -> None:
         if self._cache_mutations != self._mutations:
             self._cache_mutations = self._mutations
             self._sorted_vertices = None
             self._sorted_succ = {}
             self._sorted_label_succ = {}
 
+    def _adjacency(self) -> _Adjacency:
+        """The adjacency indexes, built from E on the first call."""
+        index = self._index
+        if index is None:
+            index = self._index = _Adjacency(self._edges)
+        return index
+
     # -- construction -----------------------------------------------------------
 
-    def add_vertex(self, vertex):
+    def add_vertex(self, vertex: Any) -> Any:
         """Add ``vertex`` (idempotent); returns the vertex."""
         if vertex not in self._vertices:
             self._vertices.add(vertex)
             self._mutations += 1
         return vertex
 
-    def add_edge(self, source, label, target):
+    def add_edge(self, source: Any, label: str, target: Any) -> None:
         """Add the labeled edge ``(source, label, target)``.
 
         Vertices are created implicitly.  Adding the same edge twice is a
         no-op (E is a *set* of triples, per the paper's definition).
         """
-        if not isinstance(label, str) or len(label) != 1:
-            raise GraphError(
-                "edge labels are single symbols, got %r "
-                "(use add_word_edge for word labels)" % (label,)
-            )
+        edge = (source, _single_symbol(label), target)
+        if edge in self._edges:
+            return
+        self._edges.add(edge)
         self._vertices.add(source)
         self._vertices.add(target)
-        key = (label, target)
-        if key in self._succ[source]:
-            return
-        self._succ[source].add(key)
-        self._pred[target].add((label, source))
-        self._succ_by_label[(source, label)].add(target)
         self._labels.add(label)
-        self._num_edges += 1
+        if self._index is not None:
+            self._index.add(source, label, target)
         self._mutations += 1
 
-    def fresh_vertex(self, prefix="_w"):
+    def fresh_vertex(self, prefix: str = "_w") -> str:
         """A vertex name guaranteed not to collide with existing ones."""
         while True:
             candidate = "%s%d" % (prefix, self._fresh_counter)
@@ -88,7 +170,8 @@ class DbGraph:
             if candidate not in self._vertices:
                 return candidate
 
-    def add_word_edge(self, source, word, target):
+    def add_word_edge(self, source: Any, word: str,
+                      target: Any) -> list[str]:
         """Add a path spelling ``word`` from ``source`` to ``target``.
 
         Implements the generalisation used in the Lemma 5 reduction: "an
@@ -98,7 +181,7 @@ class DbGraph:
         """
         if not word:
             raise GraphError("word edges must carry a non-empty word")
-        intermediates = []
+        intermediates: list[str] = []
         current = source
         for index, symbol in enumerate(word):
             is_last = index == len(word) - 1
@@ -112,15 +195,15 @@ class DbGraph:
     # -- queries ------------------------------------------------------------------
 
     @property
-    def num_vertices(self):
+    def num_vertices(self) -> int:
         return len(self._vertices)
 
     @property
-    def num_edges(self):
-        return self._num_edges
+    def num_edges(self) -> int:
+        return len(self._edges)
 
     @property
-    def generation(self):
+    def generation(self) -> int:
         """Monotonic mutation counter (bumps on any structural change).
 
         Derived state snapshotted from the graph — the memoised
@@ -132,11 +215,11 @@ class DbGraph:
         """
         return self._mutations
 
-    def vertices(self):
+    def vertices(self) -> Iterator[Any]:
         """Iterator over all vertices, in deterministic (repr) order.
 
         The sort is cached and invalidated on mutation, so repeated
-        calls — ``copy()``, ``subgraph()``, solver preprocessing — cost
+        calls — a compile, ``edges()``, solver preprocessing — cost
         O(V) instead of O(V log V) each.
         """
         self._sync_caches()
@@ -144,29 +227,29 @@ class DbGraph:
             self._sorted_vertices = sorted(self._vertices, key=repr)
         return iter(self._sorted_vertices)
 
-    def labels(self):
+    def labels(self) -> frozenset[str]:
         """The set of labels that occur on edges."""
         return frozenset(self._labels)
 
-    def has_vertex(self, vertex):
+    def has_vertex(self, vertex: Any) -> bool:
         return vertex in self._vertices
 
-    def require_vertex(self, vertex):
+    def require_vertex(self, vertex: Any) -> None:
         if vertex not in self._vertices:
             raise GraphError("unknown vertex %r" % (vertex,))
 
-    def has_edge(self, source, label, target):
-        return (label, target) in self._succ.get(source, ())
+    def has_edge(self, source: Any, label: str, target: Any) -> bool:
+        return (source, label, target) in self._edges
 
-    def out_edges(self, vertex):
+    def out_edges(self, vertex: Any) -> Iterator[Pair]:
         """Iterator of ``(label, target)`` pairs from ``vertex``."""
-        return iter(self._succ.get(vertex, ()))
+        return iter(self._adjacency().succ.get(vertex, ()))
 
-    def in_edges(self, vertex):
+    def in_edges(self, vertex: Any) -> Iterator[Pair]:
         """Iterator of ``(label, source)`` pairs into ``vertex``."""
-        return iter(self._pred.get(vertex, ()))
+        return iter(self._adjacency().pred.get(vertex, ()))
 
-    def sorted_out_edges(self, vertex):
+    def sorted_out_edges(self, vertex: Any) -> tuple[Pair, ...]:
         """``(label, target)`` pairs from ``vertex`` in repr order.
 
         Cached per vertex (invalidated on mutation); the hot-path
@@ -176,39 +259,43 @@ class DbGraph:
         self._sync_caches()
         pairs = self._sorted_succ.get(vertex)
         if pairs is None:
-            pairs = tuple(sorted(self._succ.get(vertex, ()), key=repr))
+            pairs = tuple(sorted(
+                self._adjacency().succ.get(vertex, ()), key=repr
+            ))
             self._sorted_succ[vertex] = pairs
         return pairs
 
-    def sorted_successors(self, vertex, label):
+    def sorted_successors(self, vertex: Any,
+                          label: str) -> tuple[Any, ...]:
         """Targets of ``label``-edges from ``vertex`` in repr order (cached)."""
         self._sync_caches()
         key = (vertex, label)
         targets = self._sorted_label_succ.get(key)
         if targets is None:
-            targets = tuple(
-                sorted(self._succ_by_label.get(key, ()), key=repr)
-            )
+            targets = tuple(sorted(
+                self._adjacency().succ_by_label.get(key, ()), key=repr
+            ))
             self._sorted_label_succ[key] = targets
         return targets
 
-    def successors(self, vertex, label=None):
+    def successors(self, vertex: Any, label: str | None = None) -> set[Any]:
         """Targets of edges from ``vertex`` (optionally by label)."""
+        index = self._adjacency()
         if label is None:
-            return {target for _label, target in self._succ.get(vertex, ())}
-        return set(self._succ_by_label.get((vertex, label), ()))
+            return {target for _label, target in index.succ.get(vertex, ())}
+        return set(index.succ_by_label.get((vertex, label), ()))
 
-    def predecessors(self, vertex, label=None):
+    def predecessors(self, vertex: Any,
+                     label: str | None = None) -> set[Any]:
         """Sources of edges into ``vertex`` (optionally by label)."""
-        if label is None:
-            return {source for _label, source in self._pred.get(vertex, ())}
+        pairs = self._adjacency().pred.get(vertex, ())
         return {
             source
-            for edge_label, source in self._pred.get(vertex, ())
-            if edge_label == label
+            for edge_label, source in pairs
+            if label is None or edge_label == label
         }
 
-    def edges(self):
+    def edges(self) -> Iterator[Edge]:
         """Iterator over all ``(source, label, target)`` triples.
 
         Deterministic (repr-sorted) order, served from the cached sorted
@@ -218,13 +305,13 @@ class DbGraph:
             for label, target in self.sorted_out_edges(source):
                 yield source, label, target
 
-    def out_degree(self, vertex):
-        return len(self._succ.get(vertex, ()))
+    def out_degree(self, vertex: Any) -> int:
+        return len(self._adjacency().succ.get(vertex, ()))
 
-    def in_degree(self, vertex):
-        return len(self._pred.get(vertex, ()))
+    def in_degree(self, vertex: Any) -> int:
+        return len(self._adjacency().pred.get(vertex, ()))
 
-    def view(self):
+    def view(self) -> DbGraphView:
         """The integer-native :class:`~repro.graphs.view.DbGraphView`.
 
         Memoised per mutation generation: repeated solves against an
@@ -241,57 +328,43 @@ class DbGraph:
 
     # -- restricted views ------------------------------------------------------------
 
-    def subgraph(self, vertices):
+    def subgraph(self, vertices: Iterable[Any]) -> DbGraph:
         """Induced subgraph on ``vertices`` (a new DbGraph)."""
         keep = set(vertices)
-        result = DbGraph()
         for vertex in keep:
             self.require_vertex(vertex)
-            result.add_vertex(vertex)
-        for source, label, target in self.edges():
-            if source in keep and target in keep:
-                result.add_edge(source, label, target)
-        return result
+        return DbGraph._of(keep, {
+            edge for edge in self._edges
+            if edge[0] in keep and edge[2] in keep
+        })
 
-    def reversed(self):
+    def reversed(self) -> DbGraph:
         """Graph with every edge reversed."""
-        result = DbGraph()
-        for vertex in self._vertices:
-            result.add_vertex(vertex)
-        for source, label, target in self.edges():
-            result.add_edge(target, label, source)
-        return result
+        return DbGraph._of(set(self._vertices), {
+            (target, label, source)
+            for source, label, target in self._edges
+        })
 
-    def restricted_to_labels(self, labels):
+    def restricted_to_labels(self, labels: Iterable[str]) -> DbGraph:
         """Graph keeping only edges whose label is in ``labels``."""
         allowed = frozenset(labels)
-        result = DbGraph()
-        for vertex in self._vertices:
-            result.add_vertex(vertex)
-        for source, label, target in self.edges():
-            if label in allowed:
-                result.add_edge(source, label, target)
-        return result
+        return DbGraph._of(set(self._vertices), {
+            edge for edge in self._edges if edge[1] in allowed
+        })
 
-    def copy(self):
+    def copy(self) -> DbGraph:
         """A deep structural copy."""
-        result = DbGraph()
-        for vertex in self._vertices:
-            result.add_vertex(vertex)
-        for source, label, target in self.edges():
-            result.add_edge(source, label, target)
-        return result
+        return DbGraph._of(set(self._vertices), set(self._edges))
 
     # -- path utilities ---------------------------------------------------------------
 
-    def is_path(self, path):
+    def is_path(self, path: Path) -> bool:
         """Check a ``Path`` is edge-consistent with this graph."""
-        for source, label, target in path.steps():
-            if not self.has_edge(source, label, target):
-                return False
-        return True
+        return all(step in self._edges for step in path.steps())
 
-    def reachable_within(self, start, allowed_labels=None, forbidden=()):
+    def reachable_within(self, start: Any,
+                         allowed_labels: AbstractSet[str] | None = None,
+                         forbidden: Iterable[Any] = ()) -> set[Any]:
         """Vertices reachable from ``start`` avoiding ``forbidden``.
 
         ``allowed_labels=None`` means every label.  ``start`` itself is
@@ -301,11 +374,12 @@ class DbGraph:
         blocked = set(forbidden)
         if start in blocked:
             return set()
+        succ = self._adjacency().succ
         seen = {start}
         stack = [start]
         while stack:
             vertex = stack.pop()
-            for label, target in self._succ.get(vertex, ()):
+            for label, target in succ.get(vertex, ()):
                 if allowed_labels is not None and label not in allowed_labels:
                     continue
                 if target in blocked or target in seen:
@@ -316,7 +390,7 @@ class DbGraph:
 
     # -- interop --------------------------------------------------------------------------
 
-    def to_networkx(self):
+    def to_networkx(self) -> Any:
         """Export as a ``networkx.MultiDiGraph`` (label attribute: 'label')."""
         import networkx as nx
 
@@ -327,7 +401,7 @@ class DbGraph:
         return graph
 
     @classmethod
-    def from_networkx(cls, graph, label_attr="label"):
+    def from_networkx(cls, graph: Any, label_attr: str = "label") -> DbGraph:
         """Import from any networkx directed graph with labeled edges."""
         result = cls()
         for vertex in graph.nodes():
@@ -343,14 +417,15 @@ class DbGraph:
         return result
 
     @classmethod
-    def from_edges(cls, triples):
+    def from_edges(cls, triples: Iterable[Edge]) -> DbGraph:
         """Build from an iterable of ``(source, label, target)`` triples."""
-        result = cls()
-        for source, label, target in triples:
-            result.add_edge(source, label, target)
-        return result
+        edges = {
+            (source, _single_symbol(label), target)
+            for source, label, target in triples
+        }
+        return cls._of(set(), edges)
 
-    def __repr__(self):
+    def __repr__(self) -> str:
         return "DbGraph(|V|=%d, |E|=%d, Σ=%s)" % (
             self.num_vertices,
             self.num_edges,
@@ -358,7 +433,19 @@ class DbGraph:
         )
 
 
-def sorted_out_edges_fn(graph):
+def edge_set(graph: Any) -> AbstractSet[Edge]:
+    """E of ``graph``: its set of ``(source, label, target)`` triples.
+
+    A :class:`DbGraph` hands over its own store, which the caller must
+    only read; any other graph-shaped object is read through
+    ``edges()``.
+    """
+    if isinstance(graph, DbGraph):
+        return graph._edges
+    return set(graph.edges())
+
+
+def sorted_out_edges_fn(graph: Any) -> Callable[[Any], tuple[Pair, ...]]:
     """A callable ``v -> repr-sorted (label, target) pairs`` for ``graph``.
 
     Solvers need a deterministic expansion order on their hot paths.
@@ -369,9 +456,9 @@ def sorted_out_edges_fn(graph):
     accessor = getattr(graph, "sorted_out_edges", None)
     if accessor is not None:
         return accessor
-    memo = {}
+    memo: dict[Any, tuple[Pair, ...]] = {}
 
-    def fallback(vertex):
+    def fallback(vertex: Any) -> tuple[Pair, ...]:
         pairs = memo.get(vertex)
         if pairs is None:
             pairs = tuple(sorted(graph.out_edges(vertex), key=repr))
@@ -381,7 +468,7 @@ def sorted_out_edges_fn(graph):
     return fallback
 
 
-def sorted_successors_fn(graph):
+def sorted_successors_fn(graph: Any) -> Callable[[Any, str], tuple[Any, ...]]:
     """A callable ``(v, label) -> repr-sorted targets`` for ``graph``.
 
     Same dispatch-or-memoise contract as :func:`sorted_out_edges_fn`.
@@ -389,9 +476,9 @@ def sorted_successors_fn(graph):
     accessor = getattr(graph, "sorted_successors", None)
     if accessor is not None:
         return accessor
-    memo = {}
+    memo: dict[tuple[Any, str], tuple[Any, ...]] = {}
 
-    def fallback(vertex, label):
+    def fallback(vertex: Any, label: str) -> tuple[Any, ...]:
         key = (vertex, label)
         targets = memo.get(key)
         if targets is None:
@@ -412,55 +499,58 @@ class Path:
 
     __slots__ = ("vertices", "labels")
 
-    def __init__(self, vertices, labels):
-        vertices = tuple(vertices)
-        labels = tuple(labels)
-        if len(vertices) != len(labels) + 1:
+    vertices: tuple[Any, ...]
+    labels: tuple[str, ...]
+
+    def __init__(self, vertices: Iterable[Any],
+                 labels: Iterable[str]) -> None:
+        self.vertices = tuple(vertices)
+        self.labels = tuple(labels)
+        if len(self.vertices) != len(self.labels) + 1:
             raise GraphError(
                 "a path with %d labels needs %d vertices, got %d"
-                % (len(labels), len(labels) + 1, len(vertices))
+                % (len(self.labels), len(self.labels) + 1,
+                   len(self.vertices))
             )
-        if not vertices:
+        if not self.vertices:
             raise GraphError("a path has at least one vertex")
-        self.vertices = vertices
-        self.labels = labels
 
     @classmethod
-    def single(cls, vertex):
+    def single(cls, vertex: Any) -> Path:
         """The empty path sitting at ``vertex``."""
         return cls((vertex,), ())
 
     @property
-    def source(self):
+    def source(self) -> Any:
         return self.vertices[0]
 
     @property
-    def target(self):
+    def target(self) -> Any:
         return self.vertices[-1]
 
     @property
-    def word(self):
+    def word(self) -> str:
         """The word spelled by the edge labels."""
         return "".join(self.labels)
 
-    def __len__(self):
+    def __len__(self) -> int:
         """Path size = number of edges."""
         return len(self.labels)
 
-    def is_simple(self):
+    def is_simple(self) -> bool:
         """True iff all vertices are distinct."""
         return len(set(self.vertices)) == len(self.vertices)
 
-    def steps(self):
+    def steps(self) -> Iterator[Edge]:
         """Iterator of ``(source, label, target)`` per edge."""
         for index, label in enumerate(self.labels):
             yield self.vertices[index], label, self.vertices[index + 1]
 
-    def extend(self, label, vertex):
+    def extend(self, label: str, vertex: Any) -> Path:
         """New path with one more edge appended."""
         return Path(self.vertices + (vertex,), self.labels + (label,))
 
-    def concat(self, other):
+    def concat(self, other: Path) -> Path:
         """Join with ``other`` (which must start at this path's target)."""
         if other.source != self.target:
             raise GraphError(
@@ -471,17 +561,17 @@ class Path:
             self.vertices + other.vertices[1:], self.labels + other.labels
         )
 
-    def __eq__(self, other):
+    def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Path)
             and self.vertices == other.vertices
             and self.labels == other.labels
         )
 
-    def __hash__(self):
+    def __hash__(self) -> int:
         return hash((self.vertices, self.labels))
 
-    def __repr__(self):
+    def __repr__(self) -> str:
         if not self.labels:
             return "Path(%r)" % (self.vertices[0],)
         pieces = [repr(self.vertices[0])]

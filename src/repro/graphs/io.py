@@ -10,22 +10,30 @@ Vertex names and labels are written verbatim, so neither may contain
 whitespace (a whitespace label or name would split into extra record
 fields and misparse).  Round-trips through :func:`dumps`/:func:`loads`
 preserve the graph exactly (vertex names become strings).
+
+:func:`loads` reads a text in one pass that splits each line and
+collects the ``v`` names into a vertex set and the edges into an edge
+set; the graph is then built from the two sets at once (see
+:mod:`repro.graphs.dbgraph`), with no per-edge adjacency work.
 """
 
 from __future__ import annotations
 
+import os
+from typing import Any
+
 from ..errors import GraphError
-from .dbgraph import DbGraph
+from .dbgraph import DbGraph, Edge
 
 
-def _checked_vertex(vertex):
+def _checked_vertex(vertex: Any) -> str:
     name = str(vertex)
     if any(ch.isspace() for ch in name):
         raise GraphError("vertex name %r contains whitespace" % (vertex,))
     return name
 
 
-def _checked_label(label):
+def _checked_label(label: str) -> str:
     if label.isspace():
         raise GraphError(
             "label %r is whitespace and cannot be serialized" % (label,)
@@ -33,10 +41,10 @@ def _checked_label(label):
     return label
 
 
-def dumps(graph):
+def dumps(graph: DbGraph) -> str:
     """Serialize ``graph`` into the text format."""
-    lines = []
-    touched = set()
+    lines: list[str] = []
+    touched: set[Any] = set()
     for source, label, target in graph.edges():
         lines.append(
             "e %s %s %s"
@@ -54,38 +62,45 @@ def dumps(graph):
     return "\n".join(lines) + "\n"
 
 
-def loads(text):
+def loads(text: str) -> DbGraph:
     """Parse the text format into a :class:`DbGraph`."""
-    graph = DbGraph()
+    vertices: set[Any] = set()
+    edges: set[Edge] = set()
+    add_vertex = vertices.add
+    add_edge = edges.add
+    # One str object per name, so that the set and dict lookups made
+    # on names later (the compile's id table) match by identity.
+    names: dict[str, str] = {}
+    name = names.setdefault
     for line_number, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if fields[0] == "v" and len(fields) == 2:
-            graph.add_vertex(fields[1])
-        elif fields[0] == "e" and len(fields) == 4:
-            source, label, target = fields[1], fields[2], fields[3]
+        # split() drops the same whitespace strip() would.
+        fields = raw_line.split()
+        if len(fields) == 4 and fields[0] == "e":
+            _record, source, label, target = fields
             if len(label) != 1:
                 raise GraphError(
                     "line %d: label %r is not a single symbol"
                     % (line_number, label)
                 )
-            graph.add_edge(source, label, target)
+            add_edge((name(source, source), label, name(target, target)))
+        elif not fields or fields[0].startswith("#"):
+            continue
+        elif len(fields) == 2 and fields[0] == "v":
+            add_vertex(name(fields[1], fields[1]))
         else:
             raise GraphError(
                 "line %d: unrecognised record %r" % (line_number, raw_line)
             )
-    return graph
+    return DbGraph._of(vertices, edges)
 
 
-def dump(graph, path):
+def dump(graph: DbGraph, path: str | os.PathLike[str]) -> None:
     """Write ``graph`` to the file at ``path``."""
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(dumps(graph))
 
 
-def load(path):
+def load(path: str | os.PathLike[str]) -> DbGraph:
     """Read a graph from the file at ``path``."""
     with open(path, "r", encoding="utf-8") as handle:
         return loads(handle.read())

@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import deque
 
 from ..errors import AutomatonError
+from .analysis import strongly_connected_components
 
 
 class DFA:
@@ -35,6 +36,8 @@ class DFA:
         #: Set by :meth:`minimized` on the automaton it builds, so that
         #: minimising it again returns it unchanged.
         self._minimal = False
+        #: :meth:`is_finite`'s answer, once asked.
+        self._finite = None
         if not 0 <= initial < num_states:
             raise AutomatonError("initial state out of range")
         for state in self.accepting:
@@ -139,34 +142,26 @@ class DFA:
     def is_finite(self):
         """True iff L(A) is a finite set of words.
 
-        L is infinite iff some state on an accepting run lies on a cycle,
-        i.e. some reachable, co-reachable state can return to itself by a
-        non-empty word.
+        L is infinite iff some *useful* state (reachable and
+        co-reachable) lies on a cycle.  A state lies on a cycle iff it
+        has a self-loop or its strongly connected component holds two
+        or more states, and every state of a useful state's component
+        is useful too, so the cycle stays among useful states.  One
+        SCC pass decides it; the answer is cached on the automaton,
+        which never changes.
         """
-        useful = self.reachable_states() & self.co_reachable_states()
-        return not any(
-            self._on_cycle_within(state, useful) for state in useful
-        )
-
-    def _on_cycle_within(self, state, allowed):
-        """True iff ``state`` can come back to itself inside ``allowed``."""
-        seen = set()
-        queue = deque()
-        for symbol in self.alphabet:
-            target = self._delta[(state, symbol)]
-            if target in allowed and target not in seen:
-                seen.add(target)
-                queue.append(target)
-        while queue:
-            current = queue.popleft()
-            if current == state:
-                return True
-            for symbol in self.alphabet:
-                target = self._delta[(current, symbol)]
-                if target in allowed and target not in seen:
-                    seen.add(target)
-                    queue.append(target)
-        return False
+        if self._finite is None:
+            on_cycle = {
+                state
+                for (state, _symbol), target in self._delta.items()
+                if state == target
+            }
+            for component in strongly_connected_components(self):
+                if len(component) > 1:
+                    on_cycle |= component
+            useful = self.reachable_states() & self.co_reachable_states()
+            self._finite = not (useful & on_cycle)
+        return self._finite
 
     def shortest_accepted(self, start=None):
         """A shortest word accepted from ``start`` (default initial)."""

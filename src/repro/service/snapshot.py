@@ -1,8 +1,8 @@
 """Snapshot persistence for compiled graphs (warm-start from disk).
 
 Compiling a :class:`~repro.engine.indexed.IndexedGraph` from a
-:class:`~repro.graphs.dbgraph.DbGraph` pays one repr-sort per vertex
-(forward and reverse adjacency) plus the per-label CSR build.  A
+:class:`~repro.graphs.dbgraph.DbGraph` sorts one integer key per edge in
+each direction and buckets the per-label CSRs from the two orders.  A
 snapshot stores the *result* of that work in the compiled graph's own
 layout: :func:`save_snapshot` writes its int64 arrays unchanged,
 :func:`load_snapshot` copies them back into process-private

@@ -1,10 +1,16 @@
 """Tests for the db-graph substrate and Path objects."""
 
+import random
+from collections import defaultdict
+
 import pytest
 
+from repro.engine.indexed import IndexedGraph
 from repro.errors import GraphError
+from repro.graphs import dbgraph
 from repro.graphs.dbgraph import DbGraph, Path
 from repro.graphs import io as graph_io
+from repro.graphs.generators import random_labeled_graph
 
 
 class TestDbGraph:
@@ -259,3 +265,98 @@ class TestIoLabelValidation:
         )
         back = graph_io.loads(graph_io.dumps(graph))
         assert sorted(back.edges()) == sorted(graph.edges())
+
+
+def _edge_by_edge(vertices, edges):
+    """A graph built one ``add_vertex`` / ``add_edge`` call at a time."""
+    graph = DbGraph()
+    for vertex in vertices:
+        graph.add_vertex(vertex)
+    for source, label, target in edges:
+        graph.add_edge(source, label, target)
+    return graph
+
+
+def _assert_same_graph(built, expected):
+    assert list(built.vertices()) == list(expected.vertices())
+    assert list(built.edges()) == list(expected.edges())
+    assert built.labels() == expected.labels()
+    assert built.num_edges == expected.num_edges
+    for vertex in expected.vertices():
+        assert set(built.in_edges(vertex)) == set(expected.in_edges(vertex))
+        assert built.out_degree(vertex) == expected.out_degree(vertex)
+
+
+class TestDerivedAdjacency:
+    """E is the store; the adjacency indexes are built on first read."""
+
+    def test_parsed_graph_builds_no_index_until_an_adjacency_read(self):
+        graph = graph_io.loads("e s a t\ne t b u\nv lonely\n")
+        IndexedGraph(graph)
+        assert list(graph.vertices()) == ["lonely", "s", "t", "u"]
+        assert graph.labels() == {"a", "b"}
+        assert graph.num_edges == 2
+        assert graph.has_edge("s", "a", "t")
+        assert graph._index is None
+        assert sorted(graph.out_edges("s")) == [("a", "t")]
+        assert graph._index is not None
+
+    def test_interleaved_writes_and_reads_build_the_index_once(
+        self, monkeypatch
+    ):
+        builds = []
+
+        class Counted(dbgraph._Adjacency):
+            def __init__(self, edges):
+                builds.append(len(edges))
+                super().__init__(edges)
+
+        monkeypatch.setattr(dbgraph, "_Adjacency", Counted)
+        rng = random.Random(3)
+        graph = DbGraph()
+        expected = defaultdict(set)
+        for _ in range(1000):  # 1,000 writes interleaved with 1,000 reads
+            source, target = rng.randrange(40), rng.randrange(40)
+            label = rng.choice("ab")
+            graph.add_edge(source, label, target)
+            expected[source].add((label, target))
+            probe = rng.randrange(40)
+            assert set(graph.out_edges(probe)) == expected[probe]
+        assert builds == [1]
+
+    def test_bulk_transforms_match_edge_by_edge_construction(self):
+        graph = random_labeled_graph(30, 90, "abc", seed=5)
+        graph.add_vertex("isolated")
+        vertices, edges = list(graph.vertices()), list(graph.edges())
+        keep = set(vertices[::2])
+        cases = [
+            (graph.copy(), _edge_by_edge(vertices, edges)),
+            (graph.reversed(), _edge_by_edge(
+                vertices, [(t, label, s) for s, label, t in edges]
+            )),
+            (graph.restricted_to_labels({"a", "c"}), _edge_by_edge(
+                vertices, [edge for edge in edges if edge[1] != "b"]
+            )),
+            (graph.subgraph(keep), _edge_by_edge(keep, [
+                edge for edge in edges if edge[0] in keep and edge[2] in keep
+            ])),
+            (DbGraph.from_edges(edges), _edge_by_edge((), edges)),
+        ]
+        for built, expected in cases:
+            _assert_same_graph(built, expected)
+
+    def test_bulk_transforms_leave_the_source_alone(self):
+        graph = DbGraph.from_edges([(1, "a", 2), (2, "b", 3)])
+        copy = graph.copy()
+        copy.add_edge(3, "c", 1)
+        copy.add_vertex(9)
+        graph.reversed()
+        graph.subgraph([1, 2])
+        assert graph._index is None
+        assert graph.num_edges == 2 and graph.num_vertices == 3
+        assert not graph.has_edge(3, "c", 1)
+        assert copy.num_edges == 3 and copy.has_vertex(9)
+
+    def test_from_edges_rejects_word_labels(self):
+        with pytest.raises(GraphError, match="single symbols, got 'ab'"):
+            DbGraph.from_edges([(1, "a", 2), (2, "ab", 3)])

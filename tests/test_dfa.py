@@ -1,6 +1,7 @@
 """Unit and property tests for the DFA layer."""
 
 import itertools
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 
 from repro.catalog import entries
 from repro.errors import AutomatonError
+from repro.core.solver import RspqSolver
 from repro.languages import Language
+from repro.languages import dfa as dfa_module
 from repro.languages.dfa import DFA, dfa_from_words, from_nfa
 from repro.languages.nfa import nfa_from_ast
 from repro.languages.regex.parser import parse
@@ -219,3 +222,78 @@ class TestProperties:
     def test_complement_partition(self, word):
         dfa = _dfa("ab*a", alphabet={"a", "b"})
         assert dfa.accepts(word) != dfa.complement().accepts(word)
+
+
+def _finite_by_per_state_search(dfa):
+    """The finiteness oracle: one BFS per useful state, looking for a
+    way back to it through useful states (O(|Q|²·|Σ|))."""
+    useful = dfa.reachable_states() & dfa.co_reachable_states()
+
+    def on_cycle(state):
+        seen = set()
+        queue = deque([state])
+        while queue:
+            current = queue.popleft()
+            for symbol in dfa.alphabet:
+                target = dfa.transition(current, symbol)
+                if target == state:
+                    return True
+                if target in useful and target not in seen:
+                    seen.add(target)
+                    queue.append(target)
+        return False
+
+    return not any(on_cycle(state) for state in useful)
+
+
+@st.composite
+def _complete_dfa(draw):
+    num_states = draw(st.integers(min_value=1, max_value=7))
+    alphabet = sorted(draw(st.sets(st.sampled_from("abc"), max_size=3)))
+    state = st.integers(min_value=0, max_value=num_states - 1)
+    transitions = {
+        (source, symbol): draw(state)
+        for source in range(num_states) for symbol in alphabet
+    }
+    return DFA(
+        num_states, alphabet, transitions, draw(state),
+        draw(st.sets(state)),
+    )
+
+
+class TestFiniteness:
+    @given(_complete_dfa())
+    @settings(max_examples=400, deadline=None)
+    def test_component_check_agrees_with_per_state_search(self, dfa):
+        assert dfa.is_finite() is _finite_by_per_state_search(dfa)
+
+    def _count_passes(self, monkeypatch):
+        passes = []
+        real = dfa_module.strongly_connected_components
+
+        def counted(dfa):
+            passes.append(dfa)
+            return real(dfa)
+
+        monkeypatch.setattr(
+            dfa_module, "strongly_connected_components", counted
+        )
+        return passes
+
+    def test_answer_is_computed_once_per_automaton(self, monkeypatch):
+        passes = self._count_passes(monkeypatch)
+        dfa = _dfa("a*b")
+        assert dfa.is_finite() is False
+        assert dfa.is_finite() is False
+        assert len(passes) == 1
+
+    def test_a_finite_plan_decides_finiteness_once(self, monkeypatch):
+        # classify and the finite solver both ask; the DFA answers once.
+        passes = self._count_passes(monkeypatch)
+        solver = RspqSolver("ab + ba + abc")
+        assert solver.strategy == "finite-AC0"
+        assert len(passes) == 1
+
+    def test_long_chains_of_states(self):
+        assert _dfa("a" * 3000).is_finite()
+        assert not _dfa("a" * 3000 + "b*").is_finite()

@@ -357,6 +357,32 @@ class TestEngineIntegration:
         tractable = by_query[(0, 4, "a*")]
         assert tractable.found
 
+    @pytest.mark.parametrize("portfolio", [False, True])
+    def test_swept_batch_negatives_carry_the_per_query_strategy(
+        self, portfolio
+    ):
+        # An odd-length hop along an a-path: no (aa)* walk, so the
+        # batch's group sweep decides all 15 queries at once, where a
+        # lone query is decided by the solver's walk check.
+        graph = labeled_path("a" * 30)
+        queries = [("(aa)*", start, start + 1) for start in range(15)]
+        engine = QueryEngine(graph, portfolio=portfolio)
+        batch = engine.run_batch(queries)
+        assert batch.stats.swept_negatives == len(queries)
+        lone = QueryEngine(graph, portfolio=portfolio)
+        expected = [lone.query(*query).strategy for query in queries]
+        assert expected == [
+            "portfolio:walk-probe" if portfolio else "exact-backtracking"
+        ] * len(queries)
+        assert [result.strategy for result in batch.results] == expected
+        assert [result.stats.strategy for result in batch.results] == (
+            expected
+        )
+        # The swept answers replay from the result cache unchanged.
+        replay = engine.query(*queries[0])
+        assert replay.stats.result_cache_hit
+        assert replay.strategy == expected[0]
+
 
 class TestResultCachePolicy:
     def test_probabilistic_negatives_are_never_cached(self):
