@@ -1,34 +1,26 @@
-"""CSR GraphView vs the dict-backed DbGraph path (ISSUE-4 tentpole).
+"""Serving from one compile vs direct solves on a graph under writes.
 
-All three solver cores run integer-native over a
-:class:`~repro.graphs.view.GraphView`; what differs between the engine
-path and the bare-``DbGraph`` path is the *backend*: the engine hands
-solvers the compiled :class:`~repro.engine.indexed.IndexedGraph`
-itself (flat int64 CSR adjacency, label-partitioned forward and
-reverse CSR), while a
-direct solve walks a :class:`~repro.graphs.view.DbGraphView` that
-reads through the live dicts, converting names to ids on every
-expansion (reference semantics — the price of staying mutable).
+Every solve walks the compiled CSR graph
+(:class:`~repro.engine.indexed.IndexedGraph`); what differs between
+the engine path and a direct solve on a mutable ``DbGraph`` is how
+often the graph is compiled.  An engine compiles once (or thaws a
+snapshot) and serves that frozen copy.  A direct solve walks the
+``DbGraph``'s memoised compile (``DbGraph.view()``), which every write
+invalidates, so the first solve after a write recompiles the graph —
+one O(E log E) pass (see ``repro.engine``'s cost model).
 
-Two measurements over seeded mixed-regime workloads (finite / trC /
+One measurement over a seeded mixed-regime workload (finite / trC /
 NP-hard languages, warm plans on BOTH sides, answers asserted
 path-for-path identical before any clock starts):
 
-* **static graph** — the pure view effect: same queries, same warm
-  plans, unchanged graph.  The CSR view's precompiled arrays beat the
-  dict view's per-expansion conversions; the ratio is asserted
-  conservatively and recorded in the ``BENCH_csr_solvers.json``
-  artifact so the trajectory is tracked across PRs.
-
-* **serving under writes** — the scenario the compiled view exists
-  for (see ``repro.engine``'s cost model): the graph takes a
-  result-neutral write between queries.  The DbGraph path must
-  re-derive its id tables and sorted caches after every mutation,
-  while the CSR side amortises one compile across the whole workload
-  — the acceptance bar (≥2×) is asserted here, and the measured gap
-  is far larger.  Every write adds an edge from a *fresh* vertex, so
-  no simple path between pre-existing vertices changes and the
-  snapshot-semantics answers stay exactly equal (asserted).
+* **serving under writes** — the graph takes a result-neutral write
+  between queries.  The direct side recompiles the graph before every
+  solve, while the CSR side amortises one compile across the whole
+  workload — the acceptance bar (≥2×) is asserted here, and the
+  measured gap is far larger.  Every write adds an edge from a
+  *fresh* vertex, so no simple path between pre-existing vertices
+  changes and the snapshot-semantics answers stay exactly equal
+  (asserted).
 
 Wall-clock assertions skip under ``REPRO_BENCH_PROFILE=smoke``; the
 equality assertions always run.
@@ -44,14 +36,8 @@ import pytest
 from repro.core.solver import RspqSolver
 from repro.engine import IndexedGraph
 
-#: Dense workload: long searches, isolates the pure view effect.
-STATIC_SHAPE = dict(
-    num_queries=scaled(96, 16),
-    num_vertices=scaled(600, 40),
-    num_edges=scaled(2000, 120),
-)
-#: Serving-scale sparse workload: per-write invalidation costs grow
-#: with |V| while the searches stay short — the amortisation regime.
+#: Serving-scale sparse workload: the per-write recompile grows with
+#: |E| while the searches stay short — the amortisation regime.
 WRITES_SHAPE = dict(
     num_queries=scaled(80, 12),
     num_vertices=scaled(3000, 60),
@@ -61,24 +47,15 @@ WRITES_SHAPE = dict(
 REPS = scaled(3, 1)
 
 
-def _workload(shape):
+@pytest.fixture(scope="module")
+def writes_workload():
     """Seeded mixed-regime workload plus warm plans for every language."""
-    graph, queries = mixed_workload(seed=17, **shape)
+    graph, queries = mixed_workload(seed=17, **WRITES_SHAPE)
     solvers = {
         language: RspqSolver(language)
         for language in distinct_languages(queries)
     }
     return graph, queries, solvers
-
-
-@pytest.fixture(scope="module")
-def static_workload():
-    return _workload(STATIC_SHAPE)
-
-
-@pytest.fixture(scope="module")
-def writes_workload():
-    return _workload(WRITES_SHAPE)
 
 
 def _run(solvers, queries, target):
@@ -96,31 +73,6 @@ def _assert_paths_identical(reference, candidate, queries):
             assert got.labels == expected.labels, query
 
 
-def test_static_graph_csr_beats_dict_view(static_workload):
-    graph, queries, solvers = static_workload
-    view = IndexedGraph(graph).view()
-
-    db_results = _run(solvers, queries, graph)       # warm-up + oracle
-    csr_results = _run(solvers, queries, view)
-    _assert_paths_identical(db_results, csr_results, queries)
-
-    db_seconds = min(
-        _measure(_run, solvers, queries, graph) for _ in range(REPS)
-    )
-    csr_seconds = min(
-        _measure(_run, solvers, queries, view) for _ in range(REPS)
-    )
-    speedup = db_seconds / csr_seconds if csr_seconds else float("inf")
-    record_metric("csr_solvers", "static_db_seconds", round(db_seconds, 6))
-    record_metric("csr_solvers", "static_csr_seconds", round(csr_seconds, 6))
-    record_metric("csr_solvers", "static_speedup", round(speedup, 3))
-    skip_if_smoke()
-    # The pure view effect on an unchanged graph: conservative floor
-    # (measured ~1.9x on the full profile; both sides share the same
-    # integer-native search cores, so the gap is adjacency access only).
-    assert speedup >= 1.3, (db_seconds, csr_seconds)
-
-
 def _measure(fn, *args):
     start = time.perf_counter()
     fn(*args)
@@ -132,8 +84,8 @@ def _mutating_db_pass(pristine, queries, solvers):
 
     Each write hangs an edge off a *fresh* vertex, so no simple path
     between pre-existing vertices gains or loses a candidate — but the
-    graph's sorted caches and its id-table view are invalidated
-    wholesale, exactly as any real write would.
+    graph's memoised compile is dropped, exactly as by any real write,
+    so every solve recompiles the graph first.
     """
     graph = pristine.copy()
     anchor = next(iter(graph.vertices()))

@@ -125,29 +125,35 @@ class SemanticsEvaluator:
 
     # -- counting ----------------------------------------------------------------
 
+    # invariant: hot-loop
     def count_walks(self, graph, source, target, max_length):
         """Number of L-labeled walks of length ≤ max_length (poly DP).
 
         This is the quantity whose explosion the "counting beyond a
         yottabyte" discussion [3] warns about.
         """
-        graph.require_vertex(source)
-        graph.require_vertex(target)
-        counts = {(source, self.dfa.initial): 1}
+        view = as_graph_view(graph)
+        source_id = view.vertex_id(source)
+        target_id = view.vertex_id(target)
+        rows = transition_rows(self.dfa, view)
+        accepting = self.dfa.accepting
+        out = view.out
+        counts = {(source_id, self.dfa.initial): 1}
         total = 0
-        if source == target and self.dfa.initial in self.dfa.accepting:
+        if source_id == target_id and self.dfa.initial in accepting:
             total += 1
         for _ in range(max_length):
             next_counts = {}
-            for (vertex, state), count in counts.items():
-                for label, nxt in graph.out_edges(vertex):
-                    if label not in self.dfa.alphabet:
+            for (vertex_id, state), count in counts.items():
+                for label_id, nxt in out(vertex_id):
+                    row = rows[label_id]
+                    if row is None:
                         continue
-                    key = (nxt, self.dfa.transition(state, label))
+                    key = (nxt, row[state])
                     next_counts[key] = next_counts.get(key, 0) + count
             counts = next_counts
-            for (vertex, state), count in counts.items():
-                if vertex == target and state in self.dfa.accepting:
+            for (vertex_id, state), count in counts.items():
+                if vertex_id == target_id and state in accepting:
                     total += count
         return total
 

@@ -503,10 +503,9 @@ def _cmd_explain(args):
         graph = graph_io.load(args.graph)
         engine = QueryEngine(graph)
         print(
-            "graph view     : %s (IndexedGraph over %s: |V|=%d |E|=%d, "
+            "graph view     : csr (IndexedGraph over %s: |V|=%d |E|=%d, "
             "label-partitioned CSR + reverse CSR)"
             % (
-                engine.view_kind,
                 args.graph,
                 engine.graph.num_vertices,
                 engine.graph.num_edges,
@@ -553,9 +552,9 @@ def _cmd_explain(args):
                 )
     else:
         print(
-            "graph view     : csr (IndexedGraph) inside the engine/"
-            "service; dict (DbGraph reference view) for direct "
-            "solve_rspq"
+            "graph view     : csr (IndexedGraph) everywhere: the "
+            "engine/service compiles one per graph, direct solve_rspq "
+            "walks the DbGraph's memoised compile"
         )
     print("plan compile   : %.6fs" % plan.compile_seconds)
     return 0

@@ -12,13 +12,13 @@ edge and direction, each direction sorted once): vertices become
 contiguous ints, forward and reverse
 adjacency become repr-sorted CSR arrays, and each label gets
 CSR-style ``indptr``/``targets`` arrays — forward *and* reverse — for
-label-restricted traversal.  The compiled graph is itself the
+label-restricted traversal.  The compiled graph is the one
 integer-native :class:`~repro.graphs.view.GraphView` the solver cores
-walk, so every engine query runs on precompiled int adjacency end to
-end — and returns bit-identical paths to a direct solve on the
-``DbGraph``'s own dict-backed view, because both views share the
-canonical repr order.  (``IndexedGraph.to_dbgraph()`` rebuilds the
-name-level ``DbGraph`` for callers that want string reads.)
+walk: every engine query runs on the engine's own compile, and a
+direct solve on a ``DbGraph`` runs on the graph's memoised compile
+(``DbGraph.view()``), so both return bit-identical paths.
+(``IndexedGraph.to_dbgraph()`` rebuilds the name-level ``DbGraph``
+for callers that want string reads.)
 
 **Per-language work.**  Answering ``solve_rspq(regex, ...)`` parses the
 regex, determinises and minimises the automaton, classifies it against
@@ -38,15 +38,15 @@ When does compilation pay off?
   language.  On a mixed 100-query workload the engine is several times
   faster than per-query ``solve_rspq``
   (``benchmarks/bench_engine_batch.py`` asserts ≥ 3×).
-* **One query, one graph** — roughly break-even: you pay one graph
-  pass and one plan compile, the same work ``solve_rspq`` does, minus
-  the re-sorting the solvers no longer repeat.
+* **One query, one graph** — break-even: you pay one graph compile
+  and one plan compile, the same work ``solve_rspq`` does (a direct
+  solve compiles the graph too, through ``DbGraph.view()``).
 * **Mutating graphs** — an engine always serves its compiled graph,
   a frozen snapshot (so its result cache never goes stale); build a
-  new engine after a mutation (``QueryEngine(graph)`` recompiles).  If
-  the graph changes on every query, stay with ``solve_rspq`` on the
-  raw ``DbGraph``, whose own sorted-adjacency caches invalidate
-  safely.
+  new engine after a mutation (``QueryEngine(graph)`` recompiles).  A
+  direct ``solve_rspq`` on the raw ``DbGraph`` always sees the current
+  graph, but each write costs one O(E log E) compile before the next
+  direct solve; solves between writes share that compile.
 
 One query pipeline
 ------------------

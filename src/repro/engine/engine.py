@@ -529,11 +529,6 @@ class QueryEngine:
             return None
         return self.view.reachability().describe()
 
-    @property
-    def view_kind(self) -> str:
-        """Backend of the graph view the solvers run on ("csr")."""
-        return self.view.kind
-
     def plan_for(
         self, language: "str | Language"
     ) -> tuple[QueryPlan, bool]:

@@ -1,4 +1,4 @@
-"""Compiled, integer-indexed db-graph: one CSR layout, one GraphView.
+"""Compiled, integer-indexed db-graph: one CSR layout, the one GraphView.
 
 :class:`IndexedGraph` compiles a
 :class:`~repro.graphs.dbgraph.DbGraph` from its edge set E into the
@@ -8,7 +8,7 @@ under the snapshot manifest's names:
 * vertices mapped to contiguous ints ``0..n-1`` in the same repr-sorted
   order that ``DbGraph.vertices()`` uses, labels to ``0..L-1`` in
   sorted order, so every solver that expands neighbours "in repr
-  order" returns bit-identical paths on either backing;
+  order" returns bit-identical paths on every copy of a graph;
 * ``out_indptr`` / ``out_labels`` / ``out_targets`` and
   ``in_indptr`` / ``in_labels`` / ``in_sources``: forward and reverse
   adjacency as one CSR each, every vertex's slice in repr order;
@@ -40,11 +40,13 @@ vertices.  (Vertices equal under ``==`` that print differently —
 ``1``, ``1.0``, ``True`` — are already one vertex; which of their
 orders holds is not pinned.)
 
-The compiled graph *is* its own :class:`~repro.graphs.view.GraphView`
-(``view()`` returns it), so the solver cores walk the arrays directly.
-Compiling builds them (``array("q")``); a snapshot load copies them
-back from disk and an attach casts zero-copy ``memoryview`` arrays
-over a read-only mapping of the file (:meth:`IndexedGraph.from_arrays`) —
+The compiled graph is the one :class:`~repro.graphs.view.GraphView`
+(``view()`` returns it), so the solver cores walk the arrays directly:
+an engine compiles its own, and a direct solve on a ``DbGraph`` walks
+the graph's memoised compile (``DbGraph.view()``).  Compiling builds
+the arrays (``array("q")``); a snapshot load copies them back from
+disk and an attach casts zero-copy ``memoryview`` arrays over a
+read-only mapping of the file (:meth:`IndexedGraph.from_arrays`) —
 the same layout and the same read code either way.
 
 The graph is a frozen snapshot of its source: it does not track later
@@ -160,7 +162,8 @@ class IndexedGraph(GraphView):
     store is atomic under the GIL.
     """
 
-    kind = "csr"
+    #: Memoised by :meth:`reachability`.
+    _reach_index: ReachabilityIndex | None
 
     def __init__(self, graph: Any) -> None:
         if isinstance(graph, IndexedGraph):
@@ -284,10 +287,11 @@ class IndexedGraph(GraphView):
     def out_csr(self, label_id: int) -> tuple[Sequence[int], Sequence[int]]:
         """Bulk successors-by-label: the label's ``(indptr, targets)``.
 
-        Zero-copy slices of the per-label CSR arrays (see
-        :meth:`~repro.graphs.view.GraphView.out_csr`) — the vectorized
-        batch sweep reads whole label partitions off these instead of
-        slicing per vertex through :meth:`out_by_label`.
+        ``targets[indptr[v]:indptr[v + 1]]`` lists the ``label_id``-
+        successors of vertex ``v`` in ascending id order: zero-copy
+        slices of the per-label CSR arrays, so a multi-source sweep
+        (:mod:`repro.engine.vectorized`) expands every pending query's
+        frontier through one label without a per-vertex method call.
         """
         return self._fwd[label_id]
 
@@ -346,12 +350,20 @@ class IndexedGraph(GraphView):
             self._reach_parts = condense(len(self._vertex_of), self.out)
         return self._reach_parts
 
-    def _build_reachability(self) -> ReachabilityIndex:
-        """Index from the graph's (possibly snapshot-thawed) parts."""
-        comp_of, num_comps, label_edges = self.reach_parts()
-        return ReachabilityIndex(
-            comp_of, num_comps, label_edges, num_labels=self.num_labels
-        )
+    def reachability(self) -> ReachabilityIndex:
+        """The :class:`~repro.graphs.reach.ReachabilityIndex` of the graph.
+
+        Built on first use from :meth:`reach_parts` (possibly thawed
+        from a snapshot) and memoised: the graph is frozen, so its
+        index lives as long as the compiled graph does.
+        """
+        index = self._reach_index
+        if index is None:
+            comp_of, num_comps, label_edges = self.reach_parts()
+            index = self._reach_index = ReachabilityIndex(
+                comp_of, num_comps, label_edges, num_labels=self.num_labels
+            )
+        return index
 
     # -- vertex and label tables ----------------------------------------------------
 

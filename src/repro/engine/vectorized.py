@@ -154,11 +154,6 @@ def product_moves(view: "GraphView", dfa: Any) -> tuple[list[int], list]:
         if row is None:
             continue
         pair = view.out_csr(label_id)
-        if pair is None:
-            raise ValueError(
-                "walk decisions need CSR bulk adjacency "
-                "(view %r has none)" % (view.kind,)
-            )
         for slot, state in enumerate(live_states):
             if slots[row[state]] >= 0:
                 moves[slot].append((*pair, slots[row[state]]))

@@ -6,13 +6,12 @@ defines.
 """
 
 from .dbgraph import DbGraph, Path
-from .view import DbGraphView, GraphView, as_graph_view
+from .view import GraphView, as_graph_view
 from .vlgraph import EvlGraph, VlGraph
 from . import generators, io
 
 __all__ = [
     "DbGraph",
-    "DbGraphView",
     "EvlGraph",
     "GraphView",
     "Path",

@@ -8,9 +8,10 @@ those two sets when it is first read:
 * the adjacency indexes (successors, predecessors, and successors per
   label) are built from E by the first adjacency read, and later
   :meth:`DbGraph.add_edge` calls update them in place;
-* the repr-sorted views the solvers expand in (:meth:`~DbGraph.vertices`,
-  :meth:`~DbGraph.sorted_out_edges`, :meth:`~DbGraph.sorted_successors`)
-  are cached and dropped whenever the graph mutates.
+* the repr-sorted vertex list (:meth:`~DbGraph.vertices`) and the
+  compiled :class:`~repro.engine.indexed.IndexedGraph` the solvers walk
+  (:meth:`~DbGraph.view`) are memoised and dropped whenever the graph
+  mutates.
 
 A graph that is only parsed and compiled (:func:`repro.graphs.io.loads`,
 then :class:`~repro.engine.indexed.IndexedGraph`, which reads E through
@@ -28,19 +29,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from operator import itemgetter
-from typing import (
-    TYPE_CHECKING,
-    AbstractSet,
-    Any,
-    Callable,
-    Iterable,
-    Iterator,
-)
+from typing import TYPE_CHECKING, AbstractSet, Any, Iterable, Iterator
 
 from ..errors import GraphError
 
 if TYPE_CHECKING:
-    from .view import DbGraphView
+    from ..engine.indexed import IndexedGraph
 
 #: One edge of E: ``(source, label, target)``.
 Edge = tuple[Any, str, Any]
@@ -55,6 +49,13 @@ def _single_symbol(label: Any) -> str:
             "(use add_word_edge for word labels)" % (label,)
         )
     return label
+
+
+def _edge_order(edge: Edge) -> tuple[str, str]:
+    """Sort key of :meth:`DbGraph.edges`: the source's repr, then the
+    ``(label, target)`` pair's."""
+    source, label, target = edge
+    return repr(source), repr((label, target))
 
 
 class _Adjacency:
@@ -91,18 +92,13 @@ class DbGraph:
         #: Built from E by the first adjacency read (see _adjacency).
         self._index: _Adjacency | None = None
         self._fresh_counter = 0
-        # Deterministic-order caches (repr-sorted views), lazily built
-        # and invalidated wholesale whenever the graph mutates.  The
+        # The repr-sorted vertex list and the compiled view, built
+        # lazily and dropped wholesale whenever the graph mutates.  The
         # mutation counter keeps staleness checks to one int compare.
         self._mutations = 0
         self._cache_mutations = -1
         self._sorted_vertices: list[Any] | None = None
-        self._sorted_succ: dict[Any, tuple[Pair, ...]] = {}
-        self._sorted_label_succ: dict[tuple[Any, str], tuple[Any, ...]] = {}
-        # Integer-native GraphView over this graph, memoised per
-        # mutation generation (see view()).
-        self._view: DbGraphView | None = None
-        self._view_mutations = -1
+        self._view: IndexedGraph | None = None
 
     @classmethod
     def _of(cls, vertices: set[Any], edges: set[Edge]) -> DbGraph:
@@ -126,8 +122,7 @@ class DbGraph:
         if self._cache_mutations != self._mutations:
             self._cache_mutations = self._mutations
             self._sorted_vertices = None
-            self._sorted_succ = {}
-            self._sorted_label_succ = {}
+            self._view = None
 
     def _adjacency(self) -> _Adjacency:
         """The adjacency indexes, built from E on the first call."""
@@ -206,12 +201,12 @@ class DbGraph:
     def generation(self) -> int:
         """Monotonic mutation counter (bumps on any structural change).
 
-        Derived state snapshotted from the graph — the memoised
-        :class:`~repro.graphs.view.DbGraphView` and the sorted
-        adjacency caches — is checked against it to detect staleness
-        in one int compare instead of hashing the edge set.  (A
-        :class:`~repro.engine.QueryEngine` serves a compiled copy and
-        never sees later mutations.)
+        Derived state snapshotted from the graph — the repr-sorted
+        vertex list and the compiled view (:meth:`view`) — is checked
+        against it to detect staleness in one int compare instead of
+        hashing the edge set.  (A :class:`~repro.engine.QueryEngine`
+        serves a compiled copy of its own and never sees later
+        mutations.)
         """
         return self._mutations
 
@@ -219,8 +214,8 @@ class DbGraph:
         """Iterator over all vertices, in deterministic (repr) order.
 
         The sort is cached and invalidated on mutation, so repeated
-        calls — a compile, ``edges()``, solver preprocessing — cost
-        O(V) instead of O(V log V) each.
+        calls — a compile, solver preprocessing — cost O(V) instead of
+        O(V log V) each.
         """
         self._sync_caches()
         if self._sorted_vertices is None:
@@ -249,35 +244,6 @@ class DbGraph:
         """Iterator of ``(label, source)`` pairs into ``vertex``."""
         return iter(self._adjacency().pred.get(vertex, ()))
 
-    def sorted_out_edges(self, vertex: Any) -> tuple[Pair, ...]:
-        """``(label, target)`` pairs from ``vertex`` in repr order.
-
-        Cached per vertex (invalidated on mutation); the hot-path
-        counterpart of :meth:`out_edges` for solvers that need a
-        deterministic expansion order.
-        """
-        self._sync_caches()
-        pairs = self._sorted_succ.get(vertex)
-        if pairs is None:
-            pairs = tuple(sorted(
-                self._adjacency().succ.get(vertex, ()), key=repr
-            ))
-            self._sorted_succ[vertex] = pairs
-        return pairs
-
-    def sorted_successors(self, vertex: Any,
-                          label: str) -> tuple[Any, ...]:
-        """Targets of ``label``-edges from ``vertex`` in repr order (cached)."""
-        self._sync_caches()
-        key = (vertex, label)
-        targets = self._sorted_label_succ.get(key)
-        if targets is None:
-            targets = tuple(sorted(
-                self._adjacency().succ_by_label.get(key, ()), key=repr
-            ))
-            self._sorted_label_succ[key] = targets
-        return targets
-
     def successors(self, vertex: Any, label: str | None = None) -> set[Any]:
         """Targets of edges from ``vertex`` (optionally by label)."""
         index = self._adjacency()
@@ -298,12 +264,11 @@ class DbGraph:
     def edges(self) -> Iterator[Edge]:
         """Iterator over all ``(source, label, target)`` triples.
 
-        Deterministic (repr-sorted) order, served from the cached sorted
-        views rather than re-sorting on every call.
+        Deterministic order: sources in :meth:`vertices` order, and
+        each source's ``(label, target)`` pairs in repr order — one
+        sort of E on ``(repr(source), repr((label, target)))``.
         """
-        for source in self.vertices():
-            for label, target in self.sorted_out_edges(source):
-                yield source, label, target
+        return iter(sorted(self._edges, key=_edge_order))
 
     def out_degree(self, vertex: Any) -> int:
         return len(self._adjacency().succ.get(vertex, ()))
@@ -311,19 +276,20 @@ class DbGraph:
     def in_degree(self, vertex: Any) -> int:
         return len(self._adjacency().pred.get(vertex, ()))
 
-    def view(self) -> DbGraphView:
-        """The integer-native :class:`~repro.graphs.view.DbGraphView`.
+    def view(self) -> IndexedGraph:
+        """The compiled :class:`~repro.engine.indexed.IndexedGraph`.
 
+        The :class:`~repro.graphs.view.GraphView` a direct solve walks.
         Memoised per mutation generation: repeated solves against an
-        unchanged graph share one view (and its id tables); any
-        mutation invalidates it wholesale, exactly like the sorted
-        adjacency caches.
+        unchanged graph share one compile (and its reachability
+        index); the first solve after a mutation recompiles, one
+        O(E log E) pass.
         """
-        if self._view is None or self._view_mutations != self._mutations:
-            from .view import DbGraphView
+        self._sync_caches()
+        if self._view is None:
+            from ..engine.indexed import IndexedGraph
 
-            self._view = DbGraphView(self)
-            self._view_mutations = self._mutations
+            self._view = IndexedGraph(self)
         return self._view
 
     # -- restricted views ------------------------------------------------------------
@@ -443,52 +409,6 @@ def edge_set(graph: Any) -> AbstractSet[Edge]:
     if isinstance(graph, DbGraph):
         return graph._edges
     return set(graph.edges())
-
-
-def sorted_out_edges_fn(graph: Any) -> Callable[[Any], tuple[Pair, ...]]:
-    """A callable ``v -> repr-sorted (label, target) pairs`` for ``graph``.
-
-    Solvers need a deterministic expansion order on their hot paths.
-    When the graph exposes a cached ``sorted_out_edges`` (``DbGraph``)
-    that accessor is used directly; otherwise the sort is memoised per
-    vertex so any graph-shaped object pays it at most once per solve.
-    """
-    accessor = getattr(graph, "sorted_out_edges", None)
-    if accessor is not None:
-        return accessor
-    memo: dict[Any, tuple[Pair, ...]] = {}
-
-    def fallback(vertex: Any) -> tuple[Pair, ...]:
-        pairs = memo.get(vertex)
-        if pairs is None:
-            pairs = tuple(sorted(graph.out_edges(vertex), key=repr))
-            memo[vertex] = pairs
-        return pairs
-
-    return fallback
-
-
-def sorted_successors_fn(graph: Any) -> Callable[[Any, str], tuple[Any, ...]]:
-    """A callable ``(v, label) -> repr-sorted targets`` for ``graph``.
-
-    Same dispatch-or-memoise contract as :func:`sorted_out_edges_fn`.
-    """
-    accessor = getattr(graph, "sorted_successors", None)
-    if accessor is not None:
-        return accessor
-    memo: dict[tuple[Any, str], tuple[Any, ...]] = {}
-
-    def fallback(vertex: Any, label: str) -> tuple[Any, ...]:
-        key = (vertex, label)
-        targets = memo.get(key)
-        if targets is None:
-            targets = tuple(
-                sorted(graph.successors(vertex, label), key=repr)
-            )
-            memo[key] = targets
-        return targets
-
-    return fallback
 
 
 class Path:

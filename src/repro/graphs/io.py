@@ -6,10 +6,14 @@ Format — one record per line:
 * ``e <source> <label> <target>`` declares an edge,
 * blank lines and ``#`` comments are ignored.
 
-Vertex names and labels are written verbatim, so neither may contain
-whitespace (a whitespace label or name would split into extra record
-fields and misparse).  Round-trips through :func:`dumps`/:func:`loads`
-preserve the graph exactly (vertex names become strings).
+A vertex is written as its ``str`` and a label verbatim, and
+:func:`loads` reads every vertex back as that string.  So
+:func:`loads` of :func:`dumps` is the graph with each vertex replaced
+by its ``str``, and :func:`dumps` raises :class:`GraphError` where
+that would change the graph: a whitespace label, a vertex whose
+``str`` is empty or holds whitespace (the record would split into the
+wrong fields), or two vertices with one ``str`` (they would load as
+one vertex).
 
 :func:`loads` reads a text in one pass that splits each line and
 collects the ``v`` names into a vertex set and the edges into an edge
@@ -26,11 +30,24 @@ from ..errors import GraphError
 from .dbgraph import DbGraph, Edge
 
 
-def _checked_vertex(vertex: Any) -> str:
-    name = str(vertex)
-    if any(ch.isspace() for ch in name):
-        raise GraphError("vertex name %r contains whitespace" % (vertex,))
-    return name
+def _vertex_names(graph: DbGraph) -> dict[Any, str]:
+    """``{vertex: str(vertex)}``, each name one distinct record field."""
+    names: dict[Any, str] = {}
+    owners: dict[str, Any] = {}
+    for vertex in graph.vertices():
+        name = str(vertex)
+        if not name or any(ch.isspace() for ch in name):
+            raise GraphError(
+                "vertex name %r is empty or contains whitespace" % (vertex,)
+            )
+        if name in owners:
+            raise GraphError(
+                "vertices %r and %r both write as %r and would load as "
+                "one vertex" % (owners[name], vertex, name)
+            )
+        owners[name] = vertex
+        names[vertex] = name
+    return names
 
 
 def _checked_label(label: str) -> str:
@@ -42,23 +59,21 @@ def _checked_label(label: str) -> str:
 
 
 def dumps(graph: DbGraph) -> str:
-    """Serialize ``graph`` into the text format."""
+    """Serialize ``graph`` into the text format (see the module
+    docstring for what raises :class:`GraphError`)."""
+    names = _vertex_names(graph)
     lines: list[str] = []
     touched: set[Any] = set()
     for source, label, target in graph.edges():
         lines.append(
             "e %s %s %s"
-            % (
-                _checked_vertex(source),
-                _checked_label(label),
-                _checked_vertex(target),
-            )
+            % (names[source], _checked_label(label), names[target])
         )
         touched.add(source)
         touched.add(target)
     for vertex in graph.vertices():
         if vertex not in touched:
-            lines.append("v %s" % _checked_vertex(vertex))
+            lines.append("v %s" % names[vertex])
     return "\n".join(lines) + "\n"
 
 

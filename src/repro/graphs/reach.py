@@ -8,7 +8,8 @@ simple-path existence.  This module precomputes exactly that bound:
 
 1. an **SCC condensation** of the graph (iterative Tarjan over the
    view's adjacency, vertices in id order, neighbours in the canonical
-   repr order — so both view backends number components identically);
+   repr order — so every copy of a graph, compiled, loaded or
+   attached, numbers components identically);
 2. per-edge-label **condensation edges** (inter-component only;
    intra-component movement is free in the condensation, which is what
    makes every answer an *overapproximation* of label-restricted
@@ -193,15 +194,6 @@ class ReachabilityIndex:
         self._to_filters = OrderedDict()
         self._from_filters = OrderedDict()
         self._lock = threading.Lock()
-
-    @classmethod
-    def from_view(cls, view):
-        """Build the index by walking ``view.out`` (deterministic order)."""
-        comp_of, num_comps, label_edges = condense(
-            view.num_vertices, view.out
-        )
-        return cls(comp_of, num_comps, label_edges,
-                   num_labels=view.num_labels)
 
     # -- closures ----------------------------------------------------------------
 

@@ -153,7 +153,7 @@ class RegisteredGraph:
             num_vertices=graph.num_vertices,
             num_edges=graph.num_edges,
             labels="".join(sorted(graph.labels())),
-            graph_view=self.engine.view_kind,
+            graph_view="csr",
             plan_cache={
                 "hits": cache.hits,
                 "misses": cache.misses,

@@ -449,7 +449,7 @@ class TestExplain:
         assert "strategy       : exact-backtracking" in out
         assert "NP-complete" in out
         assert "csr (IndexedGraph)" in out
-        assert "dict (DbGraph" in out
+        assert "direct solve_rspq walks the DbGraph's memoised compile" in out
 
     def test_finite_plan(self, capsys):
         assert main(["explain", "ab + ba"]) == 0

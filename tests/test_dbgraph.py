@@ -4,6 +4,8 @@ import random
 from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.indexed import IndexedGraph
 from repro.errors import GraphError
@@ -207,30 +209,6 @@ class TestSortedCaches:
         graph.add_edge(1, "a", 2)
         assert list(graph.edges()) == [(1, "a", 2), (1, "b", 2)]
 
-    def test_sorted_out_edges_matches_repr_sort(self):
-        graph = DbGraph.from_edges(
-            [(1, "b", 3), (1, "a", 2), (1, "a", 12), (1, "c", 2)]
-        )
-        assert graph.sorted_out_edges(1) == tuple(
-            sorted(graph.out_edges(1), key=repr)
-        )
-        assert graph.sorted_out_edges(3) == ()
-        graph.add_edge(1, "a", 1)
-        assert graph.sorted_out_edges(1) == tuple(
-            sorted(graph.out_edges(1), key=repr)
-        )
-
-    def test_sorted_successors_matches_repr_sort(self):
-        graph = DbGraph.from_edges(
-            [(1, "a", 12), (1, "a", 2), (1, "b", 3)]
-        )
-        assert graph.sorted_successors(1, "a") == tuple(
-            sorted(graph.successors(1, "a"), key=repr)
-        )
-        assert graph.sorted_successors(1, "z") == ()
-        graph.add_edge(1, "a", 7)
-        assert 7 in graph.sorted_successors(1, "a")
-
     def test_duplicate_mutations_keep_caches_valid(self):
         graph = DbGraph.from_edges([(1, "a", 2)])
         list(graph.edges())
@@ -265,6 +243,91 @@ class TestIoLabelValidation:
         )
         back = graph_io.loads(graph_io.dumps(graph))
         assert sorted(back.edges()) == sorted(graph.edges())
+
+    def test_empty_vertex_name_rejected_at_dump(self):
+        # It would write "e  a x", which loads rejects.
+        graph = DbGraph.from_edges([("", "a", "x")])
+        with pytest.raises(GraphError, match="vertex name '' is empty"):
+            graph_io.dumps(graph)
+
+    def test_vertices_sharing_a_str_rejected_at_dump(self):
+        # 1 and "1" (and None and "None") would load as one vertex.
+        graph = DbGraph.from_edges([(1, "a", "1")])
+        graph.add_vertex(None)
+        graph.add_vertex("None")
+        with pytest.raises(
+            GraphError, match="vertices '1' and 1 both write as '1'"
+        ):
+            graph_io.dumps(graph)
+
+
+#: Labels and vertices whose reprs stress the repr order: quotes,
+#: brackets, digits and signs.
+LABELS = "ab'\"(#"
+NAMEABLE_VERTICES = st.one_of(
+    st.integers(-20, 20),
+    st.text(alphabet="ab1'\"(#-", min_size=1, max_size=3),
+)
+MIXED_VERTICES = st.one_of(
+    NAMEABLE_VERTICES,
+    st.none(),
+    st.tuples(st.integers(0, 3), st.sampled_from("ab")),
+)
+
+
+@st.composite
+def drawn_graphs(draw, vertices, unique_by=None):
+    """A graph on up to 8 drawn vertices (some isolated), up to 20 edges."""
+    nodes = draw(st.lists(
+        vertices, min_size=1, max_size=8, unique_by=unique_by,
+        unique=unique_by is None,
+    ))
+    edges = draw(st.lists(
+        st.tuples(st.sampled_from(nodes), st.sampled_from(LABELS),
+                  st.sampled_from(nodes)),
+        max_size=20,
+    ))
+    graph = DbGraph.from_edges(edges)
+    for vertex in nodes:
+        graph.add_vertex(vertex)
+    return graph
+
+
+def per_vertex_edges(graph):
+    """E in per-vertex repr order: sources as ``vertices()`` lists them,
+    each source's ``(label, target)`` pairs sorted by repr."""
+    return [
+        (source, label, target)
+        for source in graph.vertices()
+        for label, target in sorted(graph.out_edges(source), key=repr)
+    ]
+
+
+class TestEdgeOrderPin:
+    """``edges()`` and ``dumps`` keep the per-vertex repr order."""
+
+    @given(drawn_graphs(MIXED_VERTICES))
+    @settings(max_examples=200, deadline=None)
+    def test_edges_follow_the_per_vertex_repr_sort(self, graph):
+        assert list(graph.edges()) == per_vertex_edges(graph)
+
+    @given(drawn_graphs(NAMEABLE_VERTICES, unique_by=str))
+    @settings(max_examples=200, deadline=None)
+    def test_dumps_text_follows_the_per_vertex_repr_sort(self, graph):
+        edges = per_vertex_edges(graph)
+        touched = {edge[0] for edge in edges} | {edge[2] for edge in edges}
+        lines = ["e %s %s %s" % edge for edge in edges] + [
+            "v %s" % vertex
+            for vertex in graph.vertices() if vertex not in touched
+        ]
+        text = graph_io.dumps(graph)
+        assert text == "\n".join(lines) + "\n"
+        back = graph_io.loads(text)
+        assert set(back.vertices()) == set(map(str, graph.vertices()))
+        assert set(back.edges()) == {
+            (str(source), label, str(target))
+            for source, label, target in edges
+        }
 
 
 def _edge_by_edge(vertices, edges):

@@ -49,26 +49,6 @@ class TestIndexedGraph:
                 graph.in_degree(vertex)
             )
 
-    def test_sorted_views_match_dbgraph_caches(self, graph):
-        indexed = IndexedGraph(graph)
-        for vertex in graph.vertices():
-            vertex_id = indexed.vertex_id(vertex)
-            assert tuple(
-                (indexed.label_at(label_id), indexed.vertex_at(target_id))
-                for label_id, target_id in indexed.out(vertex_id)
-            ) == graph.sorted_out_edges(vertex)
-            assert [
-                (indexed.label_at(label_id), indexed.vertex_at(source_id))
-                for label_id, source_id in indexed.in_pairs(vertex_id)
-            ] == sorted(graph.in_edges(vertex), key=repr)
-            for label in graph.labels():
-                assert tuple(
-                    indexed.vertex_at(target_id)
-                    for target_id in indexed.out_by_label(
-                        vertex_id, indexed.label_id(label)
-                    )
-                ) == graph.sorted_successors(vertex, label)
-
     def test_vertex_ids_are_contiguous_and_ordered(self, graph):
         indexed = IndexedGraph(graph)
         ordered = list(graph.vertices())

@@ -1,11 +1,13 @@
 """Unit tests for the GraphView layer (graphs/view.py + IndexedGraph).
 
-The contract under test: both view backends assign vertex ids in the
-same repr-sorted order, iterate adjacency in the same precompiled repr
-order, and therefore feed the solver cores bit-identical inputs — the
-property the CSR-vs-DbGraph differential suite relies on.  The CSR
-side runs three ways: freshly compiled, loaded from a snapshot (array
-copies) and attached to one (memoryviews over the mapping).
+The compiled :class:`IndexedGraph` is the one view every solve walks.
+It runs three ways here: freshly compiled, loaded from a snapshot
+(array copies) and attached to one (memoryviews over the mapping).
+Each must assign vertex ids in the graph's repr-sorted order and
+iterate adjacency in the per-vertex repr order of the ``DbGraph``'s
+own name-level reads, which is what makes a solve return the same
+path on every copy.  A ``DbGraph`` hands solvers its memoised compile,
+rebuilt after a mutation.
 """
 
 import sys
@@ -13,10 +15,13 @@ import threading
 
 import pytest
 
+from repro.core.solver import RspqSolver
+from repro.engine import indexed
 from repro.engine.indexed import IndexedGraph
 from repro.errors import GraphError
+from repro.graphs.dbgraph import DbGraph
 from repro.graphs.generators import random_labeled_graph
-from repro.graphs.view import DbGraphView, GraphView, as_graph_view
+from repro.graphs.view import GraphView, as_graph_view
 from repro.service.snapshot import (
     attach_snapshot,
     load_snapshot,
@@ -30,179 +35,220 @@ def graph():
 
 
 @pytest.fixture(params=["compiled", "loaded", "attached"])
-def views(request, graph, tmp_path):
+def view(request, graph, tmp_path):
     compiled = IndexedGraph(graph)
     if request.param == "compiled":
-        return DbGraphView(graph), compiled.view()
+        return compiled.view()
     path = str(tmp_path / "g.snap")
     save_snapshot(compiled, path)
     reopen = load_snapshot if request.param == "loaded" else attach_snapshot
-    return DbGraphView(graph), reopen(path).view()
+    return reopen(path).view()
+
+
+def _ids(view, pairs):
+    """Name-level ``(label, vertex)`` pairs as ``(label id, vertex id)``."""
+    return [
+        (view.label_id(label), view.vertex_id(vertex))
+        for label, vertex in pairs
+    ]
 
 
 class TestViewEquivalence:
-    def test_kinds(self, views):
-        dict_view, csr_view = views
-        assert dict_view.kind == "dict"
-        assert csr_view.kind == "csr"
-        assert isinstance(csr_view, IndexedGraph)
-        assert isinstance(csr_view, GraphView)
+    def test_is_an_indexed_graph_view(self, view):
+        assert isinstance(view, IndexedGraph)
+        assert isinstance(view, GraphView)
+        assert view.view() is view
 
-    def test_vertex_tables_match(self, graph, views):
-        dict_view, csr_view = views
+    def test_vertex_tables_match(self, graph, view):
         order = list(graph.vertices())  # repr-sorted
-        for view in views:
-            assert [view.vertex_at(i) for i in range(view.num_vertices)] \
-                == order
-            for index, vertex in enumerate(order):
-                assert view.vertex_id(vertex) == index
+        assert [view.vertex_at(i) for i in range(view.num_vertices)] \
+            == order
+        for index, vertex in enumerate(order):
+            assert view.vertex_id(vertex) == index
 
-    def test_label_tables_match(self, graph, views):
+    def test_label_tables_match(self, graph, view):
         expected = sorted(graph.labels())
-        for view in views:
-            assert list(view._label_of) == expected
-            for index, label in enumerate(expected):
-                assert view.label_id(label) == index
-                assert view.label_at(index) == label
-            assert view.label_id("zz") is None
+        assert list(view._label_of) == expected
+        for index, label in enumerate(expected):
+            assert view.label_id(label) == index
+            assert view.label_at(index) == label
+        assert view.label_id("zz") is None
 
-    def test_out_pairs_identical_across_views(self, views):
-        dict_view, csr_view = views
-        for vertex_id in range(dict_view.num_vertices):
-            assert list(dict_view.out(vertex_id)) == \
-                list(csr_view.out(vertex_id))
-            assert dict_view.out_degree(vertex_id) == \
-                csr_view.out_degree(vertex_id)
+    def test_out_pairs_identical_across_views(self, graph, view):
+        """Each copy iterates the per-vertex repr order of the names."""
+        for vertex in graph.vertices():
+            vertex_id = view.vertex_id(vertex)
+            assert list(view.out(vertex_id)) == _ids(
+                view, sorted(graph.out_edges(vertex), key=repr)
+            )
+            assert list(view.in_pairs(vertex_id)) == _ids(
+                view, sorted(graph.in_edges(vertex), key=repr)
+            )
+            assert view.out_degree(vertex_id) == graph.out_degree(vertex)
 
-    def test_label_partitioned_adjacency_identical(self, views):
-        dict_view, csr_view = views
-        for vertex_id in range(dict_view.num_vertices):
-            for label_id in range(dict_view.num_labels):
-                assert list(dict_view.out_by_label(vertex_id, label_id)) \
-                    == list(csr_view.out_by_label(vertex_id, label_id))
-                assert sorted(dict_view.in_by_label(vertex_id, label_id)) \
-                    == sorted(csr_view.in_by_label(vertex_id, label_id))
-            assert sorted(dict_view.in_pairs(vertex_id)) == \
-                sorted(csr_view.in_pairs(vertex_id))
+    def test_label_partitioned_adjacency_identical(self, graph, view):
+        for vertex in graph.vertices():
+            vertex_id = view.vertex_id(vertex)
+            for label in sorted(graph.labels()):
+                label_id = view.label_id(label)
+                assert list(view.out_by_label(vertex_id, label_id)) == [
+                    view.vertex_id(target)
+                    for target in sorted(
+                        graph.successors(vertex, label), key=repr
+                    )
+                ]
+                assert sorted(view.in_by_label(vertex_id, label_id)) == \
+                    sorted(
+                        view.vertex_id(source)
+                        for source in graph.predecessors(vertex, label)
+                    )
 
-    def test_out_by_label_matches_mask_filtered_out(self, views):
-        for view in views:
+    def test_out_by_label_matches_mask_filtered_out(self, view):
+        for vertex_id in range(view.num_vertices):
+            for label_id in range(view.num_labels):
+                filtered = [
+                    target
+                    for edge_label, target in view.out(vertex_id)
+                    if edge_label == label_id
+                ]
+                assert list(view.out_by_label(vertex_id, label_id)) \
+                    == filtered
+
+    def test_out_csr_slices_match_out_by_label(self, view):
+        for label_id in range(view.num_labels):
+            indptr, targets = view.out_csr(label_id)
+            assert len(indptr) == view.num_vertices + 1
             for vertex_id in range(view.num_vertices):
-                for label_id in range(view.num_labels):
-                    filtered = [
-                        target
-                        for edge_label, target in view.out(vertex_id)
-                        if edge_label == label_id
-                    ]
-                    assert list(view.out_by_label(vertex_id, label_id)) \
-                        == filtered
-
-    def test_out_csr_slices_match_out_by_label(self, views):
-        dict_view, csr_view = views
-        assert dict_view.out_csr(0) is None
-        for label_id in range(csr_view.num_labels):
-            indptr, targets = csr_view.out_csr(label_id)
-            assert len(indptr) == csr_view.num_vertices + 1
-            for vertex_id in range(csr_view.num_vertices):
                 assert list(
                     targets[indptr[vertex_id]:indptr[vertex_id + 1]]
-                ) == list(dict_view.out_by_label(vertex_id, label_id))
+                ) == list(view.out_by_label(vertex_id, label_id))
 
-    def test_reverse_csr_transposes_forward(self, views):
-        _dict_view, csr_view = views
-        for label_id in range(csr_view.num_labels):
+    def test_reverse_csr_transposes_forward(self, view):
+        for label_id in range(view.num_labels):
             forward = {
                 (source, target)
-                for source in range(csr_view.num_vertices)
-                for target in csr_view.out_by_label(source, label_id)
+                for source in range(view.num_vertices)
+                for target in view.out_by_label(source, label_id)
             }
             backward = {
                 (source, target)
-                for target in range(csr_view.num_vertices)
-                for source in csr_view.in_by_label(target, label_id)
+                for target in range(view.num_vertices)
+                for source in view.in_by_label(target, label_id)
             }
             assert forward == backward
 
-    def test_none_label_is_empty(self, views):
-        for view in views:
-            assert tuple(view.out_by_label(0, None)) == ()
-            assert tuple(view.in_by_label(0, None)) == ()
+    def test_none_label_is_empty(self, view):
+        assert tuple(view.out_by_label(0, None)) == ()
+        assert tuple(view.in_by_label(0, None)) == ()
 
-    def test_label_masks_and_word_ids(self, views):
-        for view in views:
-            a = view.label_id("a")
-            b = view.label_id("b")
-            assert view.label_mask("ab") == (1 << a) | (1 << b)
-            assert view.label_mask("zq") == 0
-            assert view.word_label_ids("az") == (a, None)
+    def test_label_masks_and_word_ids(self, view):
+        a = view.label_id("a")
+        b = view.label_id("b")
+        assert view.label_mask("ab") == (1 << a) | (1 << b)
+        assert view.label_mask("zq") == 0
+        assert view.word_label_ids("az") == (a, None)
 
-    def test_path_materialisation(self, graph, views):
+    def test_path_materialisation(self, graph, view):
         source, label, target = next(iter(graph.edges()))
-        for view in views:
-            path = view.path(
-                (view.vertex_id(source), view.vertex_id(target)),
-                (view.label_id(label),),
-            )
-            assert path.vertices == (source, target)
-            assert path.labels == (label,)
+        path = view.path(
+            (view.vertex_id(source), view.vertex_id(target)),
+            (view.label_id(label),),
+        )
+        assert path.vertices == (source, target)
+        assert path.labels == (label,)
 
-    def test_unknown_vertex_raises_graph_error(self, views):
-        for view in views:
-            with pytest.raises(GraphError, match="unknown vertex"):
-                view.vertex_id("no-such-vertex")
+    def test_unknown_vertex_raises_graph_error(self, view):
+        with pytest.raises(GraphError, match="unknown vertex"):
+            view.vertex_id("no-such-vertex")
 
 
 class TestAsGraphView:
-    def test_identity_on_views(self, views):
-        for view in views:
-            assert as_graph_view(view) is view
+    def test_identity_on_views(self, view):
+        assert as_graph_view(view) is view
 
     def test_dbgraph_view_is_cached_per_mutation(self, graph):
         first = as_graph_view(graph)
-        assert isinstance(first, DbGraphView)
+        assert isinstance(first, IndexedGraph)
         assert as_graph_view(graph) is first
+        assert graph.view() is first
         graph.add_edge("brand-new", "a", next(iter(graph.vertices())))
         second = as_graph_view(graph)
+        assert isinstance(second, IndexedGraph)
         assert second is not first
         assert "brand-new" in second._id_of
         assert "brand-new" not in first._id_of
+        assert second.num_edges == first.num_edges + 1
 
     def test_indexed_graph_is_its_own_view(self, graph):
-        indexed = IndexedGraph(graph)
-        assert indexed.view() is indexed
-        assert as_graph_view(indexed) is indexed
+        indexed_graph = IndexedGraph(graph)
+        assert indexed_graph.view() is indexed_graph
+        assert as_graph_view(indexed_graph) is indexed_graph
 
-    def test_duck_typed_graph_falls_back_to_dict_view(self, graph):
-        class Duck:
-            """Minimal read API, vertices deliberately unsorted."""
+    def test_object_without_view_is_rejected(self, graph):
+        class ReadApiOnly:
+            """DbGraph's read API, but no ``view()``."""
 
             def vertices(self):
-                return ["b", "a", "c"]
+                return graph.vertices()
 
             def labels(self):
-                return {"x"}
+                return graph.labels()
 
             def out_edges(self, vertex):
-                return [("x", "a")] if vertex == "b" else []
+                return graph.out_edges(vertex)
 
-            def in_edges(self, vertex):
-                return [("x", "b")] if vertex == "a" else []
+        for candidate in (ReadApiOnly(), object(), None):
+            with pytest.raises(GraphError, match="has no view"):
+                as_graph_view(candidate)
 
-            def successors(self, vertex, label=None):
-                return {
-                    target
-                    for edge_label, target in self.out_edges(vertex)
-                    if edge_label == label
-                }
 
-            def out_degree(self, vertex):
-                return len(self.out_edges(vertex))
+class TestDirectSolveCompile:
+    """A direct solve walks the DbGraph's memoised compile."""
 
-        view = as_graph_view(Duck())
-        assert view.kind == "dict"
-        # Ids follow repr-sorted order even for unsorted duck graphs.
-        assert [view.vertex_at(i) for i in range(3)] == ["a", "b", "c"]
-        assert list(view.out(view.vertex_id("b"))) == [(0, 0)]
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        calls = []
+        compile_arrays = indexed._compile
+
+        def counted(*args):
+            calls.append(args)
+            return compile_arrays(*args)
+
+        monkeypatch.setattr(indexed, "_compile", counted)
+        return calls
+
+    def test_solves_on_an_unchanged_graph_compile_once(self, compiles):
+        graph = DbGraph.from_edges([(0, "a", 1), (1, "b", 2)])
+        solver = RspqSolver("ab")
+        assert solver.solve(graph, 0, 2).found
+        assert not RspqSolver("a*").solve(graph, 0, 2).found
+        assert not solver.solve(graph, 1, 2).found
+        assert len(compiles) == 1
+
+    def test_a_direct_solve_sees_add_edge(self, compiles):
+        graph = DbGraph.from_edges([(0, "a", 1), (1, "b", 2)])
+        solver = RspqSolver("a*")
+        assert not solver.solve(graph, 0, 2).found
+        graph.add_edge(1, "a", 2)
+        result = solver.solve(graph, 0, 2)
+        assert result.found
+        assert result.path.vertices == (0, 1, 2)
+        assert len(compiles) == 2
+        graph.add_edge(1, "a", 2)  # a duplicate edge is no write
+        assert solver.solve(graph, 0, 2).found
+        assert len(compiles) == 2
+
+    def test_a_direct_solve_sees_add_vertex(self, compiles):
+        graph = DbGraph.from_edges([(0, "a", 1)])
+        solver = RspqSolver("a*")
+        assert solver.solve(graph, 0, 1).found
+        with pytest.raises(GraphError, match="unknown vertex"):
+            solver.solve(graph, "lonely", "lonely")
+        graph.add_vertex("lonely")
+        result = solver.solve(graph, "lonely", "lonely")
+        assert result.found and len(result.path) == 0
+        assert not solver.solve(graph, 0, "lonely").found
+        assert len(compiles) == 2
 
 
 class TestCsrViewLifecycle:

@@ -153,14 +153,15 @@ class TestEngineDifferential:
 
 
 class TestCsrDbGraphDifferential:
-    """One solver, two GraphView backends, bit-identical behavior.
+    """One solver, two entry points, bit-identical behavior.
 
-    The ISSUE-4 acceptance suite: across random graphs × random
-    regexes spanning all three trichotomy regimes, solving over the
-    dict-backed ``DbGraph`` view and over the compiled CSR
-    ``IndexedGraph`` view must agree *exactly* — found/path/strategy/
-    decompose_failed, and even the per-query work counters, because
-    both views iterate adjacency in the same canonical order.
+    Across random graphs × random regexes spanning all three
+    trichotomy regimes, solving on a ``DbGraph`` (which hands the
+    solver its memoised compile, ``DbGraph.view()``) and on a
+    separately compiled ``IndexedGraph`` must agree *exactly* —
+    found/path/strategy/decompose_failed, and even the per-query work
+    counters, because every compile iterates adjacency in the same
+    canonical order.
     """
 
     @given(small_graph_and_query("abc"), REGEX_SEEDS)
@@ -180,7 +181,7 @@ class TestCsrDbGraphDifferential:
         assert csr_result.path == db_result.path
         assert csr_result.strategy == db_result.strategy
         assert csr_result.decompose_failed == db_result.decompose_failed
-        # Same expansion order on both backends — identical work, not
+        # Same expansion order on both compiles — identical work, not
         # merely identical answers.
         assert solver.steps_in(csr_ctx) == solver.steps_in(db_ctx)
 

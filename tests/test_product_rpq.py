@@ -101,6 +101,7 @@ class _NaiveProduct:
 
 
 def _backed(graph, backing):
+    """A separate compile ("csr") or the DbGraph's own ("dbgraph")."""
     return IndexedGraph(graph) if backing == "csr" else as_graph_view(graph)
 
 
@@ -137,7 +138,7 @@ class TestWalkTargets:
     def test_ids_on_both_backings(self):
         graph = labeled_path("ab")
         dfa = language("a*b").dfa
-        for backing in ("dict", "csr"):
+        for backing in ("dbgraph", "csr"):
             view = _backed(graph, backing)
             assert walk_targets(dfa, view, view.vertex_id(0)) == {
                 view.vertex_id(2)
@@ -228,7 +229,7 @@ REGEXES = random_regexes(16, seed=19, max_depth=2) + [
 ]
 
 
-@pytest.mark.parametrize("backing", ["dict", "csr"])
+@pytest.mark.parametrize("backing", ["dbgraph", "csr"])
 @pytest.mark.parametrize("regex", REGEXES)
 def test_walk_layer_matches_naive_product(backing, regex):
     dfa = language(regex).dfa

@@ -8,9 +8,10 @@ Three layers of guarantees:
 * **Pruned ≡ unpruned** — the hypothesis differential suite: solving
   with reachability pruning on is path-for-path identical to solving
   with it off, across random graphs × random regexes spanning all
-  three trichotomy regimes, on both GraphView backends; and the pruned
-  work counters are counter-for-counter identical across backends
-  (both views condense to the same component partition).
+  three trichotomy regimes, on the DbGraph's own compile and on a
+  separate one; and the pruned work counters are counter-for-counter
+  identical across the two (both condense to the same component
+  partition).
 * **Engine short-circuit** — provably unreachable queries answer
   NOT_FOUND with ``short_circuit=True`` and zero solver steps, and the
   answer matches a direct solve.
@@ -28,7 +29,7 @@ from repro.core.solver import RspqSolver
 from repro.engine import IndexedGraph, QueryEngine
 from repro.execution import ExecutionContext
 from repro.graphs.dbgraph import DbGraph
-from repro.graphs.reach import ReachabilityIndex, condense
+from repro.graphs.reach import condense
 from repro.languages.analysis import useful_symbols
 from repro.languages import language
 
@@ -249,13 +250,14 @@ def graph_and_query(draw):
 
 
 class TestPrunedUnprunedDifferential:
-    """Index-pruned solving ≡ unpruned solving, both view backends.
+    """Index-pruned solving ≡ unpruned solving, on two compiles.
 
     The satellite suite: across random graphs × random regexes, the
     pruned solver returns the same path as the unpruned one (pruning
     only ever removes provably dead work), and the pruned work
-    counters are identical across the DbGraph and CSR views (both
-    backends condense identically, so they prune identically).
+    counters are identical on the DbGraph's own compile and on a
+    separate ``IndexedGraph`` (both condense identically, so they
+    prune identically).
     """
 
     @given(graph_and_query(), REGEX_SEEDS)
@@ -430,4 +432,3 @@ def test_reachability_index_describe_shape():
     info = index.describe()
     assert info["num_components"] == 4
     assert info["condensation_edges"] >= 2
-    assert isinstance(ReachabilityIndex.from_view(graph.view()), ReachabilityIndex)

@@ -9,6 +9,7 @@ from repro.algorithms.semantics import (
     WALK,
     SemanticsEvaluator,
 )
+from repro.engine.indexed import IndexedGraph
 from repro.errors import BudgetExceededError, DeadlineExceededError, GraphError
 from repro.execution import ExecutionContext
 from repro.graphs.dbgraph import DbGraph
@@ -64,6 +65,28 @@ class TestSeparations:
             evaluator.exists(labeled_path("a"), 0, 1, "bogus")
 
 
+def _string_level_walk_count(dfa, graph, source, target, max_length):
+    """L-labeled walks of length ≤ max_length, counted over vertex names
+    and label strings (the oracle for the id-level DP)."""
+    counts = {(source, dfa.initial): 1}
+    total = 0
+    if source == target and dfa.initial in dfa.accepting:
+        total += 1
+    for _ in range(max_length):
+        next_counts = {}
+        for (vertex, state), count in counts.items():
+            for label, nxt in graph.out_edges(vertex):
+                if label not in dfa.alphabet:
+                    continue
+                key = (nxt, dfa.transition(state, label))
+                next_counts[key] = next_counts.get(key, 0) + count
+        counts = next_counts
+        for (vertex, state), count in counts.items():
+            if vertex == target and state in dfa.accepting:
+                total += count
+    return total
+
+
 class TestCounting:
     def test_count_walks_explosion(self):
         # Arenas et al.'s yottabyte point: walk counts blow up.
@@ -89,6 +112,31 @@ class TestCounting:
         evaluator = SemanticsEvaluator(language("a*"))
         # 0->2: direct edge, and the two-edge route.
         assert evaluator.count_trails(graph, 0, 2) == 2
+
+    def test_count_walks_matches_string_level_dp(self):
+        """The id-level DP equals the name-level one on either graph."""
+        from tests.conftest import random_instance
+
+        nonzero = 0
+        for regex in ["a*", "(aa)*", "a*ba*", "(ab)*c", "ab + ba"]:
+            evaluator = SemanticsEvaluator(language(regex))
+            for seed in range(6):
+                graph, _x, _y = random_instance(seed, "abc", max_vertices=6)
+                compiled = IndexedGraph(graph)
+                for x in graph.vertices():
+                    for y in graph.vertices():
+                        expected = _string_level_walk_count(
+                            evaluator.dfa, graph, x, y, 6
+                        )
+                        case = (regex, seed, x, y)
+                        assert evaluator.count_walks(
+                            graph, x, y, 6
+                        ) == expected, case
+                        assert evaluator.count_walks(
+                            compiled, x, y, 6
+                        ) == expected, case
+                        nonzero += expected > 0
+        assert nonzero > 100
 
     def test_semantics_constant_list(self):
         assert set(SEMANTICS) == {WALK, TRAIL, SIMPLE}

@@ -22,8 +22,6 @@ from ..base import Project, Rule, SourceModule, Violation
 NAME_BASED_ACCESSORS = {
     "successors",
     "predecessors",
-    "sorted_successors",
-    "sorted_out_edges",
     "out_edges",
     "in_edges",
     "has_edge",
