@@ -721,9 +721,12 @@ class QueryService:
         # read them here.  The registry's part may wait on worker
         # pools (and respawn a dead idle worker), so it runs off the
         # loop.
+        from .workers import _pss_mb
+
         stats = {
             "service": {
                 "uptime_seconds": time.time() - self._started_at,
+                "pss_mb": _pss_mb(),
                 "inflight": self.shedder.inflight,
                 "max_inflight": self.config.max_inflight,
                 "workers": self.config.workers,

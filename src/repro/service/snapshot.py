@@ -532,7 +532,10 @@ def attach_snapshot(path: Any) -> IndexedGraph:
     copies.  N processes attached to one snapshot therefore share one
     physical copy of the graph through the page cache, which is the
     memory model behind the pre-fork worker pool
-    (:class:`repro.service.workers.WorkerPool`).
+    (:class:`repro.service.workers.WorkerPool`).  A pooled
+    :class:`~repro.service.registry.GraphRegistry` attaches the file in
+    the server too, so the server's engine and every worker serve from
+    that one copy.
 
     The returned :class:`IndexedGraph` keeps the mapping alive for its
     own lifetime and is safe for concurrent readers: the mapping is

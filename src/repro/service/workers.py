@@ -6,12 +6,17 @@ the one way past that: N worker processes, each attached read-only to
 the same mmapped snapshot
 (:func:`~repro.service.snapshot.attach_snapshot`) — zero array copies,
 so N workers share one physical copy of the graph through the page
-cache.  Workers are spawned with only a *path* and an engine config,
-and each builds its own :class:`~repro.engine.QueryEngine` around the
-attached graph (private plan cache, private result cache, private
-``ExecutionContext`` per query, exactly like an independent server).
-The query service (``repro serve --worker-processes N``) and
-``repro batch --workers N`` both run on it.
+cache.  A pooled :class:`~repro.service.registry.GraphRegistry` entry
+serves its parent-side engine from that same mapping, so the server
+adds no second copy.  Workers are spawned with only a *path* and an
+engine config, and each builds its own
+:class:`~repro.engine.QueryEngine` around the attached graph (private
+plan cache, private result cache, private ``ExecutionContext`` per
+query, exactly like an independent server).  Each is forked from a
+frozen heap (see :meth:`WorkerPool._spawn`), so what it inherited
+stays shared with the parent instead of being copied by its garbage
+collector.  The query service (``repro serve --worker-processes N``)
+and ``repro batch --workers N`` both run on it.
 
 Parent ↔ worker protocol is a strict request/response over one
 :func:`multiprocessing.Pipe` per worker:
@@ -46,6 +51,7 @@ come from each worker's own groups and caches.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import queue
@@ -71,16 +77,37 @@ from ..engine import (
 from . import faults
 
 
-def _rss_mb():
-    """This process's resident set size in MiB (None if unknown)."""
+def _proc_mb(path, field):
+    """The ``field: N kB`` line of procfs file ``path`` in MiB (None
+    where the file or the field is missing)."""
     try:
-        with open("/proc/self/status") as handle:
+        with open(path) as handle:
             for line in handle:
-                if line.startswith("VmRSS:"):
+                if line.startswith(field):
                     return int(line.split()[1]) / 1024.0
     except (OSError, ValueError, IndexError):  # pragma: no cover
         pass
     return None  # pragma: no cover - non-procfs hosts
+
+
+def _rss_mb():
+    """This process's resident set size in MiB (None if unknown).
+
+    RSS counts every page the process maps in full, so the shared
+    snapshot and the pages a worker inherited at fork count once per
+    process; :func:`_pss_mb` divides them among their sharers.
+    """
+    return _proc_mb("/proc/self/status", "VmRSS:")
+
+
+def _pss_mb():
+    """This process's proportional set size in MiB (None if unknown).
+
+    Each shared page counts 1/N in each of the N processes mapping
+    it, so summing PSS over the server and its workers counts the
+    pooled graph once.  Read from ``/proc/self/smaps_rollup``.
+    """
+    return _proc_mb("/proc/self/smaps_rollup", "Pss:")
 
 
 def _worker_main(snapshot_path, engine_kwargs, conn, fault_spec=None):
@@ -154,6 +181,7 @@ def _worker_main(snapshot_path, engine_kwargs, conn, fault_spec=None):
                     "served_queries": served_queries,
                     "served_batches": served_batches,
                     "rss_mb": _rss_mb(),
+                    "pss_mb": _pss_mb(),
                     "plan_cache": {
                         "hits": cache.hits,
                         "misses": cache.misses,
@@ -368,6 +396,17 @@ class WorkerPool:
             handle.process.join(timeout=5.0)
 
     def _spawn(self, index):
+        """Start worker ``index`` and wait for its ready handshake.
+
+        The worker forks from a frozen heap: :func:`gc.freeze` moves
+        every object the parent holds into the collector's permanent
+        generation just before the fork, and :func:`gc.unfreeze`
+        moves them back in the parent right after it.  The child never
+        unfreezes, so its collections never walk the objects it
+        inherited; walking them would write their headers and copy
+        every page they sit on.  The first start, every respawn and
+        ``repro batch --workers`` all spawn here.
+        """
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_worker_main,
@@ -376,7 +415,11 @@ class WorkerPool:
             name="repro-pool-%d" % index,
             daemon=True,
         )
-        process.start()
+        gc.freeze()
+        try:
+            process.start()
+        finally:
+            gc.unfreeze()
         child_conn.close()
         deadline = time.monotonic() + self.start_timeout
         message = None

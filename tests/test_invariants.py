@@ -109,6 +109,31 @@ def test_snapshot_readonly_fixture_reports_all_shapes():
     assert "held snapshot mapping" in messages
 
 
+@pytest.mark.parametrize("relpath, flagged", [
+    ("service/snapshot.py", True),
+    ("service/workers.py", True),
+    ("service/registry.py", True),
+    ("engine/indexed.py", True),
+    ("service/server.py", False),
+])
+def test_snapshot_readonly_scope_covers_the_pooled_registry(
+    tmp_path, relpath, flagged
+):
+    # A pooled registry entry serves the parent's engine from the
+    # mapping its workers attach, so the registry is checked without
+    # opting in.
+    module = tmp_path / relpath
+    module.parent.mkdir(parents=True)
+    module.write_text(
+        "def serve(entry):\n"
+        "    entry.engine.graph.out_targets[0] = 1\n"
+    )
+    violations = analyze([module], rules=["snapshot-readonly"])
+    assert [v.rule for v in violations] == (
+        ["snapshot-readonly"] if flagged else []
+    )
+
+
 def test_purity_fixture_reports_all_three_shapes():
     fixture = FIXTURES / "fixture_solver_purity.py"
     messages = "\n".join(v.message for v in analyze([fixture], rules=["solver-purity"]))

@@ -12,6 +12,7 @@ look at the clock.
 
 import http.client
 import json
+import os
 import socket
 
 import pytest
@@ -213,6 +214,19 @@ class TestHttpEndpoints:
         # the /query and /batch requests (the in-flight /stats request
         # is only counted once its own response has been written)
         assert stats["service"]["requests"] >= 2
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/smaps_rollup"),
+        reason="PSS needs /proc/<pid>/smaps_rollup",
+    )
+    def test_stats_report_the_server_pss(self, live):
+        from repro.service.workers import _rss_mb
+
+        client, _registry = live
+        pss_mb = client.stats()["service"]["pss_mb"]
+        # The server thread runs in this process, so its RSS bounds
+        # the server's PSS.
+        assert 0 < pss_mb <= _rss_mb()
 
     def test_register_and_evict_over_http(self, live):
         client, _registry = live

@@ -15,8 +15,12 @@ while *fresh* attaches see the new file or fail with a clean
 :class:`SnapshotError`.
 """
 
+import gc
+import multiprocessing
 import os
 import threading
+import types
+import weakref
 
 import pytest
 
@@ -28,11 +32,13 @@ from repro.errors import (
     BudgetExceededError,
     GraphError,
     ReproError,
+    ServiceError,
     SnapshotError,
     WorkerCrashError,
 )
 from repro.graphs.generators import labeled_cycle, random_labeled_graph
 from repro.service import FaultPlan, GraphRegistry, faults, save_snapshot
+from repro.service import workers as workers_module
 from repro.service.workers import WorkerPool
 
 from tests.conftest import per_query
@@ -77,6 +83,18 @@ def assert_results_identical(served, direct):
     else:
         assert list(served.path.vertices) == list(direct.path.vertices)
         assert served.path.word == direct.path.word
+
+
+def assert_serves_attached(entry):
+    """``entry``'s engine serves from the mapping its pool attaches."""
+    graph = entry.engine.graph
+    assert entry.engine.snapshot_path == entry.pool.snapshot_path
+    assert graph._mapping is not None
+    for name in ("out_indptr", "out_targets", "csr_targets",
+                 "rcsr_sources"):
+        raw = getattr(graph, name)
+        assert isinstance(raw, memoryview), name
+        assert raw.obj is graph._mapping, name
 
 
 class TestDifferential:
@@ -357,6 +375,15 @@ class TestPoolStats:
                 continue
             assert block["rss_mb"] < parent_rss + 32.0
 
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/smaps_rollup"),
+        reason="PSS needs /proc/<pid>/smaps_rollup",
+    )
+    def test_per_worker_pss_is_positive_and_at_most_rss(self, pool):
+        pool.run_batch(QUERIES)
+        for block in pool.stats()["per_worker"]:
+            assert 0 < block["pss_mb"] <= block["rss_mb"]
+
 
 class TestPoolBackedService:
     def _random_queries(self, graph, count=24, seed=11):
@@ -411,6 +438,8 @@ class TestPoolBackedService:
             entry = registry.register_snapshot("warm", snap_path)
             assert entry.pool is not None
             assert entry.pool.snapshot_path == snap_path
+            assert_serves_attached(entry)
+            assert entry.spool_path is None
             served = entry.pool.query("a*(bb^+ + eps)c*", 0, 5)
             direct = solve_rspq("a*(bb^+ + eps)c*", graph, 0, 5)
             assert served.found == direct.found
@@ -450,3 +479,240 @@ class TestPoolBackedService:
     def test_negative_worker_processes_rejected(self):
         with pytest.raises(ValueError):
             GraphRegistry(worker_processes=-1)
+
+
+def _recording_context(freeze_counts):
+    """A fork context whose workers record the collector's freeze
+    count at the instant they are started."""
+    context = multiprocessing.get_context("fork")
+
+    class Process(context.Process):
+        def start(self):
+            freeze_counts.append(gc.get_freeze_count())
+            super().start()
+
+    return types.SimpleNamespace(Process=Process, Pipe=context.Pipe)
+
+
+class TestForkFromFrozenHeap:
+    """Workers fork from a frozen heap, and the parent is unfrozen
+    again after every spawn, successful or not."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_start_forks_frozen_and_unfreezes(self, snap_path, enabled):
+        was_enabled = gc.isenabled()
+        counts = []
+        try:
+            if not enabled:
+                gc.disable()
+            with WorkerPool(
+                snap_path, workers=2,
+                mp_context=_recording_context(counts),
+            ) as pool:
+                assert gc.get_freeze_count() == 0
+                assert gc.isenabled() is enabled
+                pool.query("a*", 0, 1)
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert len(counts) == 2
+        assert all(count > 0 for count in counts)
+
+    def test_respawn_forks_frozen_and_unfreezes(self, snap_path):
+        enabled = gc.isenabled()
+        counts = []
+        with WorkerPool(
+            snap_path, workers=1, respawn_backoff=0.0,
+            mp_context=_recording_context(counts),
+        ) as pool:
+            pool.kill_worker(0)
+            pool.query("a*", 0, 1)
+            assert pool.stats()["respawns"] == 1
+            assert gc.get_freeze_count() == 0
+            assert gc.isenabled() is enabled
+        assert len(counts) == 2
+        assert all(count > 0 for count in counts)
+
+    def test_failed_handshake_unfreezes(self, snap_path):
+        enabled = gc.isenabled()
+        faults.install(FaultPlan(snapshot_truncate_at=(1,)))
+        try:
+            with pytest.raises(SnapshotError, match="could not attach"):
+                WorkerPool(snap_path, workers=1)
+        finally:
+            faults.uninstall()
+        assert gc.get_freeze_count() == 0
+        assert gc.isenabled() is enabled
+
+
+class TestPooledMemoryModel:
+    """A pooled registry serves each graph from one mapped file: the
+    parent's engine attaches the snapshot its workers attach."""
+
+    @pytest.mark.parametrize("indexed", [False, True],
+                             ids=["dbgraph", "indexed"])
+    def test_register_serves_the_spooled_mapping(self, graph, indexed):
+        registry = GraphRegistry(worker_processes=1)
+        try:
+            entry = registry.register(
+                "main", IndexedGraph(graph) if indexed else graph
+            )
+            assert_serves_attached(entry)
+            assert entry.spool_path == entry.pool.snapshot_path
+            assert entry.stats.source == (
+                "indexed" if indexed else "compiled"
+            )
+            engine = QueryEngine(IndexedGraph(graph))
+            for language, source, target in QUERIES:
+                assert_results_identical(
+                    entry.pool.query(language, source, target),
+                    engine.query(language, source, target),
+                )
+        finally:
+            registry.close()
+
+    def test_snapshot_backed_graph_is_not_spooled(self, tmp_path,
+                                                  snap_path):
+        spool = tmp_path / "spool"
+        registry = GraphRegistry(worker_processes=1, spool_dir=spool)
+        try:
+            from repro.service.snapshot import load_snapshot
+
+            entry = registry.register("main", load_snapshot(snap_path))
+            assert_serves_attached(entry)
+            assert entry.pool.snapshot_path == snap_path
+            assert entry.spool_path is None
+            assert entry.stats.source == "indexed"
+            assert not spool.exists() or not os.listdir(spool)
+        finally:
+            registry.close()
+
+    def test_temporary_graph_is_freed_before_the_pool_starts(
+        self, monkeypatch
+    ):
+        refs = []
+        alive_at_pool_start = []
+
+        def temporary_graph():
+            graph = random_labeled_graph(25, 80, "abc", seed=3)
+            refs.append(weakref.ref(graph))
+            return graph
+
+        class Probe(WorkerPool):
+            def __init__(self, *args, **kwargs):
+                alive_at_pool_start.append(refs[0]() is not None)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(workers_module, "WorkerPool", Probe)
+        registry = GraphRegistry(worker_processes=1)
+        try:
+            registry.register("main", temporary_graph())
+        finally:
+            registry.close()
+        assert alive_at_pool_start == [False]
+
+
+class TestSpoolLifecycle:
+    """The registry deletes each snapshot it spooled when the entry
+    closes (evict, close, failed registration), and never a caller's
+    own snapshot file."""
+
+    def test_evict_deletes_the_spool_file(self, graph, tmp_path):
+        registry = GraphRegistry(worker_processes=1, spool_dir=tmp_path)
+        try:
+            for round_index in range(3):
+                name = "g%d" % round_index
+                spooled = registry.register(name, graph).spool_path
+                assert os.listdir(tmp_path) == [os.path.basename(spooled)]
+                registry.evict(name)
+                assert os.listdir(tmp_path) == []
+        finally:
+            registry.close()
+
+    def test_close_deletes_spool_files_in_a_given_dir(self, graph,
+                                                      tmp_path):
+        registry = GraphRegistry(worker_processes=1, spool_dir=tmp_path)
+        registry.register("one", graph)
+        registry.register("two", graph)
+        assert len(os.listdir(tmp_path)) == 2
+        registry.close()
+        assert os.listdir(tmp_path) == []
+
+    def test_evicted_graph_keeps_serving_its_parent_engine(self, graph,
+                                                           tmp_path):
+        registry = GraphRegistry(worker_processes=1, spool_dir=tmp_path)
+        try:
+            registry.register("g", graph)
+            entry = registry.evict("g")
+            assert os.listdir(tmp_path) == []
+            # The unlinked file's pages live on under the mapping.
+            assert_results_identical(
+                entry.engine.query("a*", 0, 1),
+                QueryEngine(IndexedGraph(graph)).query("a*", 0, 1),
+            )
+        finally:
+            registry.close()
+
+    def test_failed_attach_deletes_the_spool_file(self, graph, tmp_path):
+        registry = GraphRegistry(worker_processes=1, spool_dir=tmp_path)
+        faults.install(FaultPlan(snapshot_truncate_at=(1,)))
+        try:
+            with pytest.raises(SnapshotError):
+                registry.register("g", graph)
+        finally:
+            faults.uninstall()
+        try:
+            assert os.listdir(tmp_path) == []
+            assert "g" not in registry
+        finally:
+            registry.close()
+
+    def test_raced_duplicate_deletes_its_spool_file(self, graph, tmp_path,
+                                                    monkeypatch):
+        registry = GraphRegistry(worker_processes=1, spool_dir=tmp_path)
+
+        def racing_pool(*args, **kwargs):
+            # Another registration of the same name lands while this
+            # one starts its pool.
+            monkeypatch.setattr(workers_module, "WorkerPool", WorkerPool)
+            registry.register("g", graph)
+            return WorkerPool(*args, **kwargs)
+
+        monkeypatch.setattr(workers_module, "WorkerPool", racing_pool)
+        try:
+            with pytest.raises(ServiceError) as info:
+                registry.register("g", graph)
+            assert info.value.status == 409
+            winner = registry.get("g").spool_path
+            assert os.listdir(tmp_path) == [os.path.basename(winner)]
+        finally:
+            registry.close()
+        assert os.listdir(tmp_path) == []
+
+    def test_user_snapshot_files_are_never_deleted(self, snap_path,
+                                                   tmp_path):
+        from repro.service.snapshot import load_snapshot
+
+        registry = GraphRegistry(
+            worker_processes=1, spool_dir=tmp_path / "spool"
+        )
+        registry.register_snapshot("warm", snap_path)
+        registry.register("loaded", load_snapshot(snap_path))
+        registry.evict("warm")
+        assert os.path.exists(snap_path)
+        registry.close()
+        assert os.path.exists(snap_path)
+
+    def test_indexed_graph_reregisters_after_evict(self, graph, tmp_path):
+        # The spool file goes with the entry, so the caller's graph
+        # must not stay marked as backed by it.
+        indexed = IndexedGraph(graph)
+        registry = GraphRegistry(worker_processes=1, spool_dir=tmp_path)
+        try:
+            registry.register("g", indexed)
+            registry.evict("g")
+            assert indexed._snapshot_path is None
+            entry = registry.register("g", indexed)
+            assert os.path.exists(entry.pool.snapshot_path)
+        finally:
+            registry.close()

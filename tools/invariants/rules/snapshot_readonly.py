@@ -11,8 +11,10 @@ frozen: no item stores, no ``del``, no in-place mutator calls, and no
 closing/releasing the backing mapping outside the attach error path.
 
 The rule walks ``service/snapshot.py``, ``service/workers.py`` and
-``engine/indexed.py`` — where the arrays live — (plus any module
-opting in via ``# invariant-scope: snapshot-readonly``) and flags:
+``engine/indexed.py`` — where the arrays live — and
+``service/registry.py``, whose pooled entries serve the parent's
+engine from the mapping their workers attach (plus any module opting
+in via ``# invariant-scope: snapshot-readonly``), and flags:
 
 * subscript stores, augmented stores, or ``del`` reaching through a
   guarded attribute (``x.out_targets[i] = v``);
@@ -117,6 +119,7 @@ class SnapshotReadonlyRule(Rule):
         return posix_relpath.endswith((
             "service/snapshot.py",
             "service/workers.py",
+            "service/registry.py",
             "engine/indexed.py",
         ))
 
