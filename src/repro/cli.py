@@ -651,18 +651,20 @@ def _write_jsonl(path, results):
             handle.write("\n")
 
 
-def _pooled_batch(engine, engine_kwargs, queries, workers, **overrides):
+def _pooled_batch(graph, engine_kwargs, queries, workers, **overrides):
     """``queries`` answered on a pool of ``workers`` processes.
 
     The pool's workers build their engines from ``engine_kwargs`` and
-    attach to a snapshot of ``engine``'s compiled graph, spooled to a
-    temporary directory that is removed afterwards.
+    attach to a snapshot of ``graph``, compiled and spooled to a
+    temporary directory that is removed afterwards.  This process
+    builds no engine of its own.
     """
+    from .service.snapshot import save_snapshot
     from .service.workers import WorkerPool
 
     with tempfile.TemporaryDirectory(prefix="repro-batch-") as spool:
         path = os.path.join(spool, "graph.snap")
-        engine.save_snapshot(path)
+        save_snapshot(graph, path)
         with WorkerPool(
             path, engine_kwargs=engine_kwargs, workers=workers,
         ) as pool:
@@ -676,14 +678,13 @@ def _cmd_batch(args):
     graph = graph_io.load(args.graph)
     queries = _parse_queries(args.queries)
     engine_kwargs = _engine_kwargs(args)
-    engine = QueryEngine(graph, **engine_kwargs)
     if args.workers > 1:
         batch = _pooled_batch(
-            engine, engine_kwargs, queries, args.workers,
+            graph, engine_kwargs, queries, args.workers,
             max_path_edges=args.max_path_edges,
         )
     else:
-        batch = engine.run_batch(
+        batch = QueryEngine(graph, **engine_kwargs).run_batch(
             queries, max_path_edges=args.max_path_edges
         )
     if args.jsonl:

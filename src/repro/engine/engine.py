@@ -502,27 +502,6 @@ class QueryEngine:
             return ResultCacheStats(enabled=False)
         return self._result_cache.stats()
 
-    @property
-    def snapshot_path(self) -> str | None:
-        """Path of the snapshot backing this engine's graph, or None.
-
-        Set when the compiled graph was loaded from, attached to, or
-        saved as a snapshot file.  A pre-fork pool
-        (:class:`repro.service.workers.WorkerPool`) for this engine
-        points its workers at that file instead of spooling a copy.
-        """
-        return getattr(self.graph, "_snapshot_path", None)
-
-    def save_snapshot(self, path: Any) -> int:
-        """Persist the compiled graph; returns the snapshot byte size.
-
-        Afterwards the engine is snapshot-backed (see
-        :attr:`snapshot_path`).
-        """
-        from ..service.snapshot import save_snapshot as _save_snapshot
-
-        return _save_snapshot(self.graph, path)
-
     def reachability_info(self) -> dict[str, Any] | None:
         """JSON-safe shape of the reachability index (or None if off)."""
         if not self.use_reach_index:

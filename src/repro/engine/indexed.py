@@ -49,10 +49,14 @@ disk and an attach casts zero-copy ``memoryview`` arrays over a
 read-only mapping of the file (:meth:`IndexedGraph.from_arrays`) —
 the same layout and the same read code either way.
 
-The graph is a frozen snapshot of its source: it does not track later
-mutations.  Name-level (string) reads go through :meth:`to_dbgraph`.
-Compile once per graph, reuse across every query; see
-:mod:`repro.engine` for when that pays.
+The graph is written once.  After its constructor, the only state
+ever set is the reachability parts and index, each built once; every
+adjacency read slices the arrays afresh and keeps nothing, so an
+attached graph's adjacency stays in the shared mapping however many
+queries read it.  The graph is a frozen snapshot of its source: it
+does not track later mutations.  Name-level (string) reads go through
+:meth:`to_dbgraph`.  Compile once per graph, reuse across every query;
+see :mod:`repro.engine` for when that pays.
 """
 
 from __future__ import annotations
@@ -155,11 +159,11 @@ class IndexedGraph(GraphView):
     """Immutable compiled db-graph over the snapshot's CSR arrays.
 
     See the module docstring for the twelve adjacency arrays it holds
-    (public, read-only, named as in the snapshot manifest).  Per-vertex
-    ``(label_id, other_id)`` pair tuples are decoded lazily from the
-    flat arrays into a list memo indexed by vertex id: two threads may
-    decode the same vertex, but both store equal tuples and a list
-    store is atomic under the GIL.
+    (public, read-only, named as in the snapshot manifest).  Every
+    adjacency read slices those arrays afresh and keeps nothing, so
+    after the constructor (compile, load or attach) the only state
+    ever written is the reachability parts and index, each built once;
+    concurrent readers share nothing mutable.
     """
 
     #: Memoised by :meth:`reachability`.
@@ -232,25 +236,11 @@ class IndexedGraph(GraphView):
         self._rev = _label_slices(
             self.rcsr_offsets, self.rcsr_indptr, self.rcsr_sources, width
         )
-        self._out_pairs: list[Any] = [None] * len(self._vertex_of)
-        self._in_pairs: list[Any] = [None] * len(self._vertex_of)
-        # (vertex_id, label_id) -> tuple memo over the CSR slices, so a
-        # hot (vertex, label) pair costs one dict hit instead of a new
-        # slice object per read.  Empty slices are answered with a
-        # shared () and never cached, so the memo is bounded by the
-        # number of (vertex, label) pairs that actually carry edges —
-        # O(E) per direction, not O(|V|·|Σ|).
-        self._succ_memo: dict[int, tuple[int, ...]] = {}
-        self._pred_memo: dict[int, tuple[int, ...]] = {}
         # SCC condensation + per-label condensation edges: thawed from
         # a snapshot, or computed on first use (reach_parts).
         self._reach_parts = reach_parts
         self._reach_index = None
         self._mapping = mapping
-        # Snapshot provenance: set by repro.service.snapshot when the
-        # graph was saved to / loaded from / attached to a snapshot
-        # file, so a worker pool can attach that file directly.
-        self._snapshot_path: str | None = None
 
     # -- GraphView ---------------------------------------------------------------
 
@@ -260,29 +250,21 @@ class IndexedGraph(GraphView):
 
     # invariant: hot-loop
     def out(self, vertex_id: int) -> tuple[tuple[int, int], ...]:
-        """``(label_id, target_id)`` pairs in repr order (lazy memo)."""
-        pairs = self._out_pairs[vertex_id]
-        if pairs is None:
-            start = self.out_indptr[vertex_id]
-            stop = self.out_indptr[vertex_id + 1]
-            pairs = tuple(zip(
-                self.out_labels[start:stop], self.out_targets[start:stop]
-            ))
-            self._out_pairs[vertex_id] = pairs
-        return pairs
+        """``(label_id, target_id)`` pairs in repr order."""
+        start = self.out_indptr[vertex_id]
+        stop = self.out_indptr[vertex_id + 1]
+        return tuple(zip(
+            self.out_labels[start:stop], self.out_targets[start:stop]
+        ))
 
     # invariant: hot-loop
     def in_pairs(self, vertex_id: int) -> tuple[tuple[int, int], ...]:
-        """``(label_id, source_id)`` pairs in repr order (lazy memo)."""
-        pairs = self._in_pairs[vertex_id]
-        if pairs is None:
-            start = self.in_indptr[vertex_id]
-            stop = self.in_indptr[vertex_id + 1]
-            pairs = tuple(zip(
-                self.in_labels[start:stop], self.in_sources[start:stop]
-            ))
-            self._in_pairs[vertex_id] = pairs
-        return pairs
+        """``(label_id, source_id)`` pairs in repr order."""
+        start = self.in_indptr[vertex_id]
+        stop = self.in_indptr[vertex_id + 1]
+        return tuple(zip(
+            self.in_labels[start:stop], self.in_sources[start:stop]
+        ))
 
     def out_csr(self, label_id: int) -> tuple[Sequence[int], Sequence[int]]:
         """Bulk successors-by-label: the label's ``(indptr, targets)``.
@@ -299,39 +281,21 @@ class IndexedGraph(GraphView):
     def out_by_label(
         self, vertex_id: int, label_id: int | None
     ) -> tuple[int, ...]:
-        """``label_id``-successors (ascending ids) — memoised CSR slice."""
+        """``label_id``-successors in ascending id order."""
         if label_id is None:
             return ()
-        key = vertex_id * len(self._fwd) + label_id
-        cached = self._succ_memo.get(key)
-        if cached is None:
-            indptr, targets = self._fwd[label_id]
-            start = indptr[vertex_id]
-            stop = indptr[vertex_id + 1]
-            if start == stop:
-                return ()
-            cached = tuple(targets[start:stop])
-            self._succ_memo[key] = cached
-        return cached
+        indptr, targets = self._fwd[label_id]
+        return tuple(targets[indptr[vertex_id]:indptr[vertex_id + 1]])
 
     # invariant: hot-loop
     def in_by_label(
         self, vertex_id: int, label_id: int | None
     ) -> tuple[int, ...]:
-        """``label_id``-predecessors — memoised reverse-CSR slice."""
+        """``label_id``-predecessors in ascending id order."""
         if label_id is None:
             return ()
-        key = vertex_id * len(self._rev) + label_id
-        cached = self._pred_memo.get(key)
-        if cached is None:
-            indptr, sources = self._rev[label_id]
-            start = indptr[vertex_id]
-            stop = indptr[vertex_id + 1]
-            if start == stop:
-                return ()
-            cached = tuple(sources[start:stop])
-            self._pred_memo[key] = cached
-        return cached
+        indptr, sources = self._rev[label_id]
+        return tuple(sources[indptr[vertex_id]:indptr[vertex_id + 1]])
 
     def out_degree(self, vertex_id: int) -> int:
         return self.out_indptr[vertex_id + 1] - self.out_indptr[vertex_id]

@@ -12,13 +12,15 @@ Registration accepts a mutable :class:`~repro.graphs.dbgraph.DbGraph`
 (compiled here), an already-compiled view, or a snapshot path
 (:func:`~repro.service.snapshot.load_snapshot` — the warm-start path).
 A registry that runs worker pools serves every graph through one
-pooled path: a graph registered from memory is spooled to a snapshot
-file first, and the parent's engine and every pool worker then attach
-that one file, so each pooled graph has one physical copy.
-Eviction drops the engine, its plan cache and its stats atomically,
-and deletes the file the registry spooled for the graph.
-All operations lock internally; the registry is shared by every
-request handler of the server.
+pooled path: a graph registered from memory (:meth:`register`, whatever
+the graph is) is spooled to a snapshot file first, a snapshot path
+(:meth:`register_snapshot`) is served as it stands, and the parent's
+engine and every pool worker then attach that one file, so each
+pooled graph has one physical copy.  The registry marks nothing on a
+caller's graph and never deletes a caller's file.  Eviction drops the
+engine, its plan cache and its stats atomically, and deletes the file
+the registry spooled for the graph.  All operations lock internally;
+the registry is shared by every request handler of the server.
 """
 
 from __future__ import annotations
@@ -48,6 +50,26 @@ def _safe_name(name: str) -> str:
     return "".join(
         ch if ch.isalnum() or ch in "-_." else "_" for ch in name[:48]
     )
+
+
+def _trim_heap() -> None:
+    """Hand the C heap's free pages back to the OS (glibc only).
+
+    glibc keeps a freed block that was too small for its own mapping
+    in the heap, and returns heap pages only from the top, so whether
+    a freed compile leaves the process depends on where later blocks
+    happened to land.  ``malloc_trim(0)`` releases every free page.
+    Only pooled registration trims, so only it loads :mod:`ctypes`.
+    """
+    import ctypes
+
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError):  # not glibc: nothing to trim
+        return
+    trim.argtypes = (ctypes.c_size_t,)
+    trim.restype = ctypes.c_int
+    trim(0)
 
 
 def _discard(path: str) -> None:
@@ -104,8 +126,8 @@ class RegisteredGraph:
     parent's ``engine`` serves from too); the server dispatches
     ``/query`` and ``/batch`` to it instead of the in-process engine.
     ``spool_path`` is the snapshot the registry spooled for the graph
-    (None for a graph served from the caller's own snapshot file, or
-    in process); :meth:`close` deletes it.
+    (None for a graph registered from the caller's snapshot file, or
+    served in process); :meth:`close` deletes it.
     """
 
     __slots__ = ("name", "engine", "stats", "pool", "spool_path", "_lock")
@@ -231,9 +253,9 @@ class GraphRegistry:
         from the pool.  The parent's engine and every worker attach
         read-only to one snapshot file, so the graph has one physical
         copy however many processes serve it.  Graphs registered from
-        memory (not from a snapshot file) are spooled to ``spool_dir``
-        first.  ``0`` (the default) keeps the classic in-process
-        serving path: each engine serves its own compile.
+        memory (:meth:`register`) are spooled to ``spool_dir`` first.
+        ``0`` (the default) keeps the classic in-process serving path:
+        each engine serves its own compile.
     spool_dir:
         Where pool snapshots for memory-registered graphs land; each
         is deleted when its graph is evicted or the registry closes.
@@ -310,10 +332,6 @@ class GraphRegistry:
                 retry_after=1.0,
                 error_type="spool_io",
             ) from err
-        if isinstance(graph, IndexedGraph):
-            # The spool file goes with the entry: the caller's graph
-            # must not stay marked as backed by it.
-            graph._snapshot_path = None
         return path
 
     def _serve_pooled(self, name: str, path: str, source: str,
@@ -407,14 +425,16 @@ class GraphRegistry:
         snapshot by the caller).  Returns the :class:`RegisteredGraph`.
 
         In process (``worker_processes == 0``) the engine serves its
-        own compile.  With worker pools, ``graph`` is written straight
-        to a spool snapshot, the registry drops it and collects, and
-        the spooled file is then served like :meth:`register_snapshot`
-        serves a file: the parent and every worker attach it.  A graph
-        the caller passes as a temporary (the CLI and ``POST /graphs``
-        do) is then freed before the workers fork.  An
-        :class:`IndexedGraph` already backed by a snapshot file is
-        served from that file, with no spool.
+        own compile.  With worker pools, ``graph`` is always written
+        straight to a spool snapshot, the registry drops it and
+        collects, and the spooled file is then served like
+        :meth:`register_snapshot` serves a file: the parent and every
+        worker attach it.  A graph the caller passes as a temporary
+        (the CLI and ``POST /graphs`` do) is then freed before the
+        workers fork.  The spool file belongs to the entry, and
+        nothing marks the caller's graph, so the graph can be
+        registered again after an evict.  To serve an existing
+        snapshot file without a spool, use :meth:`register_snapshot`.
         """
         with self._lock:
             self._admit(name)  # fail fast before paying for the compile
@@ -426,10 +446,7 @@ class GraphRegistry:
                 source=source, prepare_seconds=time.perf_counter() - start
             )
             return self._install(name, engine, stats)
-        path = getattr(graph, "_snapshot_path", None)
-        spooled = path is None
-        if spooled:
-            path = self._spool(name, graph)
+        path = self._spool(name, graph)
         del graph
         # One full collection after the compile is dropped and before
         # the attach.  Freed compile objects otherwise sit in CPython's
@@ -441,7 +458,12 @@ class GraphRegistry:
         # workers (mem_mb) read 71.4-72.0 MB without it and 68.3-68.4
         # MB with it.  Collecting at each fork instead read 76.3-76.4 MB.
         gc.collect()
-        return self._serve_pooled(name, path, source, start, spooled)
+        # The compile's large buffers go back to the C heap, which
+        # keeps them or not by layout alone: on that graph the
+        # server's heap held 6.3-6.5 MB or 15.8-16.2 MB depending only
+        # on the graph's name, and trimming left 6.5-6.9 MB either way.
+        _trim_heap()
+        return self._serve_pooled(name, path, source, start, spooled=True)
 
     def register_snapshot(self, name: str, path: Any) -> RegisteredGraph:
         """Warm-start ``name`` from a snapshot file on disk.

@@ -153,9 +153,12 @@ def save_snapshot(graph: Any, path: Any) -> int:
 
     ``graph`` may be an :class:`IndexedGraph` — compiled, loaded or
     attached — or anything its constructor accepts (a :class:`DbGraph`
-    is compiled first).  Its adjacency arrays are written unchanged.
-    The write is atomic: the snapshot lands under a temporary name and
-    is renamed into place, so readers never observe a partial file.
+    is compiled first).  Its adjacency arrays and reachability parts
+    are written unchanged; the graph builds those parts if it has none
+    yet, as its first :meth:`~IndexedGraph.reach_parts` call always
+    does, and is otherwise left as it was.  The write is atomic: the
+    snapshot lands under a temporary name and is renamed into place,
+    so readers never observe a partial file.
     """
     if not isinstance(graph, IndexedGraph):
         graph = IndexedGraph(graph)
@@ -216,8 +219,6 @@ def save_snapshot(graph: Any, path: Any) -> int:
         except OSError:
             pass
         raise
-    # The graph is now snapshot-backed: a pool for it attaches this file.
-    graph._snapshot_path = os.fspath(path)
     return len(blob)
 
 
@@ -328,9 +329,6 @@ def _parse(data, path, mapping=None):
         # close its mmap even while an error is propagating (the
         # per-name views in ``arrays`` are what attach mode keeps).
         array_section.release()
-    # Loaded and attached graphs are snapshot-backed: a pool for them
-    # attaches the file they came from instead of spooling a copy.
-    graph._snapshot_path = os.fspath(path)
     return graph
 
 
@@ -539,8 +537,9 @@ def attach_snapshot(path: Any) -> IndexedGraph:
 
     The returned :class:`IndexedGraph` keeps the mapping alive for its
     own lifetime and is safe for concurrent readers: the mapping is
-    ``ACCESS_READ`` and the only state written after construction is
-    process-private memos.  POSIX semantics apply to the file itself:
+    ``ACCESS_READ``, reads copy nothing into the graph, and the only
+    state written after construction is the graph's reachability
+    index, built once.  POSIX semantics apply to the file itself:
     deleting or atomically replacing the snapshot on disk does *not*
     disturb already-attached graphs (they keep serving the old inode);
     only fresh attaches see the new file — or raise a clean

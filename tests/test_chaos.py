@@ -524,12 +524,23 @@ class TestSnapshotCorruption:
 # ---------------------------------------------------------------------------
 
 
-def pool_registry(graph, **pool_extra):
-    kwargs = dict(FAST_POOL)
-    kwargs.update(pool_extra)
-    registry = GraphRegistry(worker_processes=1, pool_kwargs=kwargs)
-    registry.register("main", graph)
-    return registry
+@pytest.fixture
+def pool_registry():
+    """Builds pooled registries serving a graph as "main"; closes each
+    one at teardown, so no test leaves its workers or spool behind."""
+    registries = []
+
+    def build(graph, **pool_extra):
+        kwargs = dict(FAST_POOL)
+        kwargs.update(pool_extra)
+        registry = GraphRegistry(worker_processes=1, pool_kwargs=kwargs)
+        registries.append(registry)
+        registry.register("main", graph)
+        return registry
+
+    yield build
+    for registry in registries:
+        registry.close()
 
 
 def ask(client, endpoint, language, source, target, **overrides):
@@ -543,7 +554,8 @@ def ask(client, endpoint, language, source, target, **overrides):
 
 
 class TestWorkerChaos:
-    def test_crash_recovery_never_serves_a_wrong_answer(self, graph):
+    def test_crash_recovery_never_serves_a_wrong_answer(self, graph,
+                                                        pool_registry):
         # Every respawned worker crashes serving its 2nd request, so
         # the pool is forced through repeated crash->respawn->retry
         # cycles while the client sees only correct answers.
@@ -559,7 +571,8 @@ class TestWorkerChaos:
         assert verify_against_direct(graph, QUERIES, records) == []
         assert all(record["error"] is None for record in records)
 
-    def test_unrecovered_crash_is_structured_503(self, graph):
+    def test_unrecovered_crash_is_structured_503(self, graph,
+                                                 pool_registry):
         # Crashing on every worker's 1st request exhausts the retry
         # budget: the server must answer 503 + Retry-After with a
         # machine-readable error type, and count the crash everywhere.
@@ -578,7 +591,7 @@ class TestWorkerChaos:
         (described,) = stats["graphs"]
         assert described["worker_crashes"] == 1
 
-    def test_hang_with_deadline_maps_to_504(self, graph):
+    def test_hang_with_deadline_maps_to_504(self, graph, pool_registry):
         # Only the pre-forked worker carries the plan: its replacement
         # starts clean, so the follow-up query need not wait out a
         # second hang.
@@ -602,7 +615,8 @@ class TestWorkerChaos:
             record = client.query("a*", 0, 1)
             assert record["error"] is None
 
-    def test_batch_hang_with_deadline_maps_to_504(self, graph):
+    def test_batch_hang_with_deadline_maps_to_504(self, graph,
+                                                  pool_registry):
         # The /batch twin: the same overrun is a 504 with the same
         # message, not a 500.
         faults.install(
@@ -627,31 +641,30 @@ class TestWorkerChaos:
 
     @pytest.mark.parametrize("endpoint", ["query", "batch"])
     def test_failed_respawn_is_503_and_keeps_the_slot(self, graph,
-                                                       endpoint):
+                                                       endpoint,
+                                                       pool_registry):
         # The only worker dies and its replacement cannot attach the
         # snapshot: a server fault, fed to the crash counters, and the
         # slot survives, so the next request retries the spawn.
         registry = pool_registry(graph)
         service = QueryService(registry, ServiceConfig(workers=2))
-        try:
-            with ServiceThread(service) as running:
-                client = ServiceClient(port=running.port, timeout=10.0)
-                registry.get("main").pool.kill_worker(0)
-                faults.install(FaultPlan(snapshot_truncate_at=(1,)))
-                with pytest.raises(ServiceError) as info:
-                    ask(client, endpoint, "a*", 0, 1)
-                assert info.value.status == 503
-                assert info.value.error_type == "worker_crash"
-                assert "could not attach" in str(info.value)
-                faults.uninstall()
-                record = ask(client, endpoint, "a*", 0, 1)
-                stats = client.stats()
-        finally:
-            registry.close()
+        with ServiceThread(service) as running:
+            client = ServiceClient(port=running.port, timeout=10.0)
+            registry.get("main").pool.kill_worker(0)
+            faults.install(FaultPlan(snapshot_truncate_at=(1,)))
+            with pytest.raises(ServiceError) as info:
+                ask(client, endpoint, "a*", 0, 1)
+            assert info.value.status == 503
+            assert info.value.error_type == "worker_crash"
+            assert "could not attach" in str(info.value)
+            faults.uninstall()
+            record = ask(client, endpoint, "a*", 0, 1)
+            stats = client.stats()
         assert verify_against_direct(graph, [("a*", 0, 1)], [record]) == []
         assert stats["service"]["worker_crashes"] == 1
 
-    def test_watchdog_reaps_deadline_less_wedge(self, graph):
+    def test_watchdog_reaps_deadline_less_wedge(self, graph,
+                                                pool_registry):
         # No deadline anywhere: only the watchdog can detect the hang.
         # Each respawned worker hangs again on its 1st request, so the
         # retry budget exhausts into a 503 — but bounded by the
@@ -676,7 +689,7 @@ class TestWorkerChaos:
             record = client.query("a*", 0, 1)
             assert record["error"] is None
 
-    def test_healthz_degrades_then_recovers(self, graph):
+    def test_healthz_degrades_then_recovers(self, graph, pool_registry):
         # The marquee chaos drill: healthy -> worker crashes trip the
         # breaker and climb the ladder (degraded) -> fault source
         # stops -> service heals itself within the backoff bounds.
@@ -747,7 +760,9 @@ def _await_inflight(service, count=1, within=10.0):
 
 
 class TestSlowWorker:
-    def test_evicting_a_busy_pooled_graph_leaves_the_loop_free(self, graph):
+    def test_evicting_a_busy_pooled_graph_leaves_the_loop_free(
+        self, graph, pool_registry
+    ):
         # Closing the evicted graph's pool joins a worker still busy on
         # a 3s query; health checks must not wait for it.
         import threading
@@ -763,27 +778,24 @@ class TestSlowWorker:
             except Exception as err:  # reported by the asserts below
                 outcomes[name] = err
 
-        try:
-            with ServiceThread(service) as running:
-                client = ServiceClient(port=running.port)
-                slow = threading.Thread(target=call, args=(
-                    "query", lambda: client.query("a*", 0, 1, graph="main"),
-                ))
-                slow.start()
-                _await_inflight(service)
-                evict = threading.Thread(target=call, args=(
-                    "evict", lambda: client.evict_graph("main"),
-                ))
-                evict.start()
-                time.sleep(0.3)
-                start = time.monotonic()
-                assert client.healthz()["status"] == "ok"
-                elapsed = time.monotonic() - start
-                slow.join(timeout=30)
-                evict.join(timeout=30)
-                client.close()
-        finally:
-            registry.close()
+        with ServiceThread(service) as running:
+            client = ServiceClient(port=running.port)
+            slow = threading.Thread(target=call, args=(
+                "query", lambda: client.query("a*", 0, 1, graph="main"),
+            ))
+            slow.start()
+            _await_inflight(service)
+            evict = threading.Thread(target=call, args=(
+                "evict", lambda: client.evict_graph("main"),
+            ))
+            evict.start()
+            time.sleep(0.3)
+            start = time.monotonic()
+            assert client.healthz()["status"] == "ok"
+            elapsed = time.monotonic() - start
+            slow.join(timeout=30)
+            evict.join(timeout=30)
+            client.close()
         assert not slow.is_alive() and not evict.is_alive()
         assert elapsed < 0.5
         assert verify_against_direct(
@@ -791,7 +803,9 @@ class TestSlowWorker:
         ) == []
         assert outcomes["evict"]["evicted"] == "main"
 
-    def test_shutdown_drains_busy_and_closes_idle_connections(self, graph):
+    def test_shutdown_drains_busy_and_closes_idle_connections(
+        self, graph, pool_registry
+    ):
         # The SIGTERM path with one idle kept-alive connection and one
         # query in flight on a slow worker.
         import asyncio
@@ -848,17 +862,21 @@ class TestSpoolFaults:
         service = QueryService(registry, ServiceConfig(workers=2))
         text = graph_io.dumps(graph)
         faults.install(FaultPlan(spool_errors=1))
-        with ServiceThread(service) as running:
-            client = ServiceClient(port=running.port)
-            with pytest.raises(ServiceError) as info:
+        try:
+            with ServiceThread(service) as running:
+                client = ServiceClient(port=running.port)
+                with pytest.raises(ServiceError) as info:
+                    client.register_graph("g", text)
+                assert info.value.status == 503
+                assert info.value.error_type == "spool_io"
+                assert info.value.retry_after == pytest.approx(1.0)
+                # The injected failure budget is spent: the retry
+                # spools and pre-forks cleanly, and the pool answers
+                # correctly.
                 client.register_graph("g", text)
-            assert info.value.status == 503
-            assert info.value.error_type == "spool_io"
-            assert info.value.retry_after == pytest.approx(1.0)
-            # The injected failure budget is spent: the retry spools
-            # and pre-forks cleanly, and the pool answers correctly.
-            client.register_graph("g", text)
-            record = client.query("a*", 0, 1, graph="g")
+                record = client.query("a*", 0, 1, graph="g")
+        finally:
+            registry.close()
         # Compare against the text round-trip (the wire format names
         # vertices as strings), not the original int-vertex graph.
         served_graph = graph_io.loads(text)
@@ -1110,7 +1128,8 @@ class TestExitPaths:
         ids=["%s-%s" % (e, t or s) for e, s, t in EXIT_PATHS],
     )
     def test_exit_path_returns_weight_and_probe(self, graph, endpoint,
-                                                status, error_type):
+                                                status, error_type,
+                                                pool_registry):
         # Only the pre-forked worker carries a fault plan, and the pool
         # does not retry, so one fault fails the request and the
         # replacement worker serves the next one.
@@ -1144,34 +1163,31 @@ class TestExitPaths:
         elif status == 504:
             overrides = {"deadline_seconds": 0.2}
         full = service.config.max_inflight
-        try:
-            with ServiceThread(service) as running:
-                client = ServiceClient(port=running.port)
+        with ServiceThread(service) as running:
+            client = ServiceClient(port=running.port)
+            if status == 429:
+                service.shedder.admit(full)  # hold every slot
+            if error_type == "degraded_reach_only":
+                service.ladder.force(2)
+            try:
+                with pytest.raises(ServiceError) as info:
+                    ask(client, endpoint, language, source, target,
+                        **overrides)
+            finally:
                 if status == 429:
-                    service.shedder.admit(full)  # hold every slot
+                    service.shedder.release(full)
                 if error_type == "degraded_reach_only":
-                    service.ladder.force(2)
-                try:
-                    with pytest.raises(ServiceError) as info:
-                        ask(client, endpoint, language, source, target,
-                            **overrides)
-                finally:
-                    if status == 429:
-                        service.shedder.release(full)
-                    if error_type == "degraded_reach_only":
-                        service.ladder.force(0)
-                assert info.value.status == status
-                assert info.value.error_type == error_type
-                assert client.healthz()["inflight"] == 0
-                if error_type in ("circuit_open", "worker_crash"):
-                    # Nothing to hand back: the circuit refused the
-                    # request, or the failed probe re-opened it.
-                    assert breaker.state == "open"
-                    clock.advance(60.0)
-                record = ask(client, endpoint, "a*", 0, 1)
-                health = client.healthz()
-        finally:
-            registry.close()
+                    service.ladder.force(0)
+            assert info.value.status == status
+            assert info.value.error_type == error_type
+            assert client.healthz()["inflight"] == 0
+            if error_type in ("circuit_open", "worker_crash"):
+                # Nothing to hand back: the circuit refused the
+                # request, or the failed probe re-opened it.
+                assert breaker.state == "open"
+                clock.advance(60.0)
+            record = ask(client, endpoint, "a*", 0, 1)
+            health = client.healthz()
         assert record["error"] is None and record["found"] is True
         assert breaker.state == "closed"
         assert health["inflight"] == 0

@@ -209,6 +209,7 @@ class TestBatch:
     ):
         import tempfile
 
+        from repro.engine import QueryEngine
         from repro.service.workers import WorkerPool
 
         serial_code = main(["batch", graph_file, queries_file])
@@ -221,6 +222,16 @@ class TestBatch:
             return original(pool, *args, **kwargs)
 
         monkeypatch.setattr(WorkerPool, "run_batch", spy)
+        # Workers build their engines after the fork, in their own
+        # memory, so only this process's constructions land here.
+        engines = []
+        original_init = QueryEngine.__init__
+
+        def counting_init(engine, *args, **kwargs):
+            engines.append(engine)
+            original_init(engine, *args, **kwargs)
+
+        monkeypatch.setattr(QueryEngine, "__init__", counting_init)
         spool = tmp_path / "spool"
         spool.mkdir()
         monkeypatch.setattr(tempfile, "tempdir", str(spool))
@@ -233,6 +244,7 @@ class TestBatch:
         ((workers, snapshot),) = pooled
         assert workers == 3
         assert snapshot.startswith(str(spool))
+        assert engines == []
         assert parallel_code == serial_code
         # Per-query lines are identical; only the summary (timing,
         # worker count) may differ.

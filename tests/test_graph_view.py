@@ -10,18 +10,21 @@ path on every copy.  A ``DbGraph`` hands solvers its memoised compile,
 rebuilt after a mutation.
 """
 
+import gc
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
 from repro.core.solver import RspqSolver
-from repro.engine import indexed
+from repro.engine import QueryEngine, indexed
 from repro.engine.indexed import IndexedGraph
 from repro.errors import GraphError
 from repro.graphs.dbgraph import DbGraph
 from repro.graphs.generators import random_labeled_graph
 from repro.graphs.view import GraphView, as_graph_view
+from repro.service import GraphRegistry
 from repro.service.snapshot import (
     attach_snapshot,
     load_snapshot,
@@ -265,11 +268,12 @@ class TestCsrViewLifecycle:
                 assert list(thawed_view.in_by_label(vertex_id, label_id)) \
                     == list(compiled_view.in_by_label(vertex_id, label_id))
 
-    def test_concurrent_lazy_decode_agrees(self, tmp_path):
-        """Threads racing on the lazy pair memo all read the right pairs.
+    def test_concurrent_reads_agree(self, tmp_path):
+        """Threads reading one attached graph at once all read the
+        right pairs.
 
-        An attached graph decodes ``out`` / ``in_pairs`` on first use;
-        two threads may decode one vertex at once and both store.
+        Every ``out`` / ``in_pairs`` call slices the shared mapping
+        afresh, so the racing readers share nothing mutable.
         """
         graph = random_labeled_graph(300, 900, "abc", seed=11)
         path = str(tmp_path / "race.snap")
@@ -307,3 +311,85 @@ class TestCsrViewLifecycle:
             sys.setswitchinterval(interval)
         assert len(seen) == threads_count
         assert all(decoded == want for decoded in seen)
+
+
+class TestWrittenOnce:
+    """After its constructor (compile, load or attach), nothing writes
+    to a compiled graph but its reachability parts and index, each
+    built once."""
+
+    def test_reads_retain_nothing(self, graph, view):
+        # Every vertex id is a cached small int here, so an allocation
+        # made in indexed.py that outlives the reads below is state the
+        # graph kept.
+        engine = QueryEngine(view)  # builds the reachability index
+        vertices = list(graph.vertices())
+        source, target = vertices[0], vertices[5]
+        queries = [
+            ("ab + ba", {}),
+            ("a*(bb^+ + eps)c*", {}),
+            ("a*ba*", {}),
+            ("a*ba*", {"portfolio": True}),
+            ("(aa)*", {"max_path_edges": 3}),
+        ]
+        swept = [
+            ("a*ba*", vertex, other)
+            for vertex in vertices[:6] for other in vertices[9:15]
+        ]
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.take_snapshot()
+            for vertex_id in range(view.num_vertices):
+                view.out(vertex_id)
+                view.in_pairs(vertex_id)
+                for label_id in range(view.num_labels):
+                    view.out_by_label(vertex_id, label_id)
+                    view.in_by_label(vertex_id, label_id)
+            strategies = [
+                engine.query(language, source, target, **overrides).strategy
+                for language, overrides in queries
+            ]
+            batch = engine.run_batch(swept)
+            gc.collect()
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        assert strategies == [
+            "finite-AC0", "trc-nice-path", "exact-backtracking",
+            "portfolio:walk-probe", "exact-backtracking",
+        ]
+        assert batch.stats.sweeps == 1
+        only = [tracemalloc.Filter(True, indexed.__file__)]
+        retained = [
+            stat
+            for stat in after.filter_traces(only).compare_to(
+                before.filter_traces(only), "lineno"
+            )
+            if stat.size_diff > 0
+        ]
+        assert retained == []
+
+    def test_snapshot_io_and_registration_leave_the_graph_alone(
+        self, view, tmp_path
+    ):
+        view.reachability()
+        state = dict(vars(view))
+
+        def assert_unchanged():
+            now = vars(view)
+            assert list(now) == list(state)
+            for key, value in state.items():
+                assert now[key] is value, key
+
+        save_snapshot(view, str(tmp_path / "copy.snap"))
+        assert_unchanged()
+        registry = GraphRegistry(
+            worker_processes=1, spool_dir=tmp_path / "spool"
+        )
+        try:
+            registry.register("g", view)
+            registry.evict("g")
+        finally:
+            registry.close()
+        assert_unchanged()

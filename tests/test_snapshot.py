@@ -596,15 +596,6 @@ class TestFormatIsPinned:
         save_snapshot(attach_snapshot(snap_path), copy)
         assert _file_bytes(copy) == _file_bytes(snap_path)
 
-    def test_engine_over_an_attached_graph_saves_the_same_file(
-        self, tmp_path, snap_path
-    ):
-        copy = str(tmp_path / "engine-copy.snap")
-        engine = QueryEngine(attach_snapshot(snap_path))
-        engine.save_snapshot(copy)
-        assert _file_bytes(copy) == _file_bytes(snap_path)
-        assert engine.snapshot_path == copy
-
 
 def _poke(name, index, value):
     """A ``_rewrite_snapshot`` mutation storing ``value`` at

@@ -88,8 +88,9 @@ def assert_results_identical(served, direct):
 def assert_serves_attached(entry):
     """``entry``'s engine serves from the mapping its pool attaches."""
     graph = entry.engine.graph
-    assert entry.engine.snapshot_path == entry.pool.snapshot_path
     assert graph._mapping is not None
+    with open(entry.pool.snapshot_path, "rb") as handle:
+        assert graph._mapping[:] == handle.read()
     for name in ("out_indptr", "out_targets", "csr_targets",
                  "rcsr_sources"):
         raw = getattr(graph, name)
@@ -571,21 +572,29 @@ class TestPooledMemoryModel:
         finally:
             registry.close()
 
-    def test_snapshot_backed_graph_is_not_spooled(self, tmp_path,
-                                                  snap_path):
+    @pytest.mark.parametrize("reopen", ["load", "attach"])
+    def test_snapshot_backed_graph_is_spooled(self, tmp_path, snap_path,
+                                              reopen):
+        # A graph read from the caller's file is spooled like any
+        # other graph; serving that file is register_snapshot's job.
+        from repro.service.snapshot import attach_snapshot, load_snapshot
+
+        graph = (load_snapshot if reopen == "load" else attach_snapshot)(
+            snap_path
+        )
         spool = tmp_path / "spool"
         registry = GraphRegistry(worker_processes=1, spool_dir=spool)
         try:
-            from repro.service.snapshot import load_snapshot
-
-            entry = registry.register("main", load_snapshot(snap_path))
+            entry = registry.register("main", graph)
             assert_serves_attached(entry)
-            assert entry.pool.snapshot_path == snap_path
-            assert entry.spool_path is None
+            assert entry.spool_path == entry.pool.snapshot_path
+            assert os.path.dirname(entry.spool_path) == str(spool)
             assert entry.stats.source == "indexed"
-            assert not spool.exists() or not os.listdir(spool)
+            registry.evict("main")
+            assert os.path.exists(snap_path)
         finally:
             registry.close()
+        assert os.path.exists(snap_path)
 
     def test_temporary_graph_is_freed_before_the_pool_starts(
         self, monkeypatch
@@ -704,14 +713,13 @@ class TestSpoolLifecycle:
         assert os.path.exists(snap_path)
 
     def test_indexed_graph_reregisters_after_evict(self, graph, tmp_path):
-        # The spool file goes with the entry, so the caller's graph
-        # must not stay marked as backed by it.
+        # The spool file goes with the entry, and registering marks
+        # nothing on the caller's graph.
         indexed = IndexedGraph(graph)
         registry = GraphRegistry(worker_processes=1, spool_dir=tmp_path)
         try:
             registry.register("g", indexed)
             registry.evict("g")
-            assert indexed._snapshot_path is None
             entry = registry.register("g", indexed)
             assert os.path.exists(entry.pool.snapshot_path)
         finally:
