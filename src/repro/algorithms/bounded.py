@@ -151,7 +151,7 @@ def _word_path_ids(view, source_id, target_id, word_label_ids, visited,
         # Empty word between distinct vertices, or a letter labeling
         # no edge at all — no path can spell it.
         return None
-    out_by_label = view.out_by_label
+    out = view.out
     last_position = len(word_label_ids) - 1
     vertices = [source_id]
     visited[source_id] = 1
@@ -162,8 +162,10 @@ def _word_path_ids(view, source_id, target_id, word_label_ids, visited,
             return current == target_id
         # The last letter must land exactly on the target; intermediate
         # letters must avoid it (a simple path visits it only once).
-        for nxt in out_by_label(current, word_label_ids[position]):
-            if visited[nxt]:
+        # The letter's edges come out of ``out`` in ascending id order.
+        letter = word_label_ids[position]
+        for label_id, nxt in out(current):
+            if label_id != letter or visited[nxt]:
                 continue
             if position < last_position and nxt == target_id:
                 continue

@@ -504,7 +504,7 @@ def _cmd_explain(args):
         engine = QueryEngine(graph)
         print(
             "graph view     : csr (IndexedGraph over %s: |V|=%d |E|=%d, "
-            "label-partitioned CSR + reverse CSR)"
+            "one CSR per direction, edges grouped by label)"
             % (
                 args.graph,
                 engine.graph.num_vertices,

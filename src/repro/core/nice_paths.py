@@ -144,19 +144,6 @@ def _min_remaining(segments):
     return totals
 
 
-def _single_label(mask):
-    """The label id of a one-bit mask, else ``None`` (0 or multi-bit).
-
-    Single-symbol classes dominate real Ψtr decompositions, and a
-    one-label restriction can iterate the view's label-partitioned
-    adjacency slice directly instead of scanning every out-edge
-    against the mask — the access pattern the CSR layout exists for.
-    """
-    if mask and not mask & (mask - 1):
-        return mask.bit_length() - 1
-    return None
-
-
 # -- sequence NFA for live-set pruning --------------------------------------------
 
 
@@ -280,11 +267,6 @@ def _live_table(view, nfa, source_id, target_id, from_source=None,
     size = view.num_vertices * num_states
     rev_letters, rev_eps = nfa.predecessors()
     in_pairs = view.in_pairs
-    in_by_label = view.in_by_label
-    rev_info = [
-        [(mask, _single_label(mask), source) for mask, source in arcs]
-        for arcs in rev_letters
-    ]
     backward = bytearray(size)
     stack = []
     node = target_id * num_states + nfa.final
@@ -298,16 +280,14 @@ def _live_table(view, nfa, source_id, target_id, from_source=None,
             if not backward[nxt]:
                 backward[nxt] = 1
                 stack.append(nxt)
-        for mask, label, nfa_source in rev_info[state]:
-            if label is not None:
-                sources = in_by_label(vertex_id, label)
-            else:
-                sources = [
-                    graph_source
-                    for label_id, graph_source in in_pairs(vertex_id)
-                    if mask >> label_id & 1
-                ]
-            for graph_source in sources:
+        arcs = rev_letters[state]
+        if not arcs:
+            continue
+        edges = in_pairs(vertex_id)
+        for mask, nfa_source in arcs:
+            for label_id, graph_source in edges:
+                if not mask >> label_id & 1:
+                    continue
                 if from_source is not None and not (
                     from_source[comp_of[graph_source]]
                 ):
@@ -492,7 +472,6 @@ class _SequenceSearch:
                  weight_fn=None, use_live_pruning=True, reach_index=None):
         self.view = view
         self._out = view.out
-        self._out_by_label = view.out_by_label
         self.segments = segments
         self.source_id = source_id
         self.target_id = target_id
@@ -564,22 +543,12 @@ class _SequenceSearch:
         if cached is not None:
             return cached
         out = self._out
-        out_by_label = self._out_by_label
-        single = _single_label(mask)
         seen = set()
         queue = deque((vertex_id,))
         while queue:
             current = queue.popleft()
-            if single is not None:
-                successors = out_by_label(current, single)
-            else:
-                successors = [
-                    nxt
-                    for label_id, nxt in out(current)
-                    if mask >> label_id & 1
-                ]
-            for nxt in successors:
-                if nxt not in seen:
+            for label_id, nxt in out(current):
+                if mask >> label_id & 1 and nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
         result = tuple(sorted(seen))
@@ -654,15 +623,21 @@ class _SequenceSearch:
             self._search(seg_index + 1, exit_state, pieces, pinned)
             if state == exit_state:
                 return
+        arcs = self._pinned_arcs[state]
+        if not arcs:
+            return
         run = pieces[-1]
         vertices = run.vertices
         labels = run.labels
         current = vertices[-1]
         live = self.live
         num_states = self._num_nfa_states
-        for label_id, next_state in self._pinned_arcs[state]:
-            for target in self._out_by_label(current, label_id):
-                if pinned[target]:
+        # One read of the vertex's edges, filtered per pinned arc: a
+        # label's edges keep their ascending id order.
+        edges = self._out(current)
+        for label_id, next_state in arcs:
+            for edge_label, target in edges:
+                if edge_label != label_id or pinned[target]:
                     continue
                 if live is not None and not live[
                     target * num_states + next_state

@@ -9,14 +9,14 @@ neighbour order, which the seed obtained by re-sorting adjacency by
 ``repr`` at every expansion.  :class:`IndexedGraph` compiles the edge
 set once into the int64 arrays a snapshot stores (one integer key per
 edge and direction, each direction sorted once): vertices become
-contiguous ints, forward and reverse
-adjacency become repr-sorted CSR arrays, and each label gets
-CSR-style ``indptr``/``targets`` arrays — forward *and* reverse — for
-label-restricted traversal.  The compiled graph is the one
-integer-native :class:`~repro.graphs.view.GraphView` the solver cores
-walk: every engine query runs on the engine's own compile, and a
-direct solve on a ``DbGraph`` runs on the graph's memoised compile
-(``DbGraph.view()``), so both return bit-identical paths.
+contiguous ints, and forward and reverse adjacency become one
+repr-sorted CSR each, whose vertex slices group edges by label, so a
+label-restricted traversal filters the slice.  The compiled graph is
+the one integer-native :class:`~repro.graphs.view.GraphView` the
+solver cores walk: every engine query runs on the engine's own
+compile, and a direct solve on a ``DbGraph`` runs on the graph's
+memoised compile (``DbGraph.view()``), so both return bit-identical
+paths.
 (``IndexedGraph.to_dbgraph()`` rebuilds the name-level ``DbGraph``
 for callers that want string reads.)
 

@@ -2,8 +2,8 @@
 
 :class:`IndexedGraph` compiles a
 :class:`~repro.graphs.dbgraph.DbGraph` from its edge set E into the
-int64 arrays a v3 snapshot stores (:mod:`repro.service.snapshot`),
-under the snapshot manifest's names:
+six int64 adjacency arrays a v4 snapshot stores
+(:mod:`repro.service.snapshot`), under the snapshot manifest's names:
 
 * vertices mapped to contiguous ints ``0..n-1`` in the same repr-sorted
   order that ``DbGraph.vertices()`` uses, labels to ``0..L-1`` in
@@ -11,20 +11,19 @@ under the snapshot manifest's names:
   order" returns bit-identical paths on every copy of a graph;
 * ``out_indptr`` / ``out_labels`` / ``out_targets`` and
   ``in_indptr`` / ``in_labels`` / ``in_sources``: forward and reverse
-  adjacency as one CSR each, every vertex's slice in repr order;
-* ``csr_offsets`` / ``csr_indptr`` / ``csr_targets``: the per-label
-  forward CSR for label-restricted traversals — the layout the
-  color-coding exemplar uses to amortise graph preparation across many
-  trials — and ``rcsr_offsets`` / ``rcsr_indptr`` / ``rcsr_sources``,
-  its label-partitioned reverse for backward product searches.
+  adjacency as one CSR each, every vertex's slice in repr order.
+
+A vertex's slice groups its edges by label, labels in rank order,
+with ascending ids inside a label, so a label-restricted read (a
+pinned word letter, one DFA transition) filters the slice it already
+holds: the edges it keeps come out in ascending id order.
 
 The compile is flat.  Each edge gets one integer key per direction,
 ``(source id, label rank, target id)`` forward and ``(target id, label
 rank, source id)`` backward, packed as ``(v * L + rank) * n + w``, and
-each direction's keys are sorted once.  The sorted forward keys are
-the forward CSR (``out_indptr`` is bisected off them); a stable bucket
-pass by label turns them into the per-label forward CSR.  The backward
-keys give the reverse CSR and its label-partitioned form the same way.
+each direction's keys are sorted once.  The sorted keys are the CSR:
+``indptr`` counts each vertex's keys, and the label and other id of
+each edge are read back off its key.
 
 Why the key order is the repr order: a vertex's adjacency is sorted by
 ``repr((label, other))``.  No one-symbol label's repr is a prefix of
@@ -63,7 +62,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from operator import floordiv, mod
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -75,7 +74,7 @@ from ..graphs.view import GraphView
 
 def _compile(id_of: Mapping[Any, int], label_of: Sequence[str],
              edges: Iterable[Edge]) -> dict[str, list[int]]:
-    """The twelve adjacency arrays of ``edges``, by manifest name."""
+    """The six adjacency arrays of ``edges``, by manifest name."""
     n = len(id_of)
     num_labels = len(label_of)
     # Label ids in rank (repr) order, and each label's rank times n.
@@ -94,10 +93,8 @@ def _compile(id_of: Mapping[Any, int], label_of: Sequence[str],
     backward.sort()
     arrays: dict[str, list[int]] = {}
     for keys, names in (
-        (forward, ("out_indptr", "out_labels", "out_targets",
-                   "csr_offsets", "csr_indptr", "csr_targets")),
-        (backward, ("in_indptr", "in_labels", "in_sources",
-                    "rcsr_offsets", "rcsr_indptr", "rcsr_sources")),
+        (forward, ("out_indptr", "out_labels", "out_targets")),
+        (backward, ("in_indptr", "in_labels", "in_sources")),
     ):
         arrays.update(zip(names, _direction(keys, n, by_rank)))
     return arrays
@@ -105,60 +102,26 @@ def _compile(id_of: Mapping[Any, int], label_of: Sequence[str],
 
 def _direction(keys: list[int], n: int,
                by_rank: Sequence[int]) -> tuple[list[int], ...]:
-    """One direction's CSR and per-label CSR from its sorted keys.
+    """One direction's ``(indptr, label ids, others)`` from its keys.
 
     ``keys`` holds ``(vertex * L + rank) * n + other`` per edge in
     ascending order, and ``by_rank[rank]`` is the label id of ``rank``.
-    Returns ``(indptr, label ids, others)`` for the whole adjacency,
-    then ``(offsets, indptr, others)`` for the per-label CSR: label
-    ``j`` owns rows ``j*(n+1):(j+1)*(n+1)`` of that indptr and the
-    slice ``offsets[j]:offsets[j+1]`` of its others, which keep the
-    ``(vertex, other)`` order of ``keys``.
     """
     width = len(by_rank) or 1  # an edgeless graph has no labels
     rows = list(map(floordiv, keys, repeat(n)))  # vertex * L + rank
     others = list(map(mod, keys, repeat(n)))
     labels = list(map(by_rank.__getitem__, map(mod, rows, repeat(width))))
-    # starts[row] is the position of the row's first edge in ``keys``.
-    per_row = Counter(rows)
-    starts = list(accumulate(
-        map(per_row.get, range(n * width), repeat(0)), initial=0
+    per_vertex = Counter(map(floordiv, rows, repeat(width)))
+    indptr = list(accumulate(
+        map(per_vertex.get, range(n), repeat(0)), initial=0
     ))
-    rank_of = {label_id: rank for rank, label_id in enumerate(by_rank)}
-    label_indptr: list[int] = []
-    for label_id in range(len(by_rank)):
-        rank = rank_of[label_id]
-        label_indptr.extend(accumulate(
-            map(per_row.get, range(rank, n * width, width), repeat(0)),
-            initial=0,
-        ))
-    buckets: list[list[int]] = [[] for _ in by_rank]
-    for label_id, other in zip(labels, others):
-        buckets[label_id].append(other)
-    return (
-        starts[::width], labels, others,
-        [0, *accumulate(map(len, buckets))], label_indptr,
-        list(chain.from_iterable(buckets)),
-    )
-
-
-def _label_slices(offsets, indptr, values, width):
-    """``[(indptr row, value slice)]`` per label, as memoryview slices."""
-    indptr = memoryview(indptr)
-    values = memoryview(values)
-    return [
-        (
-            indptr[label_id * width:(label_id + 1) * width],
-            values[offsets[label_id]:offsets[label_id + 1]],
-        )
-        for label_id in range(len(offsets) - 1)
-    ]
+    return indptr, labels, others
 
 
 class IndexedGraph(GraphView):
     """Immutable compiled db-graph over the snapshot's CSR arrays.
 
-    See the module docstring for the twelve adjacency arrays it holds
+    See the module docstring for the six adjacency arrays it holds
     (public, read-only, named as in the snapshot manifest).  Every
     adjacency read slices those arrays afresh and keeps nothing, so
     after the constructor (compile, load or attach) the only state
@@ -188,7 +151,7 @@ class IndexedGraph(GraphView):
                     mapping: Any = None) -> "IndexedGraph":
         """Wrap arrays already in the compiled layout — no recompile.
 
-        ``arrays`` maps the twelve adjacency array names to int64
+        ``arrays`` maps the six adjacency array names to int64
         sequences (``array("q")`` or ``memoryview``) that a previous
         compile produced; the caller guarantees they are consistent
         (:mod:`repro.service.snapshot` validates a file before calling
@@ -221,21 +184,6 @@ class IndexedGraph(GraphView):
         self.in_indptr = arrays["in_indptr"]
         self.in_labels = arrays["in_labels"]
         self.in_sources = arrays["in_sources"]
-        self.csr_offsets = arrays["csr_offsets"]
-        self.csr_indptr = arrays["csr_indptr"]
-        self.csr_targets = arrays["csr_targets"]
-        self.rcsr_offsets = arrays["rcsr_offsets"]
-        self.rcsr_indptr = arrays["rcsr_indptr"]
-        self.rcsr_sources = arrays["rcsr_sources"]
-        # Per-label (indptr row, value slice) pairs: zero-copy
-        # memoryview slices of the flat per-label arrays.
-        width = len(self._vertex_of) + 1
-        self._fwd = _label_slices(
-            self.csr_offsets, self.csr_indptr, self.csr_targets, width
-        )
-        self._rev = _label_slices(
-            self.rcsr_offsets, self.rcsr_indptr, self.rcsr_sources, width
-        )
         # SCC condensation + per-label condensation edges: thawed from
         # a snapshot, or computed on first use (reach_parts).
         self._reach_parts = reach_parts
@@ -250,7 +198,8 @@ class IndexedGraph(GraphView):
 
     # invariant: hot-loop
     def out(self, vertex_id: int) -> tuple[tuple[int, int], ...]:
-        """``(label_id, target_id)`` pairs in repr order."""
+        """``(label_id, target_id)`` pairs in repr order: grouped by
+        label in rank order, ascending target ids inside a label."""
         start = self.out_indptr[vertex_id]
         stop = self.out_indptr[vertex_id + 1]
         return tuple(zip(
@@ -259,46 +208,13 @@ class IndexedGraph(GraphView):
 
     # invariant: hot-loop
     def in_pairs(self, vertex_id: int) -> tuple[tuple[int, int], ...]:
-        """``(label_id, source_id)`` pairs in repr order."""
+        """``(label_id, source_id)`` pairs in repr order: grouped by
+        label in rank order, ascending source ids inside a label."""
         start = self.in_indptr[vertex_id]
         stop = self.in_indptr[vertex_id + 1]
         return tuple(zip(
             self.in_labels[start:stop], self.in_sources[start:stop]
         ))
-
-    def out_csr(self, label_id: int) -> tuple[Sequence[int], Sequence[int]]:
-        """Bulk successors-by-label: the label's ``(indptr, targets)``.
-
-        ``targets[indptr[v]:indptr[v + 1]]`` lists the ``label_id``-
-        successors of vertex ``v`` in ascending id order: zero-copy
-        slices of the per-label CSR arrays, so a multi-source sweep
-        (:mod:`repro.engine.vectorized`) expands every pending query's
-        frontier through one label without a per-vertex method call.
-        """
-        return self._fwd[label_id]
-
-    # invariant: hot-loop
-    def out_by_label(
-        self, vertex_id: int, label_id: int | None
-    ) -> tuple[int, ...]:
-        """``label_id``-successors in ascending id order."""
-        if label_id is None:
-            return ()
-        indptr, targets = self._fwd[label_id]
-        return tuple(targets[indptr[vertex_id]:indptr[vertex_id + 1]])
-
-    # invariant: hot-loop
-    def in_by_label(
-        self, vertex_id: int, label_id: int | None
-    ) -> tuple[int, ...]:
-        """``label_id``-predecessors in ascending id order."""
-        if label_id is None:
-            return ()
-        indptr, sources = self._rev[label_id]
-        return tuple(sources[indptr[vertex_id]:indptr[vertex_id + 1]])
-
-    def out_degree(self, vertex_id: int) -> int:
-        return self.out_indptr[vertex_id + 1] - self.out_indptr[vertex_id]
 
     # -- reachability index -------------------------------------------------------
 
@@ -306,9 +222,9 @@ class IndexedGraph(GraphView):
         """The SCC condensation parts ``(comp_of, num_comps, label_edges)``.
 
         Computed once per compiled graph (iterative Tarjan over the
-        forward adjacency in canonical order) and cached; snapshot
-        format v3 persists the result so a warm start thaws the index
-        instead of re-condensing.
+        forward adjacency in canonical order) and cached; a snapshot
+        persists the result so a warm start thaws the index instead of
+        re-condensing.
         """
         if self._reach_parts is None:
             self._reach_parts = condense(len(self._vertex_of), self.out)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import threading
 from array import array
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator
 
@@ -139,24 +139,25 @@ def product_moves(view: "GraphView", dfa: Any) -> tuple[list[int], list]:
     """The live product graph of ``dfa`` × ``view``'s CSR arrays.
 
     Returns ``(slots, moves)``: ``slots[state]`` numbers the live DFA
-    states ``0..width-1`` (-1 for dead states), and ``moves[slot]``
-    lists ``(indptr, targets, next_slot)`` for every label leading
-    from that live state into a live state.  Product nodes are packed
-    as ``vertex_id * width + slot``.
+    states ``0..width-1`` (-1 for dead states), and ``moves[slot]`` is
+    one ``next_slot[label_id]`` row: the slot an edge with that label
+    leads to from the live state, or -1 when it leads to a dead state
+    (or the label is outside the DFA's alphabet).  Product nodes are
+    packed as ``vertex_id * width + slot``; an edge of vertex
+    ``vertex_id``'s ``out_indptr`` slice is a product edge from the
+    slot exactly when its row entry is a slot.
     """
     live = live_state_row(dfa)
     live_states = [state for state in range(dfa.num_states) if live[state]]
     slots = [-1] * dfa.num_states
     for slot, state in enumerate(live_states):
         slots[state] = slot
-    moves: list[list] = [[] for _ in live_states]
+    moves = [[-1] * view.num_labels for _ in live_states]
     for label_id, row in enumerate(transition_rows(dfa, view)):
         if row is None:
             continue
-        pair = view.out_csr(label_id)
         for slot, state in enumerate(live_states):
-            if slots[row[state]] >= 0:
-                moves[slot].append((*pair, slots[row[state]]))
+            moves[slot][label_id] = slots[row[state]]
     return slots, moves
 
 
@@ -167,7 +168,13 @@ def build_cost(view: "GraphView", dfa: Any) -> int | None:
     nodes = view.num_vertices * len(moves)
     if nodes * nodes > CERTIFICATE_BIT_CAP:
         return None
-    edges = sum(len(targets) for out in moves for _i, targets, _s in out)
+    per_label = Counter(view.out_labels)
+    edges = sum(
+        per_label[label_id]
+        for row in moves
+        for label_id, next_slot in enumerate(row)
+        if next_slot >= 0
+    )
     return int(BUILD_COST_PER_UNIT * (nodes + edges))
 
 
@@ -188,13 +195,18 @@ class WalkCertificate:
     def __init__(self, view: "GraphView", dfa: Any) -> None:
         slots, moves = product_moves(view, dfa)
         width = len(moves)
+        out_indptr = view.out_indptr
+        out_labels = view.out_labels
+        out_targets = view.out_targets
 
         def out(node):
             vertex_id, slot = divmod(node, width)
-            for indptr, targets, next_slot in moves[slot]:
-                for position in range(indptr[vertex_id],
-                                      indptr[vertex_id + 1]):
-                    yield 0, targets[position] * width + next_slot
+            move = moves[slot]
+            for position in range(out_indptr[vertex_id],
+                                  out_indptr[vertex_id + 1]):
+                next_slot = move[out_labels[position]]
+                if next_slot >= 0:
+                    yield 0, out_targets[position] * width + next_slot
 
         comp_of, num_comps, label_edges = condense(
             view.num_vertices * width, out
@@ -251,6 +263,9 @@ def sweep_group(
     dfa: Any = plan.solver.language.dfa
     slots, moves = product_moves(view, dfa)
     width = len(moves)
+    out_indptr = view.out_indptr
+    out_labels = view.out_labels
+    out_targets = view.out_targets
     start = slots[dfa.initial]
     accept_row = bytearray(width)
     for state in dfa.accepting:
@@ -288,33 +303,34 @@ def sweep_group(
             if not bits:
                 continue
             vertex_id, slot = divmod(node, width)
-            for indptr, targets, next_slot in moves[slot]:
-                lo = indptr[vertex_id]
-                hi = indptr[vertex_id + 1]
-                expansions += hi - lo
-                accepts = accept_row[next_slot]
-                for position in range(lo, hi):
-                    successor = targets[position]
-                    next_node = successor * width + next_slot
-                    seen = reached.get(next_node, 0)
-                    new_bits = bits & ~seen
-                    if not new_bits:
-                        continue
-                    reached[next_node] = seen | new_bits
-                    if accepts:
-                        hit = new_bits & target_bits.get(successor, 0)
-                        if hit:
-                            for member in iter_members(hit):
-                                outcome.positives.append(member)
-                                outcome.steps[member] = outcome.rounds
-                            active &= ~hit
-                            new_bits &= ~hit
-                            bits &= active
-                            if not new_bits:
-                                continue
-                    next_frontier[next_node] = (
-                        next_frontier.get(next_node, 0) | new_bits
-                    )
+            move = moves[slot]
+            for position in range(out_indptr[vertex_id],
+                                  out_indptr[vertex_id + 1]):
+                next_slot = move[out_labels[position]]
+                if next_slot < 0:
+                    continue
+                expansions += 1
+                successor = out_targets[position]
+                next_node = successor * width + next_slot
+                seen = reached.get(next_node, 0)
+                new_bits = bits & ~seen
+                if not new_bits:
+                    continue
+                reached[next_node] = seen | new_bits
+                if accept_row[next_slot]:
+                    hit = new_bits & target_bits.get(successor, 0)
+                    if hit:
+                        for member in iter_members(hit):
+                            outcome.positives.append(member)
+                            outcome.steps[member] = outcome.rounds
+                        active &= ~hit
+                        new_bits &= ~hit
+                        bits &= active
+                        if not new_bits:
+                            continue
+                next_frontier[next_node] = (
+                    next_frontier.get(next_node, 0) | new_bits
+                )
         # Members whose own frontier died this round are decided: no
         # L-walk reaches their target, so NOT_FOUND is proven for them
         # even while other members keep sweeping.

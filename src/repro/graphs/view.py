@@ -1,9 +1,9 @@
 """GraphView — the integer-native read layer under the solver cores.
 
 The three solver cores (finite / tractable / exact) spend their hot
-loops asking the same four questions: *what are this vertex's
-successors, partitioned by label?  what is its out-degree?  who points
-at it?  have I visited it?*  A :class:`GraphView` answers them in
+loops asking the same three questions: *what are this vertex's
+labelled out-edges?  who points at it, under which labels?  have I
+visited it?*  A :class:`GraphView` answers them in
 integers: vertices carry contiguous ids ``0..n-1`` assigned in the
 graph's deterministic (repr-sorted) order, labels carry ids ``0..L-1``
 in sorted order, and label *sets* become bitmasks — so a visited set
@@ -11,15 +11,17 @@ is a flat ``bytearray`` index, a label-class test is one
 shift-and-mask, and a DFA transition is a list lookup.
 
 The one implementation is the compiled graph,
-:class:`~repro.engine.indexed.IndexedGraph`: frozen int64 CSR arrays
-for forward and reverse adjacency, per label and whole, built by a
-compile, copied from a snapshot, or mapped from one.  Every solve
+:class:`~repro.engine.indexed.IndexedGraph`: one frozen int64 CSR
+per direction, built by a compile, copied from a snapshot, or mapped
+from one.  Every solve
 walks it.  :class:`~repro.engine.QueryEngine` (and therefore every
 batch and HTTP-served query) compiles its own; a direct solve on a
 :class:`~repro.graphs.dbgraph.DbGraph` walks the graph's memoised
 compile (``DbGraph.view()``, recompiled after a mutation).  Adjacency
-iterates in the repr order every solver historically sorted into, so
-a solve returns the same path on every copy of a graph, whether
+iterates in the repr order every solver historically sorted into —
+grouped by label in rank order, ascending ids inside a label — so a
+label-restricted read filters a vertex's edges and keeps that order,
+and a solve returns the same path on every copy of a graph, whether
 compiled, loaded or attached.
 
 :func:`as_graph_view` is the solvers' entry point: it returns a view
@@ -39,20 +41,23 @@ class GraphView:
 
     Subclasses provide ``_vertex_of`` / ``_id_of`` (vertex tables),
     ``_label_of`` / ``_label_ids`` (label tables), the adjacency
-    methods :meth:`out`, :meth:`out_by_label`, :meth:`out_csr`,
-    :meth:`in_pairs`, :meth:`in_by_label` and :meth:`out_degree`, and
-    ``reachability()``, the graph's
-    :class:`~repro.graphs.reach.ReachabilityIndex`.  Vertex ids follow
-    the repr-sorted vertex order; label ids follow sorted label order;
-    adjacency iterates in the repr order every solver historically
-    sorted into.
+    methods ``out`` and ``in_pairs`` over the ``out_*`` and ``in_*``
+    CSR arrays, and ``reachability()``, the graph's
+    :class:`~repro.graphs.reach.ReachabilityIndex`.  Vertex
+    ids follow the repr-sorted vertex order; label ids follow sorted
+    label order; adjacency iterates in the repr order every solver
+    historically sorted into.
     """
 
-    #: Subclass contract: the id tables behind the generic accessors.
+    #: Subclass contract: the id tables behind the generic accessors...
     _vertex_of: Sequence[Any]
     _id_of: dict[Any, int]
     _label_of: Sequence[str]
     _label_ids: dict[str, int]
+    #: ...and the forward CSR, which the vectorized sweep walks by index.
+    out_indptr: Sequence[int]
+    out_labels: Sequence[int]
+    out_targets: Sequence[int]
 
     # -- id tables ---------------------------------------------------------------
 

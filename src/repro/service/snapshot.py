@@ -2,23 +2,22 @@
 
 Compiling a :class:`~repro.engine.indexed.IndexedGraph` from a
 :class:`~repro.graphs.dbgraph.DbGraph` sorts one integer key per edge in
-each direction and buckets the per-label CSRs from the two orders.  A
-snapshot stores the *result* of that work in the compiled graph's own
-layout: :func:`save_snapshot` writes its int64 arrays unchanged,
-:func:`load_snapshot` copies them back into process-private
-``array("q")`` storage, and :func:`attach_snapshot` casts zero-copy
-``memoryview`` arrays over a read-only mapping of the file.  Neither
-sorts nor re-encodes anything, which is what lets a restarted query
-service warm-start in a fraction of the compile time
+each direction.  A snapshot stores the *result* of that work in the
+compiled graph's own layout: :func:`save_snapshot` writes its int64
+arrays unchanged, :func:`load_snapshot` copies them back into
+process-private ``array("q")`` storage, and :func:`attach_snapshot`
+casts zero-copy ``memoryview`` arrays over a read-only mapping of the
+file.  Neither sorts nor re-encodes anything, which is what lets a
+restarted query service warm-start in a fraction of the compile time
 (``benchmarks/bench_service.py`` asserts the speedup).
 
-Format (version 3)
+Format (version 4)
 ------------------
 
 Little-endian throughout::
 
     offset 0   magic          8 bytes  b"RSPQSNAP"
-    offset 8   version        u32      3
+    offset 8   version        u32      4
     offset 12  header_len     u32
     offset 16  header         header_len bytes of UTF-8 JSON
     ...        payload_crc32  u32      zlib.crc32 of header + arrays
@@ -27,25 +26,15 @@ Little-endian throughout::
 The JSON header carries the label table, the vertex table (ints and
 strings only — JSON round-trips both losslessly) and an ordered
 ``arrays`` manifest of ``[name, element_count]`` pairs describing the
-binary section:
+binary section's ten arrays:
 
 ``out_indptr`` / ``out_labels`` / ``out_targets``
     Forward adjacency in compiled (repr) order as one CSR: vertex ``i``
     owns slice ``out_indptr[i]:out_indptr[i+1]``; labels are indices
-    into the label table, targets are vertex ids.
+    into the label table, targets are vertex ids.  A slice groups its
+    edges by label (labels in rank order, ascending ids inside one).
 ``in_indptr`` / ``in_labels`` / ``in_sources``
     Reverse adjacency, same encoding.
-``csr_offsets`` / ``csr_indptr`` / ``csr_targets``
-    The per-label CSR arrays exactly as the compiled graph stores them:
-    label ``j`` owns ``csr_indptr`` rows ``j*(n+1):(j+1)*(n+1)`` and
-    the ``csr_targets`` slice ``csr_offsets[j]:csr_offsets[j+1]``.
-``rcsr_offsets`` / ``rcsr_indptr`` / ``rcsr_sources``
-    The label-partitioned *reverse* CSR, same layout as the forward
-    per-label section: label ``j`` owns ``rcsr_indptr`` rows
-    ``j*(n+1):(j+1)*(n+1)`` and the ``rcsr_sources`` slice
-    ``rcsr_offsets[j]:rcsr_offsets[j+1]``.  Solvers use it for
-    backward product searches; persisting it means a warm start
-    rebuilds nothing.
 ``scc_comp_of`` / ``scc_edge_labels`` / ``scc_edge_sources`` /
 ``scc_edge_targets``
     The label-constrained reachability index's compiled parts:
@@ -56,17 +45,17 @@ binary section:
     A warm start thaws the index instead of re-running Tarjan; the
     closure bitsets stay lazy either way.
 
-Only version 3 is written and read: a file of any other version fails
+Only version 4 is written and read: a file of any other version fails
 its load with a :class:`~repro.errors.SnapshotError` naming that
 version (rebuild it from the graph file with ``repro snapshot``).
 Loading and attaching validate magic, version, header shape, the
 checksum over the header-plus-arrays payload, and the contents
 against each other (distinct vertex and label tables, every id
-indexes its table, every indptr row is a valid CSR row), raising :class:`~repro.errors.SnapshotError` with the reason
-on any mismatch — a truncated, bit-rotted or inconsistent snapshot
-never produces a silently wrong graph.  Files are written atomically
-(tmp + rename), so a crash mid-save cannot corrupt an existing
-snapshot.
+indexes its table, every indptr is a valid CSR row), raising
+:class:`~repro.errors.SnapshotError` with the reason on any mismatch
+— a truncated, bit-rotted or inconsistent snapshot never produces a
+silently wrong graph.  Files are written atomically (tmp + rename),
+so a crash mid-save cannot corrupt an existing snapshot.
 """
 
 from __future__ import annotations
@@ -78,6 +67,8 @@ import struct
 import sys
 import zlib
 from array import array
+from itertools import islice
+from operator import le
 from typing import Any
 
 from ..errors import SnapshotError
@@ -85,13 +76,13 @@ from ..engine.indexed import IndexedGraph
 from . import faults
 
 MAGIC = b"RSPQSNAP"
-FORMAT_VERSION = 3
-SUPPORTED_VERSIONS = (3,)
+FORMAT_VERSION = 4
+SUPPORTED_VERSIONS = (4,)
 
 _U32 = struct.Struct("<I")
 
 #: Manifest order of the binary arrays (fixed for determinism): the
-#: adjacency and forward per-label CSR section first...
+#: forward and reverse CSR first...
 _ARRAY_NAMES_V1 = (
     "out_indptr",
     "out_labels",
@@ -99,13 +90,7 @@ _ARRAY_NAMES_V1 = (
     "in_indptr",
     "in_labels",
     "in_sources",
-    "csr_offsets",
-    "csr_indptr",
-    "csr_targets",
 )
-
-#: ...then the label-partitioned reverse CSR...
-_REVERSE_ARRAY_NAMES = ("rcsr_offsets", "rcsr_indptr", "rcsr_sources")
 
 #: ...then the reachability index (SCC condensation).
 _REACH_ARRAY_NAMES = (
@@ -115,7 +100,7 @@ _REACH_ARRAY_NAMES = (
     "scc_edge_targets",
 )
 
-_ARRAY_NAMES = _ARRAY_NAMES_V1 + _REVERSE_ARRAY_NAMES + _REACH_ARRAY_NAMES
+_ARRAY_NAMES = _ARRAY_NAMES_V1 + _REACH_ARRAY_NAMES
 
 
 def _int64_bytes(values):
@@ -172,10 +157,7 @@ def save_snapshot(graph: Any, path: Any) -> int:
             edge_sources.append(comp_from)
             edge_targets.append(comp_to)
 
-    sections = {
-        name: getattr(graph, name)
-        for name in _ARRAY_NAMES_V1 + _REVERSE_ARRAY_NAMES
-    }
+    sections = {name: getattr(graph, name) for name in _ARRAY_NAMES_V1}
     sections.update(
         scc_comp_of=comp_of,
         scc_edge_labels=edge_labels,
@@ -336,8 +318,8 @@ def _thaw(header, arrays, path, mapping):
     """Check the arrays against each other and wrap them — no re-sort.
 
     Beyond the shapes, the vertex and label tables must be distinct,
-    every id must index its table and every indptr row must be a valid
-    CSR row, so a file with a valid checksum but inconsistent contents
+    every id must index its table and each indptr must be a valid CSR
+    row, so a file with a valid checksum but inconsistent contents
     fails here instead of answering wrongly.
     """
     vertices = header["vertices"]
@@ -367,43 +349,16 @@ def _thaw(header, arrays, path, mapping):
             "snapshot %s adjacency indptr does not match its %d "
             "vertices" % (path, n)
         )
-    if len(arrays["csr_offsets"]) != num_labels + 1 or (
-        len(arrays["csr_indptr"]) != num_labels * (n + 1)
-    ):
-        raise SnapshotError(
-            "snapshot %s per-label CSR does not match its %d labels"
-            % (path, num_labels)
-        )
-    if num_labels and len(arrays["csr_targets"]) != arrays["csr_offsets"][-1]:
-        raise SnapshotError(
-            "snapshot %s per-label CSR targets disagree with their "
-            "offsets" % path
-        )
-    if (
-        len(arrays["rcsr_offsets"]) != num_labels + 1
-        or len(arrays["rcsr_indptr"]) != num_labels * (n + 1)
-    ):
-        raise SnapshotError(
-            "snapshot %s reverse per-label CSR does not match its %d "
-            "labels" % (path, num_labels)
-        )
-    if num_labels and (
-        len(arrays["rcsr_sources"]) != arrays["rcsr_offsets"][-1]
-    ):
-        raise SnapshotError(
-            "snapshot %s reverse per-label CSR sources disagree "
-            "with their offsets" % path
-        )
     for name, limit in (
         ("out_labels", num_labels),
         ("in_labels", num_labels),
         ("out_targets", n),
         ("in_sources", n),
-        ("csr_targets", n),
-        ("rcsr_sources", n),
     ):
-        values = arrays[name].tolist()
-        if values and (min(values) < 0 or max(values) >= limit):
+        # Read as uint64, a negative id exceeds every limit, so one max
+        # over the array in place checks both ends: no list of E ints.
+        values = arrays[name]
+        if values and max(memoryview(values).cast("B").cast("Q")) >= limit:
             raise SnapshotError(
                 "snapshot %s array %r holds an id outside [0, %d)"
                 % (path, name, limit)
@@ -416,18 +371,10 @@ def _thaw(header, arrays, path, mapping):
                 "snapshot %s array %r disagrees in length with %r"
                 % (path, labels_name, others)
             )
-    _check_rows(path, "out_indptr", arrays["out_indptr"], n + 1,
-                [len(arrays["out_targets"])])
-    _check_rows(path, "in_indptr", arrays["in_indptr"], n + 1,
-                [len(arrays["in_sources"])])
-    for prefix, values in (("csr", "csr_targets"), ("rcsr", "rcsr_sources")):
-        offsets = arrays[prefix + "_offsets"]
-        _check_rows(path, prefix + "_offsets", offsets, num_labels + 1,
-                    [len(arrays[values])])
-        _check_rows(
-            path, prefix + "_indptr", arrays[prefix + "_indptr"], n + 1,
-            [stop - start for start, stop in zip(offsets, offsets[1:])],
-        )
+    for indptr, others in (
+        ("out_indptr", "out_targets"), ("in_indptr", "in_sources"),
+    ):
+        _check_indptr(path, indptr, arrays[indptr], len(arrays[others]))
 
     return IndexedGraph.from_arrays(
         vertices, labels, header["num_edges"], arrays,
@@ -436,25 +383,20 @@ def _thaw(header, arrays, path, mapping):
     )
 
 
-def _check_rows(path, name, indptr, width, ends):
-    """Each ``width``-long row of ``indptr`` is a CSR row over its slice.
-
-    Row ``j`` must start at 0, never decrease, and end at ``ends[j]``,
-    the length of the slice it indexes.
-    """
-    rows = memoryview(indptr)
-    for row_index, end in enumerate(ends):
-        row = rows[row_index * width:(row_index + 1) * width].tolist()
-        if row[0] != 0 or row[-1] != end or row != sorted(row):
-            raise SnapshotError(
-                "snapshot %s array %r row %d is not a valid CSR row (it "
-                "must start at 0, never decrease and end at %d)"
-                % (path, name, row_index, end)
-            )
+def _check_indptr(path, name, indptr, end):
+    """``indptr`` is a CSR row over a slice of ``end`` entries: it
+    starts at 0, never decreases and ends at ``end``."""
+    if indptr[0] != 0 or indptr[-1] != end or not all(
+        map(le, indptr, islice(indptr, 1, None))
+    ):
+        raise SnapshotError(
+            "snapshot %s array %r is not a valid CSR row (it must start "
+            "at 0, never decrease and end at %d)" % (path, name, end)
+        )
 
 
 def _thaw_reach_parts(header, arrays, n, num_labels, path):
-    """Validate and rebuild the v3 reachability-index section.
+    """Validate and rebuild the reachability-index section.
 
     ``comp_of`` stays the array the snapshot holds (a private copy on
     load, the zero-copy memoryview over the mapping on attach) —

@@ -502,7 +502,7 @@ class TestExplain:
         out = capsys.readouterr().out
         assert "graph view     : csr (IndexedGraph over" in out
         assert "|V|=5 |E|=4" in out
-        assert "reverse CSR" in out
+        assert "one CSR per direction" in out
 
     def test_never_executes_a_search(self, capsys, graph_file, monkeypatch):
         # explain must not touch a solver's search entry points.

@@ -44,7 +44,7 @@ class TestIndexedGraph:
                 graph.in_edges(vertex)
             )
             vertex_id = indexed.vertex_id(vertex)
-            assert indexed.out_degree(vertex_id) == graph.out_degree(vertex)
+            assert len(indexed.out(vertex_id)) == graph.out_degree(vertex)
             assert len(indexed.in_pairs(vertex_id)) == (
                 graph.in_degree(vertex)
             )
@@ -59,14 +59,14 @@ class TestIndexedGraph:
     def test_csr_neighbor_ids(self, graph):
         indexed = IndexedGraph(graph)
         for label in graph.labels():
-            indptr, targets = indexed.out_csr(indexed.label_id(label))
+            label_id = indexed.label_id(label)
             for vertex in graph.vertices():
-                vertex_id = indexed.vertex_id(vertex)
                 via_csr = {
                     indexed.vertex_at(target_id)
-                    for target_id in targets[
-                        indptr[vertex_id]:indptr[vertex_id + 1]
-                    ]
+                    for edge_label, target_id in indexed.out(
+                        indexed.vertex_id(vertex)
+                    )
+                    if edge_label == label_id
                 }
                 assert via_csr == graph.successors(vertex, label)
 

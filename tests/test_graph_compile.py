@@ -3,11 +3,11 @@
 :class:`~repro.engine.indexed.IndexedGraph` compiles a db-graph by
 sorting one integer key per edge and direction.  The oracle below is
 the per-vertex compile it replaced: every vertex's out- and in-edges
-sorted by ``repr``, flattened, then partitioned by label with a stable
-sort.  Both must give the same vertex and label tables, the same edge
-count and all twelve arrays, element for element — on drawn graphs
-whose vertex reprs and labels stress the order argument in the
-module docstring, and on the three benchmark graphs.
+sorted by ``repr``, then flattened.  Both must give the same vertex
+and label tables, the same edge count and all six arrays, element for
+element — on drawn graphs whose vertex reprs and labels stress the
+order argument in the module docstring, and on the three benchmark
+graphs.
 
 :func:`~repro.graphs.io.loads` collects a text's records into a vertex
 set and an edge set; the oracle is the line loop it replaced, which
@@ -30,8 +30,6 @@ from repro.graphs.dbgraph import DbGraph
 ARRAY_NAMES = (
     "out_indptr", "out_labels", "out_targets",
     "in_indptr", "in_labels", "in_sources",
-    "csr_offsets", "csr_indptr", "csr_targets",
-    "rcsr_offsets", "rcsr_indptr", "rcsr_sources",
 )
 
 
@@ -49,32 +47,12 @@ def _flat_adjacency(vertex_of, pairs_of, label_ids, id_of):
     )
 
 
-def _label_csr(num_vertices, num_labels, keys, edge_labels, values):
-    """Per-label CSR of the edges ``(keys[e], edge_labels[e], values[e])``,
-    each ``(label, key)`` slot in edge order (a stable sort)."""
-    width = num_vertices + 1
-    slots = [
-        label_id * width + key for key, label_id in zip(keys, edge_labels)
-    ]
-    indptr = [0] * (num_labels * width)
-    for slot in slots:
-        indptr[slot + 1] += 1
-    offsets = [0]
-    for label_id in range(num_labels):
-        row = slice(label_id * width, (label_id + 1) * width)
-        indptr[row] = accumulate(indptr[row])
-        offsets.append(offsets[-1] + indptr[row.stop - 1])
-    order = sorted(range(len(slots)), key=slots.__getitem__)
-    return offsets, indptr, [values[edge] for edge in order]
-
-
 def per_vertex_compile(graph):
     """``(vertices, labels, num_edges, arrays)`` by per-vertex repr sorts."""
     vertex_of = tuple(graph.vertices())
     id_of = {vertex: index for index, vertex in enumerate(vertex_of)}
     label_of = tuple(sorted(graph.labels()))
     label_ids = {label: index for index, label in enumerate(label_of)}
-    n, num_labels = len(vertex_of), len(label_of)
     out_indptr, out_labels, out_targets = _flat_adjacency(
         vertex_of, lambda vertex: sorted(graph.out_edges(vertex), key=repr),
         label_ids, id_of,
@@ -83,17 +61,9 @@ def per_vertex_compile(graph):
         vertex_of, lambda vertex: sorted(graph.in_edges(vertex), key=repr),
         label_ids, id_of,
     )
-    out_sources = list(chain.from_iterable(
-        [source_id] * (stop - start)
-        for source_id, (start, stop) in enumerate(
-            zip(out_indptr, out_indptr[1:])
-        )
-    ))
-    csr = _label_csr(n, num_labels, out_sources, out_labels, out_targets)
-    rcsr = _label_csr(n, num_labels, out_targets, out_labels, out_sources)
     arrays = dict(zip(ARRAY_NAMES, (
         out_indptr, out_labels, out_targets,
-        in_indptr, in_labels, in_sources, *csr, *rcsr,
+        in_indptr, in_labels, in_sources,
     )))
     return vertex_of, label_of, graph.num_edges, arrays
 

@@ -87,62 +87,39 @@ class TestViewEquivalence:
             assert list(view.in_pairs(vertex_id)) == _ids(
                 view, sorted(graph.in_edges(vertex), key=repr)
             )
-            assert view.out_degree(vertex_id) == graph.out_degree(vertex)
 
-    def test_label_partitioned_adjacency_identical(self, graph, view):
+    def test_adjacency_groups_labels_in_rank_order(self, graph, view):
+        """A label filter over ``out`` or ``in_pairs`` keeps ascending
+        ids: each vertex's edges are grouped by label, labels in rank
+        (repr) order, ids ascending inside a label — the DbGraph's
+        adjacency, edge for edge."""
+        rank = sorted(range(view.num_labels), key=lambda label_id: repr(
+            view.label_at(label_id)
+        )).index
         for vertex in graph.vertices():
             vertex_id = view.vertex_id(vertex)
-            for label in sorted(graph.labels()):
-                label_id = view.label_id(label)
-                assert list(view.out_by_label(vertex_id, label_id)) == [
-                    view.vertex_id(target)
-                    for target in sorted(
-                        graph.successors(vertex, label), key=repr
-                    )
-                ]
-                assert sorted(view.in_by_label(vertex_id, label_id)) == \
-                    sorted(
-                        view.vertex_id(source)
-                        for source in graph.predecessors(vertex, label)
-                    )
-
-    def test_out_by_label_matches_mask_filtered_out(self, view):
-        for vertex_id in range(view.num_vertices):
-            for label_id in range(view.num_labels):
-                filtered = [
-                    target
-                    for edge_label, target in view.out(vertex_id)
-                    if edge_label == label_id
-                ]
-                assert list(view.out_by_label(vertex_id, label_id)) \
-                    == filtered
-
-    def test_out_csr_slices_match_out_by_label(self, view):
-        for label_id in range(view.num_labels):
-            indptr, targets = view.out_csr(label_id)
-            assert len(indptr) == view.num_vertices + 1
-            for vertex_id in range(view.num_vertices):
-                assert list(
-                    targets[indptr[vertex_id]:indptr[vertex_id + 1]]
-                ) == list(view.out_by_label(vertex_id, label_id))
+            for pairs, edges in (
+                (view.out(vertex_id), graph.out_edges(vertex)),
+                (view.in_pairs(vertex_id), graph.in_edges(vertex)),
+            ):
+                assert list(pairs) == sorted(
+                    pairs, key=lambda pair: (rank(pair[0]), pair[1])
+                )
+                assert sorted(pairs) == sorted(_ids(view, edges))
 
     def test_reverse_csr_transposes_forward(self, view):
-        for label_id in range(view.num_labels):
-            forward = {
-                (source, target)
-                for source in range(view.num_vertices)
-                for target in view.out_by_label(source, label_id)
-            }
-            backward = {
-                (source, target)
-                for target in range(view.num_vertices)
-                for source in view.in_by_label(target, label_id)
-            }
-            assert forward == backward
-
-    def test_none_label_is_empty(self, view):
-        assert tuple(view.out_by_label(0, None)) == ()
-        assert tuple(view.in_by_label(0, None)) == ()
+        forward = {
+            (source, label_id, target)
+            for source in range(view.num_vertices)
+            for label_id, target in view.out(source)
+        }
+        backward = {
+            (source, label_id, target)
+            for target in range(view.num_vertices)
+            for label_id, source in view.in_pairs(target)
+        }
+        assert forward == backward
+        assert len(forward) == view.num_edges
 
     def test_label_masks_and_word_ids(self, view):
         a = view.label_id("a")
@@ -264,9 +241,8 @@ class TestCsrViewLifecycle:
         for vertex_id in range(compiled_view.num_vertices):
             assert list(thawed_view.out(vertex_id)) == \
                 list(compiled_view.out(vertex_id))
-            for label_id in range(compiled_view.num_labels):
-                assert list(thawed_view.in_by_label(vertex_id, label_id)) \
-                    == list(compiled_view.in_by_label(vertex_id, label_id))
+            assert list(thawed_view.in_pairs(vertex_id)) == \
+                list(compiled_view.in_pairs(vertex_id))
 
     def test_concurrent_reads_agree(self, tmp_path):
         """Threads reading one attached graph at once all read the
@@ -343,9 +319,6 @@ class TestWrittenOnce:
             for vertex_id in range(view.num_vertices):
                 view.out(vertex_id)
                 view.in_pairs(vertex_id)
-                for label_id in range(view.num_labels):
-                    view.out_by_label(vertex_id, label_id)
-                    view.in_by_label(vertex_id, label_id)
             strategies = [
                 engine.query(language, source, target, **overrides).strategy
                 for language, overrides in queries

@@ -27,13 +27,16 @@ from repro.service.snapshot import (
     snapshot_info,
 )
 
-#: The twelve adjacency arrays a compiled graph holds (manifest names).
+#: The six adjacency arrays a compiled graph holds (manifest names).
 ADJACENCY_ARRAYS = (
     "out_indptr", "out_labels", "out_targets",
     "in_indptr", "in_labels", "in_sources",
-    "csr_offsets", "csr_indptr", "csr_targets",
-    "rcsr_offsets", "rcsr_indptr", "rcsr_sources",
 )
+
+
+def _file_bytes(path):
+    with open(path, "rb") as handle:
+        return handle.read()
 
 
 @pytest.fixture
@@ -64,18 +67,6 @@ class TestRoundTrip:
         for vertex_id in range(original.num_vertices):
             assert thawed.out(vertex_id) == original.out(vertex_id)
             assert thawed.in_pairs(vertex_id) == original.in_pairs(vertex_id)
-            for label_id in range(original.num_labels):
-                assert thawed.out_by_label(vertex_id, label_id) == (
-                    original.out_by_label(vertex_id, label_id)
-                )
-                assert thawed.in_by_label(vertex_id, label_id) == (
-                    original.in_by_label(vertex_id, label_id)
-                )
-        for label_id in range(original.num_labels):
-            for thawed_array, original_array in zip(
-                thawed.out_csr(label_id), original.out_csr(label_id)
-            ):
-                assert list(thawed_array) == list(original_array)
 
     def test_vertex_types_survive(self, tmp_path):
         graph = DbGraph.from_edges(
@@ -157,7 +148,7 @@ class TestFailureModes:
             load_snapshot(str(path))
 
     def test_unsupported_version(self, tmp_path, snap_path):
-        data = bytearray(open(snap_path, "rb").read())
+        data = bytearray(_file_bytes(snap_path))
         data[8:12] = struct.pack("<I", FORMAT_VERSION + 1)
         path = tmp_path / "future.snap"
         path.write_bytes(bytes(data))
@@ -165,14 +156,14 @@ class TestFailureModes:
             load_snapshot(str(path))
 
     def test_truncated_arrays(self, tmp_path, snap_path):
-        data = open(snap_path, "rb").read()
+        data = _file_bytes(snap_path)
         path = tmp_path / "trunc.snap"
         path.write_bytes(data[:-16])
         with pytest.raises(SnapshotError):
             load_snapshot(str(path))
 
     def test_flipped_payload_bit_fails_checksum(self, tmp_path, snap_path):
-        data = bytearray(open(snap_path, "rb").read())
+        data = bytearray(_file_bytes(snap_path))
         data[-5] ^= 0xFF  # inside the array section
         path = tmp_path / "rot.snap"
         path.write_bytes(bytes(data))
@@ -196,7 +187,7 @@ class TestFailureModes:
             load_snapshot(str(rotted))
 
     def test_corrupt_header_json(self, tmp_path, snap_path):
-        data = bytearray(open(snap_path, "rb").read())
+        data = bytearray(_file_bytes(snap_path))
         data[20] = 0xFF  # stomp the JSON header
         path = tmp_path / "badjson.snap"
         path.write_bytes(bytes(data))
@@ -238,97 +229,22 @@ class TestFailureModes:
 
 
 class TestVersionMigration:
-    """Version 3 is the only format: older files fail by name."""
+    """Version 4 is the only format: older files fail by name."""
 
     def test_older_version_is_rejected_by_name(self, tmp_path, snap_path):
-        # A v3 file relabelled as version 2 in both the binary prefix
+        # A v4 file relabelled as version 3 in both the binary prefix
         # and the header, with a valid checksum: the version check,
         # not the CRC, must refuse it.
         def mutate(header, arrays):
-            header["format_version"] = 2
+            header["format_version"] = 3
             return header, arrays
 
         old_path = _rewrite_snapshot(
-            snap_path, str(tmp_path / "v2.snap"), mutate
+            snap_path, str(tmp_path / "v3.snap"), mutate
         )
-        with pytest.raises(SnapshotError, match="format version 2"):
-            load_snapshot(old_path)
-        with pytest.raises(SnapshotError, match="format version 2"):
-            snapshot_info(old_path)
-
-    def test_v2_is_the_default_and_round_trips_reverse_csr(
-        self, graph, snap_path
-    ):
-        assert snapshot_info(snap_path)["format_version"] == FORMAT_VERSION
-        thawed = load_snapshot(snap_path)
-        compiled = IndexedGraph(graph)
-        assert list(thawed.rcsr_sources) == list(compiled.rcsr_sources)
-        for vertex_id in range(compiled.num_vertices):
-            for label_id in range(compiled.num_labels):
-                assert thawed.in_by_label(vertex_id, label_id) == (
-                    compiled.in_by_label(vertex_id, label_id)
-                )
-
-    def test_corrupt_reverse_section_rejected(self, tmp_path, snap_path):
-        # Drop the last int64 of rcsr_sources and shrink its manifest
-        # count to stay self-consistent, with a *valid* checksum: the
-        # shape validation itself must catch it, not just the CRC.
-        def mutate(header, arrays):
-            names = [name for name, _count in header["arrays"]]
-            index = names.index("rcsr_sources")
-            offset, length = _array_span(header, "rcsr_sources")
-            assert length > 0
-            header["arrays"][index][1] -= 1
-            end = offset + length
-            return header, arrays[:end - 8] + arrays[end:]
-
-        bad_path = _rewrite_snapshot(
-            snap_path, str(tmp_path / "bad-rev.snap"), mutate
-        )
-        with pytest.raises(SnapshotError, match="reverse per-label CSR"):
-            load_snapshot(bad_path)
-
-    def test_truncated_reverse_indptr_rejected(self, tmp_path, graph):
-        # A snapshot whose reverse indptr rows disagree with the label
-        # count must fail shape validation even when the checksum is
-        # intact.
-        import json
-        import struct
-        import zlib
-
-        path = str(tmp_path / "v2.snap")
-        save_snapshot(IndexedGraph(graph), path)
-        data = bytearray(open(path, "rb").read())
-        (header_len,) = struct.unpack_from("<I", data, 12)
-        header = json.loads(bytes(data[16:16 + header_len]).decode())
-        arrays_start = 16 + header_len + 4
-        names = [name for name, _count in header["arrays"]]
-        index = names.index("rcsr_indptr")
-        # Byte offset of rcsr_indptr inside the array section.
-        offset = sum(count for _n, count in header["arrays"][:index]) * 8
-        count = header["arrays"][index][1]
-        header["arrays"][index][1] = count - 1
-        section = bytes(data[arrays_start:])
-        new_arrays = (
-            section[:offset]
-            + section[offset + 8:]
-        )
-        new_header = json.dumps(
-            header, separators=(",", ":")
-        ).encode("utf-8")
-        crc = zlib.crc32(new_arrays, zlib.crc32(new_header)) & 0xFFFFFFFF
-        blob = b"".join((
-            MAGIC,
-            struct.pack("<I", header["format_version"]),
-            struct.pack("<I", len(new_header)),
-            new_header,
-            struct.pack("<I", crc),
-            new_arrays,
-        ))
-        with open(path, "wb") as handle:
-            handle.write(blob)
-        with pytest.raises(SnapshotError, match="reverse per-label CSR"):
-            load_snapshot(path)
+        for reader in (load_snapshot, attach_snapshot, snapshot_info):
+            with pytest.raises(SnapshotError, match="format version 3"):
+                reader(old_path)
 
 
 def _rewrite_snapshot(path, out_path, mutate):
@@ -337,7 +253,7 @@ def _rewrite_snapshot(path, out_path, mutate):
     import json
     import zlib
 
-    data = bytearray(open(path, "rb").read())
+    data = _file_bytes(path)
     (header_len,) = struct.unpack_from("<I", data, 12)
     header = json.loads(bytes(data[16:16 + header_len]).decode())
     arrays = bytes(data[16 + header_len + 4:])
@@ -367,11 +283,11 @@ def _array_span(header, name):
 
 
 class TestFormatV3ReachabilityIndex:
-    """v3 persists the reachability index."""
+    """Snapshots persist the reachability index (since v3)."""
 
-    def test_v3_is_the_default(self, snap_path):
-        assert FORMAT_VERSION == 3
-        assert snapshot_info(snap_path)["format_version"] == 3
+    def test_v4_is_the_default(self, snap_path):
+        assert FORMAT_VERSION == 4
+        assert snapshot_info(snap_path)["format_version"] == 4
 
     def test_v3_round_trips_the_index_without_recondensing(
         self, graph, snap_path
@@ -476,8 +392,8 @@ class TestFormatV3ReachabilityIndex:
 
     def test_flipped_index_bit_fails_the_checksum(self, tmp_path,
                                                   snap_path):
-        data = bytearray(open(snap_path, "rb").read())
-        data[-4] ^= 0x10  # inside the v3 tail section
+        data = bytearray(_file_bytes(snap_path))
+        data[-4] ^= 0x10  # inside the reachability section
         bad_path = str(tmp_path / "rot.snap")
         with open(bad_path, "wb") as handle:
             handle.write(data)
@@ -523,9 +439,6 @@ class TestAttachSnapshot:
             raw = getattr(attached, name)
             assert isinstance(raw, memoryview), name
             assert raw.obj is attached._mapping, name
-        for label_id in range(attached.num_labels):
-            for raw in attached.out_csr(label_id):
-                assert raw.obj is attached._mapping
 
     def test_attached_adjacency_matches_loaded(self, graph, snap_path):
         attached = attach_snapshot(snap_path)
@@ -538,9 +451,6 @@ class TestAttachSnapshot:
         for vertex_id in range(loaded.num_vertices):
             assert attached.out(vertex_id) == loaded.out(vertex_id)
             assert attached.in_pairs(vertex_id) == loaded.in_pairs(vertex_id)
-            assert attached.out_degree(vertex_id) == (
-                loaded.out_degree(vertex_id)
-            )
         assert list(attached.to_dbgraph().edges()) == list(graph.edges())
 
     def test_attach_missing_or_empty_file_raises(self, tmp_path):
@@ -562,15 +472,10 @@ def _golden_graph():
     return graph
 
 
-#: sha256 of the snapshot of ``_golden_graph()``: pins the v3 bytes.
+#: sha256 of the snapshot of ``_golden_graph()``: pins the v4 bytes.
 GOLDEN_SHA256 = (
-    "39892e5fd811ddfb63bd17c891a765c5921464a49ae4a81c496ead97b57ce1cd"
+    "be62cc18f2692ab51df29d58691a673eff9ab44ddb5b6da6fd2bd961af9bace8"
 )
-
-
-def _file_bytes(path):
-    with open(path, "rb") as handle:
-        return handle.read()
 
 
 class TestFormatIsPinned:
@@ -621,14 +526,11 @@ class TestInconsistentArrays:
                              ids=["load", "attach"])
     @pytest.mark.parametrize("name, index, value", [
         ("out_targets", 0, -1),
-        ("csr_targets", 0, -1),
         ("in_sources", 0, 25),
-        ("rcsr_sources", 0, 25),
         ("out_labels", 0, 3),
         ("in_labels", 0, 3),
         ("out_indptr", 1, 10 ** 6),
-        ("csr_indptr", 26 + 1, 10 ** 6),
-        ("rcsr_indptr", 2 * 26 + 1, 10 ** 6),
+        ("in_indptr", 1, 10 ** 6),
     ])
     def test_rejected_by_name(self, tmp_path, snap_path, reopen,
                               name, index, value):

@@ -91,8 +91,7 @@ def assert_serves_attached(entry):
     assert graph._mapping is not None
     with open(entry.pool.snapshot_path, "rb") as handle:
         assert graph._mapping[:] == handle.read()
-    for name in ("out_indptr", "out_targets", "csr_targets",
-                 "rcsr_sources"):
+    for name in ("out_indptr", "out_targets", "in_indptr", "in_sources"):
         raw = getattr(graph, name)
         assert isinstance(raw, memoryview), name
         assert raw.obj is graph._mapping, name

@@ -7,6 +7,5 @@ MAGIC = b"FXTR"
 FORMAT_VERSION = 1
 SUPPORTED_VERSIONS = (1,)
 _ARRAY_NAMES_V1 = ("alpha", "beta")
-_REVERSE_ARRAY_NAMES = ("gamma",)
 _REACH_ARRAY_NAMES = ("delta",)
 _U32 = struct.Struct("<I")

@@ -7,7 +7,6 @@ class FakeAttached:
         self.out_indptr = arrays["out_indptr"]
         self.out_labels = arrays["out_labels"]
         self.out_targets = arrays["out_targets"]
-        self._fwd = [(arrays["csr_indptr"], arrays["csr_targets"])]
         self._mapping = mapping
 
     def ok_rebind(self, arrays):
@@ -21,7 +20,7 @@ class FakeAttached:
         self.out_targets[0] = 7  # store through mapped array
 
     def bad_aug_store(self):
-        self._fwd[0][0][1] += 1  # in-place add on a mapped slice
+        self.out_targets[1] += 1  # in-place add on a mapped array
 
     def bad_delete(self):
         del self.out_labels[2]  # del through mapped array

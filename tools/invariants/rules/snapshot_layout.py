@@ -32,7 +32,6 @@ LAYOUT_CONSTANTS = (
     "MAGIC",
     "SUPPORTED_VERSIONS",
     "_ARRAY_NAMES_V1",
-    "_REVERSE_ARRAY_NAMES",
     "_REACH_ARRAY_NAMES",
 )
 VERSION_CONSTANT = "FORMAT_VERSION"

@@ -38,10 +38,9 @@ from typing import Iterable, Iterator
 from ..base import Project, Rule, SourceModule, Violation
 
 #: Attributes that hold (or directly index into) mmap-backed arrays on
-#: an attached graph: the twelve adjacency arrays (named as in the
-#: snapshot manifest), the per-label slices of the two per-label CSRs,
-#: the mapping handle, and the thawed reachability parts whose comp_of
-#: aliases the mapping.
+#: an attached graph: the six adjacency arrays (named as in the
+#: snapshot manifest), the mapping handle, and the thawed reachability
+#: parts whose comp_of aliases the mapping.
 GUARDED_ATTRS = frozenset({
     "out_indptr",
     "out_labels",
@@ -49,14 +48,6 @@ GUARDED_ATTRS = frozenset({
     "in_indptr",
     "in_labels",
     "in_sources",
-    "csr_offsets",
-    "csr_indptr",
-    "csr_targets",
-    "rcsr_offsets",
-    "rcsr_indptr",
-    "rcsr_sources",
-    "_fwd",
-    "_rev",
     "_mapping",
     "_reach_parts",
 })
