@@ -17,6 +17,7 @@ import tracemalloc
 
 import pytest
 
+from repro.algorithms.bounded import _word_path_ids
 from repro.core.solver import RspqSolver
 from repro.engine import QueryEngine, indexed
 from repro.engine.indexed import IndexedGraph
@@ -106,6 +107,42 @@ class TestViewEquivalence:
                     pairs, key=lambda pair: (rank(pair[0]), pair[1])
                 )
                 assert sorted(pairs) == sorted(_ids(view, edges))
+
+    def test_csr_slices_match_out_and_in_pairs(self, view):
+        """The six arrays the vectorised sweep walks slice, row by row,
+        to exactly what ``out`` and ``in_pairs`` read."""
+        n = view.num_vertices
+        for indptr, labels, ids, read in (
+            (view.out_indptr, view.out_labels, view.out_targets, view.out),
+            (view.in_indptr, view.in_labels, view.in_sources, view.in_pairs),
+        ):
+            assert len(indptr) == n + 1
+            assert indptr[n] == len(labels) == len(ids) == view.num_edges
+            for vertex_id in range(n):
+                lo, hi = indptr[vertex_id], indptr[vertex_id + 1]
+                assert list(zip(labels[lo:hi], ids[lo:hi])) == \
+                    list(read(vertex_id))
+
+    def test_none_label_is_empty(self, graph, view):
+        """A letter no edge carries has label id ``None`` and spells no
+        path: the word search filtering ``out`` by label id finds the
+        edge a real letter spells, and nothing for ``None``."""
+        visited = bytearray(view.num_vertices)
+        source, label, target = next(
+            edge for edge in graph.edges() if edge[0] != edge[2]
+        )
+        source_id, target_id = view.vertex_id(source), view.vertex_id(target)
+        label_id = view.label_id(label)
+        assert view.label_id("zz") is None
+        assert _word_path_ids(
+            view, source_id, target_id, (label_id,), visited
+        ) == ((source_id, target_id), (label_id,))
+        assert not any(visited)
+        for word in ((None,), (label_id, None), (None, label_id)):
+            assert _word_path_ids(
+                view, source_id, target_id, word, visited
+            ) is None
+            assert not any(visited)
 
     def test_reverse_csr_transposes_forward(self, view):
         forward = {

@@ -68,6 +68,22 @@ class TestRoundTrip:
             assert thawed.out(vertex_id) == original.out(vertex_id)
             assert thawed.in_pairs(vertex_id) == original.in_pairs(vertex_id)
 
+    @pytest.mark.parametrize("reopen", [load_snapshot, attach_snapshot],
+                             ids=["load", "attach"])
+    def test_edgeless_graph_round_trips(self, tmp_path, reopen):
+        # Empty id arrays: the range check has no entry to take a max of.
+        graph = DbGraph()
+        graph.add_vertex("x")
+        graph.add_vertex(7)
+        path = str(tmp_path / "edgeless.snap")
+        save_snapshot(IndexedGraph(graph), path)
+        thawed = reopen(path)
+        assert list(thawed.vertices()) == list(graph.vertices())
+        assert thawed.num_edges == 0
+        for vertex_id in range(thawed.num_vertices):
+            assert tuple(thawed.out(vertex_id)) == ()
+            assert tuple(thawed.in_pairs(vertex_id)) == ()
+
     def test_vertex_types_survive(self, tmp_path):
         graph = DbGraph.from_edges(
             [(0, "a", "one"), ("one", "b", 2), (2, "a", 0)]
@@ -245,6 +261,56 @@ class TestVersionMigration:
         for reader in (load_snapshot, attach_snapshot, snapshot_info):
             with pytest.raises(SnapshotError, match="format version 3"):
                 reader(old_path)
+
+    @pytest.mark.parametrize("reopen", [load_snapshot, attach_snapshot],
+                             ids=["load", "attach"])
+    def test_default_round_trips_reverse_csr(self, graph, snap_path,
+                                             reopen):
+        assert snapshot_info(snap_path)["format_version"] == FORMAT_VERSION
+        thawed = reopen(snap_path)
+        compiled = IndexedGraph(graph)
+        for name in ("in_indptr", "in_labels", "in_sources"):
+            assert list(getattr(thawed, name)) == \
+                list(getattr(compiled, name)), name
+        for vertex_id in range(compiled.num_vertices):
+            assert thawed.in_pairs(vertex_id) == compiled.in_pairs(vertex_id)
+
+    def test_corrupt_reverse_section_rejected(self, tmp_path, snap_path):
+        # Drop the last in_sources entry and shrink its manifest count
+        # to stay self-consistent, with a *valid* checksum: the shape
+        # validation itself must catch it, not just the CRC.
+        bad_path = _rewrite_snapshot(
+            snap_path, str(tmp_path / "bad-rev.snap"),
+            _drop_last("in_sources"),
+        )
+        for reader in (load_snapshot, attach_snapshot):
+            with pytest.raises(SnapshotError, match="'in_labels' disagrees"):
+                reader(bad_path)
+
+    def test_truncated_reverse_indptr_rejected(self, tmp_path, snap_path):
+        # An in_indptr one row short of the vertex count fails shape
+        # validation even when the checksum is intact.
+        bad_path = _rewrite_snapshot(
+            snap_path, str(tmp_path / "short-rev.snap"),
+            _drop_last("in_indptr"),
+        )
+        for reader in (load_snapshot, attach_snapshot):
+            with pytest.raises(SnapshotError, match="indptr does not match"):
+                reader(bad_path)
+
+
+def _drop_last(name):
+    """A ``_rewrite_snapshot`` mutation dropping the last entry of array
+    ``name`` and its manifest count with it."""
+    def mutate(header, arrays):
+        offset, length = _array_span(header, name)
+        assert length > 0
+        for entry in header["arrays"]:
+            if entry[0] == name:
+                entry[1] -= 1
+        end = offset + length
+        return header, arrays[:end - 8] + arrays[end:]
+    return mutate
 
 
 def _rewrite_snapshot(path, out_path, mutate):
@@ -504,10 +570,10 @@ class TestFormatIsPinned:
 
 def _poke(name, index, value):
     """A ``_rewrite_snapshot`` mutation storing ``value`` at
-    ``name[index]``."""
+    ``name[index]`` (a negative ``index`` counts from the end)."""
     def mutate(header, arrays):
         offset, length = _array_span(header, name)
-        at = offset + 8 * index
+        at = offset + 8 * (index % (length // 8))
         assert at + 8 <= offset + length
         return header, (
             arrays[:at] + struct.pack("<q", value) + arrays[at + 8:]
@@ -519,7 +585,9 @@ class TestInconsistentArrays:
     """A valid checksum over inconsistent contents fails by name.
 
     The fixture graph has 25 vertices and 3 labels, so 25 is one past
-    the last vertex id and 3 one past the last label id.
+    the last vertex id and 3 one past the last label id.  Each id array
+    is also poked below 0 and at its last entry, where a range check
+    that read only the head, or only one end, would miss it.
     """
 
     @pytest.mark.parametrize("reopen", [load_snapshot, attach_snapshot],
@@ -529,6 +597,11 @@ class TestInconsistentArrays:
         ("in_sources", 0, 25),
         ("out_labels", 0, 3),
         ("in_labels", 0, 3),
+        ("in_sources", 0, -1),
+        ("out_labels", 0, -1),
+        ("in_labels", 0, -1),
+        ("out_targets", -1, 25),
+        ("in_sources", -1, -2 ** 63),
         ("out_indptr", 1, 10 ** 6),
         ("in_indptr", 1, 10 ** 6),
     ])
