@@ -30,15 +30,16 @@ from ..languages import Language
 class FiniteLanguageSolver:
     """Exact RSPQ evaluation for a finite language.
 
-    The solver is immutable once constructed; per-query work counters
-    live in the :class:`~repro.execution.ExecutionContext` passed to
-    each query, so one instance can serve concurrent queries.  Without
-    an explicit context a query runs on a throwaway one.
+    The solver is immutable once constructed; per-query work lives in
+    the :class:`~repro.execution.ExecutionContext` passed to each
+    query, so one instance can serve concurrent queries.  Without an
+    explicit context a query runs on a throwaway one.
 
     The words of L are generated lazily per query, shortest first, by
     :meth:`~repro.languages.dfa.DFA.enumerate_words`, so a query stops
     at its first matching word whatever the size of L.  Each word tried
-    is charged to the context, which enforces its budget and deadline.
+    is one step charged to the context, which enforces its budget and
+    deadline.
     """
 
     def __init__(self, language, use_reach_pruning=True):
@@ -75,7 +76,7 @@ class FiniteLanguageSolver:
         # Words of a finite L are shorter than M: a longer run would
         # repeat a state and pump an infinite family.
         for word in self.dfa.enumerate_words(self.dfa.num_states - 1):
-            ctx.charge_word()
+            ctx.charge_step()
             word_label_ids = view.word_label_ids(word)
             filters = None
             if index is not None and word_label_ids and (

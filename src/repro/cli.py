@@ -67,9 +67,9 @@ def _engine_flags():
         "--budget",
         type=int,
         default=None,
-        help="step budget for exact-strategy (NP-complete L) queries; "
-        "batch and serve also cap the tractable search's DFS steps and "
-        "the words a finite L tries",
+        help="step budget: batch and serve cap each query's steps (walk "
+        "nodes plus search steps, or the words a finite L tries); solve "
+        "caps the exact search of an NP-complete L",
     )
     engine = argparse.ArgumentParser(add_help=False, parents=[budget])
     engine.add_argument(

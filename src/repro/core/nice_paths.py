@@ -324,7 +324,7 @@ def path_weight(path, weight_fn):
 
 # invariant: hot-loop
 def _gap_distances(view, entry, exit_vertex, mask, blocked, weight_fn,
-                   stats):
+                   ctx):
     """Shortest distances from ``entry`` inside a gap's restrictions.
 
     Unweighted gaps use BFS; weighted gaps use Dijkstra (the paper's
@@ -339,7 +339,7 @@ def _gap_distances(view, entry, exit_vertex, mask, blocked, weight_fn,
     join its ``acc(i)`` ball (which keeps only ``d <= found``), so
     exploring the rest of the component is pure waste.
     """
-    stats.charge_gap_bfs()
+    ctx.poll_deadline()
     num_vertices = view.num_vertices
     dist = [None] * num_vertices
     parent = [None] * num_vertices
@@ -408,7 +408,7 @@ def _gap_distances(view, entry, exit_vertex, mask, blocked, weight_fn,
     return dist, parent, touched, found
 
 
-def _complete_candidate(view, pieces, stats, weight_fn=None):
+def _complete_candidate(view, pieces, ctx, weight_fn=None):
     """Fill the gaps of a pinned candidate (Definition 4 discipline).
 
     ``pieces`` alternates _Run and _Gap, starting and ending with runs,
@@ -436,7 +436,7 @@ def _complete_candidate(view, pieces, stats, weight_fn=None):
         for vertex_id in acc_union:
             blocked[vertex_id] = 1
         dist, parent, touched, found = _gap_distances(
-            view, entry, exit_vertex, gap.mask, blocked, weight_fn, stats
+            view, entry, exit_vertex, gap.mask, blocked, weight_fn, ctx
         )
         if found is None or exit_vertex == entry:
             return None
@@ -468,14 +468,14 @@ def _complete_candidate(view, pieces, stats, weight_fn=None):
 class _SequenceSearch:
     """Anchored DFS for one Ψtr-sequence on one query (integer-native)."""
 
-    def __init__(self, view, segments, source_id, target_id, stats,
+    def __init__(self, view, segments, source_id, target_id, ctx,
                  weight_fn=None, use_live_pruning=True, reach_index=None):
         self.view = view
         self._out = view.out
         self.segments = segments
         self.source_id = source_id
         self.target_id = target_id
-        self.stats = stats
+        self.ctx = ctx
         self.weight_fn = weight_fn
         self.use_live_pruning = use_live_pruning
         self.nfa = _SequenceNfa(self.segments)
@@ -584,7 +584,7 @@ class _SequenceSearch:
         )
 
     def _search(self, seg_index, state, pieces, pinned):
-        self.stats.charge_dfs_step()
+        self.ctx.charge_step()
         if self._too_long(pieces, seg_index):
             return
         current = pieces[-1].vertices[-1]
@@ -593,11 +593,9 @@ class _SequenceSearch:
         if seg_index == len(self.segments):
             if current != self.target_id:
                 return
-            self.stats.count_candidate()
             id_path = _complete_candidate(
-                self.view, pieces, self.stats, weight_fn=self.weight_fn
+                self.view, pieces, self.ctx, weight_fn=self.weight_fn
             )
-            self.stats.count_completion()
             if id_path is not None:
                 metric = self._metric(id_path)
                 if self.best is None or metric < self.best_metric:
@@ -787,9 +785,10 @@ class TractableSolver:
         semantics (the paper's E → R+ generalisation); weights must be
         strictly positive.
 
-        ``ctx`` carries the per-query DFS counters, budget and deadline
-        (its budget caps ``dfs_steps``); without one the query runs on
-        a throwaway, unbudgeted context.
+        ``ctx`` carries the query's steps, budget and deadline: each
+        anchored-DFS step is one step, and each gap search polls the
+        deadline; without one the query runs on a throwaway,
+        unbudgeted context.
         """
         view = as_graph_view(graph)
         source_id = view.vertex_id(source)

@@ -161,7 +161,9 @@ class RspqSolver:
     language:
         :class:`~repro.languages.Language` or regex string.
     exact_budget:
-        Step budget handed to the exponential solver when it is used.
+        Step budget of a query that brings no context: it caps the
+        exact search (and the middle rungs of a ``portfolio=True``
+        query).  A query's own context carries its budget instead.
     use_reach_pruning:
         Consult the graph view's label-constrained reachability index
         (short-circuiting provably unreachable queries and dropping
@@ -252,10 +254,10 @@ class RspqSolver:
         """Shortest simple L-labeled path or ``None``.
 
         ``ctx`` (an :class:`~repro.execution.ExecutionContext`) carries
-        the per-query counters and budget/deadline accounting; without
-        one, the walk check runs uncharged and the dispatched solver on
-        a throwaway context (read :meth:`steps_in` off a context you
-        pass to see the work).
+        the query's steps and budget/deadline accounting; every search
+        charges its ``steps``.  Without one, the walk check runs
+        uncharged and the dispatched solver on a throwaway context
+        (pass a context and read its ``steps`` to see the work).
         """
         return self.solve(graph, source, target, ctx=ctx).path
 
@@ -469,22 +471,6 @@ class RspqSolver:
             return None
         finally:
             ctx.absorb(child)
-
-    # -- accounting ------------------------------------------------------------------
-
-    def steps_in(self, ctx: ExecutionContext) -> int:
-        """The work recorded on ``ctx``: the walk check's expanded
-        nodes plus the strategy's own counter.
-
-        Exact: walk nodes, middle-rung work and DFS expansions, all on
-        ``steps``; tractable: walk nodes (``steps``) plus anchored-DFS
-        steps; finite: words tried (no walk check runs).
-        """
-        if self._finite_solver is not None:
-            return ctx.words_tried
-        if self._tractable_solver is not None:
-            return ctx.steps + ctx.dfs_steps
-        return ctx.steps
 
     def exists(self, graph: Any, source: Any, target: Any,
                ctx: "ExecutionContext | None" = None) -> bool:

@@ -118,9 +118,9 @@ class SummarySolver:
     def shortest_simple_path(self, graph, source, target, ctx=None):
         """Shortest simple L-labeled path (complete for ``N = 2M²``).
 
-        The search charges ``ctx`` (a throwaway context when None):
-        candidates, completions, DFS steps and gap searches, with the
-        context's deadline checked as it goes.
+        The search charges ``ctx`` (a throwaway context when None) one
+        step per DFS step, and its gap searches poll the context's
+        deadline.
         """
         graph.require_vertex(source)
         graph.require_vertex(target)
@@ -148,12 +148,12 @@ class SummarySolver:
 class _SummarySearch:
     """One query's candidate-summary enumeration."""
 
-    def __init__(self, solver, graph, source, target, stats):
+    def __init__(self, solver, graph, source, target, ctx):
         self.solver = solver
         self.graph = graph
         self.source = source
         self.target = target
-        self.stats = stats
+        self.ctx = ctx
         self.dfa = solver.dfa
         self.bound = solver.bound
         # The completion step and the live set are shared with the
@@ -198,11 +198,9 @@ class _SummarySearch:
         return translated
 
     def _try_complete(self, pieces):
-        self.stats.count_candidate()
         id_path = _complete_candidate(
-            self.view, self._id_pieces(pieces), self.stats
+            self.view, self._id_pieces(pieces), self.ctx
         )
-        self.stats.count_completion()
         if id_path is None:
             return
         path = self.view.path(*id_path)
@@ -226,7 +224,7 @@ class _SummarySearch:
 
     def _pinned_mode(self, state, pieces, pinned, component, stay,
                      gapped_components):
-        self.stats.charge_dfs_step()
+        self.ctx.charge_step()
         if self._too_long(pieces):
             return
         current = pieces[-1].vertices[-1]
@@ -313,7 +311,7 @@ class _SummarySearch:
     def _tail_mode(self, state_set, pieces, pinned, component, remaining,
                    gapped_components):
         """Pin the N post-gap edges inside Σ_C, tracking a state set."""
-        self.stats.charge_dfs_step()
+        self.ctx.charge_step()
         if self._too_long(pieces):
             return
         current = pieces[-1].vertices[-1]

@@ -68,7 +68,7 @@ Parallel batches
 ----------------
 
 Plans are frozen and the solvers re-entrant — all per-query state
-(work counters, budget, optional deadline) travels in an
+(work count, budget, optional deadline) travels in an
 :class:`~repro.execution.ExecutionContext` — so one cached plan can
 serve many in-flight queries at once, and concurrent ``query`` calls
 compile a plan exactly once per distinct language even when threads

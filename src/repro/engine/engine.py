@@ -361,11 +361,12 @@ class QueryEngine:
         Capacity of the LRU plan cache (distinct languages kept warm).
     exact_budget:
         Step budget of every query's context (None = unbounded): it
-        caps the exponential solver's expansions, the tractable
-        solver's anchored-DFS steps and the words a finite-language
-        query tries.  Must be positive when given: a
-        zero or negative budget would fail every exact-strategy query,
-        so it is rejected with :class:`ValueError` here rather than
+        caps the query's ``steps``, which every search charges (walk
+        nodes, exact-search expansions, anchored-DFS steps, the words
+        a finite language tries), so no search answers with more
+        steps than its budget.  Must be positive when given: a zero or
+        negative budget would fail every query that searches, so it
+        is rejected with :class:`ValueError` here rather than
         surfacing as per-query budget errors.
     deadline_seconds:
         Optional per-query wall-clock deadline; a query that overruns
@@ -546,7 +547,7 @@ class QueryEngine:
                 continue
             try:
                 plan = QueryPlan.compile(
-                    language, key=key, exact_budget=self.exact_budget,
+                    language, key=key,
                     use_reach_pruning=self.use_reach_index,
                     seed=self.portfolio_seed,
                     failure_probability=self.portfolio_failure_probability,
@@ -698,16 +699,15 @@ class QueryEngine:
         NOT_FOUND must never be replayed as definitive).
         """
         ctx = self._new_context(q.overrides)
-        solver = q.plan.solver
         use_portfolio, max_path_edges = self._portfolio_mode(
             q.plan, q.overrides
         )
-        answer = solver.solve(
+        answer = q.plan.solver.solve(
             self.view, q.source, q.target, ctx=ctx,
             max_path_edges=max_path_edges, portfolio=use_portfolio,
         )
         return self._store(q, self._result(
-            q, answer.path, solver.steps_in(ctx), strategy=answer.strategy,
+            q, answer.path, ctx.steps, strategy=answer.strategy,
             confidence=answer.confidence,
             failure_bound=answer.failure_bound,
         ))

@@ -168,7 +168,6 @@ class QueryPlan:
 
     @classmethod
     def compile(cls, language: str | Language, key: Any = None,
-                exact_budget: int | None = None,
                 use_reach_pruning: bool = True, seed: int = 0,
                 failure_probability: float = 1e-3) -> "QueryPlan":
         """Build a plan (regex → DFA → classification → solver) once.
@@ -184,8 +183,7 @@ class QueryPlan:
             key = plan_key(language)
         start = time.perf_counter()
         solver = RspqSolver(
-            language, exact_budget=exact_budget,
-            use_reach_pruning=use_reach_pruning, seed=seed,
+            language, use_reach_pruning=use_reach_pruning, seed=seed,
             failure_probability=failure_probability,
         )
         return cls(

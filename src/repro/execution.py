@@ -1,24 +1,24 @@
 """Per-query execution state, split out of the solver cores.
 
-A solver that kept its own mutable work counters would be a
+A solver that kept its own mutable work counter would be a
 single-query object: two concurrent queries through one cached
 :class:`~repro.engine.plan.QueryPlan` would trample each other's
-counters and budget accounting.
+counter and budget accounting.
 
 :class:`ExecutionContext` is the fix.  It owns everything that varies
 per query:
 
-* **work counters** — walk-check nodes and exact-solver expansions
-  (``steps``), finite-solver words tried (``words_tried``), and the
-  tractable solver's anchored-DFS statistics (``candidates``,
-  ``completions``, ``dfs_steps``, ``gap_bfs``);
-* **budget accounting** — an optional cap on search work (walk-check
-  nodes, exact-solver expansions and trail extensions, finite-solver
-  words tried, or tractable-solver DFS steps), enforced with
-  :class:`~repro.errors.BudgetExceededError`;
+* **one work counter**, ``steps``, that every search charges through
+  :meth:`ExecutionContext.charge_step`: walk-check nodes, exact-search
+  expansions and trail extensions, colour-coding and algebraic rung
+  work, the tractable solver's anchored-DFS steps and the words a
+  finite language tries;
+* **budget accounting** — an optional cap on ``steps``, enforced with
+  :class:`~repro.errors.BudgetExceededError`, so no answer reports
+  more steps than its budget;
 * **an optional wall-clock deadline** — checked every
-  ``deadline_check_interval`` charges so the hot loops stay cheap,
-  raising :class:`~repro.errors.DeadlineExceededError`.
+  ``deadline_check_interval`` charges (or polls) so the hot loops stay
+  cheap, raising :class:`~repro.errors.DeadlineExceededError`.
 
 With the context threaded through, each solver's
 ``shortest_simple_path`` / ``exists`` is a pure function of
@@ -27,7 +27,7 @@ cached plan) can serve any number of concurrent queries, each carrying
 its own context.  A call *without* a context runs on a throwaway one
 (the exact solver and the trail search budget it with their own
 ``budget``), so no query ever writes to a solver instance; to read a
-query's work counters, pass a context and read them off it afterwards.
+query's work, pass a context and read ``steps`` off it afterwards.
 """
 
 from __future__ import annotations
@@ -44,19 +44,17 @@ DEADLINE_CHECK_INTERVAL = 256
 
 
 class ExecutionContext:
-    """Mutable per-query state: work counters, budget, deadline.
+    """Mutable per-query state: work counter, budget, deadline.
 
     Create one context per query and hand it to the solver; never share
-    a live context between concurrent queries (counters would mix —
+    a live context between concurrent queries (their steps would mix —
     exactly the disease this class cures in the solvers).
 
     Parameters
     ----------
     budget:
-        Optional cap on search work: ``steps`` (walk-check nodes,
-        exact-solver expansions and trail extensions), ``words_tried``
-        (finite-language words) or ``dfs_steps`` (the tractable
-        solver's anchored DFS); exceeding it raises
+        Optional cap on ``steps``, the query's one work count;
+        exceeding it raises
         :class:`~repro.errors.BudgetExceededError`.  Must be positive:
         a zero or negative budget can never admit a single step, so it
         is rejected with :class:`ValueError` at construction instead of
@@ -71,19 +69,14 @@ class ExecutionContext:
         infinite deadline could never fire) are rejected with
         :class:`ValueError`.
     deadline_check_interval:
-        Charges between deadline checks (tests shrink this to make the
-        deadline bite immediately).
+        Charges and polls between deadline checks (tests shrink this
+        to make the deadline bite immediately).
     """
 
     __slots__ = (
         "budget",
         "deadline",
         "steps",
-        "words_tried",
-        "candidates",
-        "completions",
-        "dfs_steps",
-        "gap_bfs",
         "_deadline_check_interval",
         "_charges_until_deadline_check",
     )
@@ -107,11 +100,6 @@ class ExecutionContext:
         else:
             self.deadline = time.perf_counter() + deadline_seconds
         self.steps = 0
-        self.words_tried = 0
-        self.candidates = 0
-        self.completions = 0
-        self.dfs_steps = 0
-        self.gap_bfs = 0
         if deadline_check_interval < 1:
             raise ValueError("deadline_check_interval must be >= 1")
         self._deadline_check_interval = deadline_check_interval
@@ -120,49 +108,29 @@ class ExecutionContext:
     # -- charging (solver hot paths) ---------------------------------------------
 
     def charge_step(self):
-        """One walk-check node, exact-solver expansion or trail
-        extension: budget + deadline accounting."""
+        """One unit of search work — a walk-check node, an exact-search
+        expansion or trail extension, a rung's step, an anchored-DFS
+        step or a finite-language word: budget + deadline
+        accounting."""
         self.steps += 1
         if self.budget is not None and self.steps > self.budget:
-            raise self._over_budget(self.steps)
+            raise self._over_budget()
         if self.deadline is not None:
             self._maybe_check_deadline()
 
-    def charge_word(self):
-        """One finite-language word attempt: budget + deadline
-        accounting."""
-        self.words_tried += 1
-        if self.budget is not None and self.words_tried > self.budget:
-            raise self._over_budget(self.words_tried)
+    def poll_deadline(self):
+        """Deadline accounting for work that is not a step (the
+        tractable solver's gap searches): counts nothing, and reads
+        the clock as :meth:`charge_step` does, every
+        ``deadline_check_interval`` calls."""
         if self.deadline is not None:
             self._maybe_check_deadline()
 
-    def _over_budget(self, work):
+    def _over_budget(self):
         return BudgetExceededError(
             "query exceeded its %d-step budget" % (self.budget or 0),
-            steps=work,
+            steps=self.steps,
         )
-
-    def charge_dfs_step(self):
-        """One anchored-DFS step of the tractable solver: budget +
-        deadline accounting."""
-        self.dfs_steps += 1
-        if self.budget is not None and self.dfs_steps > self.budget:
-            raise self._over_budget(self.dfs_steps)
-        if self.deadline is not None:
-            self._maybe_check_deadline()
-
-    def charge_gap_bfs(self):
-        """One gap-filling BFS/Dijkstra of the tractable solver."""
-        self.gap_bfs += 1
-        if self.deadline is not None:
-            self._maybe_check_deadline()
-
-    def count_candidate(self):
-        self.candidates += 1
-
-    def count_completion(self):
-        self.completions += 1
 
     # -- portfolio rung slicing ---------------------------------------------------
 
@@ -189,8 +157,8 @@ class ExecutionContext:
         Raises :class:`~repro.errors.BudgetExceededError` /
         :class:`~repro.errors.DeadlineExceededError` when nothing
         remains to slice — the caller's rung could not have run at
-        all.  Fold the child's counters back with :meth:`absorb` when
-        the rung finishes (or fails).
+        all.  Fold the child's steps back with :meth:`absorb` when the
+        rung finishes (or fails).
         """
         remaining = self.remaining_budget()
         if budget is None:
@@ -200,7 +168,7 @@ class ExecutionContext:
         else:
             child_budget = min(budget, remaining)
         if child_budget is not None and child_budget < 1:
-            raise self._over_budget(self.steps)
+            raise self._over_budget()
         left = self.remaining_seconds()
         if seconds is None:
             child_seconds = left
@@ -220,7 +188,7 @@ class ExecutionContext:
         )
 
     def absorb(self, child):
-        """Fold a rung child's work counters into this context.
+        """Fold a rung child's steps into this context.
 
         Pure accounting: the child already enforced its (parent-capped)
         budget and deadline while running, so absorbing never raises —
@@ -229,11 +197,6 @@ class ExecutionContext:
         from what genuinely remains).
         """
         self.steps += child.steps
-        self.words_tried += child.words_tried
-        self.candidates += child.candidates
-        self.completions += child.completions
-        self.dfs_steps += child.dfs_steps
-        self.gap_bfs += child.gap_bfs
 
     # -- deadline ----------------------------------------------------------------
 
@@ -253,16 +216,6 @@ class ExecutionContext:
             )
 
     def __repr__(self):
-        return (
-            "ExecutionContext(steps=%d, words_tried=%d, dfs_steps=%d, "
-            "candidates=%d, completions=%d, gap_bfs=%d, budget=%r)"
-            % (
-                self.steps,
-                self.words_tried,
-                self.dfs_steps,
-                self.candidates,
-                self.completions,
-                self.gap_bfs,
-                self.budget,
-            )
+        return "ExecutionContext(steps=%d, budget=%r)" % (
+            self.steps, self.budget,
         )

@@ -18,9 +18,10 @@ error``
 * ``found`` — whether a simple path exists; ``length`` / ``word`` /
   ``path`` are ``null`` when it does not (or on error).
 * ``decompose_failed`` — the tractable-but-undecomposed warning flag.
-* ``steps`` — the dispatched solver's work counter; ``seconds`` —
-  wall-clock for this query; ``plan_cache_hit`` — whether the plan was
-  already cached.
+* ``steps`` — the query's one work count, which every search charges
+  (walk-check nodes plus search steps, or the words a finite L
+  tries), capped by its budget; ``seconds`` — wall-clock for this
+  query; ``plan_cache_hit`` — whether the plan was already cached.
 * ``result_cache_hit`` — the answer was replayed from the engine
   result cache (no solver ran; ``steps`` reports the original solve).
 * ``short_circuit`` — the reachability index proved NOT_FOUND under

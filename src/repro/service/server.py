@@ -188,16 +188,18 @@ class ServiceConfig:
         work, and above ``soft_inflight`` it sheds cheap-to-retry
         requests first.  Unset (the default), the soft band is empty.
     breaker_threshold / breaker_cooldown / breaker_max_cooldown /
-    breaker_jitter / breaker_seed:
+    breaker_jitter:
         Per-graph circuit-breaker knobs (see
         :class:`~repro.service.resilience.CircuitBreaker`): after
         ``breaker_threshold`` consecutive worker-crash failures a
         graph's circuit opens for a seeded-jittered exponential
         cooldown; one half-open probe decides recovery.
     degrade_crash_threshold / degrade_shed_threshold /
-    degrade_window_seconds / degrade_recovery_seconds:
+    degrade_recovery_seconds:
         Graceful-degradation ladder knobs (see
-        :class:`~repro.service.resilience.DegradationLadder`).
+        :class:`~repro.service.resilience.DegradationLadder`); the
+        ladder counts failures over the default
+        :class:`~repro.service.resilience.LadderConfig` window.
     drain_timeout:
         Seconds :meth:`QueryService.close` and
         :meth:`QueryService.shutdown` wait for busy connections to
@@ -212,10 +214,8 @@ class ServiceConfig:
     breaker_cooldown: float = 1.0
     breaker_max_cooldown: float = 30.0
     breaker_jitter: float = 0.1
-    breaker_seed: int = 0
     degrade_crash_threshold: int = 3
     degrade_shed_threshold: int = 16
-    degrade_window_seconds: float = 30.0
     degrade_recovery_seconds: float = 5.0
     drain_timeout: float = 10.0
 
@@ -261,7 +261,6 @@ class ServiceConfig:
         return LadderConfig(
             crash_threshold=self.degrade_crash_threshold,
             shed_threshold=self.degrade_shed_threshold,
-            window_seconds=self.degrade_window_seconds,
             recovery_seconds=self.degrade_recovery_seconds,
         )
 
@@ -690,10 +689,7 @@ class QueryService:
         """The (lazily created) circuit breaker for graph ``name``."""
         breaker = self._breakers.get(name)
         if breaker is None:
-            breaker = CircuitBreaker(
-                self.config.breaker_config(),
-                seed=self.config.breaker_seed,
-            )
+            breaker = CircuitBreaker(self.config.breaker_config())
             self._breakers[name] = breaker
         return breaker
 

@@ -54,6 +54,7 @@ from __future__ import annotations
 import gc
 import multiprocessing
 import os
+import pickle
 import queue
 import threading
 import time
@@ -75,6 +76,18 @@ from ..engine import (
     VectorizedBatchStats,
 )
 from . import faults
+
+#: Cap, in seconds, of the exponential backoff between a worker's
+#: crash and its respawn.
+MAX_BACKOFF = 2.0
+
+#: Pipe polling granularity in seconds: how soon the parent notices a
+#: reply, a dead worker or an overrun deadline (and the watchdog's
+#: scan interval).
+POLL_INTERVAL = 0.05
+
+#: Seconds a fresh worker has to attach and send its ready handshake.
+START_TIMEOUT = 60.0
 
 
 def _proc_mb(path, field):
@@ -261,20 +274,16 @@ class WorkerPool:
         the engine's defaults.
     workers:
         Number of pre-forked processes.
-    respawn_backoff / max_backoff:
+    respawn_backoff:
         Exponential backoff between a crash and the respawn: the n-th
         consecutive crash of a slot waits ``respawn_backoff * 2**(n-1)``
-        seconds, capped at ``max_backoff``.
+        seconds, capped at :data:`MAX_BACKOFF`.
     grace_seconds:
         Extra wall-clock allowance past a request's deadline before
         the worker is presumed wedged and killed.
-    poll_interval:
-        Pipe polling granularity (crash/deadline detection latency).
     max_retries:
         How many times one request may be retried across crashes
         before :class:`~repro.errors.WorkerCrashError` surfaces.
-    start_timeout:
-        Seconds to wait for a fresh worker's ready handshake.
     watchdog_seconds:
         When set, a daemon watchdog thread hard-kills any worker
         that has been busy on one request for longer than this (or
@@ -288,11 +297,8 @@ class WorkerPool:
                  engine_kwargs: dict | None = None,
                  workers: int = 2,
                  respawn_backoff: float = 0.05,
-                 max_backoff: float = 2.0,
                  grace_seconds: float = 10.0,
-                 poll_interval: float = 0.05,
                  max_retries: int = 2,
-                 start_timeout: float = 60.0,
                  watchdog_seconds: float | None = None,
                  mp_context: Any = None) -> None:
         if workers < 1:
@@ -307,11 +313,8 @@ class WorkerPool:
         # time); the proxy also keeps it out of lock-guarded state.
         self.engine_kwargs = MappingProxyType(dict(engine_kwargs or {}))
         self.respawn_backoff = respawn_backoff
-        self.max_backoff = max_backoff
         self.grace_seconds = grace_seconds
-        self.poll_interval = poll_interval
         self.max_retries = max_retries
-        self.start_timeout = start_timeout
         self.watchdog_seconds = watchdog_seconds
         self._watchdog_kills = 0
         self._watchdog_stop = threading.Event()
@@ -421,7 +424,7 @@ class WorkerPool:
         finally:
             gc.unfreeze()
         child_conn.close()
-        deadline = time.monotonic() + self.start_timeout
+        deadline = time.monotonic() + START_TIMEOUT
         message = None
         while True:
             remaining = deadline - time.monotonic()
@@ -487,7 +490,7 @@ class WorkerPool:
         if closed:
             raise WorkerCrashError("pool is closed")
         delay = min(
-            self.respawn_backoff * (2 ** (crashes - 1)), self.max_backoff
+            self.respawn_backoff * (2 ** (crashes - 1)), MAX_BACKOFF
         )
         if delay > 0:
             time.sleep(delay)
@@ -505,7 +508,7 @@ class WorkerPool:
     def _watchdog_loop(self):
         """Hard-kill workers wedged on one request for too long.
 
-        Scans every ``poll_interval`` for handles whose in-flight
+        Scans every :data:`POLL_INTERVAL` for handles whose in-flight
         request has outlived ``watchdog_seconds`` (or its own give-up
         deadline) and kills the process.  The thread blocked in
         ``_recv`` then observes the death and runs the normal
@@ -518,8 +521,7 @@ class WorkerPool:
         one — shooting it then would crash a healthy request and feed
         a spurious failure into the breaker and the ladder.
         """
-        interval = max(self.poll_interval, 0.01)
-        while not self._watchdog_stop.wait(interval):
+        while not self._watchdog_stop.wait(POLL_INTERVAL):
             now = time.monotonic()
             with self._lock:
                 handles = list(self._handles)
@@ -567,7 +569,7 @@ class WorkerPool:
             if deadline is not None and time.monotonic() > deadline:
                 raise _WorkerHung()
             try:
-                if conn.poll(self.poll_interval):
+                if conn.poll(POLL_INTERVAL):
                     return conn.recv()
             except (EOFError, OSError):
                 raise _WorkerDied() from None
@@ -588,7 +590,12 @@ class WorkerPool:
         retried on a sibling up to ``max_retries`` times; a worker
         overrunning ``deadline`` is killed and the caller gets a
         :class:`DeadlineExceededError`.
+
+        The request is pickled once, to bytes, before the first
+        attempt: every retry sends the same bytes, and a send that
+        fails on a dead worker leaves no pickle buffer behind.
         """
+        payload = pickle.dumps(message)
         attempts = 0
         while True:
             handle = self._checkout(deadline)
@@ -597,7 +604,7 @@ class WorkerPool:
                 handle.busy_since = time.monotonic()
                 handle.busy_deadline = deadline
             try:
-                handle.conn.send(message)
+                handle.conn.send_bytes(payload)
                 reply = self._recv(handle, deadline)
             except (_WorkerDied, BrokenPipeError, OSError):
                 self._respawn(handle)

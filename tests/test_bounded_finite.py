@@ -102,7 +102,7 @@ class TestFiniteSolver:
         path = solver.shortest_simple_path(graph, 0, 10, ctx=ctx)
         assert time.perf_counter() - started < 1.0
         assert path.word == "a" * 10
-        assert ctx.words_tried == 1
+        assert ctx.steps == 1
 
     def test_the_context_budget_caps_the_words_tried(self):
         # The path spells the last of 4^9 words; a 1000-step budget
@@ -117,7 +117,7 @@ class TestFiniteSolver:
             FiniteLanguageSolver(language(regex)).shortest_simple_path(
                 graph, "s", "t", ctx=ctx
             )
-        assert ctx.words_tried == 1001
+        assert ctx.steps == 1001
         with pytest.raises(BudgetExceededError):
             QueryEngine(graph, exact_budget=1000).query(regex, "s", "t")
 

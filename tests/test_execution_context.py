@@ -10,8 +10,14 @@ import pytest
 from repro.algorithms.bounded import FiniteLanguageSolver
 from repro.algorithms.exact import ExactSolver
 from repro.core.nice_paths import TractableSolver
-from repro.core.product import shortest_walk
-from repro.core.solver import RspqSolver, solve_rspq
+from repro.core.product import shortest_walk, walk_check
+from repro.core.solver import (
+    STRATEGY_EXACT,
+    STRATEGY_FINITE,
+    STRATEGY_TRACTABLE,
+    RspqSolver,
+    solve_rspq,
+)
 from repro.errors import BudgetExceededError, DeadlineExceededError
 from repro.execution import ExecutionContext
 from repro.engine import QueryEngine
@@ -57,7 +63,7 @@ class TestContextIsolation:
         before = dict(vars(solver))
         ctx = ExecutionContext()
         solver.shortest_simple_path(graph, 0, 5, ctx=ctx)
-        assert ctx.words_tried > 0
+        assert ctx.steps > 0
         solver.shortest_simple_path(graph, 0, 5)
         assert dict(vars(solver)) == before
 
@@ -66,7 +72,7 @@ class TestContextIsolation:
         before = dict(vars(solver))
         ctx = ExecutionContext()
         solver.shortest_simple_path(graph, 0, 5, ctx=ctx)
-        assert ctx.dfs_steps > 0
+        assert ctx.steps > 0
         solver.shortest_simple_path(graph, 0, 5)
         assert dict(vars(solver)) == before
 
@@ -89,7 +95,7 @@ class TestContextIsolation:
             ctx = ExecutionContext()
             path = solver.shortest_simple_path(graph, 0, 5, ctx=ctx)
             paths.add(path)
-            counts.add(ctx.dfs_steps)
+            counts.add(ctx.steps)
         assert len(paths) == 1
         assert len(counts) == 1
 
@@ -170,35 +176,41 @@ class TestDeadlines:
 
 class TestRspqSolverDispatch:
     @pytest.mark.parametrize(
-        "regex,counters",
+        "regex,strategy",
         [
-            ("ab + ba", ("words_tried",)),
-            # Walk-check nodes land on ``steps``; the anchored DFS
-            # charges ``dfs_steps``.
-            ("a*", ("steps", "dfs_steps")),
-            ("a*ba*", ("steps",)),
+            ("ab + ba", STRATEGY_FINITE),
+            ("a*", STRATEGY_TRACTABLE),
+            ("a*ba*", STRATEGY_EXACT),
         ],
-        ids=["ab + ba-words_tried", "a*-dfs_steps", "a*ba*-steps"],
+        ids=["finite", "tractable", "exact"],
     )
-    def test_steps_in_reads_strategy_counter(self, graph, regex, counters):
+    def test_every_strategy_charges_steps(self, graph, regex, strategy):
+        # Words tried, walk nodes, DFS steps and expansions all land
+        # on the one counter the engine reports.
         solver = RspqSolver(regex)
+        assert solver.strategy == strategy
         source, target = _working_pair(regex, graph)
         ctx = ExecutionContext()
         solver.shortest_simple_path(graph, source, target, ctx=ctx)
-        assert solver.steps_in(ctx) == sum(
-            getattr(ctx, counter) for counter in counters
-        )
-        assert solver.steps_in(ctx) > 0
+        assert ctx.steps > 0
+        result = QueryEngine(graph).query(regex, source, target)
+        assert result.stats.steps == ctx.steps
 
     def test_solve_threads_context(self):
         # Figure 4's shortest walk repeats vertices, so the walk check
         # cannot decide it and the anchored DFS runs on ``ctx``.
         graph, source, target = figure4_graph(3)
         solver = RspqSolver("a*(bb^+ + eps)c*")
+        view = graph.view()
+        walk_ctx = ExecutionContext()
+        walk_check(
+            solver.language.dfa, view, view.vertex_id(source),
+            view.vertex_id(target), view.num_vertices - 1, walk_ctx,
+        )
         ctx = ExecutionContext()
         result = solver.solve(graph, source, target, ctx=ctx)
         assert result.strategy == solver.strategy
-        assert ctx.dfs_steps > 0
+        assert ctx.steps > walk_ctx.steps > 0
 
     def test_exists_threads_context(self):
         # (aa)* from 0 to 9: the shortest walk takes the loop on 8, so

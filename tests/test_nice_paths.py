@@ -166,7 +166,7 @@ class TestStats:
         graph = labeled_path("aac")
         ctx = ExecutionContext()
         solver.shortest_simple_path(graph, 0, 3, ctx=ctx)
-        assert ctx.dfs_steps > 0
+        assert ctx.steps > 0
 
     def test_budget_limits_work(self):
         # The query's budget caps the anchored DFS: a search that would
@@ -176,7 +176,7 @@ class TestStats:
         ctx = ExecutionContext(budget=1)
         with pytest.raises(BudgetExceededError):
             solver.shortest_simple_path(graph, 0, 3, ctx=ctx)
-        assert ctx.dfs_steps == 2
+        assert ctx.steps == 2
         # The whole search takes six steps.
         ctx = ExecutionContext(budget=6)
         assert solver.shortest_simple_path(graph, 0, 3, ctx=ctx).word == "aac"

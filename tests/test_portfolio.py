@@ -119,7 +119,7 @@ class TestLadderRungs:
         )
         ctx = ExecutionContext()
         solver.solve(view, 0, 4, ctx=ctx, portfolio=True)
-        assert solver.steps_in(ctx) == ctx.steps > walk_only.steps > 0
+        assert ctx.steps > walk_only.steps > 0
 
     def test_max_path_edges_validation(self):
         view = IndexedGraph(labeled_path("a"))

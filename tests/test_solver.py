@@ -123,4 +123,4 @@ class TestLastSteps:
             solver = RspqSolver(language(regex))
             ctx = ExecutionContext()
             solver.solve(graph, 0, 2, ctx=ctx)
-            assert solver.steps_in(ctx) >= 1, regex
+            assert ctx.steps >= 1, regex

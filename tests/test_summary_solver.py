@@ -5,10 +5,10 @@ import pytest
 from tests.conftest import paths_agree, random_instance
 
 from repro.algorithms.exact import ExactSolver
+from repro.core import nice_paths
 from repro.core.nice_paths import TractableSolver
 from repro.core.summary_solver import SummarySolver
 from repro.errors import NotInTrCError
-from repro.execution import ExecutionContext
 from repro.graphs.dbgraph import Path
 from repro.graphs.generators import (
     figure3_graph,
@@ -18,6 +18,21 @@ from repro.graphs.generators import (
     labeled_path,
 )
 from repro.languages import language
+
+
+@pytest.fixture
+def gap_searches(monkeypatch):
+    """The gap searches the completion step runs, one entry per call
+    to ``_gap_distances``."""
+    calls = []
+    original = nice_paths._gap_distances
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(nice_paths, "_gap_distances", spy)
+    return calls
 
 
 class TestConstruction:
@@ -57,23 +72,21 @@ class TestBasicQueries:
         graph = labeled_cycle("aa")
         assert solver.shortest_simple_path(graph, 0, 0) == Path.single(0)
 
-    def test_short_stays_need_no_gap(self):
+    def test_short_stays_need_no_gap(self, gap_searches):
         solver = SummarySolver(language("a*c*"), bound=5)
         graph = labeled_path("ac")
-        ctx = ExecutionContext()
-        path = solver.shortest_simple_path(graph, 0, 2, ctx=ctx)
+        path = solver.shortest_simple_path(graph, 0, 2)
         assert path.word == "ac"
         # Everything pinned: no gap BFS ran.
-        assert ctx.gap_bfs == 0
+        assert gap_searches == []
 
-    def test_long_stays_are_compressed(self):
+    def test_long_stays_are_compressed(self, gap_searches):
         solver = SummarySolver(language("a*"), bound=2)
         graph = labeled_path("a" * 8)
-        ctx = ExecutionContext()
-        path = solver.shortest_simple_path(graph, 0, 8, ctx=ctx)
+        path = solver.shortest_simple_path(graph, 0, 8)
         assert path is not None
         assert len(path) == 8
-        assert ctx.gap_bfs > 0
+        assert gap_searches
 
 
 class TestPaperInstances:

@@ -23,7 +23,7 @@ import pytest
 from benchmarks.workloads import random_regexes
 from repro.algorithms.exact import ExactSolver
 from repro.algorithms.semantics import SemanticsEvaluator
-from repro.core.product import shortest_walk, transition_rows
+from repro.core.product import shortest_walk, transition_rows, walk_check
 from repro.core.solver import STRATEGY_EXACT, RspqSolver
 from repro.engine import IndexedGraph, QueryEngine
 from repro.errors import BudgetExceededError, DeadlineExceededError
@@ -349,24 +349,36 @@ class TestCharging:
         assert path.word == "aba"
         # Three forward and two backward walk nodes; the exact search
         # never ran.
-        assert solver.steps_in(ctx) == ctx.steps == 5
+        assert ctx.steps == 5
 
     def test_budget_past_the_walk_stops_the_tractable_search(self):
         # Figure 4's walk repeats vertices, so the anchored DFS runs on
-        # the same context and its dfs_steps meet the budget.
+        # the same context and charges the same steps after the walk.
         graph, source, target = figure4_graph(3)
         solver = RspqSolver(EXAMPLE1)
+        view = graph.view()
+        walk_ctx = ExecutionContext()
+        walk_check(
+            solver.language.dfa, view, view.vertex_id(source),
+            view.vertex_id(target), view.num_vertices - 1, walk_ctx,
+        )
+        walk_steps = walk_ctx.steps
         ctx = ExecutionContext()
         assert solver.shortest_simple_path(graph, source, target, ctx=ctx) \
             is None
-        walk_steps = ctx.steps
-        assert ctx.dfs_steps > walk_steps > 0
-        assert solver.steps_in(ctx) == walk_steps + ctx.dfs_steps
+        assert ctx.steps > 2 * walk_steps > 0
+        # The walk spends the whole budget; the first DFS step overruns
+        # it.
         budgeted = ExecutionContext(budget=walk_steps)
         with pytest.raises(BudgetExceededError):
             solver.shortest_simple_path(graph, source, target, ctx=budgeted)
-        assert budgeted.steps == walk_steps
-        assert budgeted.dfs_steps == walk_steps + 1
+        assert budgeted.steps == walk_steps + 1
+        # A budget of exactly the query's steps answers.
+        exact = ExecutionContext(budget=ctx.steps)
+        assert solver.shortest_simple_path(
+            graph, source, target, ctx=exact
+        ) is None
+        assert exact.steps == ctx.steps
 
     def test_budget_past_the_walk_stops_the_exact_search(self):
         graph = _loop_before_target(9)

@@ -138,4 +138,4 @@ class TestPruningAblation:
         fast.shortest_simple_path(graph, 0, 39, ctx=pruned)
         unpruned = ExecutionContext()
         slow.shortest_simple_path(graph, 0, 39, ctx=unpruned)
-        assert pruned.dfs_steps <= unpruned.dfs_steps
+        assert pruned.steps <= unpruned.steps
