@@ -67,9 +67,8 @@ def _engine_flags():
         "--budget",
         type=int,
         default=None,
-        help="step budget: batch and serve cap each query's steps (walk "
-        "nodes plus search steps, or the words a finite L tries); solve "
-        "caps the exact search of an NP-complete L",
+        help="step budget: caps each query's steps (walk nodes plus "
+        "search steps, or the words a finite L tries)",
     )
     engine = argparse.ArgumentParser(add_help=False, parents=[budget])
     engine.add_argument(

@@ -154,7 +154,8 @@ class RspqSolver:
     :meth:`shortest_simple_path` / :meth:`solve` / :meth:`exists`, so
     one instance — e.g. inside a cached
     :class:`~repro.engine.plan.QueryPlan` — can serve concurrent
-    queries.  A context-less call runs on a throwaway context.
+    queries.  A context-less call runs on a fresh context budgeted by
+    ``exact_budget``.
 
     Parameters
     ----------
@@ -162,8 +163,8 @@ class RspqSolver:
         :class:`~repro.languages.Language` or regex string.
     exact_budget:
         Step budget of a query that brings no context: it caps the
-        exact search (and the middle rungs of a ``portfolio=True``
-        query).  A query's own context carries its budget instead.
+        query's one work count, as a context's ``budget`` does.  A
+        query's own context carries its budget instead.
     use_reach_pruning:
         Consult the graph view's label-constrained reachability index
         (short-circuiting provably unreachable queries and dropping
@@ -227,8 +228,7 @@ class RspqSolver:
                 self.decompose_failed = True
         if self.strategy == STRATEGY_EXACT:
             self._exact_solver = ExactSolver(
-                language, budget=exact_budget,
-                use_reach_pruning=use_reach_pruning,
+                language, use_reach_pruning=use_reach_pruning,
             )
             self._color = ColorCodingSolver(
                 language, seed=seed,
@@ -255,9 +255,9 @@ class RspqSolver:
 
         ``ctx`` (an :class:`~repro.execution.ExecutionContext`) carries
         the query's steps and budget/deadline accounting; every search
-        charges its ``steps``.  Without one, the walk check runs
-        uncharged and the dispatched solver on a throwaway context
-        (pass a context and read its ``steps`` to see the work).
+        charges its ``steps``.  Without one, the query runs on a fresh
+        context budgeted by ``exact_budget`` (pass a context and read
+        its ``steps`` to see the work).
         """
         return self.solve(graph, source, target, ctx=ctx).path
 
@@ -281,6 +281,8 @@ class RspqSolver:
                 "max_path_edges must be >= 0 or None, got %r"
                 % (max_path_edges,)
             )
+        if ctx is None:
+            ctx = ExecutionContext(budget=self.exact_budget)
         ladder = portfolio and self.has_ladder
         if self._finite_solver is not None:
             path = self._finite_solver.shortest_simple_path(
@@ -301,8 +303,6 @@ class RspqSolver:
             return self._result(path, "walk-probe" if ladder else None)
         assert walk_edges is not None  # the walk exists but repeats a vertex
         if ladder:
-            if ctx is None:
-                ctx = ExecutionContext(budget=self.exact_budget)
             answer = self._middle_rungs(
                 view, source_id, target_id, walk_edges, cap, ctx
             )
@@ -475,6 +475,8 @@ class RspqSolver:
     def exists(self, graph: Any, source: Any, target: Any,
                ctx: "ExecutionContext | None" = None) -> bool:
         """Decision variant of RSPQ(L)."""
+        if ctx is None:
+            ctx = ExecutionContext(budget=self.exact_budget)
         if self._exact_solver is not None:
             view = as_graph_view(graph)
             decided, path, _edges = walk_check(

@@ -58,7 +58,7 @@ class QueryStats:
     plan_cache_hit: bool
     seconds: float
     #: True when the answer was replayed from the engine result cache
-    #: (no solver ran; ``steps`` reports the original solve's work).
+    #: (no solver ran; ``steps`` is 0).
     result_cache_hit: bool = False
     #: True when the reachability index proved the target unreachable
     #: under the plan's label mask and no solver ran (``steps`` is 0).
@@ -653,9 +653,10 @@ class QueryEngine:
             if cached is not None:
                 # Only certified results are ever stored; the replayed
                 # confidence is carried over rather than assumed, so a
-                # store-policy bug would surface in results.
+                # store-policy bug would surface in results.  No search
+                # ran for this request, so it reports 0 steps.
                 return self._result(
-                    q, cached.path, cached.stats.steps,
+                    q, cached.path,
                     strategy=cached.strategy,
                     decompose_failed=cached.decompose_failed,
                     confidence=cached.confidence,

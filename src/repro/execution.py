@@ -25,9 +25,10 @@ With the context threaded through, each solver's
 ``(graph, source, target, ctx)``: one compiled solver (inside a frozen,
 cached plan) can serve any number of concurrent queries, each carrying
 its own context.  A call *without* a context runs on a throwaway one
-(the exact solver and the trail search budget it with their own
-``budget``), so no query ever writes to a solver instance; to read a
-query's work, pass a context and read ``steps`` off it afterwards.
+(``RspqSolver`` budgets it with its ``exact_budget``, the exact solver
+and the trail search with their own ``budget``), so no query ever
+writes to a solver instance; to read a query's work, pass a context
+and read ``steps`` off it afterwards.
 """
 
 from __future__ import annotations

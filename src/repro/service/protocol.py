@@ -23,7 +23,7 @@ error``
   tries), capped by its budget; ``seconds`` — wall-clock for this
   query; ``plan_cache_hit`` — whether the plan was already cached.
 * ``result_cache_hit`` — the answer was replayed from the engine
-  result cache (no solver ran; ``steps`` reports the original solve).
+  result cache (no solver ran; ``steps`` is 0).
 * ``short_circuit`` — the reachability index proved NOT_FOUND under
   the plan's label mask and no solver ran (``steps`` is 0).
 * ``vectorized`` — a plan group's shared walk decision proved the

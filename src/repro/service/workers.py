@@ -33,13 +33,17 @@ Parent ↔ worker protocol is a strict request/response over one
 ``("stats",)`` / ``("ping",)`` / ``("shutdown",)``
     Introspection, liveness and orderly exit.
 
-The parent side polls the pipe with a short interval so it can
-notice three things between frames: the reply arriving, the worker
-*dying* (``is_alive`` goes false → respawn with exponential backoff
-and retry the request on a sibling — queries are pure, so the retry
-is idempotent), and the request overrunning its deadline plus a
+A parent thread waits on a worker in one place,
+:meth:`WorkerPool._recv`, which polls the pipe with a short interval
+so it can notice four things between frames: the reply arriving, the
+worker *dying* (``is_alive`` goes false → respawn with exponential
+backoff and retry the request on a sibling — queries are pure, so the
+retry is idempotent), the request overrunning its deadline plus a
 grace period (the worker is presumed wedged, killed, respawned, and
-the caller gets :class:`~repro.errors.DeadlineExceededError`).
+the caller gets :class:`~repro.errors.DeadlineExceededError`), and
+the request outliving ``watchdog_seconds`` (the waiting thread kills
+the worker itself, and the request is retried as after a crash).  A
+fresh worker's ready handshake is waited for there too.
 
 A batch is dealt round-robin over its shards, one per worker, and
 knows nothing about plans: each worker's engine groups its own shard
@@ -82,8 +86,8 @@ from . import faults
 MAX_BACKOFF = 2.0
 
 #: Pipe polling granularity in seconds: how soon the parent notices a
-#: reply, a dead worker or an overrun deadline (and the watchdog's
-#: scan interval).
+#: reply, a dead worker, an overrun deadline or an overrun watchdog
+#: limit.
 POLL_INTERVAL = 0.05
 
 #: Seconds a fresh worker has to attach and send its ready handshake.
@@ -234,8 +238,7 @@ class _WorkerHung(Exception):
 class _WorkerHandle:
     """Parent-side bookkeeping for one worker process."""
 
-    __slots__ = ("index", "process", "conn", "crashes", "lock",
-                 "busy_since", "busy_deadline", "busy_token")
+    __slots__ = ("index", "process", "conn", "crashes")
 
     def __init__(self, index, process, conn):
         self.index = index
@@ -244,21 +247,6 @@ class _WorkerHandle:
         #: Consecutive crashes at this slot (drives respawn backoff;
         #: reset by the first successful reply).
         self.crashes = 0
-        #: Guards the busy_* fields: the request thread stamps and
-        #: clears them under this lock, and the watchdog re-checks
-        #: under it immediately before a kill, so a worker that just
-        #: finished (or started a fresh request) is never shot for a
-        #: stale observation.
-        self.lock = threading.Lock()
-        #: Monotonic instant the in-flight request started (None when
-        #: idle) and its absolute give-up time — what the watchdog
-        #: reads to find wedged workers.
-        self.busy_since = None
-        self.busy_deadline = None
-        #: Generation counter bumped at every checkout; the watchdog
-        #: only kills if the token it scanned is still the one in
-        #: flight.
-        self.busy_token = 0
 
 
 class WorkerPool:
@@ -285,12 +273,14 @@ class WorkerPool:
         How many times one request may be retried across crashes
         before :class:`~repro.errors.WorkerCrashError` surfaces.
     watchdog_seconds:
-        When set, a daemon watchdog thread hard-kills any worker
-        that has been busy on one request for longer than this (or
-        past the request's own give-up deadline, whichever is
-        sooner).  This is what reclaims a wedged worker holding a
-        request *without* a deadline — the per-request ``_recv``
-        timeout only fires when a deadline exists.  None disables it.
+        When set, the thread waiting for a request's reply hard-kills
+        a worker that has been busy on that request for longer than
+        this; the request is then retried on a respawned worker, as
+        after any crash.  This is what reclaims a wedged worker
+        holding a request *without* a deadline.  A request whose
+        deadline plus grace comes first overruns it instead (a
+        :class:`~repro.errors.DeadlineExceededError`, not a kill
+        counted here).  None disables it.
     """
 
     def __init__(self, snapshot_path: Any,
@@ -317,8 +307,6 @@ class WorkerPool:
         self.max_retries = max_retries
         self.watchdog_seconds = watchdog_seconds
         self._watchdog_kills = 0
-        self._watchdog_stop = threading.Event()
-        self._watchdog_thread: threading.Thread | None = None
         self._workers = workers
         self._ctx = (
             mp_context if mp_context is not None
@@ -344,13 +332,6 @@ class WorkerPool:
             raise
         for handle in self._handles:
             self._idle.put(handle)
-        if watchdog_seconds is not None:
-            self._watchdog_thread = threading.Thread(
-                target=self._watchdog_loop,
-                name="repro-pool-watchdog",
-                daemon=True,
-            )
-            self._watchdog_thread.start()
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -371,9 +352,6 @@ class WorkerPool:
                 return
             self._closed = True
             handles = list(self._handles)
-        self._watchdog_stop.set()
-        if self._watchdog_thread is not None:
-            self._watchdog_thread.join(timeout=timeout)
         self._executor.shutdown(wait=True)
         for handle in handles:
             try:
@@ -424,43 +402,24 @@ class WorkerPool:
         finally:
             gc.unfreeze()
         child_conn.close()
-        deadline = time.monotonic() + START_TIMEOUT
-        message = None
-        while True:
-            remaining = deadline - time.monotonic()
-            try:
-                if parent_conn.poll(min(max(remaining, 0.0), 0.1)):
-                    message = parent_conn.recv()
-                    break
-            except (EOFError, OSError):
-                break
-            if not process.is_alive():
-                # One final poll: the ready frame may have landed just
-                # before the exit.
-                try:
-                    if parent_conn.poll(0):
-                        message = parent_conn.recv()
-                except (EOFError, OSError):  # pragma: no cover
-                    pass
-                break
-            if remaining <= 0:
-                break
-        if message is None:
-            process.kill()
-            process.join(timeout=5.0)
-            parent_conn.close()
+        handle = _WorkerHandle(index, process, parent_conn)
+        try:
+            kind, detail = self._recv(
+                handle, time.monotonic() + START_TIMEOUT
+            )
+        except (_WorkerDied, _WorkerHung):
+            self._kill(handle)
             raise WorkerCrashError(
                 "pool worker %d died or hung before its ready handshake"
                 % index
-            )
-        if message[0] != "ready":
-            process.join(timeout=5.0)
-            parent_conn.close()
+            ) from None
+        if kind != "ready":
+            self._kill(handle)
             raise SnapshotError(
                 "pool worker %d could not attach %s: %s"
-                % (index, self.snapshot_path, message[1])
+                % (index, self.snapshot_path, detail)
             )
-        return _WorkerHandle(index, process, parent_conn)
+        return handle
 
     def _kill(self, handle):
         if handle.process.is_alive():
@@ -505,46 +464,6 @@ class WorkerPool:
             self._respawns += 1
         self._idle.put(fresh)
 
-    def _watchdog_loop(self):
-        """Hard-kill workers wedged on one request for too long.
-
-        Scans every :data:`POLL_INTERVAL` for handles whose in-flight
-        request has outlived ``watchdog_seconds`` (or its own give-up
-        deadline) and kills the process.  The thread blocked in
-        ``_recv`` then observes the death and runs the normal
-        respawn-and-retry path — the watchdog only converts a silent
-        wedge into a detectable crash.
-
-        The kill re-validates the scanned generation token under the
-        handle lock: between the scan and the kill the long request
-        may have completed and the worker been checked out for a new
-        one — shooting it then would crash a healthy request and feed
-        a spurious failure into the breaker and the ladder.
-        """
-        while not self._watchdog_stop.wait(POLL_INTERVAL):
-            now = time.monotonic()
-            with self._lock:
-                handles = list(self._handles)
-            for handle in handles:
-                with handle.lock:
-                    busy_since = handle.busy_since
-                    busy_deadline = handle.busy_deadline
-                    busy_token = handle.busy_token
-                if busy_since is None:
-                    continue
-                limit = busy_since + self.watchdog_seconds
-                if busy_deadline is not None:
-                    limit = min(limit, busy_deadline)
-                if now <= limit or not handle.process.is_alive():
-                    continue
-                with handle.lock:
-                    if (handle.busy_since is None
-                            or handle.busy_token != busy_token):
-                        continue  # that request already completed
-                    handle.process.kill()
-                with self._lock:
-                    self._watchdog_kills += 1
-
     # -- request plumbing --------------------------------------------------------
 
     def _checkout(self, deadline):
@@ -561,13 +480,27 @@ class WorkerPool:
                 "no pool worker became idle before the request deadline"
             ) from None
 
-    def _recv(self, handle, deadline):
-        """Deadline-aware reply wait with crash detection."""
+    def _recv(self, handle, deadline, kill_at=None):
+        """Wait for ``handle``'s next frame; the one place a parent
+        thread waits on a worker.
+
+        Past ``deadline`` it raises :class:`_WorkerHung`.  Past
+        ``kill_at`` (the request's watchdog limit) it kills the worker,
+        counts a watchdog kill and raises :class:`_WorkerDied`, so the
+        caller respawns the worker and retries as after any crash.
+        A worker whose process ends raises :class:`_WorkerDied`.
+        """
         conn = handle.conn
         process = handle.process
         while True:
-            if deadline is not None and time.monotonic() > deadline:
+            now = time.monotonic()
+            if deadline is not None and now > deadline:
                 raise _WorkerHung()
+            if kill_at is not None and now > kill_at:
+                process.kill()
+                with self._lock:
+                    self._watchdog_kills += 1
+                raise _WorkerDied()
             try:
                 if conn.poll(POLL_INTERVAL):
                     return conn.recv()
@@ -589,7 +522,9 @@ class WorkerPool:
         Crashed workers are respawned (with backoff) and the request
         retried on a sibling up to ``max_retries`` times; a worker
         overrunning ``deadline`` is killed and the caller gets a
-        :class:`DeadlineExceededError`.
+        :class:`DeadlineExceededError`.  Each attempt's watchdog limit
+        is ``watchdog_seconds`` from its checkout; a worker past it is
+        killed by :meth:`_recv` and counts as a crash.
 
         The request is pickled once, to bytes, before the first
         attempt: every retry sends the same bytes, and a send that
@@ -599,13 +534,13 @@ class WorkerPool:
         attempts = 0
         while True:
             handle = self._checkout(deadline)
-            with handle.lock:
-                handle.busy_token += 1
-                handle.busy_since = time.monotonic()
-                handle.busy_deadline = deadline
+            kill_at = (
+                None if self.watchdog_seconds is None
+                else time.monotonic() + self.watchdog_seconds
+            )
             try:
                 handle.conn.send_bytes(payload)
-                reply = self._recv(handle, deadline)
+                reply = self._recv(handle, deadline, kill_at)
             except (_WorkerDied, BrokenPipeError, OSError):
                 self._respawn(handle)
                 attempts += 1
@@ -624,14 +559,8 @@ class WorkerPool:
                 ) from None
             except BaseException:
                 # Parent-side failure with the worker healthy.
-                with handle.lock:
-                    handle.busy_since = None
-                    handle.busy_deadline = None
                 self._idle.put(handle)
                 raise
-            with handle.lock:
-                handle.busy_since = None
-                handle.busy_deadline = None
             handle.crashes = 0
             self._idle.put(handle)
             with self._lock:

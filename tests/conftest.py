@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import json
+import multiprocessing
 import random
 
 import pytest
@@ -22,6 +23,29 @@ REGEX_POOLS = {"depth1": (180, 0, 1), "depth3": (190, 3, 3)}
 @pytest.fixture
 def rng():
     return random.Random(20130622)  # PODS 2013 conference date
+
+
+def _pool_workers():
+    return {
+        process for process in multiprocessing.active_children()
+        if process.name.startswith("repro-pool-")
+    }
+
+
+@pytest.fixture(scope="module", autouse=True)
+def no_leaked_pool_workers():
+    """Fail a test module that leaves a pool worker process running.
+
+    Only workers that were not alive when the module started count, so
+    one leak fails the module that made it, not every module after it.
+    """
+    before = _pool_workers()
+    yield
+    leaked = sorted(
+        process.name for process in _pool_workers() - before
+    )
+    if leaked:
+        pytest.fail("pool workers left running: %s" % ", ".join(leaked))
 
 
 def random_instance(seed, alphabet, max_vertices=12):

@@ -591,14 +591,17 @@ class TestWorkerChaos:
         (described,) = stats["graphs"]
         assert described["worker_crashes"] == 1
 
-    def test_hang_with_deadline_maps_to_504(self, graph, pool_registry):
+    @pytest.mark.parametrize("watchdog_seconds", [None, 5.0])
+    def test_hang_with_deadline_maps_to_504(self, graph, pool_registry,
+                                            watchdog_seconds):
         # Only the pre-forked worker carries the plan: its replacement
         # starts clean, so the follow-up query need not wait out a
-        # second hang.
+        # second hang.  An armed watchdog whose limit lies past the
+        # deadline plus grace kills nothing: the overrun is a 504 only.
         faults.install(
             FaultPlan(worker_hang_at=(1,), hang_seconds=30.0)
         )
-        registry = pool_registry(graph)
+        registry = pool_registry(graph, watchdog_seconds=watchdog_seconds)
         faults.uninstall()
         service = QueryService(registry, ServiceConfig(workers=2))
         with ServiceThread(service) as running:
@@ -614,15 +617,18 @@ class TestWorkerChaos:
             # serving.
             record = client.query("a*", 0, 1)
             assert record["error"] is None
+        assert registry.get("main").pool.stats()["watchdog_kills"] == 0
 
+    @pytest.mark.parametrize("watchdog_seconds", [None, 5.0])
     def test_batch_hang_with_deadline_maps_to_504(self, graph,
-                                                  pool_registry):
+                                                  pool_registry,
+                                                  watchdog_seconds):
         # The /batch twin: the same overrun is a 504 with the same
-        # message, not a 500.
+        # message, not a 500, and no watchdog kill.
         faults.install(
             FaultPlan(worker_hang_at=(1,), hang_seconds=30.0)
         )
-        registry = pool_registry(graph)
+        registry = pool_registry(graph, watchdog_seconds=watchdog_seconds)
         faults.uninstall()
         service = QueryService(registry, ServiceConfig(workers=2))
         with ServiceThread(service) as running:
@@ -638,6 +644,7 @@ class TestWorkerChaos:
         assert verify_against_direct(
             graph, [("a*", 0, 1)], response["results"]
         ) == []
+        assert registry.get("main").pool.stats()["watchdog_kills"] == 0
 
     @pytest.mark.parametrize("endpoint", ["query", "batch"])
     def test_failed_respawn_is_503_and_keeps_the_slot(self, graph,
@@ -1332,41 +1339,44 @@ class TestSnapshotSwapUnderServing:
         registry = GraphRegistry(
             worker_processes=1, pool_kwargs=dict(FAST_POOL)
         )
-        registry.register_snapshot("snap", path)
-        service = QueryService(registry, ServiceConfig(workers=2))
-        with ServiceThread(service) as running:
-            client = ServiceClient(port=running.port)
-            before = client.query("a*", 0, 1, graph="snap")
-            assert verify_against_direct(
-                graph, [("a*", 0, 1)], [before]
-            ) == []
+        try:
+            registry.register_snapshot("snap", path)
+            service = QueryService(registry, ServiceConfig(workers=2))
+            with ServiceThread(service) as running:
+                client = ServiceClient(port=running.port)
+                before = client.query("a*", 0, 1, graph="snap")
+                assert verify_against_direct(
+                    graph, [("a*", 0, 1)], [before]
+                ) == []
 
-            # Replace the snapshot with a truncated husk *while the
-            # pool serves from it*.  The attached mapping pins the old
-            # inode, so in-flight serving must not notice.
-            husk = str(tmp_path / "husk.snap")
-            with open(husk, "wb") as handle:
-                handle.write(good_bytes[: len(good_bytes) // 2])
-            os.replace(husk, path)
+                # Replace the snapshot with a truncated husk *while the
+                # pool serves from it*.  The attached mapping pins the old
+                # inode, so in-flight serving must not notice.
+                husk = str(tmp_path / "husk.snap")
+                with open(husk, "wb") as handle:
+                    handle.write(good_bytes[: len(good_bytes) // 2])
+                os.replace(husk, path)
 
-            after = [
-                client.query(lang, source, target, graph="snap")
-                for lang, source, target in QUERIES
-            ]
-            assert verify_against_direct(graph, QUERIES, after) == []
+                after = [
+                    client.query(lang, source, target, graph="snap")
+                    for lang, source, target in QUERIES
+                ]
+                assert verify_against_direct(graph, QUERIES, after) == []
 
-            # A *new* registration sees the damage and fails cleanly —
-            # a refusal, not a crash, and not a wrong graph.
-            with pytest.raises(SnapshotError):
+                # A *new* registration sees the damage and fails cleanly —
+                # a refusal, not a crash, and not a wrong graph.
+                with pytest.raises(SnapshotError):
+                    registry.register_snapshot("fresh", path)
+
+                # Restore the good bytes: registration works again.
+                restored = str(tmp_path / "restored.snap")
+                with open(restored, "wb") as handle:
+                    handle.write(good_bytes)
+                os.replace(restored, path)
                 registry.register_snapshot("fresh", path)
-
-            # Restore the good bytes: registration works again.
-            restored = str(tmp_path / "restored.snap")
-            with open(restored, "wb") as handle:
-                handle.write(good_bytes)
-            os.replace(restored, path)
-            registry.register_snapshot("fresh", path)
-            again = client.query("a*", 0, 1, graph="fresh")
-            assert verify_against_direct(
-                graph, [("a*", 0, 1)], [again]
-            ) == []
+                again = client.query("a*", 0, 1, graph="fresh")
+                assert verify_against_direct(
+                    graph, [("a*", 0, 1)], [again]
+                ) == []
+        finally:
+            registry.close()

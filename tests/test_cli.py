@@ -7,6 +7,7 @@ import pytest
 from repro.cli import main
 from repro.graphs import io as graph_io
 from repro.graphs.dbgraph import DbGraph
+from repro.graphs.generators import figure4_graph
 
 
 @pytest.fixture
@@ -80,6 +81,19 @@ class TestSolve:
     def test_missing_file(self, capsys):
         code = main(["solve", "a*", "/nonexistent/graph.txt", "0", "1"])
         assert code == 2
+
+    def test_budget_caps_the_whole_query(self, capsys, tmp_path):
+        # Figure 4 (k = 6) costs 100 steps: walk nodes plus the
+        # anchored DFS.  --budget caps both, as batch and serve do.
+        graph, source, target = figure4_graph(6)
+        path = str(tmp_path / "fig4.txt")
+        graph_io.dump(graph, path)
+        query = ["solve", "a*(bb+ + eps)c*", path, source, target]
+        for budget in ("1", "99"):
+            assert main(query + ["--budget", budget]) == 2
+            assert "budget" in capsys.readouterr().err
+        assert main(query + ["--budget", "100"]) == 1
+        assert "no simple path" in capsys.readouterr().out
 
     def test_bad_regex(self, capsys):
         assert main(["classify", "(((("]) == 2

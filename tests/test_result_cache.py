@@ -34,7 +34,7 @@ class TestResultCacheHits:
         assert second.found == first.found
         assert second.path == first.path
         assert second.strategy == first.strategy
-        assert second.stats.steps == first.stats.steps
+        assert second.stats.steps == 0
         assert second.stats.plan_cache_hit is True
         stats = engine.result_cache_stats()
         assert stats.enabled is True

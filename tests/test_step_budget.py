@@ -63,6 +63,11 @@ class TestFigure4:
         assert result.error is None and not result.found
         assert result.strategy == STRATEGY_TRACTABLE
         assert result.stats.steps == FIGURE4_STEPS
+        # A result-cache replay runs no search, so it reports 0 steps,
+        # even under a budget no fresh solve could meet.
+        replay = engine.query(EXAMPLE1, source, target, budget=63)
+        assert replay.stats.result_cache_hit and not replay.found
+        assert replay.stats.steps == 0
 
     def test_direct_solve_charges_the_same_steps(self, figure4):
         graph, source, target = figure4
@@ -85,9 +90,13 @@ class TestFigure4:
             record = client.query(
                 EXAMPLE1, source, target, budget=FIGURE4_STEPS
             )
+            replay = client.query(EXAMPLE1, source, target, budget=63)
         assert record["found"] is False
         assert record["strategy"] == STRATEGY_TRACTABLE
         assert record["steps"] == FIGURE4_STEPS
+        assert replay["result_cache_hit"] is True
+        assert replay["found"] is False
+        assert replay["steps"] == 0
 
 
 @st.composite

@@ -337,10 +337,13 @@ class TestCharging:
                 graph, 0, target, ctx=ExecutionContext(deadline_seconds=0.0)
             )
 
-    def test_context_less_call_is_uncharged(self):
-        assert RspqSolver("a*ba*", exact_budget=1).shortest_simple_path(
-            labeled_path("aabaa"), 0, 5
-        ) is not None
+    def test_context_less_call_is_budgeted(self):
+        # Without a context, exact_budget caps the whole query: the
+        # walk check alone overruns a budget of 1.
+        with pytest.raises(BudgetExceededError):
+            RspqSolver("a*ba*", exact_budget=1).shortest_simple_path(
+                labeled_path("aabaa"), 0, 5
+            )
 
     def test_walk_answer_reports_its_steps(self):
         solver = RspqSolver("a*ba*")

@@ -19,6 +19,7 @@ import gc
 import multiprocessing
 import os
 import threading
+import time
 import types
 import weakref
 
@@ -492,6 +493,54 @@ def _recording_context(freeze_counts):
             super().start()
 
     return types.SimpleNamespace(Process=Process, Pipe=context.Pipe)
+
+
+def _failing_start_context(body, started):
+    """A fork context whose worker ``repro-pool-1`` runs ``body`` in
+    place of ``_worker_main``, so it never sends its ready frame; every
+    process started is appended to ``started``."""
+    context = multiprocessing.get_context("fork")
+
+    class Process(context.Process):
+        def start(self):
+            started.append(self)
+            super().start()
+
+        def run(self):
+            if self.name == "repro-pool-1":
+                body()
+            else:
+                super().run()
+
+    return types.SimpleNamespace(Process=Process, Pipe=context.Pipe)
+
+
+class TestStartupHandshake:
+    """A worker that never sends its ready frame fails the pool's
+    start with WorkerCrashError, and no worker is left running: the
+    silent one is killed, and so is the sibling started before it."""
+
+    def assert_start_fails(self, snap_path, body):
+        started = []
+        with pytest.raises(WorkerCrashError, match="ready handshake"):
+            WorkerPool(
+                snap_path, workers=2,
+                mp_context=_failing_start_context(body, started),
+            )
+        assert [process.name for process in started] == [
+            "repro-pool-0", "repro-pool-1",
+        ]
+        assert not any(process.is_alive() for process in started)
+
+    def test_worker_exiting_before_ready(self, snap_path):
+        self.assert_start_fails(snap_path, lambda: None)
+
+    def test_worker_sleeping_past_start_timeout(self, snap_path,
+                                                monkeypatch):
+        monkeypatch.setattr(workers_module, "START_TIMEOUT", 0.3)
+        start = time.monotonic()
+        self.assert_start_fails(snap_path, lambda: time.sleep(60))
+        assert time.monotonic() - start < 10
 
 
 class TestForkFromFrozenHeap:
