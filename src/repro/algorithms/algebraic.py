@@ -35,11 +35,14 @@ the better spend of the same budget.
 
 Arithmetic is ``GF(2^16)`` under the primitive polynomial ``0x1100B``
 (the same ``x^16 + x^12 + x^3 + x + 1`` the Jerasure coding library
-uses for w = 16), with exp/log tables built once at import.
+uses for w = 16), with exp/log tables built the first time a run or
+:func:`gf_mul` reads them (:func:`_gf_tables`): about 5 MB of tuples
+and 20 ms, paid only by a process that reaches the algebraic rung.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
@@ -62,8 +65,14 @@ _GF_POLY = 0x1100B
 _GF_ORDER = 1 << 16
 
 
-def _build_gf_tables():
-    """Exp/log tables for GF(2^16); exp is doubled for index-free mult."""
+@functools.cache
+def _gf_tables():
+    """Exp/log tables for GF(2^16); exp is doubled for index-free mult.
+
+    Built on the first call and shared by every later one.  Two
+    threads making the first call together each build the same
+    immutable tuples, and one pair is kept, so no lock is needed.
+    """
     size = _GF_ORDER - 1
     exp = [0] * (2 * size)
     log = [0] * _GF_ORDER
@@ -79,14 +88,12 @@ def _build_gf_tables():
     return tuple(exp), tuple(log)
 
 
-_GF_EXP, _GF_LOG = _build_gf_tables()
-
-
 def gf_mul(a, b):
     """Product in GF(2^16) (table-based; 0 absorbs)."""
     if a == 0 or b == 0:
         return 0
-    return _GF_EXP[_GF_LOG[a] + _GF_LOG[b]]
+    exp, log = _gf_tables()
+    return exp[log[a] + log[b]]
 
 
 def runs_for_prob(failure_probability):
@@ -208,8 +215,7 @@ class AlgebraicSolver:
             mask = view.label_mask(self.used_symbols)
             to_target = index.comps_to(target_id, mask)
             comp_of = index.comp_of
-        exp = _GF_EXP
-        log = _GF_LOG
+        exp, log = _gf_tables()
         out = view.out
         scalar = randrange(1, _GF_ORDER)
         init = [0] * size

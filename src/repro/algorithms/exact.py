@@ -134,27 +134,36 @@ class ExactSolver:
         start = source_id * num_states + self.dfa.initial
         if start not in goal_distance:
             return None
-        out = view.out
+        out_indptr = view.out_indptr
+        out_labels = view.out_labels
+        out_targets = view.out_targets
         vertex_at = view.vertex_at
         label_at = view.label_at
         weighted = weight_fn is not None
         best = None
         best_metric = None
         # The partial path: its vertices and labels, its weight, and a
-        # stack frame per vertex holding (state, successor iterator,
-        # weight of the edge that entered it).
+        # stack frame per vertex holding (state, iterator over the
+        # vertex's out-edge CSR slots, weight of the edge that entered
+        # it).
         vertices = [source_id]
         labels = []
         weight_so_far = 0.0
         visited = bytearray(view.num_vertices)
         visited[source_id] = 1
         ctx.charge_step()
-        stack = [(self.dfa.initial, iter(out(source_id)), 0)]
+        stack = [(
+            self.dfa.initial,
+            iter(range(out_indptr[source_id], out_indptr[source_id + 1])),
+            0,
+        )]
         while stack:
-            state, successors, _ = stack[-1]
+            state, slots, _ = stack[-1]
             # Metric of the partial path: its weight, or its edge count.
             metric = weight_so_far if weighted else len(labels)
-            for label_id, nxt in successors:
+            for slot in slots:
+                label_id = out_labels[slot]
+                nxt = out_targets[slot]
                 row = rows[label_id]
                 if row is None or visited[nxt]:
                     continue
@@ -201,7 +210,11 @@ class ExactSolver:
                     vertices.pop()
                     labels.pop()
                     continue
-                stack.append((next_state, iter(out(nxt)), step))
+                stack.append((
+                    next_state,
+                    iter(range(out_indptr[nxt], out_indptr[nxt + 1])),
+                    step,
+                ))
                 break
             else:
                 _, _, step = stack.pop()
@@ -231,20 +244,28 @@ class ExactSolver:
             return 1 if self.dfa.initial in self.dfa.accepting else 0
         rows = transition_rows(self.dfa, view)
         accepting = self.dfa.accepting
-        out = view.out
+        out_indptr = view.out_indptr
+        out_labels = view.out_labels
+        out_targets = view.out_targets
         count = 0
         visited = bytearray(view.num_vertices)
         visited[source_id] = 1
         ctx.charge_step()
-        # One frame per path vertex: (vertex id, state, successors).
-        stack = [(source_id, self.dfa.initial, iter(out(source_id)))]
+        # One frame per path vertex: (vertex id, state, iterator over
+        # its out-edge CSR slots).
+        stack = [(
+            source_id,
+            self.dfa.initial,
+            iter(range(out_indptr[source_id], out_indptr[source_id + 1])),
+        )]
         while stack:
-            _, state, successors = stack[-1]
+            _, state, slots = stack[-1]
             if max_length is not None and len(stack) > max_length:
                 # The path already has max_length edges: no extension.
-                successors = ()
-            for label_id, nxt in successors:
-                row = rows[label_id]
+                slots = ()
+            for slot in slots:
+                nxt = out_targets[slot]
+                row = rows[out_labels[slot]]
                 if row is None or visited[nxt]:
                     continue
                 visited[nxt] = 1
@@ -252,7 +273,11 @@ class ExactSolver:
                 next_state = row[state]
                 if nxt == target_id and next_state in accepting:
                     count += 1
-                stack.append((nxt, next_state, iter(out(nxt))))
+                stack.append((
+                    nxt,
+                    next_state,
+                    iter(range(out_indptr[nxt], out_indptr[nxt + 1])),
+                ))
                 break
             else:
                 vertex_id, _, _ = stack.pop()

@@ -228,7 +228,9 @@ def shortest_walk(dfa: "DFA", view: "GraphView", source_id: int,
                                   for state in row]
         for row in transition_rows(dfa, view)
     ]
-    out = view.out
+    out_indptr = view.out_indptr
+    out_labels = view.out_labels
+    out_targets = view.out_targets
     start = source_id * num_states + dfa.initial
     parents: dict[int, "tuple[int, int] | None"] = {start: None}
     frontier = [start]
@@ -241,7 +243,9 @@ def shortest_walk(dfa: "DFA", view: "GraphView", source_id: int,
     # Per label id: the states before each state, as in walk_distances.
     back_rows: "list[list[tuple[int, ...]] | None] | None" = None
     back_depth = 0
-    in_pairs = view.in_pairs
+    in_indptr = view.in_indptr
+    in_labels = view.in_labels
+    in_sources = view.in_sources
     goal = None
     while frontier and goal is None and (
         max_edges is None or depth < max_edges
@@ -262,10 +266,12 @@ def shortest_walk(dfa: "DFA", view: "GraphView", source_id: int,
                 if ctx is not None:
                     ctx.charge_step()
                 vertex_id, state = divmod(node, num_states)
-                for label_id, previous_id in in_pairs(vertex_id):
-                    befores = back_rows[label_id]
+                for slot in range(in_indptr[vertex_id],
+                                  in_indptr[vertex_id + 1]):
+                    befores = back_rows[in_labels[slot]]
                     if befores is None:
                         continue
+                    previous_id = in_sources[slot]
                     for state_before in befores[state]:
                         previous = previous_id * num_states + state_before
                         if previous not in back_seen:
@@ -286,13 +292,16 @@ def shortest_walk(dfa: "DFA", view: "GraphView", source_id: int,
             if ctx is not None:
                 ctx.charge_step()
             vertex_id, state = divmod(node, num_states)
-            for label_id, nxt in out(vertex_id):
+            for slot in range(out_indptr[vertex_id],
+                              out_indptr[vertex_id + 1]):
+                label_id = out_labels[slot]
                 row = rows[label_id]
                 if row is None:
                     continue
                 next_state = row[state]
                 if next_state < 0:
                     continue
+                nxt = out_targets[slot]
                 next_node = nxt * num_states + next_state
                 if next_node in parents:
                     continue

@@ -54,10 +54,14 @@ class GraphView:
     _id_of: dict[Any, int]
     _label_of: Sequence[str]
     _label_ids: dict[str, int]
-    #: ...and the forward CSR, which the vectorized sweep walks by index.
+    #: ...and the CSR of each direction, which the vectorized sweep,
+    #: the exact search and the walk check walk by index.
     out_indptr: Sequence[int]
     out_labels: Sequence[int]
     out_targets: Sequence[int]
+    in_indptr: Sequence[int]
+    in_labels: Sequence[int]
+    in_sources: Sequence[int]
 
     # -- id tables ---------------------------------------------------------------
 

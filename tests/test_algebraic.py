@@ -8,6 +8,8 @@ exact solver's ground truth; Monte-Carlo ``False`` misses would fail
 the one-sided assertions with probability < 1e-3 per instance.
 """
 
+import random
+
 import pytest
 
 from tests.conftest import random_instance
@@ -15,6 +17,7 @@ from tests.conftest import random_instance
 from repro.algorithms.algebraic import (
     MAX_GROUP_RANK,
     AlgebraicSolver,
+    _gf_tables,
     gf_mul,
     runs_for_prob,
 )
@@ -24,6 +27,19 @@ from repro.execution import ExecutionContext
 from repro.graphs.dbgraph import DbGraph
 from repro.graphs.generators import labeled_path
 from repro.languages import language
+
+
+def _reference_mul(a, b):
+    """Shift-and-xor product of two GF(2^16) elements modulo 0x1100B."""
+    product = 0
+    while b:
+        if b & 1:
+            product ^= a
+        b >>= 1
+        a <<= 1
+        if a & 0x10000:
+            a ^= 0x1100B
+    return product
 
 
 class TestFieldArithmetic:
@@ -41,6 +57,30 @@ class TestFieldArithmetic:
         for a in (3, 0x8001, 0xBEEF):
             for b in (7, 0x4242, 0xFFFF):
                 assert gf_mul(a, b) != 0
+
+    def test_tables_are_inverse_permutations_of_the_nonzero_elements(self):
+        exp, log = _gf_tables()
+        order = (1 << 16) - 1
+        # exp runs through every nonzero element once before it repeats
+        # (period 65,535), so x generates the multiplicative group and
+        # 0x1100B is primitive.
+        assert sorted(exp[:order]) == list(range(1, order + 1))
+        assert exp[order:] == exp[:order]
+        assert all(log[exp[power]] == power for power in range(order))
+        assert all(exp[log[value]] == value for value in range(1, order + 1))
+
+    def test_gf_mul_matches_shift_and_xor_reference(self):
+        rand = random.Random(0x1100B)
+        pairs = [(rand.randrange(1 << 16), rand.randrange(1 << 16))
+                 for _ in range(2000)]
+        pairs += [(0x8000, 0x8000), (0xFFFF, 0xFFFF), (2, 0x8000)]
+        for a, b in pairs:
+            assert gf_mul(a, b) == _reference_mul(a, b), (a, b)
+
+    def test_repeated_calls_share_one_pair_of_tables(self):
+        exp, log = _gf_tables()
+        again_exp, again_log = _gf_tables()
+        assert again_exp is exp and again_log is log
 
 
 class TestRunCalibration:
