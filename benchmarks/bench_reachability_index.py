@@ -5,9 +5,11 @@ identical (including the short-circuit flags) before any clock starts:
 
 * **negative-heavy** — two regions with only back-edges between them:
   most queries ask for a path the graph cannot have.  Without the
-  index every such query pays a full product-graph search (goal BFS /
-  live-table build over thousands of vertices) just to say "no"; with
-  it, the engine short-circuits in O(1) after the one-off SCC
+  index each such query needs a product-graph BFS over thousands of
+  vertices just to say "no"; the baseline times that search as one
+  :func:`repro.core.product.walk_check` per query (the check
+  ``RspqSolver.solve`` runs before searching an infinite L).  With the
+  index, the engine short-circuits in O(1) after the one-off SCC
   condensation.  The acceptance bar is ≥5×.
 
 * **repeated-query** — a small distinct query set replayed many times,
@@ -30,6 +32,7 @@ from benchmarks.conftest import record_metric, scaled, skip_if_smoke
 
 import pytest
 
+from repro.core.product import walk_check
 from repro.engine import QueryEngine
 from repro.graphs.dbgraph import DbGraph
 
@@ -115,33 +118,53 @@ def test_negative_heavy_workload_short_circuits_at_least_5x(
         for _ in range(NEGATIVE_PAIRS)
     ]
 
-    # Result caches off on both sides: this isolates the index effect
-    # (otherwise the cache would also absorb the baseline's repeats).
+    # Result cache off: this isolates the index effect (otherwise the
+    # cache would also absorb the engine's repeats).
     indexed = QueryEngine(graph, result_cache=False)
-    baseline = QueryEngine(
-        graph, result_cache=False, use_reach_index=False
-    )
+    # The baseline: the search that decides these negatives without
+    # the index, one walk check per query on the plan's minimal DFA
+    # with the simple-path cap |V| - 1.
+    view = indexed.view
+    cap = view.num_vertices - 1
+    checks = [
+        (
+            indexed.plan_for(language)[0].language.dfa,
+            view.vertex_id(source),
+            view.vertex_id(target),
+        )
+        for language, source, target in queries
+    ]
 
-    def run(engine):
+    def run_indexed():
         return [
-            engine.query(language, source, target)
+            indexed.query(language, source, target)
             for language, source, target in queries
         ]
 
-    indexed_results = run(indexed)    # warm plans + index closures
-    baseline_results = run(baseline)  # warm plans
-    _assert_identical(baseline_results, indexed_results)
-    # The workload is genuinely negative-heavy and the index proves it.
-    assert all(not result.found for result in baseline_results)
+    def run_walk_checks():
+        return [
+            walk_check(dfa, view, source_id, target_id, cap)
+            for dfa, source_id, target_id in checks
+        ]
+
+    indexed_results = run_indexed()        # warm plans + index closures
+    baseline_results = run_walk_checks()
+    # Identical answers: the walk check decides every query NOT_FOUND,
+    # and the index proves each one without a search.
+    assert all(
+        decided and path is None
+        for decided, path, _edges in baseline_results
+    )
+    assert all(not result.found for result in indexed_results)
     assert all(
         result.stats.short_circuit for result in indexed_results
     )
 
     indexed_seconds = min(
-        _measure(lambda: run(indexed)) for _ in range(REPS)
+        _measure(run_indexed) for _ in range(REPS)
     )
     baseline_seconds = min(
-        _measure(lambda: run(baseline)) for _ in range(REPS)
+        _measure(run_walk_checks) for _ in range(REPS)
     )
     speedup = (
         baseline_seconds / indexed_seconds

@@ -129,20 +129,19 @@ class AlgebraicSolver:
         One-sided error bound δ: ``False`` answers are wrong with
         probability at most δ; ``True`` answers are certified (every
         non-simple contribution is algebraically zero).
-    use_reach_pruning:
-        Drop product states in components that provably cannot reach
-        the target under L's usable labels (sound, answer-preserving).
+
+    Every run reads the view's label-constrained reachability index and
+    drops product states in components that provably cannot reach the
+    target under L's usable labels (sound, answer-preserving).
     """
 
-    def __init__(self, language, seed=0, failure_probability=1e-3,
-                 use_reach_pruning=True):
+    def __init__(self, language, seed=0, failure_probability=1e-3):
         if isinstance(language, str):
             language = Language(language)
         self.language = language
         self.dfa = language.dfa
         self.seed = seed
         self.failure_probability = failure_probability
-        self.use_reach_pruning = use_reach_pruning
         #: Symbols occurring in some word of L (the pruning label mask).
         self.used_symbols = language.used_symbols
 
@@ -179,42 +178,39 @@ class AlgebraicSolver:
         if source_id == target_id:
             # The only simple path from x to x is the empty path.
             return self.dfa.initial in self.dfa.accepting
-        if self.use_reach_pruning:
-            index = view.reachability()
-            mask = view.label_mask(self.used_symbols)
-            if not index.can_reach(source_id, target_id, mask):
-                return False
+        index = view.reachability()
+        mask = view.label_mask(self.used_symbols)
+        if not index.can_reach(source_id, target_id, mask):
+            return False
+        to_target = index.comps_to(target_id, mask)
         rows = transition_rows(self.dfa, view)
         for run in range(self._num_runs()):
             if ctx is not None:
                 ctx.check_deadline()
             rng = self._run_rng(source, target, run)
             if self._single_run(
-                view, source_id, target_id, rows, rng, max_edges, ctx
+                view, source_id, target_id, rows, to_target,
+                index.comp_of, rng, max_edges, ctx,
             ):
                 return True
         return False
 
     # invariant: hot-loop
-    def _single_run(self, view, source_id, target_id, rows, rng,
-                    max_edges, ctx):
+    def _single_run(self, view, source_id, target_id, rows, to_target,
+                    comp_of, rng, max_edges, ctx):
         """One randomized evaluation; True certifies a path exists.
 
         Layered DP over product states ``(vertex, dfa_state)``; the
         value of a state after layer j is the group-algebra sum over
         all j-edge walks reaching it.  A nonzero vector at an
-        accepting target state after any layer ends the run.
+        accepting target state after any layer ends the run.  A
+        product state whose component is not set in ``to_target``
+        cannot reach the target and is never entered.
         """
         size = 1 << (max_edges + 1)
         accepting = self.dfa.accepting
         randrange = rng.randrange
         group_of = [randrange(size) for _ in range(view.num_vertices)]
-        to_target = comp_of = None
-        if self.use_reach_pruning:
-            index = view.reachability()
-            mask = view.label_mask(self.used_symbols)
-            to_target = index.comps_to(target_id, mask)
-            comp_of = index.comp_of
         exp, log = _gf_tables()
         out = view.out
         scalar = randrange(1, _GF_ORDER)
@@ -229,11 +225,7 @@ class AlgebraicSolver:
                     ctx.charge_step()
                 for label_id, nxt in out(vertex_id):
                     row = rows[label_id]
-                    if row is None:
-                        continue
-                    if to_target is not None and not (
-                        to_target[comp_of[nxt]]
-                    ):
+                    if row is None or not to_target[comp_of[nxt]]:
                         continue
                     key = (nxt, row[state])
                     accumulator = frontier.get(key)

@@ -42,7 +42,7 @@ class FiniteLanguageSolver:
     deadline.
     """
 
-    def __init__(self, language, use_reach_pruning=True):
+    def __init__(self, language):
         if isinstance(language, str):
             language = Language(language)
         if not language.is_finite():
@@ -51,7 +51,6 @@ class FiniteLanguageSolver:
             )
         self.language = language
         self.dfa = language.dfa
-        self.use_reach_pruning = use_reach_pruning
         #: Letters of the words of L (the query's label mask).
         self.used_symbols = language.used_symbols
 
@@ -63,7 +62,7 @@ class FiniteLanguageSolver:
         source_id = view.vertex_id(source)
         target_id = view.vertex_id(target)
         index = None
-        if self.use_reach_pruning and source_id != target_id:
+        if source_id != target_id:
             index = view.reachability()
             if not index.can_reach(
                 source_id, target_id,

@@ -112,22 +112,20 @@ class ColorCodingSolver:
         One-sided error bound δ: ``None`` answers are wrong with
         probability at most δ (``found`` answers carry a witness and
         are always exact).
-    use_reach_pruning:
-        Consult the view's label-constrained reachability index to
-        drop DP expansions into components that provably cannot reach
-        the target under L's usable labels (sound: a pruned vertex can
-        appear on no source-target path).
+
+    The DP reads the view's label-constrained reachability index and
+    drops expansions into components that provably cannot reach the
+    target under L's usable labels (sound: a pruned vertex can appear
+    on no source-target path).
     """
 
-    def __init__(self, language, seed=0, failure_probability=1e-3,
-                 use_reach_pruning=True):
+    def __init__(self, language, seed=0, failure_probability=1e-3):
         if isinstance(language, str):
             language = Language(language)
         self.language = language
         self.dfa = language.dfa
         self.seed = seed
         self.failure_probability = failure_probability
-        self.use_reach_pruning = use_reach_pruning
         #: Symbols occurring in some word of L (the pruning label mask).
         self.used_symbols = language.used_symbols
 
@@ -219,14 +217,12 @@ class ColorCodingSolver:
         if colors[source_id] < 0:
             return None
         rows = transition_rows(dfa, view)
-        to_target = comp_of = None
-        if self.use_reach_pruning:
-            index = view.reachability()
-            mask = view.label_mask(self.used_symbols)
-            if not index.can_reach(source_id, target_id, mask):
-                return None
-            to_target = index.comps_to(target_id, mask)
-            comp_of = index.comp_of
+        index = view.reachability()
+        mask = view.label_mask(self.used_symbols)
+        if not index.can_reach(source_id, target_id, mask):
+            return None
+        to_target = index.comps_to(target_id, mask)
+        comp_of = index.comp_of
         out = view.out
         start_key = (source_id, dfa.initial, 1 << colors[source_id])
         table = {start_key: None}  # key -> parent (key, label_id) or None
@@ -246,11 +242,7 @@ class ColorCodingSolver:
                     if color < 0:
                         continue
                     bit = 1 << color
-                    if used & bit:
-                        continue
-                    if to_target is not None and not (
-                        to_target[comp_of[nxt]]
-                    ):
+                    if used & bit or not to_target[comp_of[nxt]]:
                         continue
                     next_state = row[state]
                     next_key = (nxt, next_state, used | bit)

@@ -56,22 +56,20 @@ class ExactSolver:
         it raises :class:`~repro.errors.BudgetExceededError` (the worst
         case is exponential, so callers may want a guard).  An explicit
         context's own ``budget`` — possibly None — takes precedence.
-    use_reach_pruning:
-        Consult the view's label-constrained reachability index: a
-        query whose target is provably walk-unreachable from the source
-        under L's usable labels returns ``None`` before the backward
-        BFS runs, and the goal-distance table is restricted to
-        components the source can actually reach (sound — see
-        :mod:`repro.graphs.reach`).
+
+    Every query reads the view's label-constrained reachability index:
+    a target that is provably walk-unreachable from the source under
+    L's usable labels returns ``None`` before the backward BFS runs,
+    and the goal-distance table is restricted to components the source
+    can actually reach (sound — see :mod:`repro.graphs.reach`).
     """
 
-    def __init__(self, language, budget=None, use_reach_pruning=True):
+    def __init__(self, language, budget=None):
         if isinstance(language, str):
             language = Language(language)
         self.language = language
         self.dfa = language.dfa
         self.budget = budget
-        self.use_reach_pruning = use_reach_pruning
         #: Symbols occurring in some word of L (the query label mask).
         self.used_symbols = language.used_symbols
         # Built once per solver: every query's backward goal-distance
@@ -114,19 +112,15 @@ class ExactSolver:
             if self.dfa.initial in self.dfa.accepting:
                 return Path.single(view.vertex_at(source_id))
             return None
-        from_source = comp_of = None
-        if self.use_reach_pruning:
-            index = view.reachability()
-            mask = view.label_mask(self.used_symbols)
-            if not index.can_reach(source_id, target_id, mask):
-                # Provably unreachable even with regular-path semantics
-                # — the simple-path answer is NOT_FOUND, no search runs.
-                return None
-            from_source = index.comps_from(source_id, mask)
-            comp_of = index.comp_of
+        index = view.reachability()
+        mask = view.label_mask(self.used_symbols)
+        if not index.can_reach(source_id, target_id, mask):
+            # Provably unreachable even with regular-path semantics —
+            # the simple-path answer is NOT_FOUND, no search runs.
+            return None
         goal_distance = walk_distances(
             self.dfa, view, target_id, self._reverse_transitions,
-            from_source, comp_of,
+            index.comps_from(source_id, mask), index.comp_of,
         )
         rows = transition_rows(self.dfa, view)
         num_states = self.dfa.num_states

@@ -90,12 +90,6 @@ def _engine_flags():
         help="disable the engine result cache (every query re-solves)",
     )
     engine.add_argument(
-        "--no-reach-index",
-        action="store_true",
-        help="disable the reachability index (no short-circuit of "
-        "provably unreachable queries, no frontier pruning)",
-    )
-    engine.add_argument(
         "--portfolio",
         action="store_true",
         help="route exact-strategy (NP-hard) queries through the "
@@ -594,7 +588,6 @@ def _engine_kwargs(args):
         "exact_budget": args.budget,
         "result_cache": not args.no_result_cache,
         "result_cache_size": args.result_cache_size,
-        "use_reach_index": not args.no_reach_index,
         "portfolio": args.portfolio,
         "portfolio_failure_probability": args.portfolio_failure_probability,
         "portfolio_seed": args.portfolio_seed,

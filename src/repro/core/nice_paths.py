@@ -238,8 +238,7 @@ class _SequenceNfa:
 
 
 # invariant: hot-loop
-def _live_table(view, nfa, source_id, target_id, from_source=None,
-                comp_of=None):
+def _live_table(view, nfa, target_id, from_source, comp_of):
     """Flat goal-reachability table over packed ``vertex * |Q| + state``.
 
     Backward product reachability from ``(target, final)``; simplicity
@@ -288,9 +287,7 @@ def _live_table(view, nfa, source_id, target_id, from_source=None,
             for label_id, graph_source in edges:
                 if not mask >> label_id & 1:
                     continue
-                if from_source is not None and not (
-                    from_source[comp_of[graph_source]]
-                ):
+                if not from_source[comp_of[graph_source]]:
                     continue
                 nxt = graph_source * num_states + nfa_source
                 if not backward[nxt]:
@@ -469,7 +466,7 @@ class _SequenceSearch:
     """Anchored DFS for one Ψtr-sequence on one query (integer-native)."""
 
     def __init__(self, view, segments, source_id, target_id, ctx,
-                 weight_fn=None, use_live_pruning=True, reach_index=None):
+                 reach_index, weight_fn=None):
         self.view = view
         self._out = view.out
         self.segments = segments
@@ -477,20 +474,12 @@ class _SequenceSearch:
         self.target_id = target_id
         self.ctx = ctx
         self.weight_fn = weight_fn
-        self.use_live_pruning = use_live_pruning
         self.nfa = _SequenceNfa(self.segments)
-        if use_live_pruning:
-            from_source = comp_of = None
-            if reach_index is not None and source_id != target_id:
-                from_source = reach_index.comps_from(
-                    source_id, _segments_mask(self.segments)
-                )
-                comp_of = reach_index.comp_of
-            self.live = _live_table(
-                view, self.nfa, source_id, target_id, from_source, comp_of
-            )
-        else:
-            self.live = None
+        self.live = _live_table(
+            view, self.nfa, target_id,
+            reach_index.comps_from(source_id, _segments_mask(segments)),
+            reach_index.comp_of,
+        )
         self.min_remaining = _min_remaining(self.segments)
         self.best = None          # (vertex_ids, label_ids) or None
         self.best_metric = None
@@ -517,11 +506,6 @@ class _SequenceSearch:
                     label_id += 1
 
     # -- helpers -----------------------------------------------------------------
-
-    def _alive(self, vertex_id, state):
-        if self.live is None:
-            return True
-        return bool(self.live[vertex_id * self._num_nfa_states + state])
 
     def _metric(self, id_path):
         vertex_ids, label_ids = id_path
@@ -588,7 +572,9 @@ class _SequenceSearch:
         if self._too_long(pieces, seg_index):
             return
         current = pieces[-1].vertices[-1]
-        if state is not None and not self._alive(current, state):
+        if state is not None and not (
+            self.live[current * self._num_nfa_states + state]
+        ):
             return
         if seg_index == len(self.segments):
             if current != self.target_id:
@@ -637,9 +623,7 @@ class _SequenceSearch:
             for edge_label, target in edges:
                 if edge_label != label_id or pinned[target]:
                     continue
-                if live is not None and not live[
-                    target * num_states + next_state
-                ]:
+                if not live[target * num_states + next_state]:
                     continue
                 vertices.append(target)
                 labels.append(label_id)
@@ -673,12 +657,12 @@ class _SequenceSearch:
 
         def after_head(pcs, pnd):
             head_vertex = pcs[-1].vertices[-1]
-            live = self.live if loop_state is not None else None
+            live = self.live
             num_states = self._num_nfa_states
             for exit_vertex in self._reach(head_vertex, mask):
                 if pnd[exit_vertex]:
                     continue
-                if live is not None and not live[
+                if loop_state is not None and not live[
                     exit_vertex * num_states + loop_state
                 ]:
                     continue
@@ -725,10 +709,8 @@ class _SequenceSearch:
             if not mask >> label_id & 1 or pinned[target]:
                 continue
             next_state = None if arc_row is None else arc_row[label_id]
-            if (
-                next_state is not None
-                and live is not None
-                and not live[target * num_states + next_state]
+            if next_state is not None and not (
+                live[target * num_states + next_state]
             ):
                 continue
             vertices.append(target)
@@ -757,8 +739,7 @@ class TractableSolver:
         (syntactic extraction, then validated synthesis).
     """
 
-    def __init__(self, language, expression=None, use_live_pruning=True,
-                 use_reach_pruning=True):
+    def __init__(self, language, expression=None):
         if isinstance(language, str):
             language = Language(language)
         self.language = language
@@ -768,8 +749,6 @@ class TractableSolver:
             raise TypeError("expression must be a PsitrExpression")
         self.expression = expression
         self._segments = [_segments_of(seq) for seq in expression.sequences]
-        self.use_live_pruning = use_live_pruning
-        self.use_reach_pruning = use_reach_pruning
         #: Symbols occurring in some word of L (the query label mask).
         self.used_symbols = language.used_symbols
 
@@ -799,16 +778,13 @@ class TractableSolver:
             if self.language.accepts(""):
                 return Path.single(view.vertex_at(source_id))
             return None
-        reach_index = None
-        if self.use_reach_pruning:
-            reach_index = view.reachability()
-            if not reach_index.can_reach(
-                source_id, target_id,
-                view.label_mask(self.used_symbols),
-            ):
-                # Unreachable even with regular-path semantics under
-                # every label L can use: NOT_FOUND, no anchored search.
-                return None
+        reach_index = view.reachability()
+        if not reach_index.can_reach(
+            source_id, target_id, view.label_mask(self.used_symbols),
+        ):
+            # Unreachable even with regular-path semantics under every
+            # label L can use: NOT_FOUND, no anchored search.
+            return None
         best = None
         best_metric = None
         for segments in self._segments:
@@ -816,15 +792,13 @@ class TractableSolver:
             # A sequence whose own label mask cannot carry the source to
             # the target is dead: skip the NFA build, the live table and
             # the whole anchored DFS for it.
-            if reach_index is not None and not reach_index.can_reach(
+            if not reach_index.can_reach(
                 source_id, target_id, _segments_mask(segments)
             ):
                 continue
             search = _SequenceSearch(
-                view, segments, source_id, target_id, ctx,
+                view, segments, source_id, target_id, ctx, reach_index,
                 weight_fn=weight_fn,
-                use_live_pruning=self.use_live_pruning,
-                reach_index=reach_index,
             )
             found = search.run(
                 best_bound=(

@@ -157,6 +157,13 @@ class RspqSolver:
     queries.  A context-less call runs on a fresh context budgeted by
     ``exact_budget``.
 
+    Every strategy's solver reads the graph view's label-constrained
+    reachability index: it answers NOT_FOUND without searching when the
+    target is not walk-reachable under L's usable labels, and its
+    search drops product states that cannot reach the target.  Every
+    simple L-labelled path is also an L-labelled walk, so the pruning
+    never changes an answer.
+
     Parameters
     ----------
     language:
@@ -165,11 +172,6 @@ class RspqSolver:
         Step budget of a query that brings no context: it caps the
         query's one work count, as a context's ``budget`` does.  A
         query's own context carries its budget instead.
-    use_reach_pruning:
-        Consult the graph view's label-constrained reachability index
-        (short-circuiting provably unreachable queries and dropping
-        dead product states).  On by default; the differential suite
-        pins pruned ≡ unpruned results, path for path.
     seed / failure_probability:
         Root seed and one-sided error bound δ of each randomized
         middle rung.  Negatives confirmed by *both* rungs report the
@@ -177,8 +179,7 @@ class RspqSolver:
     """
 
     def __init__(self, language: "str | Language",
-                 exact_budget: "int | None" = None,
-                 use_reach_pruning: bool = True, seed: int = 0,
+                 exact_budget: "int | None" = None, seed: int = 0,
                  failure_probability: float = 1e-3) -> None:
         if isinstance(language, str):
             language = Language(language)
@@ -194,7 +195,6 @@ class RspqSolver:
         #: plumbing no L-labeled path can use).
         self.used_symbols = language.used_symbols
         self.exact_budget = exact_budget
-        self.use_reach_pruning = use_reach_pruning
         self.failure_probability = failure_probability
         self._finite_solver: "FiniteLanguageSolver | None" = None
         self._tractable_solver: "TractableSolver | None" = None
@@ -206,9 +206,7 @@ class RspqSolver:
         #: The Ψtr decomposition a tractable plan searches (else None).
         self.expression = None
         if self.classification.finite:
-            self._finite_solver = FiniteLanguageSolver(
-                language, use_reach_pruning=use_reach_pruning
-            )
+            self._finite_solver = FiniteLanguageSolver(language)
             self.strategy = STRATEGY_FINITE
         elif self.classification.in_trc:
             try:
@@ -219,7 +217,6 @@ class RspqSolver:
                 self.expression = expression
                 self._tractable_solver = TractableSolver(
                     language, expression=expression,
-                    use_reach_pruning=use_reach_pruning,
                 )
                 self.strategy = STRATEGY_TRACTABLE
             else:
@@ -227,18 +224,14 @@ class RspqSolver:
                 # decomposition; warn rather than silently go exponential.
                 self.decompose_failed = True
         if self.strategy == STRATEGY_EXACT:
-            self._exact_solver = ExactSolver(
-                language, use_reach_pruning=use_reach_pruning,
-            )
+            self._exact_solver = ExactSolver(language)
             self._color = ColorCodingSolver(
                 language, seed=seed,
                 failure_probability=failure_probability,
-                use_reach_pruning=use_reach_pruning,
             )
             self._algebraic = AlgebraicSolver(
                 language, seed=seed,
                 failure_probability=failure_probability,
-                use_reach_pruning=use_reach_pruning,
             )
 
     @property

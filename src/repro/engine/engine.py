@@ -306,10 +306,9 @@ class _Query:
 
     Created when the query starts (``start`` times its result);
     :meth:`QueryEngine._prefix` fills in the plan, whether the plan
-    cache supplied it, the result-cache key and — when the
-    reachability index resolved them — the integer endpoint ids that
-    seed a group sweep (``None`` keeps the query out of the sweep; the
-    solver then resolves and validates the vertices itself).
+    cache supplied it, the result-cache key and — unless the result
+    cache answered the query — the integer endpoint ids that seed a
+    group sweep.
     """
 
     language: Any
@@ -350,6 +349,13 @@ class QueryEngine:
     prefix before its shared sweep, and the solver only for members
     the sweep left open.
 
+    The graph's label-constrained reachability index is built here, at
+    construction.  The prefix answers a query without running a solver
+    when the index proves its target unreachable under the plan's label
+    mask, and every solver prunes its search with the same index.
+    Every simple L-labelled path is also an L-labelled walk, so neither
+    changes an answer.
+
     Parameters
     ----------
     graph:
@@ -382,12 +388,6 @@ class QueryEngine:
         cost, so per-query budgets/deadlines do not apply to it.
         ``result_cache=False`` disables it; ``result_cache_size``
         bounds the entry count.
-    use_reach_index:
-        Consult the graph's label-constrained reachability index: the
-        engine short-circuits queries whose target is provably
-        unreachable under the plan's label mask (no solver runs), and
-        the solver cores use the same index for frontier pruning.  The
-        index is built eagerly at engine construction (compile time).
     portfolio:
         Route hard-regime (exact-strategy) queries through the anytime
         strategy ladder of :mod:`repro.core.solver` (its randomized
@@ -406,7 +406,6 @@ class QueryEngine:
                  deadline_seconds: float | None = None,
                  result_cache: bool = True,
                  result_cache_size: int = 1024,
-                 use_reach_index: bool = True,
                  portfolio: bool = False,
                  portfolio_failure_probability: float = 1e-3,
                  portfolio_seed: int = 0):
@@ -434,17 +433,15 @@ class QueryEngine:
         self._result_cache = (
             _ResultCache(result_cache_size) if result_cache else None
         )
-        self.use_reach_index = use_reach_index
         self.graph = (
             graph if isinstance(graph, IndexedGraph) else IndexedGraph(graph)
         )
         #: The GraphView every solver receives: the compiled graph
         #: itself, walked straight off its CSR arrays.
         self.view = self.graph.view()
-        if use_reach_index:
-            # Compile-time indexing: pay for the SCC condensation
-            # here, not on the first short-circuit check.
-            self.view.reachability()
+        # Compile-time indexing: pay for the SCC condensation here,
+        # not on the first short-circuit check.
+        self.view.reachability()
         self.plan_cache = PlanCache(plan_cache_size)
         #: Walk certificates of hot plans (decide whole plan groups).
         self._certificates = CertificateCache(self.view)
@@ -503,10 +500,9 @@ class QueryEngine:
             return ResultCacheStats(enabled=False)
         return self._result_cache.stats()
 
-    def reachability_info(self) -> dict[str, Any] | None:
-        """JSON-safe shape of the reachability index (or None if off)."""
-        if not self.use_reach_index:
-            return None
+    def reachability_info(self) -> dict[str, Any]:
+        """JSON-safe shape of the graph's reachability index (always a
+        dict; ``/stats`` reports it as ``reachability_index``)."""
         return self.view.reachability().describe()
 
     def plan_for(
@@ -548,7 +544,6 @@ class QueryEngine:
             try:
                 plan = QueryPlan.compile(
                     language, key=key,
-                    use_reach_pruning=self.use_reach_index,
                     seed=self.portfolio_seed,
                     failure_probability=self.portfolio_failure_probability,
                 )
@@ -676,13 +671,9 @@ class QueryEngine:
 
         Resolves ``q``'s endpoint ids on the way; unknown vertices
         raise :class:`~repro.errors.GraphError` exactly as the solver
-        would have.  With the index off nothing is resolved (the
-        solver validates vertices itself, keeping its error messages)
-        and nothing is proved; a same-vertex query is never
-        short-circuited (the empty-word case belongs to the solver).
+        would have.  A same-vertex query is never short-circuited (the
+        empty-word case belongs to the solver).
         """
-        if not self.use_reach_index:
-            return False
         view = self.view
         q.source_id = view.vertex_id(q.source)
         q.target_id = view.vertex_id(q.target)
@@ -776,8 +767,8 @@ class QueryEngine:
         can prove without running any solver.  Returns the same
         short-circuit :class:`EngineResult` a full query would have
         produced when the index proves the target unreachable, and
-        ``None`` when the index is off or cannot decide (the caller
-        sheds the request rather than guessing).
+        ``None`` when it cannot decide (the caller sheds the request
+        rather than guessing).
 
         Never wrong by construction: a short-circuit NOT_FOUND is a
         proof, not an estimate.  Raises exactly what plan compilation
@@ -831,11 +822,12 @@ class QueryEngine:
         deferred and answered per query after the group resolves, so
         their result-cache accounting matches per-query execution hit
         for hit.  Stage B decides the pending members together with
-        :func:`sweep_group` when at least :data:`GROUP_MIN_SIZE` of
-        them are eligible — by the plan's walk certificate once it has
-        one, else by one shared BFS sweep whose work goes towards
-        buying it; walk positives and everything undecided fall back
-        to the authoritative per-query :meth:`_solve`.
+        :func:`sweep_group` when there are at least
+        :data:`GROUP_MIN_SIZE` of them — by the plan's walk
+        certificate once it has one, else by one shared BFS sweep whose
+        work goes towards buying it; walk positives and everything
+        undecided fall back to the authoritative per-query
+        :meth:`_solve`.
         """
         results = []
         pending = []
@@ -858,18 +850,15 @@ class QueryEngine:
             elif result.stats.short_circuit:
                 stats.peeled_short_circuits += 1
             results.append((index, result))
-        sweep_members = [
-            (index, q) for index, q in pending if q.source_id is not None
-        ]
         swept = set()
-        if sweep_ok and len(sweep_members) >= GROUP_MIN_SIZE:
+        if sweep_ok and len(pending) >= GROUP_MIN_SIZE:
             stats.sweeps += 1
-            plan = sweep_members[0][1].plan
+            plan = pending[0][1].plan
             sweep_outcome = sweep_group(
                 self.view, plan,
                 [
                     (member, q.source_id, q.target_id)
-                    for member, (index, q) in enumerate(sweep_members)
+                    for member, (index, q) in enumerate(pending)
                 ],
                 self._certificates.lookup(plan),
             )
@@ -880,7 +869,7 @@ class QueryEngine:
                 self._portfolio_mode(plan, overrides)[0]
             )
             for member in sweep_outcome.negatives:
-                index, q = sweep_members[member]
+                index, q = pending[member]
                 swept.add(index)
                 stats.swept_negatives += 1
                 results.append((index, self._store(q, self._result(

@@ -168,23 +168,20 @@ class QueryPlan:
 
     @classmethod
     def compile(cls, language: str | Language, key: Any = None,
-                use_reach_pruning: bool = True, seed: int = 0,
+                seed: int = 0,
                 failure_probability: float = 1e-3) -> "QueryPlan":
         """Build a plan (regex → DFA → classification → solver) once.
 
-        ``use_reach_pruning=False`` compiles solvers that ignore the
-        reachability index entirely (the engine's ``use_reach_index``
-        kill-switch, and the unpruned side of the differential suite).
-        ``seed`` and ``failure_probability`` calibrate the randomized
-        middle rungs an exact-strategy solver runs for queries that
-        opt into them, without recompiling.
+        The plan's solver prunes every search with the graph's
+        reachability index.  ``seed`` and ``failure_probability``
+        calibrate the randomized middle rungs an exact-strategy solver
+        runs for queries that opt into them, without recompiling.
         """
         if key is None:
             key = plan_key(language)
         start = time.perf_counter()
         solver = RspqSolver(
-            language, use_reach_pruning=use_reach_pruning, seed=seed,
-            failure_probability=failure_probability,
+            language, seed=seed, failure_probability=failure_probability,
         )
         return cls(
             key=key,

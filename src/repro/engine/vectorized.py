@@ -58,7 +58,7 @@ MAX_CERTIFICATES = 8
 #: 0.9-2.4 for six plans on perfbench's 500-vertex batch-sweep graph).
 BUILD_COST_PER_UNIT = 1.5
 #: Smallest plan group decided by :func:`sweep_group`; a group with
-#: fewer sweep-eligible members runs its members per query.
+#: fewer members left after the prefix runs them per query.
 GROUP_MIN_SIZE = 2
 
 

@@ -346,14 +346,36 @@ class WorkerPool:
         self.close()
 
     def close(self, timeout: float = 5.0) -> None:
-        """Shut every worker down (drain in-flight batches first)."""
+        """Shut every worker down once its request in flight is answered.
+
+        Shard batches drain first.  Then ``close`` waits, up to
+        ``timeout`` seconds, for every checked-out worker to come back
+        idle, so a reply a worker has sent still reaches its caller; a
+        worker busy past that is killed under its request, which then
+        fails with :class:`~repro.errors.WorkerCrashError`.
+        """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            handles = list(self._handles)
         self._executor.shutdown(wait=True)
+        give_up = time.monotonic() + timeout
+        idle: list[_WorkerHandle] = []
+        while len(idle) < self._workers:
+            try:
+                idle.append(self._idle.get(
+                    timeout=max(give_up - time.monotonic(), 0)
+                ))
+            except queue.Empty:
+                break
+        with self._lock:
+            handles = list(self._handles)
         for handle in handles:
+            if handle not in idle:
+                # Busy for the whole timeout already: joining it for
+                # another one would double close's bound.
+                handle.process.kill()
+                continue
             try:
                 handle.conn.send(("shutdown",))
             except (BrokenPipeError, OSError):
@@ -367,6 +389,10 @@ class WorkerPool:
                 handle.conn.close()
             except OSError:  # pragma: no cover
                 pass
+        # A request already waiting in _checkout when close began
+        # takes a closed worker and fails as on any closed pool.
+        for handle in idle:
+            self._idle.put(handle)
 
     def kill_worker(self, index: int) -> None:
         """Test hook: hard-kill worker ``index`` (crash-recovery drills)."""
@@ -447,6 +473,8 @@ class WorkerPool:
             crashes = handle.crashes
             closed = self._closed
         if closed:
+            # Back on the idle queue, where close() counts it in.
+            self._idle.put(handle)
             raise WorkerCrashError("pool is closed")
         delay = min(
             self.respawn_backoff * (2 ** (crashes - 1)), MAX_BACKOFF

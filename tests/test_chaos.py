@@ -803,12 +803,14 @@ class TestSlowWorker:
             slow.join(timeout=30)
             evict.join(timeout=30)
             client.close()
-        assert not slow.is_alive() and not evict.is_alive()
-        assert elapsed < 0.5
+        assert not slow.is_alive() and not evict.is_alive(), (
+            elapsed, outcomes,
+        )
+        assert elapsed < 0.5, (elapsed, outcomes)
         assert verify_against_direct(
             graph, [("a*", 0, 1)], [outcomes["query"]]
-        ) == []
-        assert outcomes["evict"]["evicted"] == "main"
+        ) == [], (elapsed, outcomes)
+        assert outcomes["evict"]["evicted"] == "main", (elapsed, outcomes)
 
     def test_shutdown_drains_busy_and_closes_idle_connections(
         self, graph, pool_registry

@@ -5,13 +5,13 @@ Three layers of guarantees:
 * **Index soundness** — ``can_reach`` is an overapproximation of
   label-restricted reachability (never ``False`` for a truly reachable
   pair) and *exact* for the full label mask, on random graphs.
-* **Pruned ≡ unpruned** — the hypothesis differential suite: solving
-  with reachability pruning on is path-for-path identical to solving
-  with it off, across random graphs × random regexes spanning all
-  three trichotomy regimes, on the DbGraph's own compile and on a
-  separate one; and the pruned work counters are counter-for-counter
-  identical across the two (both condense to the same component
-  partition).
+* **Pruning keeps answers** — the hypothesis differential suite: the
+  pruned solver's path is a shortest simple L-labelled path, checked
+  against brute-force enumeration of simple paths across random
+  graphs × random regexes spanning all three trichotomy regimes, on
+  the DbGraph's own compile and on a separate one; the two compiles
+  give the same path and the same work counter (both condense to the
+  same component partition).
 * **Engine short-circuit** — provably unreachable queries answer
   NOT_FOUND with ``short_circuit=True`` and zero solver steps, and the
   answer matches a direct solve.
@@ -32,6 +32,8 @@ from repro.graphs.dbgraph import DbGraph
 from repro.graphs.reach import condense
 from repro.languages.analysis import useful_symbols
 from repro.languages import language
+
+from tests.conftest import brute_force_length
 
 
 @st.composite
@@ -249,15 +251,15 @@ def graph_and_query(draw):
     return graph, source, target
 
 
-class TestPrunedUnprunedDifferential:
-    """Index-pruned solving ≡ unpruned solving, on two compiles.
+class TestPrunedSolverDifferential:
+    """Index-pruned solving against brute force, on two compiles.
 
-    The satellite suite: across random graphs × random regexes, the
-    pruned solver returns the same path as the unpruned one (pruning
-    only ever removes provably dead work), and the pruned work
-    counters are identical on the DbGraph's own compile and on a
-    separate ``IndexedGraph`` (both condense identically, so they
-    prune identically).
+    Across random graphs × random regexes, the pruned solver finds a
+    path exactly when enumerating every simple path finds one, and its
+    path is a shortest simple L-labelled one (pruning only ever removes
+    provably dead work).  The DbGraph's own compile and a separate
+    ``IndexedGraph`` give the same path and the same work counter (both
+    condense identically, so they prune identically).
     """
 
     @given(graph_and_query(), REGEX_SEEDS)
@@ -267,34 +269,31 @@ class TestPrunedUnprunedDifferential:
     ):
         graph, source, target = instance
         regex = _seeded_regex(seed)
-        indexed = IndexedGraph(graph)
-        pruned = RspqSolver(regex, use_reach_pruning=True)
-        unpruned = RspqSolver(regex, use_reach_pruning=False)
+        solver = RspqSolver(regex)
+        truth = brute_force_length(
+            graph, solver.language.dfa, source, target
+        )
 
         contexts = {}
         results = {}
-        for name, solver, backing in [
-            ("db_pruned", pruned, graph),
-            ("csr_pruned", pruned, indexed),
-            ("db_plain", unpruned, graph),
-            ("csr_plain", unpruned, indexed),
-        ]:
+        for name, backing in [("db", graph), ("csr", IndexedGraph(graph))]:
             ctx = ExecutionContext()
-            results[name] = solver.shortest_simple_path(
+            path = solver.shortest_simple_path(
                 backing, source, target, ctx=ctx
             )
+            assert (path is None) == (truth is None), (name, regex)
+            if path is not None:
+                assert len(path) == truth, (name, regex)
+                assert path.is_simple(), (name, regex)
+                assert solver.language.accepts(path.word), (name, regex)
+            results[name] = path
             contexts[name] = ctx
 
-        baseline = results["db_plain"]
-        for name, path in results.items():
-            assert (path is None) == (baseline is None), name
-            if baseline is not None:
-                assert path.vertices == baseline.vertices, name
-                assert path.word == baseline.word, name
+        if results["db"] is not None:
+            assert results["csr"].vertices == results["db"].vertices
+            assert results["csr"].word == results["db"].word
         # Pruned work identical across backends (partition canonical).
-        assert contexts["db_pruned"].steps == contexts["csr_pruned"].steps
-        # Pruning never does more work than not pruning.
-        assert contexts["csr_pruned"].steps <= contexts["csr_plain"].steps
+        assert contexts["db"].steps == contexts["csr"].steps
 
 
 class TestEngineShortCircuit:
@@ -332,16 +331,6 @@ class TestEngineShortCircuit:
         result = engine.query("a*", 4, 4)
         assert result.found is True  # empty word
         assert result.stats.short_circuit is False
-
-    def test_disable_flag_runs_the_solver(self):
-        graph = _chain_graph()
-        engine = QueryEngine(
-            graph, result_cache=False, use_reach_index=False
-        )
-        result = engine.query("a*b", 4, 0)
-        assert result.found is False
-        assert result.stats.short_circuit is False
-        assert engine.reachability_info() is None
 
     def test_exists_short_circuits(self):
         graph = _chain_graph()

@@ -216,9 +216,10 @@ class TestServiceSurface:
         from repro.service import GraphRegistry
 
         registry = GraphRegistry(engine_kwargs={
-            "result_cache": False, "use_reach_index": False,
+            "result_cache": False, "plan_cache_size": 3,
         })
         registry.register("g", _graph())
         engine = registry.engine("g")
         assert engine.result_cache_stats().enabled is False
-        assert engine.reachability_info() is None
+        assert engine.plan_cache.capacity == 3
+        assert engine.reachability_info()["num_components"] >= 1

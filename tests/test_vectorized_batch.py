@@ -518,19 +518,23 @@ class TestBudgetsAndDeadlines:
 
 
 class TestFallbacks:
-    def test_without_reach_index_solver_keeps_its_own_errors(self):
-        # Unresolved vertex ids disable the sweep per member; the
-        # solver still owns vertex validation and its error text.
+    def test_unknown_vertex_errors_as_per_query_while_group_mates_answer(
+        self,
+    ):
+        # The prefix resolves every member's endpoints: an unknown
+        # vertex fails its own member with the per-query error text,
+        # and the rest of the group is still swept and solved.
         graph = sweep_graph()
-        vectorized = QueryEngine(graph, use_reach_index=False).run_batch(
-            [("ab", 0, 2), ("ab", 99, 2)]
-        )
-        serial = per_query(
-            QueryEngine(graph, use_reach_index=False),
-            [("ab", 0, 2), ("ab", 99, 2)],
-        )
+        queries = [("ab", 0, 2), ("ab", 99, 2), ("ab", 0, 4)]
+        vectorized = QueryEngine(graph).run_batch(queries)
+        serial = per_query(QueryEngine(graph), queries)
         assert_same_answers(serial, vectorized.results)
         assert "unknown vertex" in vectorized.results[1].error
+        assert [result.found for result in vectorized.results] == [
+            False, False, True,
+        ]
+        assert vectorized.stats.sweeps == 1
+        assert vectorized.stats.swept_negatives == 1
 
 
 class TestRandomizedDifferential:

@@ -151,19 +151,15 @@ class TestSameAnswers:
 
 
 class TestSamePaths:
-    def test_views_and_reach_pruning_give_identical_paths(self):
+    def test_views_give_identical_paths(self):
         for index, regex in enumerate(INFINITE_REGEXES[:20]):
-            solvers = [
-                RspqSolver(regex, use_reach_pruning=flag)
-                for flag in (True, False)
-            ]
+            solver = RspqSolver(regex)
             for graph, source, target in _random_cases(4, 200 + index):
                 answers = {
                     (
                         None if path is None
                         else (tuple(path.vertices), path.word)
                     )
-                    for solver in solvers
                     for view in (graph, IndexedGraph(graph))
                     for path in [
                         solver.shortest_simple_path(view, source, target)

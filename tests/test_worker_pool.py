@@ -266,6 +266,89 @@ class TestCrashRecovery:
         assert issubclass(WorkerCrashError, ReproError)
 
 
+class TestClose:
+    def test_close_delivers_a_reply_already_in_flight(
+        self, snap_path, graph
+    ):
+        # The reading thread is held once close() has begun, as a
+        # descheduled thread would be, until close() returns or half a
+        # second passes.  Its worker has answered by then, so the query
+        # must get that answer rather than a closed connection.
+        pool = WorkerPool(snap_path, workers=1)
+        real_recv = pool._recv
+        reading = threading.Event()
+        close_returned = threading.Event()
+
+        def held_recv(handle, deadline, kill_at=None):
+            reading.set()
+            while not pool._closed:
+                time.sleep(0.001)
+            close_returned.wait(timeout=0.5)
+            return real_recv(handle, deadline, kill_at)
+
+        pool._recv = held_recv
+        outcome = []
+
+        def ask():
+            try:
+                outcome.append(pool.query("a*", 0, 1))
+            except Exception as err:  # reported by the asserts below
+                outcome.append(err)
+
+        asker = threading.Thread(target=ask)
+        asker.start()
+        assert reading.wait(timeout=10)
+        pool.close()
+        close_returned.set()
+        asker.join(timeout=10)
+        assert not asker.is_alive()
+        assert len(outcome) == 1, outcome
+        assert not isinstance(outcome[0], Exception), outcome
+        assert_results_identical(
+            outcome[0], QueryEngine(IndexedGraph(graph)).query("a*", 0, 1)
+        )
+        assert all(
+            not handle.process.is_alive() for handle in pool._handles
+        )
+
+    def test_close_kills_a_worker_still_busy_after_its_timeout(
+        self, snap_path
+    ):
+        # The worker sleeps 3 s before answering; close(timeout=1.0)
+        # waits that one timeout for it, then kills it under its
+        # request instead of joining it for a second timeout.
+        faults.install(FaultPlan(worker_slow_at=(1,), slow_seconds=3.0))
+        try:
+            pool = WorkerPool(snap_path, workers=1)
+        finally:
+            faults.uninstall()
+        outcome = []
+
+        def ask():
+            try:
+                outcome.append(pool.query("a*", 0, 1))
+            except Exception as err:  # reported by the asserts below
+                outcome.append(err)
+
+        asker = threading.Thread(target=ask)
+        asker.start()
+        give_up = time.monotonic() + 10
+        while pool._idle.qsize():  # until the worker is checked out
+            assert time.monotonic() < give_up
+            time.sleep(0.01)
+        start = time.monotonic()
+        pool.close(timeout=1.0)
+        elapsed = time.monotonic() - start
+        asker.join(timeout=10)
+        assert not asker.is_alive()
+        assert 1.0 <= elapsed < 1.8, (elapsed, outcome)
+        assert len(outcome) == 1, outcome
+        assert isinstance(outcome[0], WorkerCrashError), outcome
+        assert all(
+            not handle.process.is_alive() for handle in pool._handles
+        )
+
+
 class TestMmapLifecycle:
     def test_unlink_while_attached_keeps_serving(self, snap_path, graph):
         engine = QueryEngine(IndexedGraph(graph))
