@@ -124,7 +124,7 @@ def _engine(graph, portfolio):
     # Result cache off so repetitions re-solve; queries are answered
     # one engine.query call at a time (_answer_each), so the timing
     # isolates the solver path.
-    return QueryEngine(graph, result_cache=False, portfolio=portfolio)
+    return QueryEngine(graph, result_cache_size=0, portfolio=portfolio)
 
 
 def _answer_each(engine, queries, bound):
@@ -205,7 +205,7 @@ def test_bounded_hard_negatives_speedup(bounded_workload):
 
 def test_probabilistic_rungs_serve_unbounded_negatives():
     graph = probabilistic_gadget()
-    engine = QueryEngine(graph, portfolio=True, result_cache=False)
+    engine = QueryEngine(graph, portfolio=True, result_cache_size=0)
     result = engine.query(HARD, 0, 4)
     assert not result.found
     assert result.confidence == CONFIDENCE_PROBABILISTIC

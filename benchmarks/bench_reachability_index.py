@@ -120,7 +120,7 @@ def test_negative_heavy_workload_short_circuits_at_least_5x(
 
     # Result cache off: this isolates the index effect (otherwise the
     # cache would also absorb the engine's repeats).
-    indexed = QueryEngine(graph, result_cache=False)
+    indexed = QueryEngine(graph, result_cache_size=0)
     # The baseline: the search that decides these negatives without
     # the index, one walk check per query on the plan's minimal DFA
     # with the simple-path cap |V| - 1.
@@ -212,7 +212,7 @@ def test_repeated_query_workload_result_cache_at_least_2x():
     ]
 
     cached = QueryEngine(graph)
-    uncached = QueryEngine(graph, result_cache=False)
+    uncached = QueryEngine(graph, result_cache_size=0)
 
     def run(engine):
         return [

@@ -164,8 +164,8 @@ def test_worker_pool_scaling(tmp_path, big_graph):
     queries = _pool_workload(big_graph, POOL_QUERIES)
     # The result cache is off so repeated languages are re-solved: the
     # measurement is solver throughput, not cache replay.
-    engine_kwargs = {"result_cache": False}
-    expected = QueryEngine(indexed, result_cache=False).run_batch(queries)
+    engine_kwargs = {"result_cache_size": 0}
+    expected = QueryEngine(indexed, result_cache_size=0).run_batch(queries)
     throughput = {}
     rss_mb = []
     for workers in POOL_WORKER_STEPS:

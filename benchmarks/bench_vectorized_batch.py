@@ -96,8 +96,8 @@ def test_vectorized_speedup_over_per_query_path(workload):
     graph, queries = workload
     # No result cache: the best-of-two reruns must re-solve, not
     # replay (pairs are already distinct within one run).
-    baseline_engine = QueryEngine(graph, result_cache=False)
-    vectorized_engine = QueryEngine(graph, result_cache=False)
+    baseline_engine = QueryEngine(graph, result_cache_size=0)
+    vectorized_engine = QueryEngine(graph, result_cache_size=0)
     # Best of two runs each: one noisy scheduling hiccup must not
     # decide a wall-clock comparison.
     baseline_seconds, baseline_results = min(
@@ -112,7 +112,7 @@ def test_vectorized_speedup_over_per_query_path(workload):
     )
     _assert_identical(baseline_results, vectorized_batch)
     speedup = baseline_seconds / vectorized_seconds
-    cold_engine = QueryEngine(graph, result_cache=False)
+    cold_engine = QueryEngine(graph, result_cache_size=0)
     cold_engine.plan_for(queries[0][0])
     cold_seconds, cold_batch = measure_seconds(cold_engine.run_batch, queries)
     _assert_identical(baseline_results, cold_batch)
@@ -148,7 +148,7 @@ def test_vectorized_speedup_over_per_query_path(workload):
 
 def test_vectorized_batch(benchmark, workload):
     graph, queries = workload
-    engine = QueryEngine(graph, result_cache=False)
+    engine = QueryEngine(graph, result_cache_size=0)
     engine.run_batch(queries)  # warm the plan cache
     batch = benchmark(engine.run_batch, queries)
     assert batch.stats.sweeps >= 1
@@ -156,7 +156,7 @@ def test_vectorized_batch(benchmark, workload):
 
 def test_per_query_baseline(benchmark, workload):
     graph, queries = workload
-    engine = QueryEngine(graph, result_cache=False)
+    engine = QueryEngine(graph, result_cache_size=0)
     _per_query(engine, queries)  # warm the plan cache
     results = benchmark(_per_query, engine, queries)
     assert not any(result.stats.vectorized for result in results)

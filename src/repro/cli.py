@@ -82,12 +82,8 @@ def _engine_flags():
         type=int,
         default=1024,
         help="LRU capacity of the engine result cache (default 1024); "
-        "repeated identical queries replay without re-solving",
-    )
-    engine.add_argument(
-        "--no-result-cache",
-        action="store_true",
-        help="disable the engine result cache (every query re-solves)",
+        "repeated identical queries replay without re-solving, and 0 "
+        "turns the cache off (every query re-solves)",
     )
     engine.add_argument(
         "--portfolio",
@@ -574,9 +570,8 @@ def _check_engine_flags(args):
     _require(args, "budget", lambda v: v > 0,
              "must be a positive step count")
     _require(args, "plan_cache_size", lambda v: v >= 1, "must be >= 1")
-    _require(args, "result_cache_size", lambda v: v >= 1,
-             "must be >= 1 (use %s to disable caching)"
-             % _flag("no_result_cache"))
+    _require(args, "result_cache_size", lambda v: v >= 0,
+             "must be >= 0 (0 turns the result cache off)")
     _require(args, "portfolio_failure_probability",
              lambda v: 0.0 < v < 1.0, "must be in (0, 1)")
 
@@ -586,7 +581,6 @@ def _engine_kwargs(args):
     return {
         "plan_cache_size": args.plan_cache_size,
         "exact_budget": args.budget,
-        "result_cache": not args.no_result_cache,
         "result_cache_size": args.result_cache_size,
         "portfolio": args.portfolio,
         "portfolio_failure_probability": args.portfolio_failure_probability,

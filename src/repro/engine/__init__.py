@@ -24,9 +24,9 @@ for callers that want string reads.)
 regex, determinises and minimises the automaton, classifies it against
 the trichotomy, and (for trC languages) computes a Ψtr decomposition —
 all before touching the graph.  A :class:`~repro.engine.plan.QueryPlan`
-does that once; :class:`QueryEngine` keeps plans in an LRU
-:class:`~repro.engine.plan.PlanCache` keyed by regex text (or by
-canonical minimal-DFA signature for ``Language`` objects), so repeated
+does that once; :class:`QueryEngine` keeps plans in an
+:class:`~repro.lru.LruCache` keyed by regex text (or by canonical
+minimal-DFA signature for ``Language`` objects), so repeated
 languages skip straight to the search.
 
 When does compilation pay off?
@@ -80,8 +80,9 @@ round-robin over worker processes that attach one shared snapshot of
 the compiled graph; each groups and answers its shard through the
 same ``QueryEngine.run_shard``, path-for-path identical to
 ``run_batch``.  ``BatchResult.cache_stats`` and
-``QueryEngine.cache_stats()`` report the real plan-cache counters
-(hits / misses / evictions / compiles).
+``QueryEngine.cache_stats()`` report the real plan-cache counters as
+a :class:`~repro.lru.CacheStats` (hits / misses / evictions, and one
+insert per plan compiled).
 
 Entry points
 ------------
@@ -100,7 +101,7 @@ Entry points
 """
 
 from .indexed import IndexedGraph
-from .plan import PlanCache, PlanCacheStats, QueryPlan, group_by_plan, plan_key
+from .plan import QueryPlan, group_by_plan, plan_key
 from ..core.solver import CONFIDENCE_CERTIFIED, CONFIDENCE_PROBABILISTIC
 from .vectorized import VectorizedBatchStats
 from .engine import (
@@ -109,7 +110,6 @@ from .engine import (
     EngineResult,
     QueryEngine,
     QueryStats,
-    ResultCacheStats,
 )
 
 __all__ = [
@@ -118,12 +118,9 @@ __all__ = [
     "CONFIDENCE_PROBABILISTIC",
     "EngineResult",
     "IndexedGraph",
-    "PlanCache",
-    "PlanCacheStats",
     "QueryEngine",
     "QueryPlan",
     "QueryStats",
-    "ResultCacheStats",
     "STRATEGY_ERROR",
     "VectorizedBatchStats",
     "group_by_plan",

@@ -2,7 +2,8 @@
 
 :class:`QueryEngine` binds an :class:`~repro.engine.indexed.IndexedGraph`
 (compiled once from the caller's :class:`~repro.graphs.dbgraph.DbGraph`)
-to a :class:`~repro.engine.plan.PlanCache` and answers
+to a plan cache (a :class:`~repro.lru.LruCache` of
+:class:`~repro.engine.plan.QueryPlan`) and answers
 ``(language, source, target)`` queries through both — see
 :mod:`repro.engine` for the cost model.  Results are identical,
 path-for-path, to what per-query :func:`repro.core.solver.solve_rspq`
@@ -23,9 +24,8 @@ the same :meth:`QueryEngine.run_shard`.
 from __future__ import annotations
 
 import math
-import threading
 import time
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Optional
 
@@ -36,8 +36,9 @@ from ..core.solver import CONFIDENCE_CERTIFIED
 from ..errors import ReproError
 from ..execution import ExecutionContext
 from ..graphs.dbgraph import Path
+from ..lru import CacheStats, LruCache
 from .indexed import IndexedGraph
-from .plan import PlanCache, PlanCacheStats, QueryPlan, group_by_plan, plan_key
+from .plan import QueryPlan, group_by_plan, plan_key
 from .vectorized import (
     GROUP_MIN_SIZE,
     CertificateCache,
@@ -103,17 +104,16 @@ class BatchResult:
 
     results: list[EngineResult]
     seconds: float
-    #: Real :class:`PlanCacheStats` accumulated during this batch (the
-    #: delta over the engine's cache; summed over the workers of a
-    #: pooled batch).  Unlike per-result accounting this counts plans
-    #: that were compiled but whose query then errored.
-    cache_stats: PlanCacheStats
+    #: Plan-cache counts made during this batch (the delta over the
+    #: engine's cache; summed over the workers of a pooled batch).
+    #: Unlike per-result accounting this counts plans that were
+    #: compiled but whose query then errored.
+    cache_stats: CacheStats
+    #: Result-cache counts made during this batch, likewise (not
+    #: ``enabled`` when the engine's result cache is off).
+    result_cache_stats: CacheStats
     #: Worker processes the batch ran on (1 = in-process).
     workers: int = 1
-    #: Result-cache counter deltas for this batch (None when the
-    #: engine's result cache is disabled; summed over the workers of a
-    #: pooled batch).
-    result_cache_stats: Optional["ResultCacheStats"] = None
     #: Plan-group counters — groups formed, sweeps run, members peeled
     #: by cache/short-circuit, sweep-proven negatives.
     stats: VectorizedBatchStats = field(default_factory=VectorizedBatchStats)
@@ -140,7 +140,7 @@ class BatchResult:
     @property
     def plans_compiled(self) -> int:
         """Plans compiled during the batch."""
-        return self.cache_stats.compiles
+        return self.cache_stats.inserts
 
     def strategy_counts(self) -> "Counter[str]":
         """``Counter`` of queries answered per strategy."""
@@ -161,9 +161,7 @@ class BatchResult:
         )
         workers = ", %d workers" % self.workers if self.workers > 1 else ""
         results = ""
-        if self.result_cache_stats is not None and (
-            self.result_cache_stats.hits
-        ):
+        if self.result_cache_stats.hits:
             results = " — results: %d cache hits" % (
                 self.result_cache_stats.hits
             )
@@ -188,116 +186,6 @@ class BatchResult:
                 by_strategy or "none",
             )
         )
-
-
-class _PlanCompilation:
-    """Rendezvous for one in-flight plan compile (single-flight)."""
-
-    __slots__ = ("done",)
-
-    def __init__(self):
-        self.done = threading.Event()
-
-
-@dataclass
-class ResultCacheStats:
-    """Counters for one engine result cache lifetime."""
-
-    hits: int = 0
-    misses: int = 0
-    size: int = 0
-    capacity: int = 0
-    enabled: bool = True
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "enabled": self.enabled,
-            "hits": self.hits,
-            "misses": self.misses,
-            "size": self.size,
-            "capacity": self.capacity,
-        }
-
-    def since(self, earlier: "ResultCacheStats") -> "ResultCacheStats":
-        """Counter deltas accumulated after the ``earlier`` snapshot."""
-        return ResultCacheStats(
-            hits=self.hits - earlier.hits,
-            misses=self.misses - earlier.misses,
-            size=self.size,
-            capacity=self.capacity,
-            enabled=self.enabled,
-        )
-
-    def __add__(self, other: object) -> "ResultCacheStats":
-        if not isinstance(other, ResultCacheStats):
-            return NotImplemented
-        return ResultCacheStats(
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            size=self.size + other.size,
-            capacity=max(self.capacity, other.capacity),
-            enabled=self.enabled or other.enabled,
-        )
-
-
-class _ResultCache:
-    """Bounded thread-safe LRU of answered queries.
-
-    Keys are ``(plan_key, source, target)`` (tagged further for
-    portfolio and bounded queries).  The engine serves a frozen
-    compiled graph, so an entry stays valid for the engine's lifetime.
-    Only certified answers are stored; errors (bad input, exhausted
-    budgets, expired deadlines) always re-execute.
-    """
-
-    __slots__ = ("capacity", "_entries", "_lock", "hits", "misses")
-
-    def __init__(self, capacity):
-        if capacity < 1:
-            raise ValueError(
-                "result cache capacity must be >= 1, got %r (disable "
-                "the cache with result_cache=False instead)" % (capacity,)
-            )
-        self.capacity = capacity
-        self._entries = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def lookup(self, key):
-        with self._lock:
-            result = self._entries.get(key)
-            if result is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return result
-
-    def store(self, key, result):
-        with self._lock:
-            self._entries[key] = result
-            self._entries.move_to_end(key)
-            if len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-
-    def stats(self):
-        with self._lock:
-            return ResultCacheStats(
-                hits=self.hits,
-                misses=self.misses,
-                size=len(self._entries),
-                capacity=self.capacity,
-                enabled=True,
-            )
 
 
 @dataclass
@@ -364,7 +252,8 @@ class QueryEngine:
         engine serves the compiled graph's frozen CSR arrays;
         recompile to serve a mutated graph.
     plan_cache_size:
-        Capacity of the LRU plan cache (distinct languages kept warm).
+        Capacity of the LRU plan cache (distinct languages kept warm);
+        at least 1.
     exact_budget:
         Step budget of every query's context (None = unbounded): it
         caps the query's ``steps``, which every search charges (walk
@@ -380,14 +269,13 @@ class QueryEngine:
         (isolated per query in batch mode).  Must be positive when
         given — an engine whose default deadline is already expired is
         a misconfiguration and is rejected with :class:`ValueError`.
-    result_cache / result_cache_size:
-        The engine-level result cache: answered queries are replayed
-        from an LRU keyed by ``(plan key, source, target)``, so a
-        repeated query in a serving workload returns without touching
-        a solver.  A cache hit returns the *correct* answer at ~zero
-        cost, so per-query budgets/deadlines do not apply to it.
-        ``result_cache=False`` disables it; ``result_cache_size``
-        bounds the entry count.
+    result_cache_size:
+        Capacity of the engine-level result cache: answered queries
+        are replayed from an LRU keyed by ``(plan key, source,
+        target)``, so a repeated query in a serving workload returns
+        without touching a solver.  A cache hit returns the *correct*
+        answer at ~zero cost, so per-query budgets/deadlines do not
+        apply to it.  0 turns the cache off.
     portfolio:
         Route hard-regime (exact-strategy) queries through the anytime
         strategy ladder of :mod:`repro.core.solver` (its randomized
@@ -404,7 +292,6 @@ class QueryEngine:
     def __init__(self, graph: Any, plan_cache_size: int = 128,
                  exact_budget: int | None = None,
                  deadline_seconds: float | None = None,
-                 result_cache: bool = True,
                  result_cache_size: int = 1024,
                  portfolio: bool = False,
                  portfolio_failure_probability: float = 1e-3,
@@ -430,9 +317,15 @@ class QueryEngine:
                 "portfolio_failure_probability must be in (0, 1), "
                 "got %r" % (portfolio_failure_probability,)
             )
-        self._result_cache = (
-            _ResultCache(result_cache_size) if result_cache else None
-        )
+        if plan_cache_size < 1:
+            raise ValueError(
+                "plan_cache_size must be >= 1, got %r" % (plan_cache_size,)
+            )
+        if result_cache_size < 0:
+            raise ValueError(
+                "result_cache_size must be >= 0 (0 turns the result "
+                "cache off), got %r" % (result_cache_size,)
+            )
         self.graph = (
             graph if isinstance(graph, IndexedGraph) else IndexedGraph(graph)
         )
@@ -442,7 +335,13 @@ class QueryEngine:
         # Compile-time indexing: pay for the SCC condensation here,
         # not on the first short-circuit check.
         self.view.reachability()
-        self.plan_cache = PlanCache(plan_cache_size)
+        self.plan_cache: LruCache[tuple, QueryPlan] = LruCache(
+            plan_cache_size
+        )
+        #: Answered queries by result key (see :meth:`_result_key`).
+        self._result_cache: LruCache[tuple, EngineResult] = LruCache(
+            result_cache_size
+        )
         #: Walk certificates of hot plans (decide whole plan groups).
         self._certificates = CertificateCache(self.view)
         self.exact_budget = exact_budget
@@ -450,8 +349,6 @@ class QueryEngine:
         self.portfolio = portfolio
         self.portfolio_failure_probability = portfolio_failure_probability
         self.portfolio_seed = portfolio_seed
-        self._compile_lock = threading.Lock()
-        self._inflight: dict[tuple, _PlanCompilation] = {}
 
     # -- planning ---------------------------------------------------------------
 
@@ -489,15 +386,13 @@ class QueryEngine:
             ),
         )
 
-    def cache_stats(self) -> PlanCacheStats:
+    def cache_stats(self) -> CacheStats:
         """Engine-lifetime plan-cache counters (an independent snapshot)."""
-        return self.plan_cache.stats_snapshot()
+        return self.plan_cache.stats()
 
-    def result_cache_stats(self) -> ResultCacheStats:
+    def result_cache_stats(self) -> CacheStats:
         """Engine-lifetime result-cache counters (hits / misses plus
-        size and capacity); ``enabled=False`` when the cache is off."""
-        if self._result_cache is None:
-            return ResultCacheStats(enabled=False)
+        size and capacity); not ``enabled`` when the cache is off."""
         return self._result_cache.stats()
 
     def reachability_info(self) -> dict[str, Any]:
@@ -516,47 +411,13 @@ class QueryEngine:
         engine never compiles one language twice however many threads
         race on it.
         """
-        key = plan_key(language)
-        # Optimistic fast path: warm hits never touch the compile lock,
-        # so a hot cache scales across threads instead of serializing.
-        plan = self.plan_cache.get(key)
-        if plan is not None:
-            return plan, True
-        while True:
-            with self._compile_lock:
-                # The fast path above already recorded this miss.
-                plan = self.plan_cache.get(key, count_miss=False)
-                if plan is not None:
-                    return plan, True
-                compilation = self._inflight.get(key)
-                if compilation is None:
-                    compilation = _PlanCompilation()
-                    self._inflight[key] = compilation
-                    leader = True
-                else:
-                    leader = False
-            if not leader:
-                # Wait for the leader, then re-look the key up: on
-                # success it is now cached (a hit); if the leader's
-                # compile raised, take over and surface our own error.
-                compilation.done.wait()
-                continue
-            try:
-                plan = QueryPlan.compile(
-                    language, key=key,
-                    seed=self.portfolio_seed,
-                    failure_probability=self.portfolio_failure_probability,
-                )
-            except BaseException:
-                with self._compile_lock:
-                    del self._inflight[key]
-                compilation.done.set()
-                raise
-            with self._compile_lock:
-                self.plan_cache.put(key, plan)
-                del self._inflight[key]
-            compilation.done.set()
-            return plan, False
+        return self.plan_cache.get_or_build(
+            plan_key(language), lambda key: QueryPlan.compile(
+                language, key=key,
+                seed=self.portfolio_seed,
+                failure_probability=self.portfolio_failure_probability,
+            ),
+        )
 
     # -- querying ----------------------------------------------------------------
 
@@ -643,22 +504,21 @@ class QueryEngine:
         """
         q.plan, q.cache_hit = self.plan_for(q.language)
         q.result_key = self._result_key(q)
-        if self._result_cache is not None:
-            cached = self._result_cache.lookup(q.result_key)
-            if cached is not None:
-                # Only certified results are ever stored; the replayed
-                # confidence is carried over rather than assumed, so a
-                # store-policy bug would surface in results.  No search
-                # ran for this request, so it reports 0 steps.
-                return self._result(
-                    q, cached.path,
-                    strategy=cached.strategy,
-                    decompose_failed=cached.decompose_failed,
-                    confidence=cached.confidence,
-                    failure_bound=cached.failure_bound,
-                    result_cache_hit=True,
-                    short_circuit=cached.stats.short_circuit,
-                )
+        cached = self._result_cache.get(q.result_key)
+        if cached is not None:
+            # Only certified results are ever stored; the replayed
+            # confidence is carried over rather than assumed, so a
+            # store-policy bug would surface in results.  No search
+            # ran for this request, so it reports 0 steps.
+            return self._result(
+                q, cached.path,
+                strategy=cached.strategy,
+                decompose_failed=cached.decompose_failed,
+                confidence=cached.confidence,
+                failure_bound=cached.failure_bound,
+                result_cache_hit=True,
+                short_circuit=cached.stats.short_circuit,
+            )
         if self._unreachable(q):
             # Provably NOT_FOUND: the target is not even
             # walk-reachable under any label L can use, and every
@@ -706,10 +566,8 @@ class QueryEngine:
 
     def _store(self, q, result):
         """Cache ``result`` under ``q``'s key when it is certified."""
-        if self._result_cache is not None and (
-            result.confidence == CONFIDENCE_CERTIFIED
-        ):
-            self._result_cache.store(q.result_key, result)
+        if result.confidence == CONFIDENCE_CERTIFIED:
+            self._result_cache.put(q.result_key, result)
         return result
 
     def _result(self, q, path=None, steps=0, error=None, strategy=None,
@@ -925,10 +783,9 @@ class QueryEngine:
         return BatchResult(
             results=results,
             seconds=time.perf_counter() - start,
-            cache_stats=self.plan_cache.stats_delta(plan_before),
-            result_cache_stats=(
-                None if self._result_cache is None
-                else self.result_cache_stats().since(results_before)
+            cache_stats=self.cache_stats().since(plan_before),
+            result_cache_stats=self.result_cache_stats().since(
+                results_before
             ),
             stats=stats,
         )

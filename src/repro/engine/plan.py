@@ -1,4 +1,4 @@
-"""Query plans and the LRU plan cache.
+"""Query plans and their cache keys.
 
 Planning an RSPQ is expensive relative to running one: a regex is
 parsed, determinised, minimised, classified against the trichotomy and
@@ -13,8 +13,8 @@ re-entrant solver whose per-query state lives in the
 :class:`~repro.execution.ExecutionContext` each query brings along, so
 one cached plan can serve any number of concurrent queries.
 
-Plans are cached in :class:`PlanCache`, a small thread-safe LRU keyed
-by :func:`plan_key`: regex strings key by their text (no re-parse on a
+An engine caches its plans in a :class:`~repro.lru.LruCache` keyed by
+:func:`plan_key`: regex strings key by their text (no re-parse on a
 hit), :class:`~repro.languages.Language` objects by the canonical
 signature of their minimal DFA (two different regexes for the same
 language share a plan).
@@ -22,9 +22,8 @@ language share a plan).
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
@@ -199,138 +198,3 @@ class QueryPlan:
             self.strategy,
             note,
         )
-
-
-@dataclass
-class PlanCacheStats:
-    """Counters for one :class:`PlanCache` lifetime.
-
-    ``compiles`` counts plans inserted into the cache after a fresh
-    compile — including plans whose query later failed (e.g. on an
-    unknown vertex), which per-result accounting used to miss.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    compiles: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def snapshot(self) -> "PlanCacheStats":
-        """An independent copy of the current counters."""
-        return PlanCacheStats(
-            hits=self.hits,
-            misses=self.misses,
-            evictions=self.evictions,
-            compiles=self.compiles,
-        )
-
-    def since(self, earlier: "PlanCacheStats") -> "PlanCacheStats":
-        """Counter deltas accumulated after the ``earlier`` snapshot."""
-        return PlanCacheStats(
-            hits=self.hits - earlier.hits,
-            misses=self.misses - earlier.misses,
-            evictions=self.evictions - earlier.evictions,
-            compiles=self.compiles - earlier.compiles,
-        )
-
-    def __add__(self, other: object) -> "PlanCacheStats":
-        if not isinstance(other, PlanCacheStats):
-            return NotImplemented
-        return PlanCacheStats(
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            evictions=self.evictions + other.evictions,
-            compiles=self.compiles + other.compiles,
-        )
-
-
-class PlanCache:
-    """A bounded, thread-safe LRU mapping plan keys to :class:`QueryPlan`.
-
-    Every operation holds an internal lock, so concurrent readers of a
-    shared cache cannot corrupt the recency order; single-flight
-    compilation (avoiding duplicate compiles under contention) is
-    layered on top by :class:`~repro.engine.engine.QueryEngine`.
-    """
-
-    def __init__(self, capacity: int = 128) -> None:
-        if capacity < 1:
-            raise ValueError("plan cache capacity must be >= 1")
-        self.capacity = capacity
-        self._plans: OrderedDict[tuple, QueryPlan] = OrderedDict()
-        self._lock = threading.RLock()
-        self.stats = PlanCacheStats()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._plans)
-
-    def __contains__(self, key: tuple) -> bool:
-        with self._lock:
-            return key in self._plans
-
-    def get(self, key: tuple, count_miss: bool = True) -> QueryPlan | None:
-        """The cached plan for ``key`` (refreshing recency), or None.
-
-        ``count_miss=False`` suppresses the miss counter — for re-looks
-        after a lookup that already recorded the miss (hits always
-        count, so a reuse is never invisible in the stats).
-        """
-        with self._lock:
-            plan = self._plans.get(key)
-            if plan is None:
-                if count_miss:
-                    self.stats.misses += 1
-                return None
-            self._plans.move_to_end(key)
-            self.stats.hits += 1
-            return plan
-
-    def put(self, key: tuple, plan: QueryPlan) -> None:
-        """Insert ``plan``, evicting the least recently used if full.
-
-        A first-time insertion counts as a compile (re-inserting an
-        existing key only refreshes recency).
-        """
-        with self._lock:
-            if key in self._plans:
-                self._plans.move_to_end(key)
-            else:
-                self.stats.compiles += 1
-            self._plans[key] = plan
-            if len(self._plans) > self.capacity:
-                self._plans.popitem(last=False)
-                self.stats.evictions += 1
-
-    def stats_snapshot(self) -> PlanCacheStats:
-        """A consistent copy of the counters, taken under the lock.
-
-        ``self.stats`` is mutated under the cache lock by concurrent
-        lookups; reading its fields without the lock (as ``/stats``
-        handlers once did) can observe a torn multi-counter state —
-        e.g. a hit counted but the lookup total not yet caught up.
-        """
-        with self._lock:
-            return self.stats.snapshot()
-
-    def stats_delta(self, earlier: PlanCacheStats) -> PlanCacheStats:
-        """Counters accumulated since ``earlier``, read under the lock."""
-        with self._lock:
-            return self.stats.since(earlier)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._plans.clear()
-
-    def plans(self) -> list[QueryPlan]:
-        """Cached plans, least recently used first."""
-        with self._lock:
-            return list(self._plans.values())

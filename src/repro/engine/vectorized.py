@@ -33,12 +33,13 @@ from __future__ import annotations
 
 import threading
 from array import array
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator
 
 from ..core.product import live_state_row, transition_rows
 from ..graphs.reach import closure, condense, successor_map
+from ..lru import LruCache
 
 if TYPE_CHECKING:
     from ..graphs.view import GraphView
@@ -366,24 +367,26 @@ class CertificateCache:
     Keyed by plan key (an engine serves one graph).  A plan's BFS
     sweeps charge their relaxed edges to its account; once they reach
     :func:`build_cost`, its next group builds the certificate.  At most
-    :data:`MAX_CERTIFICATES` accounts are kept, least recently used
-    evicted.  Racing batches may both build one; certificates are
-    immutable, so a race only costs work.
+    :data:`MAX_CERTIFICATES` accounts are kept in an
+    :class:`~repro.lru.LruCache`, least recently used evicted.  Racing
+    batches may both open a plan's account or build its certificate,
+    and one of each is kept; certificates are immutable, so a race
+    only costs work.
     """
 
     def __init__(self, view: "GraphView") -> None:
         self._view = view
-        self._accounts: OrderedDict[Any, _Account] = OrderedDict()
+        self._accounts: LruCache[Any, _Account] = LruCache(MAX_CERTIFICATES)
+        #: Guards the accounts' ``spent`` and ``certificate``.
         self._lock = threading.Lock()
 
     def lookup(self, plan: "QueryPlan") -> WalkCertificate | None:
         """``plan``'s certificate, built now if its sweeps have paid
         for it; None while the plan is cold (or too big)."""
+        account = self._accounts.get(plan.key)
+        if account is None:
+            return None
         with self._lock:
-            account = self._accounts.get(plan.key)
-            if account is None:
-                return None
-            self._accounts.move_to_end(plan.key)
             if account.certificate is not None or (
                 account.spent < account.cost
             ):
@@ -395,13 +398,12 @@ class CertificateCache:
 
     def charge(self, plan: "QueryPlan", expansions: int) -> None:
         """Add one BFS sweep's relaxed edges to ``plan``'s account."""
+        account = self._accounts.get(plan.key)
+        if account is None:
+            cost = build_cost(self._view, plan.solver.language.dfa)
+            if cost is None:
+                return
+            account = _Account(cost)
+            self._accounts.put(plan.key, account)
         with self._lock:
-            account = self._accounts.get(plan.key)
-            if account is None:
-                cost = build_cost(self._view, plan.solver.language.dfa)
-                if cost is None:
-                    return
-                account = self._accounts[plan.key] = _Account(cost)
-                if len(self._accounts) > MAX_CERTIFICATES:
-                    self._accounts.popitem(last=False)
             account.spent += expansions

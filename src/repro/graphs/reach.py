@@ -36,16 +36,16 @@ label-checked), but it never says *False* for a reachable pair.  Hence:
   equals plain graph reachability.
 
 The index is immutable once built and safe to share across query
-threads: the memo caches (closure tables, filter bytearrays) are
-LRU-bounded and guarded by one lock; racers may duplicate a build, but
-the results are immutable so the worst a race costs is work.
+threads: its memos (closure tables, filter bytearrays) are
+:class:`~repro.lru.LruCache` maps, so racers on one missing table or
+filter wait for a single build of it.
 """
 
 from __future__ import annotations
 
-import threading
 from array import array
-from collections import OrderedDict
+
+from ..lru import LruCache
 
 #: Bounds on the index's internal memo caches, so a long-lived serving
 #: process with many distinct masks/endpoints cannot grow them without
@@ -190,10 +190,9 @@ class ReachabilityIndex:
             label_out.append({})
         self._label_out = label_out
         self.num_condensation_edges = sum(len(edges) for edges in label_edges)
-        self._mask_reach = OrderedDict()
-        self._to_filters = OrderedDict()
-        self._from_filters = OrderedDict()
-        self._lock = threading.Lock()
+        self._mask_reach = LruCache(MAX_MASK_TABLES)
+        self._to_filters = LruCache(MAX_FILTERS)
+        self._from_filters = LruCache(MAX_FILTERS)
 
     # -- closures ----------------------------------------------------------------
 
@@ -202,44 +201,19 @@ class ReachabilityIndex:
             return self.full_mask
         return mask & self.full_mask
 
-    # invariant: holds-lock
-    def _cache_get(self, cache, key):
-        # Caller holds the lock.
-        value = cache.get(key)
-        if value is not None:
-            cache.move_to_end(key)
-        return value
-
-    @staticmethod
-    # invariant: holds-lock
-    def _cache_put(cache, key, value, capacity):
-        # Caller holds the lock.  LRU-bounded: the index must stay
-        # memory-safe in a long-lived serving process however many
-        # distinct masks/endpoints the workload throws at it.
-        cache[key] = value
-        cache.move_to_end(key)
-        if len(cache) > capacity:
-            cache.popitem(last=False)
-
     def _reach_for(self, mask):
-        """Per-component reachability bitsets under ``mask`` (cached):
-        :func:`closure` over the mask's labelled condensation edges."""
-        with self._lock:
-            table = self._cache_get(self._mask_reach, mask)
-        if table is not None:
-            return table
+        """Per-component reachability bitsets under ``mask`` (cached)."""
+        return self._mask_reach.get_or_build(mask, self._closure)[0]
+
+    def _closure(self, mask):
+        """:func:`closure` over ``mask``'s labelled condensation edges."""
         outs = []
         bits = mask
         while bits:
             low = bits & -bits
             outs.append(self._label_out[low.bit_length() - 1])
             bits ^= low
-        table = closure(self.num_comps, outs)
-        with self._lock:
-            self._cache_put(
-                self._mask_reach, mask, table, MAX_MASK_TABLES
-            )
-        return table
+        return closure(self.num_comps, outs)
 
     # -- queries -----------------------------------------------------------------
 
@@ -257,50 +231,40 @@ class ReachabilityIndex:
     def comps_to(self, target_id, mask=None):
         """Bytearray over components: 1 where the component may still
         reach ``target_id`` under ``mask`` (frontier-pruning filter)."""
-        mask = self._normalised(mask)
-        comp_target = self.comp_of[target_id]
-        key = (comp_target, mask)
-        with self._lock:
-            filter_ = self._cache_get(self._to_filters, key)
-        if filter_ is None:
-            table = self._reach_for(mask)
-            filter_ = bytearray(self.num_comps)
-            for comp in range(self.num_comps):
-                if table[comp] >> comp_target & 1:
-                    filter_[comp] = 1
-            with self._lock:
-                self._cache_put(self._to_filters, key, filter_, MAX_FILTERS)
-        return filter_
+        key = (self.comp_of[target_id], self._normalised(mask))
+        return self._to_filters.get_or_build(key, self._to_filter)[0]
 
     def comps_from(self, source_id, mask=None):
         """Bytearray over components: 1 where the component may be
         walk-reachable from ``source_id`` under ``mask``."""
-        mask = self._normalised(mask)
-        comp_source = self.comp_of[source_id]
-        key = (comp_source, mask)
-        with self._lock:
-            filter_ = self._cache_get(self._from_filters, key)
-        if filter_ is None:
-            bits = self._reach_for(mask)[comp_source]
-            filter_ = bytearray(self.num_comps)
-            while bits:
-                low = bits & -bits
-                filter_[low.bit_length() - 1] = 1
-                bits ^= low
-            with self._lock:
-                self._cache_put(
-                    self._from_filters, key, filter_, MAX_FILTERS
-                )
+        key = (self.comp_of[source_id], self._normalised(mask))
+        return self._from_filters.get_or_build(key, self._from_filter)[0]
+
+    def _to_filter(self, key):
+        comp_target, mask = key
+        table = self._reach_for(mask)
+        filter_ = bytearray(self.num_comps)
+        for comp in range(self.num_comps):
+            if table[comp] >> comp_target & 1:
+                filter_[comp] = 1
+        return filter_
+
+    def _from_filter(self, key):
+        comp_source, mask = key
+        bits = self._reach_for(mask)[comp_source]
+        filter_ = bytearray(self.num_comps)
+        while bits:
+            low = bits & -bits
+            filter_[low.bit_length() - 1] = 1
+            bits ^= low
         return filter_
 
     def describe(self):
         """JSON-safe shape/usage counters (service observability)."""
-        with self._lock:
-            masks_cached = len(self._mask_reach)
         return {
             "num_components": self.num_comps,
             "condensation_edges": self.num_condensation_edges,
-            "masks_cached": masks_cached,
+            "masks_cached": len(self._mask_reach),
         }
 
     def __repr__(self):

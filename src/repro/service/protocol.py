@@ -46,7 +46,9 @@ error``
 :func:`result_record` is the single producer of that shape; both
 ``repro batch --jsonl`` and the server's ``/query`` and ``/batch``
 responses go through it, so differential tooling can compare the two
-transports directly.
+transports directly.  The cache counters ``/stats`` reports per graph
+and per pool worker, and a batch record's ``cache_stats``, come from
+:func:`plan_cache_record` and :func:`result_cache_record`.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
     from ..engine.engine import BatchResult, EngineResult
+    from ..lru import CacheStats
 
 #: The documented, deterministic field order of one result record.
 RESULT_FIELDS = (
@@ -108,6 +111,28 @@ def result_record(result: EngineResult,
     }
 
 
+def plan_cache_record(stats: CacheStats) -> dict[str, int]:
+    """A plan cache's :class:`~repro.lru.CacheStats` as JSON counters:
+    ``compiles`` counts the plans it stored."""
+    return {
+        "hits": stats.hits,
+        "misses": stats.misses,
+        "evictions": stats.evictions,
+        "compiles": stats.inserts,
+    }
+
+
+def result_cache_record(stats: CacheStats) -> dict[str, Any]:
+    """A result cache's :class:`~repro.lru.CacheStats` as JSON."""
+    return {
+        "enabled": stats.enabled,
+        "hits": stats.hits,
+        "misses": stats.misses,
+        "size": stats.size,
+        "capacity": stats.capacity,
+    }
+
+
 def batch_record(batch: BatchResult,
                  degraded: bool = False) -> dict[str, Any]:
     """A :class:`BatchResult` as a JSON-safe dict (results + counters)."""
@@ -122,14 +147,9 @@ def batch_record(batch: BatchResult,
         "error_count": batch.error_count,
         "plans_compiled": batch.plans_compiled,
         "plan_cache_hits": batch.plan_cache_hits,
-        "cache_stats": {
-            "hits": batch.cache_stats.hits,
-            "misses": batch.cache_stats.misses,
-            "evictions": batch.cache_stats.evictions,
-            "compiles": batch.cache_stats.compiles,
-        },
+        "cache_stats": plan_cache_record(batch.cache_stats),
     }
-    if batch.result_cache_stats is not None:
+    if batch.result_cache_stats.enabled:
         record["result_cache_stats"] = {
             "hits": batch.result_cache_stats.hits,
             "misses": batch.result_cache_stats.misses,

@@ -39,6 +39,7 @@ from ..errors import ServiceError
 from ..engine import IndexedGraph, QueryEngine
 from . import faults
 from . import snapshot as snapshots
+from .protocol import plan_cache_record, result_cache_record
 
 if TYPE_CHECKING:
     from ..engine.engine import BatchResult, EngineResult
@@ -196,23 +197,19 @@ class RegisteredGraph:
     def describe(self) -> dict[str, Any]:
         """A JSON-safe stats dict (graph shape + serving counters)."""
         graph = self.engine.graph
-        cache = self.engine.cache_stats()
+        plan_cache = self.engine.cache_stats()
         with self._lock:
             stats = self.stats.as_dict()
-        result_cache = self.engine.result_cache_stats()
         stats.update(
             name=self.name,
             num_vertices=graph.num_vertices,
             num_edges=graph.num_edges,
             labels="".join(sorted(graph.labels())),
             graph_view="csr",
-            plan_cache={
-                "hits": cache.hits,
-                "misses": cache.misses,
-                "evictions": cache.evictions,
-                "compiles": cache.compiles,
-            },
-            result_cache=result_cache.as_dict(),
+            plan_cache=plan_cache_record(plan_cache),
+            result_cache=result_cache_record(
+                self.engine.result_cache_stats()
+            ),
             reachability_index=self.engine.reachability_info(),
             portfolio={
                 "enabled": self.engine.portfolio,

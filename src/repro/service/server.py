@@ -124,8 +124,9 @@ from ..errors import (
     SnapshotError,
     WorkerCrashError,
 )
-from ..engine.plan import PlanCache, QueryPlan, plan_key
+from ..engine.plan import QueryPlan, plan_key
 from ..graphs import io as graph_io
+from ..lru import LruCache
 from . import faults
 from .protocol import batch_record, result_record
 from .resilience import (
@@ -386,7 +387,7 @@ class QueryService:
         self._executor: Any = None
         self._server: Any = None
         # Graph-independent plans for /classify (small, service-wide).
-        self._classify_cache = PlanCache(64)
+        self._classify_cache: LruCache[tuple, QueryPlan] = LruCache(64)
         # Resilience state: one shedder and one degradation ladder for
         # the whole service, one circuit breaker per graph (created
         # lazily; all accessed from the event loop, internally locked).
@@ -980,11 +981,9 @@ class QueryService:
         regex = _checked_language(payload.get("language"))
 
         def work():
-            key = plan_key(regex)
-            plan = self._classify_cache.get(key)
-            if plan is None:
-                plan = QueryPlan.compile(regex, key=key)
-                self._classify_cache.put(key, plan)
+            plan, _hit = self._classify_cache.get_or_build(
+                plan_key(regex), lambda key: QueryPlan.compile(regex, key=key)
+            )
             lang = plan.language
             classification = plan.classification
             return {

@@ -75,11 +75,12 @@ from ..errors import (
 )
 from ..engine import (
     BatchResult,
-    PlanCacheStats,
     QueryEngine,
     VectorizedBatchStats,
 )
+from ..lru import CacheStats
 from . import faults
+from .protocol import plan_cache_record, result_cache_record
 
 #: Cap, in seconds, of the exponential backoff between a worker's
 #: crash and its respawn.
@@ -192,20 +193,16 @@ def _worker_main(snapshot_path, engine_kwargs, conn, fault_spec=None):
                 served_batches += 1
                 served_queries += len(queries)
             elif kind == "stats":
-                cache = engine.cache_stats()
                 reply = ("ok", {
                     "pid": os.getpid(),
                     "served_queries": served_queries,
                     "served_batches": served_batches,
                     "rss_mb": _rss_mb(),
                     "pss_mb": _pss_mb(),
-                    "plan_cache": {
-                        "hits": cache.hits,
-                        "misses": cache.misses,
-                        "evictions": cache.evictions,
-                        "compiles": cache.compiles,
-                    },
-                    "result_cache": engine.result_cache_stats().as_dict(),
+                    "plan_cache": plan_cache_record(engine.cache_stats()),
+                    "result_cache": result_cache_record(
+                        engine.result_cache_stats()
+                    ),
                 })
             elif kind == "ping":
                 reply = ("ok", os.getpid())
@@ -464,7 +461,9 @@ class WorkerPool:
         the idle queue instead, so the slot is not lost: the next
         request that checks it out finds it dead and retries the spawn
         with the slot's growing backoff.  The spawn's error still
-        reaches the caller.
+        reaches the caller.  A pool closed during the backoff or the
+        spawn kills the fresh worker instead of registering it:
+        ``close()`` shuts down only the handles registered when it ran.
         """
         self._kill(handle)
         with self._lock:
@@ -488,8 +487,14 @@ class WorkerPool:
             raise
         fresh.crashes = crashes
         with self._lock:
-            self._handles[handle.index] = fresh
-            self._respawns += 1
+            closed = self._closed
+            if not closed:
+                self._handles[handle.index] = fresh
+                self._respawns += 1
+        if closed:
+            self._kill(fresh)
+            self._idle.put(handle)
+            raise WorkerCrashError("pool is closed")
         self._idle.put(fresh)
 
     # -- request plumbing --------------------------------------------------------
@@ -691,8 +696,7 @@ class WorkerPool:
             for offset in range(shard_count)
         ]
         results: list = [None] * len(query_list)
-        plan_stats = PlanCacheStats()
-        result_cache_stats = None
+        plan_stats = result_cache_stats = CacheStats()
         group_stats = VectorizedBatchStats()
         errors = []
         for offset, future in enumerate(futures):
@@ -703,11 +707,7 @@ class WorkerPool:
                 continue
             results[offset::shard_count] = part.results
             plan_stats = plan_stats + part.cache_stats
-            if part.result_cache_stats is not None:
-                result_cache_stats = (
-                    part.result_cache_stats if result_cache_stats is None
-                    else result_cache_stats + part.result_cache_stats
-                )
+            result_cache_stats = result_cache_stats + part.result_cache_stats
             group_stats = group_stats + part.stats
         if errors:
             raise errors[0]
@@ -715,8 +715,8 @@ class WorkerPool:
             results=results,
             seconds=time.perf_counter() - start,
             cache_stats=plan_stats,
-            workers=max(shard_count, 1),
             result_cache_stats=result_cache_stats,
+            workers=max(shard_count, 1),
             stats=group_stats,
         )
 
@@ -754,9 +754,7 @@ class WorkerPool:
         aggregate = {
             "served_queries": 0,
             "served_batches": 0,
-            "plan_cache": {
-                "hits": 0, "misses": 0, "evictions": 0, "compiles": 0,
-            },
+            "plan_cache": plan_cache_record(CacheStats()),
         }
         probe_deadline = time.monotonic() + self.grace_seconds
         for handle in handles:

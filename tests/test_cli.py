@@ -208,6 +208,19 @@ class TestBatch:
         assert code == 2
         assert "plan-cache-size" in capsys.readouterr().err
 
+    def test_batch_result_cache_size_zero_turns_the_cache_off(
+        self, capsys, graph_file, tmp_path
+    ):
+        queries = tmp_path / "repeated.txt"
+        queries.write_text("s t a*(bb+ + eps)c*\n" * 2)
+        argv = ["batch", graph_file, str(queries), "--result-cache-size"]
+        assert main(argv + ["-1"]) == 2
+        assert "result-cache-size must be >= 0" in capsys.readouterr().err
+        assert main(argv + ["1"]) == 0
+        assert "results: 1 cache hits" in capsys.readouterr().out
+        assert main(argv + ["0"]) == 0
+        assert "results:" not in capsys.readouterr().out
+
     def test_batch_query_error_isolated(self, capsys, graph_file, tmp_path):
         queries = tmp_path / "mixed.txt"
         queries.write_text("zzz t a*\ns t a*(bb+ + eps)c*\n")

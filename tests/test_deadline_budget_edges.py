@@ -15,14 +15,15 @@ Two families of guarantees:
   engine deadline, can never admit any work, so it is rejected with a
   clear :class:`ValueError` at construction time instead of failing
   every query one by one; a NaN or infinite deadline can never fire,
-  so it is rejected the same way.
+  so it is rejected the same way, and so is a plan cache of no entries
+  or a result cache of negative size, all before the graph compile.
 """
 
 import math
 
 import pytest
 
-from repro.engine import QueryEngine
+from repro.engine import IndexedGraph, QueryEngine
 from repro.execution import ExecutionContext
 from repro.graphs.generators import labeled_cycle
 from repro.service import save_snapshot
@@ -138,6 +139,25 @@ class TestUpfrontRejection:
         # object is never touched (no AttributeError).
         with pytest.raises(ValueError, match="exact_budget"):
             QueryEngine(object(), exact_budget=0)
+
+    @pytest.mark.parametrize("size, name", [
+        ({"plan_cache_size": 0}, "plan_cache_size"),
+        ({"result_cache_size": -1}, "result_cache_size"),
+    ], ids=["plan", "result"])
+    def test_cache_sizes_are_checked_before_the_graph_compile(
+        self, cycle, monkeypatch, size, name
+    ):
+        compiles = []
+        compile_graph = IndexedGraph.__init__
+
+        def counted(self, *args, **kwargs):
+            compiles.append(self)
+            compile_graph(self, *args, **kwargs)
+
+        monkeypatch.setattr(IndexedGraph, "__init__", counted)
+        with pytest.raises(ValueError, match=name):
+            QueryEngine(cycle, **size)
+        assert compiles == []
 
     @pytest.mark.parametrize("bad_deadline", [0, 0.0, -1.0])
     def test_engine_rejects_nonpositive_default_deadline(

@@ -1,5 +1,8 @@
 """Tests for the indexed-adjacency query engine (repro.engine)."""
 
+import threading
+import time
+
 import pytest
 
 from tests.conftest import random_instance
@@ -11,7 +14,6 @@ from repro.core.nice_paths import TractableSolver
 from repro.core.solver import solve_rspq
 from repro.engine import (
     IndexedGraph,
-    PlanCache,
     QueryEngine,
     QueryPlan,
     plan_key,
@@ -20,11 +22,19 @@ from repro.errors import GraphError
 from repro.graphs.dbgraph import DbGraph
 from repro.graphs.generators import random_labeled_graph
 from repro.languages import language
+from repro.lru import CacheStats, LruCache
 
 
 @pytest.fixture
 def graph():
     return random_labeled_graph(25, 75, "abc", seed=11)
+
+
+def wait_until(condition, timeout=10.0):
+    give_up = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < give_up
+        time.sleep(0.001)
 
 
 class TestIndexedGraph:
@@ -188,15 +198,15 @@ class TestPlanKey:
         engine = QueryEngine(graph)
         narrow = engine.query(language("a*"), 0, 2)
         wide = engine.query(language("a*", alphabet="ab"), 0, 2)
-        assert engine.cache_stats().compiles == 1
+        assert engine.cache_stats().inserts == 1
         assert wide.found == narrow.found
         assert wide.path == narrow.path
         assert wide.strategy == narrow.strategy
 
 
-class TestPlanCache:
-    def test_lru_eviction(self):
-        cache = PlanCache(capacity=2)
+class TestLruCache:
+    def test_lru_order_and_eviction_count(self):
+        cache = LruCache(capacity=2)
         plans = {
             regex: QueryPlan.compile(regex) for regex in ("a", "b", "c")
         }
@@ -207,21 +217,118 @@ class TestPlanCache:
         assert cache.get(plan_key("b")) is None
         assert cache.get(plan_key("a")) is plans["a"]
         assert cache.get(plan_key("c")) is plans["c"]
-        assert cache.stats.evictions == 1
+        assert cache.stats().evictions == 1
         assert len(cache) == 2
 
-    def test_stats_counters(self):
-        cache = PlanCache(capacity=4)
-        assert cache.get(plan_key("a")) is None
-        cache.put(plan_key("a"), QueryPlan.compile("a"))
-        assert cache.get(plan_key("a")) is not None
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
-        assert cache.stats.hit_rate == 0.5
+    def test_counters_since_and_sum(self):
+        cache = LruCache(capacity=4)
+        assert cache.get("a") is None
+        cache.put("a", 1)
+        cache.put("a", 2)  # a stored key is not inserted again
+        before = cache.stats()
+        assert cache.get("a") == 2
+        assert cache.get_or_build("b", lambda key: key * 2) == ("bb", False)
+        assert cache.get_or_build("b", lambda key: "unused") == ("bb", True)
+        stats = cache.stats()
+        assert stats == CacheStats(
+            hits=2, misses=2, inserts=2, evictions=0, size=2, capacity=4,
+        )
+        assert (stats.lookups, stats.hit_rate, stats.enabled) == (4, 0.5, True)
+        assert stats.since(before) == CacheStats(
+            hits=2, misses=1, inserts=1, evictions=0, size=2, capacity=4,
+        )
+        assert stats + CacheStats(hits=1, size=1, capacity=9) == CacheStats(
+            hits=3, misses=2, inserts=2, evictions=0, size=3, capacity=9,
+        )
+
+    def test_zero_capacity_stores_and_counts_nothing(self):
+        cache = LruCache(capacity=0)
+        cache.put("a", 1)
+        assert cache.get("a") is None
+        builds = []
+        for _ in range(2):
+            value, hit = cache.get_or_build("b", builds.append)
+            assert (value, hit) == (None, False)
+        assert builds == ["b", "b"]
+        assert len(cache) == 0
+        assert cache.stats() == CacheStats()
+        assert not cache.stats().enabled
 
     def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            PlanCache(capacity=0)
+        with pytest.raises(ValueError, match="capacity"):
+            LruCache(capacity=-1)
+
+    def test_racing_threads_build_one_key_once(self):
+        cache = LruCache(capacity=4)
+        barrier = threading.Barrier(8)
+        release = threading.Event()
+        builds = []
+        outcomes = []
+
+        def build(key):
+            builds.append(key)
+            assert release.wait(timeout=10)
+            return key.upper()
+
+        def ask():
+            barrier.wait(timeout=10)
+            outcomes.append(cache.get_or_build("k", build))
+
+        threads = [threading.Thread(target=ask) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        # Every thread has looked the key up and found it missing.
+        wait_until(lambda: cache.stats().misses == 8)
+        release.set()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert builds == ["k"]
+        assert sorted(outcomes) == [("K", False)] + [("K", True)] * 7
+        assert cache.stats() == CacheStats(
+            hits=7, misses=8, inserts=1, size=1, capacity=4,
+        )
+
+    def test_waiter_builds_for_itself_after_a_failed_build(self):
+        cache = LruCache(capacity=4)
+        leading = threading.Event()
+        release = threading.Event()
+        errors = []
+
+        def failing_build(key):
+            leading.set()
+            assert release.wait(timeout=10)
+            raise KeyError("leader")
+
+        def lead():
+            try:
+                cache.get_or_build("k", failing_build)
+            except KeyError as err:
+                errors.append(err.args[0])
+
+        def waiter_build(key):
+            raise LookupError("waiter")
+
+        def wait():
+            try:
+                cache.get_or_build("k", waiter_build)
+            except LookupError as err:
+                errors.append(err.args[0])
+
+        leader = threading.Thread(target=lead)
+        leader.start()
+        assert leading.wait(timeout=10)
+        waiter = threading.Thread(target=wait)
+        waiter.start()
+        # The waiter has counted its miss and found the key in flight.
+        wait_until(lambda: cache.stats().misses == 2)
+        release.set()
+        for thread in (leader, waiter):
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert sorted(errors) == ["leader", "waiter"]
+        assert len(cache) == 0
+        assert cache.get_or_build("k", lambda key: 1) == (1, False)
 
 
 class TestQueryEngine:
@@ -310,7 +417,7 @@ class TestQueryEngine:
             mine = engine.query(regex, 0, (index % 5) + 1)
             reference = solve_rspq(regex, graph, 0, (index % 5) + 1)
             assert mine.path == reference.path
-        assert engine.plan_cache.stats.evictions > 0
+        assert engine.cache_stats().evictions > 0
 
 
 class TestCacheStats:
@@ -320,7 +427,7 @@ class TestCacheStats:
         engine.query("a*", 0, 2)
         engine.query("ab", 0, 3)
         stats = engine.cache_stats()
-        assert stats.compiles == 2
+        assert stats.inserts == 2
         assert stats.hits == 1
         assert stats.misses == 2
         assert stats.evictions == 0
@@ -330,16 +437,16 @@ class TestCacheStats:
         engine = QueryEngine(graph)
         before = engine.cache_stats()
         engine.query("a*", 0, 1)
-        assert before.compiles == 0
-        assert engine.cache_stats().compiles == 1
+        assert before.inserts == 0
+        assert engine.cache_stats().inserts == 1
 
     def test_batch_delta_counts_only_this_batch(self, graph):
         engine = QueryEngine(graph)
         engine.run_batch([("a*", 0, 1), ("ab", 0, 2)])
         batch = engine.run_batch([("a*", 0, 1), ("ab", 0, 2)])
-        assert batch.cache_stats.compiles == 0
+        assert batch.cache_stats.inserts == 0
         assert batch.cache_stats.hits == 2
-        assert engine.cache_stats().compiles == 2
+        assert engine.cache_stats().inserts == 2
 
     def test_eviction_recompile_counted(self, graph):
         engine = QueryEngine(graph, plan_cache_size=1)
@@ -347,7 +454,7 @@ class TestCacheStats:
         engine.query("ab", 0, 2)  # evicts a*
         engine.query("a*", 0, 3)  # recompiles a*
         stats = engine.cache_stats()
-        assert stats.compiles == 3
+        assert stats.inserts == 3
         assert stats.evictions == 2
 
     def test_summary_shows_real_counters(self, graph):
@@ -419,7 +526,7 @@ class TestBatchErrorIsolation:
         # The plan WAS compiled even though the query then failed on
         # the unknown vertex; real cache counters must say so.
         assert batch.plans_compiled == 1
-        assert batch.cache_stats.compiles == 1
+        assert batch.cache_stats.inserts == 1
         assert batch.cache_stats.hits == 0
 
     def test_error_after_cache_hit_still_counted_as_hit(self, graph):

@@ -70,7 +70,7 @@ for u, label, v in [
     graph.add_edge(u, label, v)
 graph.add_vertex(5)
 graph.add_vertex(6)
-engine = QueryEngine(graph, result_cache=False)
+engine = QueryEngine(graph, result_cache_size=0)
 
 
 def answer(result):

@@ -62,6 +62,7 @@ def run_cli(*args):
         "protocol-drift",
         "api-types",
         "fault-gate",
+        "one-lru",
     ],
 )
 def test_rule_flags_its_fixture(rule):
@@ -230,7 +231,7 @@ def test_cli_json_output_shape():
     assert proc.returncode == 1
     payload = json.loads(proc.stdout)
     assert payload["checked_files"] == 1
-    assert len(payload["rules"]) == 8
+    assert len(payload["rules"]) == 9
     (record,) = payload["violations"]
     assert record["rule"] == "api-types"
     assert record["path"].endswith("fixture_api_types.py")
@@ -238,12 +239,12 @@ def test_cli_json_output_shape():
     assert "missing annotations" in record["message"]
 
 
-def test_cli_list_rules_covers_all_eight():
+def test_cli_list_rules_covers_all_nine():
     proc = run_cli("--list-rules")
     assert proc.returncode == 0
     for rule in ALL_RULES:
         assert rule.name in proc.stdout
-    assert len(ALL_RULES) == 8
+    assert len(ALL_RULES) == 9
 
 
 def test_cli_unknown_rule_is_usage_error():

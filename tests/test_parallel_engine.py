@@ -130,7 +130,7 @@ class TestSingleFlightCompilation:
         engine = QueryEngine(graph)
         run_threaded(engine, queries)
         stats = engine.cache_stats()
-        assert stats.compiles == len(distinct_languages(queries))
+        assert stats.inserts == len(distinct_languages(queries))
         assert stats.evictions == 0
 
     def test_hot_language_contention(self, workload):
@@ -144,7 +144,7 @@ class TestSingleFlightCompilation:
         ]
         engine = QueryEngine(graph)
         results = run_threaded(engine, queries)
-        assert engine.cache_stats().compiles == 1
+        assert engine.cache_stats().inserts == 1
         assert not any(isinstance(result, ReproError) for result in results)
 
     def test_stats_sanity(self, workload):
@@ -153,7 +153,7 @@ class TestSingleFlightCompilation:
         results = run_threaded(engine, queries)
         stats = engine.cache_stats()
         assert stats.lookups == stats.hits + stats.misses
-        assert stats.hits + stats.compiles >= len(queries)
+        assert stats.hits + stats.inserts >= len(queries)
         assert not any(isinstance(result, ReproError) for result in results)
         assert all(result.stats.seconds >= 0 for result in results)
 
@@ -186,7 +186,7 @@ class TestSingleFlightCompilation:
         for thread in threads:
             thread.join()
         assert errors == []
-        assert engine.cache_stats().compiles == 1
+        assert engine.cache_stats().inserts == 1
 
 
 class TestParallelErrorIsolation:
@@ -229,7 +229,7 @@ class TestRunBatchArguments:
         graph, _queries = workload
         for batch in (QueryEngine(graph).run_batch([]), pool.run_batch([])):
             assert len(batch) == 0
-            assert batch.cache_stats.compiles == 0
+            assert batch.cache_stats.inserts == 0
 
     def test_workload_generator_is_deterministic(self):
         first = mixed_workload(num_queries=20, seed=9)

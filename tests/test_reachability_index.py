@@ -299,7 +299,7 @@ class TestPrunedSolverDifferential:
 class TestEngineShortCircuit:
     def test_unreachable_query_short_circuits(self):
         graph = _chain_graph()
-        engine = QueryEngine(graph, result_cache=False)
+        engine = QueryEngine(graph, result_cache_size=0)
         result = engine.query("a*b", 4, 0)  # island cannot reach the chain
         assert result.found is False
         assert result.path is None
@@ -313,28 +313,28 @@ class TestEngineShortCircuit:
     def test_label_mask_short_circuits_beyond_connectivity(self):
         # 4 -> 5 exists but only via 'c'; L = a*b can never use it.
         graph = _chain_graph()
-        engine = QueryEngine(graph, result_cache=False)
+        engine = QueryEngine(graph, result_cache_size=0)
         result = engine.query("a*b", 4, 5)
         assert result.found is False
         assert result.stats.short_circuit is True
 
     def test_reachable_query_runs_the_solver(self):
         graph = _chain_graph()
-        engine = QueryEngine(graph, result_cache=False)
+        engine = QueryEngine(graph, result_cache_size=0)
         result = engine.query("a*ba*", 0, 3)
         assert result.found is True
         assert result.stats.short_circuit is False
 
     def test_self_query_is_never_short_circuited(self):
         graph = _chain_graph()
-        engine = QueryEngine(graph, result_cache=False)
+        engine = QueryEngine(graph, result_cache_size=0)
         result = engine.query("a*", 4, 4)
         assert result.found is True  # empty word
         assert result.stats.short_circuit is False
 
     def test_exists_short_circuits(self):
         graph = _chain_graph()
-        engine = QueryEngine(graph, result_cache=False)
+        engine = QueryEngine(graph, result_cache_size=0)
         assert engine.exists("a*b", 4, 0) is False
         assert engine.exists("a*ba*", 0, 3) is True
 
@@ -417,3 +417,37 @@ def test_reachability_index_describe_shape():
     info = index.describe()
     assert info["num_components"] == 4
     assert info["condensation_edges"] >= 2
+
+
+def test_memos_stay_bounded_and_answer_as_an_unbounded_index(monkeypatch):
+    # Edges only climb, so each of the 24 vertices is its own
+    # component, and the 16 masks over four labels outnumber the two
+    # closure tables and two filters of each kind the index may keep.
+    rng = random.Random(5)
+    graph = DbGraph()
+    for vertex in range(24):
+        graph.add_vertex(vertex)
+    for _ in range(60):
+        source, target = sorted(rng.sample(range(24), 2))
+        graph.add_edge(source, rng.choice("abcd"), target)
+    unbounded = IndexedGraph(graph).reachability()
+    monkeypatch.setattr("repro.graphs.reach.MAX_MASK_TABLES", 2)
+    monkeypatch.setattr("repro.graphs.reach.MAX_FILTERS", 2)
+    bounded = IndexedGraph(graph).reachability()
+    memos = (bounded._mask_reach, bounded._to_filters, bounded._from_filters)
+    for mask in [None, *range(16)]:
+        for _ in range(6):
+            source, target = rng.randrange(24), rng.randrange(24)
+            assert bounded.can_reach(source, target, mask) == (
+                unbounded.can_reach(source, target, mask)
+            )
+            assert bounded.comps_to(target, mask) == (
+                unbounded.comps_to(target, mask)
+            )
+            assert bounded.comps_from(source, mask) == (
+                unbounded.comps_from(source, mask)
+            )
+            assert bounded.describe()["masks_cached"] <= 2
+            assert all(len(memo) <= 2 for memo in memos)
+    assert all(memo.stats().evictions > 0 for memo in memos)
+    assert unbounded.describe()["masks_cached"] == 16

@@ -1,9 +1,10 @@
 """The engine result cache (ISSUE-5): repeated queries replay for free.
 
 Covers the cache contract (hits return the identical answer, counters
-move, LRU bounds hold), the disable knob, batch integration, and the
-frozen-graph edge: the engine serves a compiled copy, so a ``DbGraph``
-mutation after compiling reaches neither the answers nor the cache.
+move, LRU bounds hold), a zero capacity turning it off, batch
+integration, and the frozen-graph edge: the engine serves a compiled
+copy, so a ``DbGraph`` mutation after compiling reaches neither the
+answers nor the cache.
 """
 
 import threading
@@ -11,8 +12,10 @@ import threading
 import pytest
 
 from repro.core.solver import RspqSolver
-from repro.engine import QueryEngine, ResultCacheStats
+from repro.engine import QueryEngine
 from repro.graphs.dbgraph import DbGraph
+from repro.lru import CacheStats
+from repro.service.protocol import batch_record
 
 
 def _graph():
@@ -95,7 +98,7 @@ class TestResultCacheHits:
 
 class TestResultCacheKnobs:
     def test_disable_flag(self):
-        engine = QueryEngine(_graph(), result_cache=False)
+        engine = QueryEngine(_graph(), result_cache_size=0)
         engine.query("a*b", 0, 3)
         second = engine.query("a*b", 0, 3)
         assert second.stats.result_cache_hit is False
@@ -104,8 +107,8 @@ class TestResultCacheKnobs:
         assert stats.hits == 0
 
     def test_capacity_is_validated(self):
-        with pytest.raises(ValueError, match="result cache capacity"):
-            QueryEngine(_graph(), result_cache_size=0)
+        with pytest.raises(ValueError, match="result_cache_size"):
+            QueryEngine(_graph(), result_cache_size=-1)
 
     def test_lru_eviction_keeps_the_cache_bounded(self):
         engine = QueryEngine(_graph(), result_cache_size=2)
@@ -126,7 +129,7 @@ class TestResultCacheKnobs:
         delta = engine.result_cache_stats().since(before)
         assert delta.hits == 1
         assert delta.misses == 0
-        assert isinstance(delta, ResultCacheStats)
+        assert isinstance(delta, CacheStats)
 
 
 class TestBatchIntegration:
@@ -139,7 +142,7 @@ class TestBatchIntegration:
         ])
         hits = [result.stats.result_cache_hit for result in batch]
         assert hits == [False, True, True]
-        assert batch.result_cache_stats is not None
+        assert batch.result_cache_stats.enabled
         assert batch.result_cache_stats.hits == 2
         assert "results: 2 cache hits" in batch.summary()
 
@@ -154,9 +157,11 @@ class TestBatchIntegration:
             assert result.path == direct.path
 
     def test_disabled_cache_reports_none_on_batches(self):
-        engine = QueryEngine(_graph(), result_cache=False)
+        engine = QueryEngine(_graph(), result_cache_size=0)
         batch = engine.run_batch([("a*b", 0, 3), ("a*b", 0, 3)])
-        assert batch.result_cache_stats is None
+        assert batch.result_cache_stats == CacheStats()
+        assert not batch.result_cache_stats.enabled
+        assert "result_cache_stats" not in batch_record(batch)
 
     def test_threaded_batch_shares_the_cache(self):
         """Twelve identical queries from four threads at once share
@@ -216,7 +221,7 @@ class TestServiceSurface:
         from repro.service import GraphRegistry
 
         registry = GraphRegistry(engine_kwargs={
-            "result_cache": False, "plan_cache_size": 3,
+            "result_cache_size": 0, "plan_cache_size": 3,
         })
         registry.register("g", _graph())
         engine = registry.engine("g")

@@ -144,7 +144,7 @@ class TestBudgetCapsSteps:
         else:
             assert ctx.steps == unbudgeted.steps <= budget
             assert result.path == expected.path
-        engine = QueryEngine(graph, result_cache=False)
+        engine = QueryEngine(graph, result_cache_size=0)
         try:
             answer = engine.query(regex, source, target, budget=budget)
         except BudgetExceededError:
@@ -159,7 +159,7 @@ class TestBudgetCapsSteps:
         # The middle rungs run on slices of what the walk check left;
         # whatever rung answers, the query's steps fit its budget.
         graph, source, target = instance
-        engine = QueryEngine(graph, result_cache=False)
+        engine = QueryEngine(graph, result_cache_size=0)
         try:
             answer = engine.query(
                 LANGUAGES[STRATEGY_EXACT], source, target, budget=budget,

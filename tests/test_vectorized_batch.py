@@ -319,7 +319,7 @@ class TestWalkCertificateDifferential:
             monkeypatch.setattr(
                 "repro.engine.vectorized.CERTIFICATE_BIT_CAP", cap
             )
-            engine = QueryEngine(graph, result_cache=False)
+            engine = QueryEngine(graph, result_cache_size=0)
             engine.run_batch(queries)  # a first batch always sweeps
             splits.append([
                 result.stats.vectorized or result.stats.short_circuit
@@ -338,7 +338,7 @@ class TestCertificateCache:
     most ``MAX_CERTIFICATES`` plans."""
 
     def test_sweeps_pay_for_the_certificate_then_lookups_decide(self):
-        engine = QueryEngine(sweep_graph(), result_cache=False)
+        engine = QueryEngine(sweep_graph(), result_cache_size=0)
         plan = engine.plan_for("ab")[0]
         ids = engine.view.vertex_id
         pending = [(0, ids(0), ids(4)), (1, ids(0), ids(2))]
@@ -366,7 +366,7 @@ class TestCertificateCache:
                 (base + 2, "c", base),
             )
         ])
-        engine = QueryEngine(graph, result_cache=False)
+        engine = QueryEngine(graph, result_cache_size=0)
         for regex in MIXED_LANGUAGES + ("ab",):
             dfa = engine.plan_for(regex)[0].solver.language.dfa
             assert build_cost(engine.view, dfa) is None

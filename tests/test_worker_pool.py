@@ -144,10 +144,10 @@ class TestDifferential:
         cycle = labeled_cycle("ababababa")
         path = str(tmp_path / "cycle.snap")
         save_snapshot(IndexedGraph(cycle), path)
-        engine = QueryEngine(IndexedGraph(cycle), result_cache=False)
+        engine = QueryEngine(IndexedGraph(cycle), result_cache_size=0)
         queries = [("a*", 0, 1), ("(ab)^+ba", 0, 5), ("b*a*b*", 2, 7)]
         with WorkerPool(
-            path, engine_kwargs={"result_cache": False}, workers=2
+            path, engine_kwargs={"result_cache_size": 0}, workers=2
         ) as pool:
             for language, source, target in queries:
                 for budget in (5, 100000):
@@ -186,7 +186,7 @@ class TestDifferential:
 
     def test_batch_aggregates_worker_cache_stats(self, pool):
         batch = pool.run_batch(QUERIES)
-        assert batch.cache_stats.compiles >= 1
+        assert batch.cache_stats.inserts >= 1
         assert batch.workers == 2
 
 
@@ -347,6 +347,38 @@ class TestClose:
         assert all(
             not handle.process.is_alive() for handle in pool._handles
         )
+
+    def test_respawn_racing_close_leaves_no_worker_running(
+        self, snap_path
+    ):
+        # The query's worker is dead, so the query respawns it after a
+        # 1 s backoff; close() begins and returns within that second.
+        # The replacement spawned after close() must not outlive it.
+        before = set(multiprocessing.active_children())
+        pool = WorkerPool(snap_path, workers=1, respawn_backoff=1.0)
+        pool.kill_worker(0)
+        outcome = []
+
+        def ask():
+            try:
+                outcome.append(pool.query("a*", 0, 1))
+            except Exception as err:  # reported by the asserts below
+                outcome.append(err)
+
+        asker = threading.Thread(target=ask)
+        asker.start()
+        time.sleep(0.3)
+        pool.close(timeout=0.2)
+        asker.join(timeout=30)
+        assert not asker.is_alive()
+        try:
+            assert len(outcome) == 1, outcome
+            assert isinstance(outcome[0], WorkerCrashError), outcome
+            assert "pool is closed" in str(outcome[0])
+            assert set(multiprocessing.active_children()) <= before
+        finally:
+            for handle in pool._handles:
+                pool._kill(handle)
 
 
 class TestMmapLifecycle:

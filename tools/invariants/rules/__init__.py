@@ -7,6 +7,7 @@ from .api_types import ApiTypesRule
 from .fault_gate import FaultGateRule
 from .hot_loop import HotLoopRule
 from .lock_discipline import LockDisciplineRule
+from .one_lru import OneLruRule
 from .protocol_drift import ProtocolDriftRule
 from .purity import SolverPurityRule
 from .snapshot_layout import SnapshotLayoutRule
@@ -21,6 +22,7 @@ ALL_RULES: tuple[Rule, ...] = (
     ProtocolDriftRule(),
     ApiTypesRule(),
     FaultGateRule(),
+    OneLruRule(),
 )
 
 
